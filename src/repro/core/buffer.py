@@ -5,25 +5,32 @@ IRS calls are buffered persistently in a dictionary of type
 ``||STRING --> ||IRSObjects --> REAL|| ||``.  Its keys are IRS queries."
 
 The buffer lives as a ``DICT`` attribute of the COLLECTION database object,
-so it is persistent exactly like any other database state (it survives
-checkpoints and recovery).  :class:`ResultBuffer` wraps attribute access and
-feeds the hit/miss counters that the FIG3 benchmark reads.
+``{"model|query": {"OID3": 0.7}}``, so it is persistent exactly like any
+other database state (it survives checkpoints and recovery).
+:class:`ResultBuffer` wraps attribute access and feeds the hit/miss counters
+that the FIG3 benchmark reads.
 
-Writes are copy-on-write with a working copy per buffer view: the stored
-dictionary is copied **once** when this view first diverges from it, and
-later writes through the same view mutate the working copy in place before
-re-storing it.  Buffering N queries is therefore O(N) total instead of the
-O(N²) of copying the whole dictionary on every write.  Because the first
-diverging write copies, the pre-existing stored dictionary is never mutated
-— transaction undo snapshots stay intact and a full abort restores it.
+Writes are deltas: ``store`` and ``amend`` set one item of the dictionary
+through :meth:`Database.write_dict_item`, so their time and their WAL record
+depend on the entry or the single value written, never on how much the
+buffer already holds.  Reads go through the context's
+:class:`~repro.core.context.DecodedBufferView`, which keeps each buffered
+result decoded to ``{OID: value}`` and is revalidated against the COLLECTION
+object's write version on every lookup.
+
+Writes are also conditional: a :class:`ResultBuffer` that looked a query up
+writes only into the buffer generation that lookup saw.  Update propagation
+changes the index and then resets the buffer through :meth:`invalidate`; a
+result (or a value derived from one) computed before the change but written
+after the reset would otherwise sit in the fresh buffer as a stale hit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.context import CouplingCounters
+from repro.core.context import CouplingCounters, coupling_context
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
 
@@ -36,9 +43,10 @@ class ResultBuffer:
     def __init__(self, collection_obj: DBObject, counters: CouplingCounters) -> None:
         self._collection = collection_obj
         self._counters = counters
-        self._working: Optional[dict] = None
-        #: Keys whose entry dicts this view created (safe to mutate in place).
-        self._owned_keys: Set[str] = set()
+        self._db = collection_obj.database
+        self._view = coupling_context(self._db).buffer_view(collection_obj.oid)
+        #: Buffer generation of this instance's last lookup (None: none yet).
+        self._generation: Optional[int] = None
 
     def _key(self, irs_query: str, model: Optional[str]) -> str:
         return f"{model or ''}|{irs_query}"
@@ -46,71 +54,146 @@ class ResultBuffer:
     def _stored(self) -> dict:
         return self._collection.get(_BUFFER_ATTR) or {}
 
-    def _working_copy(self) -> dict:
-        """The mutable buffer dict, copying the stored one at most once.
+    def _validate(self) -> None:
+        """Drop the view when the object changed behind it; holds the lock."""
+        view = self._view
+        # Version first, data second: a write racing with this read leaves
+        # the view tagged behind it and the next validation re-reads.
+        version = self._db.write_version(self._collection.oid)
+        if view.version != version:
+            source = self._collection.get(_BUFFER_ATTR)
+            if source is not view.source:
+                view.source = source
+                view.generation += 1
+            view.entries = {}
+            view.amended = {}
+            view.version = version
 
-        While this view remains the last writer, the stored object *is* the
-        working copy and no further copying happens.  If someone else wrote
-        (or recovery replaced the attribute), the next write re-copies.
+    def lookup(
+        self, irs_query: str, model: Optional[str] = None, merged: bool = True
+    ) -> Optional[Dict[OID, float]]:
+        """The buffered result for ``irs_query``, or None on a miss.
+
+        A hit returns the decoded view's mapping itself, shared by every
+        caller: treat it as read-only.  Values amended since the mapping
+        was published are folded into a fresh copy first — once per lookup,
+        not per amend.  A caller after single values passes
+        ``merged=False``, takes the mapping as last published and asks
+        :meth:`amended` for an object it does not hold.
         """
-        stored = self._collection.get(_BUFFER_ATTR)
-        if stored is None:
-            self._working = {}
-            self._owned_keys = set()
-        elif stored is not self._working:
-            self._working = dict(stored)
-            self._owned_keys = set()
-        return self._working
-
-    def lookup(self, irs_query: str, model: Optional[str] = None) -> Optional[Dict[OID, float]]:
-        """The buffered result for ``irs_query``, or None on a miss."""
-        entry = self._stored().get(self._key(irs_query, model))
-        if entry is None:
+        key = self._key(irs_query, model)
+        view = self._view
+        # Inside a transaction this read takes the object's shared lock, so
+        # that nothing waits for a database lock while holding the view lock.
+        self._collection.get(_BUFFER_ATTR)
+        with view.lock:
+            self._validate()
+            self._generation = view.generation
+            decoded = view.entries.get(key)
+            if decoded is None:
+                entry = self._stored().get(key)
+                if entry is not None:
+                    # list(): one atomic copy, should an undo pop an item
+                    # of the stored entry meanwhile.
+                    decoded = {
+                        OID.parse(oid_str): value for oid_str, value in list(entry.items())
+                    }
+                    view.entries[key] = decoded
+            elif merged and key in view.amended:
+                # A new dict: a reader may be iterating the published one.
+                decoded = {**decoded, **view.amended.pop(key)}
+                view.entries[key] = decoded
+        if decoded is None:
             self._counters.add("buffer_misses")
             obs.metrics().counter("coupling.buffer.misses").inc()
             return None
         self._counters.add("buffer_hits")
         obs.metrics().counter("coupling.buffer.hits").inc()
-        return {OID.parse(oid_str): value for oid_str, value in entry.items()}
+        return decoded
 
     def contains(self, irs_query: str, model: Optional[str] = None) -> bool:
         """True when the query is buffered (no counter side effects)."""
         return self._key(irs_query, model) in self._stored()
 
-    def store(self, irs_query: str, values: Dict[OID, float], model: Optional[str] = None) -> None:
-        """Buffer ``values`` under ``irs_query``."""
-        working = self._working_copy()
+    def _write_through(self, path: Tuple[str, ...], value: Any) -> bool:
+        """Write one item of the stored buffer; caller holds the view lock.
+
+        Skipped when the buffer was reset since this instance's lookup.
+        True when written and the view mirrored the buffer up to this write
+        — the caller then applies the same change to ``entries``.  When some
+        other mutation intervened the view stays tagged behind and the next
+        validation rebuilds it from the stored buffer.
+        """
+        view = self._view
+        self._validate()
+        if self._generation is not None and view.generation != self._generation:
+            return False
+        version = self._db.write_dict_item(
+            self._collection.oid, _BUFFER_ATTR, path, value
+        )
+        if view.version != version - 1:
+            return False
+        view.version = version
+        return True
+
+    def store(
+        self,
+        irs_query: str,
+        values: Dict[OID, float],
+        model: Optional[str] = None,
+        encoded: Optional[Dict[str, float]] = None,
+    ) -> None:
+        """Buffer ``values`` under ``irs_query``.
+
+        The buffer keeps ``values`` as the decoded result later lookups
+        return, and ``encoded`` — the same result keyed by ``str(oid)``, for
+        callers that hold it already (the IRS answers in that form) — as the
+        stored entry, so the caller must not change either afterwards.
+        """
         key = self._key(irs_query, model)
-        working[key] = {str(oid): value for oid, value in values.items()}
-        self._owned_keys.add(key)
-        self._collection.set(_BUFFER_ATTR, working)
+        if encoded is None:
+            encoded = {str(oid): value for oid, value in values.items()}
+        # Wait for the database lock (inside a transaction) before taking
+        # the view lock, never while holding it.
+        self._db.lock_exclusive(self._collection.oid)
+        with self._view.lock:
+            if self._write_through((key,), encoded):
+                self._view.entries[key] = values
+                self._view.amended.pop(key, None)  # replaced with the entry
         obs.metrics().counter("coupling.buffer.stores").inc()
 
     def amend(self, irs_query: str, oid: OID, value: float, model: Optional[str] = None) -> None:
-        """Insert one derived value into an existing buffered result.
+        """Insert one derived value into a buffered result.
 
         Figure 3's flow chart: after ``deriveIRSValue`` the result is
         inserted into the buffer so later calls for the same object hit.
         """
-        working = self._working_copy()
         key = self._key(irs_query, model)
-        if key in self._owned_keys:
-            entry = working.setdefault(key, {})
-        else:
-            # The entry dict may be shared with the pre-copy stored buffer;
-            # copy it once before mutating.
-            entry = dict(working.get(key, {}))
-            working[key] = entry
-            self._owned_keys.add(key)
-        entry[str(oid)] = value
-        self._collection.set(_BUFFER_ATTR, working)
+        view = self._view
+        self._db.lock_exclusive(self._collection.oid)
+        with view.lock:
+            if self._write_through((key, str(oid)), value) and key in view.entries:
+                # Beside the published entry, which a reader may be
+                # iterating; the next merged lookup folds it in.
+                view.amended.setdefault(key, {})[oid] = value
         obs.metrics().counter("coupling.buffer.amends").inc()
 
+    def amended(self, irs_query: str, oid: OID, model: Optional[str] = None) -> Optional[float]:
+        """The value amended for ``oid`` that ``lookup(merged=False)`` lacks."""
+        self._collection.get(_BUFFER_ATTR)  # lock order as in lookup
+        with self._view.lock:
+            self._validate()
+            return self._view.amended.get(self._key(irs_query, model), {}).get(oid)
+
     def invalidate(self) -> None:
-        """Drop every buffered result (after update propagation)."""
-        self._working = {}
-        self._owned_keys = set()
-        self._collection.set(_BUFFER_ATTR, self._working)
+        """Drop every buffered result (after update propagation).
+
+        Under the view lock, so that no conditional write sits between its
+        generation check and its item write while the buffer is replaced.
+        """
+        self._db.lock_exclusive(self._collection.oid)
+        with self._view.lock:
+            self._collection.set(_BUFFER_ATTR, {})
 
     def size(self) -> int:
         """Number of buffered queries."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core import updates
@@ -43,7 +43,7 @@ from repro.errors import CouplingError, DocumentMissingError
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
-from repro.oodb.query.optimizer import register_restrictor
+from repro.oodb.query.optimizer import register_batch_method, register_restrictor
 
 COLLECTION_CLASS = "COLLECTION"
 
@@ -271,7 +271,7 @@ def index_objects(
                     fh.write("\n".join(spool_lines))
 
             collection_obj.set("doc_map", doc_map)
-            collection_obj.set("buffer", {})
+            ResultBuffer(collection_obj, context.counters).invalidate()
             collection_obj.set("pending_ops", [])
             collection_obj.set(
                 "index_gen", int(collection_obj.get("index_gen") or 0) + 1
@@ -288,7 +288,9 @@ def index_objects(
     return True
 
 
-def _get_irs_result(collection_obj: DBObject, irs_query: str) -> Dict[OID, float]:
+def _get_irs_result(
+    collection_obj: DBObject, irs_query: str, buffer: Optional[ResultBuffer] = None
+) -> Dict[OID, float]:
     """``getIRSResult(IRSQuery)`` — dictionary of IRSObjects to IRS values.
 
     "The IRS query IRSQuery is passed on to the IRS.  The result is a
@@ -297,6 +299,13 @@ def _get_irs_result(collection_obj: DBObject, irs_query: str) -> Dict[OID, float
     optimization, the results of IRS calls are buffered persistently."
 
     A pending deferred update forces propagation first (Section 4.6).
+
+    The returned mapping is the buffer's decoded entry, shared by every
+    caller of the same query: read it, never change it.  A caller that will
+    amend the result passes its own ``buffer``, which ties the amend to the
+    buffer generation this lookup saw; it gets the entry as last published
+    and asks ``buffer.amended`` for values derived since (``findIRSValue``
+    reads one value, and merging per call would cost O(result) per amend).
 
     Internal implementation — the supported entry point is
     :meth:`repro.Session.query`.
@@ -312,8 +321,10 @@ def _get_irs_result(collection_obj: DBObject, irs_query: str) -> Dict[OID, float
             updates.propagate(collection_obj, forced=True)
 
         model = collection_obj.get("model")
-        buffer = ResultBuffer(collection_obj, context.counters)
-        cached = buffer.lookup(irs_query, model)
+        merged = buffer is None
+        if buffer is None:
+            buffer = ResultBuffer(collection_obj, context.counters)
+        cached = buffer.lookup(irs_query, model, merged)
         if cached is not None:
             span.set_attribute("buffered", True)
             span.set_attribute("results", len(cached))
@@ -333,8 +344,10 @@ def _get_irs_result(collection_obj: DBObject, irs_query: str) -> Dict[OID, float
                     values = result.by_metadata(
                         context.engine.collection(irs_name), "oid"
                     )
+            # Decode once: the same mapping is returned, kept as the decoded
+            # view's entry, and ``values`` is stored as the IRS keyed it.
             oid_values = {OID.parse(oid_str): value for oid_str, value in values.items()}
-            buffer.store(irs_query, oid_values, model)
+            buffer.store(irs_query, oid_values, model, encoded=values)
             span.set_attribute("results", len(oid_values))
     registry = obs.metrics()
     registry.counter("coupling.getIRSResult.calls").inc()
@@ -352,6 +365,21 @@ def _query_via_file(context, irs_name: str, irs_query: str, model: Optional[str]
     path = os.path.join(context.result_file_directory, f"{irs_name}.{safe}.result")
     context.engine.query_to_file(irs_name, irs_query, path, metadata_key="oid", model=model)
     return parse_result_file(path)
+
+
+def _member_value(
+    values: Dict[OID, float], doc_map: Dict[str, Any], oid: OID
+) -> Optional[float]:
+    """Figure 3's decision for one object, given the buffered result.
+
+    Its buffered value when there is one; 0.0 for an object represented in
+    the collection that the IRS did not return; None for an object that is
+    not represented — ``deriveIRSValue`` computes its value.
+    """
+    value = values.get(oid)
+    if value is None and str(oid) in doc_map:
+        return 0.0  # represented, but the IRS found no relevance
+    return value
 
 
 def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
@@ -372,19 +400,20 @@ def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
     with obs.tracer().span(
         "coupling.findIRSValue", query=obs.trim(irs_query), oid=str(obj.oid)
     ) as span:
-        values = _get_irs_result(collection_obj, irs_query)
-        if obj.oid in values:
+        buffer = ResultBuffer(collection_obj, context.counters)
+        values = _get_irs_result(collection_obj, irs_query, buffer)
+        value = _member_value(values, collection_obj.get("doc_map") or {}, obj.oid)
+        if value is not None:
+            span.set_attribute("source", "irs" if obj.oid in values else "zero")
+            return value
+        model = collection_obj.get("model")
+        value = buffer.amended(irs_query, obj.oid, model)
+        if value is not None:  # derived since the entry was published
             span.set_attribute("source", "irs")
-            return values[obj.oid]
-        doc_map = collection_obj.get("doc_map") or {}
-        if str(obj.oid) in doc_map:
-            # Represented, but the IRS found no relevance: genuinely 0.
-            span.set_attribute("source", "zero")
-            return 0.0
+            return value
         span.set_attribute("source", "derived")
         derived = obj.send("deriveIRSValue", collection_obj, irs_query)
-        buffer = ResultBuffer(collection_obj, context.counters)
-        buffer.amend(irs_query, obj.oid, derived, collection_obj.get("model"))
+        buffer.amend(irs_query, obj.oid, derived, model)
         return derived
 
 
@@ -448,7 +477,7 @@ def disable_irs_first_optimization(db: Database) -> None:
 
 
 def register_semantic_restrictor(db: Database) -> None:
-    """Register the ``getIRSValue`` restrictor with the query optimizer."""
+    """Register the ``getIRSValue`` optimizer hooks: restrictor and probe."""
 
     def restrict(database: Database, args: tuple, op: str, constant: Any) -> Optional[Set[OID]]:
         try:
@@ -472,6 +501,67 @@ def register_semantic_restrictor(db: Database) -> None:
         return None  # other comparisons keep per-object evaluation
 
     register_restrictor("getIRSValue", restrict)
+    register_batch_method("getIRSValue", _irs_value_probe)
+
+
+def _irs_value_probe(
+    db: Database, class_name: str, args: tuple
+) -> Optional[Callable[[DBObject], float]]:
+    """Compile ``x -> getIRSValue(<coll>, <query>)`` over a range into a probe.
+
+    Evaluation strategy (1) of Section 4.5.3, set-at-a-time: every candidate
+    is still asked for its value, but the statement fetches the (buffered)
+    IRS result once — forcing a pending propagation once — and answers
+    members with a dictionary lookup.  Only objects not represented in the
+    collection take Figure 3's path through ``findIRSValue``:
+    ``deriveIRSValue`` dispatched on the object, the value amended to the
+    buffer.  Values are those ``send("getIRSValue", ...)`` returns, so the
+    probe declines whenever ``send`` could reach other code: the collection
+    left to the object's choice, or ``getIRSValue`` / ``findIRSValue``
+    overridden on a class in the range or on the collection's class.
+    """
+    from repro.core.irs_object import get_irs_value
+
+    try:
+        context = coupling_context(db)
+    except CouplingError:
+        return None
+    if len(args) != 2 or not isinstance(args[1], str):
+        return None
+    collection_obj = _resolve_collection(db, args[0])
+    if collection_obj is None:
+        return None
+    schema = db.schema
+    if schema.resolve_method(collection_obj.class_name, "findIRSValue") is not _find_irs_value:
+        return None
+    for cname in schema.subclasses(class_name):
+        if (
+            not schema.has_method(cname, "getIRSValue")
+            or schema.resolve_method(cname, "getIRSValue") is not get_irs_value
+        ):
+            return None
+    irs_query = args[1]
+    values: Optional[Dict[OID, float]] = None
+    doc_map: Dict[str, list] = {}
+
+    def probe(obj: DBObject) -> float:
+        nonlocal values, doc_map
+        if values is None:
+            # First candidate to reach the conjunct, as with per-object
+            # calls: a statement whose other filters reject every candidate
+            # never queries the IRS.
+            context.counters.add("get_irs_value_calls")
+            with obs.tracer().span(
+                "coupling.findIRSValue", query=obs.trim(irs_query), mode="probe"
+            ):
+                values = _get_irs_result(collection_obj, irs_query)
+            doc_map = collection_obj.get("doc_map") or {}
+        value = _member_value(values, doc_map, obj.oid)
+        if value is None:
+            value = _find_irs_value(collection_obj, irs_query, obj)
+        return value
+
+    return probe
 
 
 def _resolve_collection(db: Database, ref: Any) -> Optional[DBObject]:

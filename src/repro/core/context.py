@@ -19,6 +19,7 @@ from repro.irs.engine import IRSEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oodb.database import Database
+    from repro.oodb.oid import OID
 
 _CONTEXT_ATTR = "_coupling_context"
 
@@ -58,6 +59,40 @@ class CouplingCounters:
                     setattr(self, name, 0)
 
 
+class DecodedBufferView:
+    """Process-local decoded mirror of one COLLECTION's persistent buffer.
+
+    The ``buffer`` attribute stores ``{"model|query": {"OID3": 0.7}}``;
+    ``entries`` holds the same results keyed by :class:`OID`, decoded at most
+    once per key, so a buffer hit costs a dictionary lookup instead of a
+    re-parse of every OID string.  ``version`` is the COLLECTION object's
+    write version (:meth:`Database.write_version`) that ``entries`` mirrors:
+    any write to the object that did not keep the view in step — an
+    invalidation by propagation or ``indexObjects``, a transaction undo,
+    another code path setting the attribute — leaves the two unequal, and
+    :class:`~repro.core.buffer.ResultBuffer` then drops ``entries`` before
+    reading.  A published entry dict is never mutated, so readers may hold
+    and iterate one without a lock: an amend puts its value in ``amended``
+    (only touched under ``lock``), and the next lookup of the whole result
+    publishes one merged copy.
+
+    ``generation`` counts the buffer resets seen: item writes change the
+    stored dictionary in place, a reset installs a new one, so a change of
+    ``source``'s identity marks results computed before an index change.
+    The view dies with its context: a recovered database starts with none.
+    """
+
+    __slots__ = ("lock", "version", "entries", "amended", "source", "generation")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.version = -1
+        self.entries: Dict[str, Dict["OID", float]] = {}
+        self.amended: Dict[str, Dict["OID", float]] = {}
+        self.source: Optional[dict] = None
+        self.generation = 0
+
+
 @dataclass
 class CouplingContext:
     """Everything coupling methods need besides the target object."""
@@ -87,6 +122,19 @@ class CouplingContext:
     _mutex_guard: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    _buffer_views: Dict["OID", DecodedBufferView] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def buffer_view(self, collection_oid: "OID") -> DecodedBufferView:
+        """The decoded buffer view of one COLLECTION object."""
+        view = self._buffer_views.get(collection_oid)
+        if view is None:
+            with self._mutex_guard:
+                view = self._buffer_views.setdefault(
+                    collection_oid, DecodedBufferView()
+                )
+        return view
 
     def mutation_mutex(self, collection_name: str) -> threading.RLock:
         """The re-entrant mutex serializing mutations of one collection."""

@@ -8,7 +8,9 @@ content conditions (evaluated by the IRS).  The paper names two strategies:
     approach, restrictions on the search space by the IRS cannot be used by
     the OODBMS."  In our system this is plain query evaluation: every
     candidate object answers ``getIRSValue`` (buffered, so the IRS runs
-    once per distinct query, but the OODBMS still touches every candidate).
+    once per distinct query, but the OODBMS still touches every candidate;
+    the evaluator asks them through one per-statement probe, see
+    :func:`repro.core.collection._irs_value_probe`).
 
 (2) **irs_first** — "The IRS selects all IRS documents fulfilling the
     conditions on the content.  The structure conditions are only verified

@@ -23,6 +23,7 @@ import logging
 from typing import List, Optional, Tuple
 
 from repro import obs
+from repro.core.buffer import ResultBuffer
 from repro.core.context import coupling_context
 from repro.core.text_modes import text_for
 from repro.errors import CouplingError, DocumentMissingError
@@ -228,7 +229,9 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
 
 def _invalidate_buffer(collection_obj: DBObject) -> None:
     """Buffered IRS results are stale once the index changed."""
-    collection_obj.set("buffer", {})
+    ResultBuffer(
+        collection_obj, coupling_context(collection_obj.database).counters
+    ).invalidate()
     # Derived caches over the collection's contents are stale too.
     from repro.core.hierarchical import invalidate_scorer
 

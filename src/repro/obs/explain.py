@@ -7,13 +7,18 @@ join, the coupling's ``findIRSValue``/``getIRSResult``/``deriveIRSValue``,
 IRS scoring — contributes spans to one tree.  The result renders as a
 per-stage timing/cardinality tree::
 
-    oodb.query  11.62ms  rows=2 tuples_examined=40
-    ├─ oodb.query.candidates  10.98ms  variable=p class=PARA candidates=9
-    │  ├─ coupling.findIRSValue  9.80ms  source=irs
-    │  │  └─ coupling.getIRSResult  9.77ms  buffered=False
-    │  │     └─ irs.query  9.01ms  model=inquery results=7
-    │  └─ … ×8 more coupling.findIRSValue  total 0.71ms
-    └─ oodb.query.join  0.41ms  rows=2
+    oodb.query  10.62ms  rows=2 tuples_examined=2
+    ├─ oodb.query.candidates  10.18ms  variable=p class=PARA candidates=2
+    │  └─ coupling.findIRSValue  9.80ms  mode=probe
+    │     └─ coupling.getIRSResult  9.77ms  buffered=False
+    │        └─ irs.query  9.01ms  model=inquery results=7
+    └─ oodb.query.join  0.21ms  rows=2
+
+A ``getIRSValue`` conjunct with constant arguments is evaluated through a
+probe: one ``coupling.findIRSValue mode=probe`` span per statement wraps the
+single ``getIRSResult``; members are then answered by lookup without spans
+of their own.  Only candidates not represented in the collection appear as
+further ``coupling.findIRSValue source=derived`` spans (Figure 3's path).
 
 ``explain`` works even when global instrumentation is disabled — asking
 for an explanation *is* opting in.
@@ -71,7 +76,8 @@ class ExplainResult:
         lines.append(
             f"rows={len(self.rows)} tuples_examined={stats.tuples_examined} "
             f"method_calls={stats.method_calls} index_probes={stats.index_probes} "
-            f"restrictor_calls={stats.restrictor_calls}"
+            f"restrictor_calls={stats.restrictor_calls} "
+            f"probed_predicates={stats.probed_predicates}"
         )
         lines.append(self.render_tree(max_siblings=max_siblings))
         return "\n".join(lines)

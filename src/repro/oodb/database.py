@@ -18,10 +18,12 @@ single-writer fast path used by the benchmarks).
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro import obs
 from repro.errors import SchemaError, TransactionError
@@ -36,6 +38,8 @@ from repro.oodb.transactions import Transaction
 from repro.oodb.wal import WriteAheadLog
 
 logger = logging.getLogger(__name__)
+
+_OID_VALUE = operator.attrgetter("value")
 
 _SNAPSHOT_FILE = "snapshot.json"
 _WAL_FILE = "wal.log"
@@ -120,6 +124,50 @@ class Database:
         """The lock manager (conflict-listener hooks for the service layer)."""
         return self._locks
 
+    def _log_autocommit(self, kind: str, payload: Dict[str, Any]) -> None:
+        """Log one autocommitted mutation (already applied to the store).
+
+        Alone it is its own implicit transaction, BEGIN to COMMIT; inside
+        :meth:`autocommit_group` it joins the group's transaction.
+        """
+        group = getattr(self._local, "group", None)
+        if group is None:
+            txn_id = Transaction(self).txn_id
+            self._wal.append(wal_records.BEGIN, txn_id)
+            self._wal.append(kind, txn_id, payload)
+            self._wal.append(wal_records.COMMIT, txn_id)
+            return
+        if not group:
+            group.append(Transaction(self).txn_id)
+            self._wal.append(wal_records.BEGIN, group[0])
+        self._wal.append(kind, group[0], payload)
+
+    @contextmanager
+    def autocommit_group(self) -> Iterator[None]:
+        """Log this thread's autocommitted writes as one implicit transaction.
+
+        Statement-level autocommit: the writes a query statement causes
+        (buffered IRS results, derived values, a forced propagation) share
+        one BEGIN ... COMMIT, so a durable database syncs once per
+        statement instead of once per write.  BEGIN is logged with the
+        first write; a block that writes nothing logs nothing.  The writes
+        apply to the store at once and stay applied if the block raises
+        (there is no undo log — each is an autocommit), so COMMIT is logged
+        either way.  Inside an explicit transaction or an enclosing group
+        the block just runs: its writes are grouped already.
+        """
+        if self._current_txn() is not None or getattr(self._local, "group", None) is not None:
+            yield
+            return
+        group: List[int] = []
+        self._local.group = group
+        try:
+            yield
+        finally:
+            self._local.group = None
+            if group:
+                self._wal.append(wal_records.COMMIT, group[0])
+
     # ------------------------------------------------------------------
     # Object lifecycle
     # ------------------------------------------------------------------
@@ -132,18 +180,15 @@ class Database:
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
             txn.record_undo(self._undo_create, oid)
+            self._store.create(oid, class_name)
             self._wal.append(
                 wal_records.CREATE, txn.txn_id, {"oid": oid.value, "class": class_name}
             )
-            self._store.create(oid, class_name)
         else:
-            implicit = Transaction(self)
-            self._wal.append(wal_records.BEGIN, implicit.txn_id)
-            self._wal.append(
-                wal_records.CREATE, implicit.txn_id, {"oid": oid.value, "class": class_name}
-            )
             self._store.create(oid, class_name)
-            self._wal.append(wal_records.COMMIT, implicit.txn_id)
+            self._log_autocommit(
+                wal_records.CREATE, {"oid": oid.value, "class": class_name}
+            )
         obj = DBObject(self, oid, class_name)
         for attr, value in attributes.items():
             obj.set(attr, value)
@@ -166,11 +211,8 @@ class Database:
             txn.record_undo(self._undo_delete, oid, stored)
             self._wal.append(wal_records.DELETE, txn.txn_id, {"oid": oid.value})
         else:
-            implicit = Transaction(self)
-            self._wal.append(wal_records.BEGIN, implicit.txn_id)
             self._store.delete(oid)
-            self._wal.append(wal_records.DELETE, implicit.txn_id, {"oid": oid.value})
-            self._wal.append(wal_records.COMMIT, implicit.txn_id)
+            self._log_autocommit(wal_records.DELETE, {"oid": oid.value})
         self._unindex_object(oid, class_name, attributes)
 
     def _undo_delete(self, oid: OID, stored: _StoredObject) -> None:
@@ -227,15 +269,11 @@ class Database:
                 {"oid": oid.value, "attr": attr, "value": encode_value(value)},
             )
         else:
-            implicit = Transaction(self)
-            self._wal.append(wal_records.BEGIN, implicit.txn_id)
             self._store.write(oid, attr, value)
-            self._wal.append(
+            self._log_autocommit(
                 wal_records.WRITE,
-                implicit.txn_id,
                 {"oid": oid.value, "attr": attr, "value": encode_value(value)},
             )
-            self._wal.append(wal_records.COMMIT, implicit.txn_id)
         self._reindex_attribute(oid, class_name, attr, old_value, value)
 
     def _undo_write(self, oid: OID, attr: str, previous: Any, old_value: Any) -> None:
@@ -245,6 +283,66 @@ class Database:
         self._store.unwrite(oid, attr, previous)
         class_name = self._store.class_of(oid)
         self._reindex_attribute(oid, class_name, attr, new_value, old_value)
+
+    def write_dict_item(
+        self, oid: OID, attr: str, path: Sequence[Any], value: Any
+    ) -> int:
+        """Set ``attr[path[0]]...[path[-1]] = value`` inside a DICT attribute.
+
+        The item is written in place and logged as one ``ITEM`` record that
+        carries only the path and the value, so time and log bytes do not
+        depend on the size of the dictionary (a whole-attribute
+        :meth:`write_attribute` re-encodes all of it).  Dictionaries missing
+        along the path are created.  Transactional like any write: X-locked,
+        undone on rollback, redone by recovery.  Returns the object's write
+        version after the write (see :meth:`write_version`).
+
+        The stored dictionary is mutated, so hold no iterator over it across
+        calls; attribute indexes are not maintained (DICT values are not
+        indexable).
+        """
+        path = tuple(path)
+        if not path:
+            raise ValueError("write_dict_item needs a non-empty key path")
+        class_name = self._store.class_of(oid)
+        if self.schema.has_attribute(class_name, attr):
+            type_name = self.schema.resolve_attribute(class_name, attr).type_name
+            if type_name not in ("DICT", "ANY"):
+                raise SchemaError(
+                    f"{class_name}.{attr} has type {type_name}, not DICT"
+                )
+        payload = {
+            "oid": oid.value,
+            "attr": attr,
+            "path": [encode_value(key) for key in path],
+            "value": encode_value(value),
+        }
+        txn = self._current_txn()
+        if txn is not None:
+            self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
+        try:
+            version, token = self._store.write_item(oid, attr, path, value)
+        except TypeError as exc:  # a non-dict value sits on the path
+            raise SchemaError(str(exc)) from exc
+        if txn is not None:
+            txn.record_undo(self._undo_write_item, oid, token)
+            self._wal.append(wal_records.ITEM, txn.txn_id, payload)
+        else:
+            self._log_autocommit(wal_records.ITEM, payload)
+        return version
+
+    def _undo_write_item(self, oid: OID, token: tuple) -> None:
+        if self._store.exists(oid):  # else creation was already undone
+            self._store.unwrite_item(oid, token)
+
+    def write_version(self, oid: OID) -> int:
+        """Count of attribute mutations applied to the object, undo included.
+
+        Process-local and monotone.  A cache derived from the object's
+        attributes is current iff the version it was built at — taken
+        *before* reading the attributes — still equals this.
+        """
+        return self._store.version_of(oid)
 
     def read_attributes(self, oid: OID) -> Dict[str, Any]:
         """All attributes of the object, defaults filled in."""
@@ -266,9 +364,23 @@ class Database:
         )
         objects: List[DBObject] = []
         for cname in class_names:
-            for oid in sorted(self._store.extent(cname)):
+            # Keyed on the int: the dataclass-generated OID.__lt__ compares
+            # tuples and costs several times the sort itself.
+            for oid in sorted(self._store.extent(cname), key=_OID_VALUE):
                 objects.append(DBObject(self, oid, cname))
         return objects
+
+    def extent_size(self, class_name: str) -> int:
+        """Number of live instances (subclasses included), building no handles."""
+        return sum(
+            self._store.extent_size(cname) for cname in self.schema.subclasses(class_name)
+        )
+
+    def extent_oids(self, class_name: str) -> Set[OID]:
+        """OIDs of the live instances (subclasses included), building no handles."""
+        return set().union(
+            *(self._store.extent(cname) for cname in self.schema.subclasses(class_name))
+        )
 
     def iter_objects(self) -> Iterator[DBObject]:
         """Iterate over every live object."""
@@ -346,11 +458,14 @@ class Database:
         started = time.perf_counter()
         with obs.tracer().span("oodb.checkpoint", objects=len(self._store)):
             snapshot_path = os.path.join(self._directory, _SNAPSHOT_FILE)
+            # Every writer changes the store, then logs: a record below the
+            # mark is in the snapshot, one from the mark on may not be.
+            mark = self._wal.next_lsn
             self._store.snapshot(
                 snapshot_path, self._allocator.high_water_mark, self._schema_payload()
             )
             self._wal.append(wal_records.CHECKPOINT, 0)
-            self._wal.truncate()
+            self._wal.truncate(keep_from=mark)
         elapsed = time.perf_counter() - started
         registry = obs.metrics()
         registry.counter("oodb.checkpoints").inc()
@@ -466,6 +581,16 @@ class Database:
                     if self._store.exists(oid):
                         self._store.write(oid, payload["attr"], decode_value(payload["value"]))
                     replayed += 1
+                elif record.kind == wal_records.ITEM:
+                    oid = OID(payload["oid"])
+                    if self._store.exists(oid):
+                        self._store.write_item(
+                            oid,
+                            payload["attr"],
+                            [decode_value(key) for key in payload["path"]],
+                            decode_value(payload["value"]),
+                        )
+                    replayed += 1
                 elif record.kind == wal_records.DELETE:
                     oid = OID(payload["oid"])
                     if self._store.exists(oid):
@@ -545,7 +670,4 @@ class Database:
         if txn is not None:
             self._wal.append(wal_records.SCHEMA, txn.txn_id, payload)
         else:
-            implicit = Transaction(self)
-            self._wal.append(wal_records.BEGIN, implicit.txn_id)
-            self._wal.append(wal_records.SCHEMA, implicit.txn_id, payload)
-            self._wal.append(wal_records.COMMIT, implicit.txn_id)
+            self._log_autocommit(wal_records.SCHEMA, payload)

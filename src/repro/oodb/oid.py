@@ -42,6 +42,13 @@ class OID:
         """
         if not text.startswith("OID"):
             raise ValueError(f"not an OID string: {text!r}")
+        digits = text[3:]
+        if digits.isascii() and digits.isdigit():
+            # Canonical ``OID<n>``: ASCII digits are a non-negative int, so
+            # the dataclass constructor's validation has nothing to check.
+            oid = object.__new__(cls)
+            object.__setattr__(oid, "value", int(digits))
+            return oid
         try:
             return cls(int(text[3:]))
         except ValueError as exc:

@@ -1,8 +1,11 @@
 """Query evaluator.
 
 Executes the optimizer's plan: per-variable candidate production (extent
-scan, index probe, or semantic restrictor), selectivity-ordered nested-loop
-join with predicate pushdown, projection, ordering and limiting.
+scan, index probe, or semantic restrictor; residual single-variable
+conjuncts per candidate, through a batch-method probe where one is
+registered), a nested-loop join ordered by candidate-set size among the
+variables a join conjunct connects to those already bound, with predicate
+pushdown, projection, ordering and limiting.
 
 The evaluator also collects :class:`QueryStats` — candidate counts, tuples
 examined, method invocations — which the benchmark harness uses to compare
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import QueryEvaluationError
@@ -32,7 +35,14 @@ from repro.oodb.query.ast import (
     Query,
     Variable,
 )
-from repro.oodb.query.optimizer import Optimizer, QueryPlan, VariablePlan, restrictor_for
+from repro.oodb.query.optimizer import (
+    Optimizer,
+    QueryPlan,
+    RestrictablePredicate,
+    VariablePlan,
+    batch_method_for,
+    restrictor_for,
+)
 from repro.oodb.query.parser import parse_query
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,6 +59,9 @@ class QueryStats:
     method_calls: int = 0
     index_probes: int = 0
     restrictor_calls: int = 0
+    #: Conjuncts evaluated through a batch-method probe.  Their candidates
+    #: still count into ``method_calls``, one logical call each.
+    probed_predicates: int = 0
     per_variable_candidates: Dict[str, int] = field(default_factory=dict)
 
 
@@ -77,7 +90,10 @@ class QueryEvaluator:
         with obs.tracer().span("oodb.query", query=obs.trim(text)) as span:
             query = parse_query(text)
             plan = self._optimizer.plan(query, bindings)
-            rows = self._execute(plan, bindings)
+            # Writes the statement's methods cause (buffered IRS results,
+            # derived values) are logged as one group: one commit a statement.
+            with self._db.autocommit_group():
+                rows = self._execute(plan, bindings)
             span.set_attribute("rows", len(rows))
             span.set_attribute("tuples_examined", self.stats.tuples_examined)
             span.set_attribute("method_calls", self.stats.method_calls)
@@ -109,8 +125,7 @@ class QueryEvaluator:
             self.stats.per_variable_candidates[variable] = len(objs)
             self.stats.candidates_scanned += len(objs)
 
-        # Join order: smallest candidate set first.
-        order = sorted(candidates, key=lambda v: len(candidates[v]))
+        order = self._join_order(candidates, plan.join_conjuncts)
 
         # Pushdown points: a join conjunct runs as soon as its variables bind.
         pending = list(plan.join_conjuncts)
@@ -163,6 +178,34 @@ class QueryEvaluator:
             join_span.set_attribute("rows", len(rows))
         self.stats.rows_produced = len(rows)
         return rows
+
+    @staticmethod
+    def _join_order(
+        candidates: Dict[str, List[DBObject]], join_conjuncts: List[Expr]
+    ) -> List[str]:
+        """Greedy join order: smallest candidate set among connected variables.
+
+        The next variable is the one with the fewest candidates among those
+        that share a join conjunct with an already bound variable, so that
+        conjunct prunes as soon as it binds; binding an unconnected variable
+        first multiplies the tuples below it with nothing to prune them.
+        Without a connected variable (the first pick, or a cross product)
+        the smallest set overall goes next; ties keep FROM-clause order.
+        """
+        links = [c.variables() & set(candidates) for c in join_conjuncts]
+        remaining = list(candidates)
+        bound: Set[str] = set()
+        order: List[str] = []
+        while remaining:
+            connected = [
+                v for v in remaining
+                if any(v in link and link & bound for link in links)
+            ]
+            variable = min(connected or remaining, key=lambda v: len(candidates[v]))
+            remaining.remove(variable)
+            bound.add(variable)
+            order.append(variable)
+        return order
 
     def _aggregate_rows(
         self,
@@ -310,6 +353,7 @@ class QueryEvaluator:
                 continue
             restriction = oids if restriction is None else restriction & oids
 
+        checks = [self._filter_check(vplan.variable, f, bindings) for f in vplan.filters]
         for rp in vplan.restrictor_predicates:
             restrictor = restrictor_for(rp.method)
             result = None
@@ -317,27 +361,54 @@ class QueryEvaluator:
                 self.stats.restrictor_calls += 1
                 result = restrictor(self._db, rp.args, rp.op, rp.constant)
             if result is None:
-                vplan.filters.append(rp.source)
+                checks.append(self._probe_check(vplan, rp, bindings))
             else:
                 restriction = result if restriction is None else restriction & result
 
         if restriction is None:
             objs = self._db.instances_of(vplan.class_name)
         else:
-            extent = {o.oid for o in self._db.instances_of(vplan.class_name)}
+            extent = self._db.extent_oids(vplan.class_name)
             objs = [self._db.get_object(oid) for oid in sorted(restriction & extent)]
 
-        if vplan.filters:
-            env: Dict[str, DBObject] = {}
-            filtered = []
-            for obj in objs:
-                env[vplan.variable] = obj
-                if all(
-                    self._truthy(self._eval(f, env, bindings)) for f in vplan.filters
-                ):
-                    filtered.append(obj)
-            objs = filtered
+        if checks:
+            objs = [obj for obj in objs if all(check(obj) for check in checks)]
         return objs
+
+    def _filter_check(
+        self, variable: str, conjunct: Expr, bindings: Dict[str, Any]
+    ) -> Callable[[DBObject], bool]:
+        """A single-variable conjunct as a per-candidate test."""
+        env: Dict[str, DBObject] = {}
+
+        def check(obj: DBObject) -> bool:
+            env[variable] = obj
+            return self._truthy(self._eval(conjunct, env, bindings))
+
+        return check
+
+    def _probe_check(
+        self, vplan: VariablePlan, rp: RestrictablePredicate, bindings: Dict[str, Any]
+    ) -> Callable[[DBObject], bool]:
+        """A declined restrictor predicate as a per-candidate test.
+
+        Through the method's batch probe when one is registered and accepts
+        the range; per-object dispatch of the original conjunct otherwise.
+        """
+        factory = batch_method_for(rp.method)
+        probe = None
+        if factory is not None:
+            probe = factory(self._db, vplan.class_name, rp.args)
+        if probe is None:
+            return self._filter_check(vplan.variable, rp.source, bindings)
+        self.stats.probed_predicates += 1
+        stats, compare, op, constant = self.stats, self._compare, rp.op, rp.constant
+
+        def check(obj: DBObject) -> bool:
+            stats.method_calls += 1
+            return compare(op, probe(obj), constant)
+
+        return check
 
     def _find_index(self, class_name: str, attribute: str):
         ancestry = [c.name for c in self._db.schema.ancestry(class_name)]

@@ -12,10 +12,18 @@ Turns a parsed :class:`~repro.oodb.query.ast.Query` into an executable plan:
    ascending candidate-set order; every conjunct is evaluated at the
    earliest point where all its variables are bound (predicate pushdown).
 4. **Method-based semantic hooks** ([AbF95], Section 4.5.4 of the paper) —
-   a registry of *restrictor* callbacks lets higher layers (the coupling)
-   answer method-call comparisons wholesale; e.g. the coupling registers
-   ``getIRSValue`` so that ``p -> getIRSValue(c,'WWW') > 0.6`` is answered
-   with one buffered IRS call instead of one method call per candidate.
+   two registries let higher layers (the coupling) take over a comparison
+   ``var -> method(constants) OP constant`` without this package knowing
+   them.  A *restrictor* answers it wholesale with the set of satisfying
+   OIDs, cutting the candidate set before any object is looked at; e.g.
+   the coupling's opt-in IRS-first strategy answers
+   ``p -> getIRSValue(c,'WWW') > 0.6`` with one buffered IRS call.  A
+   *batch method* keeps per-candidate semantics — every candidate is still
+   examined and compared — but is compiled once per statement into a probe
+   ``obj -> value`` that may share set-level work (one IRS result, one
+   membership map) across all candidates instead of a full method dispatch
+   each.  The restrictor is asked first; when it declines, the batch
+   method; when that declines too, the method is sent per object.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.errors import UnknownClassError
 from repro.oodb.query.ast import (
     AttributeAccess,
     Comparison,
@@ -36,6 +45,7 @@ from repro.oodb.query.ast import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oodb.database import Database
+    from repro.oodb.objects import DBObject
     from repro.oodb.oid import OID
 
 #: Signature of a semantic restrictor: given the database, the method-call
@@ -60,6 +70,34 @@ def unregister_restrictor(method_name: str) -> None:
 def restrictor_for(method_name: str) -> Optional[Restrictor]:
     """The registered restrictor for ``method_name``, if any."""
     return _RESTRICTORS.get(method_name)
+
+
+#: Signature of a batch-method factory: given the database, the range
+#: variable's class and the method-call arguments (already evaluated to
+#: constants), return a probe computing the method's value for one candidate
+#: object — exactly what ``obj.send(method, *args)`` would return, side
+#: effects included — or None to decline.  The factory must decline when a
+#: class in the range (the class or a subclass) overrides the method.
+BatchMethod = Callable[
+    ["Database", str, Tuple[Any, ...]], Optional[Callable[["DBObject"], Any]]
+]
+
+_BATCH_METHODS: Dict[str, BatchMethod] = {}
+
+
+def register_batch_method(method_name: str, factory: BatchMethod) -> None:
+    """Register a batch-method factory for ``method_name`` comparisons."""
+    _BATCH_METHODS[method_name] = factory
+
+
+def unregister_batch_method(method_name: str) -> None:
+    """Remove a previously registered batch-method factory."""
+    _BATCH_METHODS.pop(method_name, None)
+
+
+def batch_method_for(method_name: str) -> Optional[BatchMethod]:
+    """The registered batch-method factory for ``method_name``, if any."""
+    return _BATCH_METHODS.get(method_name)
 
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!=", "<>": "<>"}
@@ -91,7 +129,7 @@ class IndexablePredicate:
 
 @dataclass
 class RestrictablePredicate:
-    """A method-call comparison answerable by a semantic restrictor."""
+    """A method-call comparison a restrictor or a batch method may answer."""
 
     variable: str
     method: str
@@ -209,8 +247,10 @@ class Optimizer:
                 return IndexablePredicate(variable, attribute, op, const, conjunct)
 
         if isinstance(left, MethodCall) and isinstance(left.target, Variable):
-            restrictor = restrictor_for(left.method)
-            if restrictor is not None:
+            if (
+                restrictor_for(left.method) is not None
+                or batch_method_for(left.method) is not None
+            ):
                 arg_values = []
                 for arg in left.args:
                     ok, value = _constant_of(arg, bindings)
@@ -246,8 +286,8 @@ class Optimizer:
 
     def _extent_size(self, class_name: str) -> int:
         try:
-            return len(self._db.instances_of(class_name))
-        except Exception:  # unknown class surfaces at execution time instead
+            return self._db.extent_size(class_name)
+        except UnknownClassError:  # surfaces at execution time instead
             return 0
 
     def _cross_product_estimate(self, vplans: Dict[str, VariablePlan]) -> int:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Set
+from typing import Any, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.oodb.oid import OID
@@ -55,6 +56,13 @@ def decode_value(value: Any) -> Any:
 class _StoredObject:
     class_name: str
     attributes: Dict[str, Any] = field(default_factory=dict)
+    #: Count of attribute mutations applied to this object, undo included
+    #: (process-local, never persisted).  Caches derived from the object's
+    #: attributes compare it to tell whether they are still current.  It
+    #: advances *after* the mutation, so a reader that takes the version
+    #: before reading the attributes can trust a cache tagged with it: a
+    #: write racing with the read leaves the tag behind the version.
+    version: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,10 @@ class ObjectStore:
     def __init__(self) -> None:
         self._objects: Dict[OID, _StoredObject] = {}
         self._extents: Dict[str, Set[OID]] = {}
+        #: Held while an object's attributes (or a dictionary inside them)
+        #: change and while :meth:`snapshot` encodes them, so a checkpoint
+        #: never iterates a dictionary another thread is adding items to.
+        self._write_lock = threading.Lock()
 
     # -- object lifecycle -----------------------------------------------------
 
@@ -92,6 +104,8 @@ class ObjectStore:
         """Reinstate a deleted object (transaction rollback)."""
         self._objects[oid] = stored
         self._extents.setdefault(stored.class_name, set()).add(oid)
+        with self._write_lock:
+            stored.version += 1
 
     def exists(self, oid: OID) -> bool:
         """Return True when ``oid`` denotes a live object."""
@@ -120,17 +134,70 @@ class ObjectStore:
     def write(self, oid: OID, attr: str, value: Any) -> Any:
         """Write one attribute; returns the previous value (for undo)."""
         stored = self._require(oid)
-        previous = stored.attributes.get(attr, _MISSING)
-        stored.attributes[attr] = value
+        with self._write_lock:
+            previous = stored.attributes.get(attr, _MISSING)
+            stored.attributes[attr] = value
+            stored.version += 1
         return previous
 
     def unwrite(self, oid: OID, attr: str, previous: Any) -> None:
         """Undo a write: restore ``previous`` (or remove when it was missing)."""
+        self.unwrite_item(oid, (self._require(oid).attributes, attr, previous))
+
+    def write_item(
+        self, oid: OID, attr: str, path: Sequence[Any], value: Any
+    ) -> Tuple[int, Tuple[dict, Any, Any]]:
+        """Set ``attributes[attr][path[0]]...[path[-1]] = value`` in place.
+
+        Dictionaries missing (or None) along the path are created.  Costs
+        O(len(path)) whatever the size of the dictionary.  Returns the
+        object's new write version and an undo token for
+        :meth:`unwrite_item`.
+        """
         stored = self._require(oid)
-        if previous is _MISSING:
-            stored.attributes.pop(attr, None)
-        else:
-            stored.attributes[attr] = previous
+        keys = (attr, *path)
+        with self._write_lock:
+            node = stored.attributes
+            for depth, key in enumerate(keys[:-1]):
+                child = node.get(key)
+                if child is None:
+                    # Attach the whole missing chain with one assignment.
+                    for missing in reversed(keys[depth + 1 :]):
+                        value = {missing: value}
+                    break
+                if not isinstance(child, dict):
+                    raise TypeError(
+                        f"cannot set item {list(path)!r} of {attr!r}: "
+                        f"{key!r} holds {type(child).__name__}, not a dict"
+                    )
+                node = child
+            else:
+                key = keys[-1]
+            token = (node, key, node.get(key, _MISSING))
+            node[key] = value
+            stored.version += 1
+            return stored.version, token
+
+    def unwrite_item(self, oid: OID, token: Tuple[dict, Any, Any]) -> None:
+        """Undo :meth:`write_item`: put back what the changed key held.
+
+        The token names the dictionary the write changed, not a path to it:
+        when that dictionary has since been replaced on the object (an
+        autocommit reset of the attribute from another thread), the item is
+        gone with it and the undo changes only the detached dictionary.
+        """
+        stored = self._require(oid)
+        node, key, previous = token
+        with self._write_lock:
+            if previous is _MISSING:
+                node.pop(key, None)
+            else:
+                node[key] = previous
+            stored.version += 1
+
+    def version_of(self, oid: OID) -> int:
+        """The object's write version (see :class:`_StoredObject`)."""
+        return self._require(oid).version
 
     def read_all(self, oid: OID) -> Dict[str, Any]:
         """A copy of all explicitly written attributes."""
@@ -141,6 +208,10 @@ class ObjectStore:
     def extent(self, class_name: str) -> Set[OID]:
         """OIDs of direct instances of ``class_name`` (no subclasses)."""
         return set(self._extents.get(class_name, ()))
+
+    def extent_size(self, class_name: str) -> int:
+        """Number of direct instances of ``class_name``."""
+        return len(self._extents.get(class_name, ()))
 
     def all_oids(self) -> Iterator[OID]:
         """Every live OID."""
@@ -159,17 +230,20 @@ class ObjectStore:
         their classes (method implementations are code and must be
         re-registered by the application).
         """
-        payload = {
-            "oid_high_water": oid_high_water,
-            "schema": schema_payload or [],
-            "objects": [
+        # Writers wait while the table is encoded, not while it is written out.
+        with self._write_lock:
+            objects = [
                 {
                     "oid": oid.value,
                     "class": stored.class_name,
                     "attributes": {k: encode_value(v) for k, v in stored.attributes.items()},
                 }
                 for oid, stored in sorted(self._objects.items(), key=lambda kv: kv[0].value)
-            ],
+            ]
+        payload = {
+            "oid_high_water": oid_high_water,
+            "schema": schema_payload or [],
+            "objects": objects,
         }
         tmp_path = path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as fh:

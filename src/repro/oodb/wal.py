@@ -1,14 +1,26 @@
 """Write-ahead log.
 
 Durability and atomicity are implemented with a classic redo-only WAL: every
-object mutation is appended to the log *before* it is applied to the
-in-memory store, commit appends a COMMIT record and fsyncs, and recovery
-replays the log, applying only mutations of committed transactions.
-Checkpoints snapshot the whole store and truncate the log.
+object mutation is appended to the log as it is applied to the in-memory
+store (store first, then log — nothing reaches disk but the log), commit
+appends a COMMIT record and fsyncs, and recovery replays the log, applying
+only mutations of committed transactions.  Checkpoints snapshot the whole
+store and truncate the log up to where the snapshot began; records other
+threads appended meanwhile stay and are replayed on top of it.
 
 Records are newline-delimited JSON so the log is inspectable with standard
 tools — adequate for a reproduction and analogous in structure to the page
 logs of production systems.
+
+``ITEM`` is the one record that carries a *delta* instead of a whole
+attribute value: ``{"oid", "attr", "path", "value"}`` sets
+``attr[path[0]]...[path[-1]] = value`` inside a dictionary-valued attribute
+(path keys and value in the store's value encoding).  Its size depends on
+the item, not on the dictionary, which is what keeps an amend of the
+persistent IRS-result buffer O(1) in log bytes.  Replay rule: applied in
+LSN order like ``WRITE``, on top of whatever the snapshot and earlier
+records left in the attribute; dictionaries missing along the path are
+created; a record whose object no longer exists is skipped.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
@@ -28,6 +41,7 @@ logger = logging.getLogger(__name__)
 #: Log record kinds.
 BEGIN = "BEGIN"
 WRITE = "WRITE"          # attribute write: oid, attr, value
+ITEM = "ITEM"            # dict-item write: oid, attr, key path, value
 CREATE = "CREATE"        # object creation: oid, class_name
 DELETE = "DELETE"        # object deletion: oid
 SCHEMA = "SCHEMA"        # schema DDL: class definition or attribute addition
@@ -35,7 +49,7 @@ COMMIT = "COMMIT"
 ABORT = "ABORT"
 CHECKPOINT = "CHECKPOINT"
 
-_RECORD_KINDS = {BEGIN, WRITE, CREATE, DELETE, SCHEMA, COMMIT, ABORT, CHECKPOINT}
+_RECORD_KINDS = {BEGIN, WRITE, ITEM, CREATE, DELETE, SCHEMA, COMMIT, ABORT, CHECKPOINT}
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,9 @@ class WriteAheadLog:
         self._records: List[LogRecord] = []
         self._next_lsn = 1
         self._file = None
+        #: Appends come from any thread (readers buffer IRS results); LSN
+        #: assignment, the file write and truncation exclude each other.
+        self._lock = threading.Lock()
         if path is not None:
             existing = self._read_existing(path)
             self._records = existing
@@ -114,21 +131,24 @@ class WriteAheadLog:
 
     def append(self, kind: str, txn_id: int, payload: Optional[Dict[str, Any]] = None) -> LogRecord:
         """Append a record; COMMIT records are flushed to stable storage."""
-        record = LogRecord(self._next_lsn, kind, txn_id, payload or {})
-        self._next_lsn += 1
-        self._records.append(record)
-        obs.metrics().counter("oodb.wal.appends").inc()
-        if self._file is not None:
-            self._file.write(record.to_json() + "\n")
-            if kind in (COMMIT, CHECKPOINT):
-                started = time.perf_counter()
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                registry = obs.metrics()
-                registry.counter("oodb.wal.fsyncs").inc()
-                registry.histogram("oodb.wal.fsync_seconds").observe(
-                    time.perf_counter() - started
-                )
+        registry = obs.metrics()
+        with self._lock:
+            record = LogRecord(self._next_lsn, kind, txn_id, payload or {})
+            self._next_lsn += 1
+            self._records.append(record)
+            registry.counter("oodb.wal.appends").inc()
+            if self._file is not None:
+                line = record.to_json() + "\n"
+                self._file.write(line)
+                registry.counter("oodb.wal.bytes").inc(len(line))
+                if kind in (COMMIT, CHECKPOINT):
+                    started = time.perf_counter()
+                    self._file.flush()
+                    os.fsync(self._file.fileno())
+                    registry.counter("oodb.wal.fsyncs").inc()
+                    registry.histogram("oodb.wal.fsync_seconds").observe(
+                        time.perf_counter() - started
+                    )
         return record
 
     # -- reading ---------------------------------------------------------------
@@ -146,12 +166,40 @@ class WriteAheadLog:
 
     # -- checkpointing -------------------------------------------------------------
 
-    def truncate(self) -> None:
-        """Discard all records (after a checkpoint snapshot is durable)."""
-        self._records = []
-        if self._file is not None:
+    @property
+    def next_lsn(self) -> int:
+        """The LSN the next appended record gets."""
+        return self._next_lsn
+
+    def truncate(self, keep_from: Optional[int] = None) -> None:
+        """Discard the records a durable checkpoint snapshot covers.
+
+        All of them, or those below LSN ``keep_from``: a record another
+        thread appended while the snapshot was taken may describe a change
+        the snapshot missed, so it stays and is replayed on top (redo is
+        idempotent, an ``ITEM`` needs the state it was applied to).
+        """
+        with self._lock:
+            kept = [
+                r for r in self._records
+                if keep_from is not None and r.lsn >= keep_from and r.kind != CHECKPOINT
+            ]
+            self._records = kept
+            if self._file is None:
+                return
             self._file.close()
-            self._file = open(self._path, "w", encoding="utf-8")
+            if not kept:
+                self._file = open(self._path, "w", encoding="utf-8")
+                return
+            # A crash before the replace leaves the whole old log, which
+            # replays on top of the snapshot just as well.
+            tmp_path = self._path + ".tmp"
+            with open(tmp_path, "w", encoding="utf-8") as fh:
+                fh.writelines(record.to_json() + "\n" for record in kept)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp_path, self._path)
+            self._file = open(self._path, "a", encoding="utf-8")
 
     def close(self) -> None:
         """Close the underlying file, flushing buffered records."""

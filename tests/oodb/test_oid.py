@@ -19,6 +19,20 @@ class TestOID:
         with pytest.raises(ValueError):
             OID.parse("OIDabc")
 
+    @pytest.mark.parametrize(
+        "text", ["OID", "OID-1", "OID1.0", "OID\u00b2", "oid1"]
+    )
+    def test_parse_rejects_malformed_and_negative(self, text):
+        with pytest.raises(ValueError):
+            OID.parse(text)
+
+    def test_parse_fast_path_builds_an_ordinary_oid(self):
+        parsed = OID.parse("OID0042")
+        assert parsed == OID(42) and hash(parsed) == hash(OID(42))
+        assert parsed.value == 42 and str(parsed) == "OID42"
+        with pytest.raises(AttributeError):
+            parsed.value = 1  # still frozen
+
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             OID(-1)

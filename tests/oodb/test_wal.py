@@ -59,6 +59,26 @@ class TestFileLog:
         log.close()
         assert os.path.getsize(path) == 0
 
+    def test_truncate_keeps_records_from_the_mark_on(self, tmp_path):
+        """Records logged while a checkpoint's snapshot was taken stay."""
+        path = str(tmp_path / "wal.log")
+        log = WriteAheadLog(path)
+        log.append(w.BEGIN, 1)
+        log.append(w.COMMIT, 1)
+        mark = log.next_lsn
+        log.append(w.BEGIN, 2)
+        log.append(w.ITEM, 2, {"oid": 3, "attr": "d", "path": ["k"], "value": 1})
+        log.append(w.CHECKPOINT, 0)
+        log.truncate(keep_from=mark)
+        assert [r.kind for r in log.records()] == [w.BEGIN, w.ITEM]
+        record = log.append(w.COMMIT, 2)  # appends go on behind the kept ones
+        log.close()
+        reopened = WriteAheadLog(path)
+        assert [(r.lsn, r.kind) for r in reopened.records()] == [
+            (mark, w.BEGIN), (mark + 1, w.ITEM), (record.lsn, w.COMMIT),
+        ]
+        reopened.close()
+
     def test_payload_round_trip(self, tmp_path):
         path = str(tmp_path / "wal.log")
         payload = {"oid": 9, "attr": "text", "value": {"__oid__": 4}}

@@ -257,3 +257,35 @@ class TestSystemLevelCrashes:
         with open(store_path, "ab") as fh:
             fh.write(b"\x00garbage from a torn write\x00" * 3)
         assert self._reopened_rankings(image) == expected
+
+    def test_kill_with_buffer_item_records_in_the_wal(self, tmp_path):
+        """Buffered results and derived values reach the WAL as ITEM deltas;
+        a kill before the next checkpoint replays them bit-identically."""
+        import copy
+        import json
+
+        path, system, collection, dtd = self.populated(tmp_path)
+        system.checkpoint()
+        bindings = {"c": collection}
+        system.session.query(collection, "telnet retrieval")
+        system.session.execute(
+            "ACCESS d FROM d IN MMFDOC WHERE d -> getIRSValue(c, 'www') > 0.4", bindings
+        )
+        for doc in system.db.instances_of("MMFDOC"):
+            system.session.find_value(collection, "telnet retrieval", doc)
+        buffered = copy.deepcopy(collection.get("buffer"))
+        documents = system.db.extent_size("MMFDOC")
+        assert len(buffered["|www"]) == len(buffered["|telnet retrieval"]) >= documents
+        image = self._crash_image(path, tmp_path, "items")
+        expected = self.expected(system, collection)
+        system.close()
+        with open(os.path.join(image, "db", "wal.log"), encoding="utf-8") as fh:
+            kinds = [json.loads(line)["kind"] for line in fh if line.strip()]
+        assert kinds.count("ITEM") == 2 + 2 * documents  # 2 results + the derived values
+        assert "WRITE" not in kinds  # no whole-buffer copies
+        reopened = DocumentSystem(directory=image)
+        collection2 = next(iter(reopened.db.instances_of("COLLECTION")))
+        assert collection2.get("buffer") == buffered
+        assert reopened.engine.lazy_collection_names() == ["paras"]  # no reindex
+        reopened.close()
+        assert self._reopened_rankings(image) == expected
