@@ -77,6 +77,9 @@ def vbyte_decode(data: bytes) -> List[int]:
     return numbers
 
 
+_LOW_SEVEN_BITS = bytes(byte & 0x7F for byte in range(256))
+
+
 def vbyte_decode_stream(
     data: bytes, offset: int, count: int
 ) -> "tuple[List[int], int]":
@@ -86,6 +89,11 @@ def vbyte_decode_stream(
     the block postings use: a block's varint stream can be decoded without
     touching (or even validating) the bytes of any other block.
     """
+    # A run of single-byte integers (every stop bit set) — almost every tf
+    # column and the doc gaps of frequent terms — decodes without a loop.
+    chunk = data[offset : offset + count]
+    if len(chunk) == count and count and min(chunk) >= 0x80:
+        return list(chunk.translate(_LOW_SEVEN_BITS)), offset + count
     values: List[int] = []
     append = values.append
     current = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass
@@ -197,6 +197,31 @@ class InvertedIndex:
         ordered = [by_doc[doc_id] for doc_id in sorted(by_doc)]
         self._sorted[term] = ordered
         return ordered
+
+    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
+        """Decoded ``(doc_ids, tfs)`` columns of ``term``, doc-id order.
+
+        The scoring read path: two parallel lists per run of
+        :data:`~repro.irs.postings.BLOCK_SIZE` documents (the dict form's
+        virtual blocks, so block bookkeeping matches the compact form),
+        built straight from the term's dictionary — no sorted
+        :class:`Posting` list is memoized and no position is touched.
+        """
+        # Local import: postings.py needs Posting from this module.
+        from repro.irs.postings import BLOCK_SIZE
+
+        by_doc = self._postings.get(term)
+        if not by_doc:
+            return
+        ids = sorted(by_doc)
+        tfs = [len(by_doc[doc_id].positions) for doc_id in ids]
+        for start in range(0, len(ids), BLOCK_SIZE):
+            yield ids[start : start + BLOCK_SIZE], tfs[start : start + BLOCK_SIZE]
+
+    @property
+    def doc_lengths(self) -> Dict[int, int]:
+        """doc id -> length of every indexed document (read-only)."""
+        return self._doc_lengths
 
     def cursor(self, term: str):
         """A :class:`~repro.irs.postings.PostingsCursor` over ``term``.

@@ -92,26 +92,6 @@ def compile_query(collection: IRSCollection, node: QueryNode) -> CompiledNode:
     return walk(node)
 
 
-def compiled_terms(node: CompiledNode) -> List[str]:
-    """All analyzed terms of a compiled tree (stopped terms omitted)."""
-    out: List[str] = []
-
-    def walk(current: CompiledNode) -> None:
-        if isinstance(current, CompiledTerm):
-            if current.term is not None:
-                out.append(current.term)
-            return
-        if isinstance(current, CompiledProximity):
-            out.extend(t for t in current.terms if t is not None)
-            return
-        if isinstance(current, CompiledOperator):
-            for child in current.children:
-                walk(child)
-
-    walk(node)
-    return out
-
-
 class RetrievalModel:
     """Scores documents of one collection against a parsed query tree."""
 

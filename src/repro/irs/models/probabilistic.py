@@ -17,13 +17,16 @@ the IRS documents' length in order to compute IRS values", Section 4.5.2)
 and a scaled idf.  Beliefs combine through the operator algebra of
 :mod:`repro.irs.models.operators`.
 
-Scoring is **term-at-a-time**: the query is compiled (each raw term
-analyzed once), then each distinct term's postings list is walked exactly
-once, producing a per-term belief map over the documents that contain it.
-Flat ``#sum``/``#wsum`` queries — the common shape — accumulate those maps
-directly into a scores dict; structured queries combine the precomputed
-leaf maps per candidate with plain dict lookups, never re-touching the
-analyzer or the index.  The naive document-at-a-time path survives in
+Scoring is **set-at-a-time**: the query is compiled (each raw term
+analyzed once), then each distinct term yields one belief map over the
+documents that contain it — ``db + impact``, read off the per-term impact
+columns this model shares with the top-k scorer (:meth:`term_impacts`; one
+comprehension per block of decoded ``(doc_ids, tfs)`` columns, cached per
+index version).  Flat ``#sum``/``#wsum`` queries — the common shape —
+accumulate those maps directly into a scores dict; structured queries fold
+them operator by operator as ``(values, default)`` belief sets
+(:mod:`repro.irs.models.operators`), so no code runs per candidate
+document.  The naive document-at-a-time path survives in
 :mod:`repro.irs.models.reference` for equivalence tests and benchmarks.
 """
 
@@ -40,7 +43,6 @@ from repro.irs.models.base import (
     CompiledTerm,
     RetrievalModel,
     compile_query,
-    compiled_terms,
 )
 from repro.irs.queries import OperatorNode, ProximityNode, QueryNode, TermNode
 
@@ -67,7 +69,7 @@ class InferenceNetworkModel(RetrievalModel):
         flat = self._flat_linear(compiled)
         if flat is not None:
             return self._score_term_at_a_time(collection, flat, term_maps)
-        return self._score_structured(collection, query, compiled, term_maps)
+        return self._score_structured(collection, compiled, term_maps)
 
     def _flat_linear(self, compiled) -> Optional[List[tuple]]:
         """(weight, leaf) pairs when the query is a flat #sum/#wsum of leaves.
@@ -125,46 +127,39 @@ class InferenceNetworkModel(RetrievalModel):
     def _score_structured(
         self,
         collection: IRSCollection,
-        query: QueryNode,
         compiled,
         term_maps: Dict[str, Dict[int, float]],
     ) -> Dict[int, float]:
-        """Combine precomputed leaf belief maps per candidate document."""
-        db = self._db
-        candidates: Set[int] = set()
-        for term in set(compiled_terms(compiled)):
-            candidates.update(collection.stats.doc_id_set(term))
-        if not candidates:
-            return {}
+        """Fold the leaf belief maps through the operator tree, set-at-a-time.
 
-        def evaluate(node, doc_id: int) -> float:
-            if isinstance(node, CompiledTerm):
-                return self._leaf_map(collection, node, term_maps).get(doc_id, db)
-            if isinstance(node, CompiledProximity):
-                return self._leaf_map(collection, node, term_maps).get(doc_id, db)
-            children = [evaluate(c, doc_id) for c in node.children]
-            op = node.op
-            if op == "and":
-                return ops.op_and(children)
-            if op == "or":
-                return ops.op_or(children)
-            if op == "not":
-                return ops.op_not(children[0])
-            if op == "sum":
-                return ops.op_sum(children)
-            if op == "wsum":
-                return ops.op_wsum(node.weights, children)
-            if op == "max":
-                return ops.op_max(children)
-            raise ValueError(f"cannot score operator {op!r}")  # pragma: no cover
+        The root's default is the query's belief for a document with no
+        matching evidence (:meth:`baseline`, computed by the same folds);
+        documents strictly above it are retrieved.
+        """
+        values, default = self._belief_set(collection, compiled, term_maps)
+        return {doc_id: belief for doc_id, belief in values.items() if belief > default}
 
-        baseline = self.baseline(query)
-        result: Dict[int, float] = {}
-        for doc_id in sorted(candidates):
-            belief = evaluate(compiled, doc_id)
-            if belief > baseline:  # strictly more evidence than "no evidence"
-                result[doc_id] = belief
-        return result
+    def _belief_set(
+        self, collection: IRSCollection, node, term_maps: Dict[str, Dict[int, float]]
+    ) -> ops.BeliefSet:
+        """``(values, default)`` of one compiled node over all documents."""
+        if not isinstance(node, CompiledOperator):
+            return self._leaf_map(collection, node, term_maps), self._db
+        parts = [self._belief_set(collection, c, term_maps) for c in node.children]
+        op = node.op
+        if op == "and":
+            return ops.set_and(parts)
+        if op == "or":
+            return ops.set_or(parts)
+        if op == "not":
+            return ops.set_not(parts[0])
+        if op == "sum":
+            return ops.set_sum(parts)
+        if op == "wsum":
+            return ops.set_wsum(node.weights, parts)
+        if op == "max":
+            return ops.set_max(parts)
+        raise ValueError(f"cannot score operator {op!r}")  # pragma: no cover
 
     def _leaf_map(
         self,
@@ -188,19 +183,39 @@ class InferenceNetworkModel(RetrievalModel):
             return cached
         return self._proximity_belief_map(collection, leaf, term_maps)
 
-    def _term_belief_map(self, collection: IRSCollection, term: str) -> Dict[int, float]:
-        index = collection.index
+    def term_impacts(self, collection: IRSCollection, term: str) -> Dict[int, tuple]:
+        """The per-source impact columns of ``term`` (see ``topk.term_impacts``).
+
+        An impact is the excess belief ``(1 - db) * tf_part * idf_part`` of
+        one posting, so ``db + impact`` *is* the belief, float for float.
+        One entry per index version serves both the MaxScore scan and
+        exhaustive scoring.
+        """
+        # Local import: topk compiles queries through this package.
+        from repro.irs.topk import term_impacts
+
         stats = collection.stats
         idf_part = stats.inquery_idf(term)
         avg_dl = stats.average_document_length or 1.0
+        one_minus_db = 1.0 - self._db
+
+        def block_impacts(source, ids, tfs):
+            lengths = source.doc_lengths
+            return [
+                one_minus_db * (tf / (tf + 0.5 + 1.5 * lengths[doc_id] / avg_dl)) * idf_part
+                for doc_id, tf in zip(ids, tfs)
+            ]
+
+        return term_impacts(
+            collection, ("inquery", self._db, term), term, block_impacts
+        )
+
+    def _term_belief_map(self, collection: IRSCollection, term: str) -> Dict[int, float]:
         db = self._db
-        one_minus_db = 1.0 - db
         beliefs: Dict[int, float] = {}
-        for posting in index.postings(term):
-            tf = posting.tf
-            dl = index.document_length(posting.doc_id)
-            tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
-            beliefs[posting.doc_id] = db + one_minus_db * tf_part * idf_part
+        for entry in self.term_impacts(collection, term).values():
+            for ids, impacts in zip(entry.block_ids, entry.block_us):
+                beliefs.update(zip(ids, [db + impact for impact in impacts]))
         return beliefs
 
     def _proximity_belief_map(
@@ -227,10 +242,14 @@ class InferenceNetworkModel(RetrievalModel):
                 one_minus_db = 1.0 - db
                 idf_part = math.log((n_docs + 0.5) / df) / math.log(n_docs + 1.0)
                 idf_part = max(0.0, min(1.0, idf_part))
-                for doc_id, tf in tf_map.items():
-                    dl = index.document_length(doc_id)
-                    tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
-                    beliefs[doc_id] = db + one_minus_db * tf_part * idf_part
+                lengths = index.doc_lengths
+                beliefs = {
+                    doc_id: db
+                    + one_minus_db
+                    * (tf / (tf + 0.5 + 1.5 * lengths[doc_id] / avg_dl))
+                    * idf_part
+                    for doc_id, tf in tf_map.items()
+                }
         term_maps[key] = beliefs
         return beliefs
 
@@ -264,8 +283,8 @@ class InferenceNetworkModel(RetrievalModel):
         terms = self.analyzed_terms(collection, query.terms())
         docs: Set[int] = set()
         for term in terms:
-            for posting in collection.index.postings(term):
-                docs.add(posting.doc_id)
+            for ids, _tfs in collection.index.term_columns(term):
+                docs.update(ids)
         return sorted(docs)
 
     # -- belief computation ---------------------------------------------------

@@ -31,11 +31,11 @@ from repro.irs.queries import OperatorNode, ProximityNode, QueryNode, TermNode
 def naive_average_document_length(index: InvertedIndex) -> float:
     """Mean document length re-summed from scratch (the pre-PR cost).
 
-    Reaches into the index's length table on purpose: the pre-optimization
+    Reads the index's length table on purpose: the pre-optimization
     ``average_document_length`` summed that very dict on every call, and the
     reference path must replicate both the cost and the exact float.
     """
-    lengths = index._doc_lengths
+    lengths = index.doc_lengths
     if not lengths:
         return 0.0
     return sum(lengths.values()) / len(lengths)

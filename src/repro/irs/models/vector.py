@@ -6,12 +6,14 @@ to a bag of positive terms — classic vector-space queries are unstructured —
 except ``#not`` whose terms *subtract* weight, and ``#wsum`` whose weights
 multiply the corresponding query-term weights.
 
-Scoring is term-at-a-time over the postings lists; idf values and the
-per-document TF-IDF norms come from the collection's epoch-validated
-:class:`~repro.irs.statistics.StatisticsCache` (all norms are built in a
-single pass over the postings instead of an O(vocabulary) scan per scored
-document).  The pre-cache implementation survives in
-:mod:`repro.irs.models.reference` for equivalence tests and benchmarks.
+Scoring is term-at-a-time over each term's decoded ``(doc_ids, tfs)``
+columns (``index.term_columns``; no position is decoded, no posting object
+built); idf values and the per-document TF-IDF norms come from the
+collection's epoch-validated :class:`~repro.irs.statistics.StatisticsCache`,
+the norms as one bulk column per query.  :meth:`VectorSpaceModel.term_impacts`
+is the model's half of the top-k scorer's impact cache.  The pre-cache
+implementation survives in :mod:`repro.irs.models.reference` for
+equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -36,25 +38,48 @@ class VectorSpaceModel(RetrievalModel):
             return {}
         index = collection.index
         stats = collection.stats
+        log = math.log
         scores: Dict[int, float] = {}
+        get = scores.get
         for term, query_weight in query_vector.items():
             idf = stats.idf(term)  # 0.0 exactly when df == 0
             if idf == 0.0:
                 continue
-            for posting in index.postings(term):
-                tf = 1.0 + math.log(posting.tf)
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + query_weight * tf * idf
+            for ids, tfs in index.term_columns(term):
+                for doc_id, tf in zip(ids, tfs):
+                    scores[doc_id] = get(doc_id, 0.0) + query_weight * (1.0 + log(tf)) * idf
         if not scores:
             return {}
         # Cosine normalization by the cached document vector norms.
-        result: Dict[int, float] = {}
         query_norm = math.sqrt(sum(w * w for w in query_vector.values()))
-        for doc_id, dot in scores.items():
-            doc_norm = stats.document_norm(doc_id)
-            if doc_norm > 0 and dot > 0:
-                value = dot / (doc_norm * query_norm)
-                result[doc_id] = min(1.0, value)
-        return result
+        return {
+            doc_id: min(1.0, dot / (doc_norm * query_norm))
+            for (doc_id, dot), doc_norm in zip(
+                scores.items(), stats.document_norms(list(scores))
+            )
+            if doc_norm > 0 and dot > 0
+        }
+
+    def term_impacts(self, collection: IRSCollection, term: str) -> Dict[int, tuple]:
+        """The per-source impact columns of ``term`` (see ``topk.term_impacts``).
+
+        An impact is the cosine contribution per unit of normalized query
+        weight, ``(1 + log tf) * idf / doc_norm`` (0.0 for a zero norm).
+        """
+        # Local import: topk compiles queries through this package.
+        from repro.irs.topk import term_impacts
+
+        stats = collection.stats
+        idf = stats.idf(term)
+        log = math.log
+
+        def block_impacts(_source, ids, tfs):
+            return [
+                (1.0 + log(tf)) * idf / norm if norm > 0.0 else 0.0
+                for tf, norm in zip(tfs, stats.document_norms(ids))
+            ]
+
+        return term_impacts(collection, ("vector", term), term, block_impacts)
 
     def _query_vector(self, collection: IRSCollection, node: QueryNode, sign: float = 1.0, weight: float = 1.0) -> Dict[str, float]:
         vector: Dict[str, float] = {}

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from array import array
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.irs.compression import vbyte_decode_stream, vbyte_encode
@@ -126,11 +127,8 @@ class CompactPostings:
         gaps, offset = vbyte_decode_stream(self._data, self._offsets[block], count)
         tfs, _ = vbyte_decode_stream(self._data, offset, count)
         base = self._last_docs[block - 1] if block else 0
-        ids = []
-        append = ids.append
-        for gap in gaps:
-            base += gap
-            append(base)
+        ids = list(accumulate(gaps, initial=base))
+        del ids[0]
         return ids, tfs
 
     def decode_block_positions(self, block: int, tfs: List[int]) -> List[List[int]]:
@@ -740,6 +738,23 @@ class CompactIndex:
     def compact_postings(self, term: str) -> Optional[CompactPostings]:
         """The raw block representation of one term (None when absent)."""
         return self._terms.get(term)
+
+    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
+        """Decoded ``(doc_ids, tfs)`` of ``term``, one pair per physical block.
+
+        The scoring read path: the position stream is never touched and no
+        :class:`Posting` is built.  Tombstones are the owning segment's
+        business (see ``SealedSegment.term_columns``).
+        """
+        postings = self._terms.get(term)
+        if postings is not None:
+            for block in range(postings.block_count):
+                yield postings.decode_block(block)
+
+    @property
+    def doc_lengths(self) -> Dict[int, int]:
+        """doc id -> length of every physical document (read-only)."""
+        return self._doc_lengths
 
     def postings(self, term: str) -> List[Posting]:
         """Full-fidelity decode of one term (doc-id order, not memoized).

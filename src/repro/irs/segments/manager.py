@@ -69,8 +69,7 @@ class SegmentManager:
         self._sealed: List[SealedSegment] = []
         self._next_segment_id = 1
         self._locator: Dict[int, Segment] = {}
-        #: Live documents only; shared with the view (and, via the view's
-        #: ``_doc_lengths`` property, with the naive reference models).
+        #: Live documents only; shared with the view (its ``doc_lengths``).
         self._doc_lengths: Dict[int, int] = {}
         self._token_count = 0
         self._epoch = 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.irs.inverted_index import InvertedIndex, Posting
 from repro.irs.postings import (
@@ -145,6 +145,14 @@ class MemtableSegment:
         """
         return 144 * self.index.posting_count + 96 * self.index.document_count
 
+    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
+        """Decoded ``(doc_ids, tfs)`` columns of ``term`` (all live)."""
+        return self.index.term_columns(term)
+
+    @property
+    def doc_lengths(self) -> Dict[int, int]:
+        return self.index.doc_lengths
+
     def term_cursor(self, term: str) -> Optional[PostingsCursor]:
         """A cursor over this memtable's postings of ``term`` (dict form)."""
         postings = self.index.postings(term)
@@ -261,6 +269,30 @@ class SealedSegment:
         if not self._dead_df.get(term):
             return postings
         return [p for p in postings if p.doc_id in self.forward]
+
+    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
+        """Decoded ``(doc_ids, tfs)`` columns of ``term``, live documents only.
+
+        One pair per block of the index (a block whose documents are all
+        tombstoned yields two empty lists, so block counts do not depend on
+        deletions).  The live filter runs only when the term actually has
+        tombstoned documents; positions are never decoded.
+        """
+        columns = self.index.term_columns(term)
+        if not self._dead_df.get(term):
+            return columns
+        return self._live_columns(columns)
+
+    def _live_columns(self, columns) -> Iterator[Tuple[List[int], List[int]]]:
+        live = self.forward
+        for ids, tfs in columns:
+            kept = [(doc_id, tf) for doc_id, tf in zip(ids, tfs) if doc_id in live]
+            yield [doc_id for doc_id, _tf in kept], [tf for _doc_id, tf in kept]
+
+    @property
+    def doc_lengths(self) -> Dict[int, int]:
+        """Physical doc id -> length map (tombstoned documents included)."""
+        return self.index.doc_lengths
 
     def term_cursor(self, term: str) -> Optional[PostingsCursor]:
         """A :class:`PostingsCursor` over the live postings of ``term``.

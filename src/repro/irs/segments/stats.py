@@ -22,51 +22,13 @@ scoring").
 
 from __future__ import annotations
 
-import math
-from typing import Dict
-
 from repro.irs.segments.manager import SegmentManager
 from repro.irs.segments.view import MergedIndexView
-from repro.irs.statistics import StatisticsCache
+from repro.irs.statistics import ForwardNormStatistics
 
 
-class SegmentedStatistics(StatisticsCache):
+class SegmentedStatistics(ForwardNormStatistics):
     """Epoch-validated statistics memo with per-document lazy norms."""
 
     def __init__(self, view: MergedIndexView, manager: SegmentManager) -> None:
-        super().__init__(view)
-        self._manager = manager
-        self._doc_norms: Dict[int, float] = {}
-
-    def _validate(self) -> None:
-        if self._epoch != self._index.epoch:
-            self._doc_norms = {}
-        super()._validate()
-
-    def document_norm(self, doc_id: int) -> float:
-        """TF-IDF norm of one document, from its forward vector.
-
-        O(|document terms|) on a miss (idf lookups are memoized across
-        documents), O(1) on a hit; 0.0 for unknown documents.
-        """
-        with self._lock:
-            self._validate()
-            cached = self._doc_norms.get(doc_id)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-            vector = self._manager.forward_vector(doc_id)
-            if not vector:
-                norm = 0.0
-            else:
-                total = 0.0
-                # Sorted terms: the canonical accumulation order shared with
-                # the monolithic sweep, so the norm is bit-identical to it.
-                for term in sorted(vector):
-                    # self.idf re-enters the RLock and shares the per-term memo.
-                    weight = (1.0 + math.log(vector[term])) * self.idf(term)
-                    total += weight * weight
-                norm = math.sqrt(total)
-            self._doc_norms[doc_id] = norm
-            return norm
+        super().__init__(view, manager.forward_vector)

@@ -24,7 +24,7 @@ reader can never observe a half-invalidated memo.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.irs.inverted_index import Posting
 from repro.irs.postings import MergedCursor, PostingsCursor
@@ -147,6 +147,18 @@ class MergedIndexView:
         memo[term] = merged
         return merged
 
+    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
+        """Decoded live ``(doc_ids, tfs)`` columns, segment by segment.
+
+        The scoring read path (see ``SealedSegment.term_columns``): doc ids
+        ascend within a segment, not across segments, and nothing is
+        memoized — consumers that need it cached keep the derived values.
+        """
+        manager = self._manager
+        for segment in manager.sealed_segments():
+            yield from segment.term_columns(term)
+        yield from manager.memtable.term_columns(term)
+
     def term_cursors(self, term: str) -> List[PostingsCursor]:
         """One live cursor per segment holding ``term`` (memtable last).
 
@@ -215,8 +227,8 @@ class MergedIndexView:
         return dict(vector) if vector else {}
 
     @property
-    def _doc_lengths(self) -> Dict[int, int]:
-        """Live doc-id -> length map (naive reference-model compatibility)."""
+    def doc_lengths(self) -> Dict[int, int]:
+        """Live doc-id -> length map (read-only)."""
         return self._manager._doc_lengths
 
     # -- persistence helpers -----------------------------------------------

@@ -15,48 +15,11 @@ holding only its own shard's postings plus the global df table.
 
 from __future__ import annotations
 
-import math
-from typing import Dict
-
-from repro.irs.statistics import StatisticsCache
+from repro.irs.statistics import ForwardNormStatistics
 
 
-class ShardStatistics(StatisticsCache):
+class ShardStatistics(ForwardNormStatistics):
     """Epoch-validated statistics memo with per-document lazy norms."""
 
     def __init__(self, view, collection) -> None:
-        super().__init__(view)
-        self._collection = collection
-        self._doc_norms: Dict[int, float] = {}
-
-    def _validate(self) -> None:
-        if self._epoch != self._index.epoch:
-            self._doc_norms = {}
-        super()._validate()
-
-    def document_norm(self, doc_id: int) -> float:
-        """TF-IDF norm of one document, from its shard's forward vector.
-
-        O(|document terms|) on a miss (idf lookups are memoized across
-        documents), O(1) on a hit; 0.0 for unknown documents.
-        """
-        with self._lock:
-            self._validate()
-            cached = self._doc_norms.get(doc_id)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-            vector = self._collection.forward_vector(doc_id)
-            if not vector:
-                norm = 0.0
-            else:
-                total = 0.0
-                # Sorted terms with the *union* idf: the canonical
-                # accumulation shared with the monolithic sweep.
-                for term in sorted(vector):
-                    weight = (1.0 + math.log(vector[term])) * self.idf(term)
-                    total += weight * weight
-                norm = math.sqrt(total)
-            self._doc_norms[doc_id] = norm
-            return norm
+        super().__init__(view, collection.forward_vector)

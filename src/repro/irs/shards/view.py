@@ -23,7 +23,7 @@ cannot bypass the routing table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.irs.inverted_index import InvertedIndex, Posting
 from repro.irs.postings import MergedCursor, PostingsCursor
@@ -151,6 +151,11 @@ class ShardUnionView:
         memo[term] = merged
         return merged
 
+    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
+        """Decoded live ``(doc_ids, tfs)`` columns, shard by shard."""
+        for shard in self._collection.shards:
+            yield from shard.index.term_columns(term)
+
     def term_cursors(self, term: str) -> List[PostingsCursor]:
         """All live cursors holding ``term``, shard by shard."""
         cursors: List[PostingsCursor] = []
@@ -190,7 +195,7 @@ class ShardUnionView:
         return shard is not None and shard.index.has_document(doc_id)
 
     def document_ids(self) -> List[int]:
-        return sorted(self._doc_lengths)
+        return sorted(self.doc_lengths)
 
     def _terms_memo(self) -> List[str]:
         self._memo()
@@ -213,14 +218,14 @@ class ShardUnionView:
         return shard.index.document_vector(doc_id)
 
     @property
-    def _doc_lengths(self) -> Dict[int, int]:
-        """Live doc-id -> length map (naive reference-model compatibility)."""
+    def doc_lengths(self) -> Dict[int, int]:
+        """Live doc-id -> length map, memoized per version (read-only)."""
         self._memo()
         lengths = self._lengths
         if lengths is None:
             lengths = {}
             for shard in self._collection.shards:
-                lengths.update(shard.index._doc_lengths)
+                lengths.update(shard.index.doc_lengths)
             self._lengths = lengths
         return lengths
 
@@ -236,7 +241,7 @@ class ShardUnionView:
         return {
             "doc_lengths": {
                 str(doc_id): length
-                for doc_id, length in self._doc_lengths.items()
+                for doc_id, length in self.doc_lengths.items()
             },
             "postings": {
                 term: {

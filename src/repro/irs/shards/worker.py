@@ -109,10 +109,10 @@ class GlobalStatsIndex:
     def postings(self, term: str):
         return self._local.postings(term)
 
-    def cursor(self, term: str):
-        return self._local.cursor(term)
+    def term_columns(self, term: str):
+        return self._local.term_columns(term)
 
-    def term_cursor(self, term: str):
+    def cursor(self, term: str):
         return self._local.cursor(term)
 
     def document_length(self, doc_id: int) -> int:
@@ -137,8 +137,8 @@ class GlobalStatsIndex:
         return self._local.document_vector(doc_id)
 
     @property
-    def _doc_lengths(self) -> Dict[int, int]:
-        return self._local._doc_lengths
+    def doc_lengths(self) -> Dict[int, int]:
+        return self._local.doc_lengths
 
 
 def sync_replica(

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.irs.inverted_index import InvertedIndex
 
@@ -143,17 +144,30 @@ class StatisticsCache:
             cached = self._doc_id_sets.get(term)
             if cached is None:
                 self.misses += 1
-                cached = frozenset(p.doc_id for p in self._index.postings(term))
+                cached = frozenset(
+                    chain.from_iterable(
+                        ids for ids, _tfs in self._index.term_columns(term)
+                    )
+                )
                 self._doc_id_sets[term] = cached
             else:
                 self.hits += 1
             return cached
 
     def document_norm(self, doc_id: int) -> float:
-        """TF-IDF norm of one document (0.0 for unknown documents).
+        """TF-IDF norm of one document (0.0 for unknown documents)."""
+        return self.document_norms((doc_id,))[0]
+
+    def document_norms(self, doc_ids: Sequence[int]) -> List[float]:
+        """TF-IDF norms of ``doc_ids``, aligned (0.0 for unknown documents).
+
+        The bulk form scoring uses: one lock acquisition and one epoch
+        validation per column instead of one per posting.  ``hits`` and
+        ``misses`` move exactly as they would for one :meth:`document_norm`
+        call per id.
 
         Norms of *all* documents are built together on first access: one
-        pass over every postings list accumulates squared weights per
+        pass over every term's columns accumulates squared weights per
         document, then a square root per document.
 
         The sweep walks terms in **sorted order** with idf computed from the
@@ -166,23 +180,95 @@ class StatisticsCache:
         """
         with self._lock:
             self._validate()
+            if not doc_ids:
+                return []
             if self._norms is None:
                 self.misses += 1
+                self.hits += len(doc_ids) - 1
                 index = self._index
                 n_docs = index.document_count
+                log = math.log
                 squared: Dict[int, float] = {d: 0.0 for d in index.document_ids()}
                 for term in sorted(index.terms()):
                     df = index.document_frequency(term)
                     if df == 0:
                         continue
-                    idf = math.log(1.0 + n_docs / df)
-                    for posting in index.postings(term):
-                        w = (1.0 + math.log(posting.tf)) * idf
-                        squared[posting.doc_id] += w * w
+                    idf = log(1.0 + n_docs / df)
+                    for ids, tfs in index.term_columns(term):
+                        for doc_id, tf in zip(ids, tfs):
+                            w = (1.0 + log(tf)) * idf
+                            squared[doc_id] += w * w
                 self._norms = {d: math.sqrt(total) for d, total in squared.items()}
             else:
+                self.hits += len(doc_ids)
+            return list(map(self._norms.get, doc_ids, repeat(0.0)))
+
+
+class ForwardNormStatistics(StatisticsCache):
+    """Statistics memo with per-document lazy norms from forward vectors.
+
+    The base class builds the norms of *all* documents in one O(postings)
+    sweep the first time any norm is read, and again after every epoch
+    bump.  Where a forward map gives each document's ``{term: tf}`` vector
+    in O(|document|) (segment stacks, shard unions), norms are computed per
+    document on demand instead: a query scoring k documents after an update
+    costs O(sum of their vector sizes), not O(total postings).
+
+    Each norm accumulates the document's terms in **sorted order** with the
+    memoized global idf — the canonical order of the base-class sweep — so
+    it is bit-identical to the monolithic cache's, not merely close.
+    """
+
+    def __init__(
+        self, index, forward_vector: Callable[[int], Optional[Dict[str, int]]]
+    ) -> None:
+        super().__init__(index)
+        self._forward_vector = forward_vector
+        self._doc_norms: Dict[int, float] = {}
+
+    def _validate(self) -> None:
+        if self._epoch != self._index.epoch:
+            self._doc_norms = {}
+        super()._validate()
+
+    def document_norms(self, doc_ids: Sequence[int]) -> List[float]:
+        """O(1) per memoized document, O(|document terms|) per miss."""
+        with self._lock:
+            self._validate()
+            memo = self._doc_norms
+            norms = list(map(memo.get, doc_ids))
+            misses = 0
+            if None in norms:
+                for i, doc_id in enumerate(doc_ids):
+                    if norms[i] is not None:
+                        continue
+                    # Probe again: an id repeated in the column was memoized
+                    # by its first occurrence (a hit, as in a per-id loop).
+                    norm = memo.get(doc_id)
+                    if norm is None:
+                        misses += 1
+                        norm = memo[doc_id] = self._norm_of(doc_id)
+                    norms[i] = norm
+            self.misses += misses
+            self.hits += len(norms) - misses
+            return norms
+
+    def _norm_of(self, doc_id: int) -> float:
+        vector = self._forward_vector(doc_id)
+        if not vector:
+            return 0.0
+        idf_memo = self._idf
+        log = math.log
+        total = 0.0
+        for term in sorted(vector):
+            idf = idf_memo.get(term)
+            if idf is None:
+                idf = self.idf(term)  # counts the miss, fills the memo
+            else:
                 self.hits += 1
-            return self._norms.get(doc_id, 0.0)
+            weight = (1.0 + log(vector[term])) * idf
+            total += weight * weight
+        return math.sqrt(total)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""MaxScore/block-max top-k early termination over the cursor protocol.
+"""MaxScore/block-max top-k early termination over per-term impact columns.
 
-The exhaustive engine walks every posting of every query term; this module
+The exhaustive engine reads every posting of every query term; this module
 answers "give me the best ``k``" while *provably* returning the same top-k
 ranking and the same scores (the safe-up-to-k contract):
 
@@ -8,20 +8,25 @@ ranking and the same scores (the safe-up-to-k contract):
   into **essential** and **non-essential** lists against the running top-k
   threshold (Turtle & Flood's MaxScore) — documents appearing only in
   non-essential lists can never enter the heap and are never visited;
-* candidates surface document-at-a-time from the essential cursors, with
-  per-block upper bounds checked *before* a block is decoded (Block-Max);
-  a whole block whose bound cannot reach the threshold is skipped through
-  the skip entries (``irs.postings.blocks_skipped``);
+* candidates surface from the essential lists block by block, with
+  per-block upper bounds checked *before* a block's positions are screened
+  (Block-Max); a whole block whose bound cannot reach the threshold is
+  hopped over (``irs.postings.blocks_skipped``);
 * when even the sum of all remaining bounds cannot reach the threshold the
   segment's evaluation stops outright (``irs.topk.early_terminations``).
 
-Impacts are exact, not estimated.  One decode sweep per (model, term,
-index version) computes the per-document score contribution per unit of
-query weight ("impact") of the current epoch, kept as per-block arrays
-aligned with the cursor's physical positions and memoized in an impact
-cache.  Candidate screening then needs one array lookup and one float
-compare per posting — and upper bounds built from *actual* impacts (not
-block maxima) make the non-essential probes nearly tight.
+Impacts are exact, not estimated.  One column scan per (model, term, index
+version) — :func:`term_impacts` — reads the term's decoded ``(doc_ids,
+tfs)`` blocks from every scoring source (``term_columns``: tombstones
+filtered, no position decoded, no posting object built) and has the model
+turn each block into its per-document score contributions per unit of
+query weight ("impacts") with one comprehension.  The resulting per-block
+columns and the ``doc_id -> impact`` / ``doc_id -> tf`` probe maps are
+cached, least recently used first out, until the index version moves.
+Candidate screening then needs one array lookup and one float compare per
+posting — and upper bounds built from *actual* impacts (not block maxima)
+make the non-essential probes nearly tight.  The inquery model's exhaustive
+path reads its leaf beliefs (``db + impact``) off the same entries.
 
 Exactness.  Screening compares bounds against a threshold deflated by one
 part in 10^7 (:data:`CUT_SCALE`): a candidate is skipped only when its
@@ -44,19 +49,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.irs.inverted_index import InvertedIndex
 from repro.irs.models.base import (
     CompiledOperator,
     CompiledProximity,
     compile_query,
 )
-from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.irs.queries import OperatorNode, ProximityNode, QueryNode
-from repro.irs.segments.segment import MemtableSegment, SealedSegment
 
 #: Relative deflation applied to the pruning threshold.  A candidate is
 #: skipped only when its upper bound falls below ``theta * CUT_SCALE`` (in
@@ -65,9 +69,10 @@ from repro.irs.segments.segment import MemtableSegment, SealedSegment
 #: accumulation while costing nothing measurable in pruning power.
 CUT_SCALE = 1.0 - 1e-7
 
-#: Impact-cache entries per collection before a wholesale reset (a simple
-#: bound on memory for adversarial query streams, not an LRU).  Entries
-#: hold per-posting float arrays, so the cap is deliberately modest.
+#: Impact-cache entries per collection; beyond it the least recently used
+#: entry goes, so the frequent terms most queries share outlive a stream of
+#: rare ones.  Entries hold per-posting columns, so the cap is deliberately
+#: modest.
 _IMPACT_CACHE_LIMIT = 512
 
 
@@ -153,47 +158,27 @@ def _sources(collection) -> list:
     return [collection.index]
 
 
-def _source_cursor(source, term):
-    if isinstance(source, InvertedIndex):
-        return source.cursor(term)
-    return source.term_cursor(term)
+class TermImpacts(NamedTuple):
+    """One term's exact impacts within one scoring source.
 
-
-def _block_raw(source, term):
-    """Per-block ``(doc_ids, tfs, live_or_None)`` in cursor alignment.
-
-    Alignment matters: block ``b``, offset ``i`` here is exactly
-    ``(cursor.block, cursor.position_in_block)`` of the cursor
-    :func:`_source_cursor` returns for the same source — the compact
-    form's physical blocks (tombstoned positions kept; the third element
-    is the live-doc filter to apply), the dict form's virtual
-    :data:`BLOCK_SIZE` runs (pre-filtered, so the filter is None).
+    The block lists are parallel: block ``b`` holds the source's ``b``-th
+    run of live postings — a compact segment's physical block minus its
+    tombstoned documents, the dict form's
+    :data:`~repro.irs.postings.BLOCK_SIZE` run.
     """
-    if isinstance(source, SealedSegment):
-        index = source.index
-        if isinstance(index, CompactIndex):
-            compact = index.compact_postings(term)
-            if compact is None:
-                return
-            live = source.forward if source._dead_df.get(term) else None
-            for block in range(compact.block_count):
-                ids, tfs = compact.decode_block(block)
-                yield ids, tfs, live
-            return
-        postings = source.live_postings(term)
-    elif isinstance(source, MemtableSegment):
-        postings = source.index.postings(term)
-    else:
-        postings = source.postings(term)
-    for start in range(0, len(postings), BLOCK_SIZE):
-        run = postings[start : start + BLOCK_SIZE]
-        yield [p.doc_id for p in run], [p.tf for p in run], None
+
+    max_u: float  #: largest impact of the whole list
+    block_maxes: List[float]  #: largest impact per block
+    block_us: List[List[float]]  #: impact per posting
+    block_ids: List[List[int]]  #: doc id per posting
+    probe_us: Dict[int, float]  #: doc_id -> impact, the membership probe
+    probe_tfs: Dict[int, int]  #: doc_id -> term frequency
 
 
 def _impact_cache(collection) -> dict:
     cache = getattr(collection, "_topk_impact_cache", None)
     if cache is None:
-        cache = {"lock": threading.Lock(), "entries": {}}
+        cache = {"lock": threading.Lock(), "entries": OrderedDict()}
         collection._topk_impact_cache = cache
     return cache
 
@@ -208,66 +193,59 @@ def _index_version(collection) -> tuple:
     return (collection.index.epoch,)
 
 
-def _term_impacts(
+def term_impacts(
     collection,
     cache_key: tuple,
     term: str,
-    unit_impact: Callable[[int, int], float],
-) -> Dict[int, tuple]:
-    """``id(source) -> (max_u, block_maxes, block_us, block_ids,
-    block_tfs, probe)`` for one term.
+    block_impacts: Callable[[object, List[int], List[int]], List[float]],
+) -> Dict[int, TermImpacts]:
+    """``id(source) -> TermImpacts`` of one term under one model.
 
-    ``unit_impact(doc_id, tf)`` is the model's per-occurrence impact (the
-    score contribution per unit of query weight).  The sweep decodes each
-    live posting once per index version and derives two aligned views:
-    per-block arrays — impacts, doc ids, tfs, position-aligned so list
-    scans never touch the encoded bytes again (tombstoned positions carry
-    impact 0.0) — and the ``probe`` map ``doc_id -> (u, tf)`` for O(1)
-    membership probes against the other query terms.  Results are
-    memoized until any content or structure change moves the version.
+    ``block_impacts(source, doc_ids, tfs)`` is the model's kernel: the
+    impacts (score contribution per unit of query weight) of one decoded
+    block, as a list aligned with its columns.  The scan reads every
+    source's ``term_columns`` once, keeps the doc-id column beside the
+    impacts so list scans never decode again, and builds the ``probe_*`` maps for O(1)
+    membership probes against the other query terms.  Sources where the
+    term has no positive impact are left out.
+
+    Entries are shared by every query (and both scoring paths) of a model
+    until any content or structure change moves the index version — a
+    stale entry is replaced by the next scan of its term — or until
+    :data:`_IMPACT_CACHE_LIMIT` more recently used entries push it out.
     """
     cache = _impact_cache(collection)
+    entries = cache["entries"]
     version = _index_version(collection)
     with cache["lock"]:
-        entry = cache["entries"].get(cache_key)
+        entry = entries.get(cache_key)
         if entry is not None and entry[0] == version:
+            entries.move_to_end(cache_key)
             return entry[1]
-    per_source: Dict[int, tuple] = {}
+    per_source: Dict[int, TermImpacts] = {}
     for source in _sources(collection):
         block_us: List[List[float]] = []
         block_maxes: List[float] = []
         block_ids: List[List[int]] = []
-        block_tfs: List[List[int]] = []
-        probe: Dict[int, tuple] = {}
-        for ids, tfs, live in _block_raw(source, term):
-            us: List[float] = []
-            for doc_id, tf in zip(ids, tfs):
-                if live is not None and doc_id not in live:
-                    us.append(0.0)
-                    continue
-                u = unit_impact(doc_id, tf)
-                us.append(u)
-                probe[doc_id] = (u, tf)
+        probe_us: Dict[int, float] = {}
+        probe_tfs: Dict[int, int] = {}
+        for ids, tfs in source.term_columns(term):
+            us = block_impacts(source, ids, tfs)
             block_us.append(us)
-            block_maxes.append(max(us) if us else 0.0)
+            block_maxes.append(max(us, default=0.0))
             block_ids.append(ids)
-            block_tfs.append(tfs)
-        if block_maxes:
-            max_u = max(block_maxes)
-            if max_u > 0.0:
-                per_source[id(source)] = (
-                    max_u,
-                    block_maxes,
-                    block_us,
-                    block_ids,
-                    block_tfs,
-                    probe,
-                )
+            probe_us.update(zip(ids, us))
+            probe_tfs.update(zip(ids, tfs))
+        max_u = max(block_maxes, default=0.0)
+        if max_u > 0.0:
+            per_source[id(source)] = TermImpacts(
+                max_u, block_maxes, block_us, block_ids, probe_us, probe_tfs
+            )
     with cache["lock"]:
-        entries = cache["entries"]
-        if len(entries) >= _IMPACT_CACHE_LIMIT:
-            entries.clear()
         entries[cache_key] = (version, per_source)
+        entries.move_to_end(cache_key)
+        while len(entries) > _IMPACT_CACHE_LIMIT:
+            entries.popitem(last=False)
     return per_source
 
 
@@ -277,18 +255,12 @@ def _term_impacts(
 
 @dataclass
 class _TermList:
-    """One term's cursor within one segment, with its exact impact arrays."""
+    """One query term within one segment, with its exact impact columns."""
 
     term: str
-    cursor: object
     weight: float  #: combined query weight
     ub: float  #: weight * max impact over the whole list
-    block_maxes: List[float]  #: per-block max impact (unweighted)
-    block_us: List[List[float]]  #: per-block impact per physical position
-    block_ids: List[List[int]]  #: per-block doc ids (cursor-aligned)
-    block_tfs: List[List[int]]  #: per-block tfs (cursor-aligned)
-    probe: Dict[int, tuple]  #: live doc_id -> (impact, tf) membership map
-    live: Optional[dict]  #: live-doc filter for batch scans (None: all live)
+    impacts: TermImpacts
 
 
 _NEG_INF = float("-inf")
@@ -313,13 +285,13 @@ def _score_segment(
     threshold, no unseen document can qualify (every document they would
     surface is either already considered or bounded out).
 
-    A scan walks the cursor-aligned impact arrays block by block (the
-    impact cache decoded them once per index version, so the encoded
-    bytes are never touched here): a block whose max impact cannot reach
-    the threshold is hopped over through its skip entry — that is the
-    block-max skip ``irs.postings.blocks_skipped`` counts — and each
-    position of a visited block is screened with one compare against the
-    threshold translated into the list's impact space.  Survivors probe
+    A scan walks the impact columns block by block (the impact cache
+    decoded them once per index version, so the encoded bytes are never
+    touched here): a block whose max impact cannot reach the threshold is
+    hopped over — that is the block-max skip
+    ``irs.postings.blocks_skipped`` counts — and each position of a
+    visited block is screened with one compare against the threshold
+    translated into the list's impact space.  Survivors probe
     the other lists for their exact impacts, tightening the bound term
     by term (the one- and two-probe shapes, which dominate real query
     mixes, are unrolled straight-line), and only candidates whose bound
@@ -357,25 +329,24 @@ def _score_segment(
             break
         wl = lead.weight
         lead_term = lead.term
-        block_maxes = lead.block_maxes
-        block_us = lead.block_us
-        block_ids = lead.block_ids
-        block_tfs = lead.block_tfs
-        live = lead.live
+        block_maxes = lead.impacts.block_maxes
+        block_us = lead.impacts.block_us
+        block_ids = lead.impacts.block_ids
+        lead_tfs = lead.impacts.probe_tfs
         # Probe order is ub-descending with the already-scanned (stronger)
         # lists first: a hit in one of those means the document was
         # already considered during that list's scan, and a miss removes
         # the largest remaining slack from the bound fastest.
         probes = [
-            (tl.probe.get, tl.ub, tl.weight, tl.term, j < li)
+            (tl.impacts.probe_us.get, tl.impacts.probe_tfs, tl.ub, tl.weight, tl.term, j < li)
             for j, tl in enumerate(lists)
             if j != li
         ]
         n_probes = m - 1
         if n_probes >= 1:
-            get_1, ub_1, w_1, term_1, scanned_1 = probes[0]
+            get_1, tfs_1, ub_1, w_1, term_1, scanned_1 = probes[0]
         if n_probes >= 2:
-            get_2, ub_2, w_2, term_2, scanned_2 = probes[1]
+            get_2, tfs_2, ub_2, w_2, term_2, scanned_2 = probes[1]
         rest = total_ub - lead.ub
         t = (cut - rest) / wl
         skipped = 0
@@ -385,73 +356,70 @@ def _score_segment(
                 continue
             us = block_us[b]
             ids = block_ids[b]
-            tfs = block_tfs[b]
             for i, u in enumerate(us):
                 if u < t:
                     continue
                 doc = ids[i]
-                if live is not None and doc not in live:
-                    continue
                 if n_probes == 0:
                     # u >= t already proves wl*u reaches the cut.
-                    tf_map = {lead_term: tfs[i]}
+                    tf_map = {lead_term: lead_tfs[doc]}
                 elif n_probes == 1:
-                    hit = get_1(doc)
-                    if hit is None:
+                    u_1 = get_1(doc)
+                    if u_1 is None:
                         # rest == ub_1 here, so the bound collapses to wl*u.
                         if wl * u < cut:
                             continue
-                        tf_map = {lead_term: tfs[i]}
+                        tf_map = {lead_term: lead_tfs[doc]}
                     else:
                         if scanned_1:
                             continue
-                        if wl * u + w_1 * hit[0] < cut:
+                        if wl * u + w_1 * u_1 < cut:
                             continue
-                        tf_map = {lead_term: tfs[i], term_1: hit[1]}
+                        tf_map = {lead_term: lead_tfs[doc], term_1: tfs_1[doc]}
                 elif n_probes == 2:
                     bound = rest + wl * u - ub_1
-                    hit_1 = get_1(doc)
-                    if hit_1 is not None:
+                    u_1 = get_1(doc)
+                    if u_1 is not None:
                         if scanned_1:
                             continue
-                        bound += w_1 * hit_1[0]
+                        bound += w_1 * u_1
                     if bound < cut:
                         continue
                     bound -= ub_2
-                    hit_2 = get_2(doc)
-                    if hit_2 is not None:
+                    u_2 = get_2(doc)
+                    if u_2 is not None:
                         if scanned_2:
                             continue
-                        bound += w_2 * hit_2[0]
+                        bound += w_2 * u_2
                     if bound < cut:
                         continue
-                    tf_map = {lead_term: tfs[i]}
-                    if hit_1 is not None:
-                        tf_map[term_1] = hit_1[1]
-                    if hit_2 is not None:
-                        tf_map[term_2] = hit_2[1]
+                    tf_map = {lead_term: lead_tfs[doc]}
+                    if u_1 is not None:
+                        tf_map[term_1] = tfs_1[doc]
+                    if u_2 is not None:
+                        tf_map[term_2] = tfs_2[doc]
                 else:
                     bound = rest + wl * u
                     viable = True
                     matched = None
-                    for probe_get, ub_o, w_o, term_o, scanned in probes:
+                    for get_o, tfs_o, ub_o, w_o, term_o, scanned in probes:
                         bound -= ub_o
-                        hit = probe_get(doc)
-                        if hit is not None:
+                        u_o = get_o(doc)
+                        if u_o is not None:
                             if scanned:
                                 # Already considered in that list's scan.
                                 viable = False
                                 break
-                            bound += w_o * hit[0]
+                            bound += w_o * u_o
                             if matched is None:
                                 matched = []
-                            matched.append((term_o, hit[1]))
+                            matched.append((term_o, tfs_o[doc]))
                         if bound < cut:
                             viable = False
                             break
                     if not viable:
                         continue
-                    tf_map = {lead_term: tfs[i]}
+                    tf_map = {lead_term: lead_tfs[doc]}
                     if matched:
                         tf_map.update(matched)
                 value = score_candidate(doc, tf_map)
@@ -483,9 +451,9 @@ def _score_segment(
 
 def _run(
     collection,
+    model_impl,
     k: int,
     weighted_terms: List[Tuple[str, float]],
-    impacts_of: Callable[[str], Dict[int, tuple]],
     score_candidate,
     cut_of,
     floor_cut: float = _NEG_INF,
@@ -499,31 +467,15 @@ def _run(
     outcome = TopKOutcome(values={})
     heap: List[Tuple[float, int]] = []
     sources = _sources(collection)
-    impact_maps = {term: impacts_of(term) for term, _w in weighted_terms}
+    impact_maps = {
+        term: model_impl.term_impacts(collection, term) for term, _w in weighted_terms
+    }
     for source in sources:
         lists: List[_TermList] = []
         for term, weight in weighted_terms:
-            per_source = impact_maps[term].get(id(source))
-            if per_source is None:
-                continue
-            max_u, block_maxes, block_us, block_ids, block_tfs, probe = per_source
-            cursor = _source_cursor(source, term)
-            if cursor is None:
-                continue
-            lists.append(
-                _TermList(
-                    term=term,
-                    cursor=cursor,
-                    weight=weight,
-                    ub=weight * max_u,
-                    block_maxes=block_maxes,
-                    block_us=block_us,
-                    block_ids=block_ids,
-                    block_tfs=block_tfs,
-                    probe=probe,
-                    live=getattr(cursor, "_live", None),
-                )
-            )
+            impacts = impact_maps[term].get(id(source))
+            if impacts is not None:
+                lists.append(_TermList(term, weight, weight * impacts.max_u, impacts))
         if lists:
             _score_segment(
                 lists, k, heap, score_candidate, cut_of, outcome, floor_cut
@@ -547,20 +499,6 @@ def _vector_outcome(
     if not scored:
         return TopKOutcome(values={})
     query_norm = math.sqrt(sum(w * w for _t, w in entries))
-    idf_by_term = {term: idf for term, _w, idf in scored}
-
-    def impacts_of(term: str) -> Dict[int, tuple]:
-        idf = idf_by_term[term]
-        document_norm = stats.document_norm
-        log = math.log
-
-        def unit_impact(doc_id: int, tf: int) -> float:
-            norm = document_norm(doc_id)
-            if norm <= 0.0:
-                return 0.0
-            return (1.0 + log(tf)) * idf / norm
-
-        return _term_impacts(collection, ("vector", term), term, unit_impact)
 
     def score_candidate(doc_id: int, tf_map: Dict[str, int]) -> Optional[float]:
         # Bit-identical to VectorSpaceModel.score: same expressions, same
@@ -588,7 +526,7 @@ def _vector_outcome(
 
     floor_cut = cut_of(floor_value) if floor_value is not None else _NEG_INF
     return _run(
-        collection, k, weighted, impacts_of, score_candidate, cut_of, floor_cut
+        collection, model_impl, k, weighted, score_candidate, cut_of, floor_cut
     )
 
 
@@ -625,16 +563,6 @@ def _inquery_outcome(
         combined_weight[term] = combined_weight.get(term, 0.0) + weight
     document_length = index.document_length
 
-    def impacts_of(term: str) -> Dict[int, tuple]:
-        idf_part = idf_parts[term]
-
-        def unit_impact(doc_id: int, tf: int) -> float:
-            dl = document_length(doc_id)
-            tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
-            return one_minus_db * tf_part * idf_part
-
-        return _term_impacts(collection, ("inquery", db, term), term, unit_impact)
-
     def score_candidate(doc_id: int, tf_map: Dict[str, int]) -> Optional[float]:
         # Bit-identical to _score_term_at_a_time + _term_belief_map: same
         # belief expression, same leaf-order accumulation.
@@ -660,7 +588,7 @@ def _inquery_outcome(
     weighted = list(combined_weight.items())
     floor_cut = cut_of(floor_value) if floor_value is not None else _NEG_INF
     return _run(
-        collection, k, weighted, impacts_of, score_candidate, cut_of, floor_cut
+        collection, model_impl, k, weighted, score_candidate, cut_of, floor_cut
     )
 
 
@@ -701,8 +629,13 @@ def topk_scores(
 
 
 def truncate_top_k(values: Dict[int, float], k: int) -> Dict[int, float]:
-    """The exhaustive fallback's tail: keep the best ``k`` by rank order."""
+    """The exhaustive fallback's tail: keep the best ``k`` by rank order.
+
+    A bounded-heap selection under :meth:`IRSResult.ranked`'s total order:
+    the largest ``(value, -doc_id)`` pairs are the smallest
+    ``(-value, doc_id)`` keys, in the same sequence.
+    """
     if len(values) <= k:
         return values
-    ranked = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
-    return dict(ranked[:k])
+    best = heapq.nlargest(k, zip(values.values(), map(operator.neg, values)))
+    return {-neg_doc: value for value, neg_doc in best}

@@ -127,3 +127,116 @@ class TestStatisticsCacheStats:
         assert engine.cache_stats.misses == 0
         for info in engine.statistics_cache_info().values():
             assert info == {"hits": 0, "misses": 0, "invalidations": 0}
+
+
+class TestBulkNormCounters:
+    """``document_norms(ids)`` moves hits/misses exactly like a per-id loop."""
+
+    TEXTS = [
+        "the www hypertext web",
+        "the nii infrastructure network",
+        "www network pages",
+        "telnet remote login",
+    ]
+    #: Repeats and an unknown id: the second occurrence of an id is a hit,
+    #: an unknown document is a (memoized) 0.0 norm.
+    IDS = [2, 1, 2, 4, 99, 3, 1, 99]
+
+    def _collection(self, segmented):
+        from repro.irs.segments import SegmentConfig
+
+        engine = IRSEngine(
+            result_cache_size=0,
+            segment_config=SegmentConfig(
+                enabled=segmented, seal_document_count=2
+            ),
+        )
+        engine.create_collection("c")
+        for text in self.TEXTS:
+            engine.index_document("c", text)
+        return engine.collection("c")
+
+    @staticmethod
+    def _delta(stats, read):
+        stats.reset_cache_info()
+        values = read()
+        info = stats.cache_info()
+        return values, (info["hits"], info["misses"])
+
+    @pytest.mark.parametrize("segmented", [True, False], ids=["segmented", "monolithic"])
+    def test_bulk_equals_per_id_loop(self, segmented):
+        looped = self._collection(segmented).stats
+        bulk = self._collection(segmented).stats
+        for _round in ("cold", "warm"):
+            want, loop_delta = self._delta(
+                looped, lambda: [looped.document_norm(d) for d in self.IDS]
+            )
+            got, bulk_delta = self._delta(
+                bulk, lambda: bulk.document_norms(self.IDS)
+            )
+            assert got == want
+            assert bulk_delta == loop_delta
+        assert got[4] == 0.0 and got[0] > 0.0
+
+    def test_counts_are_one_per_id(self):
+        """Pinned to what the per-posting ``document_norm`` calls counted."""
+        # Monolithic: the first read sweeps all norms (one miss), every
+        # other id is a hit.
+        mono = self._collection(False).stats
+        _values, delta = self._delta(mono, lambda: mono.document_norms(self.IDS))
+        assert delta == (len(self.IDS) - 1, 1)
+        _values, delta = self._delta(mono, lambda: mono.document_norms(self.IDS))
+        assert delta == (len(self.IDS), 0)
+        # Segmented: one miss per distinct id, one hit per repeat — plus the
+        # idf lookups each computed norm makes (one per document term, a
+        # miss the first time a term is seen).
+        collection = self._collection(True)
+        vectors = [collection.index.document_vector(d) for d in (1, 2, 3, 4)]
+        lookups = sum(len(vector) for vector in vectors)
+        terms = len(set().union(*vectors))
+        lazy = collection.stats
+        _values, delta = self._delta(lazy, lambda: lazy.document_norms(self.IDS))
+        distinct = len(set(self.IDS))
+        assert delta == (len(self.IDS) - distinct + lookups - terms, distinct + terms)
+        _values, delta = self._delta(lazy, lambda: lazy.document_norms(self.IDS))
+        assert delta == (len(self.IDS), 0)
+
+    def test_sharded_bulk_equals_per_id_loop(self):
+        from repro.irs.shards import ShardedCollection
+
+        def build():
+            collection = ShardedCollection("s", shard_count=2)
+            for text in self.TEXTS:
+                collection.add_document(text)
+            return collection.stats
+
+        looped, bulk = build(), build()
+        want, loop_delta = self._delta(
+            looped, lambda: [looped.document_norm(d) for d in self.IDS]
+        )
+        got, bulk_delta = self._delta(bulk, lambda: bulk.document_norms(self.IDS))
+        assert got == want
+        assert bulk_delta == loop_delta
+
+    def test_empty_column_counts_nothing(self):
+        stats = self._collection(True).stats
+        _values, delta = self._delta(stats, lambda: stats.document_norms([]))
+        assert delta == (0, 0)
+
+    def test_cost_profile_counts_bulk_access(self):
+        """The per-request CostProfile sees the same statistics-cache traffic
+        a scoring query generates through the bulk path."""
+        from repro.obs.telemetry import CostProfile, collecting
+
+        engine = IRSEngine(result_cache_size=0)
+        engine.create_collection("c")
+        for text in self.TEXTS:
+            engine.index_document("c", text)
+        stats = engine.collection("c").stats
+        stats.reset_cache_info()
+        profile = CostProfile()
+        with collecting(profile):
+            engine.query("c", "www network", model="vector", top_k=2)
+        info = stats.cache_info()
+        assert profile.stats_cache_hits == info["hits"] > 0
+        assert profile.stats_cache_misses == info["misses"] > 0

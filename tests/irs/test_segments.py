@@ -64,7 +64,7 @@ def assert_mirror(view: MergedIndexView, mono: InvertedIndex, context: str = "")
         mono.average_document_length
     ), context
     assert sorted(view.terms()) == sorted(mono.terms()), context
-    assert view._doc_lengths == mono._doc_lengths, context
+    assert view.doc_lengths == mono.doc_lengths, context
     for term in sorted(set(list(mono.terms()) + VOCABULARY)):
         assert view.document_frequency(term) == mono.document_frequency(term), (
             f"{context}: df({term})"
@@ -141,7 +141,7 @@ class TestMirrorEquivalence:
         manager, view, mono = build_pair(8, 20, small_config())
         next_id = 21
         for step in range(40):
-            live = sorted(view._doc_lengths)
+            live = sorted(view.doc_lengths)
             roll = rng.random()
             if roll < 0.4 and len(live) > 3:
                 victim = rng.choice(live)
@@ -181,7 +181,7 @@ class TestMirrorEquivalence:
         mono = InvertedIndex()
         next_id = 1
         for op in ops:
-            live = sorted(view._doc_lengths)
+            live = sorted(view.doc_lengths)
             if op == 0 or not live:
                 terms = random_terms(rng, 1, 6)
                 view.add_document(next_id, terms)

@@ -179,3 +179,56 @@ class TestOutcomeBookkeeping:
         tree = parse_irs_query("#and(topic0 topic1)")
         outcome = topk.topk_scores(collection, "inquery", impl, tree, 10)
         assert outcome.reason is not None
+
+
+class TestImpactCacheEviction:
+    def test_head_term_survives_a_stream_of_tail_terms(self):
+        """Least-recently-used eviction: a term every query shares stays
+        cached while 600 distinct rare terms pass through a 512-entry
+        cache; a wholesale reset at the limit would re-scan it."""
+        engine = IRSEngine(result_cache_size=0)
+        engine.create_collection("c")
+        tails = [f"tail{i}" for i in range(600)]
+        for tail in tails:
+            engine.index_document("c", f"head {tail} filler")
+        collection = engine.collection("c")
+        impl = MODELS["inquery"]()
+        head = impl.term_impacts(collection, "head")
+        for i, tail in enumerate(tails):
+            impl.term_impacts(collection, tail)
+            if i % 100 == 99:
+                assert impl.term_impacts(collection, "head") is head
+        entries = collection._topk_impact_cache["entries"]
+        assert len(entries) == topk._IMPACT_CACHE_LIMIT
+        assert impl.term_impacts(collection, "head") is head
+        assert ("inquery", impl._db, tails[0]) not in entries
+        assert ("inquery", impl._db, tails[-1]) in entries
+
+    def test_version_move_replaces_the_entry(self):
+        engine = IRSEngine(result_cache_size=0)
+        engine.create_collection("c")
+        engine.index_document("c", "head one")
+        collection = engine.collection("c")
+        impl = MODELS["vector"]()
+        before = impl.term_impacts(collection, "head")
+        engine.index_document("c", "head two")
+        after = impl.term_impacts(collection, "head")
+        assert after is not before
+        assert sum(len(i.probe_us) for i in after.values()) == 2
+
+
+class TestTruncateTopK:
+    def test_ties_at_k_follow_the_ranked_order(self):
+        """The heap selection keeps exactly ``IRSResult.ranked()[:k]``,
+        also when k cuts through a group of equal values."""
+        from repro.irs.engine import IRSResult
+
+        rng = random.Random(SEED)
+        values = {doc: rng.choice((0.4, 0.5, 0.5, 0.6, 0.75)) for doc in range(1, 400)}
+        ranked = IRSResult("c", "q", "inquery", values).ranked()
+        ks = (1, 2, 10, 57, 100, 398)
+        for k in ks:
+            kept = topk.truncate_top_k(dict(values), k)
+            assert list(kept.items()) == ranked[:k]
+        assert all(ranked[k - 1][1] == ranked[k][1] for k in ks)
+        assert topk.truncate_top_k(values, 399) is values
