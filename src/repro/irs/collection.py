@@ -8,17 +8,24 @@ according object identifier (OID) with each IRS document.  This is possible
 as most IRSs allow to administer some meta data with each IRS document"
 (Section 4.3).
 
-Two index representations exist behind the same ``self.index`` attribute:
+A collection is a **versioned list of scoring sources** behind one
+logical ``self.index``:
 
-* monolithic — one :class:`InvertedIndex` (the default for directly
-  constructed collections, and the benchmark baseline);
-* segmented — a :class:`~repro.irs.segments.manager.SegmentManager` behind
-  a :class:`~repro.irs.segments.view.MergedIndexView` (what the engine
-  creates by default; see DESIGN.md §"Segmented indexing").
+* monolithic — the one source is the :class:`InvertedIndex` itself (the
+  default for directly constructed collections, the benchmark baseline,
+  and the layout of shard-worker replicas);
+* segmented — a :class:`~repro.irs.segments.manager.SegmentManager`'s
+  sealed segments plus its memtable index, united by a
+  :class:`~repro.irs.view.UnionIndexView` (what the engine creates by
+  default; see DESIGN.md §"Segmented indexing");
+* sharded — every shard's sources, flattened
+  (:class:`~repro.irs.shards.collection.ShardedCollection`).
 
-Scoring code never needs to know which one it got: the view mirrors the
-index interface exactly, and :attr:`stats` hands back the matching
-statistics cache implementation.
+The layout is decided here and nowhere else: scoring code reads
+:meth:`IRSCollection.scoring_sources`, :attr:`IRSCollection.index_version`
+and :meth:`IRSCollection.forward_vector` (or the logical ``index``, which
+mirrors the ``InvertedIndex`` read interface exactly), and :attr:`stats`
+hands back the matching statistics cache.
 """
 
 from __future__ import annotations
@@ -26,19 +33,14 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
 from repro.irs.inverted_index import InvertedIndex
-from repro.irs.segments import (
-    MergedIndexView,
-    SealedSegment,
-    SegmentConfig,
-    SegmentedStatistics,
-    SegmentManager,
-)
-from repro.irs.statistics import StatisticsCache
+from repro.irs.segments import SealedSegment, SegmentConfig, SegmentManager
+from repro.irs.statistics import ForwardNormStatistics, StatisticsCache
+from repro.irs.view import UnionIndexView
 
 
 @dataclass
@@ -67,10 +69,10 @@ class IRSCollection:
         self.name = name
         self.analyzer = analyzer or Analyzer()
         self.segments: Optional[SegmentManager]
-        self.index: Union[InvertedIndex, MergedIndexView]
+        self.index: Union[InvertedIndex, UnionIndexView]
         if segment_config is not None and segment_config.enabled:
             self.segments = SegmentManager(name, segment_config)
-            self.index = MergedIndexView(self.segments)
+            self.index = UnionIndexView(self.segments)
         else:
             self.segments = None
             self.index = InvertedIndex()
@@ -91,12 +93,50 @@ class IRSCollection:
         with self._stats_lock:
             cache = self._stats
             if cache is None or cache.index is not self.index:
-                if self.segments is not None:
-                    cache = SegmentedStatistics(self.index, self.segments)
+                if isinstance(self.index, UnionIndexView):
+                    # Every union owner has forward vectors: norms are
+                    # computed per document on demand (O(|document|)), not
+                    # in one O(postings) sweep per epoch.
+                    cache = ForwardNormStatistics(self.index, self.forward_vector)
                 else:
                     cache = StatisticsCache(self.index)
                 self._stats = cache
             return cache
+
+    # -- the source contract (the one place that knows the layout) -------------
+
+    def scoring_sources(self) -> list:
+        """The sources scoring scans, in order; documents are unique across them.
+
+        Each answers ``term_columns(term)`` and ``doc_lengths`` for its live
+        documents (see :mod:`repro.irs.view`).
+        """
+        if self.segments is not None:
+            return self.segments.scoring_sources()
+        return [self.index]
+
+    @property
+    def index_version(self) -> tuple:
+        """Moves whenever the source list or any source's content does.
+
+        Wider than ``index.epoch``: a seal or merge relocates postings
+        between sources without changing any score.
+        """
+        if self.segments is not None:
+            return self.segments.index_version
+        return (self.index.epoch,)
+
+    def forward_vector(self, doc_id: int) -> Optional[Mapping[str, int]]:
+        """The live ``{term: tf}`` vector of ``doc_id`` (read-only; falsy
+        when absent).  O(|document|) over segments, O(vocabulary) over a
+        monolithic index."""
+        if self.segments is not None:
+            return self.segments.forward_vector(doc_id)
+        return self.index.document_vector(doc_id)
+
+    def _postings_writer(self):
+        """Where this collection's postings are written."""
+        return self.segments if self.segments is not None else self.index
 
     @property
     def segment_count(self) -> int:
@@ -118,12 +158,8 @@ class IRSCollection:
     @contextmanager
     def batched_epoch(self) -> Iterator[None]:
         """Coalesce the epoch bumps of a write batch into one (see engine)."""
-        if self.segments is not None:
-            with self.segments.batched_epoch():
-                yield
-        else:
-            with self.index.batched_epoch():
-                yield
+        with self._postings_writer().batched_epoch():
+            yield
 
     def compact(self) -> bool:
         """Fold all segments into one, purging tombstones (write lock held).
@@ -144,7 +180,7 @@ class IRSCollection:
         self._next_doc_id += 1
         document = IRSDocument(doc_id, text, dict(metadata or {}))
         self._documents[doc_id] = document
-        self.index.add_document(doc_id, self.analyzer.tokens(text))
+        self._postings_writer().add_document(doc_id, self.analyzer.tokens(text))
         return doc_id
 
     def remove_document(self, doc_id: int) -> None:
@@ -154,7 +190,7 @@ class IRSCollection:
                 f"document {doc_id} not in collection {self.name!r}"
             )
         del self._documents[doc_id]
-        self.index.remove_document(doc_id)
+        self._postings_writer().remove_document(doc_id)
 
     def replace_document(self, doc_id: int, text: str) -> None:
         """Re-index a document with new text, keeping id and metadata."""
@@ -163,10 +199,11 @@ class IRSCollection:
                 f"document {doc_id} not in collection {self.name!r}"
             )
         document = self._documents[doc_id]
-        self.index.remove_document(doc_id)
+        writer = self._postings_writer()
+        writer.remove_document(doc_id)
         document.text = text
         document.revision += 1
-        self.index.add_document(doc_id, self.analyzer.tokens(text))
+        writer.add_document(doc_id, self.analyzer.tokens(text))
 
     def document(self, doc_id: int) -> IRSDocument:
         """The stored document (text + metadata)."""
@@ -202,17 +239,19 @@ class IRSCollection:
     def indexed_bytes(self) -> int:
         """Approximate index size: bytes of all stored postings.
 
-        Counted as term bytes plus 8 bytes per position entry — a stable,
-        implementation-independent proxy used by the redundancy experiments
-        (Section 4.3 / [SAZ94]).
+        Counted as term bytes plus 8 bytes per posting and 8 bytes per
+        position entry — a stable, implementation-independent proxy used by
+        the redundancy experiments (Section 4.3 / [SAZ94]).  A posting holds
+        ``tf`` positions, so the sum comes from the df/cf counters; no
+        postings list is decoded.
         """
-        total = 0
-        for term in self.index.terms():
-            postings = self.index.postings(term)
-            total += len(term.encode("utf-8"))
-            for posting in postings:
-                total += 8 + 8 * len(posting.positions)
-        return total
+        index = self.index
+        return sum(
+            len(term.encode("utf-8"))
+            + 8 * index.document_frequency(term)
+            + 8 * index.collection_frequency(term)
+            for term in index.terms()
+        )
 
     def text_bytes(self) -> int:
         """Total bytes of raw document text stored in the collection."""

@@ -223,20 +223,6 @@ class InvertedIndex:
         """doc id -> length of every indexed document (read-only)."""
         return self._doc_lengths
 
-    def cursor(self, term: str):
-        """A :class:`~repro.irs.postings.PostingsCursor` over ``term``.
-
-        The dict form's side of the cursor protocol: a
-        :class:`~repro.irs.postings.ListCursor` over the memoized sorted
-        list (None when the term is absent), with the same virtual-block
-        semantics the compact form exposes natively.
-        """
-        # Local import: postings.py needs Posting from this module.
-        from repro.irs.postings import ListCursor
-
-        postings = self.postings(term)
-        return ListCursor(postings) if postings else None
-
     def term_frequency(self, term: str, doc_id: int) -> int:
         """tf of ``term`` in ``doc_id`` (0 when absent)."""
         posting = self._postings.get(term, {}).get(doc_id)

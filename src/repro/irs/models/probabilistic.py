@@ -33,7 +33,7 @@ document.  The naive document-at-a-time path survives in
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.irs.collection import IRSCollection
 from repro.irs.models import operators as ops
@@ -277,77 +277,3 @@ class InferenceNetworkModel(RetrievalModel):
             if query.op == "max":
                 return ops.op_max(children)
         raise ValueError(f"cannot score query node {query!r}")  # pragma: no cover
-
-    def _candidates(self, collection: IRSCollection, query: QueryNode) -> List[int]:
-        """Documents containing at least one positive query term."""
-        terms = self.analyzed_terms(collection, query.terms())
-        docs: Set[int] = set()
-        for term in terms:
-            for ids, _tfs in collection.index.term_columns(term):
-                docs.update(ids)
-        return sorted(docs)
-
-    # -- belief computation ---------------------------------------------------
-
-    def term_belief(self, collection: IRSCollection, raw_term: str, doc_id: int) -> float:
-        """bel(t, d) for one raw query term (analysis applied here)."""
-        term = collection.analyzer.term(raw_term)
-        if term is None:
-            return self._db
-        index = collection.index
-        tf = index.term_frequency(term, doc_id)
-        if tf == 0:
-            return self._db
-        n_docs = index.document_count
-        df = index.document_frequency(term)
-        dl = index.document_length(doc_id)
-        avg_dl = index.average_document_length or 1.0
-        tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
-        idf_part = math.log((n_docs + 0.5) / df) / math.log(n_docs + 1.0)
-        idf_part = max(0.0, min(1.0, idf_part))
-        return self._db + (1.0 - self._db) * tf_part * idf_part
-
-    def proximity_belief(
-        self, collection: IRSCollection, node: ProximityNode, doc_id: int
-    ) -> float:
-        """Belief of a #od/#uw window: matches behave like a pseudo-term.
-
-        tf = window match count, df = documents with at least one match;
-        the usual tf/length/idf combination applies.
-        """
-        from repro.irs.proximity import proximity_df_cached, proximity_tf
-
-        tf = proximity_tf(collection, doc_id, node.terms(), node.window, node.ordered)
-        if tf == 0:
-            return self._db
-        n_docs = collection.index.document_count
-        df = proximity_df_cached(collection, node)
-        if df == 0 or n_docs == 0:
-            return self._db
-        dl = collection.index.document_length(doc_id)
-        avg_dl = collection.index.average_document_length or 1.0
-        tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
-        idf_part = math.log((n_docs + 0.5) / df) / math.log(n_docs + 1.0)
-        idf_part = max(0.0, min(1.0, idf_part))
-        return self._db + (1.0 - self._db) * tf_part * idf_part
-
-    def _belief(self, collection: IRSCollection, node: QueryNode, doc_id: int) -> float:
-        if isinstance(node, TermNode):
-            return self.term_belief(collection, node.term, doc_id)
-        if isinstance(node, ProximityNode):
-            return self.proximity_belief(collection, node, doc_id)
-        if isinstance(node, OperatorNode):
-            children = [self._belief(collection, c, doc_id) for c in node.children]
-            if node.op == "and":
-                return ops.op_and(children)
-            if node.op == "or":
-                return ops.op_or(children)
-            if node.op == "not":
-                return ops.op_not(children[0])
-            if node.op == "sum":
-                return ops.op_sum(children)
-            if node.op == "wsum":
-                return ops.op_wsum(node.weights, children)
-            if node.op == "max":
-                return ops.op_max(children)
-        raise ValueError(f"cannot score query node {node!r}")  # pragma: no cover

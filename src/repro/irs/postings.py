@@ -22,9 +22,11 @@ dict-of-:class:`~repro.irs.inverted_index.Posting` hot path for immutable
 
 A block decodes independently of every other block: the first gap of block
 ``b`` is relative to block ``b-1``'s last document id.  The mutable
-memtable keeps the dict form; both forms (and
-:class:`~repro.irs.segments.view.MergedIndexView`) expose the same
-:class:`PostingsCursor` surface, so scoring is representation-agnostic.
+memtable keeps the dict form; both forms are read the same two ways —
+``term_columns`` (decoded ``(doc_ids, tfs)`` blocks, what scoring reads)
+and ``postings`` (full :class:`Posting` lists with positions) — so scoring
+is representation-agnostic (DESIGN.md §"Two read paths, one source
+contract").
 """
 
 from __future__ import annotations
@@ -41,16 +43,12 @@ from repro.irs.inverted_index import Posting
 #: pruning while the metadata overhead stays at ~3 ints per 128 postings.
 BLOCK_SIZE = 128
 
-#: Cursor exhaustion sentinel: larger than any real document id, so
-#: ``min(cursor.current_doc() ...)`` needs no special casing.
-CURSOR_DONE = 1 << 62
-
 
 class CompactPostings:
     """One term's postings in compact block form (immutable).
 
     Build through :class:`CompactPostingsBuilder`; read through
-    :meth:`cursor`, :meth:`iter_entries`, or the point lookups.
+    :meth:`decode_block`, :meth:`iter_entries`, or the point lookups.
     """
 
     __slots__ = (
@@ -189,16 +187,6 @@ class CompactPostings:
             return None
         return self.decode_block_positions(block, tfs[: i + 1])[i]
 
-    def cursor(self, live: Optional[Dict[int, object]] = None) -> "CompactCursor":
-        """A :class:`PostingsCursor` over this term.
-
-        ``live`` (a membership-testable container, typically the owning
-        segment's forward map) restricts iteration to live documents —
-        pass it only when the segment actually has tombstones for the
-        term, mirroring ``SealedSegment.live_postings``.
-        """
-        return CompactCursor(self, live)
-
 
 class CompactPostingsBuilder:
     """Accumulates one term's entries (ascending doc id) into compact form."""
@@ -292,344 +280,6 @@ class CompactPostingsBuilder:
             b"".join(self._pos_chunks),
             self._pos_offsets,
         )
-
-
-# ---------------------------------------------------------------------------
-# Cursors
-# ---------------------------------------------------------------------------
-
-class PostingsCursor:
-    """The representation-agnostic traversal protocol of one postings list.
-
-    Implemented by :class:`CompactCursor` (block form), :class:`ListCursor`
-    (the memtable's dict form) and :class:`MergedCursor` (a segment stack
-    through :class:`~repro.irs.segments.view.MergedIndexView`).  Contract:
-
-    * ``current_doc()`` — the current live doc id, or :data:`CURSOR_DONE`;
-    * ``current_tf()`` — its term frequency (undefined once exhausted);
-    * ``advance()`` — move to the next live doc, returning its id;
-    * ``next_geq(target)`` — move to the first live doc ``>= target``
-      (skip-entry search first, block decode only on a hit);
-    * ``block`` / ``block_last_doc()`` / ``block_max_tf()`` — the current
-      block's index, skip boundary and impact bound, readable *without*
-      decoding the block;
-    * ``advance_block()`` — jump past the current block without decoding
-      it (the block-max skip; counted in ``blocks_skipped``).
-
-    ``score_upper_bound`` lives one layer up: :mod:`repro.irs.topk` maps
-    ``block`` through its per-model, epoch-exact bound arrays.
-    """
-
-    __slots__ = ()
-
-    def current_doc(self) -> int:
-        raise NotImplementedError
-
-    def current_tf(self) -> int:
-        raise NotImplementedError
-
-    def advance(self) -> int:
-        raise NotImplementedError
-
-    def next_geq(self, target: int) -> int:
-        raise NotImplementedError
-
-
-class CompactCursor(PostingsCursor):
-    """Cursor over :class:`CompactPostings`, decoding blocks lazily."""
-
-    __slots__ = (
-        "_postings",
-        "_live",
-        "block",
-        "_i",
-        "_ids",
-        "_tfs",
-        "_doc",
-        "_touched",
-        "blocks_skipped",
-    )
-
-    def __init__(
-        self, postings: CompactPostings, live: Optional[Dict[int, object]]
-    ) -> None:
-        self._postings = postings
-        self._live = live
-        self.block = 0
-        self._i = -1
-        self._ids: Optional[List[int]] = None
-        self._tfs: Optional[List[int]] = None
-        self._doc = -1  # -1: not positioned yet
-        self._touched = False
-        self.blocks_skipped = 0
-
-    # -- block metadata (no decode) ----------------------------------------
-
-    @property
-    def at_end(self) -> bool:
-        return self.block >= self._postings.block_count
-
-    def block_last_doc(self) -> int:
-        return self._postings.block_last_doc(self.block)
-
-    def block_max_tf(self) -> int:
-        return self._postings.block_max_tf(self.block)
-
-    @property
-    def position_in_block(self) -> int:
-        """Offset of the current document inside its decoded block."""
-        return self._i if self._i >= 0 else 0
-
-    def block_arrays(self) -> "tuple[List[int], List[int], int]":
-        """``(doc_ids, tfs, start)`` of the current block, decoded.
-
-        ``start`` is the cursor's offset into the arrays.  The batch
-        traversal primitive of the top-k scorer: one decode, then plain
-        list indexing instead of per-document cursor calls.  Live
-        filtering stays the caller's job (positions are physical).
-        """
-        if self._ids is None:
-            self._decode()
-        return self._ids, self._tfs, self._i if self._i >= 0 else 0
-
-    def mark_block_read(self) -> None:
-        """Record that the current block was consumed out of band.
-
-        The top-k scorer reads block contents from its impact cache
-        instead of decoding; this keeps ``blocks_skipped`` honest (only
-        blocks truly hopped over through the skip entries count).
-        """
-        self._touched = True
-
-    def advance_block(self) -> bool:
-        """Skip past the current block without decoding it."""
-        if self.at_end:
-            return False
-        if self._ids is None and not self._touched:
-            self.blocks_skipped += 1
-        self.block += 1
-        self._ids = None
-        self._tfs = None
-        self._i = -1
-        self._doc = -1
-        self._touched = False
-        return not self.at_end
-
-    # -- positioning -------------------------------------------------------
-
-    def _decode(self) -> None:
-        self._ids, self._tfs = self._postings.decode_block(self.block)
-
-    def _settle(self) -> int:
-        """From (block, i) move forward to the next live entry."""
-        live = self._live
-        while not self.at_end:
-            if self._ids is None:
-                self._decode()
-            ids = self._ids
-            i = self._i
-            n = len(ids)
-            while i < n:
-                if i >= 0:
-                    doc = ids[i]
-                    if live is None or doc in live:
-                        self._i = i
-                        self._doc = doc
-                        return doc
-                i += 1
-            self.block += 1
-            self._ids = None
-            self._tfs = None
-            self._i = 0
-        self._doc = CURSOR_DONE
-        return CURSOR_DONE
-
-    def current_doc(self) -> int:
-        if self._doc == -1:
-            self._i = 0 if self._i < 0 else self._i
-            return self._settle()
-        return self._doc
-
-    def current_tf(self) -> int:
-        if self._doc == -1:
-            self.current_doc()
-        return self._tfs[self._i]
-
-    def advance(self) -> int:
-        if self._doc == -1:
-            self.current_doc()
-        if self._doc == CURSOR_DONE:
-            return CURSOR_DONE
-        self._i += 1
-        self._doc = -1
-        return self._settle()
-
-    def next_geq(self, target: int) -> int:
-        doc = self.current_doc()
-        if doc >= target:
-            return doc
-        postings = self._postings
-        # Skip whole blocks through the metadata — no decoding.
-        while not self.at_end and postings.block_last_doc(self.block) < target:
-            if self._ids is None:
-                self.blocks_skipped += 1
-            self.block += 1
-            self._ids = None
-            self._tfs = None
-        if self.at_end:
-            self._doc = CURSOR_DONE
-            return CURSOR_DONE
-        if self._ids is None:
-            self._decode()
-            self._i = 0
-        self._i = bisect_left(self._ids, target, max(self._i, 0))
-        self._doc = -1
-        return self._settle()
-
-
-class ListCursor(PostingsCursor):
-    """Cursor over a doc-id-ordered :class:`Posting` list (dict form).
-
-    Serves the memtable and monolithic indexes.  Blocks are virtual —
-    consecutive :data:`BLOCK_SIZE` runs — so the top-k scorer's block
-    bookkeeping works identically over both representations.
-    """
-
-    __slots__ = ("_postings", "_i", "_touched", "blocks_skipped")
-
-    def __init__(self, postings: List[Posting]) -> None:
-        self._postings = postings
-        self._i = 0
-        self._touched = False
-        self.blocks_skipped = 0
-
-    @property
-    def block(self) -> int:
-        return self._i // BLOCK_SIZE
-
-    @property
-    def at_end(self) -> bool:
-        return self._i >= len(self._postings)
-
-    def block_last_doc(self) -> int:
-        end = min((self.block + 1) * BLOCK_SIZE, len(self._postings))
-        return self._postings[end - 1].doc_id
-
-    def block_max_tf(self) -> int:
-        start = self.block * BLOCK_SIZE
-        end = min(start + BLOCK_SIZE, len(self._postings))
-        return max(p.tf for p in self._postings[start:end])
-
-    @property
-    def position_in_block(self) -> int:
-        return self._i - self.block * BLOCK_SIZE
-
-    def block_arrays(self) -> "tuple[List[int], List[int], int]":
-        """``(doc_ids, tfs, start)`` of the current (virtual) block."""
-        begin = self.block * BLOCK_SIZE
-        end = min(begin + BLOCK_SIZE, len(self._postings))
-        run = self._postings[begin:end]
-        self._touched = True
-        return [p.doc_id for p in run], [p.tf for p in run], self._i - begin
-
-    def mark_block_read(self) -> None:
-        """See :meth:`CompactCursor.mark_block_read`."""
-        self._touched = True
-
-    def advance_block(self) -> bool:
-        if not self._touched:
-            self.blocks_skipped += 1
-        self._touched = False
-        self._i = (self.block + 1) * BLOCK_SIZE
-        return not self.at_end
-
-    def current_doc(self) -> int:
-        if self.at_end:
-            return CURSOR_DONE
-        return self._postings[self._i].doc_id
-
-    def current_tf(self) -> int:
-        return self._postings[self._i].tf
-
-    def advance(self) -> int:
-        self._i += 1
-        return self.current_doc()
-
-    def next_geq(self, target: int) -> int:
-        postings = self._postings
-        i = self._i
-        n = len(postings)
-        if i < n and postings[i].doc_id >= target:
-            return postings[i].doc_id
-        lo, hi = i, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if postings[mid].doc_id < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._i = lo
-        return self.current_doc()
-
-
-class MergedCursor(PostingsCursor):
-    """Doc-id-ordered union of several cursors (one per segment).
-
-    Completes the :class:`PostingsCursor` surface for
-    :class:`~repro.irs.segments.view.MergedIndexView`; the top-k scorer
-    prefers per-segment traversal (tighter bounds), but callers that want
-    one logical stream get it here.  Block metadata delegates to the
-    sub-cursor currently holding the smallest document, which keeps
-    ``block_max_tf`` an exact bound for the current block.
-    """
-
-    __slots__ = ("_cursors",)
-
-    def __init__(self, cursors: List[PostingsCursor]) -> None:
-        self._cursors = cursors
-
-    def _leader(self) -> Optional[PostingsCursor]:
-        leader = None
-        best = CURSOR_DONE
-        for cursor in self._cursors:
-            doc = cursor.current_doc()
-            if doc < best:
-                best = doc
-                leader = cursor
-        return leader
-
-    def current_doc(self) -> int:
-        leader = self._leader()
-        return CURSOR_DONE if leader is None else leader.current_doc()
-
-    def current_tf(self) -> int:
-        leader = self._leader()
-        if leader is None:
-            raise ValueError("cursor exhausted")
-        return leader.current_tf()
-
-    def advance(self) -> int:
-        leader = self._leader()
-        if leader is not None:
-            leader.advance()
-        return self.current_doc()
-
-    def next_geq(self, target: int) -> int:
-        for cursor in self._cursors:
-            cursor.next_geq(target)
-        return self.current_doc()
-
-    def block_last_doc(self) -> int:
-        leader = self._leader()
-        if leader is None:
-            return CURSOR_DONE
-        return leader.block_last_doc()
-
-    def block_max_tf(self) -> int:
-        leader = self._leader()
-        if leader is None:
-            return 0
-        return leader.block_max_tf()
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +410,8 @@ class CompactIndex:
         """Full-fidelity decode of one term (doc-id order, not memoized).
 
         Per-version memoization happens one layer up, in
-        :meth:`MergedIndexView.postings` — memoizing here too would grow a
-        second copy of every hot term per segment.
+        :meth:`repro.irs.view.UnionIndexView.postings` — memoizing here too
+        would grow a second copy of every hot term per segment.
         """
         postings = self._terms.get(term)
         if postings is None:

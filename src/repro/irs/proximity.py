@@ -154,11 +154,6 @@ def proximity_tf_map(collection: IRSCollection, node) -> Dict[int, int]:
     return tf_map
 
 
-def proximity_df_cached(collection: IRSCollection, node) -> int:
-    """df of a proximity node, memoized per collection state."""
-    return len(proximity_tf_map(collection, node))
-
-
 def candidate_documents(collection: IRSCollection, terms: Sequence[str]) -> List[int]:
     """Documents containing *all* the (analyzed) terms — the only possible
     proximity matches."""

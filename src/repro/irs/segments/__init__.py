@@ -3,8 +3,9 @@
 A segmented collection stores its postings as a stack of segments — one
 mutable in-memory memtable absorbing all writes, plus immutable sealed
 segments with tombstones for logical deletion — served to the retrieval
-models through a :class:`MergedIndexView` that is interface-compatible with
-the monolithic :class:`~repro.irs.inverted_index.InvertedIndex`.  A
+models through a :class:`~repro.irs.view.UnionIndexView` (owned by the
+:class:`SegmentManager`) that is interface-compatible with the monolithic
+:class:`~repro.irs.inverted_index.InvertedIndex`.  A
 size-tiered background :class:`MergeScheduler` folds sealed segments and
 purges tombstones without blocking queries.  See DESIGN.md §"Segmented
 indexing" for the lifecycle and epoch semantics.
@@ -13,17 +14,13 @@ indexing" for the lifecycle and epoch semantics.
 from repro.irs.segments.manager import MergePlan, SegmentManager
 from repro.irs.segments.merge import MergeScheduler, select_candidates
 from repro.irs.segments.segment import MemtableSegment, SealedSegment, SegmentConfig
-from repro.irs.segments.stats import SegmentedStatistics
-from repro.irs.segments.view import MergedIndexView
 
 __all__ = [
     "MemtableSegment",
     "MergePlan",
     "MergeScheduler",
-    "MergedIndexView",
     "SealedSegment",
     "SegmentConfig",
     "SegmentManager",
-    "SegmentedStatistics",
     "select_candidates",
 ]

@@ -6,9 +6,9 @@ One manager per segmented collection owns:
   ordered list of immutable :class:`SealedSegment`\\ s;
 * a *locator* (doc id -> owning segment) so point lookups and tombstoning
   never scan segments;
-* shared live-document bookkeeping (``_doc_lengths``, running token count)
-  that the :class:`~repro.irs.segments.view.MergedIndexView` serves as
-  O(1) global statistics;
+* shared live-document bookkeeping (``doc_lengths``, running token count)
+  that the collection's :class:`~repro.irs.view.UnionIndexView` serves as
+  O(1) global statistics — the manager is that view's owner;
 * two version counters with distinct invalidation semantics:
 
   - :attr:`epoch` — bumped by every *content* change (add/remove).  This is
@@ -69,7 +69,7 @@ class SegmentManager:
         self._sealed: List[SealedSegment] = []
         self._next_segment_id = 1
         self._locator: Dict[int, Segment] = {}
-        #: Live documents only; shared with the view (its ``doc_lengths``).
+        #: Live documents only; served through :attr:`doc_lengths`.
         self._doc_lengths: Dict[int, int] = {}
         self._token_count = 0
         self._epoch = 0
@@ -97,7 +97,9 @@ class SegmentManager:
         return self._structure
 
     @property
-    def version(self) -> tuple:
+    def index_version(self) -> tuple:
+        """``(epoch, structure)``: moves whenever postings move between or
+        within sources, so it keys everything derived from the source list."""
         return (self._epoch, self._structure)
 
     def _bump_epoch(self) -> None:
@@ -186,6 +188,10 @@ class SegmentManager:
     def sealed_segments(self) -> List[SealedSegment]:
         return self._sealed
 
+    def scoring_sources(self) -> list:
+        """The stack as scoring sources: sealed segments, memtable index last."""
+        return [*self._sealed, self._memtable.index]
+
     @property
     def segment_count(self) -> int:
         """Live segments: sealed ones plus the memtable when non-empty."""
@@ -199,15 +205,18 @@ class SegmentManager:
     def token_count(self) -> int:
         return self._token_count
 
+    @property
+    def doc_lengths(self) -> Dict[int, int]:
+        """Live doc id -> length map (read-only)."""
+        return self._doc_lengths
+
     def document_length(self, doc_id: int) -> int:
         return self._doc_lengths[doc_id]
 
-    def has_document(self, doc_id: int) -> bool:
-        return doc_id in self._doc_lengths
-
-    def segment_of(self, doc_id: int) -> Optional[Segment]:
-        """The segment holding the *live* ``doc_id`` (None when absent)."""
-        return self._locator.get(doc_id)
+    def index_of(self, doc_id: int):
+        """The index of the segment holding the *live* ``doc_id`` (or None)."""
+        segment = self._locator.get(doc_id)
+        return segment.index if segment is not None else None
 
     def forward_vector(self, doc_id: int) -> Optional[Dict[str, int]]:
         """The live ``{term: tf}`` vector of ``doc_id`` (not a copy)."""

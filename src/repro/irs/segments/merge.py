@@ -36,7 +36,6 @@ from typing import List, Optional
 
 from repro import obs
 from repro.errors import UnknownCollectionError
-from repro.irs.postings import CompactIndex
 from repro.irs.segments.manager import SegmentManager
 from repro.irs.segments.segment import SealedSegment
 
@@ -158,10 +157,7 @@ class MergeScheduler:
             ) as span:
                 merged = plan.build()
                 span.set_attribute("documents", merged.live_document_count)
-                span.set_attribute(
-                    "representation",
-                    "compact" if isinstance(merged.index, CompactIndex) else "dict",
-                )
+                span.set_attribute("representation", "compact")
                 span.set_attribute("postings_bytes", merged.postings_bytes())
                 self._commit(rwlock, manager, plan, merged)
         except BaseException:

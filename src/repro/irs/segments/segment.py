@@ -27,14 +27,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.irs.inverted_index import InvertedIndex, Posting
-from repro.irs.postings import (
-    CompactIndex,
-    ListCursor,
-    PostingsCursor,
-)
+from repro.irs.postings import CompactIndex
 
 
 @dataclass(frozen=True)
@@ -68,43 +64,24 @@ class SegmentConfig:
     merge_budget_seconds: float = 0.25
 
 
-def _forward_from_index(index) -> Dict[int, Dict[str, int]]:
-    """Rebuild the forward map from an index's postings.
-
-    For the compact form this is one decode sweep; for the dict form it
-    reads ``_postings`` directly (same private-access idiom as
-    :mod:`repro.irs.compression`) to avoid materializing sorted postings
-    lists as a side effect.
-    """
-    if isinstance(index, CompactIndex):
-        return index.forward_map()
-    forward: Dict[int, Dict[str, int]] = {doc_id: {} for doc_id in index._doc_lengths}
-    for term, by_doc in index._postings.items():
-        for doc_id, posting in by_doc.items():
-            forward[doc_id][term] = posting.tf
-    return forward
-
-
 def _live_entries(
     segment: "SealedSegment", term: str, dead: Set[int]
 ) -> Iterator[tuple]:
     """``(doc_id, tf, positions)`` of one input's live postings, doc order."""
-    index = segment.index
-    if isinstance(index, CompactIndex):
-        compact = index.compact_postings(term)
-        if compact is None:
-            return
-        for entry in compact.iter_entries():
-            if entry[0] not in dead:
-                yield entry
-    else:
-        for posting in index.postings(term):
-            if posting.doc_id not in dead:
-                yield posting.doc_id, posting.tf, posting.positions
+    compact = segment.index.compact_postings(term)
+    if compact is None:
+        return
+    for entry in compact.iter_entries():
+        if entry[0] not in dead:
+            yield entry
 
 
 class MemtableSegment:
-    """The mutable in-memory segment absorbing all writes."""
+    """The mutable in-memory segment absorbing all writes.
+
+    Its :attr:`index` (dict form, every document live) is the memtable's
+    scoring source; the segment adds the forward map and the seal.
+    """
 
     __slots__ = ("segment_id", "index", "forward")
 
@@ -145,19 +122,6 @@ class MemtableSegment:
         """
         return 144 * self.index.posting_count + 96 * self.index.document_count
 
-    def term_columns(self, term: str) -> Iterator[Tuple[List[int], List[int]]]:
-        """Decoded ``(doc_ids, tfs)`` columns of ``term`` (all live)."""
-        return self.index.term_columns(term)
-
-    @property
-    def doc_lengths(self) -> Dict[int, int]:
-        return self.index.doc_lengths
-
-    def term_cursor(self, term: str) -> Optional[PostingsCursor]:
-        """A cursor over this memtable's postings of ``term`` (dict form)."""
-        postings = self.index.postings(term)
-        return ListCursor(postings) if postings else None
-
     def seal(self) -> "SealedSegment":
         """Freeze this memtable into a sealed segment.
 
@@ -178,11 +142,13 @@ class SealedSegment:
     holds exactly the *live* documents (a tombstone pops its entry after
     charging the counters).
 
-    The index is normally a :class:`~repro.irs.postings.CompactIndex`
-    (block postings — sealing and merging both emit that form natively);
-    an :class:`InvertedIndex` is still accepted so hand-built segments in
-    tests and legacy call sites keep working, with every read going
-    through the shared index surface.
+    The index is always a :class:`~repro.irs.postings.CompactIndex` (block
+    postings): sealing, merging and loading all emit that form natively.
+
+    A sealed segment is a scoring source: ``document_frequency``,
+    ``collection_frequency``, ``posting_count``, ``terms``, ``postings``
+    and ``term_columns`` answer for its *live* documents (see
+    :mod:`repro.irs.view` for the contract).
     """
 
     __slots__ = (
@@ -201,7 +167,7 @@ class SealedSegment:
     def __init__(
         self,
         segment_id: int,
-        index: InvertedIndex,
+        index: CompactIndex,
         forward: Dict[int, Dict[str, int]],
     ) -> None:
         self.segment_id = segment_id
@@ -247,7 +213,7 @@ class SealedSegment:
         return self.index.token_count - self.dead_tokens
 
     @property
-    def live_posting_count(self) -> int:
+    def posting_count(self) -> int:
         return self.index.posting_count - self._dead_postings
 
     @property
@@ -263,7 +229,14 @@ class SealedSegment:
         cf = self.index.collection_frequency(term) - self._dead_cf.get(term, 0)
         return cf if cf > 0 else 0
 
-    def live_postings(self, term: str) -> List[Posting]:
+    def terms(self) -> Iterator[str]:
+        """Terms with at least one live posting (unordered)."""
+        terms = self.index.terms()
+        if not self._dead_df:
+            return terms
+        return (term for term in terms if self.document_frequency(term))
+
+    def postings(self, term: str) -> List[Posting]:
         """Postings of ``term`` restricted to live documents, doc-id order."""
         postings = self.index.postings(term)
         if not self._dead_df.get(term):
@@ -294,33 +267,9 @@ class SealedSegment:
         """Physical doc id -> length map (tombstoned documents included)."""
         return self.index.doc_lengths
 
-    def term_cursor(self, term: str) -> Optional[PostingsCursor]:
-        """A :class:`PostingsCursor` over the live postings of ``term``.
-
-        On the compact form this touches only block metadata up front —
-        no decoding until the scorer asks for a document.  The live filter
-        (this segment's forward map) is attached only when the term
-        actually has tombstoned documents, so the common path stays
-        branch-free.
-        """
-        index = self.index
-        if isinstance(index, CompactIndex):
-            compact = index.compact_postings(term)
-            if compact is None:
-                return None
-            live = self.forward if self._dead_df.get(term) else None
-            return compact.cursor(live)
-        postings = self.live_postings(term)
-        return ListCursor(postings) if postings else None
-
     def postings_bytes(self) -> int:
         """Bytes of this segment's postings representation."""
-        index = self.index
-        if isinstance(index, CompactIndex):
-            return index.postings_bytes()
-        from repro.irs.compression import compressed_size
-
-        return compressed_size(index)
+        return self.index.postings_bytes()
 
     # -- persistence ------------------------------------------------------
 
@@ -337,7 +286,7 @@ class SealedSegment:
         # ``InvertedIndex.to_payload``); loading encodes straight into the
         # compact block form.
         index = CompactIndex.from_payload(payload["index"])
-        segment = cls(segment_id, index, _forward_from_index(index))
+        segment = cls(segment_id, index, index.forward_map())
         for doc_id in payload.get("tombstones", ()):
             segment.tombstone(int(doc_id))
         return segment

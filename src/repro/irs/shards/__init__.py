@@ -2,10 +2,10 @@
 
 A :class:`ShardedCollection` splits one logical collection into N shard
 sub-collections (hash on the document's OID), each with its own segment
-lifecycle, behind a :class:`ShardUnionView` that serves globally exact
-statistics the same way PR 4's ``MergedIndexView`` combines segments.
-Scoring is therefore **bit-identical** to the unsharded path — see
-DESIGN.md §"Sharded scoring" for the full argument.
+lifecycle, behind the same :class:`~repro.irs.view.UnionIndexView` a
+segment stack uses — here over every shard's sources — so statistics stay
+globally exact.  Scoring is therefore **bit-identical** to the unsharded
+path — see DESIGN.md §"Sharded scoring" for the full argument.
 
 Two scoring paths exist:
 
@@ -23,14 +23,10 @@ Two scoring paths exist:
 from repro.irs.shards.collection import ShardedCollection
 from repro.irs.shards.executor import ShardConfig, ShardExecutor
 from repro.irs.shards.router import routing_key, shard_of
-from repro.irs.shards.stats import ShardStatistics
-from repro.irs.shards.view import ShardUnionView
 
 __all__ = [
     "ShardConfig",
     "ShardExecutor",
-    "ShardStatistics",
-    "ShardUnionView",
     "ShardedCollection",
     "routing_key",
     "shard_of",

@@ -3,24 +3,24 @@
 Each shard is an ordinary :class:`~repro.irs.collection.IRSCollection`
 (usually segmented, so every shard keeps its own memtable/seal/merge
 lifecycle) named ``<name>#<i>``.  Documents route by CRC-32 of their OID
-(:mod:`repro.irs.shards.router`), reads go through the
-:class:`~repro.irs.shards.view.ShardUnionView`, and statistics through
-:class:`~repro.irs.shards.stats.ShardStatistics` — both globally exact,
-so every scoring path (exhaustive, pruned, scattered) produces scores
-bit-identical to an unsharded collection holding the same documents.
+(:mod:`repro.irs.shards.router`); reads go through a
+:class:`~repro.irs.view.UnionIndexView` this collection owns, and
+statistics through :class:`~repro.irs.statistics.ForwardNormStatistics`
+over it — both globally exact, so every scoring path (exhaustive, pruned,
+scattered) produces scores bit-identical to an unsharded collection
+holding the same documents.
 
-The collection also supplies the top-k scorer's source hooks
-(:meth:`topk_sources` / :meth:`topk_version`) — inline top-k then runs
-all shards' segments against one shared heap, raising the MaxScore
-threshold across shard boundaries — and per-shard scoring adapters the
-scatter path's inline failover uses.
+Its scoring sources are every shard's sources, flattened — inline top-k
+then runs all shards' segments against one shared heap, raising the
+MaxScore threshold across shard boundaries — and per-shard scoring
+adapters serve the scatter path's inline failover.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
@@ -28,8 +28,8 @@ from repro.irs.collection import IRSCollection, IRSDocument
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.segments import SealedSegment, SegmentConfig, SegmentManager
 from repro.irs.shards.router import routing_key, shard_of
-from repro.irs.shards.stats import ShardStatistics
-from repro.irs.shards.view import ShardUnionView
+from repro.irs.statistics import StatisticsCache
+from repro.irs.view import UnionIndexView
 
 
 class _ShardScoringAdapter:
@@ -49,29 +49,26 @@ class _ShardScoringAdapter:
 
     def __init__(self, parent: "ShardedCollection", shard_index: int) -> None:
         self._parent = parent
-        self._shard_index = shard_index
-        self.segments = None  # unused: topk_sources below wins
+        self._shard = parent.shards[shard_index]
 
     @property
     def analyzer(self) -> Analyzer:
         return self._parent.analyzer
 
     @property
-    def stats(self) -> ShardStatistics:
+    def stats(self) -> StatisticsCache:
         return self._parent.stats
 
     @property
-    def index(self) -> ShardUnionView:
+    def index(self) -> UnionIndexView:
         return self._parent.index
 
-    def topk_sources(self) -> list:
-        shard = self._parent.shards[self._shard_index]
-        if shard.segments is not None:
-            return [*shard.segments.sealed_segments(), shard.segments.memtable]
-        return [shard.index]
+    def scoring_sources(self) -> list:
+        return self._shard.scoring_sources()
 
-    def topk_version(self) -> tuple:
-        return self._parent.topk_version()
+    @property
+    def index_version(self) -> tuple:
+        return self._parent.index_version
 
 
 class ShardedCollection(IRSCollection):
@@ -95,10 +92,11 @@ class ShardedCollection(IRSCollection):
             for i in range(shard_count)
         ]
         self._doc_shard: Dict[int, int] = {}
-        self.index = ShardUnionView(self)
+        self.index = UnionIndexView(self)
         self._adapters: Dict[int, _ShardScoringAdapter] = {}
         self._adapters_lock = threading.Lock()
         self._global_stats_memo: Optional[tuple] = None
+        self._doc_lengths_memo: Optional[tuple] = None
 
     # -- routing ------------------------------------------------------------
 
@@ -113,26 +111,70 @@ class ShardedCollection(IRSCollection):
             return None
         return self.shards[shard_index]
 
-    def forward_vector(self, doc_id: int) -> Dict[str, int]:
-        """``term -> tf`` of one live document, from its owning shard."""
-        shard = self.shard_for(doc_id)
-        if shard is None:
-            return {}
-        if shard.segments is not None:
-            vector = shard.segments.forward_vector(doc_id)
-            return dict(vector) if vector else {}
-        return shard.index.document_vector(doc_id)
+    # -- the source contract, and what the union view asks of its owner ------
 
-    # -- statistics ----------------------------------------------------------
+    def scoring_sources(self) -> list:
+        """Every shard's scoring sources, flattened into one list.
+
+        The inline top-k path runs them against one shared heap, so the
+        MaxScore threshold raises across shard boundaries exactly as it
+        does across one collection's segments.
+        """
+        return [
+            source for shard in self.shards for source in shard.scoring_sources()
+        ]
 
     @property
-    def stats(self) -> ShardStatistics:
-        with self._stats_lock:
-            cache = self._stats
-            if cache is None or cache.index is not self.index:
-                cache = ShardStatistics(self.index, self)
-                self._stats = cache
-            return cache
+    def index_version(self) -> tuple:
+        """The per-shard versions, as one tuple.
+
+        Includes structure, because a shard sealing or merging relocates
+        postings between sources even though no content changed.
+        """
+        return tuple(shard.index_version for shard in self.shards)
+
+    def forward_vector(self, doc_id: int) -> Optional[Mapping[str, int]]:
+        shard = self.shard_for(doc_id)
+        return shard.forward_vector(doc_id) if shard is not None else None
+
+    @property
+    def epoch(self) -> int:
+        """Content generation: the sum of the shard epochs.
+
+        Shard epochs only ever grow, so any content change strictly moves
+        the sum — the invalidation contract (unchanged scores <=>
+        unchanged epoch) holds exactly as it does per shard.
+        """
+        return sum(shard.index.epoch for shard in self.shards)
+
+    @property
+    def document_count(self) -> int:
+        return len(self._doc_shard)
+
+    @property
+    def token_count(self) -> int:
+        return sum(shard.index.token_count for shard in self.shards)
+
+    @property
+    def doc_lengths(self) -> Dict[int, int]:
+        """Live doc id -> length over all shards, memoized per version."""
+        version = self.index_version
+        memo = self._doc_lengths_memo
+        if memo is None or memo[0] != version:
+            lengths: Dict[int, int] = {}
+            for shard in self.shards:
+                lengths.update(shard.index.doc_lengths)
+            memo = self._doc_lengths_memo = (version, lengths)
+        return memo[1]
+
+    def document_length(self, doc_id: int) -> int:
+        return self.shards[self._doc_shard[doc_id]].index.document_length(doc_id)
+
+    def index_of(self, doc_id: int):
+        """The owning shard's index (None if unknown): shards partition the
+        document space, so exactly one can answer per-document reads."""
+        shard = self.shard_for(doc_id)
+        return shard.index if shard is not None else None
 
     # -- segment plumbing ----------------------------------------------------
 
@@ -142,7 +184,7 @@ class ShardedCollection(IRSCollection):
 
     def segment_managers(self) -> List[SegmentManager]:
         return [
-            shard.segments for shard in self.shards if shard.segments is not None
+            manager for shard in self.shards for manager in shard.segment_managers()
         ]
 
     @contextmanager
@@ -156,36 +198,7 @@ class ShardedCollection(IRSCollection):
         compacted = [shard.compact() for shard in self.shards]
         return any(compacted)
 
-    # -- top-k scorer hooks --------------------------------------------------
-
-    def topk_sources(self) -> list:
-        """Every shard's scoring units, flattened into one source list.
-
-        The inline top-k path runs them against one shared heap, so the
-        MaxScore threshold raises across shard boundaries exactly as it
-        does across one collection's segments.
-        """
-        sources: list = []
-        for shard in self.shards:
-            if shard.segments is not None:
-                sources.extend(shard.segments.sealed_segments())
-                sources.append(shard.segments.memtable)
-            else:
-                sources.append(shard.index)
-        return sources
-
-    def topk_version(self) -> tuple:
-        """Per-shard ``(epoch, structure)`` tuple — the union's version.
-
-        Includes structure, because a shard sealing or merging relocates
-        postings between sources even though no content changed.
-        """
-        return tuple(
-            shard.segments.version
-            if shard.segments is not None
-            else (shard.index.epoch,)
-            for shard in self.shards
-        )
+    # -- scatter-path support ------------------------------------------------
 
     def scoring_adapter(self, shard_index: int) -> _ShardScoringAdapter:
         """The (memoized) single-shard scoring adapter for failover."""
@@ -204,7 +217,7 @@ class ShardedCollection(IRSCollection):
         computes the same idf for a query term its own shard never saw.
         All integers — the replica's floats derive from them exactly.
         """
-        version = self.topk_version()
+        version = self.index_version
         memo = self._global_stats_memo
         if memo is not None and memo[0] == version:
             return memo[1]
@@ -230,7 +243,7 @@ class ShardedCollection(IRSCollection):
         shard = self.shards[shard_index]
         self._documents[document.doc_id] = document
         shard._documents[document.doc_id] = document
-        shard.index.add_document(
+        shard._postings_writer().add_document(
             document.doc_id, self.analyzer.tokens(document.text)
         )
         self._doc_shard[document.doc_id] = shard_index
@@ -253,7 +266,7 @@ class ShardedCollection(IRSCollection):
         shard = self.shards[shard_index]
         del self._documents[doc_id]
         shard._documents.pop(doc_id, None)
-        shard.index.remove_document(doc_id)
+        shard._postings_writer().remove_document(doc_id)
 
     def replace_document(self, doc_id: int, text: str) -> None:
         if doc_id not in self._documents:
@@ -263,11 +276,11 @@ class ShardedCollection(IRSCollection):
         # The routing key (OID, else doc id) is stable under re-indexing,
         # so the document stays on its shard.
         document = self._documents[doc_id]
-        shard = self.shards[self._doc_shard[doc_id]]
-        shard.index.remove_document(doc_id)
+        writer = self.shards[self._doc_shard[doc_id]]._postings_writer()
+        writer.remove_document(doc_id)
         document.text = text
         document.revision += 1
-        shard.index.add_document(doc_id, self.analyzer.tokens(text))
+        writer.add_document(doc_id, self.analyzer.tokens(text))
 
     # -- persistence ---------------------------------------------------------
 

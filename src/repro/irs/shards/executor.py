@@ -135,10 +135,7 @@ class ShardExecutor:
         """
         key = (collection.name, shard_index)
         shard = collection.shards[shard_index]
-        if shard.segments is not None:
-            shard_version = shard.segments.version
-        else:
-            shard_version = (shard.index.epoch,)
+        shard_version = shard.index_version
         with self._lock:
             shipped = self._versions.get(key)
         if shipped == (shard_version, union_version):
@@ -222,7 +219,7 @@ class ShardExecutor:
             return None
         registry.counter("irs.shard.scatters").inc()
         name = collection.name
-        union_version = collection.topk_version()
+        union_version = collection.index_version
         pending: Dict[int, Optional[object]] = {}
         for shard_index in range(collection.shard_count):
             try:

@@ -2,7 +2,9 @@
 
 Each shard gets its own single-worker pool (see
 :class:`~repro.irs.shards.executor.ShardExecutor`), whose process holds a
-**replica** of the shard: the shard's live postings wrapped in a
+**replica** of the shard: a monolithic collection whose one scoring source
+is the shard's live postings (whatever the parent's layout — the sync
+ships the shard index's ``to_payload``) wrapped in a
 :class:`GlobalStatsIndex` that overrides every statistic scoring reads —
 document/token counts, average document length, the per-term df table —
 with the *union's* integer-exact values.  The replica's idf, average-dl
@@ -111,9 +113,6 @@ class GlobalStatsIndex:
 
     def term_columns(self, term: str):
         return self._local.term_columns(term)
-
-    def cursor(self, term: str):
-        return self._local.cursor(term)
 
     def document_length(self, doc_id: int) -> int:
         return self._local.document_length(doc_id)

@@ -17,7 +17,9 @@ ranking and the same scores (the safe-up-to-k contract):
 
 Impacts are exact, not estimated.  One column scan per (model, term, index
 version) — :func:`term_impacts` — reads the term's decoded ``(doc_ids,
-tfs)`` blocks from every scoring source (``term_columns``: tombstones
+tfs)`` blocks from every scoring source (``collection.scoring_sources()``
+— the one index, a segment stack, or all shards' stacks flattened, each
+sharing the one global heap — and their ``term_columns``: tombstones
 filtered, no position decoded, no posting object built) and has the model
 turn each block into its per-document score contributions per unit of
 query weight ("impacts") with one comprehension.  The resulting per-block
@@ -140,24 +142,6 @@ def _inquery_plan(collection, model_impl, tree) -> Tuple[Optional[list], Optiona
 # Impact cache: exact per-posting impacts, one sweep per index version
 # ---------------------------------------------------------------------------
 
-def _sources(collection) -> list:
-    """The scoring units: sealed segments + memtable, or the one index.
-
-    Collections with their own physical layout (the sharded union) expose
-    a ``topk_sources`` hook returning their flattened scoring units; each
-    shard's segments then share the one global heap, so the MaxScore
-    threshold raises across shard boundaries exactly as it does across
-    segments.
-    """
-    provider = getattr(collection, "topk_sources", None)
-    if provider is not None:
-        return provider()
-    manager = collection.segments
-    if manager is not None:
-        return [*manager.sealed_segments(), manager.memtable]
-    return [collection.index]
-
-
 class TermImpacts(NamedTuple):
     """One term's exact impacts within one scoring source.
 
@@ -183,16 +167,6 @@ def _impact_cache(collection) -> dict:
     return cache
 
 
-def _index_version(collection) -> tuple:
-    provider = getattr(collection, "topk_version", None)
-    if provider is not None:
-        return provider()
-    manager = collection.segments
-    if manager is not None:
-        return manager.version
-    return (collection.index.epoch,)
-
-
 def term_impacts(
     collection,
     cache_key: tuple,
@@ -216,14 +190,14 @@ def term_impacts(
     """
     cache = _impact_cache(collection)
     entries = cache["entries"]
-    version = _index_version(collection)
+    version = collection.index_version
     with cache["lock"]:
         entry = entries.get(cache_key)
         if entry is not None and entry[0] == version:
             entries.move_to_end(cache_key)
             return entry[1]
     per_source: Dict[int, TermImpacts] = {}
-    for source in _sources(collection):
+    for source in collection.scoring_sources():
         block_us: List[List[float]] = []
         block_maxes: List[float] = []
         block_ids: List[List[int]] = []
@@ -466,7 +440,7 @@ def _run(
     """
     outcome = TopKOutcome(values={})
     heap: List[Tuple[float, int]] = []
-    sources = _sources(collection)
+    sources = collection.scoring_sources()
     impact_maps = {
         term: model_impl.term_impacts(collection, term) for term, _w in weighted_terms
     }

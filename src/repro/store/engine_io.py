@@ -271,7 +271,7 @@ class SingleFileStore:
         if memtable.document_count:
             if (
                 mstate.mem_ref is not None
-                and mstate.mem_version == manager.version
+                and mstate.mem_version == manager.index_version
             ):
                 mem_ref = list(mstate.mem_ref)
                 self._reused += 1
@@ -281,7 +281,7 @@ class SingleFileStore:
                     {"index": memtable.index.to_payload()},
                 )
                 mstate.mem_ref = list(mem_ref)
-                mstate.mem_version = manager.version
+                mstate.mem_version = manager.index_version
         else:
             mstate.mem_ref = None
             mstate.mem_version = None
@@ -659,7 +659,7 @@ class SingleFileStore:
                     manager.memtable.document_count
                     and (
                         mstate is None
-                        or mstate.mem_version != manager.version
+                        or mstate.mem_version != manager.index_version
                     )
                 ):
                     approx_bytes += manager.memtable.approx_bytes()

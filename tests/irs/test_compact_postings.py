@@ -1,4 +1,4 @@
-"""Compact block postings: round-trips, cursors, tombstones, payloads."""
+"""Compact block postings: round-trips, block metadata, payloads."""
 
 from __future__ import annotations
 
@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.irs.inverted_index import InvertedIndex, Posting
+from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import (
     BLOCK_SIZE,
-    CURSOR_DONE,
     CompactIndex,
     CompactPostings,
     CompactPostingsBuilder,
-    ListCursor,
-    MergedCursor,
 )
 
 
@@ -55,8 +52,6 @@ class TestBuilderRoundTrip:
         assert postings.block_count == 0
         assert postings.max_tf == 0
         assert postings.to_postings() == []
-        cursor = postings.cursor()
-        assert cursor.current_doc() == CURSOR_DONE
 
     def test_small_round_trip(self):
         entries = [(3, [0, 4]), (9, [1]), (200, [5, 6, 7])]
@@ -138,110 +133,6 @@ class TestBlockMetadata:
         compact, entries = postings
         dict_bytes = sum(8 + 8 * len(p) for _, p in entries)
         assert compact.postings_bytes < dict_bytes / 3
-
-
-class TestCompactCursor:
-    @pytest.fixture
-    def entries(self):
-        return sample_entries(3 * BLOCK_SIZE + 11, seed=5)
-
-    def test_full_scan_matches_entries(self, entries):
-        cursor = build(entries).cursor()
-        seen = []
-        doc = cursor.current_doc()
-        while doc != CURSOR_DONE:
-            seen.append((doc, cursor.current_tf()))
-            doc = cursor.advance()
-        assert seen == [(d, len(p)) for d, p in entries]
-
-    def test_next_geq_skips_blocks_without_decoding(self, entries):
-        postings = build(entries)
-        cursor = postings.cursor()
-        target = entries[2 * BLOCK_SIZE + 1][0]
-        assert cursor.next_geq(target) == target
-        # Block 0 was decoded to position the cursor; block 1 was hopped
-        # over through its skip entry without decoding.
-        assert cursor.blocks_skipped == 1
-        assert cursor.block == 2
-
-    def test_next_geq_between_docs_lands_on_successor(self, entries):
-        cursor = build(entries).cursor()
-        doc = entries[10][0]
-        assert cursor.next_geq(doc + 1) == entries[11][0]
-        assert cursor.next_geq(entries[-1][0] + 1) == CURSOR_DONE
-
-    def test_advance_block_counts_skips(self, entries):
-        cursor = build(entries).cursor()
-        assert cursor.advance_block()  # block 0 never decoded -> skipped
-        assert cursor.blocks_skipped == 1
-        cursor.current_doc()  # decodes block 1
-        cursor.advance_block()
-        assert cursor.blocks_skipped == 1  # decoded blocks don't count
-        cursor.mark_block_read()  # consumed out of band (impact cache)
-        cursor.advance_block()
-        assert cursor.blocks_skipped == 1
-
-    def test_block_arrays_alignment(self, entries):
-        cursor = build(entries).cursor()
-        cursor.next_geq(entries[BLOCK_SIZE + 7][0])
-        ids, tfs, start = cursor.block_arrays()
-        assert ids[start] == cursor.current_doc()
-        assert tfs[start] == cursor.current_tf()
-        assert len(ids) == len(tfs) == BLOCK_SIZE
-
-    def test_live_filtering_hides_tombstoned_docs(self, entries):
-        dead = {entries[i][0] for i in range(0, len(entries), 3)}
-        live = {d: None for d, _ in entries if d not in dead}
-        cursor = build(entries).cursor(live=live)
-        seen = []
-        doc = cursor.current_doc()
-        while doc != CURSOR_DONE:
-            seen.append(doc)
-            doc = cursor.advance()
-        assert seen == sorted(live)
-        # next_geq also respects liveness.
-        cursor = build(entries).cursor(live=live)
-        some_dead = next(iter(sorted(dead)))
-        landed = cursor.next_geq(some_dead)
-        assert landed in live and landed >= some_dead
-
-    @settings(max_examples=20, deadline=None)
-    @given(entry_lists, st.integers(0, 2**16))
-    def test_cursor_equivalence_with_list_cursor(self, entries, seed):
-        compact = build(entries).cursor()
-        listc = ListCursor([Posting(d, p) for d, p in entries])
-        rng = random.Random(seed)
-        last = 0
-        for _ in range(12):
-            if rng.random() < 0.5:
-                a, b = compact.advance(), listc.advance()
-            else:
-                last += rng.randint(1, 2 * BLOCK_SIZE)
-                a, b = compact.next_geq(last), listc.next_geq(last)
-            assert a == b
-            if a == CURSOR_DONE:
-                break
-            assert compact.current_tf() == listc.current_tf()
-
-
-class TestMergedCursor:
-    def test_union_in_doc_order(self):
-        a = build([(1, [0]), (5, [0, 1]), (9, [0])]).cursor()
-        b = ListCursor([Posting(2, [0]), Posting(7, [0, 1, 2])])
-        merged = MergedCursor([a, b])
-        seen = []
-        doc = merged.current_doc()
-        while doc != CURSOR_DONE:
-            seen.append((doc, merged.current_tf()))
-            doc = merged.advance()
-        assert seen == [(1, 1), (2, 1), (5, 2), (7, 3), (9, 1)]
-
-    def test_next_geq(self):
-        a = build([(1, [0]), (5, [0]), (9, [0])]).cursor()
-        b = ListCursor([Posting(2, [0]), Posting(7, [0])])
-        merged = MergedCursor([a, b])
-        assert merged.next_geq(6) == 7
-        assert merged.next_geq(10) == CURSOR_DONE
 
 
 class TestCompactIndex:

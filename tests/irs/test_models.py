@@ -6,6 +6,7 @@ from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.models.boolean import BooleanModel
 from repro.irs.models.probabilistic import DEFAULT_BELIEF, InferenceNetworkModel
+from repro.irs.models.reference import NaiveInferenceNetworkModel
 from repro.irs.models.vector import VectorSpaceModel
 from repro.irs.queries import parse_irs_query
 
@@ -108,9 +109,9 @@ class TestInferenceModel:
             InferenceNetworkModel(default_belief=1.5)
 
     def test_term_belief_for_absent_doc_is_default(self, collection):
-        model = InferenceNetworkModel()
-        assert model.term_belief(collection, "www", 4) == DEFAULT_BELIEF
+        model = NaiveInferenceNetworkModel()
+        assert model._naive_term_belief(collection, "www", 4) == DEFAULT_BELIEF
 
     def test_stopword_query_term_is_default(self, collection):
-        model = InferenceNetworkModel()
-        assert model.term_belief(collection, "the", 1) == DEFAULT_BELIEF
+        model = NaiveInferenceNetworkModel()
+        assert model._naive_term_belief(collection, "the", 1) == DEFAULT_BELIEF

@@ -9,12 +9,12 @@ import pytest
 
 from repro.irs.engine import IRSEngine
 from repro.irs.segments import (
-    MergedIndexView,
     MergeScheduler,
     SegmentConfig,
     SegmentManager,
     select_candidates,
 )
+from repro.irs.view import UnionIndexView
 from repro.sync import ReadWriteLock
 
 WORDS = ["www", "nii", "telnet", "database", "retrieval"] + [
@@ -26,12 +26,12 @@ def manager_with_segments(sizes, config=None, seed=0):
     """A manager holding one sealed segment per entry in ``sizes``."""
     config = config or SegmentConfig(tier_fanout=3)
     manager = SegmentManager("merge-test", config)
-    view = MergedIndexView(manager)
+    view = UnionIndexView(manager)
     rng = random.Random(seed)
     doc_id = 1
     for size in sizes:
         for _ in range(size):
-            view.add_document(doc_id, rng.choices(WORDS, k=rng.randint(2, 8)))
+            manager.add_document(doc_id, rng.choices(WORDS, k=rng.randint(2, 8)))
             doc_id += 1
         manager.seal()
     return manager, view
@@ -64,16 +64,16 @@ class TestSelectCandidates:
         assert len(select_candidates(manager)) == 2
 
     def test_tombstone_heavy_segment_selected_alone(self):
-        manager, view = manager_with_segments([8, 8])
+        manager, _ = manager_with_segments([8, 8])
         victim_segment = manager.sealed_segments()[0]
         for doc_id in sorted(victim_segment.forward)[:2]:  # ratio hits 0.25
-            view.remove_document(doc_id)
+            manager.remove_document(doc_id)
         candidates = select_candidates(manager)
         assert candidates == [victim_segment]
 
     def test_light_tombstones_do_not_trigger(self):
-        manager, view = manager_with_segments([10, 10])
-        view.remove_document(sorted(manager.sealed_segments()[0].forward)[0])
+        manager, _ = manager_with_segments([10, 10])
+        manager.remove_document(sorted(manager.sealed_segments()[0].forward)[0])
         assert select_candidates(manager) == []
 
 
@@ -92,7 +92,7 @@ class TestMergeProtocol:
         plan = manager.begin_merge(manager.sealed_segments())
         # A foreground delete lands *after* the snapshot, mid-build.
         victim = sorted(manager.sealed_segments()[0].forward)[0]
-        view.remove_document(victim)
+        manager.remove_document(victim)
         merged = plan.build()
         assert merged.is_live(victim), "built from the pre-delete snapshot"
         manager.commit_merge(plan, merged)
@@ -103,7 +103,7 @@ class TestMergeProtocol:
     def test_commit_purges_snapshot_tombstones(self):
         manager, view = manager_with_segments([4, 4, 4])
         victim = sorted(manager.sealed_segments()[1].forward)[0]
-        view.remove_document(victim)
+        manager.remove_document(victim)
         assert manager.tombstone_count() == 1
         plan = manager.begin_merge(manager.sealed_segments())
         manager.commit_merge(plan, plan.build())
@@ -112,7 +112,7 @@ class TestMergeProtocol:
         assert not view.has_document(victim)
 
     def test_merge_preserves_epoch_and_bumps_structure(self):
-        manager, view = manager_with_segments([4, 4, 4])
+        manager, _ = manager_with_segments([4, 4, 4])
         epoch, structure = manager.epoch, manager.structure
         plan = manager.begin_merge(manager.sealed_segments())
         manager.commit_merge(plan, plan.build())
