@@ -7,8 +7,6 @@ rank-frequency skew (so idf discriminates) and Heaps-like sublinear
 vocabulary growth, at several corpus scales.
 """
 
-import pytest
-
 from benchmarks.conftest import build_corpus_system
 from repro.core.collection import _create_collection, index_objects
 from repro.irs.statistics import statistics_for_collection

@@ -12,7 +12,7 @@ and the objects only one semantics returns.
 import pytest
 
 from benchmarks.conftest import build_corpus_system
-from repro.core.collection import _create_collection, _get_irs_result, index_objects
+from repro.core.collection import _create_collection, index_objects
 from repro.core.negation import closed_world_not, members, open_world_not
 
 THRESHOLDS = [0.45, 0.55, 0.61, 0.7]

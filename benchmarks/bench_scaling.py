@@ -11,8 +11,6 @@ document base grows:
 
 from time import perf_counter
 
-import pytest
-
 from benchmarks.conftest import build_corpus_system
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 

@@ -190,10 +190,17 @@ class ResultBuffer:
 
         Under the view lock, so that no conditional write sits between its
         generation check and its item write while the buffer is replaced.
+        An empty buffer is not replaced (there is nothing to log); the
+        generation moves all the same, so a result computed before the
+        index changed is still refused.
         """
         self._db.lock_exclusive(self._collection.oid)
         with self._view.lock:
-            self._collection.set(_BUFFER_ATTR, {})
+            if self._stored():
+                self._collection.set(_BUFFER_ATTR, {})
+            else:
+                self._validate()
+                self._view.generation += 1
 
     def size(self) -> int:
         """Number of buffered queries."""

@@ -15,16 +15,22 @@ Per instance, the persistent attributes are:
 ``doc_map``        OID -> list of IRS document ids ("Each IRS document is
                    assigned exactly one object.  An object can be assigned
                    to more than one IRS document", Section 4.3 — several
-                   ids occur with segment granularity [Cal94])
+                   ids occur with segment granularity [Cal94]).  Update
+                   propagation writes it as a delta — item sets and item
+                   deletes applied to the stored dictionary in place — and
+                   only a rebuild (``indexObjects``, recovery) replaces it
+                   whole: look keys up freely, iterate only a copy taken
+                   with :func:`member_keys`
 ``segment_words``  >0 chunks each object's text into IRS documents of
                    roughly that many words (equal-size granularity)
 ``buffer``         the persistent IRS-result buffer (Section 4.2/Figure 3)
 ``pending_ops``    deferred update operations awaiting propagation
 ``update_policy``  "eager" or "deferred" (Section 4.6)
-``index_gen``      index generation — bumped under the OODB WAL whenever
-                   ``doc_map`` is rewritten; store checkpoints record it,
-                   so recovery can detect IRS state older than the
-                   database and reindex exactly those collections
+``index_gen``      index generation — bumped under the OODB WAL, in the
+                   same logged group, whenever ``doc_map`` or the documents
+                   behind it change; store checkpoints record it, so
+                   recovery can detect IRS state older than the database
+                   and reindex exactly those collections
 =================  =========================================================
 """
 
@@ -423,9 +429,23 @@ def contains_object(collection_obj: DBObject, obj: DBObject) -> bool:
     return str(obj.oid) in doc_map
 
 
+def member_keys(collection_obj: DBObject) -> List[str]:
+    """``str(oid)`` of every represented object, as one consistent copy.
+
+    Propagation writes ``doc_map`` items in place, a batch at a time under
+    the store lock: the copy taken under it holds a whole batch or none of
+    it, and iterating the copy cannot meet a dictionary changing size.
+    """
+    doc_map = collection_obj.get("doc_map") or {}
+    with collection_obj.database.store_lock():
+        return list(doc_map)
+
+
 def member_count(collection_obj: DBObject) -> int:
     """Number of objects represented in the IRS collection."""
-    return len(collection_obj.get("doc_map") or {})
+    doc_map = collection_obj.get("doc_map") or {}
+    with collection_obj.database.store_lock():
+        return len(doc_map)
 
 
 # --------------------------------------------------------------------------

@@ -119,11 +119,11 @@ def irs_operator_not(collection_obj: DBObject, query: str) -> Dict[OID, float]:
     makes sense against a closed set of candidates, which is exactly the
     open-vs-closed-world tension Section 6 flags as future work.
     """
-    from repro.core.collection import _get_irs_result
+    from repro.core.collection import _get_irs_result, member_keys
 
     result = _get_irs_result(collection_obj, query)
     combined = {}
-    for oid_str in (collection_obj.get("doc_map") or {}):
+    for oid_str in member_keys(collection_obj):
         oid = OID.parse(oid_str)
         value = ops.op_not(result.get(oid, DEFAULT_BELIEF))
         combined[oid] = value

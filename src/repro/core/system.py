@@ -378,16 +378,15 @@ class DocumentSystem:
 
     def _reindex_from_doc_map(self, obj: DBObject, name: str) -> None:
         """Reindex a collection from its persisted membership."""
-        from repro.core.collection import segment_text
+        from repro.core.collection import member_keys, segment_text
         from repro.core.text_modes import text_for
         from repro.oodb.oid import OID
 
         mode = obj.get("text_mode") or 0
         segment_words = obj.get("segment_words") or 0
-        doc_map = obj.get("doc_map") or {}
         new_map: Dict[str, list] = {}
         with self.engine.bulk_mutating(name):
-            for oid_str in doc_map:
+            for oid_str in member_keys(obj):
                 oid = OID.parse(oid_str)
                 if not self.db.object_exists(oid):
                     continue

@@ -38,32 +38,30 @@ def transient_members(
     irs_name = collection_obj.get("irs_name")
     text_mode = collection_obj.get("text_mode") or 0
 
-    doc_map = dict(collection_obj.get("doc_map") or {})
     inserted: List[DBObject] = []
     try:
         for obj in objects:
-            if str(obj.oid) in doc_map:
+            key = str(obj.oid)
+            if key in (collection_obj.get("doc_map") or {}):
                 continue
             text = (
                 obj.send("getText", text_mode)
                 if obj.responds_to("getText")
                 else text_for(obj, text_mode)
             )
-            doc_id = engine.index_document(irs_name, text, {"oid": str(obj.oid)})
-            doc_map[str(obj.oid)] = [doc_id]
+            doc_id = engine.index_document(irs_name, text, {"oid": key})
+            db.write_dict_item(collection_obj.oid, "doc_map", (key,), [doc_id])
             inserted.append(obj)
             context.counters.add("documents_indexed")
-        collection_obj.set("doc_map", doc_map)
         collection_obj.set("buffer", {})  # contents changed: results stale
         _invalidate_derived_caches(collection_obj)
         yield inserted
     finally:
-        doc_map = dict(collection_obj.get("doc_map") or {})
+        doc_map = collection_obj.get("doc_map") or {}
         for obj in inserted:
-            doc_ids = doc_map.pop(str(obj.oid), [])
-            for doc_id in doc_ids:
+            for doc_id in doc_map.get(str(obj.oid), []):
                 engine.remove_document(irs_name, doc_id)
-        collection_obj.set("doc_map", doc_map)
+            db.delete_dict_item(collection_obj.oid, "doc_map", (str(obj.oid),))
         collection_obj.set("buffer", {})  # and stale again after removal
         _invalidate_derived_caches(collection_obj)
 

@@ -20,7 +20,7 @@ insert, and delete-then-reinsert becomes a modification.
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.buffer import ResultBuffer
@@ -64,8 +64,9 @@ def record_update(collection_obj: DBObject, op: str, obj: DBObject) -> None:
         if policy not in _POLICIES:
             raise CouplingError(f"unknown update policy {policy!r}; know {_POLICIES}")
         if policy == EAGER:
-            _apply([[op, str(obj.oid)]], collection_obj)
-            _invalidate_buffer(collection_obj)
+            with db.autocommit_group():
+                _apply([[op, str(obj.oid)]], collection_obj)
+                _invalidate_buffer(collection_obj)
             context.counters.add("updates_propagated")
             obs.metrics().counter("coupling.updates.propagated").inc()
             return
@@ -128,6 +129,11 @@ def propagate(collection_obj: DBObject, forced: bool = False) -> int:
     state; the mutation mutex then serializes against non-transactional
     mutators; finally :func:`_apply` batches its engine mutations under the
     collection's write lock with all database reads done up front.
+
+    Everything the propagation writes to the database — the ``doc_map`` items
+    it touched, ``index_gen``, the emptied ``pending_ops`` and buffer — is
+    one logged group: O(pending operations) log bytes, one fsync, and a
+    crash leaves either all of it or none.
     """
     db = collection_obj.database
     context = coupling_context(db)
@@ -139,7 +145,7 @@ def propagate(collection_obj: DBObject, forced: bool = False) -> int:
             return 0
         with obs.tracer().span(
             "coupling.propagateUpdates", operations=len(pending), forced=forced
-        ):
+        ), db.autocommit_group():
             _apply([list(entry) for entry in pending], collection_obj)
             collection_obj.set("pending_ops", [])
             _invalidate_buffer(collection_obj)
@@ -168,13 +174,22 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
     Engine mutations tolerate already-missing documents so a retried
     propagation (after a deadlock abort rolled back ``pending_ops`` but an
     earlier attempt's engine work survived) stays idempotent.
+
+    ``doc_map`` is written as a delta: one item set per object whose
+    document ids changed, one item delete per removed member, applied to the
+    stored dictionary in place under the store lock so that a reader copying
+    it (:func:`repro.core.collection.member_keys`) sees the whole batch or
+    none of it.  ``index_gen`` moves with every batch, changed map or not:
+    a same-shape replacement changes the index under an unchanged map.
     """
     context = coupling_context(collection_obj.database)
     engine = context.engine
     irs_name = collection_obj.get("irs_name")
     text_mode = collection_obj.get("text_mode") or 0
     segment_words = collection_obj.get("segment_words") or 0
-    doc_map = dict(collection_obj.get("doc_map") or {})
+    # Read-only here; ``changed`` overlays it (None: member removed).
+    doc_map = collection_obj.get("doc_map") or {}
+    changed: Dict[str, Optional[List[int]]] = {}
     db = collection_obj.database
     from repro.core.collection import segment_text
 
@@ -197,14 +212,17 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
     indexed = 0
     with engine.bulk_mutating(irs_name):
         for op, oid_str, pieces in planned:
+            old_ids = changed[oid_str] if oid_str in changed else doc_map.get(oid_str)
             if op == DELETE:
-                for doc_id in doc_map.pop(oid_str, []):
+                for doc_id in old_ids or []:
                     try:
                         engine.remove_document(irs_name, doc_id)
                     except DocumentMissingError:
                         pass
+                if old_ids is not None:
+                    changed[oid_str] = None
                 continue
-            old_ids = doc_map.get(oid_str, [])
+            old_ids = old_ids or []
             if op == MODIFY and len(old_ids) == len(pieces) == 1:
                 try:
                     # Fast path: same shape, replace in place.
@@ -221,9 +239,14 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
             for piece in pieces:
                 new_ids.append(engine.index_document(irs_name, piece, {"oid": oid_str}))
                 indexed += 1
-            doc_map[oid_str] = new_ids
+            changed[oid_str] = new_ids
     context.counters.add("documents_indexed", indexed)
-    collection_obj.set("doc_map", doc_map)
+    with db.store_lock():
+        for oid_str, doc_ids in changed.items():
+            if doc_ids is None:
+                db.delete_dict_item(collection_obj.oid, "doc_map", (oid_str,))
+            else:
+                db.write_dict_item(collection_obj.oid, "doc_map", (oid_str,), doc_ids)
     collection_obj.set("index_gen", int(collection_obj.get("index_gen") or 0) + 1)
 
 

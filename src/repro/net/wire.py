@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro import errors as errors_module
 from repro.errors import (

@@ -298,12 +298,26 @@ class Database:
         version after the write (see :meth:`write_version`).
 
         The stored dictionary is mutated, so hold no iterator over it across
-        calls; attribute indexes are not maintained (DICT values are not
-        indexable).
+        calls (copy it under :meth:`store_lock` to iterate); attribute
+        indexes are not maintained (DICT values are not indexable).
         """
+        return self._write_item(oid, attr, path, value, delete=False)
+
+    def delete_dict_item(self, oid: OID, attr: str, path: Sequence[Any]) -> int:
+        """Remove ``attr[path[0]]...[path[-1]]`` from a DICT attribute.
+
+        The other half of :meth:`write_dict_item`, with the same cost, locking,
+        undo and return value; logged as an ``ITEM`` record without a value.
+        Removing an item that is already gone changes nothing.
+        """
+        return self._write_item(oid, attr, path, None, delete=True)
+
+    def _write_item(
+        self, oid: OID, attr: str, path: Sequence[Any], value: Any, delete: bool
+    ) -> int:
         path = tuple(path)
         if not path:
-            raise ValueError("write_dict_item needs a non-empty key path")
+            raise ValueError("a dictionary item needs a non-empty key path")
         class_name = self._store.class_of(oid)
         if self.schema.has_attribute(class_name, attr):
             type_name = self.schema.resolve_attribute(class_name, attr).type_name
@@ -315,13 +329,14 @@ class Database:
             "oid": oid.value,
             "attr": attr,
             "path": [encode_value(key) for key in path],
-            "value": encode_value(value),
         }
+        if not delete:
+            payload["value"] = encode_value(value)
         txn = self._current_txn()
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
         try:
-            version, token = self._store.write_item(oid, attr, path, value)
+            version, token = self._store.write_item(oid, attr, path, value, delete)
         except TypeError as exc:  # a non-dict value sits on the path
             raise SchemaError(str(exc)) from exc
         if txn is not None:
@@ -334,6 +349,17 @@ class Database:
     def _undo_write_item(self, oid: OID, token: tuple) -> None:
         if self._store.exists(oid):  # else creation was already undone
             self._store.unwrite_item(oid, token)
+
+    def store_lock(self) -> "threading.RLock":
+        """The object store's re-entrant write lock.
+
+        Every attribute and item mutation takes it, so the thread holding it
+        sees no change and shows none: a writer holds it over a batch of
+        item writes that readers must see whole or not at all, a reader
+        while it copies a dictionary that items are written into in place.
+        Innermost lock — wait for no database lock and no engine lock under it.
+        """
+        return self._store._write_lock
 
     def write_version(self, oid: OID) -> int:
         """Count of attribute mutations applied to the object, undo included.
@@ -588,7 +614,8 @@ class Database:
                             oid,
                             payload["attr"],
                             [decode_value(key) for key in payload["path"]],
-                            decode_value(payload["value"]),
+                            decode_value(payload.get("value")),
+                            delete="value" not in payload,
                         )
                     replayed += 1
                 elif record.kind == wal_records.DELETE:

@@ -32,7 +32,6 @@ from repro.oodb.query.ast import (
     MethodCall,
     NotOp,
     Parameter,
-    Query,
     Variable,
 )
 from repro.oodb.query.optimizer import (

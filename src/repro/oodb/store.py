@@ -82,7 +82,9 @@ class ObjectStore:
         #: Held while an object's attributes (or a dictionary inside them)
         #: change and while :meth:`snapshot` encodes them, so a checkpoint
         #: never iterates a dictionary another thread is adding items to.
-        self._write_lock = threading.Lock()
+        #: Re-entrant: a writer keeps it over a batch of item writes that
+        #: readers must see whole (:meth:`Database.store_lock`).
+        self._write_lock = threading.RLock()
 
     # -- object lifecycle -----------------------------------------------------
 
@@ -145,14 +147,15 @@ class ObjectStore:
         self.unwrite_item(oid, (self._require(oid).attributes, attr, previous))
 
     def write_item(
-        self, oid: OID, attr: str, path: Sequence[Any], value: Any
+        self, oid: OID, attr: str, path: Sequence[Any], value: Any = None, delete: bool = False
     ) -> Tuple[int, Tuple[dict, Any, Any]]:
         """Set ``attributes[attr][path[0]]...[path[-1]] = value`` in place.
 
-        Dictionaries missing (or None) along the path are created.  Costs
-        O(len(path)) whatever the size of the dictionary.  Returns the
-        object's new write version and an undo token for
-        :meth:`unwrite_item`.
+        Dictionaries missing (or None) along the path are created.  With
+        ``delete`` the item is removed instead; nothing changes when it, or
+        a dictionary on the way to it, is already gone.  Costs O(len(path))
+        whatever the size of the dictionary.  Returns the object's new
+        write version and an undo token for :meth:`unwrite_item`.
         """
         stored = self._require(oid)
         keys = (attr, *path)
@@ -161,6 +164,9 @@ class ObjectStore:
             for depth, key in enumerate(keys[:-1]):
                 child = node.get(key)
                 if child is None:
+                    if delete:
+                        node, key = {}, keys[-1]  # nothing to remove
+                        break
                     # Attach the whole missing chain with one assignment.
                     for missing in reversed(keys[depth + 1 :]):
                         value = {missing: value}
@@ -174,7 +180,10 @@ class ObjectStore:
             else:
                 key = keys[-1]
             token = (node, key, node.get(key, _MISSING))
-            node[key] = value
+            if delete:
+                node.pop(key, None)
+            else:
+                node[key] = value
             stored.version += 1
             return stored.version, token
 
@@ -247,7 +256,8 @@ class ObjectStore:
         }
         tmp_path = path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            # dumps, not dump: only the one-string form runs the C encoder.
+            fh.write(json.dumps(payload))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)

@@ -20,7 +20,14 @@ the item, not on the dictionary, which is what keeps an amend of the
 persistent IRS-result buffer O(1) in log bytes.  Replay rule: applied in
 LSN order like ``WRITE``, on top of whatever the snapshot and earlier
 records left in the attribute; dictionaries missing along the path are
-created; a record whose object no longer exists is skipped.
+created; a record whose object no longer exists is skipped.  An ``ITEM``
+record *without* ``"value"`` deletes the item (a collection's ``doc_map``
+loses a member this way); replaying it where the item, or a dictionary on
+the path, is already gone changes nothing, so it is idempotent like the rest.
+
+An in-memory log (``path=None``) has nothing to recover and nothing that
+truncates it, so it keeps only its most recent :data:`MEMORY_RECORDS`
+records — what tests and tooling look at — while LSNs keep counting.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ import logging
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro import obs
 from repro.errors import RecoveryError
@@ -41,7 +49,7 @@ logger = logging.getLogger(__name__)
 #: Log record kinds.
 BEGIN = "BEGIN"
 WRITE = "WRITE"          # attribute write: oid, attr, value
-ITEM = "ITEM"            # dict-item write: oid, attr, key path, value
+ITEM = "ITEM"            # dict-item write: oid, attr, key path, value (none: delete)
 CREATE = "CREATE"        # object creation: oid, class_name
 DELETE = "DELETE"        # object deletion: oid
 SCHEMA = "SCHEMA"        # schema DDL: class definition or attribute addition
@@ -50,6 +58,10 @@ ABORT = "ABORT"
 CHECKPOINT = "CHECKPOINT"
 
 _RECORD_KINDS = {BEGIN, WRITE, ITEM, CREATE, DELETE, SCHEMA, COMMIT, ABORT, CHECKPOINT}
+
+#: Records an in-memory log retains (a file-backed log keeps every record
+#: since the last checkpoint: recovery needs them all).
+MEMORY_RECORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,9 @@ class WriteAheadLog:
 
     def __init__(self, path: Optional[str] = None) -> None:
         self._path = path
-        self._records: List[LogRecord] = []
+        self._records: Deque[LogRecord] = deque(
+            maxlen=MEMORY_RECORDS if path is None else None
+        )
         self._next_lsn = 1
         self._file = None
         #: Appends come from any thread (readers buffer IRS results); LSN
@@ -96,7 +110,7 @@ class WriteAheadLog:
         self._lock = threading.Lock()
         if path is not None:
             existing = self._read_existing(path)
-            self._records = existing
+            self._records.extend(existing)
             self._next_lsn = (existing[-1].lsn + 1) if existing else 1
             self._file = open(path, "a", encoding="utf-8")
 
@@ -184,7 +198,7 @@ class WriteAheadLog:
                 r for r in self._records
                 if keep_from is not None and r.lsn >= keep_from and r.kind != CHECKPOINT
             ]
-            self._records = kept
+            self._records = deque(kept, self._records.maxlen)
             if self._file is None:
                 return
             self._file.close()

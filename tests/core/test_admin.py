@@ -1,9 +1,7 @@
 """Administration reports."""
 
-import pytest
-
 from repro.core.admin import all_collection_reports, collection_report, system_report
-from repro.core.collection import _create_collection, _get_irs_result, index_objects
+from repro.core.collection import _create_collection, _get_irs_result
 
 
 class TestCollectionReport:

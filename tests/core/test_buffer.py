@@ -232,6 +232,22 @@ class TestGenerationGuard:
         reader.amend("www", OID(9), 0.33)  # derived from the 0.5 result
         assert collection.get("buffer") == {"|www": {"OID1": 0.9}}
 
+    def test_invalidating_an_empty_buffer_logs_nothing_but_moves_the_generation(
+        self, system, buffer_and_collection
+    ):
+        buffer, collection, _counters = buffer_and_collection
+        assert buffer.lookup("www") is None  # a miss: the result gets computed
+        logged = len(system.db._wal)
+        version = system.db.write_version(collection.oid)
+        ResultBuffer(collection, CouplingCounters()).invalidate()  # index changed
+        assert len(system.db._wal) == logged
+        assert system.db.write_version(collection.oid) == version
+        buffer.store("www", {OID(1): 0.5})  # computed before the change: refused
+        assert collection.get("buffer") == {}
+        assert buffer.lookup("www") is None
+        buffer.store("www", {OID(1): 0.9})  # computed after it: kept
+        assert buffer.lookup("www") == {OID(1): 0.9}
+
     def test_writes_in_the_same_generation_go_through(self, buffer_and_collection):
         buffer, collection, _counters = buffer_and_collection
         assert buffer.lookup("www") is None

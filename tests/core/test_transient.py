@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.collection import _get_irs_result
 from repro.core.transient import transient_members
-from repro.errors import ReproError
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 from repro.hypermedia import (
-    IMPLIES_TEXT_MODE,
     MEDIA_TEXT_MODE,
     create_link,
     install_hypermedia_text_modes,

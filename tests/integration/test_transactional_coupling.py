@@ -8,7 +8,7 @@ maps — without any extra machinery.  These tests pin that down.
 
 import pytest
 
-from repro.core.collection import _create_collection, _get_irs_result, index_objects
+from repro.core.collection import _create_collection, _get_irs_result
 
 
 @pytest.fixture

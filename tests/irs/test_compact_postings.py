@@ -12,7 +12,6 @@ from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import (
     BLOCK_SIZE,
     CompactIndex,
-    CompactPostings,
     CompactPostingsBuilder,
 )
 

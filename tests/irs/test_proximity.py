@@ -14,7 +14,7 @@ from repro.irs.proximity import (
     proximity_tf,
     unordered_window_matches,
 )
-from repro.irs.queries import ProximityNode, TermNode, format_query, parse_irs_query
+from repro.irs.queries import ProximityNode, format_query, parse_irs_query
 
 
 class TestWindowCounting:

@@ -6,7 +6,6 @@ from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.statistics import (
-    collection_statistics,
     heaps_beta,
     rank_frequency,
     statistics_for_collection,

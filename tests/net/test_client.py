@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro import DocumentSystem
 from repro.errors import (
     ConnectionLostError,
     ProtocolError,

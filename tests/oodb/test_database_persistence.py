@@ -1,9 +1,6 @@
 """Durable databases: checkpoints, WAL replay, schema restoration."""
 
-import pytest
-
 from repro.oodb import Database
-from repro.oodb.oid import OID
 
 
 def make_db(path):

@@ -83,6 +83,116 @@ class TestWriteDictItem:
         recovered.close()
 
 
+class TestDeleteDictItem:
+    def test_removes_the_item_in_place(self):
+        db = make_db()
+        box = db.create_object("Box", items={"a": {"x": 1, "y": 2}, "b": 3})
+        stored = box.get("items")
+        db.delete_dict_item(box.oid, "items", ("a", "x"))
+        db.delete_dict_item(box.oid, "items", ("b",))
+        assert box.get("items") == {"a": {"y": 2}}
+        assert box.get("items") is stored  # mutated, not replaced
+
+    def test_missing_key_path_and_attribute_change_nothing(self):
+        db = make_db()
+        box = db.create_object("Box", items={"a": {"x": 1}})
+        bare = db.create_object("Box")
+        db.delete_dict_item(box.oid, "items", ("gone",))
+        db.delete_dict_item(box.oid, "items", ("gone", "deeper"))
+        db.delete_dict_item(box.oid, "items", ("a", "gone"))
+        db.delete_dict_item(bare.oid, "items", ("a",))
+        assert box.get("items") == {"a": {"x": 1}}
+        assert bare.get("items") is None  # no dictionary created on the way
+
+    def test_rejects_non_dict_attribute_and_path(self):
+        db = make_db()
+        box = db.create_object("Box", n=3, items={"a": 1})
+        with pytest.raises(SchemaError):
+            db.delete_dict_item(box.oid, "n", ("a",))
+        with pytest.raises(SchemaError):
+            db.delete_dict_item(box.oid, "items", ("a", "b"))  # "a" holds an int
+        with pytest.raises(ValueError):
+            db.delete_dict_item(box.oid, "items", ())
+        assert box.get("items") == {"a": 1}
+
+    def test_logs_one_item_record_without_a_value(self):
+        db = make_db()
+        box = db.create_object("Box", items={str(i): [i] for i in range(5000)})
+        mark = last_lsn(db)
+        version = db.write_version(box.oid)
+        assert db.delete_dict_item(box.oid, "items", ("17",)) == version + 1
+        assert kinds(db, mark) == [wal_records.BEGIN, wal_records.ITEM, wal_records.COMMIT]
+        record = [r for r in db._wal.records() if r.kind == wal_records.ITEM][-1]
+        assert record.payload == {"oid": box.oid.value, "attr": "items", "path": ["17"]}
+        assert len(record.to_json()) < 200  # whatever the dictionary holds
+
+    def test_abort_restores_the_key_and_its_value(self):
+        db = make_db()
+        box = db.create_object("Box", items={"a": [1, 2], "b": {"x": 1}})
+        with pytest.raises(RuntimeError):
+            with db.begin():
+                db.delete_dict_item(box.oid, "items", ("a",))
+                db.delete_dict_item(box.oid, "items", ("b", "x"))
+                db.delete_dict_item(box.oid, "items", ("never",))
+                db.write_dict_item(box.oid, "items", ("a",), [9])  # re-added, then undone too
+                assert box.get("items") == {"a": [9], "b": {}}
+                raise RuntimeError("abort")
+        assert box.get("items") == {"a": [1, 2], "b": {"x": 1}}
+
+    def test_replays_in_log_order_and_is_idempotent(self, tmp_path):
+        path = str(tmp_path)
+        db = make_db(path)
+        box = db.create_object("Box", items={"a": 1, "b": 2})
+        db.checkpoint()
+        db.delete_dict_item(box.oid, "items", ("a",))
+        db.write_dict_item(box.oid, "items", ("a",), 3)   # set after delete survives
+        db.delete_dict_item(box.oid, "items", ("b",))
+        db.delete_dict_item(box.oid, "items", ("b",))     # already gone
+        db.delete_dict_item(box.oid, "items", ("c", "d"))  # never there
+        txn = db.begin()
+        db.delete_dict_item(box.oid, "items", ("a",))
+        txn.rollback()                                     # aborted: not replayed
+        db._wal.close()
+        for _ in range(2):  # a second crash replays the same log again
+            recovered = make_db(path)
+            assert recovered.get_object(box.oid).get("items") == {"a": 3}
+            recovered._wal.close()
+
+    def test_every_torn_tail_of_a_set_and_delete_group(self, tmp_path):
+        """Cut the log at every byte of one group that sets and deletes
+        items: recovery yields the whole group or none of it."""
+        path = str(tmp_path / "db")
+        db = make_db(path)
+        before = {"keep": [1], "drop": [2], "change": [3]}
+        box = db.create_object("Box", items=dict(before))
+        wal_path = os.path.join(path, "wal.log")
+        db._wal._file.flush()
+        base = os.path.getsize(wal_path)
+        with db.autocommit_group():
+            db.write_dict_item(box.oid, "items", ("new",), [4, 5])
+            db.delete_dict_item(box.oid, "items", ("drop",))
+            db.write_dict_item(box.oid, "items", ("change",), [6])
+            db.delete_dict_item(box.oid, "items", ("absent",))
+            box.set("n", 1)
+        after = box.get("items")
+        assert after == {"keep": [1], "change": [6], "new": [4, 5]}
+        db._wal.close()
+        end = os.path.getsize(wal_path)
+        for cut in range(base, end + 1):
+            image = str(tmp_path / "image")
+            shutil.rmtree(image, ignore_errors=True)
+            shutil.copytree(path, image)
+            os.truncate(os.path.join(image, "wal.log"), cut)
+            recovered = make_db(image)
+            got = recovered.get_object(box.oid)
+            # A COMMIT line survives without its trailing newline.
+            if cut >= end - 1:
+                assert (got.get("items"), got.get("n")) == (after, 1), f"cut at {cut}"
+            else:
+                assert (got.get("items"), got.get("n")) == (before, None), f"cut at {cut}"
+            recovered._wal.close()
+
+
 class TestUndo:
     def test_rollback_removes_new_items_and_restores_old_values(self):
         db = make_db()

@@ -57,7 +57,6 @@ class TestOrderedJoins:
 class TestShellMain:
     def test_main_runs_script(self, monkeypatch, capsys, tmp_path):
         import io
-        import sys as _sys
 
         from repro.shell import main
 

@@ -98,6 +98,40 @@ class TestSnapshots:
         assert fresh.read(OID(2), "children") == [OID(1), OID(3)]
         assert fresh.extent("PARA") == {OID(1), OID(2)}
 
+    def test_file_bytes_are_those_of_the_streaming_encoder(self, store, tmp_path):
+        """The snapshot is encoded in one string (the C encoder); the file
+        holds byte for byte what ``json.dump`` streamed into it before."""
+        import io
+        import json
+
+        store.write(OID(1), "text", "h\u00e9llo \"quoted\" \u2028")
+        store.write(OID(1), "score", 0.1 + 0.2)
+        store.write(OID(2), "doc_map", {"OID7": [1, 2], "OID9": []})
+        store.write(OID(2), "children", [OID(1), (OID(3), None, True, -1e-7)])
+        path = str(tmp_path / "snap.json")
+        store.snapshot(path, oid_high_water=10, schema_payload=[{"name": "PARA"}])
+        with open(path, encoding="utf-8") as fh:
+            written = fh.read()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed)
+        assert written == streamed.getvalue()
+
+    def test_fixed_table_gives_fixed_bytes(self, tmp_path):
+        table = ObjectStore()
+        table.create(OID(2), "COLLECTION")
+        table.create(OID(1), "PARA")
+        table.write(OID(1), "content", "telnet")
+        table.write(OID(2), "doc_map", {"OID1": [0]})
+        path = str(tmp_path / "snap.json")
+        table.snapshot(path, oid_high_water=3)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == (
+                '{"oid_high_water": 3, "schema": [], "objects": ['
+                '{"oid": 1, "class": "PARA", "attributes": {"content": "telnet"}}, '
+                '{"oid": 2, "class": "COLLECTION", "attributes": '
+                '{"doc_map": {"__dict__": [["OID1", [0]]]}}}]}'
+            )
+
 
 _scalar = st.one_of(
     st.none(),

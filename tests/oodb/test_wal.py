@@ -30,7 +30,34 @@ class TestInMemoryLog:
         assert len(log) == 0
 
 
+    def test_keeps_only_the_most_recent_records(self):
+        """Nothing recovers from or truncates an in-memory log: it is a
+        bounded window, and LSNs keep counting past it."""
+        log = WriteAheadLog()
+        total = w.MEMORY_RECORDS + 500
+        for number in range(total):
+            log.append(w.WRITE, number, {"value": "x" * 100})
+        assert len(log) == w.MEMORY_RECORDS
+        kept = list(log.records())
+        assert [r.lsn for r in kept] == list(range(501, total + 1))
+        assert log.next_lsn == total + 1
+        log.truncate(keep_from=total - 9)  # still a bounded window afterwards
+        assert [r.lsn for r in log.records()] == list(range(total - 9, total + 1))
+        for number in range(total):
+            log.append(w.WRITE, number)
+        assert len(log) == w.MEMORY_RECORDS
+
+
 class TestFileLog:
+    def test_file_log_keeps_every_record_until_truncated(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        with WriteAheadLog(path) as log:
+            for number in range(w.MEMORY_RECORDS + 10):
+                log.append(w.WRITE, number)
+            assert len(log) == w.MEMORY_RECORDS + 10
+        with WriteAheadLog(path) as reopened:
+            assert len(reopened) == w.MEMORY_RECORDS + 10
+
     def test_records_survive_reopen(self, tmp_path):
         path = str(tmp_path / "wal.log")
         with WriteAheadLog(path) as log:

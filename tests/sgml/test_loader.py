@@ -141,3 +141,89 @@ class TestEditing:
         db, loader, root = loaded
         assert loader.delete_document(root) == 8
         assert db.object_count() == 0
+
+
+class TestOneLoggedGroupPerAction:
+    """Outside a transaction each loader action is one BEGIN ... COMMIT:
+    one fsync on a durable database, not one per attribute written."""
+
+    @pytest.fixture
+    def durable(self, tmp_path):
+        from repro.core import DocumentSystem
+
+        system = DocumentSystem(directory=str(tmp_path))
+        dtd = mmf_dtd()
+        system.register_dtd(dtd)
+        yield system, dtd
+        system.close()
+
+    @staticmethod
+    def action(system, run):
+        """Run one user action; returns (result, fsyncs, records it logged)."""
+        from tests.support import logged_by
+
+        result, counters, records = logged_by(system.db, run)
+        return result, counters.get("oodb.wal.fsyncs", 0), records
+
+    def test_each_entry_point_syncs_once(self, durable):
+        system, dtd = durable
+        document = build_document("Doc", ["alpha text", "beta text"], year="1994")
+        loader = system.loader
+        root, fsyncs, records = self.action(
+            system, lambda: system.add_document(document, dtd=dtd)
+        )
+        created = sum(1 for r in records if r.kind == "CREATE")
+        assert fsyncs == 1 and created == system.db.object_count() > 3
+        assert [r.kind for r in records].count("BEGIN") == 1
+        assert len({r.txn_id for r in records}) == 1
+        actions = {
+            "insert_element": lambda: loader.insert_element(root, "PARA", "gamma text"),
+            "update_content": lambda: loader.update_content(
+                system.db.instances_of("PARA")[0], "rewritten"
+            ),
+            "set_sgml_attribute": lambda: loader.set_sgml_attribute(root, "year", "1995"),
+            "remove_element": lambda: loader.remove_element(
+                system.db.instances_of("PARA")[-1]
+            ),
+            "delete_document": lambda: system.delete_document(root),
+        }
+        for name, run in actions.items():
+            _result, fsyncs, records = self.action(system, run)
+            assert fsyncs == 1, name
+            assert [records[0].kind, records[-1].kind] == ["BEGIN", "COMMIT"], name
+            assert len({r.txn_id for r in records}) == 1, name
+        assert system.db.instances_of("MMFDOC") == []
+
+    def test_inside_a_transaction_nothing_changes(self, durable):
+        system, dtd = durable
+        document = build_document("Doc", ["alpha text"], year="1994")
+        txn = system.db.begin()
+        root, fsyncs, records = self.action(
+            system, lambda: system.add_document(document, dtd=dtd)
+        )
+        _none, more, edits = self.action(
+            system, lambda: system.loader.insert_element(root, "PARA", "beta text")
+        )
+        assert fsyncs == more == 0  # the commit syncs, once
+        assert {r.txn_id for r in records + edits} == {txn.txn_id}
+        assert not any(r.kind in ("BEGIN", "COMMIT") for r in records + edits)
+        txn.rollback()
+        assert system.db.instances_of("MMFDOC") == []
+
+    def test_group_survives_a_crash_whole(self, tmp_path):
+        import shutil
+
+        from repro.core import DocumentSystem
+
+        system = DocumentSystem(directory=str(tmp_path / "sys"))
+        dtd = mmf_dtd()
+        system.register_dtd(dtd)
+        system.add_document(build_document("Doc", ["alpha text", "beta text"]), dtd=dtd)
+        system.db._wal._file.flush()
+        image = str(tmp_path / "image")
+        shutil.copytree(str(tmp_path / "sys"), image)  # kill -9: no checkpoint
+        expected = sorted(o.get("content") for o in system.db.instances_of("PARA"))
+        system.close()
+        reopened = DocumentSystem(directory=image)
+        assert sorted(o.get("content") for o in reopened.db.instances_of("PARA")) == expected
+        reopened.close()

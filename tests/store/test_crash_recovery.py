@@ -289,3 +289,68 @@ class TestSystemLevelCrashes:
         assert reopened.engine.lazy_collection_names() == ["paras"]  # no reindex
         reopened.close()
         assert self._reopened_rankings(image) == expected
+
+    def test_kill_at_every_byte_of_one_propagation_group(self, tmp_path):
+        """One propagation is one logged group of doc_map items, index_gen,
+        pending_ops and the buffer reset.  Cut the log at every byte of it:
+        the database reopens to exactly the before- or the after-state, and
+        either way the system answers like a fresh rebuild."""
+        import copy
+
+        path, system, collection, dtd = self.populated(tmp_path)
+        db = system.db
+        system.session.query(collection, "telnet retrieval")  # something buffered
+        system.checkpoint()
+        root = system.add_document(
+            build_document("Late", ["late telnet paragraph", "second late retrieval"]),
+            dtd=dtd,
+        )
+        old = db.instances_of("PARA")[:2]
+        with db.begin():
+            for para in root.send("getDescendants", "PARA"):
+                collection.send("insertObject", para)
+            system.loader.update_content(old[0], "telnet telnet rewritten retrieval")
+            collection.send("modifyObject", old[0])
+            collection.send("deleteObject", old[1])
+            system.loader.remove_element(old[1])
+
+        def state(database):
+            obj = database.get_object(collection.oid)
+            return {
+                attr: copy.deepcopy(obj.get(attr))
+                for attr in ("doc_map", "pending_ops", "index_gen", "buffer")
+            }
+
+        wal_path = os.path.join(path, "db", "wal.log")
+        before = state(db)
+        db._wal._file.flush()
+        base = os.path.getsize(wal_path)
+        assert collection.send("propagateUpdates") == 4
+        db._wal._file.flush()
+        end = os.path.getsize(wal_path)
+        after = state(db)
+        assert before["pending_ops"] and after["pending_ops"] == []
+        assert before["buffer"] and after["buffer"] == {}
+        assert before["doc_map"] != after["doc_map"]
+        image = self._crash_image(path, tmp_path, "group")
+        expected = self.expected(system, collection)
+        system.index_collection(collection)  # the fresh rebuild of the same documents
+        assert self.expected(system, collection) == expected
+        system.close()
+
+        from repro.oodb import Database
+
+        work = str(tmp_path / "work")
+        for cut in range(base, end + 1):
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(os.path.join(image, "db"), work)
+            os.truncate(os.path.join(work, "wal.log"), cut)
+            recovered = Database(directory=work)
+            # The COMMIT line survives without its trailing newline.
+            assert state(recovered) == (after if cut >= end - 1 else before), f"cut at {cut}"
+            recovered._wal.close()
+        for cut in sorted({base, end - 2, end - 1, end, *range(base, end, 41)}):
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(image, work)
+            os.truncate(os.path.join(work, "db", "wal.log"), cut)
+            assert self._reopened_rankings(work) == expected, f"cut at {cut}"

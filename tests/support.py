@@ -52,3 +52,19 @@ def wait_for_value(
                 message or f"no value produced within {timeout}s"
             )
         time.sleep(interval)
+
+
+def logged_by(db, run: Callable[[], object]):
+    """Run ``run()``; returns ``(result, counters, records)``.
+
+    ``counters`` are the obs counters the call moved (absent: not moved),
+    ``records`` the WAL records it appended — what one user action cost
+    the log, by count.
+    """
+    from repro import obs
+
+    mark = db._wal.next_lsn
+    with obs.instrumentation() as (_tracer, metrics):
+        result = run()
+        counters = metrics.snapshot()["counters"]
+    return result, counters, [r for r in db._wal.records() if r.lsn >= mark]
