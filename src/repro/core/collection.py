@@ -38,18 +38,18 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core import updates
 from repro.core.buffer import ResultBuffer
 from repro.core.context import coupling_context
 from repro.core.text_modes import text_for
-from repro.errors import CouplingError, DocumentMissingError
+from repro.errors import CouplingError, DocumentMissingError, ObjectNotFoundError
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
-from repro.oodb.query.optimizer import register_batch_method, register_restrictor
+from repro.oodb.query.optimizer import MethodMap, register_method_compiler
 
 COLLECTION_CLASS = "COLLECTION"
 
@@ -373,21 +373,6 @@ def _query_via_file(context, irs_name: str, irs_query: str, model: Optional[str]
     return parse_result_file(path)
 
 
-def _member_value(
-    values: Dict[OID, float], doc_map: Dict[str, Any], oid: OID
-) -> Optional[float]:
-    """Figure 3's decision for one object, given the buffered result.
-
-    Its buffered value when there is one; 0.0 for an object represented in
-    the collection that the IRS did not return; None for an object that is
-    not represented — ``deriveIRSValue`` computes its value.
-    """
-    value = values.get(oid)
-    if value is None and str(oid) in doc_map:
-        return 0.0  # represented, but the IRS found no relevance
-    return value
-
-
 def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
     """``findIRSValue(IRSQuery, obj)`` — the flow chart of Figure 3.
 
@@ -408,7 +393,9 @@ def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
     ) as span:
         buffer = ResultBuffer(collection_obj, context.counters)
         values = _get_irs_result(collection_obj, irs_query, buffer)
-        value = _member_value(values, collection_obj.get("doc_map") or {}, obj.oid)
+        value = values.get(obj.oid)
+        if value is None and str(obj.oid) in (collection_obj.get("doc_map") or {}):
+            value = 0.0  # represented, but the IRS found no relevance
         if value is not None:
             span.set_attribute("source", "irs" if obj.oid in values else "zero")
             return value
@@ -496,98 +483,54 @@ def disable_irs_first_optimization(db: Database) -> None:
     coupling_context(db).irs_first_enabled = False
 
 
-def register_semantic_restrictor(db: Database) -> None:
-    """Register the ``getIRSValue`` optimizer hooks: restrictor and probe."""
+def _compile_irs_value(db: Database, class_name: str, args: tuple):
+    """Compile ``x -> getIRSValue(<coll>, <query>)`` over a range into a map.
 
-    def restrict(database: Database, args: tuple, op: str, constant: Any) -> Optional[Set[OID]]:
-        try:
-            context = coupling_context(database)
-        except CouplingError:
-            return None
-        if not getattr(context, "irs_first_enabled", False):
-            return None
-        if len(args) != 2:
-            return None
-        collection_ref, irs_query = args
-        collection_obj = _resolve_collection(database, collection_ref)
-        if collection_obj is None or not isinstance(irs_query, str):
-            return None
-        context.counters.add("get_irs_value_calls")
-        values = _get_irs_result(collection_obj, irs_query)
-        if op == ">":
-            return {oid for oid, value in values.items() if value > constant}
-        if op == ">=":
-            return {oid for oid, value in values.items() if value >= constant}
-        return None  # other comparisons keep per-object evaluation
-
-    register_restrictor("getIRSValue", restrict)
-    register_batch_method("getIRSValue", _irs_value_probe)
-
-
-def _irs_value_probe(
-    db: Database, class_name: str, args: tuple
-) -> Optional[Callable[[DBObject], float]]:
-    """Compile ``x -> getIRSValue(<coll>, <query>)`` over a range into a probe.
-
-    Evaluation strategy (1) of Section 4.5.3, set-at-a-time: every candidate
-    is still asked for its value, but the statement fetches the (buffered)
-    IRS result once — forcing a pending propagation once — and answers
-    members with a dictionary lookup.  Only objects not represented in the
-    collection take Figure 3's path through ``findIRSValue``:
+    Evaluation strategy (1) of Section 4.5.3, set-at-a-time: the statement
+    fetches the (buffered) IRS result once — forcing a pending propagation
+    once — and that result *is* the map: a represented object the IRS did
+    not return has the default 0.0, so a ``>`` against a positive constant
+    touches only the hits.  Objects not represented in the collection are
+    *undecided*: the evaluator sends them ``getIRSValue`` after every other
+    conjunct, which is Figure 3's path through ``findIRSValue`` —
     ``deriveIRSValue`` dispatched on the object, the value amended to the
-    buffer.  Values are those ``send("getIRSValue", ...)`` returns, so the
-    probe declines whenever ``send`` could reach other code: the collection
-    left to the object's choice, or ``getIRSValue`` / ``findIRSValue``
-    overridden on a class in the range or on the collection's class.
+    buffer.  Strategy (2), when enabled, is the same map with nothing
+    undecided and no default: only what the IRS returned can pass ``>`` /
+    ``>=``.  Values are those ``send("getIRSValue", ...)`` returns, so the
+    compiler declines whenever ``send`` could reach other code: the
+    collection left to the object's choice, or ``getIRSValue`` /
+    ``findIRSValue`` overridden on a class in the range or on the
+    collection's class.
     """
-    from repro.core.irs_object import get_irs_value
+    from repro.core.irs_object import _resolve_explicit, get_irs_value
 
-    try:
-        context = coupling_context(db)
-    except CouplingError:
-        return None
     if len(args) != 2 or not isinstance(args[1], str):
         return None
-    collection_obj = _resolve_collection(db, args[0])
-    if collection_obj is None:
+    try:
+        context = coupling_context(db)
+        collection_obj = _resolve_explicit(db, args[0])
+    except (CouplingError, ObjectNotFoundError):
         return None
     schema = db.schema
     if schema.resolve_method(collection_obj.class_name, "findIRSValue") is not _find_irs_value:
         return None
-    for cname in schema.subclasses(class_name):
-        if (
-            not schema.has_method(cname, "getIRSValue")
-            or schema.resolve_method(cname, "getIRSValue") is not get_irs_value
-        ):
-            return None
+    if not schema.method_is(class_name, "getIRSValue", get_irs_value):
+        return None
     irs_query = args[1]
-    values: Optional[Dict[OID, float]] = None
-    doc_map: Dict[str, list] = {}
 
-    def probe(obj: DBObject) -> float:
-        nonlocal values, doc_map
-        if values is None:
-            # First candidate to reach the conjunct, as with per-object
-            # calls: a statement whose other filters reject every candidate
-            # never queries the IRS.
-            context.counters.add("get_irs_value_calls")
-            with obs.tracer().span(
-                "coupling.findIRSValue", query=obs.trim(irs_query), mode="probe"
-            ):
-                values = _get_irs_result(collection_obj, irs_query)
-            doc_map = collection_obj.get("doc_map") or {}
-        value = _member_value(values, doc_map, obj.oid)
-        if value is None:
-            value = _find_irs_value(collection_obj, irs_query, obj)
-        return value
+    def irs_values(oids, bound=None) -> MethodMap:
+        context.counters.add("get_irs_value_calls")
+        with obs.tracer().span(
+            "coupling.findIRSValue", query=obs.trim(irs_query), mode="probe"
+        ):
+            values = _get_irs_result(collection_obj, irs_query)
+        if context.irs_first_enabled and bound is not None and bound[0] in (">", ">="):
+            return MethodMap(values, restricts=True)
+        doc_map = collection_obj.get("doc_map") or {}
+        undecided = [oid for oid in oids.difference(values) if str(oid) not in doc_map]
+        return MethodMap(values, undecided, default=0.0)
 
-    return probe
+    return irs_values
 
 
-def _resolve_collection(db: Database, ref: Any) -> Optional[DBObject]:
-    if isinstance(ref, DBObject):
-        return ref if ref.isa(COLLECTION_CLASS) else None
-    if isinstance(ref, OID) and db.object_exists(ref):
-        obj = db.get_object(ref)
-        return obj if obj.isa(COLLECTION_CLASS) else None
-    return None
+register_method_compiler("getIRSValue", _compile_irs_value)

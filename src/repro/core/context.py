@@ -111,6 +111,8 @@ class CouplingContext:
     #: Ablation switch: when False, the pending-operation log appends
     #: blindly instead of cancelling annihilating sequences (Section 4.6).
     cancellation_enabled: bool = True
+    #: Strategy (2) of Section 4.5.3, opt-in (``enable_irs_first_optimization``).
+    irs_first_enabled: bool = False
     #: Per-collection mutation mutexes serializing ``indexObjects`` and
     #: update propagation (the coupling's engine-mutating paths).  Acquired
     #: *before* any database lock, released after, so the ordering
@@ -159,7 +161,6 @@ def install_coupling(db: "Database", engine: IRSEngine, **context_options) -> Co
     setattr(db, _CONTEXT_ATTR, context)
     irs_object_module.define_irs_object_class(db)
     collection_module.define_collection_class(db)
-    collection_module.register_semantic_restrictor(db)
     return context
 
 

@@ -7,17 +7,17 @@ content conditions (evaluated by the IRS).  The paper names two strategies:
     the corresponding system, and the results are combined. ... With this
     approach, restrictions on the search space by the IRS cannot be used by
     the OODBMS."  In our system this is plain query evaluation: every
-    candidate object answers ``getIRSValue`` (buffered, so the IRS runs
-    once per distinct query, but the OODBMS still touches every candidate;
-    the evaluator asks them through one per-statement probe, see
-    :func:`repro.core.collection._irs_value_probe`).
+    candidate object has its ``getIRSValue`` compared — from one map per
+    statement (:func:`repro.core.collection._compile_irs_value`): the
+    buffered IRS result decides the represented objects, the others are
+    sent the method and derive their value.
 
 (2) **irs_first** — "The IRS selects all IRS documents fulfilling the
     conditions on the content.  The structure conditions are only verified
-    for the text objects identified in this first step."  Realized through
-    the optimizer's semantic restrictor for ``getIRSValue``: the candidate
-    set of the ranged variable is cut down to the OIDs the IRS returned
-    before any structure predicate runs.
+    for the text objects identified in this first step."  The same compiled
+    map with nothing left to the objects: for ``>`` / ``>=`` only what the
+    IRS returned can pass, so the candidate set of the ranged variable is
+    cut down to those OIDs before any structure predicate runs.
 
 :func:`compare_strategies` runs both on the same query and reports the
 counter deltas the MIXED benchmark prints.

@@ -7,18 +7,27 @@ join, the coupling's ``findIRSValue``/``getIRSResult``/``deriveIRSValue``,
 IRS scoring — contributes spans to one tree.  The result renders as a
 per-stage timing/cardinality tree::
 
-    oodb.query  10.62ms  rows=2 tuples_examined=2
-    ├─ oodb.query.candidates  10.18ms  variable=p class=PARA candidates=2
-    │  └─ coupling.findIRSValue  9.80ms  mode=probe
-    │     └─ coupling.getIRSResult  9.77ms  buffered=False
-    │        └─ irs.query  9.01ms  model=inquery results=7
-    └─ oodb.query.join  0.21ms  rows=2
+    oodb.query  1.19ms  rows=1 tuples_examined=4 method_calls=66
+    ├─ oodb.query.candidates  0.08ms  variable=d class=MMFDOC compiled=1 decided=8 undecided=0 candidates=2
+    ├─ oodb.query.candidates  0.13ms  variable=p1 class=PARA compiled=1 decided=24 undecided=0 candidates=5
+    │  └─ coupling.findIRSValue  0.04ms  query=www mode=probe
+    │     └─ coupling.getIRSResult  0.03ms  query=www buffered=True results=5
+    ├─ oodb.query.candidates  0.38ms  variable=p2 class=PARA compiled=1 decided=24 undecided=0 candidates=5
+    │  └─ coupling.findIRSValue  0.29ms  query=nii mode=probe
+    │     └─ coupling.getIRSResult  0.28ms  query=nii buffered=False results=5
+    │        └─ irs.query  0.13ms  model=inquery results=5
+    └─ oodb.query.join  0.20ms  strategy=d:nested p1:hash p2:hash rows=1 tuples_examined=4
 
-A ``getIRSValue`` conjunct with constant arguments is evaluated through a
-probe: one ``coupling.findIRSValue mode=probe`` span per statement wraps the
-single ``getIRSResult``; members are then answered by lookup without spans
-of their own.  Only candidates not represented in the collection appear as
-further ``coupling.findIRSValue source=derived`` spans (Figure 3's path).
+A candidates span says how many of the variable's conjuncts ran through a
+compiled method (``compiled``) and how many candidates those maps answered
+(``decided``) or left to the objects (``undecided``).  A ``getIRSValue``
+conjunct compiles to one ``coupling.findIRSValue mode=probe`` span around
+the statement's single ``getIRSResult``; only undecided candidates — not
+represented in the collection, not rejected by another conjunct — add
+``coupling.findIRSValue source=derived`` spans (Figure 3's path).  The join
+span names each level's strategy in join order (``hash``: looked up through
+a compiled ``v1 -> m(...) == v2`` map; ``nested``: enumerated).
+docs/observability.md lists the counter meanings.
 
 ``explain`` works even when global instrumentation is disabled — asking
 for an explanation *is* opting in.
@@ -67,11 +76,12 @@ class ExplainResult:
         lines = [f"query: {self.query.strip()}"]
         for variable, info in (self.plan.get("variables") or {}).items():
             lines.append(
-                f"  {variable} IN {info.get('class')}: "
+                f"  {variable} IN {info.get('class')}: {info.get('access_path')} "
                 f"index={info.get('index_predicates') or '-'} "
-                f"restrictors={info.get('restrictor_predicates') or '-'} "
+                f"methods={info.get('method_predicates') or '-'} "
                 f"filters={info.get('residual_filters')}"
             )
+        lines.append(f"  join: {self.plan.get('join_strategies') or '-'}")
         stats = self.stats
         lines.append(
             f"rows={len(self.rows)} tuples_examined={stats.tuples_examined} "

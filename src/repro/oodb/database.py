@@ -119,11 +119,6 @@ class Database:
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
 
-    @property
-    def lock_manager(self) -> LockManager:
-        """The lock manager (conflict-listener hooks for the service layer)."""
-        return self._locks
-
     def _log_autocommit(self, kind: str, payload: Dict[str, Any]) -> None:
         """Log one autocommitted mutation (already applied to the store).
 
@@ -226,6 +221,10 @@ class Database:
     def object_exists(self, oid: OID) -> bool:
         """True when ``oid`` denotes a live object."""
         return self._store.exists(oid)
+
+    def class_of(self, oid: OID) -> str:
+        """The class name of the object with ``oid`` (must exist)."""
+        return self._store.class_of(oid)
 
     def object_count(self) -> int:
         """Number of live objects."""
@@ -407,6 +406,14 @@ class Database:
         return set().union(
             *(self._store.extent(cname) for cname in self.schema.subclasses(class_name))
         )
+
+    def in_extent_order(self, class_name: str, oids: Set[OID]) -> List[OID]:
+        """Those of ``oids`` in the extent, in the order of :meth:`instances_of`."""
+        return [
+            oid
+            for cname in self.schema.subclasses(class_name)
+            for oid in sorted(oids.intersection(self._store.extent(cname)), key=_OID_VALUE)
+        ]
 
     def iter_objects(self) -> Iterator[DBObject]:
         """Iterate over every live object."""

@@ -10,8 +10,13 @@ class Expr:
     """Base class of all expression nodes."""
 
     def variables(self) -> Set[str]:
-        """The query variables this expression references."""
-        raise NotImplementedError
+        """The query variables this expression references: its operands'."""
+        found: Set[str] = set()
+        for value in vars(self).values():
+            for operand in value if isinstance(value, tuple) else (value,):
+                if isinstance(operand, Expr):
+                    found |= operand.variables()
+        return found
 
 
 @dataclass(frozen=True)
@@ -20,18 +25,12 @@ class Literal(Expr):
 
     value: Any
 
-    def variables(self) -> Set[str]:
-        return set()
-
 
 @dataclass(frozen=True)
 class Parameter(Expr):
     """A ``$name`` placeholder bound at execution time."""
 
     name: str
-
-    def variables(self) -> Set[str]:
-        return set()
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,6 @@ class AttributeAccess(Expr):
     target: Expr
     attribute: str
 
-    def variables(self) -> Set[str]:
-        return self.target.variables()
-
 
 @dataclass(frozen=True)
 class MethodCall(Expr):
@@ -62,12 +58,6 @@ class MethodCall(Expr):
     target: Expr
     method: str
     args: Tuple[Expr, ...] = ()
-
-    def variables(self) -> Set[str]:
-        result = set(self.target.variables())
-        for arg in self.args:
-            result |= arg.variables()
-        return result
 
 
 @dataclass(frozen=True)
@@ -78,9 +68,6 @@ class Comparison(Expr):
     left: Expr
     right: Expr
 
-    def variables(self) -> Set[str]:
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class Arithmetic(Expr):
@@ -90,9 +77,6 @@ class Arithmetic(Expr):
     left: Expr
     right: Expr
 
-    def variables(self) -> Set[str]:
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class BooleanOp(Expr):
@@ -101,21 +85,12 @@ class BooleanOp(Expr):
     op: str  # "AND" | "OR"
     operands: Tuple[Expr, ...]
 
-    def variables(self) -> Set[str]:
-        result: Set[str] = set()
-        for operand in self.operands:
-            result |= operand.variables()
-        return result
-
 
 @dataclass(frozen=True)
 class NotOp(Expr):
     """Logical negation."""
 
     operand: Expr
-
-    def variables(self) -> Set[str]:
-        return self.operand.variables()
 
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -127,11 +102,6 @@ class Aggregate(Expr):
 
     function: str
     argument: Optional[Expr] = None  # None only for COUNT(*)
-
-    def variables(self) -> Set[str]:
-        if self.argument is None:
-            return set()
-        return self.argument.variables()
 
 
 @dataclass(frozen=True)

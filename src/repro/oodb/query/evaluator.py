@@ -1,11 +1,13 @@
 """Query evaluator.
 
-Executes the optimizer's plan: per-variable candidate production (extent
-scan, index probe, or semantic restrictor; residual single-variable
-conjuncts per candidate, through a batch-method probe where one is
-registered), a nested-loop join ordered by candidate-set size among the
-variables a join conjunct connects to those already bound, with predicate
-pushdown, projection, ordering and limiting.
+Executes the optimizer's plan a set at a time.  Candidates of a variable
+are OIDs: the extent, cut by index probes and by the maps compiled methods
+answer (:mod:`repro.oodb.query.optimizer`, item 4); an object is built only
+for an OID that reaches a per-object filter, the join or the projection.
+One tuple generator joins the variables in order of candidate-set size
+among those a join conjunct connects to the bound ones — a hash lookup per
+level where a join conjunct compiled, a nested loop with predicate pushdown
+elsewhere — and feeds projection, aggregation and ordering alike.
 
 The evaluator also collects :class:`QueryStats` — candidate counts, tuples
 examined, method invocations — which the benchmark harness uses to compare
@@ -14,15 +16,19 @@ evaluation strategies (Sections 4.5.3/4.5.4 of the paper).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro import obs
 from repro.errors import QueryEvaluationError
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
 from repro.oodb.query.ast import (
+    Aggregate,
     Arithmetic,
     AttributeAccess,
     BooleanOp,
@@ -32,20 +38,24 @@ from repro.oodb.query.ast import (
     MethodCall,
     NotOp,
     Parameter,
+    Query,
     Variable,
 )
 from repro.oodb.query.optimizer import (
+    MethodMap,
+    MethodPredicate,
     Optimizer,
     QueryPlan,
-    RestrictablePredicate,
     VariablePlan,
-    batch_method_for,
-    restrictor_for,
+    compile_method,
 )
 from repro.oodb.query.parser import parse_query
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oodb.database import Database
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass
@@ -57,11 +67,25 @@ class QueryStats:
     rows_produced: int = 0
     method_calls: int = 0
     index_probes: int = 0
+    #: Compiled conjuncts answered wholesale from outside (``MethodMap.restricts``).
     restrictor_calls: int = 0
-    #: Conjuncts evaluated through a batch-method probe.  Their candidates
+    #: Conjuncts evaluated through a compiled method.  Their candidates
     #: still count into ``method_calls``, one logical call each.
     probed_predicates: int = 0
     per_variable_candidates: Dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class _Level:
+    """One variable of the join: its candidates and what prunes them."""
+
+    variable: str
+    oids: List[OID]
+    #: Hash strategy: the candidates joining the bound variables' objects.
+    lookup: Optional[Callable[[Dict[str, DBObject]], Iterable[OID]]] = None
+    checks: List[Callable[[Dict[str, DBObject]], bool]] = field(default_factory=list)
+    #: Nested strategy: every candidate's object, built at the first pass.
+    objects: Optional[List[DBObject]] = None
 
 
 class QueryEvaluator:
@@ -76,8 +100,7 @@ class QueryEvaluator:
 
     def run(self, text: str, bindings: Optional[Dict[str, Any]] = None) -> List[tuple]:
         """Execute ``text`` and return the projected rows as tuples."""
-        rows, _stats = self.run_with_stats(text, bindings)
-        return rows
+        return self.run_with_stats(text, bindings)[0]
 
     def run_with_stats(
         self, text: str, bindings: Optional[Dict[str, Any]] = None
@@ -106,81 +129,52 @@ class QueryEvaluator:
 
     def explain(self, text: str, bindings: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """The optimizer's plan description for ``text`` (no execution)."""
-        query = parse_query(text)
-        plan = self._optimizer.plan(query, bindings or {})
-        return plan.description
+        return self._optimizer.plan(parse_query(text), bindings or {}).description
 
     # -- plan execution ----------------------------------------------------------
 
     def _execute(self, plan: QueryPlan, bindings: Dict[str, Any]) -> List[tuple]:
         query = plan.query
-        candidates: Dict[str, List[DBObject]] = {}
+        candidates: Dict[str, List[OID]] = {}
         for variable, vplan in plan.variable_plans.items():
             with obs.tracer().span("oodb.query.candidates", variable=variable) as span:
                 span.set_attribute("class", vplan.class_name)
-                objs = self._candidates(vplan, bindings)
-                span.set_attribute("candidates", len(objs))
-            candidates[variable] = objs
-            self.stats.per_variable_candidates[variable] = len(objs)
-            self.stats.candidates_scanned += len(objs)
+                oids = self._candidates(vplan, bindings, span)
+                span.set_attribute("candidates", len(oids))
+            candidates[variable] = oids
+            self.stats.per_variable_candidates[variable] = len(oids)
+            self.stats.candidates_scanned += len(oids)
 
         order = self._join_order(candidates, plan.join_conjuncts)
-
-        # Pushdown points: a join conjunct runs as soon as its variables bind.
-        pending = list(plan.join_conjuncts)
-        pushdown: Dict[int, List[Expr]] = {i: [] for i in range(len(order))}
-        bound_sets = []
-        bound: Set[str] = set()
-        for i, variable in enumerate(order):
-            bound = bound | {variable}
-            bound_sets.append(set(bound))
-        range_vars = set(candidates)
-        for conjunct in pending:
-            needed = conjunct.variables() & range_vars
-            for i, bound_now in enumerate(bound_sets):
-                if needed <= bound_now:
-                    pushdown[i].append(conjunct)
-                    break
-            else:
-                raise QueryEvaluationError(
-                    f"conjunct references unknown variables: {sorted(needed)}"
-                )
-
         with obs.tracer().span("oodb.query.join") as join_span:
+            levels = self._join_levels(plan, candidates, order, bindings)
+            join_span.set_attribute("strategy", " ".join(
+                f"{lv.variable}:{'nested' if lv.lookup is None else 'hash'}" for lv in levels
+            ))
+            tuples = self._tuples(levels)
+
+            def project(env: Dict[str, DBObject]) -> tuple:
+                return tuple(self._eval(expr, env, bindings) for expr in query.select)
+
             if query.is_aggregate:
-                rows = self._aggregate_rows(plan, candidates, order, pushdown, bindings)
+                rows = self._aggregate_rows(query, tuples, bindings)
             elif query.order_by is not None:
-                rows = self._ordered_rows(plan, candidates, order, pushdown, bindings)
+                order_by = query.order_by
+                keyed = [(self._eval(order_by, env, bindings), project(env)) for env in tuples]
+                keyed.sort(key=lambda kv: (kv[0] is None, kv[0]), reverse=query.order_desc)
+                rows = [row for _key, row in keyed]
             else:
-                rows = []
-                env: Dict[str, DBObject] = {}
-
-                def bind(level: int) -> None:
-                    if level == len(order):
-                        row = tuple(self._eval(expr, env, bindings) for expr in query.select)
-                        rows.append(row)
-                        return
-                    variable = order[level]
-                    for obj in candidates[variable]:
-                        env[variable] = obj
-                        self.stats.tuples_examined += 1
-                        if all(
-                            self._truthy(self._eval(c, env, bindings))
-                            for c in pushdown[level]
-                        ):
-                            bind(level + 1)
-                    env.pop(variable, None)
-
-                bind(0)
+                rows = [project(env) for env in tuples]
             if query.limit is not None:
                 rows = rows[: query.limit]
             join_span.set_attribute("rows", len(rows))
+            join_span.set_attribute("tuples_examined", self.stats.tuples_examined)
         self.stats.rows_produced = len(rows)
         return rows
 
     @staticmethod
     def _join_order(
-        candidates: Dict[str, List[DBObject]], join_conjuncts: List[Expr]
+        candidates: Dict[str, List[OID]], join_conjuncts: List[Expr]
     ) -> List[str]:
         """Greedy join order: smallest candidate set among connected variables.
 
@@ -206,212 +200,247 @@ class QueryEvaluator:
             order.append(variable)
         return order
 
-    def _aggregate_rows(
+    def _join_levels(
         self,
         plan: QueryPlan,
-        candidates: Dict[str, List[DBObject]],
+        candidates: Dict[str, List[OID]],
         order: List[str],
-        pushdown: Dict[int, List[Expr]],
         bindings: Dict[str, Any],
-    ) -> List[tuple]:
-        """Grouped aggregation: one output row per GROUP BY key."""
-        query = plan.query
-        groups: Dict[tuple, list] = {}
-        group_order: List[tuple] = []
+    ) -> List[_Level]:
+        """One level per variable in join order, each conjunct pushed down to
+        the level that binds the last of its variables.
+
+        A conjunct whose method compiled (``v1 -> m(...) == v2``) is one map
+        over ``v1``'s candidates: the level's candidates are looked up through
+        it from the variable already bound.  Any other conjunct, a second
+        joinable one of the level included, is evaluated per tuple.
+        """
+        pending = {i: c.variables() & set(order) for i, c in enumerate(plan.join_conjuncts)}
+        levels: List[_Level] = []
+        for variable in order:
+            level = _Level(variable, candidates[variable])
+            levels.append(level)
+            bound = {lv.variable for lv in levels}
+            for i in [i for i, needed in pending.items() if needed <= bound]:
+                del pending[i]
+                conjunct = plan.join_conjuncts[i]
+                join = plan.method_joins.get(i) if level.lookup is None else None
+                forward = join and self._join_map(plan, join, candidates)
+                if forward is None:
+                    level.checks.append(self._env_check(conjunct, bindings))
+                elif variable == join.target:
+                    members = set(level.oids)
+                    level.lookup = lambda env, f=forward, s=join.variable, m=members: (
+                        (f[env[s].oid],) if f.get(env[s].oid) in m else ()
+                    )
+                else:
+                    inverse: Dict[OID, List[OID]] = {}
+                    for oid in level.oids:
+                        inverse.setdefault(forward.get(oid), []).append(oid)
+                    level.lookup = lambda env, inv=inverse, t=join.target: inv.get(env[t].oid, ())
+        return levels
+
+    def _join_map(
+        self, plan: QueryPlan, join: MethodPredicate, candidates: Dict[str, List[OID]]
+    ) -> Optional[Dict[OID, OID]]:
+        """``source candidate -> OID of the object its method returns``, or None."""
+        sources = set(candidates[join.variable])
+        class_name = plan.variable_plans[join.variable].class_name
+        answer = self._method_map(class_name, join.steps, sources, None)
+        if answer is None or not answer.refs or answer.undecided or answer.default is not None:
+            return None
+        self.stats.probed_predicates += 1
+        self.stats.method_calls += len(sources)
+        return answer.values
+
+    def _tuples(self, levels: List[_Level]) -> Iterator[Dict[str, DBObject]]:
+        """Every binding of all variables that passes the join conjuncts.
+
+        Outer to inner in level order, each variable in candidate (extent)
+        order; the yielded environment is reused from tuple to tuple.
+        """
         env: Dict[str, DBObject] = {}
+        stats, get_object = self.stats, self._db.get_object
 
-        def bind(level: int) -> None:
-            if level == len(order):
-                key = tuple(
-                    self._eval(expr, env, bindings) for expr in query.group_by
-                )
-                state = groups.get(key)
-                if state is None:
-                    state = [self._new_accumulator(item) for item in query.select]
-                    groups[key] = state
-                    group_order.append(key)
-                for item, accumulator in zip(query.select, state):
-                    self._accumulate(item, accumulator, env, bindings)
+        def bind(depth: int) -> Iterator[Dict[str, DBObject]]:
+            if depth == len(levels):
+                yield env
                 return
-            variable = order[level]
-            for obj in candidates[variable]:
-                env[variable] = obj
-                self.stats.tuples_examined += 1
-                if all(
-                    self._truthy(self._eval(c, env, bindings)) for c in pushdown[level]
-                ):
-                    bind(level + 1)
-            env.pop(variable, None)
+            level = levels[depth]
+            if level.lookup is not None:
+                objects = map(get_object, level.lookup(env))
+            else:
+                if level.objects is None:
+                    level.objects = [get_object(oid) for oid in level.oids]
+                objects = level.objects
+            for obj in objects:
+                env[level.variable] = obj
+                stats.tuples_examined += 1
+                if all(check(env) for check in level.checks):
+                    yield from bind(depth + 1)
+            env.pop(level.variable, None)
 
-        bind(0)
+        return bind(0)
+
+    def _aggregate_rows(
+        self, query: Query, tuples: Iterator[Dict[str, DBObject]], bindings: Dict[str, Any]
+    ) -> List[tuple]:
+        """Grouped aggregation: one output row per GROUP BY key, first seen first.
+
+        Per group and select item the values the tuples contributed: every
+        non-NULL argument of an aggregate (a 1 per tuple for ``COUNT(*)``),
+        only the latest value of a plain expression.
+        """
+        groups: Dict[tuple, List[list]] = {}
+        for env in tuples:
+            key = tuple(self._eval(expr, env, bindings) for expr in query.group_by)
+            columns = groups.setdefault(key, [[] for _item in query.select])
+            for item, values in zip(query.select, columns):
+                if not isinstance(item, Aggregate):
+                    values[:] = [self._eval(item, env, bindings)]
+                elif item.argument is None:
+                    values.append(1)
+                else:
+                    value = self._eval(item.argument, env, bindings)
+                    if value is not None:  # NULLs are ignored by aggregates, SQL-style
+                        values.append(value)
         return [
-            tuple(self._finalize(item, acc) for item, acc in zip(query.select, groups[key]))
-            for key in group_order
+            tuple(self._finalize(item, values) for item, values in zip(query.select, columns))
+            for columns in groups.values()
         ]
 
     @staticmethod
-    def _new_accumulator(item: Expr) -> dict:
-        return {"count": 0, "sum": 0.0, "min": None, "max": None, "last": None}
-
-    def _accumulate(
-        self, item: Expr, accumulator: dict, env: Dict[str, DBObject], bindings: Dict[str, Any]
-    ) -> None:
-        from repro.oodb.query.ast import Aggregate
-
+    def _finalize(item: Expr, values: list) -> Any:
         if not isinstance(item, Aggregate):
-            accumulator["last"] = self._eval(item, env, bindings)
-            return
-        if item.argument is None:  # COUNT(*)
-            accumulator["count"] += 1
-            return
-        value = self._eval(item.argument, env, bindings)
-        if value is None:
-            return  # NULLs are ignored by aggregates, SQL-style
-        accumulator["count"] += 1
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            accumulator["sum"] += value
-        if accumulator["min"] is None or value < accumulator["min"]:
-            accumulator["min"] = value
-        if accumulator["max"] is None or value > accumulator["max"]:
-            accumulator["max"] = value
-
-    @staticmethod
-    def _finalize(item: Expr, accumulator: dict) -> Any:
-        from repro.oodb.query.ast import Aggregate
-
-        if not isinstance(item, Aggregate):
-            return accumulator["last"]
+            return values[0]
         if item.function == "COUNT":
-            return accumulator["count"]
-        if item.function == "SUM":
-            return accumulator["sum"] if accumulator["count"] else None
-        if item.function == "AVG":
-            return (
-                accumulator["sum"] / accumulator["count"] if accumulator["count"] else None
-            )
-        if item.function == "MIN":
-            return accumulator["min"]
-        if item.function == "MAX":
-            return accumulator["max"]
-        raise QueryEvaluationError(f"unknown aggregate {item.function}")  # pragma: no cover
-
-    def _ordered_rows(
-        self,
-        plan: QueryPlan,
-        candidates: Dict[str, List[DBObject]],
-        order: List[str],
-        pushdown: Dict[int, List[Expr]],
-        bindings: Dict[str, Any],
-    ) -> List[tuple]:
-        """Re-run the join keeping (sort key, row) pairs, then sort."""
-        query = plan.query
-        keyed: List[Tuple[Any, tuple]] = []
-        env: Dict[str, DBObject] = {}
-
-        def bind(level: int) -> None:
-            if level == len(order):
-                key = self._eval(query.order_by, env, bindings)
-                row = tuple(self._eval(expr, env, bindings) for expr in query.select)
-                keyed.append((key, row))
-                return
-            variable = order[level]
-            for obj in candidates[variable]:
-                env[variable] = obj
-                if all(
-                    self._truthy(self._eval(c, env, bindings)) for c in pushdown[level]
-                ):
-                    bind(level + 1)
-            env.pop(variable, None)
-
-        bind(0)
-        keyed.sort(key=lambda kv: (kv[0] is None, kv[0]), reverse=query.order_desc)
-        return [row for _key, row in keyed]
+            return len(values)
+        if not values:
+            return None
+        if item.function in ("MIN", "MAX"):
+            return min(values) if item.function == "MIN" else max(values)
+        total = sum(
+            (v for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)), 0.0
+        )
+        return total if item.function == "SUM" else total / len(values)
 
     # -- candidate production ----------------------------------------------------
 
-    def _candidates(self, vplan: VariablePlan, bindings: Dict[str, Any]) -> List[DBObject]:
-        restriction: Optional[Set[OID]] = None
+    def _candidates(self, vplan: VariablePlan, bindings: Dict[str, Any], span: Any) -> List[OID]:
+        """The variable's candidates as OIDs in extent order.
 
+        Set operations as far as they go — index probes, then the decided
+        part of every compiled method conjunct (plain comparisons before
+        paths, which cost two maps).  Objects are built only for the OIDs
+        left, for the residual filters and, last of all, for the conjuncts a
+        map left *undecided* for them: what only the object can answer (and
+        may be dear: a derived IRS value) is asked after everything else.
+        """
+        db, class_name = self._db, vplan.class_name
+        alive = db.extent_oids(class_name)
+        residual = list(vplan.filters)
         for ip in vplan.index_predicates:
-            index = self._find_index(vplan.class_name, ip.attribute)
-            if index is None:  # index dropped between planning and execution
-                vplan.filters.append(ip.source)
+            index = self._optimizer.find_index(class_name, ip.attribute)
+            if index is None:  # dropped between planning and execution
+                residual.append(ip.source)
                 continue
             self.stats.index_probes += 1
             if ip.op in ("=", "=="):
-                oids = index.lookup(ip.constant)
-            elif ip.op == ">":
-                oids = index.range(low=ip.constant, include_low=False)
-            elif ip.op == ">=":
-                oids = index.range(low=ip.constant)
-            elif ip.op == "<":
-                oids = index.range(high=ip.constant, include_high=False)
-            elif ip.op == "<=":
-                oids = index.range(high=ip.constant)
-            else:  # pragma: no cover - classifier excludes != already
+                alive &= index.lookup(ip.constant)
+            else:  # ">" and ">=" bound the range from below, "<" and "<=" from above
+                side = "low" if ip.op[0] == ">" else "high"
+                alive &= index.range(**{side: ip.constant, "include_" + side: ip.op[-1] == "="})
+
+        deferred: List[Tuple[Set[OID], Expr]] = []
+        compiled = decided = 0
+        for mp in sorted(vplan.method_predicates, key=lambda mp: len(mp.steps)):
+            if not alive:
+                break  # no candidate left: nothing more is asked
+            bound = (mp.op, mp.constant)
+            answer = self._method_map(class_name, mp.steps, alive, bound)
+            if answer is None:  # declined: the method is sent per object
+                residual.append(mp.source)
                 continue
-            restriction = oids if restriction is None else restriction & oids
-
-        checks = [self._filter_check(vplan.variable, f, bindings) for f in vplan.filters]
-        for rp in vplan.restrictor_predicates:
-            restrictor = restrictor_for(rp.method)
-            result = None
-            if restrictor is not None:
+            compiled += 1
+            undecided = alive.intersection(answer.undecided)
+            decided += len(alive) - len(undecided)
+            if answer.restricts:
                 self.stats.restrictor_calls += 1
-                result = restrictor(self._db, rp.args, rp.op, rp.constant)
-            if result is None:
-                checks.append(self._probe_check(vplan, rp, bindings))
             else:
-                restriction = result if restriction is None else restriction & result
+                self.stats.method_calls += len(alive) - len(undecided)
+            alive = self._passing(alive - undecided, answer, *bound) | undecided
+            if undecided:
+                deferred.append((undecided, mp.source))
+        self.stats.probed_predicates += compiled
+        span.set_attribute("compiled", compiled)
+        span.set_attribute("decided", decided)
+        span.set_attribute("undecided", sum(len(only) for only, _source in deferred))
 
-        if restriction is None:
-            objs = self._db.instances_of(vplan.class_name)
-        else:
-            extent = self._db.extent_oids(vplan.class_name)
-            objs = [self._db.get_object(oid) for oid in sorted(restriction & extent)]
+        oids = db.in_extent_order(class_name, alive)
+        if residual or deferred:
+            checks = [(None, self._env_check(f, bindings)) for f in residual]
+            checks += [(only, self._env_check(f, bindings)) for only, f in deferred]
+            env: Dict[str, DBObject] = {}
 
-        if checks:
-            objs = [obj for obj in objs if all(check(obj) for check in checks)]
-        return objs
+            def passes(oid: OID) -> bool:
+                env[vplan.variable] = db.get_object(oid)
+                return all(check(env) for only, check in checks if only is None or oid in only)
 
-    def _filter_check(
-        self, variable: str, conjunct: Expr, bindings: Dict[str, Any]
-    ) -> Callable[[DBObject], bool]:
-        """A single-variable conjunct as a per-candidate test."""
-        env: Dict[str, DBObject] = {}
+            oids = [oid for oid in oids if passes(oid)]
+        return oids
 
-        def check(obj: DBObject) -> bool:
-            env[variable] = obj
-            return self._truthy(self._eval(conjunct, env, bindings))
+    def _method_map(
+        self,
+        class_name: str,
+        steps: Tuple[Tuple[str, tuple], ...],
+        oids: Set[OID],
+        bound: Optional[Tuple[str, Any]],
+    ) -> Optional[MethodMap]:
+        """``x -> m1(...) -> m2(...) ...`` over ``oids``; None when not compiled.
 
-        return check
-
-    def _probe_check(
-        self, vplan: VariablePlan, rp: RestrictablePredicate, bindings: Dict[str, Any]
-    ) -> Callable[[DBObject], bool]:
-        """A declined restrictor predicate as a per-candidate test.
-
-        Through the method's batch probe when one is registered and accepts
-        the range; per-object dispatch of the original conjunct otherwise.
+        A path maps its later steps once per distinct object the first
+        returned (all of one class, or the path is left to the objects), and
+        ``bound`` — what the last step's values are compared with — goes to
+        that step's compiler.
         """
-        factory = batch_method_for(rp.method)
-        probe = None
-        if factory is not None:
-            probe = factory(self._db, vplan.class_name, rp.args)
-        if probe is None:
-            return self._filter_check(vplan.variable, rp.source, bindings)
-        self.stats.probed_predicates += 1
-        stats, compare, op, constant = self.stats, self._compare, rp.op, rp.constant
+        (method, args), rest = steps[0], steps[1:]
+        compiled = compile_method(self._db, class_name, method, args)
+        if compiled is None:
+            return None
+        answer = compiled(oids, None if rest else bound)
+        if not rest:
+            return answer
+        targets = {oid: answer.values.get(oid, answer.default) for oid in oids}
+        distinct = set(targets.values())
+        if not answer.refs or answer.undecided or None in distinct:
+            return None  # per object: the evaluator reports a call on a non-object
+        classes = {self._db.class_of(target) for target in distinct}
+        onward = len(classes) == 1 and self._method_map(classes.pop(), rest, distinct, bound)
+        if not onward or onward.refs or onward.restricts:
+            return None
+        self.stats.method_calls += len(oids)  # this step, once per candidate
+        values, undecided = onward.values, distinct.intersection(onward.undecided)
+        return MethodMap(
+            {o: values.get(t, onward.default) for o, t in targets.items() if t not in undecided},
+            [o for o, t in targets.items() if t in undecided],
+        )
 
-        def check(obj: DBObject) -> bool:
-            stats.method_calls += 1
-            return compare(op, probe(obj), constant)
+    def _passing(self, decided: Set[OID], answer: MethodMap, op: str, constant: Any) -> Set[OID]:
+        """Those of ``decided`` whose value passes ``OP constant``."""
+        values, default, compare = answer.values, answer.default, self._compare
+        if not compare(op, default, constant):
+            # Only a listed value can pass.  Two differences instead of an
+            # intersection: against a dict they reuse the set's stored hashes.
+            decided = decided - decided.difference(values)
+        if answer.refs:  # compared as the objects ``send`` returns
+            values = {o: self._db.get_object(values[o]) for o in decided if values.get(o)}
+        return {oid for oid in decided if compare(op, values.get(oid, default), constant)}
 
-        return check
-
-    def _find_index(self, class_name: str, attribute: str):
-        ancestry = [c.name for c in self._db.schema.ancestry(class_name)]
-        return self._db.indexes.covering(ancestry, attribute)
+    def _env_check(
+        self, conjunct: Expr, bindings: Dict[str, Any]
+    ) -> Callable[[Dict[str, DBObject]], bool]:
+        """A conjunct as a test of an environment, methods sent per object."""
+        return lambda env: bool(self._eval(conjunct, env, bindings))
 
     # -- expression evaluation ------------------------------------------------------
 
@@ -456,14 +485,7 @@ class QueryEvaluator:
             left = self._eval(expr.left, env, bindings)
             right = self._eval(expr.right, env, bindings)
             try:
-                if expr.op == "+":
-                    return left + right
-                if expr.op == "-":
-                    return left - right
-                if expr.op == "*":
-                    return left * right
-                if expr.op == "/":
-                    return left / right
+                return _ARITHMETIC[expr.op](left, right)
             except TypeError as exc:
                 raise QueryEvaluationError(
                     f"cannot compute {left!r} {expr.op} {right!r}"
@@ -471,13 +493,10 @@ class QueryEvaluator:
             except ZeroDivisionError as exc:
                 raise QueryEvaluationError("division by zero in query") from exc
         if isinstance(expr, BooleanOp):
-            if expr.op == "AND":
-                return all(
-                    self._truthy(self._eval(e, env, bindings)) for e in expr.operands
-                )
-            return any(self._truthy(self._eval(e, env, bindings)) for e in expr.operands)
+            combine = all if expr.op == "AND" else any
+            return combine(bool(self._eval(e, env, bindings)) for e in expr.operands)
         if isinstance(expr, NotOp):
-            return not self._truthy(self._eval(expr.operand, env, bindings))
+            return not self._eval(expr.operand, env, bindings)
         raise QueryEvaluationError(f"cannot evaluate expression {expr!r}")  # pragma: no cover
 
     @staticmethod
@@ -489,20 +508,8 @@ class QueryEvaluator:
         if left is None or right is None:
             return False  # SQL-style: ordering against NULL is never true
         try:
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
+            return _ORDERING[op](left, right)
         except TypeError as exc:
             raise QueryEvaluationError(
                 f"cannot compare {left!r} {op} {right!r}"
             ) from exc
-        raise QueryEvaluationError(f"unknown comparison operator {op!r}")  # pragma: no cover
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        return bool(value)

@@ -7,29 +7,10 @@ from typing import Iterator, List
 
 from repro.errors import QuerySyntaxError
 
-KEYWORDS = {
-    "ACCESS",
-    "FROM",
-    "WHERE",
-    "IN",
-    "AND",
-    "OR",
-    "NOT",
-    "TRUE",
-    "FALSE",
-    "NULL",
-    "ORDER",
-    "GROUP",
-    "BY",
-    "ASC",
-    "DESC",
-    "LIMIT",
-    "COUNT",
-    "SUM",
-    "AVG",
-    "MIN",
-    "MAX",
-}
+KEYWORDS = frozenset(
+    "ACCESS FROM WHERE IN AND OR NOT TRUE FALSE NULL ORDER GROUP BY ASC DESC LIMIT "
+    "COUNT SUM AVG MIN MAX".split()
+)
 
 #: Multi-character operators, longest first so the scanner is greedy.
 _OPERATORS = ["->", "==", "!=", "<>", "<=", ">=", "=", "<", ">", "(", ")", ",", ".", ";", "+", "-", "*", "/"]

@@ -8,28 +8,30 @@ Turns a parsed :class:`~repro.oodb.query.ast.Query` into an executable plan:
    ``var.attr OP constant`` and ``var -> getAttributeValue('A') OP constant``
    are answered from an attribute index when one covers the class; equality
    uses hash or B-tree probes, inequalities use B-tree range scans.
-3. **Selectivity-ordered nested-loop join** — variables are bound in
-   ascending candidate-set order; every conjunct is evaluated at the
-   earliest point where all its variables are bound (predicate pushdown).
-4. **Method-based semantic hooks** ([AbF95], Section 4.5.4 of the paper) —
-   two registries let higher layers (the coupling) take over a comparison
-   ``var -> method(constants) OP constant`` without this package knowing
-   them.  A *restrictor* answers it wholesale with the set of satisfying
-   OIDs, cutting the candidate set before any object is looked at; e.g.
-   the coupling's opt-in IRS-first strategy answers
-   ``p -> getIRSValue(c,'WWW') > 0.6`` with one buffered IRS call.  A
-   *batch method* keeps per-candidate semantics — every candidate is still
-   examined and compared — but is compiled once per statement into a probe
-   ``obj -> value`` that may share set-level work (one IRS result, one
-   membership map) across all candidates instead of a full method dispatch
-   each.  The restrictor is asked first; when it declines, the batch
-   method; when that declines too, the method is sent per object.
+3. **Join order** — variables are bound smallest candidate set first among
+   those a join conjunct connects to the bound ones; every conjunct runs at
+   the earliest level where all its variables are bound (pushdown).
+4. **Method-based semantic hook** ([AbF95], Section 4.5.4 of the paper) —
+   one registry lets higher layers evaluate their methods a set at a time
+   without this package knowing them: a method with constant arguments
+   *compiles*, once per statement, to a map over a candidate set
+   (:class:`MethodMap`: OID -> value, plus the *undecided* OIDs it cannot
+   answer without the object).  Three conjunct shapes use it.  A comparison
+   ``var -> m(consts) OP constant`` filters the map; a path
+   ``var -> m1(consts) -> m2(consts) OP constant`` maps the second step once
+   per distinct target of the first; an equi-join ``v1 -> m(consts) == v2``
+   becomes a hash lookup through the map instead of a call per tuple.
+   Undecided candidates, and everything a compiler declines, are sent the
+   method per object — the only fallback.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.errors import UnknownClassError
 from repro.oodb.query.ast import (
@@ -45,59 +47,67 @@ from repro.oodb.query.ast import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oodb.database import Database
-    from repro.oodb.objects import DBObject
     from repro.oodb.oid import OID
 
-#: Signature of a semantic restrictor: given the database, the method-call
-#: arguments (already evaluated to constants), the comparison operator and
-#: the constant bound, return the set of OIDs satisfying the predicate —
-#: or None to decline (then the predicate falls back to per-object filtering).
-Restrictor = Callable[["Database", Tuple[Any, ...], str, Any], Optional[Set["OID"]]]
 
-_RESTRICTORS: Dict[str, Restrictor] = {}
+@dataclass
+class MethodMap:
+    """A compiled method's answer for one candidate set.
 
+    ``values`` is read-only and may cover more than the candidates asked
+    for.  A candidate in neither ``values`` nor ``undecided`` has the value
+    ``default``; an undecided one must be sent the method itself.  With
+    ``refs`` the values are OIDs standing for the objects ``send`` returns.
+    ``restricts`` marks a map that answered its comparison wholesale from an
+    outside source (counted in ``QueryStats.restrictor_calls``).
+    """
 
-def register_restrictor(method_name: str, restrictor: Restrictor) -> None:
-    """Register a semantic restrictor for ``method_name`` comparisons."""
-    _RESTRICTORS[method_name] = restrictor
-
-
-def unregister_restrictor(method_name: str) -> None:
-    """Remove a previously registered restrictor."""
-    _RESTRICTORS.pop(method_name, None)
-
-
-def restrictor_for(method_name: str) -> Optional[Restrictor]:
-    """The registered restrictor for ``method_name``, if any."""
-    return _RESTRICTORS.get(method_name)
+    values: Mapping["OID", Any]
+    undecided: Collection["OID"] = ()
+    default: Any = None
+    refs: bool = False
+    restricts: bool = False
 
 
-#: Signature of a batch-method factory: given the database, the range
-#: variable's class and the method-call arguments (already evaluated to
-#: constants), return a probe computing the method's value for one candidate
-#: object — exactly what ``obj.send(method, *args)`` would return, side
-#: effects included — or None to decline.  The factory must decline when a
-#: class in the range (the class or a subclass) overrides the method.
-BatchMethod = Callable[
-    ["Database", str, Tuple[Any, ...]], Optional[Callable[["DBObject"], Any]]
-]
+#: What a compiler returns: candidates, and the ``(op, constant)`` the values
+#: will be compared with when there is one, to the map.  Called once per
+#: statement and conjunct, and not at all when no candidate reaches it.
+CompiledMethod = Callable[[Set["OID"], Optional[Tuple[str, Any]]], MethodMap]
 
-_BATCH_METHODS: Dict[str, BatchMethod] = {}
+#: Signature of a method compiler: given the database, the class whose
+#: extent the receivers come from and the call's arguments (already
+#: evaluated to constants), return the compiled method — exactly the values
+#: ``obj.send(method, *args)`` returns, side effects included — or None to
+#: decline.  A compiler must decline when a class in the range (the class or
+#: a subclass) does not answer the method with the implementation it knows
+#: (:meth:`repro.oodb.schema.Schema.method_is`).
+MethodCompiler = Callable[["Database", str, Tuple[Any, ...]], Optional[CompiledMethod]]
 
-
-def register_batch_method(method_name: str, factory: BatchMethod) -> None:
-    """Register a batch-method factory for ``method_name`` comparisons."""
-    _BATCH_METHODS[method_name] = factory
-
-
-def unregister_batch_method(method_name: str) -> None:
-    """Remove a previously registered batch-method factory."""
-    _BATCH_METHODS.pop(method_name, None)
+_COMPILERS: Dict[str, List[MethodCompiler]] = {}
 
 
-def batch_method_for(method_name: str) -> Optional[BatchMethod]:
-    """The registered batch-method factory for ``method_name``, if any."""
-    return _BATCH_METHODS.get(method_name)
+def register_method_compiler(method_name: str, compiler: MethodCompiler) -> None:
+    """Offer ``compiler`` for calls of ``method_name`` (idempotent)."""
+    compilers = _COMPILERS.setdefault(method_name, [])
+    if compiler not in compilers:
+        compilers.append(compiler)
+
+
+def unregister_method_compiler(method_name: str, compiler: MethodCompiler) -> None:
+    """Withdraw a previously registered compiler."""
+    if compiler in _COMPILERS.get(method_name, ()):
+        _COMPILERS[method_name].remove(compiler)
+
+
+def compile_method(
+    db: "Database", class_name: str, method: str, args: Tuple[Any, ...]
+) -> Optional[CompiledMethod]:
+    """The first registered compiler's answer for the call, None when all decline."""
+    for compiler in _COMPILERS.get(method, ()):
+        compiled = compiler(db, class_name, args)
+        if compiled is not None:
+            return compiled
+    return None
 
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!=", "<>": "<>"}
@@ -107,13 +117,34 @@ def _constant_of(expr: Expr, bindings: Dict[str, Any]) -> Tuple[bool, Any]:
     """(True, value) when ``expr`` is a constant under ``bindings``."""
     if isinstance(expr, Literal):
         return True, expr.value
-    if isinstance(expr, Parameter):
-        if expr.name in bindings:
-            return True, bindings[expr.name]
-        return False, None
-    if isinstance(expr, Variable) and expr.name in bindings:
+    if isinstance(expr, (Parameter, Variable)) and expr.name in bindings:
         return True, bindings[expr.name]
     return False, None
+
+
+def _method_steps(
+    expr: Expr, bindings: Dict[str, Any]
+) -> Tuple[Optional[str], Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
+    """``var -> m1(consts) -> m2(consts) ...`` as ``(var, calls in sending order)``.
+
+    ``(None, ())`` unless ``expr`` is such a chain on a variable, every
+    argument is a constant under ``bindings`` and every method has a
+    compiler registered.
+    """
+    steps = []
+    while isinstance(expr, MethodCall) and expr.method in _COMPILERS:
+        constants = [_constant_of(arg, bindings) for arg in expr.args]
+        if not all(ok for ok, _value in constants):
+            break
+        steps.append((expr.method, tuple(value for _ok, value in constants)))
+        expr = expr.target
+    if isinstance(expr, Variable) and expr.name not in bindings:
+        return expr.name, tuple(reversed(steps))
+    return None, ()
+
+
+def _render_steps(predicate: "MethodPredicate") -> str:
+    return predicate.variable + "".join(f" -> {method}(...)" for method, _args in predicate.steps)
 
 
 @dataclass
@@ -128,15 +159,21 @@ class IndexablePredicate:
 
 
 @dataclass
-class RestrictablePredicate:
-    """A method-call comparison a restrictor or a batch method may answer."""
+class MethodPredicate:
+    """``variable -> m1(consts) [-> m2(consts)] OP constant``, or a join.
+
+    ``steps`` are the ``(method, constant arguments)`` calls in sending
+    order, each with a compiler registered.  For the equi-join
+    ``variable -> m(consts) == target`` the value is compared with the range
+    variable ``target`` instead of ``constant``.
+    """
 
     variable: str
-    method: str
-    args: Tuple[Any, ...]
+    steps: Tuple[Tuple[str, Tuple[Any, ...]], ...]
     op: str
     constant: Any
     source: Comparison
+    target: Optional[str] = None
 
 
 @dataclass
@@ -146,7 +183,7 @@ class VariablePlan:
     variable: str
     class_name: str
     index_predicates: List[IndexablePredicate] = field(default_factory=list)
-    restrictor_predicates: List[RestrictablePredicate] = field(default_factory=list)
+    method_predicates: List[MethodPredicate] = field(default_factory=list)
     filters: List[Expr] = field(default_factory=list)
 
 
@@ -157,6 +194,8 @@ class QueryPlan:
     query: Query
     variable_plans: Dict[str, VariablePlan]
     join_conjuncts: List[Expr]
+    #: Position in ``join_conjuncts`` -> the conjunct as a hash-joinable method.
+    method_joins: Dict[int, MethodPredicate] = field(default_factory=dict)
     description: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -174,10 +213,14 @@ class Optimizer:
             for r in query.ranges
         }
         join_conjuncts: List[Expr] = []
+        method_joins: Dict[int, MethodPredicate] = {}
 
         for conjunct in query.conjuncts:
             used = conjunct.variables() & range_vars
             if len(used) != 1:
+                join = self._classify_join(conjunct, used, bindings)
+                if join is not None:
+                    method_joins[len(join_conjuncts)] = join
                 join_conjuncts.append(conjunct)
                 continue
             variable = next(iter(used))
@@ -185,8 +228,8 @@ class Optimizer:
             classified = self._classify_single(conjunct, variable, vplan.class_name, bindings)
             if isinstance(classified, IndexablePredicate):
                 vplan.index_predicates.append(classified)
-            elif isinstance(classified, RestrictablePredicate):
-                vplan.restrictor_predicates.append(classified)
+            elif isinstance(classified, MethodPredicate):
+                vplan.method_predicates.append(classified)
             else:
                 vplan.filters.append(conjunct)
 
@@ -199,30 +242,31 @@ class Optimizer:
                         f"{p.class_name}.{ip.attribute} {ip.op} {ip.constant!r}"
                         for ip in p.index_predicates
                     ],
-                    "restrictor_predicates": [
-                        f"{rp.method}(...) {rp.op} {rp.constant!r}"
-                        for rp in p.restrictor_predicates
+                    "method_predicates": [
+                        f"{_render_steps(mp)} {mp.op} {mp.constant!r}"
+                        for mp in p.method_predicates
                     ],
                     "residual_filters": len(p.filters),
                     "access_path": (
                         "index probe"
                         if p.index_predicates
-                        else "semantic restrictor"
-                        if p.restrictor_predicates
+                        else "compiled method"
+                        if p.method_predicates
                         else "extent scan"
                     ),
                 }
                 for v, p in vplans.items()
             },
             "join_conjuncts": len(join_conjuncts),
+            "join_strategies": [
+                f"hash {_render_steps(method_joins[i])} == {method_joins[i].target}"
+                if i in method_joins
+                else "nested loop"
+                for i in range(len(join_conjuncts))
+            ],
             "estimated_cross_product": self._cross_product_estimate(vplans),
         }
-        return QueryPlan(
-            query=query,
-            variable_plans=vplans,
-            join_conjuncts=join_conjuncts,
-            description=description,
-        )
+        return QueryPlan(query, vplans, join_conjuncts, method_joins, description)
 
     # -- classification ------------------------------------------------------
 
@@ -242,45 +286,48 @@ class Optimizer:
 
         attribute = self._attribute_of(left, variable)
         if attribute is not None and op != "!=" and op != "<>":
-            index = self._find_index(class_name, attribute)
+            index = self.find_index(class_name, attribute)
             if index is not None and (op in ("=", "==") or index.supports_range()):
                 return IndexablePredicate(variable, attribute, op, const, conjunct)
 
-        if isinstance(left, MethodCall) and isinstance(left.target, Variable):
-            if (
-                restrictor_for(left.method) is not None
-                or batch_method_for(left.method) is not None
-            ):
-                arg_values = []
-                for arg in left.args:
-                    ok, value = _constant_of(arg, bindings)
-                    if not ok:
-                        return None
-                    arg_values.append(value)
-                return RestrictablePredicate(
-                    variable, left.method, tuple(arg_values), op, const, conjunct
-                )
+        root, steps = _method_steps(left, bindings)
+        if root == variable and steps:
+            return MethodPredicate(variable, steps, op, const, conjunct)
+        return None
+
+    @staticmethod
+    def _classify_join(
+        conjunct: Expr, used: Set[str], bindings: Dict[str, Any]
+    ) -> Optional[MethodPredicate]:
+        """``v1 -> m(consts) == v2`` (either way round) over two range variables."""
+        if not isinstance(conjunct, Comparison) or conjunct.op not in ("=", "=="):
+            return None
+        for call, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+            source, steps = _method_steps(call, bindings)
+            if len(steps) == 1 and isinstance(other, Variable) and used == {source, other.name}:
+                return MethodPredicate(source, steps, "==", None, conjunct, other.name)
         return None
 
     @staticmethod
     def _attribute_of(expr: Expr, variable: str) -> Optional[str]:
         """Extract the attribute name when ``expr`` is ``var.attr`` or
         ``var -> getAttributeValue('attr')``."""
-        if isinstance(expr, AttributeAccess) and isinstance(expr.target, Variable):
-            if expr.target.name == variable:
-                return expr.attribute
-        if (
+        if isinstance(expr, AttributeAccess):
+            attribute = expr.attribute
+        elif (
             isinstance(expr, MethodCall)
-            and isinstance(expr.target, Variable)
-            and expr.target.name == variable
             and expr.method == "getAttributeValue"
             and len(expr.args) == 1
             and isinstance(expr.args[0], Literal)
         ):
-            return str(expr.args[0].value)
-        return None
+            attribute = str(expr.args[0].value)
+        else:
+            return None
+        on_variable = isinstance(expr.target, Variable) and expr.target.name == variable
+        return attribute if on_variable else None
 
-    def _find_index(self, class_name: str, attribute: str):
+    def find_index(self, class_name: str, attribute: str):
+        """The index covering ``attribute`` for the class or an ancestor, if any."""
         ancestry = [c.name for c in self._db.schema.ancestry(class_name)]
         return self._db.indexes.covering(ancestry, attribute)
 
@@ -292,7 +339,4 @@ class Optimizer:
 
     def _cross_product_estimate(self, vplans: Dict[str, VariablePlan]) -> int:
         """Upper bound on tuples examined (no predicate applied)."""
-        estimate = 1
-        for vplan in vplans.values():
-            estimate *= max(1, self._extent_size(vplan.class_name))
-        return estimate
+        return math.prod(max(1, self._extent_size(p.class_name)) for p in vplans.values())

@@ -197,6 +197,15 @@ class Schema:
         except UnknownMethodError:
             return False
 
+    def method_is(self, class_name: str, method: str, implementation: Callable[..., Any]) -> bool:
+        """True when ``class_name`` and every subclass answer ``method`` with
+        ``implementation`` — no class in the extent overrides or lacks it."""
+        return all(
+            self.has_method(cname, method)
+            and self.resolve_method(cname, method) is implementation
+            for cname in self.subclasses(class_name)
+        )
+
     def all_attributes(self, class_name: str) -> Dict[str, AttributeDefinition]:
         """All attributes visible on ``class_name``, subclass ones winning."""
         merged: Dict[str, AttributeDefinition] = {}

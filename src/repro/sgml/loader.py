@@ -24,6 +24,7 @@ from typing import Any, Callable, List, Optional
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
+from repro.oodb.query.optimizer import MethodMap, register_method_compiler
 from repro.sgml.document import Element as TreeElement
 from repro.sgml.dtd import DTD
 
@@ -32,24 +33,88 @@ ELEMENT_CLASS = "Element"
 
 
 # --------------------------------------------------------------------------
-# Navigation methods installed on the Element class
+# Navigation: readers over stored attributes, by OID
 # --------------------------------------------------------------------------
+# Each navigation exists once, as a *reader* ``oid -> value`` that builds no
+# handle and resolves a shared ancestor or sibling list once.  The methods
+# installed on ``Element`` ask a fresh reader about one object; the
+# optimizer's method hook runs one reader over a whole candidate set.
 
-def _get_attribute_value(obj: DBObject, name: str) -> Optional[str]:
+def _parent_reader(db: Database) -> Callable[[OID], Optional[OID]]:
+    read, exists = db.read_attribute, db.object_exists
+
+    def parent(oid: OID) -> Optional[OID]:
+        ref = read(oid, "parent")
+        return ref if isinstance(ref, OID) and exists(ref) else None
+
+    return parent
+
+
+def _containing_reader(db: Database, class_name: str) -> Callable[[OID], Optional[OID]]:
+    """Nearest ancestor of ``class_name`` (``p1 -> getContaining('MMFDOC')``)."""
+    parent, is_subclass, class_of = _parent_reader(db), db.schema.is_subclass, db.class_of
+    found: dict = {}  # ancestor -> itself or its nearest ancestor of the class
+
+    def containing(oid: OID) -> Optional[OID]:
+        up = parent(oid)
+        if up is not None and up not in found:
+            found[up] = up if is_subclass(class_of(up), class_name) else containing(up)
+        return found.get(up)
+
+    return containing
+
+
+def _sibling_reader(db: Database, forward: bool) -> Callable[[OID], Optional[OID]]:
+    """The next (previous) sibling element (``p1 -> getNext() == p2``)."""
+    parent, read = _parent_reader(db), db.read_attribute
+    neighbours: dict = {}  # parent -> {child: the sibling after (before) it}
+
+    def sibling(oid: OID) -> Optional[OID]:
+        up = parent(oid)
+        if up is None:
+            return None
+        if up not in neighbours:
+            children = read(up, "children") or []
+            pairs = zip(children, children[1:]) if forward else zip(children[1:], children)
+            neighbours[up] = dict(pairs)
+        return neighbours[up].get(oid)
+
+    return sibling
+
+
+def _attribute_reader(db: Database, name: str) -> Callable[[OID], Optional[str]]:
     """SGML attribute lookup (``d -> getAttributeValue('YEAR')``)."""
-    attributes = obj.get("sgml_attributes") or {}
-    return attributes.get(name.upper())
+    read, key = db.read_attribute, name.upper()
+    return lambda oid: (read(oid, "sgml_attributes") or {}).get(key)
+
+
+#: method -> (reader factory taking the call's arguments, arity, returns objects)
+_READERS = {
+    "getParent": (_parent_reader, 0, True),
+    "getContaining": (_containing_reader, 1, True),
+    "getNext": (functools.partial(_sibling_reader, forward=True), 0, True),
+    "getPrev": (functools.partial(_sibling_reader, forward=False), 0, True),
+    "getAttributeValue": (_attribute_reader, 1, False),
+}
+
+
+def _reader_method(method: str) -> Callable[..., Any]:
+    """The per-object form of a reader: what ``obj -> method(args)`` runs."""
+    factory, _arity, refs = _READERS[method]
+
+    def navigate(obj: DBObject, *args: str) -> Any:
+        value = factory(obj.database, *args)(obj.oid)
+        return obj.database.get_object(value) if refs and value is not None else value
+
+    return navigate
+
+
+_NAVIGATION = {method: _reader_method(method) for method in _READERS}
+_get_parent = _NAVIGATION["getParent"]
 
 
 def _get_tag(obj: DBObject) -> str:
     return obj.get("tag")
-
-
-def _get_parent(obj: DBObject) -> Optional[DBObject]:
-    parent = obj.get("parent")
-    if isinstance(parent, OID) and obj.database.object_exists(parent):
-        return obj.database.get_object(parent)
-    return None
 
 
 def _get_children(obj: DBObject) -> List[DBObject]:
@@ -58,46 +123,6 @@ def _get_children(obj: DBObject) -> List[DBObject]:
         for child in (obj.get("children") or [])
         if obj.database.object_exists(child)
     ]
-
-
-def _get_next(obj: DBObject) -> Optional[DBObject]:
-    """The next sibling element (``p1 -> getNext() == p2``)."""
-    parent = _get_parent(obj)
-    if parent is None:
-        return None
-    siblings = parent.get("children") or []
-    try:
-        index = siblings.index(obj.oid)
-    except ValueError:
-        return None
-    if index + 1 < len(siblings):
-        return obj.database.get_object(siblings[index + 1])
-    return None
-
-
-def _get_prev(obj: DBObject) -> Optional[DBObject]:
-    """The previous sibling element."""
-    parent = _get_parent(obj)
-    if parent is None:
-        return None
-    siblings = parent.get("children") or []
-    try:
-        index = siblings.index(obj.oid)
-    except ValueError:
-        return None
-    if index > 0:
-        return obj.database.get_object(siblings[index - 1])
-    return None
-
-
-def _get_containing(obj: DBObject, class_name: str) -> Optional[DBObject]:
-    """Nearest ancestor of ``class_name`` (``p1 -> getContaining('MMFDOC')``)."""
-    node = _get_parent(obj)
-    while node is not None:
-        if node.isa(class_name):
-            return node
-        node = _get_parent(node)
-    return None
 
 
 def _get_root(obj: DBObject) -> DBObject:
@@ -142,19 +167,34 @@ def _is_leaf(obj: DBObject) -> bool:
 
 
 ELEMENT_METHODS = {
-    "getAttributeValue": _get_attribute_value,
+    **_NAVIGATION,
     "getTag": _get_tag,
-    "getParent": _get_parent,
     "getChildren": _get_children,
-    "getNext": _get_next,
-    "getPrev": _get_prev,
-    "getContaining": _get_containing,
     "getRoot": _get_root,
     "getTextContent": _get_text_content,
     "getDescendants": _get_descendants,
     "isLeaf": _is_leaf,
     "length": _length,
 }
+
+
+def _compile_navigation(method: str, db: Database, class_name: str, args: tuple):
+    """``x -> method(args)`` over a range as one reader's pass over the set.
+
+    Declines unless every class in the range answers ``method`` with the
+    reader's own per-object form.
+    """
+    factory, arity, refs = _READERS[method]
+    if len(args) != arity or not all(isinstance(arg, str) for arg in args):
+        return None
+    if not db.schema.method_is(class_name, method, ELEMENT_METHODS[method]):
+        return None
+    reader = factory(db, *args)
+    return lambda oids, bound=None: MethodMap({oid: reader(oid) for oid in oids}, refs=refs)
+
+
+for _method in _READERS:
+    register_method_compiler(_method, functools.partial(_compile_navigation, _method))
 
 
 def _one_group(method: Callable[..., Any]) -> Callable[..., Any]:

@@ -270,19 +270,7 @@ class Shell:
         if not args:
             self._print("usage: .explain <vql query>")
             return
-        text = " ".join(args)
-        result = self.system.explain(text, self._bindings)
-        plan = result.plan
-        for variable, info in plan["variables"].items():
-            self._print(
-                f"  {variable} IN {info['class']}: "
-                f"index={info['index_predicates'] or '-'} "
-                f"restrictors={info['restrictor_predicates'] or '-'} "
-                f"filters={info['residual_filters']}"
-            )
-        self._print(f"  join conjuncts: {plan['join_conjuncts']}")
-        self._print(f"  rows: {len(result.rows)}")
-        self._print(result.render_tree())
+        self._print(self.system.explain(" ".join(args), self._bindings).render())
 
     def _cmd_trace(self, args: List[str]) -> None:
         if not args:

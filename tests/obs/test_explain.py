@@ -88,6 +88,49 @@ class TestExplainOnPaperQueries:
         stages = result.stage_names()
         assert {"oodb.query", "coupling.findIRSValue", "irs.query"} <= stages
 
+    def test_spans_name_compiled_conjuncts_and_join_strategies(self, journal):
+        system, collection = journal
+        result = system.explain(QUERY_TWO, {"collPara": collection})
+        spans = list(result.root.iter_spans())
+        candidates = {
+            s.attributes["variable"]: s.attributes
+            for s in spans if s.name == "oodb.query.candidates"
+        }
+        paragraphs = system.db.extent_size("PARA")
+        assert {v: a["compiled"] for v, a in candidates.items()} == {"d": 1, "p1": 1, "p2": 1}
+        assert {v: a["decided"] for v, a in candidates.items()} == {
+            "d": system.db.extent_size("MMFDOC"), "p1": paragraphs, "p2": paragraphs,
+        }
+        assert all(a["undecided"] == 0 for a in candidates.values())
+        (join,) = [s for s in spans if s.name == "oodb.query.join"]
+        assert join.attributes["strategy"] == "d:nested p1:hash p2:hash"
+        assert join.attributes["tuples_examined"] == result.stats.tuples_examined
+        # d, its PARAs through getContaining, at most one p2 each through getNext
+        assert result.stats.tuples_examined <= 3 + 2 * paragraphs
+        text = result.render()
+        assert "d IN MMFDOC: compiled method" in text
+        assert "hash p1 -> getNext(...) == p2" in text
+        assert "hash p1 -> getContaining(...) == d" in text
+
+    def test_undecided_candidates_show_in_the_candidates_span(self, journal):
+        system, collection = journal
+        collection.set("buffer", {})
+        result = system.explain(
+            "ACCESS d FROM d IN MMFDOC WHERE d -> getAttributeValue('YEAR') = '1994' "
+            "AND d -> getIRSValue(collPara, 'WWW') > 0.4",
+            {"collPara": collection},
+        )
+        (span,) = [s for s in result.root.iter_spans() if s.name == "oodb.query.candidates"]
+        documents = system.db.extent_size("MMFDOC")
+        assert span.attributes["compiled"] == 2
+        assert span.attributes["decided"] == documents  # YEAR decides all, the IRS none
+        assert span.attributes["undecided"] == documents  # ... of those YEAR left
+        derived = [
+            s for s in result.root.iter_spans()
+            if s.name == "coupling.findIRSValue" and s.attributes.get("source") == "derived"
+        ]
+        assert len(derived) == documents
+
     def test_render_includes_plan_counters_and_tree(self, journal):
         system, collection = journal
         result = system.explain(QUERY_ONE, {"collPara": collection})

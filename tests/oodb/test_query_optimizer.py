@@ -1,17 +1,43 @@
-"""Optimizer: index selection, join ordering, semantic restrictors."""
+"""Optimizer: index selection, join ordering, the compiled-method hook."""
+
+import contextlib
 
 import pytest
 
+from repro.errors import QueryEvaluationError
 from repro.oodb import Database
-from repro.oodb.oid import OID
 from repro.oodb.query.evaluator import QueryEvaluator
 from repro.oodb.query.optimizer import (
-    register_batch_method,
-    register_restrictor,
-    restrictor_for,
-    unregister_batch_method,
-    unregister_restrictor,
+    MethodMap,
+    compile_method,
+    register_method_compiler,
+    unregister_method_compiler,
 )
+
+
+@contextlib.contextmanager
+def compilers(**by_method):
+    """Register ``method=compiler`` pairs for the duration of a test."""
+    for method, compiler in by_method.items():
+        register_method_compiler(method, compiler)
+    try:
+        yield
+    finally:
+        for method, compiler in by_method.items():
+            unregister_method_compiler(method, compiler)
+
+
+def attribute_compiler(attr, refs=False, transform=lambda value: value):
+    """A compiler answering a method from one stored attribute."""
+
+    def compiler(db, class_name, args):
+        def compiled(oids, bound=None):
+            values = {oid: transform(db.read_attribute(oid, attr)) for oid in oids}
+            return MethodMap(values, refs=refs)
+
+        return compiled
+
+    return compiler
 
 
 @pytest.fixture
@@ -124,6 +150,13 @@ Q2_SHAPE = (
 )
 
 
+def has_compiler(db, class_name, args):
+    (word,) = args
+    return lambda oids, bound=None: MethodMap(
+        {oid: word in db.read_attribute(oid, "words") for oid in oids}
+    )
+
+
 class TestConnectivityAwareJoinOrder:
     def reference_rows(self, db, first, second):
         rows = []
@@ -138,25 +171,47 @@ class TestConnectivityAwareJoinOrder:
                 rows.append((p1, p2))
         return rows
 
-    def test_commoner_term_on_p1_costs_about_the_same_as_the_rarer(self, journal_db):
-        """With the commoner term on p1, candidate-set size alone binds d and
-        p2 first — no conjunct joins them — and multiplies the tuples."""
-        cheap_rows, cheap = QueryEvaluator(journal_db).run_with_stats(
+    def run_both_orders(self, db):
+        cheap_rows, cheap = QueryEvaluator(db).run_with_stats(
             Q2_SHAPE.format(first="rare", second="common")
         )
-        swapped_rows, swapped = QueryEvaluator(journal_db).run_with_stats(
+        swapped_rows, swapped = QueryEvaluator(db).run_with_stats(
             Q2_SHAPE.format(first="common", second="rare")
         )
         assert swapped.per_variable_candidates == {"d": 2, "p1": 100, "p2": 29}
+        assert cheap.per_variable_candidates == {"d": 2, "p1": 29, "p2": 100}
         assert sorted(swapped_rows, key=repr) == sorted(
-            self.reference_rows(journal_db, "common", "rare"), key=repr
+            self.reference_rows(db, "common", "rare"), key=repr
         )
         assert sorted(cheap_rows, key=repr) == sorted(
-            self.reference_rows(journal_db, "rare", "common"), key=repr
+            self.reference_rows(db, "rare", "common"), key=repr
         )
         assert swapped_rows and cheap_rows
+        return (cheap_rows, cheap), (swapped_rows, swapped)
+
+    def test_commoner_term_on_p1_costs_about_the_same_as_the_rarer(self, journal_db):
+        """Nested loops (nothing compiles here): with the commoner term on p1,
+        candidate-set size alone would bind d and p2 first — no conjunct joins
+        them — and multiply the tuples."""
+        (_rows, cheap), (_swapped_rows, swapped) = self.run_both_orders(journal_db)
+        assert cheap.probed_predicates == swapped.probed_predicates == 0
         # Size order d, p2, p1 would examine 2 + 2*29 + 2*29*100 = 5860.
         assert swapped.tuples_examined <= 1.5 * cheap.tuples_examined
+
+    def test_hash_joins_make_both_term_orders_cost_the_matches(self, journal_db):
+        """With ``getNext`` / ``getDoc`` compiled, each level is a lookup: the
+        tuples are the smaller content candidate set at most, plus matches."""
+        with compilers(
+            getNext=attribute_compiler("next", refs=True),
+            getDoc=attribute_compiler("doc", refs=True),
+            has=has_compiler,
+        ):
+            (cheap_rows, cheap), (swapped_rows, swapped) = self.run_both_orders(journal_db)
+        for rows, stats in ((cheap_rows, cheap), (swapped_rows, swapped)):
+            assert stats.probed_predicates == 4  # two joins, two content conjuncts
+            assert stats.tuples_examined <= 29 + len(rows)
+        # One logical call per candidate of each compiled conjunct.
+        assert swapped.method_calls == 200 + 200 + 100 + 100
 
     def test_first_pick_and_unconnected_variables_fall_back_to_smallest(self, db):
         evaluator = QueryEvaluator(db)
@@ -166,96 +221,177 @@ class TestConnectivityAwareJoinOrder:
         assert order == ["b", "c", "a"]
 
 
-class TestBatchMethods:
-    def test_declined_restrictor_predicate_runs_through_the_probe(self, db):
+SCORE = "ACCESS x.v FROM x IN Item WHERE x -> score('q') > 47"
+
+
+class TestMethodCompilerHook:
+    def test_compiled_comparison_filters_the_map(self, db):
         compiled = []
 
-        def factory(database, class_name, args):
+        def compiler(database, class_name, args):
             compiled.append((class_name, args))
-            return lambda obj: float(obj.get("v"))
+            return attribute_compiler("v", transform=float)(database, class_name, args)
 
-        register_batch_method("score", factory)
-        try:
-            evaluator = QueryEvaluator(db)
-            rows, stats = evaluator.run_with_stats(
+        with compilers(score=compiler):
+            rows, stats = QueryEvaluator(db).run_with_stats(
                 "ACCESS x.v FROM x IN Item WHERE 47 < x -> score('q') AND x.v != 49"
             )
-            assert sorted(r[0] for r in rows) == [48]
-            assert compiled == [("Item", ("q",))]  # once per statement
-            assert stats.probed_predicates == 1
-            # One logical call per candidate that reached the conjunct.
-            assert stats.method_calls == 49
-        finally:
-            unregister_batch_method("score")
-
-    def test_restrictor_is_asked_first(self, db):
-        register_restrictor("score", lambda database, args, op, c: {OID(10**9)})
-        register_batch_method("score", lambda *a: pytest.fail("probe compiled"))
-        try:
-            assert db.query("ACCESS x FROM x IN Item WHERE x -> score('q') > 1") == []
-        finally:
-            unregister_restrictor("score")
-            unregister_batch_method("score")
-
-    def test_declining_factory_falls_back_to_per_object_dispatch(self, db):
-        register_batch_method("score", lambda *a: None)
-        try:
-            evaluator = QueryEvaluator(db)
-            rows, stats = evaluator.run_with_stats(
-                "ACCESS x.v FROM x IN Item WHERE x -> score('q') > 47"
-            )
-            assert sorted(r[0] for r in rows) == [48, 49]
-            assert stats.probed_predicates == 0
-            assert stats.method_calls == 50
-        finally:
-            unregister_batch_method("score")
-
-    def test_non_constant_arguments_are_not_probed(self, db):
-        register_batch_method("score", lambda *a: pytest.fail("probe compiled"))
-        try:
-            rows = db.query("ACCESS x.v FROM x IN Item WHERE x -> score(x.name) > 47")
-            assert sorted(r[0] for r in rows) == [48, 49]
-        finally:
-            unregister_batch_method("score")
-
-
-class TestRestrictors:
-    def test_registered_restrictor_is_used(self, db):
-        calls = []
-
-        def restrict(database, args, op, constant):
-            calls.append((args, op, constant))
-            return {
-                obj.oid
-                for obj in database.instances_of("Item")
-                if float(obj.get("v")) > constant
-            }
-
-        register_restrictor("score", restrict)
-        try:
-            evaluator = QueryEvaluator(db)
-            rows, stats = evaluator.run_with_stats(
-                "ACCESS x.v FROM x IN Item WHERE x -> score('q') > 47"
-            )
-            assert sorted(r[0] for r in rows) == [48, 49]
-            assert stats.restrictor_calls == 1
-            assert stats.method_calls == 0  # never evaluated per object
-            assert calls == [(("q",), ">", 47)]
-        finally:
-            unregister_restrictor("score")
-
-    def test_declining_restrictor_falls_back(self, db):
-        register_restrictor("score", lambda *a: None)
-        try:
-            rows = db.query("ACCESS x.v FROM x IN Item WHERE x -> score('q') > 47")
-            assert sorted(r[0] for r in rows) == [48, 49]
-        finally:
-            unregister_restrictor("score")
-
-    def test_unregistered_method_evaluates_per_object(self, db):
-        assert restrictor_for("score") is None
-        evaluator = QueryEvaluator(db)
-        _rows, stats = evaluator.run_with_stats(
-            "ACCESS x FROM x IN Item WHERE x -> score('q') > 47"
-        )
+        assert sorted(r[0] for r in rows) == [48]
+        assert compiled == [("Item", ("q",))]  # once per statement
+        assert stats.probed_predicates == 1
+        # One logical call per candidate, added wholesale; x.v is an attribute.
         assert stats.method_calls == 50
+
+    def test_sparse_map_touches_only_listed_values(self, db):
+        listed = {obj.oid: float(obj.get("v")) for obj in db.instances_of("Item")[45:]}
+        touched = []
+
+        class Listed(dict):
+            def get(self, key, default=None):
+                touched.append(key)
+                return dict.get(self, key, default)
+
+        def compiler(database, class_name, args):
+            return lambda oids, bound=None: MethodMap(Listed(listed), default=0.0)
+
+        with compilers(score=compiler):
+            rows, stats = QueryEvaluator(db).run_with_stats(SCORE)
+            assert sorted(r[0] for r in rows) == [48, 49]
+            assert stats.method_calls == 50
+            assert sorted(touched) == sorted(listed)  # the default cannot pass
+            # ... but 0.0 passes "< 47": every candidate is compared
+            rows = db.query(SCORE.replace("> 47", "< 47"))
+            assert sorted(r[0] for r in rows) == list(range(47))
+            assert len(touched) == 5 + 50
+
+    def test_undecided_candidates_are_sent_the_method_last(self, db):
+        """What the map cannot answer goes to the object — after the residual
+        filter rejected most of them."""
+        odd = [obj.oid for obj in db.instances_of("Item") if obj.get("v") % 2]
+
+        def compiler(database, class_name, args):
+            def compiled(oids, bound=None):
+                values = {
+                    oid: float(database.read_attribute(oid, "v"))
+                    for oid in oids if oid not in odd
+                }
+                return MethodMap(values, odd)
+
+            return compiled
+
+        sent = []
+        db.schema.get_class("Item").add_method(
+            "score", lambda o, q: sent.append(o.get("v")) or float(o.get("v"))
+        )
+        with compilers(score=compiler):
+            rows, stats = QueryEvaluator(db).run_with_stats(
+                "ACCESS x.v FROM x IN Item WHERE x -> score('q') > 40 AND x.v + 0 < 45"
+            )
+        assert sorted(r[0] for r in rows) == [41, 42, 43, 44]
+        # Only the odd ones the residual filter left: 45, 47, 49 are never asked.
+        assert sent == list(range(1, 45, 2))
+        assert stats.method_calls == 25 + 22
+
+    def test_restricting_map_counts_as_a_restrictor_call(self, db):
+        hits = {obj.oid: float(obj.get("v")) for obj in db.instances_of("Item")[40:]}
+
+        def compiler(database, class_name, args):
+            return lambda oids, bound=None: MethodMap(hits, restricts=bound[0] == ">")
+
+        with compilers(score=compiler):
+            rows, stats = QueryEvaluator(db).run_with_stats(SCORE)
+        assert sorted(r[0] for r in rows) == [48, 49]
+        assert (stats.restrictor_calls, stats.method_calls) == (1, 0)
+
+    def test_declining_compiler_falls_back_to_per_object_dispatch(self, db):
+        with compilers(score=lambda *a: None):
+            rows, stats = QueryEvaluator(db).run_with_stats(SCORE)
+        assert sorted(r[0] for r in rows) == [48, 49]
+        assert stats.probed_predicates == 0
+        assert stats.method_calls == 50
+
+    def test_first_accepting_compiler_wins_and_unregister_removes_one(self, db):
+        decline = lambda *a: None  # noqa: E731
+        accept = attribute_compiler("v", transform=float)
+        with compilers(score=decline):
+            register_method_compiler("score", accept)
+            register_method_compiler("score", accept)  # idempotent
+            assert compile_method(db, "Item", "score", ("q",)) is not None
+            unregister_method_compiler("score", accept)
+            assert compile_method(db, "Item", "score", ("q",)) is None
+        unregister_method_compiler("score", accept)  # gone already: no error
+
+    def test_non_constant_arguments_are_not_compiled(self, db):
+        with compilers(score=lambda *a: pytest.fail("compiled")):
+            rows = db.query("ACCESS x.v FROM x IN Item WHERE x -> score(x.name) > 47")
+        assert sorted(r[0] for r in rows) == [48, 49]
+
+    def test_unknown_method_evaluates_per_object(self, db):
+        assert compile_method(db, "Item", "score", ("q",)) is None
+        _rows, stats = QueryEvaluator(db).run_with_stats(SCORE)
+        assert stats.method_calls == 50
+        with pytest.raises(Exception, match="nosuch"):
+            db.query("ACCESS x FROM x IN Item WHERE x -> nosuch() > 1")
+
+    def test_path_maps_the_second_step_once_per_distinct_target(self, journal_db):
+        asked = []
+
+        def year_compiler(db, class_name, args):
+            def compiled(oids, bound=None):
+                asked.append(sorted(oids))
+                return MethodMap({oid: db.read_attribute(oid, "year") for oid in oids})
+
+            return compiled
+
+        journal_db.schema.get_class("Doc").add_method("getYear", lambda o: o.get("year"))
+        query = "ACCESS p FROM p IN Para WHERE p -> getDoc() -> getYear() = 1994"
+        expected = journal_db.query(query)
+        with compilers(getDoc=attribute_compiler("doc", refs=True), getYear=year_compiler):
+            rows, stats = QueryEvaluator(journal_db).run_with_stats(query)
+        assert rows == expected and len(rows) == 20
+        assert [len(oids) for oids in asked] == [20]  # 20 documents, not 200 paragraphs
+        assert stats.probed_predicates == 1
+        assert stats.method_calls == 400  # two logical calls per paragraph
+
+    def test_path_through_a_missing_object_is_reported_per_object(self, journal_db):
+        query = "ACCESS p FROM p IN Para WHERE p -> getNext() -> has('rare') = TRUE"
+        with compilers(getNext=attribute_compiler("next", refs=True), has=has_compiler):
+            with pytest.raises(QueryEvaluationError, match="non-object"):
+                journal_db.query(query)
+
+
+class TestPlanIsNotMutated:
+    def test_index_dropped_between_planning_and_execution(self, db):
+        db.create_index("Item", "v")
+        evaluator = QueryEvaluator(db)
+        from repro.oodb.query.parser import parse_query
+
+        plan = evaluator._optimizer.plan(
+            parse_query("ACCESS x.v FROM x IN Item WHERE x.v >= 47"), {}
+        )
+        description = repr(plan.description)
+        assert evaluator._execute(plan, {}) == [(47,), (48,), (49,)]
+        db.indexes.drop("Item", "v")
+        for _ in range(2):
+            assert evaluator._execute(plan, {}) == [(47,), (48,), (49,)]
+        assert repr(plan.description) == description
+        assert plan.variable_plans["x"].filters == []
+
+
+class TestOneTupleGenerator:
+    JOIN = (
+        "ACCESS a.v, b.v FROM a IN Item, b IN Item "
+        "WHERE a.v < 5 AND a -> score('q') = b -> score('q')"
+    )
+
+    def test_order_by_and_aggregates_count_the_tuples_they_enumerate(self, db):
+        rows, plain = QueryEvaluator(db).run_with_stats(self.JOIN)
+        ordered_rows, ordered = QueryEvaluator(db).run_with_stats(self.JOIN + " ORDER BY a.v DESC")
+        counted, grouped = QueryEvaluator(db).run_with_stats(
+            self.JOIN.replace("ACCESS a.v, b.v", "ACCESS COUNT(*)")
+        )
+        assert ordered_rows == sorted(rows, reverse=True) and counted == [(len(rows),)]
+        assert plain.tuples_examined == 5 + 5 * 50
+        for stats in (ordered, grouped):
+            assert stats.tuples_examined == plain.tuples_examined
+            assert stats.method_calls == plain.method_calls == 2 * 5 * 50
