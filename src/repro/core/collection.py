@@ -533,4 +533,4 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
     return irs_values
 
 
-register_method_compiler("getIRSValue", _compile_irs_value)
+register_method_compiler("getIRSValue", _compile_irs_value, outside=True)

@@ -16,8 +16,10 @@ content conditions (evaluated by the IRS).  The paper names two strategies:
     conditions on the content.  The structure conditions are only verified
     for the text objects identified in this first step."  The same compiled
     map with nothing left to the objects: for ``>`` / ``>=`` only what the
-    IRS returned can pass, so the candidate set of the ranged variable is
-    cut down to those OIDs before any structure predicate runs.
+    IRS returned can pass, and nothing is derived.  (Which filter of a
+    variable runs first is no longer part of a strategy: candidates are
+    sets, and under either strategy the IRS is asked once the variable's
+    store-read conjuncts have left a candidate.)
 
 :func:`compare_strategies` runs both on the same query and reports the
 counter deltas the MIXED benchmark prints.

@@ -39,6 +39,7 @@ from repro.oodb.wal import WriteAheadLog
 
 logger = logging.getLogger(__name__)
 
+_UNWRITTEN = object()  # read_attribute: the attribute has no stored value
 _OID_VALUE = operator.attrgetter("value")
 
 _SNAPSHOT_FILE = "snapshot.json"
@@ -118,6 +119,11 @@ class Database:
         txn = self._current_txn()
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
+
+    @property
+    def lock_manager(self) -> LockManager:
+        """The lock manager (conflict-listener hooks for the service layer)."""
+        return self._locks
 
     def _log_autocommit(self, kind: str, payload: Dict[str, Any]) -> None:
         """Log one autocommitted mutation (already applied to the store).
@@ -240,11 +246,12 @@ class Database:
         txn = self._current_txn()
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.SHARED)
-        if self._store.has_written(oid, attr):
-            return self._store.read(oid, attr)
+        value = self._store.read(oid, attr, _UNWRITTEN)
+        if value is not _UNWRITTEN:
+            return value
         if self.schema.has_attribute(class_name, attr):
             return self.schema.resolve_attribute(class_name, attr).default
-        return self._store.read(oid, attr)  # undeclared attrs read as None
+        return None  # undeclared attributes read as None
 
     def write_attribute(self, oid: OID, attr: str, value: Any) -> None:
         """Write ``attr``; type-checked when declared, logged, index-maintained."""

@@ -27,6 +27,9 @@ class OID:
         if not isinstance(self.value, int) or self.value < 0:
             raise ValueError(f"OID value must be a non-negative int, got {self.value!r}")
 
+    def __hash__(self) -> int:
+        return self.value  # candidate sets and maps hash OIDs by the million
+
     def __str__(self) -> str:
         return f"OID{self.value}"
 

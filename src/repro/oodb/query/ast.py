@@ -10,13 +10,8 @@ class Expr:
     """Base class of all expression nodes."""
 
     def variables(self) -> Set[str]:
-        """The query variables this expression references: its operands'."""
-        found: Set[str] = set()
-        for value in vars(self).values():
-            for operand in value if isinstance(value, tuple) else (value,):
-                if isinstance(operand, Expr):
-                    found |= operand.variables()
-        return found
+        """The query variables this expression references."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -25,12 +20,18 @@ class Literal(Expr):
 
     value: Any
 
+    def variables(self) -> Set[str]:
+        return set()
+
 
 @dataclass(frozen=True)
 class Parameter(Expr):
     """A ``$name`` placeholder bound at execution time."""
 
     name: str
+
+    def variables(self) -> Set[str]:
+        return set()
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,9 @@ class AttributeAccess(Expr):
     target: Expr
     attribute: str
 
+    def variables(self) -> Set[str]:
+        return self.target.variables()
+
 
 @dataclass(frozen=True)
 class MethodCall(Expr):
@@ -58,6 +62,12 @@ class MethodCall(Expr):
     target: Expr
     method: str
     args: Tuple[Expr, ...] = ()
+
+    def variables(self) -> Set[str]:
+        result = set(self.target.variables())
+        for arg in self.args:
+            result |= arg.variables()
+        return result
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,9 @@ class Comparison(Expr):
     left: Expr
     right: Expr
 
+    def variables(self) -> Set[str]:
+        return self.left.variables() | self.right.variables()
+
 
 @dataclass(frozen=True)
 class Arithmetic(Expr):
@@ -77,6 +90,9 @@ class Arithmetic(Expr):
     left: Expr
     right: Expr
 
+    def variables(self) -> Set[str]:
+        return self.left.variables() | self.right.variables()
+
 
 @dataclass(frozen=True)
 class BooleanOp(Expr):
@@ -85,12 +101,21 @@ class BooleanOp(Expr):
     op: str  # "AND" | "OR"
     operands: Tuple[Expr, ...]
 
+    def variables(self) -> Set[str]:
+        result: Set[str] = set()
+        for operand in self.operands:
+            result |= operand.variables()
+        return result
+
 
 @dataclass(frozen=True)
 class NotOp(Expr):
     """Logical negation."""
 
     operand: Expr
+
+    def variables(self) -> Set[str]:
+        return self.operand.variables()
 
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -102,6 +127,11 @@ class Aggregate(Expr):
 
     function: str
     argument: Optional[Expr] = None  # None only for COUNT(*)
+
+    def variables(self) -> Set[str]:
+        if self.argument is None:
+            return set()
+        return self.argument.variables()
 
 
 @dataclass(frozen=True)

@@ -243,11 +243,20 @@ class QueryEvaluator:
     def _join_map(
         self, plan: QueryPlan, join: MethodPredicate, candidates: Dict[str, List[OID]]
     ) -> Optional[Dict[OID, OID]]:
-        """``source candidate -> OID of the object its method returns``, or None."""
+        """``source candidate -> OID of the object its method returns``, or None.
+
+        None as well when the map names an object that does not exist: the
+        nested loop sends the method, and the object reports it.
+        """
         sources = set(candidates[join.variable])
         class_name = plan.variable_plans[join.variable].class_name
-        answer = self._method_map(class_name, join.steps, sources, None)
-        if answer is None or not answer.refs or answer.undecided or answer.default is not None:
+        ((method, args),) = join.steps
+        compiled = compile_method(self._db, class_name, method, args)
+        answer = compiled and compiled(sources, None)
+        if not answer or not answer.refs or answer.undecided or answer.default is not None:
+            return None
+        targets = {answer.values.get(oid) for oid in sources} - {None}
+        if not all(map(self._db.object_exists, targets)):
             return None
         self.stats.probed_predicates += 1
         self.stats.method_calls += len(sources)
@@ -330,19 +339,23 @@ class QueryEvaluator:
         """The variable's candidates as OIDs in extent order.
 
         Set operations as far as they go — index probes, then the decided
-        part of every compiled method conjunct (plain comparisons before
-        paths, which cost two maps).  Objects are built only for the OIDs
-        left, for the residual filters and, last of all, for the conjuncts a
-        map left *undecided* for them: what only the object can answer (and
-        may be dear: a derived IRS value) is asked after everything else.
+        part of every compiled method conjunct that reads the store (plain
+        comparisons before paths, which cost two maps).  Objects are built
+        only for the OIDs left, for the residual filters.  A map that reads
+        an *outside* source (the IRS result: fetched, buffered, a pending
+        propagation forced) is asked for only then, so a statement whose
+        other conjuncts leave no candidate never reaches the IRS; last of
+        all come the conjuncts a map left *undecided* — what only the object
+        can answer, and may be dear: a derived IRS value.
         """
-        db, class_name = self._db, vplan.class_name
+        db, class_name, variable = self._db, vplan.class_name, vplan.variable
         alive = db.extent_oids(class_name)
-        residual = list(vplan.filters)
+        # Conjuncts left to the objects, each with the candidates it is meant for.
+        residual: List[Tuple[Optional[Set[OID]], Expr]] = [(None, f) for f in vplan.filters]
         for ip in vplan.index_predicates:
             index = self._optimizer.find_index(class_name, ip.attribute)
             if index is None:  # dropped between planning and execution
-                residual.append(ip.source)
+                residual.append((None, ip.source))
                 continue
             self.stats.index_probes += 1
             if ip.op in ("=", "=="):
@@ -351,78 +364,83 @@ class QueryEvaluator:
                 side = "low" if ip.op[0] == ">" else "high"
                 alive &= index.range(**{side: ip.constant, "include_" + side: ip.op[-1] == "="})
 
-        deferred: List[Tuple[Set[OID], Expr]] = []
+        env: Dict[str, DBObject] = {}
+
+        def survivors(oids: Set[OID], checks: List[Tuple[Optional[Set[OID]], Expr]]) -> List[OID]:
+            """``oids`` in extent order, less those whose object fails a check meant for it."""
+            tests = [(only, self._env_check(conjunct, bindings)) for only, conjunct in checks]
+
+            def passes(oid: OID) -> bool:
+                env[variable] = db.get_object(oid)
+                return all(test(env) for only, test in tests if only is None or oid in only)
+
+            return [oid for oid in db.in_extent_order(class_name, oids) if not tests or passes(oid)]
+
+        deferred: List[Tuple[Optional[Set[OID]], Expr]] = []  # by the maps, for the undecided
         compiled = decided = 0
-        for mp in sorted(vplan.method_predicates, key=lambda mp: len(mp.steps)):
+        for mp in sorted(vplan.method_predicates, key=lambda mp: (mp.outside, len(mp.steps))):
+            if mp.outside and residual and alive:
+                alive = set(survivors(alive, residual))
+                residual = []
             if not alive:
                 break  # no candidate left: nothing more is asked
-            bound = (mp.op, mp.constant)
-            answer = self._method_map(class_name, mp.steps, alive, bound)
-            if answer is None:  # declined: the method is sent per object
-                residual.append(mp.source)
+            outcome = self._decide(class_name, mp.steps, alive, mp.op, mp.constant)
+            if outcome is None:  # declined: the method is sent per object
+                residual.append((None, mp.source))
                 continue
+            passing, undecided, restricts = outcome
             compiled += 1
-            undecided = alive.intersection(answer.undecided)
             decided += len(alive) - len(undecided)
-            if answer.restricts:
+            if restricts:
                 self.stats.restrictor_calls += 1
-            else:
-                self.stats.method_calls += len(alive) - len(undecided)
-            alive = self._passing(alive - undecided, answer, *bound) | undecided
+            else:  # one logical call per step and candidate
+                self.stats.method_calls += len(mp.steps) * len(alive) - len(undecided)
+            alive = passing | undecided
             if undecided:
                 deferred.append((undecided, mp.source))
         self.stats.probed_predicates += compiled
         span.set_attribute("compiled", compiled)
         span.set_attribute("decided", decided)
         span.set_attribute("undecided", sum(len(only) for only, _source in deferred))
+        return survivors(alive, residual + deferred)
 
-        oids = db.in_extent_order(class_name, alive)
-        if residual or deferred:
-            checks = [(None, self._env_check(f, bindings)) for f in residual]
-            checks += [(only, self._env_check(f, bindings)) for only, f in deferred]
-            env: Dict[str, DBObject] = {}
-
-            def passes(oid: OID) -> bool:
-                env[vplan.variable] = db.get_object(oid)
-                return all(check(env) for only, check in checks if only is None or oid in only)
-
-            oids = [oid for oid in oids if passes(oid)]
-        return oids
-
-    def _method_map(
+    def _decide(
         self,
         class_name: str,
         steps: Tuple[Tuple[str, tuple], ...],
         oids: Set[OID],
-        bound: Optional[Tuple[str, Any]],
-    ) -> Optional[MethodMap]:
-        """``x -> m1(...) -> m2(...) ...`` over ``oids``; None when not compiled.
+        op: str,
+        constant: Any,
+    ) -> Optional[Tuple[Set[OID], Set[OID], bool]]:
+        """``x -> m1(...) -> m2(...) ... OP constant`` over ``oids``: those that
+        pass, those left undecided and whether the map restricts; None when
+        not compiled.
 
-        A path maps its later steps once per distinct object the first
-        returned (all of one class, or the path is left to the objects), and
-        ``bound`` — what the last step's values are compared with — goes to
-        that step's compiler.
+        A path decides its later steps once per distinct object the first
+        step returned (all of one class, or the path is left to the objects);
+        what the values are compared with goes to the last step's compiler.
         """
         (method, args), rest = steps[0], steps[1:]
         compiled = compile_method(self._db, class_name, method, args)
         if compiled is None:
             return None
-        answer = compiled(oids, None if rest else bound)
+        answer = compiled(oids, None if rest else (op, constant))
         if not rest:
-            return answer
+            undecided = oids.intersection(answer.undecided)
+            return self._passing(oids - undecided, answer, op, constant), undecided, answer.restricts
         targets = {oid: answer.values.get(oid, answer.default) for oid in oids}
         distinct = set(targets.values())
         if not answer.refs or answer.undecided or None in distinct:
             return None  # per object: the evaluator reports a call on a non-object
         classes = {self._db.class_of(target) for target in distinct}
-        onward = len(classes) == 1 and self._method_map(classes.pop(), rest, distinct, bound)
-        if not onward or onward.refs or onward.restricts:
+        onward = len(classes) == 1 and self._decide(classes.pop(), rest, distinct, op, constant)
+        if not onward or onward[2]:
             return None
-        self.stats.method_calls += len(oids)  # this step, once per candidate
-        values, undecided = onward.values, distinct.intersection(onward.undecided)
-        return MethodMap(
-            {o: values.get(t, onward.default) for o, t in targets.items() if t not in undecided},
-            [o for o, t in targets.items() if t in undecided],
+        passing, undecided, _restricts = onward
+        return (
+            {oid for oid, target in targets.items() if target in passing},
+            {oid for oid, target in targets.items() if target in undecided},
+            False,
         )
 
     def _passing(self, decided: Set[OID], answer: MethodMap, op: str, constant: Any) -> Set[OID]:

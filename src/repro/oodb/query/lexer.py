@@ -7,10 +7,29 @@ from typing import Iterator, List
 
 from repro.errors import QuerySyntaxError
 
-KEYWORDS = frozenset(
-    "ACCESS FROM WHERE IN AND OR NOT TRUE FALSE NULL ORDER GROUP BY ASC DESC LIMIT "
-    "COUNT SUM AVG MIN MAX".split()
-)
+KEYWORDS = {
+    "ACCESS",
+    "FROM",
+    "WHERE",
+    "IN",
+    "AND",
+    "OR",
+    "NOT",
+    "TRUE",
+    "FALSE",
+    "NULL",
+    "ORDER",
+    "GROUP",
+    "BY",
+    "ASC",
+    "DESC",
+    "LIMIT",
+    "COUNT",
+    "SUM",
+    "AVG",
+    "MIN",
+    "MAX",
+}
 
 #: Multi-character operators, longest first so the scanner is greedy.
 _OPERATORS = ["->", "==", "!=", "<>", "<=", ">=", "=", "<", ">", "(", ")", ",", ".", ";", "+", "-", "*", "/"]

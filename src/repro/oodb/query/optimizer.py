@@ -22,7 +22,9 @@ Turns a parsed :class:`~repro.oodb.query.ast.Query` into an executable plan:
    per distinct target of the first; an equi-join ``v1 -> m(consts) == v2``
    becomes a hash lookup through the map instead of a call per tuple.
    Undecided candidates, and everything a compiler declines, are sent the
-   method per object — the only fallback.
+   method per object — the only fallback.  A method registered as reading
+   an *outside* source (the IRS) has its map asked for after the variable's
+   other conjuncts: no candidate reaching it means no outside call.
 """
 
 from __future__ import annotations
@@ -83,31 +85,36 @@ CompiledMethod = Callable[[Set["OID"], Optional[Tuple[str, Any]]], MethodMap]
 #: (:meth:`repro.oodb.schema.Schema.method_is`).
 MethodCompiler = Callable[["Database", str, Tuple[Any, ...]], Optional[CompiledMethod]]
 
-_COMPILERS: Dict[str, List[MethodCompiler]] = {}
+_COMPILERS: Dict[str, MethodCompiler] = {}
+#: Methods whose maps read — and may change — more than the object store.
+_OUTSIDE: Set[str] = set()
 
 
-def register_method_compiler(method_name: str, compiler: MethodCompiler) -> None:
-    """Offer ``compiler`` for calls of ``method_name`` (idempotent)."""
-    compilers = _COMPILERS.setdefault(method_name, [])
-    if compiler not in compilers:
-        compilers.append(compiler)
+def register_method_compiler(
+    method_name: str, compiler: MethodCompiler, outside: bool = False
+) -> None:
+    """Make ``compiler`` the one compiler of ``method_name`` calls.
+
+    ``outside`` marks maps that read an outside source (an IRS result,
+    fetched and buffered): the evaluator asks for such a map only after
+    every other conjunct of the variable left a candidate.
+    """
+    _COMPILERS[method_name] = compiler
+    (_OUTSIDE.add if outside else _OUTSIDE.discard)(method_name)
 
 
-def unregister_method_compiler(method_name: str, compiler: MethodCompiler) -> None:
-    """Withdraw a previously registered compiler."""
-    if compiler in _COMPILERS.get(method_name, ()):
-        _COMPILERS[method_name].remove(compiler)
+def unregister_method_compiler(method_name: str) -> None:
+    """Withdraw the method's compiler, if it has one."""
+    _COMPILERS.pop(method_name, None)
+    _OUTSIDE.discard(method_name)
 
 
 def compile_method(
     db: "Database", class_name: str, method: str, args: Tuple[Any, ...]
 ) -> Optional[CompiledMethod]:
-    """The first registered compiler's answer for the call, None when all decline."""
-    for compiler in _COMPILERS.get(method, ()):
-        compiled = compiler(db, class_name, args)
-        if compiled is not None:
-            return compiled
-    return None
+    """The method's compiler's answer for the call; None without one or when it declines."""
+    compiler = _COMPILERS.get(method)
+    return compiler and compiler(db, class_name, args)
 
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!=", "<>": "<>"}
@@ -174,6 +181,11 @@ class MethodPredicate:
     constant: Any
     source: Comparison
     target: Optional[str] = None
+
+    @property
+    def outside(self) -> bool:
+        """True when a step's maps read an outside source (asked for last)."""
+        return any(method in _OUTSIDE for method, _args in self.steps)
 
 
 @dataclass
@@ -304,7 +316,9 @@ class Optimizer:
             return None
         for call, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
             source, steps = _method_steps(call, bindings)
-            if len(steps) == 1 and isinstance(other, Variable) and used == {source, other.name}:
+            if len(steps) != 1 or steps[0][0] in _OUTSIDE:
+                continue  # one store-read map is what a level can be looked up through
+            if isinstance(other, Variable) and used == {source, other.name}:
                 return MethodPredicate(source, steps, "==", None, conjunct, other.name)
         return None
 

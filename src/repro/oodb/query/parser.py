@@ -20,7 +20,7 @@ Grammar (EBNF)::
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import QuerySyntaxError
 from repro.oodb.query.ast import (
@@ -88,9 +88,14 @@ class _Parser:
 
     def parse(self) -> Query:
         self._expect("KEYWORD", "ACCESS")
-        select = self._comma_list(self._select_item)
+        select = [self._select_item()]
+        while self._accept("OP", ","):
+            select.append(self._select_item())
+
         self._expect("KEYWORD", "FROM")
-        ranges = self._comma_list(self._range_decl)
+        ranges = [self._range_decl()]
+        while self._accept("OP", ","):
+            ranges.append(self._range_decl())
 
         where = None
         if self._accept("KEYWORD", "WHERE"):
@@ -99,7 +104,9 @@ class _Parser:
         group_by: List[Expr] = []
         if self._accept("KEYWORD", "GROUP"):
             self._expect("KEYWORD", "BY")
-            group_by = self._comma_list(self._add_expr)
+            group_by.append(self._add_expr())
+            while self._accept("OP", ","):
+                group_by.append(self._add_expr())
 
         order_by = None
         order_desc = False
@@ -136,12 +143,6 @@ class _Parser:
         # queries reference application names such as ``collPara`` this way).
         return query
 
-    def _comma_list(self, item: Callable[[], Any]) -> list:
-        items = [item()]
-        while self._accept("OP", ","):
-            items.append(item())
-        return items
-
     def _select_item(self) -> Expr:
         token = self._current
         if token.kind == "KEYWORD" and token.text in AGGREGATE_FUNCTIONS:
@@ -162,16 +163,20 @@ class _Parser:
         return RangeDecl(variable=var, class_name=class_name)
 
     def _or_expr(self) -> Expr:
-        return self._boolean("OR", self._and_expr)
+        operands = [self._and_expr()]
+        while self._accept("KEYWORD", "OR"):
+            operands.append(self._and_expr())
+        if len(operands) == 1:
+            return operands[0]
+        return BooleanOp("OR", tuple(operands))
 
     def _and_expr(self) -> Expr:
-        return self._boolean("AND", self._not_expr)
-
-    def _boolean(self, keyword: str, operand: Callable[[], Expr]) -> Expr:
-        operands = [operand()]
-        while self._accept("KEYWORD", keyword):
-            operands.append(operand())
-        return operands[0] if len(operands) == 1 else BooleanOp(keyword, tuple(operands))
+        operands = [self._not_expr()]
+        while self._accept("KEYWORD", "AND"):
+            operands.append(self._not_expr())
+        if len(operands) == 1:
+            return operands[0]
+        return BooleanOp("AND", tuple(operands))
 
     def _not_expr(self) -> Expr:
         if self._accept("KEYWORD", "NOT"):
@@ -188,15 +193,17 @@ class _Parser:
         return left
 
     def _add_expr(self) -> Expr:
-        return self._arithmetic(("+", "-"), self._mul_expr)
+        left = self._mul_expr()
+        while self._current.kind == "OP" and self._current.text in ("+", "-"):
+            op = self._advance().text
+            left = Arithmetic(op, left, self._mul_expr())
+        return left
 
     def _mul_expr(self) -> Expr:
-        return self._arithmetic(("*", "/"), self._postfix)
-
-    def _arithmetic(self, ops: Tuple[str, str], operand: Callable[[], Expr]) -> Expr:
-        left = operand()
-        while self._current.kind == "OP" and self._current.text in ops:
-            left = Arithmetic(self._advance().text, left, operand())
+        left = self._postfix()
+        while self._current.kind == "OP" and self._current.text in ("*", "/"):
+            op = self._advance().text
+            left = Arithmetic(op, left, self._postfix())
         return left
 
     def _postfix(self) -> Expr:
@@ -205,7 +212,11 @@ class _Parser:
             if self._accept("OP", "->"):
                 method = self._expect("IDENT").text
                 self._expect("OP", "(")
-                args = [] if self._check("OP", ")") else self._comma_list(self._or_expr)
+                args: List[Expr] = []
+                if not self._check("OP", ")"):
+                    args.append(self._or_expr())
+                    while self._accept("OP", ","):
+                        args.append(self._or_expr())
                 self._expect("OP", ")")
                 expr = MethodCall(target=expr, method=method, args=tuple(args))
             elif self._accept("OP", "."):

@@ -75,8 +75,9 @@ def _sibling_reader(db: Database, forward: bool) -> Callable[[OID], Optional[OID
             return None
         if up not in neighbours:
             children = read(up, "children") or []
-            pairs = zip(children, children[1:]) if forward else zip(children[1:], children)
-            neighbours[up] = dict(pairs)
+            beside = children[1:] + [None] if forward else [None] + children[:-1]
+            # Reversed: a child listed twice has its first place, as ``list.index`` finds it.
+            neighbours[up] = dict(zip(reversed(children), reversed(beside)))
         return neighbours[up].get(oid)
 
     return sibling

@@ -17,14 +17,18 @@ from repro.oodb.query.optimizer import (
 
 @contextlib.contextmanager
 def compilers(**by_method):
-    """Register ``method=compiler`` pairs for the duration of a test."""
+    """Register ``method=compiler`` pairs for the duration of a test.
+
+    One compiler per name: the methods here have names of their own
+    (``getFollowing``, not the SGML layer's ``getNext``).
+    """
     for method, compiler in by_method.items():
         register_method_compiler(method, compiler)
     try:
         yield
     finally:
-        for method, compiler in by_method.items():
-            unregister_method_compiler(method, compiler)
+        for method in by_method:
+            unregister_method_compiler(method)
 
 
 def attribute_compiler(attr, refs=False, transform=lambda value: value):
@@ -127,7 +131,7 @@ def journal_db():
     d.define_class("Doc", attributes={"year": "INT"})
     d.define_class("Para", attributes={"doc": "OID", "next": "OID", "words": "LIST"})
     para = d.schema.get_class("Para")
-    para.add_method("getNext", lambda o: o.deref("next") if o.get("next") else None)
+    para.add_method("getFollowing", lambda o: o.deref("next") if o.get("next") else None)
     para.add_method("getDoc", lambda o: o.deref("doc"))
     para.add_method("has", lambda o, word: word in o.get("words"))
     for j in range(20):
@@ -145,7 +149,7 @@ def journal_db():
 
 Q2_SHAPE = (
     "ACCESS p1, p2 FROM d IN Doc, p1 IN Para, p2 IN Para "
-    "WHERE d.year = 1994 AND p1 -> getNext() == p2 AND p1 -> getDoc() == d "
+    "WHERE d.year = 1994 AND p1 -> getFollowing() == p2 AND p1 -> getDoc() == d "
     "AND p1 -> has('{first}') = TRUE AND p2 -> has('{second}') = TRUE"
 )
 
@@ -161,7 +165,7 @@ class TestConnectivityAwareJoinOrder:
     def reference_rows(self, db, first, second):
         rows = []
         for p1 in db.instances_of("Para"):
-            p2 = p1.send("getNext")
+            p2 = p1.send("getFollowing")
             if (
                 p2 is not None
                 and p1.deref("doc").get("year") == 1994
@@ -199,10 +203,10 @@ class TestConnectivityAwareJoinOrder:
         assert swapped.tuples_examined <= 1.5 * cheap.tuples_examined
 
     def test_hash_joins_make_both_term_orders_cost_the_matches(self, journal_db):
-        """With ``getNext`` / ``getDoc`` compiled, each level is a lookup: the
+        """With ``getFollowing`` / ``getDoc`` compiled, each level is a lookup: the
         tuples are the smaller content candidate set at most, plus matches."""
         with compilers(
-            getNext=attribute_compiler("next", refs=True),
+            getFollowing=attribute_compiler("next", refs=True),
             getDoc=attribute_compiler("doc", refs=True),
             has=has_compiler,
         ):
@@ -310,16 +314,37 @@ class TestMethodCompilerHook:
         assert stats.probed_predicates == 0
         assert stats.method_calls == 50
 
-    def test_first_accepting_compiler_wins_and_unregister_removes_one(self, db):
-        decline = lambda *a: None  # noqa: E731
-        accept = attribute_compiler("v", transform=float)
-        with compilers(score=decline):
-            register_method_compiler("score", accept)
-            register_method_compiler("score", accept)  # idempotent
-            assert compile_method(db, "Item", "score", ("q",)) is not None
-            unregister_method_compiler("score", accept)
-            assert compile_method(db, "Item", "score", ("q",)) is None
-        unregister_method_compiler("score", accept)  # gone already: no error
+    def test_register_replaces_and_unregister_withdraws(self, db):
+        register_method_compiler("score", lambda *a: None)
+        assert compile_method(db, "Item", "score", ("q",)) is None  # declines
+        register_method_compiler("score", attribute_compiler("v", transform=float))
+        assert compile_method(db, "Item", "score", ("q",)) is not None  # one per name
+        unregister_method_compiler("score")
+        assert compile_method(db, "Item", "score", ("q",)) is None
+        unregister_method_compiler("score")  # gone already: no error
+
+    def test_outside_map_is_asked_for_after_the_object_filters(self, db):
+        """A map from an outside source waits for the per-object filters; a
+        store-reading one runs before them."""
+        asked = []
+
+        def compiler(database, class_name, args):
+            def compiled(oids, bound=None):
+                asked.append(len(oids))
+                return MethodMap({oid: float(database.read_attribute(oid, "v")) for oid in oids})
+
+            return compiled
+
+        query = "ACCESS x.v FROM x IN Item WHERE x -> score('q') > 40 AND x.v + 0 < {}"
+        for outside, expected in ((False, [50, 50]), (True, [45])):
+            register_method_compiler("score", compiler, outside=outside)
+            try:
+                assert sorted(db.query(query.format(45))) == [(41,), (42,), (43,), (44,)]
+                assert db.query(query.format(0)) == []  # no survivor: an outside map is not asked
+            finally:
+                unregister_method_compiler("score")
+            assert asked == expected
+            del asked[:]
 
     def test_non_constant_arguments_are_not_compiled(self, db):
         with compilers(score=lambda *a: pytest.fail("compiled")):
@@ -354,8 +379,8 @@ class TestMethodCompilerHook:
         assert stats.method_calls == 400  # two logical calls per paragraph
 
     def test_path_through_a_missing_object_is_reported_per_object(self, journal_db):
-        query = "ACCESS p FROM p IN Para WHERE p -> getNext() -> has('rare') = TRUE"
-        with compilers(getNext=attribute_compiler("next", refs=True), has=has_compiler):
+        query = "ACCESS p FROM p IN Para WHERE p -> getFollowing() -> has('rare') = TRUE"
+        with compilers(getFollowing=attribute_compiler("next", refs=True), has=has_compiler):
             with pytest.raises(QueryEvaluationError, match="non-object"):
                 journal_db.query(query)
 

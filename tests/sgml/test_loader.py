@@ -78,6 +78,32 @@ class TestNavigationMethods:
         assert second.get("content") == "beta text"
         assert second.send("getPrev") == first
 
+    def test_child_listed_twice_has_its_first_place(self, loaded):
+        db, _loader, root = loaded
+        alpha, beta = (
+            next(p for p in db.instances_of("PARA") if p.get("content") == text)
+            for text in ("alpha text", "beta text")
+        )
+        root.set("children", root.get("children") + [alpha.oid])
+        assert alpha.send("getNext") == beta
+        assert alpha.send("getPrev").get("tag") == "DOCTITLE"
+
+    def test_dangling_sibling_is_reported_by_the_join_as_by_the_object(self, loaded):
+        """A ``children`` entry without an object: the hash join declines, and
+        the nested loop's ``send`` raises what ``beta -> getNext()`` raises."""
+        from repro.errors import ObjectNotFoundError
+        from repro.oodb.oid import OID
+
+        db, _loader, root = loaded
+        beta = next(p for p in db.instances_of("PARA") if p.get("content") == "beta text")
+        children = root.get("children")
+        children.insert(children.index(beta.oid) + 1, OID(10**6))
+        root.set("children", children)
+        with pytest.raises(ObjectNotFoundError):
+            beta.send("getNext")
+        with pytest.raises(ObjectNotFoundError):
+            db.query("ACCESS p1, p2 FROM p1 IN PARA, p2 IN PARA WHERE p1 -> getNext() == p2")
+
     def test_get_containing(self, loaded):
         db, _loader, root = loaded
         gamma = next(p for p in db.instances_of("PARA") if p.get("content") == "gamma text")
