@@ -32,7 +32,7 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
     incremental store checkpoint recording them, then checkpoints the
     database (snapshot + WAL truncation).  Raises
     :class:`~repro.errors.StoreError` when the coupling has no
-    single-file store attached.
+    single-file store attached (an in-memory system).
     """
     from repro.core import collection as collection_module
     from repro.core.context import coupling_context
@@ -42,8 +42,7 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
     store = context.storage
     if store is None:
         raise StoreError(
-            "checkpoint requires the single-file store "
-            "(open the system with a directory and storage='store')"
+            "checkpoint requires a durable system (open it with a directory)"
         )
     gens: Dict[str, int] = {}
     for obj in db.instances_of(collection_module.COLLECTION_CLASS):
@@ -59,9 +58,12 @@ class DocumentSystem:
     Parameters
     ----------
     directory:
-        When given, the database persists under ``<directory>/db`` and IRS
-        exchange files are written under ``<directory>/irs`` (enabling the
-        paper's file-based result exchange).  Default: fully in memory.
+        When given, the database persists under ``<directory>/db``, the IRS
+        indexes in the single-file store ``<directory>/irs.store``
+        (incremental checkpoints, lazy restart — see
+        docs/storage-format.md), and IRS exchange files are written under
+        ``<directory>/irs`` (enabling the paper's file-based result
+        exchange).  Default: fully in memory.
     model:
         Default retrieval model: "inquery" (default), "vector" or "boolean".
     analyzer:
@@ -80,13 +82,8 @@ class DocumentSystem:
         :class:`repro.irs.shards.ShardConfig` tunables (timeouts,
         retries, the fault-injection hook) for the scatter executor.
     storage:
-        Durable layout under ``directory``: ``"store"`` uses the
-        single-file append-only store at ``<directory>/irs.store``
-        (incremental checkpoints, lazy restart — see
-        docs/storage-format.md), ``"json"`` the legacy per-collection
-        dumps under ``<directory>/irs_index``.  The default ``"auto"``
-        keeps whatever layout already exists and picks the store for
-        fresh directories.  Ignored without a ``directory``.
+        The durable index format; ``"store"`` (the single-file store) is
+        the only one.
     """
 
     def __init__(
@@ -97,43 +94,20 @@ class DocumentSystem:
         use_result_files: bool = False,
         shards: int = 0,
         shard_config: Any = None,
-        storage: str = "auto",
+        storage: str = "store",
     ) -> None:
+        if storage != "store":
+            raise ValueError(f"unknown storage mode {storage!r}")
         db_dir = os.path.join(directory, "db") if directory else None
         self.db = Database(directory=db_dir)
-        self._irs_index_directory = (
-            os.path.join(directory, "irs_index") if directory else None
-        )
-        self._store_path = (
-            os.path.join(directory, "irs.store") if directory else None
-        )
-        if storage not in ("auto", "store", "json"):
-            raise ValueError(f"unknown storage mode {storage!r}")
-        if directory is None:
-            storage = "memory"
-        elif storage == "auto":
-            if os.path.exists(self._store_path):
-                storage = "store"
-            elif os.path.isdir(self._irs_index_directory):
-                storage = "json"
-            else:
-                storage = "store"
-        self._storage_mode = storage
         self.store = None
-        if storage == "store":
+        if directory:
             from repro.store import SingleFileStore
 
-            self.store = SingleFileStore(self._store_path)
+            # Reload persisted inverted indexes ("stored in a file system").
+            self.store = SingleFileStore(os.path.join(directory, "irs.store"))
             self.engine = self.store.load_engine(
                 default_model=model, analyzer=analyzer,
-                shard_count=shards, shard_config=shard_config,
-            )
-        elif storage == "json" and os.path.isdir(self._irs_index_directory):
-            # Reload persisted inverted indexes ("stored in a file system").
-            from repro.irs.persistence import load_engine
-
-            self.engine = load_engine(
-                self._irs_index_directory, default_model=model, analyzer=analyzer,
                 shard_count=shards, shard_config=shard_config,
             )
         else:
@@ -272,7 +246,7 @@ class DocumentSystem:
     def checkpoint(self) -> Dict[str, Any]:
         """Make the current IRS + database state durable; returns stats.
 
-        In store mode this appends one incremental checkpoint to
+        Appends one incremental checkpoint to
         ``<directory>/irs.store`` (sealed segments already on disk are
         referenced, not rewritten) with the database ``index_gen`` of every
         collection recorded in the manifest, then checkpoints the OODB
@@ -282,24 +256,10 @@ class DocumentSystem:
         database or one that is detectably older — never newer (see
         :meth:`_recover_coupling`).
 
-        In the legacy JSON mode this falls back to a full
-        :func:`~repro.irs.persistence.save_engine` dump.  A purely
-        in-memory system has nothing to persist and raises
+        A purely in-memory system has nothing to persist and raises
         :class:`~repro.errors.StoreError`.
         """
-        if self.store is not None:
-            return checkpoint_coupling(self.db)
-        if self._storage_mode == "json":
-            from repro.irs.persistence import save_engine
-
-            save_engine(self.engine, self._irs_index_directory)
-            self.db.checkpoint()
-            return {"mode": "json", "directory": self._irs_index_directory}
-        from repro.errors import StoreError
-
-        raise StoreError(
-            "checkpoint requires a durable DocumentSystem (directory=...)"
-        )
+        return checkpoint_coupling(self.db)
 
     def pack(self) -> Dict[str, Any]:
         """Checkpoint, then compact the store file offline; returns stats.
@@ -307,7 +267,7 @@ class DocumentSystem:
         Copies only live records into a fresh file and atomically replaces
         ``irs.store``, reclaiming the dead space incremental checkpoints
         leave behind (``health()["storage"]["dead_ratio"]`` tells when this
-        is worth doing).  Store mode only.
+        is worth doing).  Durable systems only.
         """
         from repro.errors import StoreError
 
@@ -482,14 +442,9 @@ class DocumentSystem:
         self.engine.shutdown_shards()
         if self.store is not None:
             self.store.checkpoint(self.engine, gens=self._collection_gens())
-            self.db.close()
-            self.store.close()
-            return
-        if self._storage_mode == "json" and self._irs_index_directory is not None:
-            from repro.irs.persistence import save_engine
-
-            save_engine(self.engine, self._irs_index_directory)
         self.db.close()
+        if self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "DocumentSystem":
         return self

@@ -9,37 +9,30 @@ as most IRSs allow to administer some meta data with each IRS document"
 (Section 4.3).
 
 A collection is a **versioned list of scoring sources** behind one
-logical ``self.index``:
+logical ``self.index``.  Every collection owns a
+:class:`~repro.irs.segments.manager.SegmentManager`: its sealed segments
+plus its memtable index are the sources, united by a
+:class:`~repro.irs.view.UnionIndexView` (see DESIGN.md §"Segmented
+indexing").  A :class:`~repro.irs.shards.collection.ShardedCollection`
+flattens every shard's sources into one list instead.
 
-* monolithic — the one source is the :class:`InvertedIndex` itself (the
-  default for directly constructed collections, the benchmark baseline,
-  and the layout of shard-worker replicas);
-* segmented — a :class:`~repro.irs.segments.manager.SegmentManager`'s
-  sealed segments plus its memtable index, united by a
-  :class:`~repro.irs.view.UnionIndexView` (what the engine creates by
-  default; see DESIGN.md §"Segmented indexing");
-* sharded — every shard's sources, flattened
-  (:class:`~repro.irs.shards.collection.ShardedCollection`).
-
-The layout is decided here and nowhere else: scoring code reads
-:meth:`IRSCollection.scoring_sources`, :attr:`IRSCollection.index_version`
-and :meth:`IRSCollection.forward_vector` (or the logical ``index``, which
+Scoring code reads :meth:`IRSCollection.scoring_sources`,
+:attr:`IRSCollection.index_version` and
+:meth:`IRSCollection.forward_vector` (or the logical ``index``, which
 mirrors the ``InvertedIndex`` read interface exactly), and :attr:`stats`
-hands back the matching statistics cache.
+holds the statistics cache over them.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
-from repro.irs.inverted_index import InvertedIndex
-from repro.irs.segments import SealedSegment, SegmentConfig, SegmentManager
-from repro.irs.statistics import ForwardNormStatistics, StatisticsCache
+from repro.irs.segments import SegmentConfig, SegmentManager
+from repro.irs.statistics import StatisticsCache
 from repro.irs.view import UnionIndexView
 
 
@@ -58,7 +51,7 @@ class IRSDocument:
 
 
 class IRSCollection:
-    """A named set of IRS documents with an inverted index over them."""
+    """A named set of IRS documents with a segmented index over them."""
 
     def __init__(
         self,
@@ -68,40 +61,11 @@ class IRSCollection:
     ) -> None:
         self.name = name
         self.analyzer = analyzer or Analyzer()
-        self.segments: Optional[SegmentManager]
-        self.index: Union[InvertedIndex, UnionIndexView]
-        if segment_config is not None and segment_config.enabled:
-            self.segments = SegmentManager(name, segment_config)
-            self.index = UnionIndexView(self.segments)
-        else:
-            self.segments = None
-            self.index = InvertedIndex()
+        self.segments = SegmentManager(name, segment_config)
+        self.index = UnionIndexView(self.segments)
+        self.stats = StatisticsCache(self.index, self.forward_vector)
         self._documents: Dict[int, IRSDocument] = {}
         self._next_doc_id = 1
-        self._stats: Optional[StatisticsCache] = None
-        self._stats_lock = threading.Lock()
-
-    @property
-    def stats(self) -> StatisticsCache:
-        """The collection's statistics cache (rebuilt if the index is swapped).
-
-        Validity against index mutations is handled inside the cache via the
-        index epoch; this property only guards against the index *object*
-        being replaced (e.g. by :meth:`from_payload`).  Creation is locked so
-        concurrent scorers share one cache instead of racing to build two.
-        """
-        with self._stats_lock:
-            cache = self._stats
-            if cache is None or cache.index is not self.index:
-                if isinstance(self.index, UnionIndexView):
-                    # Every union owner has forward vectors: norms are
-                    # computed per document on demand (O(|document|)), not
-                    # in one O(postings) sweep per epoch.
-                    cache = ForwardNormStatistics(self.index, self.forward_vector)
-                else:
-                    cache = StatisticsCache(self.index)
-                self._stats = cache
-            return cache
 
     # -- the source contract (the one place that knows the layout) -------------
 
@@ -111,9 +75,7 @@ class IRSCollection:
         Each answers ``term_columns(term)`` and ``doc_lengths`` for its live
         documents (see :mod:`repro.irs.view`).
         """
-        if self.segments is not None:
-            return self.segments.scoring_sources()
-        return [self.index]
+        return self.segments.scoring_sources()
 
     @property
     def index_version(self) -> tuple:
@@ -122,54 +84,40 @@ class IRSCollection:
         Wider than ``index.epoch``: a seal or merge relocates postings
         between sources without changing any score.
         """
-        if self.segments is not None:
-            return self.segments.index_version
-        return (self.index.epoch,)
+        return self.segments.index_version
 
     def forward_vector(self, doc_id: int) -> Optional[Mapping[str, int]]:
         """The live ``{term: tf}`` vector of ``doc_id`` (read-only; falsy
-        when absent).  O(|document|) over segments, O(vocabulary) over a
-        monolithic index."""
-        if self.segments is not None:
-            return self.segments.forward_vector(doc_id)
-        return self.index.document_vector(doc_id)
-
-    def _postings_writer(self):
-        """Where this collection's postings are written."""
-        return self.segments if self.segments is not None else self.index
+        when absent), O(|document|)."""
+        return self.segments.forward_vector(doc_id)
 
     @property
     def segment_count(self) -> int:
-        """Number of live index segments (1 for a monolithic collection)."""
-        if self.segments is not None:
-            return self.segments.segment_count
-        return 1
+        """Number of live index segments."""
+        return self.segments.segment_count
 
     def segment_managers(self) -> List[SegmentManager]:
-        """All segment managers behind this collection (0 or 1 here).
+        """All segment managers behind this collection (one here).
 
         The maintenance paths (merge scheduler, health reports) iterate
         this instead of touching :attr:`segments` directly, so a sharded
         collection — which owns one manager *per shard* — plugs in by
         overriding it.
         """
-        return [self.segments] if self.segments is not None else []
+        return [self.segments]
 
     @contextmanager
     def batched_epoch(self) -> Iterator[None]:
         """Coalesce the epoch bumps of a write batch into one (see engine)."""
-        with self._postings_writer().batched_epoch():
+        with self.segments.batched_epoch():
             yield
 
     def compact(self) -> bool:
         """Fold all segments into one, purging tombstones (write lock held).
 
-        No-op (False) on monolithic collections and when there is nothing
-        to fold.  Content-preserving: the epoch does not move, so caches
-        keyed on it stay warm.
+        No-op (False) when there is nothing to fold.  Content-preserving:
+        the epoch does not move, so caches keyed on it stay warm.
         """
-        if self.segments is None:
-            return False
         return self.segments.compact()
 
     # -- document management ---------------------------------------------------
@@ -180,7 +128,7 @@ class IRSCollection:
         self._next_doc_id += 1
         document = IRSDocument(doc_id, text, dict(metadata or {}))
         self._documents[doc_id] = document
-        self._postings_writer().add_document(doc_id, self.analyzer.tokens(text))
+        self.segments.add_document(doc_id, self.analyzer.tokens(text))
         return doc_id
 
     def remove_document(self, doc_id: int) -> None:
@@ -190,7 +138,7 @@ class IRSCollection:
                 f"document {doc_id} not in collection {self.name!r}"
             )
         del self._documents[doc_id]
-        self._postings_writer().remove_document(doc_id)
+        self.segments.remove_document(doc_id)
 
     def replace_document(self, doc_id: int, text: str) -> None:
         """Re-index a document with new text, keeping id and metadata."""
@@ -199,11 +147,10 @@ class IRSCollection:
                 f"document {doc_id} not in collection {self.name!r}"
             )
         document = self._documents[doc_id]
-        writer = self._postings_writer()
-        writer.remove_document(doc_id)
+        self.segments.remove_document(doc_id)
         document.text = text
         document.revision += 1
-        writer.add_document(doc_id, self.analyzer.tokens(text))
+        self.segments.add_document(doc_id, self.analyzer.tokens(text))
 
     def document(self, doc_id: int) -> IRSDocument:
         """The stored document (text + metadata)."""
@@ -259,40 +206,6 @@ class IRSCollection:
 
     # -- persistence ---------------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """JSON-encodable dump (documents + index + analyzer config).
-
-        Monolithic collections keep the original ``"index"`` format;
-        segmented ones dump per-segment payloads under ``"segments"``
-        (physical postings plus the tombstone list, replayed on load), the
-        memtable last.
-        """
-        payload = {
-            "name": self.name,
-            "next_doc_id": self._next_doc_id,
-            "analyzer": self.analyzer.config(),
-            "documents": [
-                {
-                    "doc_id": d.doc_id,
-                    "text": d.text,
-                    "metadata": d.metadata,
-                    "revision": d.revision,
-                }
-                for d in self.documents()
-            ],
-        }
-        if self.segments is None:
-            payload["index"] = self.index.to_payload()
-        else:
-            entries = [s.to_payload() for s in self.segments.sealed_segments()]
-            memtable = self.segments.memtable
-            if memtable.document_count:
-                entries.append(
-                    {"index": memtable.index.to_payload(), "tombstones": []}
-                )
-            payload["segments"] = entries
-        return payload
-
     @classmethod
     def from_payload(
         cls,
@@ -300,54 +213,50 @@ class IRSCollection:
         analyzer: Optional[Analyzer] = None,
         segment_config: Optional[SegmentConfig] = None,
     ) -> "IRSCollection":
-        """Rebuild a collection dumped by :meth:`to_payload`.
+        """Rebuild a collection from a payload (documents + index entries).
 
-        Either payload format loads into either representation:
-        ``segment_config`` (or a ``"segments"`` payload) selects segmented;
-        a legacy ``"index"`` payload under a segmented target becomes one
-        sealed segment.  A *sharded* dump (see
-        ``ShardedCollection.to_payload``) cross-loads too: each shard's
-        entries flatten into the segment list — shards partition the
-        document space, so the concatenation is the exact logical index.
+        The shape the single-file store materializes, and the one-way
+        import of a legacy JSON directory reads.  Every index shape loads
+        as sealed segments (see :func:`segment_entries`): a sharded dump's
+        shards flatten into one list — shards partition the document
+        space, so the concatenation is the exact logical index.
         """
-        if "shards" in payload:
-            entries = []
-            for shard_entry in payload["shards"]:
-                if "segments" in shard_entry:
-                    entries.extend(shard_entry["segments"])
-                else:
-                    entries.append({"index": shard_entry["index"], "tombstones": []})
-            payload = {**payload, "segments": entries}
-        if segment_config is None and "segments" in payload:
-            segment_config = SegmentConfig()
         collection = cls(payload["name"], analyzer, segment_config=segment_config)
         collection._next_doc_id = payload["next_doc_id"]
-        for entry in payload["documents"]:
-            collection._documents[entry["doc_id"]] = IRSDocument(
-                entry["doc_id"],
-                entry["text"],
-                dict(entry["metadata"]),
-                int(entry.get("revision", 0)),
-            )
-        if collection.segments is not None:
-            entries = payload.get("segments")
-            if entries is None:
-                entries = [{"index": payload["index"], "tombstones": []}]
-            for entry in entries:
-                collection.segments.load_sealed(entry)
-        elif "segments" in payload:
-            # Segmented dump into a monolithic target: fold the segments
-            # (minus their tombstoned documents) into one index.
-            segments = [
-                SealedSegment.from_payload(position, entry)
-                for position, entry in enumerate(payload["segments"])
+        collection._documents = documents_of(payload)
+        if "shards" in payload:
+            entries = [
+                entry
+                for shard_entry in payload["shards"]
+                for entry in segment_entries(shard_entry)
             ]
-            merged = SealedSegment.merged(
-                0, segments, [segment.tombstones for segment in segments]
-            )
-            # The merge emits the immutable compact form; a monolithic
-            # collection stays mutable, so decode into an InvertedIndex.
-            collection.index = InvertedIndex.from_payload(merged.index.to_payload())
         else:
-            collection.index = InvertedIndex.from_payload(payload["index"])
+            entries = segment_entries(payload)
+        for entry in entries:
+            collection.segments.load_sealed(entry)
         return collection
+
+
+def documents_of(payload: dict) -> Dict[int, IRSDocument]:
+    """The payload's documents, by doc id."""
+    return {
+        entry["doc_id"]: IRSDocument(
+            entry["doc_id"],
+            entry["text"],
+            dict(entry["metadata"]),
+            int(entry.get("revision", 0)),
+        )
+        for entry in payload["documents"]
+    }
+
+
+def segment_entries(payload: dict) -> List[dict]:
+    """The sealed-segment entries of one (shard) payload.
+
+    A ``"segments"`` list loads entry by entry (physical postings plus the
+    tombstone list, replayed on load); a legacy monolithic ``"index"``
+    dump loads as one sealed segment.
+    """
+    if "segments" in payload:
+        return payload["segments"]
+    return [{"index": payload["index"], "tombstones": []}]

@@ -179,8 +179,8 @@ class IRSEngine:
         self._lazy_loaders: Dict[str, "Callable[[], IRSCollection]"] = {}
         self._default_model = default_model
         self._analyzer = analyzer
-        #: Engine-created collections are segmented by default; pass
-        #: ``SegmentConfig(enabled=False)`` for monolithic (baseline) mode.
+        #: Tuning of every collection's segment stack (seal thresholds,
+        #: merge policy); see docs/api.md.
         self.segment_config = segment_config or SegmentConfig()
         #: Default shard count for new collections (0 = unsharded).  The
         #: scatter executor is attached separately (see
@@ -702,8 +702,8 @@ class IRSEngine:
 
         Runs under the collection write lock; content-preserving, so the
         epoch (and every cache keyed on it) is untouched.  Returns True
-        when a merge happened (False for monolithic collections or a
-        single clean segment).
+        when a merge happened (False for nothing to fold or a single
+        clean segment).
         """
         collection = self.collection(name)
         with self.mutating(name):
@@ -745,7 +745,7 @@ class IRSEngine:
         return backlog
 
     def total_segments(self) -> int:
-        """Segments across all collections (monolithic collections count 1)."""
+        """Live segments across all materialized collections."""
         return sum(
             collection.segment_count
             for collection in list(self._collections.values())

@@ -10,13 +10,16 @@ All aggregate statistics (posting count, token count, per-term collection
 frequencies) are maintained as running counters updated by
 ``add_document``/``remove_document``, so reading them is O(1).  Sorted
 postings lists are materialized once per term and reused until the term is
-touched again.  Every mutation bumps :attr:`InvertedIndex.epoch`, which the
-statistics caches of :mod:`repro.irs.statistics` use for invalidation.
+touched again.  Every mutation bumps :attr:`InvertedIndex.epoch`.
+
+This dict form is the memtable of every collection's segment stack
+(:mod:`repro.irs.segments`), where writes land; sealed segments hold the
+compact block form of :mod:`repro.irs.postings`.  Tests also build it from
+scratch as the reference a fresh rebuild is compared against.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -45,34 +48,8 @@ class InvertedIndex:
         self._token_count = 0
         self._sorted: Dict[str, List[Posting]] = {}
         self._epoch = 0
-        self._epoch_batch_depth = 0
-        self._epoch_batch_dirty = False
 
     # -- building -------------------------------------------------------------
-
-    def _bump_epoch(self) -> None:
-        if self._epoch_batch_depth:
-            self._epoch_batch_dirty = True
-        else:
-            self._epoch += 1
-
-    @contextmanager
-    def batched_epoch(self) -> Iterator[None]:
-        """Coalesce the epoch bumps of a mutation batch into one.
-
-        Inside the context add/remove defer their epoch bump; on exit the
-        epoch advances once if anything mutated.  Lets a propagation window
-        of N updates invalidate epoch-keyed caches once instead of N times.
-        Not thread-safe by itself: callers hold the collection write lock.
-        """
-        self._epoch_batch_depth += 1
-        try:
-            yield
-        finally:
-            self._epoch_batch_depth -= 1
-            if self._epoch_batch_depth == 0 and self._epoch_batch_dirty:
-                self._epoch_batch_dirty = False
-                self._epoch += 1
 
     def add_document(self, doc_id: int, terms: List[str]) -> None:
         """Index ``terms`` (analysis already applied) under ``doc_id``."""
@@ -92,26 +69,22 @@ class InvertedIndex:
                 self._collection_frequency.get(term, 0) + 1
             )
             self._sorted.pop(term, None)
-        self._bump_epoch()
+        self._epoch += 1
 
-    def remove_document(self, doc_id: int, terms: Optional[List[str]] = None) -> None:
-        """Remove all trace of ``doc_id``.
+    def remove_document(self, doc_id: int, terms: List[str]) -> None:
+        """Remove all trace of ``doc_id``, whose terms are ``terms``.
 
-        Without ``terms`` this scans every postings list (O(vocabulary)).
-        Callers that know the document's distinct terms (e.g. a segment's
-        forward map) pass them to make removal O(|document terms|).
+        O(|document terms|): callers know the document's terms (the
+        memtable from its forward map), so no postings list is scanned.
         """
         if doc_id not in self._doc_lengths:
             raise KeyError(doc_id)
         self._token_count -= self._doc_lengths[doc_id]
         del self._doc_lengths[doc_id]
-        if terms is None:
-            candidates = list(self._postings.items())
-        else:
-            candidates = [
-                (term, self._postings[term]) for term in set(terms)
-                if term in self._postings
-            ]
+        candidates = [
+            (term, self._postings[term]) for term in set(terms)
+            if term in self._postings
+        ]
         empty_terms = []
         for term, by_doc in candidates:
             posting = by_doc.pop(doc_id, None)
@@ -128,7 +101,7 @@ class InvertedIndex:
                 empty_terms.append(term)
         for term in empty_terms:
             del self._postings[term]
-        self._bump_epoch()
+        self._epoch += 1
 
     # -- statistics ----------------------------------------------------------
 

@@ -1,134 +1,50 @@
-"""IRS index persistence.
+"""Read-only import of a legacy per-collection JSON index directory.
 
-Section 1.1: the internal representations "are stored in a file system".
-One JSON file per collection under the engine directory; a manifest lists
-the collections.  :func:`save_engine` / :func:`load_engine` round-trip a
-whole :class:`~repro.irs.engine.IRSEngine`.
+Older builds wrote each collection as one JSON dump under an
+``irs_index/`` directory, with a ``collections.json`` manifest listing
+them.  Durable systems now keep their indexes in the single-file store
+(:mod:`repro.store`); this module only *reads* the old layout, so a
+bare-engine directory can be imported once::
 
-Three collection layouts exist on disk:
+    SingleFileStore(path).checkpoint(load_engine(directory))
 
-* the legacy monolithic ``"index"`` dump and the per-segment
-  ``"segments"`` dump (see ``IRSCollection.to_payload``), both a single
-  ``collection_<name>.json`` file;
+Three collection shapes exist on disk, and each loads as sealed segments
+(see ``IRSCollection.from_payload``):
+
+* the monolithic ``"index"`` dump and the per-segment ``"segments"``
+  dump, both a single ``collection_<name>.json`` file;
 * the sharded layout: a ``collection_<name>/`` *directory* holding
   ``meta.json`` (documents, analyzer config, shard count) plus one
-  ``shard_NNNN.json`` per shard.
+  ``shard_NNNN.json`` per shard, flattened into one segment list.
 
-Every layout cross-loads into every target: a sharded directory loading
-into an unsharded engine flattens the shards into segments; an unsharded
-file loading into a sharded engine re-partitions by re-analyzing the
-stored texts; a shard-count change does the same (see
-``ShardedCollection.from_payload``).
+A whole ``DocumentSystem`` directory needs no import: its database is the
+ground truth, and opening it reindexes every collection the store lacks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 from typing import Optional
 
 from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
-from repro.irs.shards import ShardedCollection
-from repro.store.file import fsync_directory
 
 _MANIFEST = "collections.json"
-
-
-def _atomic_write_json(path: str, content) -> None:
-    """Write JSON durably: temp file, flush + fsync, rename, dir fsync.
-
-    The rename alone only guarantees readers see old-or-new; without the
-    file fsync a crash can leave the *new* name pointing at zero-length
-    or partial data, and without the directory fsync the rename itself
-    may not survive.  Both matter because ``load_engine`` trusts these
-    files without checksums.
-    """
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as fh:
-        json.dump(content, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
-    fsync_directory(path)
-
-
-def save_engine(engine: IRSEngine, directory: str) -> None:
-    """Write every collection of ``engine`` to ``directory``.
-
-    Sharded collections get a per-shard payload directory; the other
-    layout's leftovers (a previous run with a different shard setting)
-    are removed so a reload sees exactly one representation.  Every file
-    is written atomically (:func:`_atomic_write_json`); the manifest goes
-    last, so a crash mid-save leaves the previous manifest pointing at
-    files that still exist.
-    """
-    os.makedirs(directory, exist_ok=True)
-    names = engine.collection_names()
-    for name in names:
-        collection = engine.collection(name)
-        if getattr(collection, "shards", None):
-            _save_sharded(collection, directory)
-        else:
-            _save_flat(collection, directory)
-    _atomic_write_json(
-        os.path.join(directory, _MANIFEST), {"collections": names}
-    )
-
-
-def _save_flat(collection: IRSCollection, directory: str) -> None:
-    path = os.path.join(directory, _collection_file(collection.name))
-    _atomic_write_json(path, collection.to_payload())
-    stale_dir = os.path.join(directory, _collection_dir(collection.name))
-    if os.path.isdir(stale_dir):
-        shutil.rmtree(stale_dir)
-
-
-def _save_sharded(collection, directory: str) -> None:
-    shard_dir = os.path.join(directory, _collection_dir(collection.name))
-    os.makedirs(shard_dir, exist_ok=True)
-    payload = collection.to_payload()
-    shard_entries = payload.pop("shards")
-    for path, content in [
-        (os.path.join(shard_dir, "meta.json"), payload),
-        *(
-            (os.path.join(shard_dir, f"shard_{i:04d}.json"), entry)
-            for i, entry in enumerate(shard_entries)
-        ),
-    ]:
-        _atomic_write_json(path, content)
-    # Drop shard files beyond the current count and any stale flat dump.
-    for entry in os.listdir(shard_dir):
-        if entry.startswith("shard_") and entry.endswith(".json"):
-            index = int(entry[6:-5])
-            if index >= len(shard_entries):
-                os.remove(os.path.join(shard_dir, entry))
-    stale_file = os.path.join(directory, _collection_file(collection.name))
-    if os.path.exists(stale_file):
-        os.remove(stale_file)
 
 
 def load_engine(
     directory: str,
     default_model: str = "inquery",
     analyzer: Optional[Analyzer] = None,
-    shard_count: int = 0,
-    shard_config=None,
 ) -> IRSEngine:
-    """Rebuild an engine previously written with :func:`save_engine`.
+    """An engine holding every collection of a legacy JSON directory.
 
-    ``shard_count`` sets the engine default *and* the target layout:
-    stored collections are re-partitioned (or flattened, when 0) to
-    match it, whatever layout they were saved in.
+    Sharded collections come back unsharded; the store re-partitions on
+    load to whatever shard count the engine that opens it asks for.
     """
-    engine = IRSEngine(
-        default_model=default_model,
-        analyzer=analyzer,
-        shard_count=shard_count,
-        shard_config=shard_config,
-    )
+    engine = IRSEngine(default_model=default_model, analyzer=analyzer)
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
         return engine
@@ -136,18 +52,9 @@ def load_engine(
         manifest = json.load(fh)
     for name in manifest["collections"]:
         payload = _read_collection_payload(directory, name)
-        if shard_count and shard_count >= 1:
-            collection: IRSCollection = ShardedCollection.from_payload(
-                payload,
-                analyzer,
-                segment_config=engine.segment_config,
-                shard_count=shard_count,
-            )
-        else:
-            collection = IRSCollection.from_payload(
-                payload, analyzer, segment_config=engine.segment_config
-            )
-        engine._collections[name] = collection
+        engine._collections[name] = IRSCollection.from_payload(
+            payload, analyzer, segment_config=engine.segment_config
+        )
     return engine
 
 
@@ -172,8 +79,7 @@ def _read_collection_payload(directory: str, name: str) -> dict:
 
 
 def _collection_file(name: str) -> str:
-    safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
-    return f"collection_{safe}.json"
+    return f"{_collection_dir(name)}.json"
 
 
 def _collection_dir(name: str) -> str:

@@ -1,11 +1,11 @@
 """Segmented log-structured index subsystem.
 
-A segmented collection stores its postings as a stack of segments — one
+Every collection stores its postings as a stack of segments — one
 mutable in-memory memtable absorbing all writes, plus immutable sealed
 segments with tombstones for logical deletion — served to the retrieval
 models through a :class:`~repro.irs.view.UnionIndexView` (owned by the
-:class:`SegmentManager`) that is interface-compatible with the monolithic
-:class:`~repro.irs.inverted_index.InvertedIndex`.  A
+:class:`SegmentManager`) that reads exactly like an
+:class:`~repro.irs.inverted_index.InvertedIndex` of the live documents.  A
 size-tiered background :class:`MergeScheduler` folds sealed segments and
 purges tombstones without blocking queries.  See DESIGN.md §"Segmented
 indexing" for the lifecycle and epoch semantics.

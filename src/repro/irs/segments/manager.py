@@ -1,6 +1,6 @@
 """SegmentManager: lifecycle of a collection's segment stack.
 
-One manager per segmented collection owns:
+One manager per collection (per shard, when sharded) owns:
 
 * the mutable :class:`~repro.irs.segments.segment.MemtableSegment` plus the
   ordered list of immutable :class:`SealedSegment`\\ s;
@@ -12,9 +12,8 @@ One manager per segmented collection owns:
 * two version counters with distinct invalidation semantics:
 
   - :attr:`epoch` — bumped by every *content* change (add/remove).  This is
-    the counter PR 1's StatisticsCache, the engine result LRU and PR 3's
-    epoch-tagged ResultSets key on, exactly as the monolithic
-    ``InvertedIndex.epoch`` was.
+    the counter the StatisticsCache, the engine result LRU and the
+    epoch-tagged ResultSets key on.
   - :attr:`structure` — bumped by content-*preserving* reorganizations
     (sealing the memtable, committing a merge).  Scores are unchanged
     across a structure bump, so caches keyed on the epoch stay warm; only

@@ -1,7 +1,6 @@
 """Segments: the building blocks of the log-structured index.
 
-A segmented collection's postings live in a stack of segments instead of
-one monolithic :class:`~repro.irs.inverted_index.InvertedIndex`:
+A collection's postings live in a stack of segments:
 
 * :class:`MemtableSegment` — the single mutable in-memory segment.  All
   writes (indexObjects, update propagation) land here; removal is physical
@@ -43,9 +42,6 @@ class SegmentConfig:
     once ``tier_fanout`` segments of similar size have accumulated.
     """
 
-    #: When False the engine builds monolithic collections (the pre-segment
-    #: behavior); kept as an escape hatch and as the benchmark baseline.
-    enabled: bool = True
     #: Seal the memtable once it holds this many documents ...
     seal_document_count: int = 1024
     #: ... or this many tokens, whichever comes first.
@@ -272,13 +268,6 @@ class SealedSegment:
         return self.index.postings_bytes()
 
     # -- persistence ------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """Physical index plus the tombstone list (replayed on load)."""
-        return {
-            "index": self.index.to_payload(),
-            "tombstones": sorted(self.tombstones),
-        }
 
     @classmethod
     def from_payload(cls, segment_id: int, payload: dict) -> "SealedSegment":

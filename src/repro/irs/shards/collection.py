@@ -1,11 +1,11 @@
 """ShardedCollection: one logical collection over N shard sub-collections.
 
 Each shard is an ordinary :class:`~repro.irs.collection.IRSCollection`
-(usually segmented, so every shard keeps its own memtable/seal/merge
-lifecycle) named ``<name>#<i>``.  Documents route by CRC-32 of their OID
+(so every shard keeps its own memtable/seal/merge lifecycle) named
+``<name>#<i>``.  Documents route by CRC-32 of their OID
 (:mod:`repro.irs.shards.router`); reads go through a
 :class:`~repro.irs.view.UnionIndexView` this collection owns, and
-statistics through :class:`~repro.irs.statistics.ForwardNormStatistics`
+statistics through a :class:`~repro.irs.statistics.StatisticsCache`
 over it — both globally exact, so every scoring path (exhaustive, pruned,
 scattered) produces scores bit-identical to an unsharded collection
 holding the same documents.
@@ -24,9 +24,13 @@ from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
-from repro.irs.collection import IRSCollection, IRSDocument
-from repro.irs.inverted_index import InvertedIndex
-from repro.irs.segments import SealedSegment, SegmentConfig, SegmentManager
+from repro.irs.collection import (
+    IRSCollection,
+    IRSDocument,
+    documents_of,
+    segment_entries,
+)
+from repro.irs.segments import SegmentConfig, SegmentManager
 from repro.irs.shards.router import routing_key, shard_of
 from repro.irs.statistics import StatisticsCache
 from repro.irs.view import UnionIndexView
@@ -83,9 +87,11 @@ class ShardedCollection(IRSCollection):
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-        # The parent holds no physical index of its own: skip the base
-        # class's segment setup and install the union view instead.
-        super().__init__(name, analyzer, segment_config=None)
+        # The parent holds no physical index of its own (no segment
+        # manager): the base initializer is skipped and the union view over
+        # the shards installed instead.
+        self.name = name
+        self.analyzer = analyzer or Analyzer()
         self.shard_count = shard_count
         self.shards: List[IRSCollection] = [
             IRSCollection(f"{name}#{i}", self.analyzer, segment_config=segment_config)
@@ -93,6 +99,9 @@ class ShardedCollection(IRSCollection):
         ]
         self._doc_shard: Dict[int, int] = {}
         self.index = UnionIndexView(self)
+        self.stats = StatisticsCache(self.index, self.forward_vector)
+        self._documents: Dict[int, IRSDocument] = {}
+        self._next_doc_id = 1
         self._adapters: Dict[int, _ShardScoringAdapter] = {}
         self._adapters_lock = threading.Lock()
         self._global_stats_memo: Optional[tuple] = None
@@ -243,7 +252,7 @@ class ShardedCollection(IRSCollection):
         shard = self.shards[shard_index]
         self._documents[document.doc_id] = document
         shard._documents[document.doc_id] = document
-        shard._postings_writer().add_document(
+        shard.segments.add_document(
             document.doc_id, self.analyzer.tokens(document.text)
         )
         self._doc_shard[document.doc_id] = shard_index
@@ -266,7 +275,7 @@ class ShardedCollection(IRSCollection):
         shard = self.shards[shard_index]
         del self._documents[doc_id]
         shard._documents.pop(doc_id, None)
-        shard._postings_writer().remove_document(doc_id)
+        shard.segments.remove_document(doc_id)
 
     def replace_document(self, doc_id: int, text: str) -> None:
         if doc_id not in self._documents:
@@ -276,49 +285,13 @@ class ShardedCollection(IRSCollection):
         # The routing key (OID, else doc id) is stable under re-indexing,
         # so the document stays on its shard.
         document = self._documents[doc_id]
-        writer = self.shards[self._doc_shard[doc_id]]._postings_writer()
+        writer = self.shards[self._doc_shard[doc_id]].segments
         writer.remove_document(doc_id)
         document.text = text
         document.revision += 1
         writer.add_document(doc_id, self.analyzer.tokens(text))
 
     # -- persistence ---------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """Per-shard dump: documents at the top, one entry per shard.
-
-        Each shard entry uses the same ``"index"``/``"segments"`` shapes
-        an unsharded collection dumps, so either format cross-loads into
-        the other (see :meth:`from_payload` and
-        ``IRSCollection.from_payload``).
-        """
-        payload = {
-            "name": self.name,
-            "next_doc_id": self._next_doc_id,
-            "analyzer": self.analyzer.config(),
-            "shard_count": self.shard_count,
-            "documents": [
-                {
-                    "doc_id": d.doc_id,
-                    "text": d.text,
-                    "metadata": d.metadata,
-                    "revision": d.revision,
-                }
-                for d in self.documents()
-            ],
-            "shards": [self._shard_payload(shard) for shard in self.shards],
-        }
-        return payload
-
-    @staticmethod
-    def _shard_payload(shard: IRSCollection) -> dict:
-        if shard.segments is None:
-            return {"index": shard.index.to_payload()}
-        entries = [s.to_payload() for s in shard.segments.sealed_segments()]
-        memtable = shard.segments.memtable
-        if memtable.document_count:
-            entries.append({"index": memtable.index.to_payload(), "tombstones": []})
-        return {"segments": entries}
 
     @classmethod
     def from_payload(
@@ -328,7 +301,7 @@ class ShardedCollection(IRSCollection):
         segment_config: Optional[SegmentConfig] = None,
         shard_count: Optional[int] = None,
     ) -> "ShardedCollection":
-        """Rebuild from a sharded *or* unsharded dump.
+        """Rebuild from a sharded *or* unsharded payload.
 
         A sharded payload whose shard count matches loads each shard's
         postings directly (exact replay, tombstones included).  An
@@ -344,13 +317,6 @@ class ShardedCollection(IRSCollection):
             raise ValueError(
                 "shard_count required to load an unsharded payload as sharded"
             )
-        entries = payload.get("shards")
-        if segment_config is None:
-            segmented_dump = entries is not None and any(
-                "segments" in entry for entry in entries
-            ) or "segments" in payload
-            if segmented_dump:
-                segment_config = SegmentConfig()
         collection = cls(
             payload["name"],
             analyzer,
@@ -358,45 +324,19 @@ class ShardedCollection(IRSCollection):
             shard_count=count,
         )
         collection._next_doc_id = payload["next_doc_id"]
-        documents = {
-            entry["doc_id"]: IRSDocument(
-                entry["doc_id"],
-                entry["text"],
-                dict(entry["metadata"]),
-                int(entry.get("revision", 0)),
-            )
-            for entry in payload["documents"]
-        }
+        documents = documents_of(payload)
+        entries = payload.get("shards")
         if entries is not None and count == stored:
             collection._documents = dict(documents)
             for shard_index, entry in enumerate(entries):
                 shard = collection.shards[shard_index]
-                cls._load_shard(shard, entry)
+                for sub in segment_entries(entry):
+                    shard.segments.load_sealed(sub)
                 for doc_id in shard.index.document_ids():
                     collection._doc_shard[doc_id] = shard_index
                     shard._documents[doc_id] = documents[doc_id]
         else:
-            # Re-partition (unsharded dump, or the shard count changed).
+            # Re-partition (unsharded payload, or the shard count changed).
             for doc_id in sorted(documents):
                 collection._ingest(documents[doc_id])
         return collection
-
-    @staticmethod
-    def _load_shard(shard: IRSCollection, entry: dict) -> None:
-        if shard.segments is not None:
-            sub_entries = entry.get("segments")
-            if sub_entries is None:
-                sub_entries = [{"index": entry["index"], "tombstones": []}]
-            for sub in sub_entries:
-                shard.segments.load_sealed(sub)
-        elif "segments" in entry:
-            segments = [
-                SealedSegment.from_payload(position, sub)
-                for position, sub in enumerate(entry["segments"])
-            ]
-            merged = SealedSegment.merged(
-                0, segments, [segment.tombstones for segment in segments]
-            )
-            shard.index = InvertedIndex.from_payload(merged.index.to_payload())
-        else:
-            shard.index = InvertedIndex.from_payload(entry["index"])

@@ -2,13 +2,13 @@
 
 Each shard gets its own single-worker pool (see
 :class:`~repro.irs.shards.executor.ShardExecutor`), whose process holds a
-**replica** of the shard: a monolithic collection whose one scoring source
-is the shard's live postings (whatever the parent's layout — the sync
-ships the shard index's ``to_payload``) wrapped in a
-:class:`GlobalStatsIndex` that overrides every statistic scoring reads —
-document/token counts, average document length, the per-term df table —
-with the *union's* integer-exact values.  The replica's idf, average-dl
-and per-document norms are therefore bit-identical to the parent's, and
+**replica** of the shard (:class:`ShardReplica`): one sealed segment of
+the shard's live postings (the sync ships the shard index's
+``to_payload``), wrapped in a :class:`GlobalStatsIndex` that overrides
+every statistic scoring reads — document/token counts, average document
+length, the per-term df table — with the *union's* integer-exact values.
+The replica's idf, average-dl and per-document norms are therefore
+bit-identical to the parent's, and
 :func:`repro.irs.topk.topk_scores` over the replica returns exactly the
 shard-local top-k of the global ranking.
 
@@ -27,10 +27,10 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.irs.analysis import Analyzer
-from repro.irs.collection import IRSCollection
-from repro.irs.inverted_index import InvertedIndex
 from repro.irs.models import MODELS
 from repro.irs.queries import parse_irs_query
+from repro.irs.segments import SealedSegment
+from repro.irs.statistics import StatisticsCache
 
 #: Replica registry of this worker process: (collection, shard) -> state.
 _REPLICAS: Dict[Tuple[str, int], dict] = {}
@@ -40,22 +40,24 @@ class GlobalStatsIndex:
     """A shard's local postings under the union's global statistics.
 
     Per-document reads (postings, lengths, vectors) come from the local
-    :class:`InvertedIndex`; every *global* statistic comes from the values
-    the parent shipped.  ``epoch`` is a sync generation counter — each
-    sync (full or stats-only) bumps it, so the statistics cache and the
-    top-k impact caches keyed on it invalidate exactly when the global
-    numbers can have moved.
+    sealed segment — built from live postings only, so it carries no
+    tombstone and its physical index *is* its live content; every *global*
+    statistic comes from the values the parent shipped.  ``epoch`` is a
+    sync generation counter — each sync (full or stats-only) bumps it, so
+    the statistics cache and the top-k impact caches keyed on it
+    invalidate exactly when the global numbers can have moved.
     """
 
     def __init__(
         self,
-        local: InvertedIndex,
+        segment: SealedSegment,
         document_count: int,
         token_count: int,
         df: Dict[str, int],
         generation: int,
     ) -> None:
-        self._local = local
+        self.segment = segment
+        self._local = segment.index
         self._document_count = document_count
         self._token_count = token_count
         self._df = df
@@ -133,11 +135,35 @@ class GlobalStatsIndex:
         return self._local.terms()
 
     def document_vector(self, doc_id: int) -> Dict[str, int]:
-        return self._local.document_vector(doc_id)
+        return dict(self.segment.forward.get(doc_id, {}))
 
     @property
     def doc_lengths(self) -> Dict[int, int]:
         return self._local.doc_lengths
+
+
+class ShardReplica:
+    """What top-k scoring reads of a shard, in the worker process.
+
+    The five members of the parent's ``_ShardScoringAdapter``: the
+    analyzer, the statistics cache and the logical index (both global),
+    the scoring sources (the one local segment) and the version the
+    impact caches key on — the sync generation.
+    """
+
+    def __init__(
+        self, analyzer: Optional[Analyzer], index: GlobalStatsIndex
+    ) -> None:
+        self.analyzer = analyzer or Analyzer()
+        self.index = index
+        self.stats = StatisticsCache(index, index.segment.forward.get)
+
+    def scoring_sources(self) -> list:
+        return [self.index.segment]
+
+    @property
+    def index_version(self) -> tuple:
+        return (self.index.epoch,)
 
 
 def sync_replica(
@@ -169,14 +195,16 @@ def sync_replica(
         entry["union_version"] = union_version
         return {"status": "synced", "mode": "stats"}
     generation = (entry["collection"].index.epoch + 1) if entry else 1
-    local = InvertedIndex.from_payload(index_payload)
-    replica = IRSCollection(f"{collection_name}#{shard_index}", analyzer)
-    replica.index = GlobalStatsIndex(
-        local,
-        global_stats["document_count"],
-        global_stats["token_count"],
-        global_stats["df"],
-        generation,
+    segment = SealedSegment.from_payload(0, {"index": index_payload})
+    replica = ShardReplica(
+        analyzer,
+        GlobalStatsIndex(
+            segment,
+            global_stats["document_count"],
+            global_stats["token_count"],
+            global_stats["df"],
+            generation,
+        ),
     )
     _REPLICAS[key] = {
         "shard_version": shard_version,

@@ -5,10 +5,11 @@ Two concerns live here:
 * :class:`StatisticsCache` — the query-evaluation fast path's memo of
   global statistics (average document length, per-term df/idf, per-document
   TF-IDF norms, per-term document-id sets).  One instance is attached to
-  each :class:`~repro.irs.collection.IRSCollection`; every read validates
-  against :attr:`InvertedIndex.epoch` and drops all memos when the index
-  mutated, so interleaved add/remove/query sequences never observe stale
-  values.
+  each :class:`~repro.irs.collection.IRSCollection` (and to each shard
+  worker's replica); every read validates against the index epoch and
+  drops all memos when the index mutated, so interleaved
+  add/remove/query sequences never observe stale values.  Norms come from
+  forward vectors one document at a time.
 * Zipf and Heaps diagnostics that validate the seeded synthetic corpus
   behaves like natural-language text (see DESIGN.md §2).  The STATS
   benchmark prints them; the corpus tests assert sane ranges.
@@ -19,8 +20,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.irs.inverted_index import InvertedIndex
 
@@ -30,25 +31,30 @@ class StatisticsCache:
 
     Every accessor first compares the index's epoch with the epoch the
     memos were built at; a mismatch clears everything.  Per-term values are
-    filled lazily; per-document norms are built for *all* documents in one
-    pass over the postings the first time any norm is requested — one
-    O(postings) sweep instead of an O(vocabulary) scan per scored document.
+    filled lazily; so are per-document norms, each computed on demand from
+    the document's ``{term: tf}`` forward vector (``forward_vector(doc_id)``,
+    O(|document|) for segment stacks, shard unions and worker replicas): a
+    query scoring k documents after an update costs O(sum of their vector
+    sizes), never a sweep over every postings list.
 
     Accessors are serialized by a re-entrant lock so concurrent scorers on
     the service layer's worker pool never observe a half-built memo; the
-    critical sections are dict probes (plus one norm sweep on a cold
-    cache), so contention stays negligible next to scoring itself.
+    critical sections are dict probes plus the norms of the documents
+    asked for, so contention stays negligible next to scoring itself.
     """
 
-    def __init__(self, index: InvertedIndex) -> None:
+    def __init__(
+        self, index, forward_vector: Callable[[int], Optional[Mapping[str, int]]]
+    ) -> None:
         self._index = index
+        self._forward_vector = forward_vector
         self._epoch = -1
         self._lock = threading.RLock()
         self._avg_dl: Optional[float] = None
         self._idf: Dict[str, float] = {}
         self._inquery_idf: Dict[str, float] = {}
         self._doc_id_sets: Dict[str, FrozenSet[int]] = {}
-        self._norms: Optional[Dict[int, float]] = None
+        self._doc_norms: Dict[int, float] = {}
         # Plain ints, not registry instruments: these sit on the per-document
         # scoring fast path where even a dict lookup per access would show up.
         self.hits = 0
@@ -64,7 +70,7 @@ class StatisticsCache:
             self._idf.clear()
             self._inquery_idf.clear()
             self._doc_id_sets.clear()
-            self._norms = None
+            self._doc_norms = {}
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/invalidation counters as a plain dict."""
@@ -82,7 +88,7 @@ class StatisticsCache:
             self.invalidations = 0
 
     @property
-    def index(self) -> InvertedIndex:
+    def index(self):
         return self._index
 
     @property
@@ -164,75 +170,9 @@ class StatisticsCache:
         The bulk form scoring uses: one lock acquisition and one epoch
         validation per column instead of one per posting.  ``hits`` and
         ``misses`` move exactly as they would for one :meth:`document_norm`
-        call per id.
-
-        Norms of *all* documents are built together on first access: one
-        pass over every term's columns accumulates squared weights per
-        document, then a square root per document.
-
-        The sweep walks terms in **sorted order** with idf computed from the
-        index's ``document_frequency`` (the same expression :meth:`idf`
-        memoizes, not the local postings-list length).  That makes each
-        document's float accumulation canonical — its own terms in sorted
-        order, global df — and therefore bit-identical across every index
-        representation (monolithic, segment stack, shard union, worker
-        replica), which the sharded-scoring equivalence guarantee relies on.
+        call per id: O(1) per memoized document, O(|document terms|) per
+        miss.
         """
-        with self._lock:
-            self._validate()
-            if not doc_ids:
-                return []
-            if self._norms is None:
-                self.misses += 1
-                self.hits += len(doc_ids) - 1
-                index = self._index
-                n_docs = index.document_count
-                log = math.log
-                squared: Dict[int, float] = {d: 0.0 for d in index.document_ids()}
-                for term in sorted(index.terms()):
-                    df = index.document_frequency(term)
-                    if df == 0:
-                        continue
-                    idf = log(1.0 + n_docs / df)
-                    for ids, tfs in index.term_columns(term):
-                        for doc_id, tf in zip(ids, tfs):
-                            w = (1.0 + log(tf)) * idf
-                            squared[doc_id] += w * w
-                self._norms = {d: math.sqrt(total) for d, total in squared.items()}
-            else:
-                self.hits += len(doc_ids)
-            return list(map(self._norms.get, doc_ids, repeat(0.0)))
-
-
-class ForwardNormStatistics(StatisticsCache):
-    """Statistics memo with per-document lazy norms from forward vectors.
-
-    The base class builds the norms of *all* documents in one O(postings)
-    sweep the first time any norm is read, and again after every epoch
-    bump.  Where a forward map gives each document's ``{term: tf}`` vector
-    in O(|document|) (segment stacks, shard unions), norms are computed per
-    document on demand instead: a query scoring k documents after an update
-    costs O(sum of their vector sizes), not O(total postings).
-
-    Each norm accumulates the document's terms in **sorted order** with the
-    memoized global idf — the canonical order of the base-class sweep — so
-    it is bit-identical to the monolithic cache's, not merely close.
-    """
-
-    def __init__(
-        self, index, forward_vector: Callable[[int], Optional[Dict[str, int]]]
-    ) -> None:
-        super().__init__(index)
-        self._forward_vector = forward_vector
-        self._doc_norms: Dict[int, float] = {}
-
-    def _validate(self) -> None:
-        if self._epoch != self._index.epoch:
-            self._doc_norms = {}
-        super()._validate()
-
-    def document_norms(self, doc_ids: Sequence[int]) -> List[float]:
-        """O(1) per memoized document, O(|document terms|) per miss."""
         with self._lock:
             self._validate()
             memo = self._doc_norms
@@ -254,6 +194,10 @@ class ForwardNormStatistics(StatisticsCache):
             return norms
 
     def _norm_of(self, doc_id: int) -> float:
+        """The document's terms in **sorted order** with the memoized global
+        idf: a canonical float accumulation, so the norm is bit-identical
+        whichever sources hold the document (segment stack, shard union,
+        worker replica) — the sharded-scoring equivalence relies on it."""
         vector = self._forward_vector(doc_id)
         if not vector:
             return 0.0

@@ -1,9 +1,8 @@
 """UnionIndexView: one logical index over a versioned list of sources.
 
 A collection's postings live in one or more **scoring sources** — a
-monolithic :class:`~repro.irs.inverted_index.InvertedIndex`, or a segment
-stack's sealed segments plus its memtable index, or every shard's sources
-flattened.  Each source answers the same small read contract over its own
+segment stack's sealed segments plus its memtable index, or every shard's
+sources flattened.  Each source answers the same small read contract over its own
 *live* documents:
 
 * ``term_columns(term)`` — decoded ``(doc_ids, tfs)`` blocks, what every
@@ -16,9 +15,8 @@ flattened.  Each source answers the same small read contract over its own
 
 This view turns such a list back into the full read surface of
 ``InvertedIndex``, so the retrieval models, the statistics caches and the
-engine run unchanged over any layout.  Its **owner** — the
-:class:`~repro.irs.segments.manager.SegmentManager` of a segmented
-collection, or a :class:`~repro.irs.shards.collection.ShardedCollection`
+engine run unchanged over any source list.  Its **owner** — the
+:class:`~repro.irs.segments.manager.SegmentManager` of a collection, or a :class:`~repro.irs.shards.collection.ShardedCollection`
 — supplies only what the view cannot derive:
 
 * ``scoring_sources()`` and ``index_version`` (the memo key; moves on every
@@ -31,7 +29,7 @@ collection, or a :class:`~repro.irs.shards.collection.ShardedCollection`
   and ``forward_vector(doc_id)``.
 
 Statistics are sums of the sources' integer counters, so idf values are
-bit-equal to a monolithic index holding the same documents.  The view is
+bit-equal to a fresh :class:`InvertedIndex` holding the same documents.  The view is
 read-only: writes enter through the owning collection, which knows the
 memtable (or the shard) a document belongs to.
 
@@ -201,12 +199,11 @@ class UnionIndexView:
     # -- persistence helpers -----------------------------------------------
 
     def to_payload(self) -> dict:
-        """A monolithic-format dump of the *live* logical index.
+        """An ``InvertedIndex.to_payload``-format dump of the *live* logical index.
 
-        What a shard-worker replica is synced from, and what callers
-        expecting ``InvertedIndex.to_payload`` (compression experiments,
-        ad-hoc tooling) read; collection persistence uses the per-segment /
-        per-shard formats instead.  Streams each term straight from the
+        What a shard-worker replica is synced from, and what compression
+        experiments and ad-hoc tooling read; the store writes per-segment
+        records instead.  Streams each term straight from the
         sources — a dump touches every term once, so parking the decoded
         lists in the per-version memo would only pin them.
         """

@@ -141,9 +141,6 @@ class Shell:
 
     def _cmd_checkpoint(self, _args: List[str]) -> None:
         stats = self.system.checkpoint()
-        if stats.get("mode") == "json":
-            self._print(f"saved JSON indexes under {stats['directory']}")
-            return
         self._print(
             f"checkpoint {stats['checkpoint_id']}: "
             f"{stats['records_appended']} records appended "

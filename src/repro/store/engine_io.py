@@ -1,10 +1,9 @@
 """:class:`SingleFileStore` — whole-engine persistence in one file.
 
-This is the durable replacement for the per-collection JSON dumps of
-:mod:`repro.irs.persistence`.  All three collection layouts (monolithic,
-segmented, sharded) serialize into one append-only
-:class:`~repro.store.file.StoreFile`; a checkpoint appends only what
-changed since the previous one:
+Section 1.1: the internal representations "are stored in a file system".
+Every collection — segmented, or sharded into segmented shards —
+serializes into one append-only :class:`~repro.store.file.StoreFile`; a
+checkpoint appends only what changed since the previous one:
 
 * **sealed segments** are written exactly once.  A written segment gets a
   ``store_stamp`` (token, offset, length); later checkpoints reference
@@ -14,8 +13,7 @@ changed since the previous one:
   ``(doc_id, revision)`` changed since the last checkpoint.  Removals are
   listed in the manifest; once the removal list outgrows the live set,
   the batches are rewritten from scratch (self-trimming).
-* **memtables** and **monolithic indexes** re-append only when their
-  version/epoch moved.
+* **memtables** re-append only when their manager's version moved.
 
 The manifest (one JSON record + footer per checkpoint) is the atomic
 commit: crash anywhere before the footer fsync leaves the previous
@@ -24,10 +22,13 @@ checkpoint intact (see :mod:`repro.store.file` for recovery).
 Loading is lazy by default: each collection registers a loader with the
 engine and materializes from the manifest on first touch, so
 restart-to-first-query cost is O(touched collections), not O(corpus).
-Materialization builds the *legacy payload shape* and hands it to
-``IRSCollection.from_payload`` / ``ShardedCollection.from_payload`` —
-the same cross-loading machinery the JSON layouts use, which is what
-makes store↔legacy round-trips exact in both directions.
+Materialization builds a payload (documents plus segment entries) and
+hands it to ``IRSCollection.from_payload`` /
+``ShardedCollection.from_payload``, which re-partition to the engine's
+shard count.  A ``flat`` entry — the monolithic layout older builds
+wrote — is read as one sealed segment; until its collection is touched
+it is carried forward verbatim, and the first checkpoint after that
+writes it as segments.
 
 Offline :meth:`pack` copies live records into a fresh file and atomically
 replaces the store, keeping a one-generation offset remap so segment
@@ -48,15 +49,13 @@ from repro.store.file import StoreFile, fsync_directory
 
 
 class _ManagerState:
-    """Last-persisted refs of one segment manager (or monolithic index)."""
+    """Last-persisted memtable ref of one segment manager."""
 
-    __slots__ = ("mem_ref", "mem_version", "flat_ref", "flat_epoch")
+    __slots__ = ("mem_ref", "mem_version")
 
     def __init__(self) -> None:
         self.mem_ref: Optional[List[int]] = None
         self.mem_version: Optional[tuple] = None
-        self.flat_ref: Optional[List[int]] = None
-        self.flat_epoch: Optional[int] = None
 
 
 class _CollectionState:
@@ -190,11 +189,8 @@ class SingleFileStore:
                 self._manager_entry(state, index, shard)
                 for index, shard in enumerate(collection.shards)
             ]
-        elif collection.segments is not None:
-            entry["layout"] = "segmented"
-            entry.update(self._manager_entry(state, -1, collection))
         else:
-            entry["layout"] = "flat"
+            entry["layout"] = "segmented"
             entry.update(self._manager_entry(state, -1, collection))
         return entry
 
@@ -242,19 +238,9 @@ class SingleFileStore:
         entry["removed_docs"] = sorted(state.removed)
 
     def _manager_entry(self, state, key: int, collection) -> dict:
-        """Index refs of one shard/collection: flat ref or segments+memtable."""
+        """Index refs of one shard/collection: sealed segments + memtable."""
         mstate = state.managers.setdefault(key, _ManagerState())
         manager = collection.segments
-        if manager is None:
-            epoch = collection.index.epoch
-            if mstate.flat_ref is None or mstate.flat_epoch != epoch:
-                mstate.flat_ref = self._append(
-                    blocks.KIND_INDEX, {"index": collection.index.to_payload()}
-                )
-                mstate.flat_epoch = epoch
-            else:
-                self._reused += 1
-            return {"index": list(mstate.flat_ref)}
         segments = []
         for segment in manager.sealed_segments():
             offset, length = self._segment_ref(segment)
@@ -364,20 +350,14 @@ class SingleFileStore:
             "analyzer": entry["analyzer"],
             "documents": self._replay_docs(entry),
         }
-        layout = entry["layout"]
-        if layout == "flat":
-            ref = entry["index"]
-            payload["index"] = self.file.read_json(
-                ref[0], ref[1], blocks.KIND_INDEX
-            )["index"]
-        elif layout == "segmented":
-            payload["segments"] = self._segment_payloads(entry)
-        else:
+        if entry["layout"] == "sharded":
             payload["shard_count"] = entry["shard_count"]
             payload["shards"] = [
-                self._shard_payload(shard_entry)
+                {"segments": self._segment_payloads(shard_entry)}
                 for shard_entry in entry["shards"]
             ]
+        else:
+            payload["segments"] = self._segment_payloads(entry)
         if engine.shard_count and engine.shard_count >= 1:
             collection = ShardedCollection.from_payload(
                 payload,
@@ -403,6 +383,12 @@ class SingleFileStore:
         return [documents[doc_id] for doc_id in sorted(documents)]
 
     def _segment_payloads(self, entry: dict) -> List[dict]:
+        """Segment entries of one manager entry, memtable last (a legacy
+        ``flat`` index ref reads as one segment)."""
+        if entry.get("index") is not None:
+            ref = entry["index"]
+            record = self.file.read_json(ref[0], ref[1], blocks.KIND_INDEX)
+            return [{"index": record["index"], "tombstones": []}]
         payloads = []
         for segment in entry["segments"]:
             record = self.file.read_json(
@@ -419,16 +405,6 @@ class SingleFileStore:
             payloads.append({"index": record["index"], "tombstones": []})
         return payloads
 
-    def _shard_payload(self, shard_entry: dict) -> dict:
-        if shard_entry.get("index") is not None:
-            ref = shard_entry["index"]
-            return {
-                "index": self.file.read_json(ref[0], ref[1], blocks.KIND_INDEX)[
-                    "index"
-                ]
-            }
-        return {"segments": self._segment_payloads(shard_entry)}
-
     def _seed_state(self, name: str, entry: dict, collection) -> None:
         """Prime incremental bookkeeping after a load, so the very next
         checkpoint is already a delta (documents and matching segments are
@@ -443,7 +419,7 @@ class SingleFileStore:
         self._state[name] = state
         layout = entry["layout"]
         sharded = bool(getattr(collection, "shards", None))
-        if layout == "segmented" and not sharded and collection.segments is not None:
+        if layout == "segmented" and not sharded:
             self._stamp_manager(collection.segments, entry["segments"])
         elif (
             layout == "sharded"
@@ -451,9 +427,9 @@ class SingleFileStore:
             and collection.shard_count == entry["shard_count"]
         ):
             for shard, shard_entry in zip(collection.shards, entry["shards"]):
-                if shard.segments is not None and shard_entry.get("segments"):
+                if shard_entry.get("segments"):
                     self._stamp_manager(shard.segments, shard_entry["segments"])
-        # Layout mismatches (re-partitioned / flattened loads) skip
+        # Layout mismatches (re-partitioned / flattened / flat loads) skip
         # stamping; the next checkpoint writes the new shape once.
 
     def _stamp_manager(self, manager, segment_entries: List[dict]) -> None:
@@ -545,7 +521,7 @@ class SingleFileStore:
     def _pack_refs(self, entry: dict, new_file: StoreFile, remap) -> dict:
         """Copy one manager's records verbatim; returns the rewritten refs."""
         out: Dict[str, Any] = {}
-        if entry.get("index") is not None:
+        if entry.get("index") is not None:  # a carried-forward flat entry
             out["index"] = self._copy_record(entry["index"], new_file, remap)
         if "segments" in entry:
             segments = []
@@ -583,15 +559,11 @@ class SingleFileStore:
             state.batches = [list(ref) for ref in entry["doc_batches"]]
             state.removed = set(entry["removed_docs"])
             for mstate in state.managers.values():
-                for attr in ("mem_ref", "flat_ref"):
-                    ref = getattr(mstate, attr)
-                    if ref is not None:
-                        moved = remap.get(ref[0])
-                        setattr(mstate, attr, list(moved) if moved else None)
+                if mstate.mem_ref is not None:
+                    moved = remap.get(mstate.mem_ref[0])
+                    mstate.mem_ref = list(moved) if moved else None
                 if mstate.mem_ref is None:
                     mstate.mem_version = None
-                if mstate.flat_ref is None:
-                    mstate.flat_epoch = None
 
     # ------------------------------------------------------------------
     # accounting

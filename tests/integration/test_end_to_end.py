@@ -107,16 +107,19 @@ class TestDurability:
             assert _get_irs_result(revived, "www") == before
 
     def test_irs_engine_persistence_round_trip(self, tmp_path, corpus_system):
-        from repro.irs.persistence import load_engine, save_engine
+        from repro.store import SingleFileStore
 
         collection = _create_collection(
             corpus_system.db, "collPara", "ACCESS p FROM p IN PARA"
         )
         index_objects(collection)
         before = corpus_system.engine.query("collPara", "www").values
-        save_engine(corpus_system.engine, str(tmp_path))
-        restored = load_engine(str(tmp_path))
-        assert restored.query("collPara", "www").values == before
+        path = str(tmp_path / "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(corpus_system.engine)
+        with SingleFileStore(path) as store:
+            restored = store.load_engine()
+            assert restored.query("collPara", "www").values == before
 
 
 class TestDocumentLifecycle:

@@ -142,14 +142,13 @@ class TestBulkNormCounters:
     #: an unknown document is a (memoized) 0.0 norm.
     IDS = [2, 1, 2, 4, 99, 3, 1, 99]
 
-    def _collection(self, segmented):
+    def _collection(self, sealing=True):
+        """Two sealed segments of two documents, or all four in the memtable."""
         from repro.irs.segments import SegmentConfig
 
         engine = IRSEngine(
             result_cache_size=0,
-            segment_config=SegmentConfig(
-                enabled=segmented, seal_document_count=2
-            ),
+            segment_config=SegmentConfig(seal_document_count=2 if sealing else 1024),
         )
         engine.create_collection("c")
         for text in self.TEXTS:
@@ -163,10 +162,12 @@ class TestBulkNormCounters:
         info = stats.cache_info()
         return values, (info["hits"], info["misses"])
 
-    @pytest.mark.parametrize("segmented", [True, False], ids=["segmented", "monolithic"])
-    def test_bulk_equals_per_id_loop(self, segmented):
-        looped = self._collection(segmented).stats
-        bulk = self._collection(segmented).stats
+    @pytest.mark.parametrize("sealing", [True, False], ids=["segmented", "memtable"])
+    def test_bulk_equals_per_id_loop(self, sealing):
+        collection = self._collection(sealing)
+        assert bool(collection.segments.sealed_segments()) == sealing
+        looped = collection.stats
+        bulk = self._collection(sealing).stats
         for _round in ("cold", "warm"):
             want, loop_delta = self._delta(
                 looped, lambda: [looped.document_norm(d) for d in self.IDS]
@@ -179,18 +180,11 @@ class TestBulkNormCounters:
         assert got[4] == 0.0 and got[0] > 0.0
 
     def test_counts_are_one_per_id(self):
-        """Pinned to what the per-posting ``document_norm`` calls counted."""
-        # Monolithic: the first read sweeps all norms (one miss), every
-        # other id is a hit.
-        mono = self._collection(False).stats
-        _values, delta = self._delta(mono, lambda: mono.document_norms(self.IDS))
-        assert delta == (len(self.IDS) - 1, 1)
-        _values, delta = self._delta(mono, lambda: mono.document_norms(self.IDS))
-        assert delta == (len(self.IDS), 0)
-        # Segmented: one miss per distinct id, one hit per repeat — plus the
-        # idf lookups each computed norm makes (one per document term, a
-        # miss the first time a term is seen).
-        collection = self._collection(True)
+        """Pinned to what the per-posting ``document_norm`` calls counted:
+        one miss per distinct id, one hit per repeat — plus the idf lookups
+        each computed norm makes (one per document term, a miss the first
+        time a term is seen)."""
+        collection = self._collection()
         vectors = [collection.index.document_vector(d) for d in (1, 2, 3, 4)]
         lookups = sum(len(vector) for vector in vectors)
         terms = len(set().union(*vectors))
@@ -219,7 +213,7 @@ class TestBulkNormCounters:
         assert bulk_delta == loop_delta
 
     def test_empty_column_counts_nothing(self):
-        stats = self._collection(True).stats
+        stats = self._collection().stats
         _values, delta = self._delta(stats, lambda: stats.document_norms([]))
         assert delta == (0, 0)
 

@@ -46,7 +46,7 @@ def _columns(index, term):
 
 
 LAYOUTS = {
-    "monolithic": lambda: IRSCollection("c", Analyzer()),
+    "memtable": lambda: IRSCollection("c", Analyzer()),
     "segmented": lambda: IRSCollection(
         "c", Analyzer(), segment_config=SegmentConfig(seal_document_count=150)
     ),

@@ -5,7 +5,7 @@ index (``repro.irs.view``).  Whatever holds the postings — the dict-form
 ``InvertedIndex``, a ``CompactIndex``, a memtable, a sealed segment with
 tombstones, the union view over a segment stack (before, in the middle of
 and after a merge) or over 1/2/4 shards, a shard worker's
-``GlobalStatsIndex`` — must read exactly like a monolithic index built
+``GlobalStatsIndex`` — must read exactly like an ``InvertedIndex`` built
 from scratch over the same live documents: integer statistics exactly,
 postings and columns identically.  One body (:func:`check_source`,
 :func:`check_index`, :func:`check_collection`) runs over all of them; a
@@ -43,7 +43,7 @@ def random_terms(rng: random.Random) -> List[str]:
 
 
 def rebuild(docs: Dict[int, List[str]]) -> InvertedIndex:
-    """The reference: a monolithic index built from scratch."""
+    """The reference: a dict-form index built from scratch."""
     index = InvertedIndex()
     for doc_id in sorted(docs):
         index.add_document(doc_id, docs[doc_id])
@@ -190,7 +190,7 @@ def inverted_case() -> Case:
     everything, live = churned_docs(1)
     index = rebuild(everything)
     for doc_id in set(everything) - set(live):
-        index.remove_document(doc_id)
+        index.remove_document(doc_id, everything[doc_id])
     return Case(index, live, block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]})
 
 
@@ -290,10 +290,12 @@ def segments_after_compact_case() -> Case:
     return Case(collection.index, live, collection=collection)
 
 
-def sharded_case(shard_count: int, segmented: bool):
+def sharded_case(shard_count: int, sealing: bool):
+    """Shards whose memtables seal every 25 documents, or never seal."""
+
     def build() -> Case:
         everything, live = churned_docs(10 + shard_count)
-        config = SegmentConfig(seal_document_count=25) if segmented else None
+        config = SegmentConfig(seal_document_count=25) if sealing else None
         collection = ShardedCollection(
             "sharded", Analyzer(stemming=False), config, shard_count=shard_count
         )
@@ -328,7 +330,8 @@ def global_stats_case() -> Case:
     assert reply == {"status": "synced", "mode": "full"}
     replica = shard_worker._REPLICAS.pop(("replicated", 0))["collection"]
     assert isinstance(replica.index, shard_worker.GlobalStatsIndex)
-    assert replica.scoring_sources() == [replica.index]
+    assert replica.scoring_sources() == [replica.index.segment]
+    assert not replica.index.segment.tombstones
     return Case(replica.index, live)
 
 
@@ -344,9 +347,9 @@ CASES = {
     "shards-1-segmented": sharded_case(1, True),
     "shards-2-segmented": sharded_case(2, True),
     "shards-4-segmented": sharded_case(4, True),
-    "shards-1-monolithic": sharded_case(1, False),
-    "shards-2-monolithic": sharded_case(2, False),
-    "shards-4-monolithic": sharded_case(4, False),
+    "shards-1-memtable": sharded_case(1, False),
+    "shards-2-memtable": sharded_case(2, False),
+    "shards-4-memtable": sharded_case(4, False),
     "global-stats": global_stats_case,
 }
 
@@ -401,7 +404,7 @@ def legacy_indexed_bytes(index) -> int:
 
 class TestWholeIndexReadsLeaveTheMemoEmpty:
     @pytest.mark.parametrize(
-        "name", ["segments-before-merge", "shards-2-segmented", "shards-2-monolithic"]
+        "name", ["segments-before-merge", "shards-2-segmented", "shards-2-memtable"]
     )
     def test_indexed_bytes_reads_counters_only(self, name):
         case = CASES[name]()
@@ -410,12 +413,18 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
         for shard in getattr(case.collection, "shards", ()):
             assert getattr(shard.index, "_merged_postings", {}) == {}
 
-    def test_indexed_bytes_of_a_monolithic_collection(self):
-        collection = IRSCollection("mono", Analyzer(stemming=False))
-        _, live = churned_docs(20)
-        for terms in live.values():
+    def test_indexed_bytes_of_an_unsealed_collection(self):
+        """A default collection of a few hundred documents never seals:
+        its counters come from the memtable alone."""
+        collection = IRSCollection("plain", Analyzer(stemming=False))
+        everything, live = churned_docs(20)
+        for terms in everything.values():
             collection.add_document(" ".join(terms))
-        assert collection.indexed_bytes() == legacy_indexed_bytes(collection.index)
+        for doc_id in set(everything) - set(live):
+            collection.remove_document(doc_id)
+        assert not collection.segments.sealed_segments()
+        assert collection.indexed_bytes() == legacy_indexed_bytes(rebuild(live))
+        assert collection.index._merged_postings == {}
 
     @pytest.mark.parametrize("name", VIEW_CASES)
     def test_payload_streams_past_the_memo_and_round_trips(self, name):

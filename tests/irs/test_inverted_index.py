@@ -65,18 +65,18 @@ class TestStatistics:
 
 class TestRemoval:
     def test_remove_document(self, index):
-        index.remove_document(1)
+        index.remove_document(1, ["www", "browser", "www"])
         assert not index.has_document(1)
         assert index.document_frequency("browser") == 0
         assert index.document_frequency("www") == 1
 
     def test_remove_unknown_raises(self, index):
         with pytest.raises(KeyError):
-            index.remove_document(99)
+            index.remove_document(99, ["www"])
 
     def test_empty_terms_pruned(self, index):
-        index.remove_document(2)
-        index.remove_document(3)
+        index.remove_document(2, ["nii", "policy"])
+        index.remove_document(3, ["www", "nii"])
         assert "nii" not in set(index.terms())
 
 
@@ -112,7 +112,7 @@ class TestRoundTrip:
         index = InvertedIndex()
         for doc_id, terms in enumerate(docs, start=1):
             index.add_document(doc_id, terms)
-        index.remove_document(1)
+        index.remove_document(1, docs[0])
         assert index.document_count == len(docs) - 1
         assert 1 not in index.document_ids()
         for term in index.terms():

@@ -1,10 +1,12 @@
-"""IRS collections: document management, metadata, persistence payloads."""
+"""IRS collections: document management, metadata, sizes, reloading."""
 
 import pytest
 
 from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
+from repro.irs.engine import IRSEngine
+from repro.store import SingleFileStore
 
 
 @pytest.fixture
@@ -76,11 +78,18 @@ class TestSizes:
 
 
 class TestPayload:
-    def test_round_trip(self, collection):
-        payload = collection.to_payload()
-        restored = IRSCollection.from_payload(payload, Analyzer(stemming=False))
+    def test_round_trip(self, collection, tmp_path):
+        """Checkpointed into the store and materialized from its payload."""
+        engine = IRSEngine()
+        engine._collections["paras"] = collection
+        path = str(tmp_path / "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(engine)
+        with SingleFileStore(path) as store:
+            restored = store.load_engine(analyzer=Analyzer(stemming=False)).collection("paras")
         assert len(restored) == len(collection)
         assert restored.document(1).text == collection.document(1).text
+        assert restored.document(2).metadata == {"oid": "OID2"}
         assert restored.index.document_frequency("www") == 1
         # new additions continue the id sequence
         assert restored.add_document("next") == 3

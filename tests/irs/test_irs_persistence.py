@@ -1,64 +1,75 @@
-"""IRS persistence: engines round-trip through the filesystem."""
+"""Legacy JSON index directories: the read-only import.
 
+``tests/store/fixtures/irs_index`` was written by the old JSON writer: a
+monolithic (``mono``), a segmented (``seg``) and a 2-shard (``shard``)
+collection.  Rankings of the imported engine, and of the store it is
+checkpointed into, are pinned in ``tests/store/test_cross_loading.py``.
+"""
+
+import json
 import os
+import shutil
 
-from repro.irs.engine import IRSEngine
-from repro.irs.persistence import load_engine, save_engine
+from repro.irs.persistence import load_engine
 
-
-def build_engine():
-    engine = IRSEngine()
-    engine.create_collection("paras")
-    engine.index_document("paras", "the www grows daily", {"oid": "OID1"})
-    engine.index_document("paras", "nii debates continue", {"oid": "OID2"})
-    engine.create_collection("chapters")
-    engine.index_document("chapters", "full chapter about www and nii", {"oid": "OID3"})
-    return engine
+FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "store", "fixtures"
+)
+DIRECTORY = os.path.join(FIXTURES, "irs_index")
 
 
-class TestSaveLoad:
-    def test_collections_restored(self, tmp_path):
-        engine = build_engine()
-        save_engine(engine, str(tmp_path))
+def expected_documents():
+    with open(os.path.join(FIXTURES, "irs_index_expected.json"), encoding="utf-8") as fh:
+        want = json.load(fh)
+    return {name: entry["documents"] for name, entry in want["collections"].items()}
+
+
+class TestLoad:
+    def test_collections_restored(self):
+        restored = load_engine(DIRECTORY)
+        assert restored.collection_names() == ["mono", "seg", "shard"]
+        for name, documents in expected_documents().items():
+            assert len(restored.collection(name)) == len(documents)
+
+    def test_metadata_restored(self):
+        restored = load_engine(DIRECTORY)
+        for name, documents in expected_documents().items():
+            collection = restored.collection(name)
+            for doc_id, want in documents.items():
+                document = collection.document(int(doc_id))
+                assert document.metadata == want["metadata"]
+                assert document.revision == want["revision"]
+
+    def test_every_layout_loads_as_sealed_segments(self):
+        restored = load_engine(DIRECTORY)
+        for name in restored.collection_names():
+            collection = restored.collection(name)
+            assert not getattr(collection, "shards", None), name
+            assert collection.segments.sealed_segments(), name
+            assert collection.segments.memtable.document_count == 0, name
+            assert sorted(collection.index.document_ids()) == sorted(
+                doc.doc_id for doc in collection.documents()
+            ), name
+
+    def test_additions_continue_the_id_sequence(self):
+        restored = load_engine(DIRECTORY)
+        for name in restored.collection_names():
+            assert restored.index_document(name, "one more document") == 11
+
+    def test_odd_collection_names_safe(self, tmp_path):
+        """A name is stored under its file-safe spelling; the manifest keeps
+        the name itself."""
+        shutil.copyfile(
+            os.path.join(DIRECTORY, "collection_seg.json"),
+            str(tmp_path / "collection_my_coll_2_.json"),
+        )
+        (tmp_path / "collections.json").write_text(
+            json.dumps({"collections": ["my coll/2!"]}), encoding="utf-8"
+        )
         restored = load_engine(str(tmp_path))
-        assert restored.collection_names() == ["chapters", "paras"]
-        assert len(restored.collection("paras")) == 2
-
-    def test_query_results_identical(self, tmp_path):
-        engine = build_engine()
-        save_engine(engine, str(tmp_path))
-        restored = load_engine(str(tmp_path))
-        assert restored.query("paras", "www").values == engine.query("paras", "www").values
-
-    def test_metadata_restored(self, tmp_path):
-        engine = build_engine()
-        save_engine(engine, str(tmp_path))
-        restored = load_engine(str(tmp_path))
-        assert restored.collection("paras").document(1).metadata["oid"] == "OID1"
+        assert restored.has_collection("my coll/2!")
+        assert len(restored.collection("my coll/2!")) == len(expected_documents()["seg"])
 
     def test_load_missing_directory_yields_empty_engine(self, tmp_path):
         restored = load_engine(str(tmp_path / "nothing"))
         assert restored.collection_names() == []
-
-    def test_save_is_atomic_per_file(self, tmp_path):
-        engine = build_engine()
-        save_engine(engine, str(tmp_path))
-        files = os.listdir(str(tmp_path))
-        assert "collections.json" in files
-        assert not [f for f in files if f.endswith(".tmp")]
-
-    def test_resave_overwrites(self, tmp_path):
-        engine = build_engine()
-        save_engine(engine, str(tmp_path))
-        engine.index_document("paras", "third document", {"oid": "OID9"})
-        save_engine(engine, str(tmp_path))
-        restored = load_engine(str(tmp_path))
-        assert len(restored.collection("paras")) == 3
-
-    def test_odd_collection_names_safe(self, tmp_path):
-        engine = IRSEngine()
-        engine.create_collection("my coll/2!")
-        engine.index_document("my coll/2!", "text www", {})
-        save_engine(engine, str(tmp_path))
-        restored = load_engine(str(tmp_path))
-        assert restored.has_collection("my coll/2!")

@@ -195,11 +195,15 @@ class TestMergeScheduler:
         assert len(collection.segments.sealed_segments()) < before_segments
         assert set(collection.index.document_ids()) == before_docs
 
-    def test_run_once_skips_monolithic_collections(self):
-        engine = IRSEngine(segment_config=SegmentConfig(enabled=False))
-        engine.create_collection("mono")
-        engine.index_document("mono", "www nii")
+    def test_run_once_skips_collections_with_nothing_sealed(self):
+        engine = IRSEngine(segment_config=SegmentConfig(tier_fanout=2))
+        engine.create_collection("unsealed")
+        engine.index_document("unsealed", "www nii")
+        engine.index_document("unsealed", "telnet gopher")
+        manager = engine.collection("unsealed").segments
         assert MergeScheduler(engine, interval=0.01).run_once() == 0
+        assert not manager.sealed_segments()
+        assert manager.memtable.document_count == 2
 
     def test_engine_owns_one_scheduler(self):
         engine = self._engine()

@@ -1,4 +1,4 @@
-"""Segmented scoring must be exactly equivalent to a monolithic rebuild.
+"""Segmented scoring must be exactly equivalent to a fresh rebuild.
 
 Satellite acceptance for the segmented index subsystem: a collection in an
 arbitrary segmented state — live memtable, several sealed segments,
@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.irs.analysis import Analyzer
-from repro.irs.collection import IRSCollection, IRSDocument
+from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.models import (
     BooleanModel,
@@ -77,19 +77,26 @@ def build_segmented_corpus(seed: int = 20260806, documents: int = 5000):
     return collection
 
 
-def monolithic_rebuild(collection: IRSCollection) -> IRSCollection:
-    """From-scratch monolithic reference over the surviving documents."""
-    rebuilt = IRSCollection(collection.name + "-rebuild", collection.analyzer)
+def fresh_rebuild(collection: IRSCollection) -> IRSCollection:
+    """From-scratch reference over the surviving documents: one freshly
+    built :class:`InvertedIndex`, loaded through ``from_payload``."""
     index = InvertedIndex()
+    documents = []
     for doc_id in sorted(collection._documents):
         document = collection._documents[doc_id]
-        rebuilt._documents[doc_id] = IRSDocument(
-            doc_id, document.text, dict(document.metadata)
+        documents.append(
+            {"doc_id": doc_id, "text": document.text, "metadata": document.metadata}
         )
-        index.add_document(doc_id, rebuilt.analyzer.tokens(document.text))
-    rebuilt.index = index
-    rebuilt._next_doc_id = collection._next_doc_id
-    return rebuilt
+        index.add_document(doc_id, collection.analyzer.tokens(document.text))
+    return IRSCollection.from_payload(
+        {
+            "name": collection.name + "-rebuild",
+            "next_doc_id": collection._next_doc_id,
+            "documents": documents,
+            "index": index.to_payload(),
+        },
+        collection.analyzer,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +106,7 @@ def corpora():
     assert len(manager.sealed_segments()) >= 5, "corpus must span several segments"
     assert manager.memtable.document_count > 0, "memtable must be live"
     assert manager.tombstone_count() > 0, "sealed tombstones required"
-    return segmented, monolithic_rebuild(segmented)
+    return segmented, fresh_rebuild(segmented)
 
 
 def assert_same_ranking(segmented_result, rebuilt_result, context):
@@ -142,7 +149,7 @@ class TestEquivalenceAfterMerge:
     @pytest.mark.parametrize("model", MODELS)
     def test_compaction_preserves_rankings(self, model):
         segmented = build_segmented_corpus(seed=42, documents=1200)
-        rebuilt = monolithic_rebuild(segmented)
+        rebuilt = fresh_rebuild(segmented)
         trees = [
             parse_irs_query(q, default_operator=model.default_operator)
             for q in QUERIES

@@ -1,7 +1,7 @@
-"""Segment subsystem units: lifecycle, tombstones, epochs, payloads.
+"""Segment subsystem units: lifecycle, tombstones, epochs, norms, payloads.
 
 The load-bearing property — the union view over any segment stack reads
-exactly like a monolithic :class:`InvertedIndex` holding the same live
+exactly like a freshly built :class:`InvertedIndex` holding the same live
 documents — is checked for every index implementer at once in
 ``test_index_contract.py``.  Scoring equivalence on the big corpus lives
 in ``test_segmented_equivalence.py``.
@@ -9,6 +9,7 @@ in ``test_segmented_equivalence.py``.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.segments import SegmentConfig, SegmentManager
-from repro.irs.statistics import ForwardNormStatistics, StatisticsCache
+from repro.irs.statistics import StatisticsCache
 from repro.irs.view import UnionIndexView
 
 VOCABULARY = ["www", "nii", "telnet", "database", "retrieval"] + [
@@ -35,7 +36,7 @@ def random_terms(rng: random.Random, low: int = 2, high: int = 12):
 
 
 def build_pair(seed: int, documents: int, config: SegmentConfig):
-    """The same documents in a segment stack and a monolithic index."""
+    """The same documents in a segment stack and a fresh reference index."""
     rng = random.Random(seed)
     manager = SegmentManager(f"seg{seed}", config)
     view = UnionIndexView(manager)
@@ -123,35 +124,8 @@ class TestEpochSemantics:
                 manager.add_document(61, ["nii"])
         assert view.epoch == before + 1
 
-    def test_monolithic_index_batched_epoch(self):
-        index = InvertedIndex()
-        index.add_document(1, ["www", "nii"])
-        before = index.epoch
-        with index.batched_epoch():
-            index.add_document(2, ["telnet"])
-            index.remove_document(1)
-            assert index.epoch == before
-        assert index.epoch == before + 1
-        with index.batched_epoch():
-            pass
-        assert index.epoch == before + 1
-
 
 class TestTargetedRemoval:
-    def test_remove_with_terms_equals_full_scan(self):
-        full, targeted = InvertedIndex(), InvertedIndex()
-        rng = random.Random(13)
-        docs = {doc_id: random_terms(rng) for doc_id in range(1, 10)}
-        for doc_id, terms in docs.items():
-            full.add_document(doc_id, terms)
-            targeted.add_document(doc_id, terms)
-        for doc_id in (3, 7, 1):
-            full.remove_document(doc_id)
-            targeted.remove_document(doc_id, terms=docs[doc_id])
-        assert full.to_payload() == targeted.to_payload()
-        assert full.posting_count == targeted.posting_count
-        assert full.token_count == targeted.token_count
-
     def test_remove_with_terms_rejects_unknown_doc(self):
         index = InvertedIndex()
         index.add_document(1, ["www"])
@@ -159,78 +133,100 @@ class TestTargetedRemoval:
             index.remove_document(2, terms=["www"])
 
 
-class TestForwardNormStatistics:
-    def test_norms_match_monolithic_sweep(self):
+def reference_norm(index: InvertedIndex, doc_id: int) -> float:
+    """The TF-IDF norm, straight from a from-scratch index."""
+    total = 0.0
+    for term, tf in index.document_vector(doc_id).items():
+        idf = math.log(1.0 + index.document_count / index.document_frequency(term))
+        total += ((1.0 + math.log(tf)) * idf) ** 2
+    return math.sqrt(total)
+
+
+class TestPerDocumentNorms:
+    def test_norms_match_a_fresh_index(self):
         config = small_config()
         manager, view, mono = build_pair(14, 15, config)
         for victim in (2, 9):
             manager.remove_document(victim)
-            mono.remove_document(victim)
-        segmented = ForwardNormStatistics(view, manager.forward_vector)
-        monolithic = StatisticsCache(mono)
+            mono.remove_document(victim, mono.document_vector(victim))
+        stats = StatisticsCache(view, manager.forward_vector)
         for doc_id in mono.document_ids():
-            assert segmented.document_norm(doc_id) == pytest.approx(
-                monolithic.document_norm(doc_id), abs=1e-9
+            assert stats.document_norm(doc_id) == pytest.approx(
+                reference_norm(mono, doc_id), abs=1e-9
             )
-        assert segmented.document_norm(999) == 0.0
+        assert stats.document_norm(999) == 0.0
 
     def test_norms_invalidate_on_epoch_change(self):
         manager, view, _ = build_pair(15, 6, small_config())
-        stats = ForwardNormStatistics(view, manager.forward_vector)
+        stats = StatisticsCache(view, manager.forward_vector)
         first = stats.document_norm(1)
         manager.add_document(100, ["www", "www", "nii"])
         second = stats.document_norm(1)
         # Same document, but the idf landscape changed with the new doc.
         assert first != second
 
-    def test_collection_stats_cache_is_segmented(self):
+    def test_collection_stats_cache_reads_the_union_view(self):
         collection = IRSCollection("segcoll", segment_config=small_config())
         collection.add_document("www nii telnet")
-        assert isinstance(collection.stats, ForwardNormStatistics)
+        assert isinstance(collection.stats, StatisticsCache)
         assert collection.stats.index is collection.index
 
 
 class TestPayloads:
-    def _populated(self, seed=16, documents=11):
-        collection = IRSCollection(f"pay{seed}", segment_config=small_config())
-        rng = random.Random(seed)
-        for _ in range(documents):
-            collection.add_document(" ".join(random_terms(rng)))
-        collection.remove_document(2)
-        collection.remove_document(7)
-        return collection
+    def test_segmented_round_trip(self, tmp_path):
+        """Sealed segments, their tombstones and the memtable survive a
+        checkpoint into the store; the memtable comes back sealed."""
+        from repro.irs.engine import IRSEngine
+        from repro.store import SingleFileStore
 
-    def test_segmented_round_trip(self):
-        collection = self._populated()
-        payload = collection.to_payload()
-        assert "segments" in payload and "index" not in payload
-        restored = IRSCollection.from_payload(payload)
-        assert restored.segments is not None
+        engine = IRSEngine(segment_config=small_config())
+        engine.create_collection("pay")
+        rng = random.Random(16)
+        for _ in range(11):
+            engine.index_document("pay", " ".join(random_terms(rng)))
+        engine.remove_document("pay", 2)
+        engine.remove_document("pay", 7)
+        collection = engine.collection("pay")
+        sealed = collection.segments.sealed_segments()
+        assert any(segment.tombstones for segment in sealed)
+        assert collection.segments.memtable.document_count
+        path = str(tmp_path / "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(engine)
+        with SingleFileStore(path) as store:
+            restored = store.load_engine(lazy=False).collection("pay")
+        restored_sealed = restored.segments.sealed_segments()
+        assert [s.tombstones for s in restored_sealed[: len(sealed)]] == [
+            s.tombstones for s in sealed
+        ]
+        assert len(restored_sealed) == len(sealed) + 1
+        assert restored.segments.memtable.document_count == 0
         assert restored.index.to_payload() == collection.index.to_payload()
         assert restored.add_document("next doc") == collection._next_doc_id
         assert len(restored) == len(collection) + 1
 
-    def test_segmented_payload_flattens_into_monolithic(self):
-        collection = self._populated(seed=17)
-        payload = collection.to_payload()
-        restored = IRSCollection.from_payload(
-            payload, segment_config=SegmentConfig(enabled=False)
-        )
-        assert restored.segments is None
-        assert isinstance(restored.index, InvertedIndex)
-        assert restored.index.to_payload() == collection.index.to_payload()
-
     def test_legacy_payload_loads_into_segments(self):
-        mono = IRSCollection("legacy")
+        """A monolithic ``"index"`` payload — what older builds dumped — is
+        loaded as one sealed segment."""
         rng = random.Random(18)
-        for _ in range(6):
-            mono.add_document(" ".join(random_terms(rng)))
-        payload = mono.to_payload()
-        assert "index" in payload
-        restored = IRSCollection.from_payload(payload, segment_config=SegmentConfig())
-        assert restored.segments is not None
+        reference = InvertedIndex()
+        documents = []
+        collection = IRSCollection("legacy")
+        for doc_id in range(1, 7):
+            text = " ".join(random_terms(rng))
+            documents.append({"doc_id": doc_id, "text": text, "metadata": {}})
+            reference.add_document(doc_id, collection.analyzer.tokens(text))
+        restored = IRSCollection.from_payload(
+            {
+                "name": "legacy",
+                "next_doc_id": 7,
+                "documents": documents,
+                "index": reference.to_payload(),
+            }
+        )
         assert len(restored.segments.sealed_segments()) == 1
-        assert restored.index.to_payload() == mono.index.to_payload()
+        assert restored.index.to_payload() == reference.to_payload()
+        assert restored.add_document("next doc") == 7
 
 
 class TestSegmentInfo:

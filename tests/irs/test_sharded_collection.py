@@ -1,5 +1,5 @@
-"""Unit coverage for the sharded collection: routing, payload
-cross-loading, engine/system wiring, and the health section.
+"""Unit coverage for the sharded collection: routing, cross-loading
+through the store, engine/system wiring, and the health section.
 
 The *equivalence* guarantees live in ``tests/property/test_shard_equivalence``,
 the union view's read contract (over 1/2/4 shards) in
@@ -10,22 +10,19 @@ those suites build on.
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro.core import DocumentSystem
 from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
-from repro.irs.persistence import load_engine, save_engine
 from repro.irs.segments import SegmentConfig
 from repro.irs.shards import (
     ShardedCollection,
     routing_key,
     shard_of,
 )
+from repro.store import SingleFileStore
 
 TEXTS = [
     "www nii telnet",
@@ -46,6 +43,18 @@ def populated(shard_count=3, segment_config=None):
     for i, text in enumerate(TEXTS):
         collection.add_document(text, {"oid": f"1.{i}"})
     return collection
+
+
+def reloaded(tmp_path, collection, shard_count=0):
+    """An engine holding ``collection`` after a checkpoint into a store and
+    a load at ``shard_count`` shards (0: unsharded)."""
+    engine = IRSEngine()
+    engine._collections[collection.name] = collection
+    path = str(tmp_path / "irs.store")
+    with SingleFileStore(path) as store:
+        store.checkpoint(engine)
+    with SingleFileStore(path) as store:
+        return store.load_engine(shard_count=shard_count, lazy=False)
 
 
 class TestRouting:
@@ -119,11 +128,9 @@ class TestUnionView:
 
 
 class TestPayloadCrossLoading:
-    def test_sharded_round_trip_is_identical(self):
+    def test_sharded_round_trip_is_identical(self, tmp_path):
         collection = populated()
-        clone = ShardedCollection.from_payload(
-            collection.to_payload(), Analyzer()
-        )
+        clone = reloaded(tmp_path, collection, shard_count=3).collection("c")
         assert clone.shard_count == collection.shard_count
         assert clone.index.to_payload() == collection.index.to_payload()
         assert {
@@ -133,9 +140,10 @@ class TestPayloadCrossLoading:
             for d in sorted(collection._documents)
         }
 
-    def test_sharded_dump_flattens_into_plain_collection(self):
+    def test_sharded_dump_flattens_into_plain_collection(self, tmp_path):
         collection = populated()
-        flat = IRSCollection.from_payload(collection.to_payload(), Analyzer())
+        flat = reloaded(tmp_path, collection).collection("c")
+        assert not getattr(flat, "shards", None)
         assert len(flat) == len(collection)
         assert flat.index.document_count == collection.index.document_count
         for term in collection.index.terms():
@@ -143,13 +151,11 @@ class TestPayloadCrossLoading:
                 term
             ) == collection.index.document_frequency(term)
 
-    def test_plain_dump_repartitions_into_shards(self):
+    def test_plain_dump_repartitions_into_shards(self, tmp_path):
         plain = IRSCollection("c", Analyzer())
         for i, text in enumerate(TEXTS):
             plain.add_document(text, {"oid": f"1.{i}"})
-        sharded = ShardedCollection.from_payload(
-            plain.to_payload(), Analyzer(), shard_count=3
-        )
+        sharded = reloaded(tmp_path, plain, shard_count=3).collection("c")
         assert sharded.shard_count == 3
         assert len(sharded) == len(plain)
         for term in plain.index.terms():
@@ -157,11 +163,9 @@ class TestPayloadCrossLoading:
                 term
             ) == plain.index.document_frequency(term)
 
-    def test_shard_count_change_repartitions(self):
+    def test_shard_count_change_repartitions(self, tmp_path):
         collection = populated(shard_count=3)
-        resharded = ShardedCollection.from_payload(
-            collection.to_payload(), Analyzer(), shard_count=5
-        )
+        resharded = reloaded(tmp_path, collection, shard_count=5).collection("c")
         assert resharded.shard_count == 5
         assert resharded.index.document_count == collection.index.document_count
         # Every document sits on the shard its routing key selects.
@@ -171,15 +175,9 @@ class TestPayloadCrossLoading:
                 routing_key(document.metadata, doc_id), 5
             )
 
-    def test_segmented_shards_round_trip(self):
-        collection = populated(
-            segment_config=SegmentConfig(seal_document_count=2)
-        )
-        clone = ShardedCollection.from_payload(
-            collection.to_payload(),
-            Analyzer(),
-            segment_config=SegmentConfig(seal_document_count=2),
-        )
+    def test_segmented_shards_round_trip(self, tmp_path):
+        collection = populated(segment_config=SegmentConfig(seal_document_count=2))
+        clone = reloaded(tmp_path, collection, shard_count=3).collection("c")
         assert clone.index.to_payload() == collection.index.to_payload()
 
 
@@ -191,27 +189,52 @@ class TestPersistence:
             engine.index_document("c", text)
         return engine
 
-    def test_directory_layout_and_round_trip(self, tmp_path):
+    def test_store_entry_layout_and_round_trip(self, tmp_path):
         engine = self._sharded_engine()
-        save_engine(engine, str(tmp_path))
-        shard_dir = tmp_path / "collection_c"
-        assert (shard_dir / "meta.json").exists()
-        assert (shard_dir / "shard_0002.json").exists()
-        meta = json.loads((shard_dir / "meta.json").read_text())
-        assert meta["shard_count"] == 3 and "shards" not in meta
-        reloaded = load_engine(str(tmp_path), shard_count=3)
         original = engine.collection("c")
-        clone = reloaded.collection("c")
+        path = str(tmp_path / "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(engine)
+            entry = store.manifest["collections"]["c"]
+        assert entry["layout"] == "sharded" and entry["shard_count"] == 3
+        assert "segments" not in entry and "memtable" not in entry
+        assert [shard["memtable"] is not None for shard in entry["shards"]] == [
+            bool(shard.index.document_count) for shard in original.shards
+        ]
+        with SingleFileStore(path) as store:
+            clone = store.load_engine(shard_count=3, lazy=False).collection("c")
         assert clone.shard_count == 3
         assert clone.index.to_payload() == original.index.to_payload()
+        assert [sorted(shard.index.document_ids()) for shard in clone.shards] == [
+            sorted(shard.index.document_ids()) for shard in original.shards
+        ]
+
+    def test_layout_switch_replaces_the_stale_entry(self, tmp_path):
+        """Reopening at another shard count and checkpointing rewrites the
+        entry in the new layout; a pack then drops the old one's records."""
+        reference = self._sharded_engine().query("c", "www nii").values
+        path = str(tmp_path / "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(self._sharded_engine())
+        for shard_count, layout, stale in ((0, "segmented", "shards"), (3, "sharded", "segments")):
+            with SingleFileStore(path) as store:
+                engine = store.load_engine(shard_count=shard_count, lazy=False)
+                store.checkpoint(engine)
+                entry = store.manifest["collections"]["c"]
+                assert entry["layout"] == layout and stale not in entry
+                dead = store.stats()["dead_bytes"]
+                assert dead > 0
+                assert store.pack()["reclaimed_bytes"] >= dead
+                assert store.stats()["dead_bytes"] == 0
+            with SingleFileStore(path) as store:
+                again = store.load_engine(shard_count=shard_count)
+                assert again.query("c", "www nii").values == reference
 
     def test_sharded_store_loads_into_unsharded_engine(self, tmp_path):
         engine = self._sharded_engine()
         reference = engine.query("c", "www nii", top_k=4).values
-        save_engine(engine, str(tmp_path))
-        flat_engine = load_engine(str(tmp_path))  # shard_count=0
-        flat = flat_engine.collection("c")
-        assert not getattr(flat, "shards", None)
+        flat_engine = reloaded(tmp_path, engine.collection("c"))
+        assert not getattr(flat_engine.collection("c"), "shards", None)
         assert flat_engine.query("c", "www nii", top_k=4).values == reference
 
     def test_unsharded_store_loads_into_sharded_engine(self, tmp_path):
@@ -220,22 +243,9 @@ class TestPersistence:
         for text in TEXTS:
             engine.index_document("c", text)
         reference = engine.query("c", "www nii", top_k=4).values
-        save_engine(engine, str(tmp_path))
-        sharded_engine = load_engine(str(tmp_path), shard_count=4)
+        sharded_engine = reloaded(tmp_path, engine.collection("c"), shard_count=4)
         assert sharded_engine.collection("c").shard_count == 4
         assert sharded_engine.query("c", "www nii", top_k=4).values == reference
-
-    def test_layout_switch_removes_the_stale_representation(self, tmp_path):
-        engine = self._sharded_engine()
-        save_engine(engine, str(tmp_path))
-        assert (tmp_path / "collection_c").is_dir()
-        flat_engine = load_engine(str(tmp_path))
-        save_engine(flat_engine, str(tmp_path))
-        assert (tmp_path / "collection_c.json").exists()
-        assert not (tmp_path / "collection_c").exists()
-        save_engine(self._sharded_engine(), str(tmp_path))
-        assert (tmp_path / "collection_c").is_dir()
-        assert not os.path.exists(tmp_path / "collection_c.json")
 
 
 class TestEngineWiring:

@@ -37,7 +37,7 @@ class TestEpoch:
         index.add_document(1, ["www"])
         e1 = index.epoch
         assert e1 > e0
-        index.remove_document(1)
+        index.remove_document(1, ["www"])
         assert index.epoch > e1
 
     def test_running_counters_match_recomputation(self):
@@ -47,7 +47,7 @@ class TestEpoch:
         assert index.token_count == 5
         assert index.posting_count == 4
         assert index.collection_frequency("www") == 2
-        index.remove_document(1)
+        index.remove_document(1, ["www", "www", "nii"])
         assert index.token_count == 2
         assert index.posting_count == 2
         assert index.collection_frequency("www") == 0
@@ -109,17 +109,30 @@ class TestCacheInvalidation:
         assert after != before
         assert after == pytest.approx(fresh_expected_norm(collection.index, doc))
 
-    def test_stats_cache_survives_index_swap(self):
-        collection = IRSCollection("c", Analyzer(stemming=False, stopwords=set()))
-        collection.add_document("www")
-        assert collection.stats.document_frequency("www") == 1
+    def test_loaded_collection_stats_follow_later_updates(self):
+        """A collection materialized from a payload reads its statistics
+        through its own union view: the loaded segment plus later adds."""
+        analyzer = Analyzer(stemming=False, stopwords=set())
+        loaded = InvertedIndex()
+        loaded.add_document(1, ["www", "www", "nii"])
         restored = IRSCollection.from_payload(
-            collection.to_payload(), Analyzer(stemming=False, stopwords=set())
+            {
+                "name": "c",
+                "next_doc_id": 2,
+                "documents": [{"doc_id": 1, "text": "www www nii", "metadata": {}}],
+                "index": loaded.to_payload(),
+            },
+            analyzer,
         )
-        # The restored collection has a different index object; the stats
-        # property must rebind instead of reading through the stale cache.
-        assert restored.stats.document_frequency("www") == 1
         assert restored.stats.index is restored.index
+        assert restored.stats.document_frequency("www") == 1
+        before = restored.stats.document_norm(1)
+        assert restored.add_document("www policy") == 2
+        assert restored.stats.document_frequency("www") == 2
+        assert restored.stats.doc_id_set("www") == {1, 2}
+        after = restored.stats.document_norm(1)
+        assert after != before
+        assert after == pytest.approx(fresh_expected_norm(restored.index, 1))
 
 
 @st.composite
@@ -174,19 +187,20 @@ class TestInterleavedProperty:
     def test_standalone_cache_matches_fresh_cache(self, operations):
         """A long-lived cache equals a cache built after all the updates."""
         index = InvertedIndex()
-        cache = StatisticsCache(index)
+        cache = StatisticsCache(index, index.document_vector)
         next_id = 1
-        live = []
+        live = {}
         for op, terms in operations:
             if op in ("add", "replace", "query") or not live:
                 index.add_document(next_id, terms)
-                live.append(next_id)
+                live[next_id] = terms
                 next_id += 1
             else:
-                index.remove_document(live.pop(0))
+                oldest = min(live)
+                index.remove_document(oldest, live.pop(oldest))
             cache.average_document_length  # touch: force memo fill
             cache.doc_id_set(terms[0])
-        fresh = StatisticsCache(index)
+        fresh = StatisticsCache(index, index.document_vector)
         assert cache.average_document_length == fresh.average_document_length
         for term in VOCAB:
             assert cache.idf(term) == fresh.idf(term)

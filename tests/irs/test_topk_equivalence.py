@@ -3,8 +3,8 @@
 The safe-up-to-k contract of :mod:`repro.irs.topk`: for every eligible
 query the pruned ranking's first k entries must equal — same documents,
 same order, bit-identical values — the first k entries of the exhaustive
-ranking.  Checked across both models, memtable + sealed segments,
-tombstones, ties at the kth position, mid-merge reads and post-merge
+ranking.  Checked across both models, memtable + sealed segments, a
+memtable that never seals, tombstones, ties at the kth position, mid-merge reads and post-merge
 state.
 """
 
@@ -44,13 +44,17 @@ def _make_doc(rng):
     return " ".join(words)
 
 
-def _build(segmented, size=CORPUS_SIZE):
-    cfg = (
-        SegmentConfig(seal_document_count=1200)
-        if segmented
-        else SegmentConfig(enabled=False)
-    )
-    engine = IRSEngine(result_cache_size=0, segment_config=cfg)
+#: Seal every 1 200 documents, or hold the whole corpus in the memtable.
+LAYOUTS = {
+    "segmented": SegmentConfig(seal_document_count=1200),
+    "memtable": SegmentConfig(
+        seal_document_count=CORPUS_SIZE + 1, seal_token_count=10**9
+    ),
+}
+
+
+def _build(size=CORPUS_SIZE, layout="segmented"):
+    engine = IRSEngine(result_cache_size=0, segment_config=LAYOUTS[layout])
     engine.create_collection("c")
     rng = random.Random(SEED)
     docs = [engine.index_document("c", _make_doc(rng)) for _ in range(size)]
@@ -70,9 +74,11 @@ def _assert_equivalent(engine, queries=QUERIES, ks=KS):
                 )
 
 
-@pytest.fixture(scope="module", params=["segmented", "monolithic"])
+@pytest.fixture(scope="module", params=sorted(LAYOUTS, reverse=True))
 def corpus(request):
-    engine, docs, rng = _build(request.param == "segmented")
+    engine, docs, rng = _build(layout=request.param)
+    sealed = engine.collection("c").segments.sealed_segments()
+    assert bool(sealed) == (request.param == "segmented")
     return engine, docs, rng
 
 
@@ -143,7 +149,7 @@ class TestTombstones:
 
 class TestMidMergeReads:
     def test_reads_between_begin_and_commit(self):
-        engine, docs, rng = _build(segmented=True, size=2000)
+        engine, docs, rng = _build(size=2000)
         for doc in rng.sample(docs, 200):
             engine.remove_document("c", doc)
         collection = engine.collection("c")
@@ -163,7 +169,7 @@ class TestMidMergeReads:
 
 class TestOutcomeBookkeeping:
     def test_eligible_query_prunes_and_counts(self):
-        engine, _docs, _rng = _build(segmented=True, size=2000)
+        engine, _docs, _rng = _build(size=2000)
         collection = engine.collection("c")
         impl = MODELS["inquery"]()
         tree = parse_irs_query("#sum(topic0 topic2 topic7)")
@@ -173,7 +179,7 @@ class TestOutcomeBookkeeping:
         assert 0 < outcome.candidates_scored < exhaustive
 
     def test_fallback_records_reason(self):
-        engine, _docs, _rng = _build(segmented=True, size=200)
+        engine, _docs, _rng = _build(size=200)
         collection = engine.collection("c")
         impl = MODELS["inquery"]()
         tree = parse_irs_query("#and(topic0 topic1)")

@@ -1,4 +1,9 @@
-"""SingleFileStore: every layout round-trips; checkpoints are incremental."""
+"""SingleFileStore: both layouts round-trip, with sealed segments or with
+every document still in the memtable; checkpoints are incremental.
+
+Files written by older builds (a ``flat`` manifest entry) are pinned by
+the fixtures of ``test_cross_loading.py``.
+"""
 
 import pytest
 
@@ -20,18 +25,18 @@ TEXTS = [
 MODELS = ("inquery", "vector", "boolean")
 
 
+def segment_config(layout):
+    """``memtable``: the eight documents never seal."""
+    return SegmentConfig(seal_document_count=100 if layout == "memtable" else 3)
+
+
 def build_engine(layout):
-    if layout == "flat":
-        engine = IRSEngine(segment_config=SegmentConfig(enabled=False))
-        engine.create_collection("docs")
-    elif layout == "segmented":
-        engine = IRSEngine(segment_config=SegmentConfig(seal_document_count=3))
-        engine.create_collection("docs")
-    else:
-        engine = IRSEngine(
-            segment_config=SegmentConfig(seal_document_count=3), shard_count=2
-        )
+    if layout == "sharded":
+        engine = IRSEngine(segment_config=segment_config(layout), shard_count=2)
         engine.create_collection("docs", shards=2)
+    else:
+        engine = IRSEngine(segment_config=segment_config(layout))
+        engine.create_collection("docs")
     for i, text in enumerate(TEXTS):
         engine.index_document("docs", text, {"oid": f"OID{i}"})
     return engine
@@ -44,11 +49,13 @@ def rankings(engine, query="structured retrieval documents"):
     }
 
 
-@pytest.mark.parametrize("layout", ["flat", "segmented", "sharded"])
+@pytest.mark.parametrize("layout", ["memtable", "segmented", "sharded"])
 @pytest.mark.parametrize("lazy", [True, False])
 class TestRoundTrip:
     def test_rankings_bit_identical(self, tmp_path, layout, lazy):
         engine = build_engine(layout)
+        if layout == "memtable":
+            assert not engine.collection("docs").segments.sealed_segments()
         store = SingleFileStore(str(tmp_path / "irs.store"))
         store.checkpoint(engine)
         expected = rankings(engine)
@@ -56,13 +63,8 @@ class TestRoundTrip:
 
         again = SingleFileStore(str(tmp_path / "irs.store"))
         shard_count = 2 if layout == "sharded" else 0
-        config = (
-            SegmentConfig(enabled=False)
-            if layout == "flat"
-            else SegmentConfig(seal_document_count=3)
-        )
         restored = again.load_engine(shard_count=shard_count, lazy=lazy)
-        restored.segment_config = config
+        restored.segment_config = segment_config(layout)
         assert rankings(restored) == expected
         again.close()
 
@@ -119,13 +121,13 @@ class TestIncremental:
         store.close()
 
     def test_document_revision_delta(self, tmp_path):
-        engine = build_engine("flat")
+        engine = build_engine("segmented")
         store = SingleFileStore(str(tmp_path / "irs.store"))
         store.checkpoint(engine)
         engine.replace_document("docs", 1, "replaced text about retrieval")
         stats = store.checkpoint(engine)
         # One doc batch holding exactly the replaced document, plus the
-        # rewritten flat index.
+        # memtable the new revision landed in.
         entry = store.manifest["collections"]["docs"]
         last_batch = entry["doc_batches"][-1]
         batch = store.file.read_json(last_batch[0], last_batch[1])
@@ -147,7 +149,7 @@ class TestIncremental:
         store.close()
 
     def test_mass_removal_triggers_rebatch(self, tmp_path):
-        engine = IRSEngine(segment_config=SegmentConfig(enabled=False))
+        engine = IRSEngine()
         engine.create_collection("docs")
         for i in range(200):
             engine.index_document("docs", f"document number {i}", {})
@@ -168,7 +170,7 @@ class TestIncremental:
 
 class TestDroppedCollections:
     def test_dropped_collection_leaves_next_manifest(self, tmp_path):
-        engine = build_engine("flat")
+        engine = build_engine("segmented")
         engine.create_collection("extra")
         engine.index_document("extra", "short lived", {})
         store = SingleFileStore(str(tmp_path / "irs.store"))

@@ -9,8 +9,8 @@ from repro.errors import StoreError
 from repro.sgml.mmf import build_document, mmf_dtd
 
 
-def populated(tmp_path, name="sys", **kwargs):
-    system = DocumentSystem(directory=str(tmp_path / name), **kwargs)
+def populated(tmp_path, name="sys"):
+    system = DocumentSystem(directory=str(tmp_path / name))
     dtd = mmf_dtd()
     system.register_dtd(dtd)
     for i in range(4):
@@ -56,11 +56,19 @@ class TestCheckpoint:
             system.pack()
         system.close()
 
-    def test_json_mode_checkpoint_saves_legacy_indexes(self, tmp_path):
-        system, _, _ = populated(tmp_path, storage="json")
-        stats = system.checkpoint()
-        assert stats["mode"] == "json"
-        assert os.path.isdir(stats["directory"])
+    def test_checkpoint_records_generations_in_the_store_only(self, tmp_path):
+        system, collection, dtd = populated(tmp_path)
+        system.checkpoint()
+        directory = str(tmp_path / "sys")
+        assert os.path.isfile(os.path.join(directory, "irs.store"))
+        assert not os.path.exists(os.path.join(directory, "irs_index"))
+        first = system.store.gens()
+        assert list(first) == [collection.get("irs_name")]
+        system.add_document(build_document("T9", ["one more paragraph"]), dtd=dtd)
+        system.index_collection(collection)
+        system.checkpoint()
+        second = system.store.gens()
+        assert second[collection.get("irs_name")] > first[collection.get("irs_name")]
         system.close()
 
     def test_session_checkpoint_inline(self, tmp_path):
