@@ -23,6 +23,16 @@ from repro.sgml.loader import SGMLLoader
 from repro.sgml.parser import parse_document
 
 
+def collection_gens(db: Database) -> Dict[str, int]:
+    """Current ``index_gen`` of every COLLECTION object, by IRS name."""
+    from repro.core import collection as collection_module
+
+    return {
+        obj.get("irs_name"): int(obj.get("index_gen") or 0)
+        for obj in db.instances_of(collection_module.COLLECTION_CLASS)
+    }
+
+
 def checkpoint_coupling(db: Database) -> Dict[str, Any]:
     """Checkpoint the coupling behind ``db``: store commit, then OODB.
 
@@ -34,7 +44,6 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
     :class:`~repro.errors.StoreError` when the coupling has no
     single-file store attached (an in-memory system).
     """
-    from repro.core import collection as collection_module
     from repro.core.context import coupling_context
     from repro.errors import StoreError
 
@@ -44,10 +53,7 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
         raise StoreError(
             "checkpoint requires a durable system (open it with a directory)"
         )
-    gens: Dict[str, int] = {}
-    for obj in db.instances_of(collection_module.COLLECTION_CLASS):
-        gens[obj.get("irs_name")] = int(obj.get("index_gen") or 0)
-    stats = store.checkpoint(context.engine, gens=gens)
+    stats = store.checkpoint(context.engine, gens=collection_gens(db))
     db.checkpoint()
     return stats
 
@@ -276,15 +282,6 @@ class DocumentSystem:
         self.checkpoint()
         return self.store.pack()
 
-    def _collection_gens(self) -> Dict[str, int]:
-        """Current ``index_gen`` of every COLLECTION object, by IRS name."""
-        from repro.core import collection as collection_module
-
-        gens: Dict[str, int] = {}
-        for obj in self.db.instances_of(collection_module.COLLECTION_CLASS):
-            gens[obj.get("irs_name")] = int(obj.get("index_gen") or 0)
-        return gens
-
     def _recover_coupling(self) -> None:
         """Reconcile the recovered IRS store with the recovered database.
 
@@ -441,7 +438,7 @@ class DocumentSystem:
         self._sessions = []
         self.engine.shutdown_shards()
         if self.store is not None:
-            self.store.checkpoint(self.engine, gens=self._collection_gens())
+            self.store.checkpoint(self.engine, gens=collection_gens(self.db))
         self.db.close()
         if self.store is not None:
             self.store.close()

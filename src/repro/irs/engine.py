@@ -38,7 +38,7 @@ from repro.irs.collection import IRSCollection
 from repro.irs.models import MODELS, RetrievalModel
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import MergeScheduler, SegmentConfig
-from repro.irs.shards import ShardConfig, ShardedCollection, ShardExecutor
+from repro.irs.shards import ShardConfig, ShardExecutor
 from repro.sync import ReadWriteLock
 
 logger = logging.getLogger(__name__)
@@ -281,17 +281,12 @@ class IRSEngine:
         with self._registry_lock:
             if name in self._collections or name in self._lazy_loaders:
                 raise DuplicateCollectionError(f"IRS collection {name!r} already exists")
-            if count and count >= 1:
-                collection: IRSCollection = ShardedCollection(
-                    name,
-                    analyzer or self._analyzer,
-                    segment_config=self.segment_config,
-                    shard_count=count,
-                )
-            else:
-                collection = IRSCollection(
-                    name, analyzer or self._analyzer, segment_config=self.segment_config
-                )
+            collection = IRSCollection(
+                name,
+                analyzer or self._analyzer,
+                segment_config=self.segment_config,
+                shard_count=count,
+            )
             self._collections[name] = collection
             return collection
 
@@ -584,36 +579,18 @@ class IRSEngine:
         from repro.irs import topk as topk_mod
 
         executor = self._shard_executor
-        if executor is not None and getattr(collection, "shards", None):
-            scattered = executor.scatter_topk(
+        outcome = None
+        if executor is not None and collection.shard_count:
+            # None when the scatter declines (non-prunable shape): the
+            # inline union path below is exact for every model and shape.
+            outcome = executor.scatter_topk(
                 collection, model_name, model_impl, tree, irs_query,
                 top_k, span, registry,
             )
-            if scattered is not None:
-                values, counters = scattered
-                span.set_attribute("pruned", True)
-                span.set_attribute("candidates", counters["candidates_scored"])
-                registry.counter("irs.topk.pruned_queries").inc()
-                registry.counter("irs.postings.blocks_skipped").inc(
-                    counters["blocks_skipped"]
-                )
-                registry.counter("irs.postings.blocks_decoded").inc(
-                    counters["blocks_decoded"]
-                )
-                registry.counter("irs.topk.early_terminations").inc(
-                    counters["early_terminations"]
-                )
-                profile = active_profile()
-                if profile is not None:
-                    profile.pruned_queries += 1
-                    profile.blocks_skipped += counters["blocks_skipped"]
-                    profile.blocks_decoded += counters["blocks_decoded"]
-                    profile.early_terminations += counters["early_terminations"]
-                    profile.candidates_scored += counters["candidates_scored"]
-                return values
-            # Scatter declined (non-prunable shape): the inline union path
-            # below is exact for every model and query shape.
-        outcome = topk_mod.topk_scores(collection, model_name, model_impl, tree, top_k)
+        if outcome is None:
+            outcome = topk_mod.topk_scores(
+                collection, model_name, model_impl, tree, top_k
+            )
         profile = active_profile()
         if outcome.values is not None:
             span.set_attribute("pruned", True)
@@ -684,9 +661,11 @@ class IRSEngine:
         """
         info: Dict[str, Dict[str, object]] = {}
         for name, collection in sorted(self._collections.items()):
-            if not getattr(collection, "shards", None):
+            if not collection.shard_count:
                 continue
-            counts = collection.shard_document_counts()
+            counts = [
+                manager.document_count for manager in collection.segment_managers()
+            ]
             mean = sum(counts) / len(counts) if counts else 0.0
             info[name] = {
                 "shards": collection.shard_count,

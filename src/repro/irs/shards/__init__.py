@@ -1,11 +1,12 @@
-"""Sharded collections: hash-partitioned indexes, scatter-gather scoring.
+"""Sharding: hash routing and scatter-gather scoring.
 
-A :class:`ShardedCollection` splits one logical collection into N shard
-sub-collections (hash on the document's OID), each with its own segment
-lifecycle, behind the same :class:`~repro.irs.view.UnionIndexView` a
-segment stack uses — here over every shard's sources — so statistics stay
-globally exact.  Scoring is therefore **bit-identical** to the unsharded
-path — see DESIGN.md §"Sharded scoring" for the full argument.
+A sharded collection is an ordinary
+:class:`~repro.irs.collection.IRSCollection` built with ``shard_count=N``:
+it holds N segment managers instead of one, routes each document to one
+of them by hashing its OID (:mod:`repro.irs.shards.router`), and serves
+reads through the same :class:`~repro.irs.view.UnionIndexView` over every
+manager's sources — so statistics stay globally exact and scoring is
+**bit-identical** to the unsharded path (DESIGN.md §"Sharded scoring").
 
 Two scoring paths exist:
 
@@ -20,14 +21,12 @@ Two scoring paths exist:
   fallback, never to a wrong ranking.
 """
 
-from repro.irs.shards.collection import ShardedCollection
 from repro.irs.shards.executor import ShardConfig, ShardExecutor
 from repro.irs.shards.router import routing_key, shard_of
 
 __all__ = [
     "ShardConfig",
     "ShardExecutor",
-    "ShardedCollection",
     "routing_key",
     "shard_of",
 ]

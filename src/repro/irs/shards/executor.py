@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.irs.shards import worker as shard_worker
+from repro.irs.view import UnionIndexView
 
 _COUNTER_KEYS = (
     "blocks_skipped",
@@ -40,6 +41,62 @@ _COUNTER_KEYS = (
     "early_terminations",
     "candidates_scored",
 )
+
+
+class _ShardScoringAdapter:
+    """One shard's postings under the parent's global statistics.
+
+    Fed to :func:`repro.irs.topk.topk_scores` when a scatter worker fails
+    and its shard must be re-scored inline: the sources are the shard
+    manager's own segments, but analyzer, statistics and index are the
+    parent collection's — the same global values the worker replica
+    computed with, so the fallback's floats match the lost worker's bit
+    for bit.
+
+    The adapter is long-lived (one per shard, memoized on the executor) so
+    the impact caches the top-k scorer hangs off it stay warm across
+    failovers; they key on the parent's full version tuple because
+    impacts depend on *global* statistics, not just this shard's content.
+    """
+
+    def __init__(self, parent, shard_index: int) -> None:
+        self.parent = parent
+        self._manager = parent.segment_managers()[shard_index]
+
+    @property
+    def analyzer(self):
+        return self.parent.analyzer
+
+    @property
+    def stats(self):
+        return self.parent.stats
+
+    @property
+    def index(self) -> UnionIndexView:
+        return self.parent.index
+
+    def scoring_sources(self) -> list:
+        return self._manager.scoring_sources()
+
+    @property
+    def index_version(self) -> tuple:
+        return self.parent.index_version
+
+
+def shard_global_stats(collection) -> dict:
+    """The union statistics a worker replica needs.
+
+    ``document_count``/``token_count`` feed the global average document
+    length; the ``df`` table covers *every* union term so a replica
+    computes the same idf for a query term its own shard never saw.  All
+    integers — the replica's floats derive from them exactly.
+    """
+    index = collection.index
+    return {
+        "document_count": index.document_count,
+        "token_count": index.token_count,
+        "df": {term: index.document_frequency(term) for term in index.terms()},
+    }
 
 
 @dataclass(frozen=True)
@@ -67,6 +124,10 @@ class ShardExecutor:
         #: (collection, shard) -> (shard_version, union_version) last shipped
         #: to the *current* pool; cleared whenever the pool is rebuilt.
         self._versions: Dict[Tuple[str, int], tuple] = {}
+        #: collection -> (union_version, shard_global_stats) last computed.
+        self._global_stats: Dict[str, tuple] = {}
+        #: (collection, shard) -> failover adapter (see _ShardScoringAdapter).
+        self._adapters: Dict[Tuple[str, int], _ShardScoringAdapter] = {}
         self._closed = False
 
     @property
@@ -109,9 +170,12 @@ class ShardExecutor:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def drop_collection(self, name: str) -> None:
-        """Discard every pool of a dropped collection."""
+        """Discard every pool and memo of a dropped collection."""
         with self._lock:
             keys = [key for key in self._pools if key[0] == name]
+            self._global_stats.pop(name, None)
+            for key in [key for key in self._adapters if key[0] == name]:
+                del self._adapters[key]
         for key in keys:
             self._discard_pool(*key)
 
@@ -134,16 +198,21 @@ class ShardExecutor:
         cheap stats-only sync (other shards moved the union statistics).
         """
         key = (collection.name, shard_index)
-        shard = collection.shards[shard_index]
-        shard_version = shard.index_version
+        manager = collection.segment_managers()[shard_index]
+        shard_version = manager.index_version
         with self._lock:
             shipped = self._versions.get(key)
+            stats = self._global_stats.get(collection.name)
         if shipped == (shard_version, union_version):
             return
         if shipped is not None and shipped[0] == shard_version:
             payload = None
         else:
-            payload = shard.index.to_payload()
+            payload = UnionIndexView(manager).to_payload()
+        if stats is None or stats[0] != union_version:
+            stats = (union_version, shard_global_stats(collection))
+            with self._lock:
+                self._global_stats[collection.name] = stats
         pool.submit(
             shard_worker.sync_replica,
             collection.name,
@@ -152,11 +221,21 @@ class ShardExecutor:
             union_version,
             payload,
             collection.analyzer,
-            collection.shard_global_stats(),
+            stats[1],
         )
         with self._lock:
             self._versions[key] = (shard_version, union_version)
         registry.counter("irs.shard.syncs").inc()
+
+    def _scoring_adapter(self, collection, shard_index: int) -> _ShardScoringAdapter:
+        key = (collection.name, shard_index)
+        with self._lock:
+            adapter = self._adapters.get(key)
+            if adapter is None or adapter.parent is not collection:
+                adapter = self._adapters[key] = _ShardScoringAdapter(
+                    collection, shard_index
+                )
+            return adapter
 
     # -- the scatter-gather driver -------------------------------------------
 
@@ -197,13 +276,13 @@ class ShardExecutor:
         k: int,
         span,
         registry,
-    ) -> Optional[Tuple[Dict[int, float], Dict[str, int]]]:
+    ):
         """Scatter a prunable top-k query; None => caller scores inline.
 
         Must be called under the collection's read lock (the shard state
         shipped to the replicas and re-scored on failover may not move
-        mid-query).  Returns the exact top-k value dict plus the
-        aggregated pruning counters.
+        mid-query).  Returns a :class:`~repro.irs.topk.TopKOutcome`: the
+        exact top-k values plus the pruning counters summed over shards.
         """
         if self._closed:
             return None
@@ -275,7 +354,7 @@ class ShardExecutor:
             # cold threshold.
             floor = entries[k - 1][1] if len(entries) >= k else None
             outcome = topk.topk_scores(
-                collection.scoring_adapter(shard_index),
+                self._scoring_adapter(collection, shard_index),
                 model_name,
                 model_impl,
                 tree,
@@ -296,4 +375,4 @@ class ShardExecutor:
             span.set_attribute("shard_retries", retried)
         if failed:
             span.set_attribute("shard_failovers", len(failed))
-        return dict(entries[:k]), counters
+        return topk.TopKOutcome(dict(entries[:k]), **counters)

@@ -3,10 +3,11 @@
 Each shard gets its own single-worker pool (see
 :class:`~repro.irs.shards.executor.ShardExecutor`), whose process holds a
 **replica** of the shard (:class:`ShardReplica`): one sealed segment of
-the shard's live postings (the sync ships the shard index's
-``to_payload``), wrapped in a :class:`GlobalStatsIndex` that overrides
-every statistic scoring reads — document/token counts, average document
-length, the per-term df table — with the *union's* integer-exact values.
+the shard's live postings (the sync ships the ``to_payload`` of a union
+view over the shard's segment manager), wrapped in a
+:class:`GlobalStatsIndex` that overrides every statistic scoring reads —
+document/token counts, average document length, the per-term df table —
+with the *union's* integer-exact values.
 The replica's idf, average-dl and per-document norms are therefore
 bit-identical to the parent's, and
 :func:`repro.irs.topk.topk_scores` over the replica returns exactly the
@@ -27,7 +28,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.irs.analysis import Analyzer
-from repro.irs.models import MODELS
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SealedSegment
 from repro.irs.statistics import StatisticsCache
@@ -145,7 +145,7 @@ class GlobalStatsIndex:
 class ShardReplica:
     """What top-k scoring reads of a shard, in the worker process.
 
-    The five members of the parent's ``_ShardScoringAdapter``: the
+    The five members of the executor's ``_ShardScoringAdapter``: the
     analyzer, the statistics cache and the logical index (both global),
     the scoring sources (the one local segment) and the version the
     impact caches key on — the sync generation.
@@ -224,6 +224,7 @@ def replica_query(
 ) -> dict:
     """Top-k score the replica; exact shard-local slice of the global ranking."""
     from repro.irs import topk
+    from repro.irs.models import MODELS
 
     entry = _REPLICAS.get((collection_name, shard_index))
     if entry is None or entry["union_version"] != union_version:

@@ -1,9 +1,9 @@
 """UnionIndexView: one logical index over a versioned list of sources.
 
-A collection's postings live in one or more **scoring sources** — a
-segment stack's sealed segments plus its memtable index, or every shard's
-sources flattened.  Each source answers the same small read contract over its own
-*live* documents:
+A collection's postings live in one or more **scoring sources** — the
+sealed segments plus the memtable index of each of its segment managers
+(one, or one per shard), flattened.  Each source answers the same small
+read contract over its own *live* documents:
 
 * ``term_columns(term)`` — decoded ``(doc_ids, tfs)`` blocks, what every
   scorer reads (no position decoded, no posting object built);
@@ -15,9 +15,10 @@ sources flattened.  Each source answers the same small read contract over its ow
 
 This view turns such a list back into the full read surface of
 ``InvertedIndex``, so the retrieval models, the statistics caches and the
-engine run unchanged over any source list.  Its **owner** — the
-:class:`~repro.irs.segments.manager.SegmentManager` of a collection, or a :class:`~repro.irs.shards.collection.ShardedCollection`
-— supplies only what the view cannot derive:
+engine run unchanged over any source list.  Its **owner** — an
+:class:`~repro.irs.collection.IRSCollection`, or a single
+:class:`~repro.irs.segments.manager.SegmentManager` (what a shard replica
+sync dumps) — supplies only what the view cannot derive:
 
 * ``scoring_sources()`` and ``index_version`` (the memo key; moves on every
   content *or* structure change) plus ``epoch`` (content changes only —

@@ -40,13 +40,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core import updates as updates_module
-from repro.core.collection import COLLECTION_CLASS
 from repro.errors import (
     ConnectionLostError,
     ProtocolError,
     ReproError,
     ServiceOverloadedError,
-    UnknownCollectionError,
 )
 from repro.net import wire
 from repro.net.config import ServerConfig
@@ -88,7 +86,6 @@ class DocumentServer:
         self._handlers: List[threading.Thread] = []
         self._active = 0
         self._address: Optional[Tuple[str, int]] = None
-        self._collections: Dict[str, DBObject] = {}
         self.started_at: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -295,19 +292,12 @@ class DocumentServer:
         """Resolve a collection *name* to its COLLECTION object.
 
         Remote callers address collections by ``irs_name`` — object
-        handles do not cross the wire.  The cache is invalidation-free
-        because COLLECTION objects are never renamed; a miss rescans.
+        handles do not cross the wire; the session resolves (and caches)
+        the name.
         """
         if not isinstance(name, str) or not name:
             raise ProtocolError("'collection' must be a non-empty string")
-        cached = self._collections.get(name)
-        if cached is not None and self.system.db.object_exists(cached.oid):
-            return cached
-        for obj in self.system.db.instances_of(COLLECTION_CLASS):
-            if obj.get("irs_name") == name:
-                self._collections[name] = obj
-                return obj
-        raise UnknownCollectionError(f"no collection named {name!r}")
+        return self.session.collection(name)
 
     def _object(self, oid_text: Any) -> DBObject:
         if not isinstance(oid_text, str):
@@ -362,7 +352,6 @@ class DocumentServer:
         collection = self.session.create_collection(
             name, params.get("spec_query") or "", **options
         )
-        self._collections[name] = collection
         return {"name": name, "oid": str(collection.oid)}, None
 
     def _op_index(self, params: Dict[str, Any]):
@@ -434,12 +423,7 @@ class DocumentServer:
         return [wire.encode_value(row) for row in rows], None
 
     def _op_collections(self, params: Dict[str, Any]):
-        names = sorted(
-            obj.get("irs_name")
-            for obj in self.system.db.instances_of(COLLECTION_CLASS)
-            if obj.get("irs_name")
-        )
-        return names, None
+        return self.session.collections(), None
 
     def _op_health(self, params: Dict[str, Any]):
         slo = params.get("slo_seconds", self.config.slo_seconds)

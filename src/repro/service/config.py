@@ -43,10 +43,6 @@ class ServiceConfig:
         Per-request deadline in seconds for the synchronous wrappers
         (None = wait forever); exceeding it raises
         :class:`~repro.errors.RequestTimeoutError`.
-    ``transactional_reads``
-        When True, pooled query execution wraps each group in an explicit
-        database transaction (S-locking what it reads).  Off by default:
-        snapshot consistency already comes from the collection read lock.
     ``retry_seed``
         Seed of the backoff jitter RNG (tests pin it for determinism).
     ``failure_injector``
@@ -66,7 +62,6 @@ class ServiceConfig:
     backoff_base: float = 0.005
     backoff_cap: float = 0.1
     request_timeout: Optional[float] = 30.0
-    transactional_reads: bool = False
     retry_seed: Optional[int] = None
     failure_injector: Optional[Callable[[str, int], None]] = None
     auto_start: bool = True

@@ -423,14 +423,6 @@ class DocumentService:
         return telemetry
 
     def _execute_group_once(self, collection_obj: DBObject, requests: List[_Request]):
-        if self.config.transactional_reads:
-            with self.db.begin():
-                return batch_module.execute_group(
-                    self.db,
-                    self.context,
-                    collection_obj,
-                    [(r.model, r.irs_query, r.top_k) for r in requests],
-                )
         return batch_module.execute_group(
             self.db,
             self.context,

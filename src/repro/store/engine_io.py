@@ -1,7 +1,7 @@
 """:class:`SingleFileStore` — whole-engine persistence in one file.
 
 Section 1.1: the internal representations "are stored in a file system".
-Every collection — segmented, or sharded into segmented shards —
+Every collection — one segment manager, or one per shard —
 serializes into one append-only :class:`~repro.store.file.StoreFile`; a
 checkpoint appends only what changed since the previous one:
 
@@ -23,12 +23,12 @@ Loading is lazy by default: each collection registers a loader with the
 engine and materializes from the manifest on first touch, so
 restart-to-first-query cost is O(touched collections), not O(corpus).
 Materialization builds a payload (documents plus segment entries) and
-hands it to ``IRSCollection.from_payload`` /
-``ShardedCollection.from_payload``, which re-partition to the engine's
-shard count.  A ``flat`` entry — the monolithic layout older builds
-wrote — is read as one sealed segment; until its collection is touched
-it is carried forward verbatim, and the first checkpoint after that
-writes it as segments.
+hands it to ``IRSCollection.from_payload`` at the engine's shard count,
+which loads the stored managers as they are when the counts agree and
+re-partitions otherwise.  A ``flat`` entry — the monolithic layout
+older builds wrote — is read as one sealed segment; until its collection
+is touched it is carried forward verbatim, and the first checkpoint
+after that writes it as segments.
 
 Offline :meth:`pack` copies live records into a fresh file and atomically
 replaces the store, keeping a one-generation offset remap so segment
@@ -70,9 +70,14 @@ class _CollectionState:
         self.batches: List[List[int]] = []
         #: doc ids persisted in some batch and since removed.
         self.removed: Set[int] = set()
-        #: per-manager refs; key −1 for an unsharded collection, else the
-        #: shard index.
-        self.managers: Dict[int, _ManagerState] = {}
+        #: per-manager refs, by manager name (``<name>`` or ``<name>#<i>``).
+        self.managers: Dict[str, _ManagerState] = {}
+
+
+def _manager_entries(entry: dict) -> List[dict]:
+    """The per-manager parts of a manifest entry (a shard list, or the
+    entry itself)."""
+    return entry["shards"] if entry["layout"] == "sharded" else [entry]
 
 
 class SingleFileStore:
@@ -182,16 +187,17 @@ class SingleFileStore:
             "document_count": len(collection._documents),
         }
         self._checkpoint_docs(state, collection, entry)
-        if getattr(collection, "shards", None):
+        managers = [
+            self._manager_entry(state, manager)
+            for manager in collection.segment_managers()
+        ]
+        if collection.shard_count:
             entry["layout"] = "sharded"
             entry["shard_count"] = collection.shard_count
-            entry["shards"] = [
-                self._manager_entry(state, index, shard)
-                for index, shard in enumerate(collection.shards)
-            ]
+            entry["shards"] = managers
         else:
             entry["layout"] = "segmented"
-            entry.update(self._manager_entry(state, -1, collection))
+            entry.update(managers[0])
         return entry
 
     def _checkpoint_docs(self, state, collection, entry) -> None:
@@ -237,10 +243,9 @@ class SingleFileStore:
         entry["doc_batches"] = [list(ref) for ref in state.batches]
         entry["removed_docs"] = sorted(state.removed)
 
-    def _manager_entry(self, state, key: int, collection) -> dict:
-        """Index refs of one shard/collection: sealed segments + memtable."""
-        mstate = state.managers.setdefault(key, _ManagerState())
-        manager = collection.segments
+    def _manager_entry(self, state, manager) -> dict:
+        """Index refs of one segment manager: sealed segments + memtable."""
+        mstate = state.managers.setdefault(manager.name, _ManagerState())
         segments = []
         for segment in manager.sealed_segments():
             offset, length = self._segment_ref(segment)
@@ -342,7 +347,6 @@ class SingleFileStore:
 
     def _materialize(self, engine, name: str, entry: dict):
         from repro.irs.collection import IRSCollection
-        from repro.irs.shards import ShardedCollection
 
         payload: Dict[str, Any] = {
             "name": name,
@@ -358,17 +362,12 @@ class SingleFileStore:
             ]
         else:
             payload["segments"] = self._segment_payloads(entry)
-        if engine.shard_count and engine.shard_count >= 1:
-            collection = ShardedCollection.from_payload(
-                payload,
-                engine._analyzer,
-                segment_config=engine.segment_config,
-                shard_count=engine.shard_count,
-            )
-        else:
-            collection = IRSCollection.from_payload(
-                payload, engine._analyzer, segment_config=engine.segment_config
-            )
+        collection = IRSCollection.from_payload(
+            payload,
+            engine._analyzer,
+            segment_config=engine.segment_config,
+            shard_count=engine.shard_count,
+        )
         self._seed_state(name, entry, collection)
         return collection
 
@@ -417,20 +416,14 @@ class SingleFileStore:
         state.batches = [list(ref) for ref in entry["doc_batches"]]
         state.removed = set(entry["removed_docs"])
         self._state[name] = state
-        layout = entry["layout"]
-        sharded = bool(getattr(collection, "shards", None))
-        if layout == "segmented" and not sharded:
-            self._stamp_manager(collection.segments, entry["segments"])
-        elif (
-            layout == "sharded"
-            and sharded
-            and collection.shard_count == entry["shard_count"]
-        ):
-            for shard, shard_entry in zip(collection.shards, entry["shards"]):
-                if shard_entry.get("segments"):
-                    self._stamp_manager(shard.segments, shard_entry["segments"])
-        # Layout mismatches (re-partitioned / flattened / flat loads) skip
-        # stamping; the next checkpoint writes the new shape once.
+        stored = _manager_entries(entry)
+        managers = collection.segment_managers()
+        # Only a load that kept the stored managers as they were can
+        # reference their records; re-partitioned and flattened loads
+        # skip stamping, and the next checkpoint writes the new shape once.
+        if len(stored) == len(managers):
+            for manager, manager_entry in zip(managers, stored):
+                self._stamp_manager(manager, manager_entry.get("segments", []))
 
     def _stamp_manager(self, manager, segment_entries: List[dict]) -> None:
         # ``load_sealed`` registered segments in entry order; a trailing
@@ -578,12 +571,7 @@ class SingleFileStore:
         for entry in manifest["collections"].values():
             for ref in entry.get("doc_batches", []):
                 live[ref[0]] = ref[1]
-            managers = (
-                entry.get("shards", [])
-                if entry["layout"] == "sharded"
-                else [entry]
-            )
-            for manager_entry in managers:
+            for manager_entry in _manager_entries(entry):
                 for ref in (
                     manager_entry.get("index"),
                     manager_entry.get("memtable"),
@@ -622,11 +610,10 @@ class SingleFileStore:
                 if revisions.get(doc.doc_id) != doc.revision:
                     documents += 1
                     approx_bytes += len(doc.text)
-            managers = collection.segment_managers()
-            sharded = bool(getattr(collection, "shards", None))
-            for index, manager in enumerate(managers):
-                key = index if sharded else -1
-                mstate = state.managers.get(key) if state is not None else None
+            for manager in collection.segment_managers():
+                mstate = (
+                    state.managers.get(manager.name) if state is not None else None
+                )
                 if (
                     manager.memtable.document_count
                     and (

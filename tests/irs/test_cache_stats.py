@@ -165,7 +165,7 @@ class TestBulkNormCounters:
     @pytest.mark.parametrize("sealing", [True, False], ids=["segmented", "memtable"])
     def test_bulk_equals_per_id_loop(self, sealing):
         collection = self._collection(sealing)
-        assert bool(collection.segments.sealed_segments()) == sealing
+        assert bool(collection.segment_managers()[0].sealed_segments()) == sealing
         looped = collection.stats
         bulk = self._collection(sealing).stats
         for _round in ("cold", "warm"):
@@ -196,10 +196,10 @@ class TestBulkNormCounters:
         assert delta == (len(self.IDS), 0)
 
     def test_sharded_bulk_equals_per_id_loop(self):
-        from repro.irs.shards import ShardedCollection
+        from repro.irs.collection import IRSCollection
 
         def build():
-            collection = ShardedCollection("s", shard_count=2)
+            collection = IRSCollection("s", shard_count=2)
             for text in self.TEXTS:
                 collection.add_document(text)
             return collection.stats

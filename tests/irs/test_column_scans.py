@@ -18,7 +18,6 @@ from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
 from repro.irs.postings import BLOCK_SIZE, CompactPostings
 from repro.irs.segments import SegmentConfig
-from repro.irs.shards import ShardedCollection
 
 VOCABULARY = [f"w{i}" for i in range(40)]
 
@@ -50,7 +49,7 @@ LAYOUTS = {
     "segmented": lambda: IRSCollection(
         "c", Analyzer(), segment_config=SegmentConfig(seal_document_count=150)
     ),
-    "sharded": lambda: ShardedCollection(
+    "sharded": lambda: IRSCollection(
         "c", Analyzer(), SegmentConfig(seal_document_count=100), shard_count=3
     ),
 }
@@ -71,8 +70,8 @@ class TestTermColumns:
             "c", Analyzer(), segment_config=SegmentConfig(seal_document_count=10_000)
         )
         ids = [collection.add_document("alpha beta") for _ in range(3 * BLOCK_SIZE + 5)]
-        collection.segments.seal()
-        (segment,) = collection.segments.sealed_segments()
+        collection.segment_managers()[0].seal()
+        (segment,) = collection.segment_managers()[0].sealed_segments()
         assert [len(i) for i, _ in segment.term_columns("alpha")] == [
             BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE, 5,
         ]
@@ -117,7 +116,7 @@ class TestScoringNeverMaterialisesPositions:
         for doc_id in rng.sample(ids, 60):
             engine.remove_document("c", doc_id)
         collection = engine.collection("c")
-        assert len(collection.segments.sealed_segments()) >= 3
+        assert len(collection.segment_managers()[0].sealed_segments()) >= 3
 
         calls = []
         original = CompactPostings.decode_block_positions

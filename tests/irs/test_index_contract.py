@@ -27,8 +27,8 @@ from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.irs.segments import SegmentConfig, SegmentManager
-from repro.irs.shards import ShardedCollection
 from repro.irs.shards import worker as shard_worker
+from repro.irs.shards.executor import shard_global_stats
 from repro.irs.view import UnionIndexView
 
 #: ``common`` is in every document, so its list spans several blocks.
@@ -245,7 +245,7 @@ def _segmented_collection(seed: int):
     assert list(ids) == list(ids.values())
     for doc_id in set(everything) - set(live):
         collection.remove_document(doc_id)
-    manager = collection.segments
+    manager = collection.segment_managers()[0]
     assert len(manager.sealed_segments()) >= 5 and manager.tombstone_count()
     assert manager.memtable.document_count
     return collection, live
@@ -259,7 +259,7 @@ def segments_before_merge_case() -> Case:
 def segments_mid_merge_case() -> Case:
     """A merge is built but not committed; a delete landed after its snapshot."""
     collection, live = _segmented_collection(6)
-    manager = collection.segments
+    manager = collection.segment_managers()[0]
     plan = manager.begin_merge(manager.sealed_segments()[:3])
     victim = sorted(plan.segments[0].forward)[0]
     collection.remove_document(victim)
@@ -270,7 +270,7 @@ def segments_mid_merge_case() -> Case:
 
 def segments_after_merge_case() -> Case:
     collection, live = _segmented_collection(7)
-    manager = collection.segments
+    manager = collection.segment_managers()[0]
     plan = manager.begin_merge(manager.sealed_segments()[:3])
     victim = sorted(plan.segments[1].forward)[0]
     collection.remove_document(victim)
@@ -285,7 +285,7 @@ def segments_after_compact_case() -> Case:
     epoch = collection.index.epoch
     assert collection.compact() is True
     assert collection.index.epoch == epoch, "compaction is content-preserving"
-    (segment,) = collection.segments.sealed_segments()
+    (segment,) = collection.segment_managers()[0].sealed_segments()
     assert segment.tombstones == set()
     return Case(collection.index, live, collection=collection)
 
@@ -296,14 +296,14 @@ def sharded_case(shard_count: int, sealing: bool):
     def build() -> Case:
         everything, live = churned_docs(10 + shard_count)
         config = SegmentConfig(seal_document_count=25) if sealing else None
-        collection = ShardedCollection(
+        collection = IRSCollection(
             "sharded", Analyzer(stemming=False), config, shard_count=shard_count
         )
         for doc_id, terms in everything.items():
             assert collection.add_document(" ".join(terms), {"oid": f"1.{doc_id}"}) == doc_id
         for doc_id in set(everything) - set(live):
             collection.remove_document(doc_id)
-        assert all(shard.index.document_count for shard in collection.shards)
+        assert all(manager.document_count for manager in collection.segment_managers())
         return Case(collection.index, live, collection=collection)
 
     return build
@@ -312,7 +312,7 @@ def sharded_case(shard_count: int, sealing: bool):
 def global_stats_case() -> Case:
     """A worker replica, installed by the real sync, of a one-shard union."""
     everything, live = churned_docs(9)
-    collection = ShardedCollection(
+    collection = IRSCollection(
         "replicated", Analyzer(stemming=False), SegmentConfig(seal_document_count=25), 1
     )
     for terms in everything.values():
@@ -321,11 +321,11 @@ def global_stats_case() -> Case:
         collection.remove_document(doc_id)
     reply = shard_worker.sync_replica(
         "replicated", 0,
-        collection.shards[0].index_version,
+        collection.segment_managers()[0].index_version,
         collection.index_version,
-        collection.shards[0].index.to_payload(),
+        UnionIndexView(collection.segment_managers()[0]).to_payload(),
         collection.analyzer,
-        collection.shard_global_stats(),
+        shard_global_stats(collection),
     )
     assert reply == {"status": "synced", "mode": "full"}
     replica = shard_worker._REPLICAS.pop(("replicated", 0))["collection"]
@@ -410,8 +410,6 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
         case = CASES[name]()
         assert case.collection.indexed_bytes() == legacy_indexed_bytes(rebuild(case.docs))
         assert case.subject._merged_postings == {}
-        for shard in getattr(case.collection, "shards", ()):
-            assert getattr(shard.index, "_merged_postings", {}) == {}
 
     def test_indexed_bytes_of_an_unsealed_collection(self):
         """A default collection of a few hundred documents never seals:
@@ -422,7 +420,7 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
             collection.add_document(" ".join(terms))
         for doc_id in set(everything) - set(live):
             collection.remove_document(doc_id)
-        assert not collection.segments.sealed_segments()
+        assert not collection.segment_managers()[0].sealed_segments()
         assert collection.indexed_bytes() == legacy_indexed_bytes(rebuild(live))
         assert collection.index._merged_postings == {}
 
@@ -431,8 +429,6 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
         case = CASES[name]()
         payload = case.subject.to_payload()
         assert case.subject._merged_postings == {}
-        for shard in getattr(case.collection, "shards", ()):
-            assert getattr(shard.index, "_merged_postings", {}) == {}
         reference = rebuild(case.docs)
         check_index(InvertedIndex.from_payload(payload), reference)
         assert payload == {
@@ -470,5 +466,3 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
         assert [function for function, _ in submitted] == [shard_worker.sync_replica] * 2
         assert all(args[4] is not None for _, args in submitted), "full syncs"
         assert collection.index._merged_postings == {}
-        for shard in collection.shards:
-            assert shard.index._merged_postings == {}

@@ -44,9 +44,10 @@ class TestLoad:
         restored = load_engine(DIRECTORY)
         for name in restored.collection_names():
             collection = restored.collection(name)
-            assert not getattr(collection, "shards", None), name
-            assert collection.segments.sealed_segments(), name
-            assert collection.segments.memtable.document_count == 0, name
+            (manager,) = collection.segment_managers()
+            assert collection.shard_count == 0, name
+            assert manager.sealed_segments(), name
+            assert manager.memtable.document_count == 0, name
             assert sorted(collection.index.document_ids()) == sorted(
                 doc.doc_id for doc in collection.documents()
             ), name

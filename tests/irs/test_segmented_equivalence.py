@@ -102,7 +102,7 @@ def fresh_rebuild(collection: IRSCollection) -> IRSCollection:
 @pytest.fixture(scope="module")
 def corpora():
     segmented = build_segmented_corpus()
-    manager = segmented.segments
+    manager = segmented.segment_managers()[0]
     assert len(manager.sealed_segments()) >= 5, "corpus must span several segments"
     assert manager.memtable.document_count > 0, "memtable must be live"
     assert manager.tombstone_count() > 0, "sealed tombstones required"
@@ -158,8 +158,8 @@ class TestEquivalenceAfterMerge:
         epoch = segmented.index.epoch
         assert segmented.compact() is True
         assert segmented.index.epoch == epoch
-        assert len(segmented.segments.sealed_segments()) == 1
-        assert segmented.segments.tombstone_count() == 0
+        assert len(segmented.segment_managers()[0].sealed_segments()) == 1
+        assert segmented.segment_managers()[0].tombstone_count() == 0
         for query, tree, prior in zip(QUERIES, trees, before):
             merged_result = model.score(segmented, tree)
             assert_same_ranking(

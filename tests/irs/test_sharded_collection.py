@@ -1,5 +1,6 @@
-"""Unit coverage for the sharded collection: routing, cross-loading
-through the store, engine/system wiring, and the health section.
+"""Unit coverage for sharded collections (an ``IRSCollection`` with
+``shard_count=N``): routing, cross-loading through the store,
+engine/system wiring, and the health section.
 
 The *equivalence* guarantees live in ``tests/property/test_shard_equivalence``,
 the union view's read contract (over 1/2/4 shards) in
@@ -17,11 +18,7 @@ from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
 from repro.irs.segments import SegmentConfig
-from repro.irs.shards import (
-    ShardedCollection,
-    routing_key,
-    shard_of,
-)
+from repro.irs.shards import routing_key, shard_of
 from repro.store import SingleFileStore
 
 TEXTS = [
@@ -37,12 +34,20 @@ TEXTS = [
 
 
 def populated(shard_count=3, segment_config=None):
-    collection = ShardedCollection(
+    collection = IRSCollection(
         "c", Analyzer(), segment_config=segment_config, shard_count=shard_count
     )
     for i, text in enumerate(TEXTS):
         collection.add_document(text, {"oid": f"1.{i}"})
     return collection
+
+
+def shard_index_of(collection, doc_id):
+    """The shard whose segment manager holds ``doc_id`` (None if none)."""
+    for index, manager in enumerate(collection.segment_managers()):
+        if doc_id in manager.doc_lengths:
+            return index
+    return None
 
 
 def reloaded(tmp_path, collection, shard_count=0):
@@ -80,27 +85,35 @@ class TestRouting:
             expected = shard_of(
                 routing_key(document.metadata, doc_id), collection.shard_count
             )
-            assert collection.shard_index_of(doc_id) == expected
-            assert doc_id in collection.shards[expected]._documents
+            assert shard_index_of(collection, doc_id) == expected
 
     def test_replace_keeps_the_document_on_its_shard(self):
         collection = populated()
         doc_id = 3
-        before = collection.shard_index_of(doc_id)
+        before = shard_index_of(collection, doc_id)
         collection.replace_document(doc_id, "totally new text")
-        assert collection.shard_index_of(doc_id) == before
+        assert shard_index_of(collection, doc_id) == before
         assert collection._documents[doc_id].text == "totally new text"
 
     def test_remove_clears_the_shard_assignment(self):
         collection = populated()
         collection.remove_document(2)
         assert 2 not in collection._documents
-        assert collection.shard_index_of(2) is None
-        assert collection.shard_for(2) is None
+        assert shard_index_of(collection, 2) is None
+        assert collection.index_of(2) is None
 
-    def test_shard_count_must_be_positive(self):
+    def test_shard_count_must_not_be_negative(self):
         with pytest.raises(ValueError):
-            ShardedCollection("bad", shard_count=0)
+            IRSCollection("bad", shard_count=-1)
+
+    def test_one_segment_manager_per_shard(self):
+        def names(shard_count):
+            collection = IRSCollection("c", shard_count=shard_count)
+            return [manager.name for manager in collection.segment_managers()]
+
+        assert names(0) == ["c"]
+        assert names(1) == ["c#0"]
+        assert names(3) == ["c#0", "c#1", "c#2"]
 
 
 class TestUnionView:
@@ -118,10 +131,10 @@ class TestUnionView:
         assert collection.index.epoch > before
 
     def test_skew_stays_reasonable_under_hash_routing(self):
-        collection = ShardedCollection("skew", Analyzer(), shard_count=4)
+        collection = IRSCollection("skew", Analyzer(), shard_count=4)
         for i in range(400):
             collection.add_document(f"doc {i}", {"oid": f"1.{i}"})
-        counts = collection.shard_document_counts()
+        counts = [manager.document_count for manager in collection.segment_managers()]
         assert sum(counts) == 400
         mean = sum(counts) / len(counts)
         assert max(counts) / mean < 1.5
@@ -134,16 +147,16 @@ class TestPayloadCrossLoading:
         assert clone.shard_count == collection.shard_count
         assert clone.index.to_payload() == collection.index.to_payload()
         assert {
-            d: clone.shard_index_of(d) for d in sorted(clone._documents)
+            d: shard_index_of(clone, d) for d in sorted(clone._documents)
         } == {
-            d: collection.shard_index_of(d)
+            d: shard_index_of(collection, d)
             for d in sorted(collection._documents)
         }
 
     def test_sharded_dump_flattens_into_plain_collection(self, tmp_path):
         collection = populated()
         flat = reloaded(tmp_path, collection).collection("c")
-        assert not getattr(flat, "shards", None)
+        assert flat.shard_count == 0 and len(flat.segment_managers()) == 1
         assert len(flat) == len(collection)
         assert flat.index.document_count == collection.index.document_count
         for term in collection.index.terms():
@@ -171,7 +184,7 @@ class TestPayloadCrossLoading:
         # Every document sits on the shard its routing key selects.
         for doc_id in sorted(resharded._documents):
             document = resharded._documents[doc_id]
-            assert resharded.shard_index_of(doc_id) == shard_of(
+            assert shard_index_of(resharded, doc_id) == shard_of(
                 routing_key(document.metadata, doc_id), 5
             )
 
@@ -199,14 +212,14 @@ class TestPersistence:
         assert entry["layout"] == "sharded" and entry["shard_count"] == 3
         assert "segments" not in entry and "memtable" not in entry
         assert [shard["memtable"] is not None for shard in entry["shards"]] == [
-            bool(shard.index.document_count) for shard in original.shards
+            bool(manager.document_count) for manager in original.segment_managers()
         ]
         with SingleFileStore(path) as store:
             clone = store.load_engine(shard_count=3, lazy=False).collection("c")
         assert clone.shard_count == 3
         assert clone.index.to_payload() == original.index.to_payload()
-        assert [sorted(shard.index.document_ids()) for shard in clone.shards] == [
-            sorted(shard.index.document_ids()) for shard in original.shards
+        assert [sorted(m.doc_lengths) for m in clone.segment_managers()] == [
+            sorted(m.doc_lengths) for m in original.segment_managers()
         ]
 
     def test_layout_switch_replaces_the_stale_entry(self, tmp_path):
@@ -234,7 +247,7 @@ class TestPersistence:
         engine = self._sharded_engine()
         reference = engine.query("c", "www nii", top_k=4).values
         flat_engine = reloaded(tmp_path, engine.collection("c"))
-        assert not getattr(flat_engine.collection("c"), "shards", None)
+        assert flat_engine.collection("c").shard_count == 0
         assert flat_engine.query("c", "www nii", top_k=4).values == reference
 
     def test_unsharded_store_loads_into_sharded_engine(self, tmp_path):
@@ -256,7 +269,7 @@ class TestEngineWiring:
         unsharded = engine.create_collection("unsharded", shards=0)
         assert defaulted.shard_count == 2
         assert overridden.shard_count == 5
-        assert not getattr(unsharded, "shards", None)
+        assert unsharded.shard_count == 0
 
     def test_shard_info_reports_layout_and_skew(self):
         engine = IRSEngine(shard_count=2)

@@ -77,7 +77,7 @@ def _assert_equivalent(engine, queries=QUERIES, ks=KS):
 @pytest.fixture(scope="module", params=sorted(LAYOUTS, reverse=True))
 def corpus(request):
     engine, docs, rng = _build(layout=request.param)
-    sealed = engine.collection("c").segments.sealed_segments()
+    sealed = engine.collection("c").segment_managers()[0].sealed_segments()
     assert bool(sealed) == (request.param == "segmented")
     return engine, docs, rng
 
@@ -153,7 +153,7 @@ class TestMidMergeReads:
         for doc in rng.sample(docs, 200):
             engine.remove_document("c", doc)
         collection = engine.collection("c")
-        manager = collection.segments
+        manager = collection.segment_managers()[0]
         manager.seal()
         sealed = manager.sealed_segments()
         assert len(sealed) >= 2

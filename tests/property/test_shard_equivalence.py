@@ -31,7 +31,6 @@ from repro.irs.collection import IRSCollection
 from repro.irs.models import MODELS
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SegmentConfig
-from repro.irs.shards import ShardedCollection
 from repro.irs.topk import topk_scores, truncate_top_k
 
 settings.register_profile(
@@ -97,7 +96,7 @@ def build_pair(texts, shard_count, segment_config=None):
     """The same corpus in both layouts; doc ids allocate identically."""
     analyzer = Analyzer()
     plain = IRSCollection("plain", analyzer)
-    sharded = ShardedCollection(
+    sharded = IRSCollection(
         "sharded", analyzer, segment_config=segment_config,
         shard_count=shard_count,
     )

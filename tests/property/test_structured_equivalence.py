@@ -44,7 +44,6 @@ from repro.irs.models.base import compile_query
 from repro.irs.models.reference import NaiveInferenceNetworkModel
 from repro.irs.queries import OperatorNode, ProximityNode, TermNode
 from repro.irs.segments import SegmentConfig
-from repro.irs.shards import ShardedCollection
 from repro.irs.topk import topk_scores, truncate_top_k
 
 settings.register_profile(
@@ -184,7 +183,7 @@ class TestStructuredEquivalence:
             removals,
         )
         checker.check(collection, "segmented")
-        manager = collection.segments
+        manager = collection.segment_managers()[0]
         manager.seal()
         plan = manager.begin_merge(list(manager.sealed_segments()))
         assert plan is not None
@@ -200,7 +199,7 @@ class TestStructuredEquivalence:
         checker = Checker(documents, removals, tree)
         for segment_config in (None, SegmentConfig(seal_document_count=3)):
             sharded = fill(
-                ShardedCollection(
+                IRSCollection(
                     "sharded", Analyzer(), segment_config, shard_count=shard_count
                 ),
                 documents,

@@ -149,9 +149,12 @@ class TestOlderStoreFile:
         assert layouts == {"mono": "flat", "seg": "segmented", "shard": "sharded"}
         store.close()
 
-    @pytest.mark.parametrize("shard_count", [0, 2])
+    @pytest.mark.parametrize("shard_count", [0, 1, 2, 3])
     @pytest.mark.parametrize("lazy", [True, False])
     def test_opens_with_identical_results(self, tmp_path, lazy, shard_count):
+        """Every shard count: the 2-shard entry then loads flattened (0),
+        into one scatter-eligible manager (1), as stored (2) and
+        re-partitioned (3)."""
         store = SingleFileStore(store_copy(tmp_path))
         engine = store.load_engine(shard_count=shard_count, lazy=lazy)
         assert_matches(engine, expected("store_expected.json"))

@@ -30,13 +30,15 @@ def segment_config(layout):
     return SegmentConfig(seal_document_count=100 if layout == "memtable" else 3)
 
 
+def shard_count(layout):
+    return 2 if layout == "sharded" else 0
+
+
 def build_engine(layout):
-    if layout == "sharded":
-        engine = IRSEngine(segment_config=segment_config(layout), shard_count=2)
-        engine.create_collection("docs", shards=2)
-    else:
-        engine = IRSEngine(segment_config=segment_config(layout))
-        engine.create_collection("docs")
+    engine = IRSEngine(
+        segment_config=segment_config(layout), shard_count=shard_count(layout)
+    )
+    engine.create_collection("docs")
     for i, text in enumerate(TEXTS):
         engine.index_document("docs", text, {"oid": f"OID{i}"})
     return engine
@@ -55,15 +57,14 @@ class TestRoundTrip:
     def test_rankings_bit_identical(self, tmp_path, layout, lazy):
         engine = build_engine(layout)
         if layout == "memtable":
-            assert not engine.collection("docs").segments.sealed_segments()
+            assert not engine.collection("docs").segment_managers()[0].sealed_segments()
         store = SingleFileStore(str(tmp_path / "irs.store"))
         store.checkpoint(engine)
         expected = rankings(engine)
         store.close()
 
         again = SingleFileStore(str(tmp_path / "irs.store"))
-        shard_count = 2 if layout == "sharded" else 0
-        restored = again.load_engine(shard_count=shard_count, lazy=lazy)
+        restored = again.load_engine(shard_count=shard_count(layout), lazy=lazy)
         restored.segment_config = segment_config(layout)
         assert rankings(restored) == expected
         again.close()
@@ -74,8 +75,7 @@ class TestRoundTrip:
         store.checkpoint(engine)
         store.close()
         again = SingleFileStore(str(tmp_path / "irs.store"))
-        shard_count = 2 if layout == "sharded" else 0
-        restored = again.load_engine(shard_count=shard_count, lazy=lazy)
+        restored = again.load_engine(shard_count=shard_count(layout), lazy=lazy)
         collection = restored.collection("docs")
         original = engine.collection("docs")
         assert len(collection) == len(original)
@@ -84,9 +84,12 @@ class TestRoundTrip:
         again.close()
 
 
+@pytest.mark.parametrize("layout", ["segmented", "sharded"])
 class TestIncremental:
-    def test_unchanged_checkpoint_appends_nothing_but_volatile_refs(self, tmp_path):
-        engine = build_engine("segmented")
+    def test_unchanged_checkpoint_appends_nothing_but_volatile_refs(
+        self, tmp_path, layout
+    ):
+        engine = build_engine(layout)
         store = SingleFileStore(str(tmp_path / "irs.store"))
         first = store.checkpoint(engine)
         assert first["records_appended"] > 0
@@ -97,8 +100,23 @@ class TestIncremental:
         assert second["records_reused"] > 0
         store.close()
 
-    def test_small_delta_appends_small(self, tmp_path):
-        engine = build_engine("segmented")
+    def test_reload_at_the_stored_shard_count_appends_nothing(self, tmp_path, layout):
+        """A load that keeps the stored managers references their records:
+        the first checkpoint after it writes no record."""
+        engine = build_engine(layout)
+        engine.compact_collection("docs")  # every document in a sealed segment
+        path = str(tmp_path / "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(engine)
+        with SingleFileStore(path) as store:
+            restored = store.load_engine(shard_count=shard_count(layout), lazy=False)
+            assert not restored.is_lazy("docs")
+            stats = store.checkpoint(restored)
+        assert stats["records_appended"] == 0
+        assert stats["records_reused"] > 0
+
+    def test_small_delta_appends_small(self, tmp_path, layout):
+        engine = build_engine(layout)
         store = SingleFileStore(str(tmp_path / "irs.store"))
         first = store.checkpoint(engine)
         engine.index_document("docs", "one more tiny document", {"oid": "NEW"})
@@ -107,27 +125,30 @@ class TestIncremental:
         assert delta["bytes_appended"] < first["bytes_appended"]
         store.close()
 
-    def test_sealed_segments_written_exactly_once(self, tmp_path):
-        engine = build_engine("segmented")
-        manager = engine.collection("docs").segments
-        sealed_before = len(manager.sealed_segments())
-        assert sealed_before > 0
+    def test_sealed_segments_written_exactly_once(self, tmp_path, layout):
+        engine = build_engine(layout)
+        managers = engine.collection("docs").segment_managers()
+
+        def sealed():
+            return [s for m in managers for s in m.sealed_segments()]
+
+        assert sealed()
         store = SingleFileStore(str(tmp_path / "irs.store"))
         store.checkpoint(engine)
-        stamps = [s.store_stamp for s in manager.sealed_segments()]
+        stamps = [s.store_stamp for s in sealed()]
         assert all(stamps)
         store.checkpoint(engine)
-        assert [s.store_stamp for s in manager.sealed_segments()] == stamps
+        assert [s.store_stamp for s in sealed()] == stamps
         store.close()
 
-    def test_document_revision_delta(self, tmp_path):
-        engine = build_engine("segmented")
+    def test_document_revision_delta(self, tmp_path, layout):
+        engine = build_engine(layout)
         store = SingleFileStore(str(tmp_path / "irs.store"))
         store.checkpoint(engine)
         engine.replace_document("docs", 1, "replaced text about retrieval")
         stats = store.checkpoint(engine)
         # One doc batch holding exactly the replaced document, plus the
-        # memtable the new revision landed in.
+        # memtable the new revision landed in (other shards' are reused).
         entry = store.manifest["collections"]["docs"]
         last_batch = entry["doc_batches"][-1]
         batch = store.file.read_json(last_batch[0], last_batch[1])
@@ -136,8 +157,8 @@ class TestIncremental:
         assert stats["records_appended"] == 2
         store.close()
 
-    def test_removals_travel_in_manifest(self, tmp_path):
-        engine = build_engine("segmented")
+    def test_removals_travel_in_manifest(self, tmp_path, layout):
+        engine = build_engine(layout)
         store = SingleFileStore(str(tmp_path / "irs.store"))
         store.checkpoint(engine)
         engine.remove_document("docs", 2)
@@ -148,8 +169,8 @@ class TestIncremental:
         assert 2 not in restored.collection("docs")._documents
         store.close()
 
-    def test_mass_removal_triggers_rebatch(self, tmp_path):
-        engine = IRSEngine()
+    def test_mass_removal_triggers_rebatch(self, tmp_path, layout):
+        engine = IRSEngine(shard_count=shard_count(layout))
         engine.create_collection("docs")
         for i in range(200):
             engine.index_document("docs", f"document number {i}", {})
