@@ -131,6 +131,9 @@ class ResultBuffer:
         version = self._db.write_dict_item(
             self._collection.oid, _BUFFER_ATTR, path, value
         )
+        tag, members = view.members
+        if tag == version - 1:  # only this write since the membership was decoded
+            view.members = (version, members)
         if view.version != version - 1:
             return False
         view.version = version

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.core import updates
@@ -394,7 +394,7 @@ def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
         buffer = ResultBuffer(collection_obj, context.counters)
         values = _get_irs_result(collection_obj, irs_query, buffer)
         value = values.get(obj.oid)
-        if value is None and str(obj.oid) in (collection_obj.get("doc_map") or {}):
+        if value is None and obj.oid in member_oids(collection_obj):
             value = 0.0  # represented, but the IRS found no relevance
         if value is not None:
             span.set_attribute("source", "irs" if obj.oid in values else "zero")
@@ -412,8 +412,30 @@ def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
 
 def contains_object(collection_obj: DBObject, obj: DBObject) -> bool:
     """True when ``obj`` is represented in the IRS collection."""
+    return obj.oid in member_oids(collection_obj)
+
+
+def member_oids(collection_obj: DBObject) -> FrozenSet[OID]:
+    """The OIDs of every represented object — ``doc_map``'s keys, decoded.
+
+    Decoded once per write version of the COLLECTION object and kept in its
+    :class:`~repro.core.context.DecodedBufferView`: a write to the object
+    other than the result buffer's own (a propagation's item writes, an
+    ``indexObjects`` rebuild, an undo) leaves the version it was decoded at
+    behind, and the next call decodes again.  Read-only; membership tests
+    by OID hash in C.
+    """
+    db = collection_obj.database
+    view = coupling_context(db).buffer_view(collection_obj.oid)
+    # Version first, data second: a racing write leaves the tag behind.
+    version = db.write_version(collection_obj.oid)
     doc_map = collection_obj.get("doc_map") or {}
-    return str(obj.oid) in doc_map
+    tagged, members = view.members
+    if tagged != version:
+        with db.store_lock():
+            members = frozenset(map(OID.parse, doc_map))
+        view.members = (version, members)
+    return members
 
 
 def member_keys(collection_obj: DBObject) -> List[str]:
@@ -526,8 +548,7 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
             values = _get_irs_result(collection_obj, irs_query)
         if context.irs_first_enabled and bound is not None and bound[0] in (">", ">="):
             return MethodMap(values, restricts=True)
-        doc_map = collection_obj.get("doc_map") or {}
-        undecided = [oid for oid in oids.difference(values) if str(oid) not in doc_map]
+        undecided = oids.difference(values, member_oids(collection_obj))
         return MethodMap(values, undecided, default=0.0)
 
     return irs_values

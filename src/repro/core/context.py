@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import CouplingError
 from repro.irs.engine import IRSEngine
@@ -79,10 +79,13 @@ class DecodedBufferView:
     ``generation`` counts the buffer resets seen: item writes change the
     stored dictionary in place, a reset installs a new one, so a change of
     ``source``'s identity marks results computed before an index change.
+    ``members`` is ``(write version, OIDs of the doc_map keys)``, validated
+    the same way (:func:`repro.core.collection.member_oids`); a buffer write
+    that follows it directly moves its tag along, as it does ``version``.
     The view dies with its context: a recovered database starts with none.
     """
 
-    __slots__ = ("lock", "version", "entries", "amended", "source", "generation")
+    __slots__ = ("lock", "version", "entries", "amended", "source", "generation", "members")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -91,6 +94,7 @@ class DecodedBufferView:
         self.amended: Dict[str, Dict["OID", float]] = {}
         self.source: Optional[dict] = None
         self.generation = 0
+        self.members: Tuple[int, FrozenSet["OID"]] = (-1, frozenset())
 
 
 @dataclass

@@ -65,12 +65,12 @@ def component_values(
     from repro.core import collection as coll  # deferred: avoids an import cycle
 
     values = coll._get_irs_result(collection_obj, irs_query)
-    doc_map = collection_obj.get("doc_map") or {}
-    components: List[Tuple[DBObject, float]] = []
-    for descendant in obj.send("getDescendants"):
-        if str(descendant.oid) in doc_map:
-            components.append((descendant, values.get(descendant.oid, 0.0)))
-    return components
+    members = coll.member_oids(collection_obj)
+    return [
+        (descendant, values.get(descendant.oid, 0.0))
+        for descendant in obj.send("getDescendants")
+        if descendant.oid in members
+    ]
 
 
 def derive_maximum(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:

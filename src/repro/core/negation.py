@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.core.collection import _get_irs_result, member_keys
+from repro.core.collection import _get_irs_result, member_oids
 from repro.irs.models.probabilistic import DEFAULT_BELIEF
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
@@ -35,7 +35,7 @@ OPEN_WORLD = "open_world"
 
 def members(collection_obj: DBObject) -> Set[OID]:
     """The OIDs represented in the collection (the closed universe)."""
-    return {OID.parse(oid_str) for oid_str in member_keys(collection_obj)}
+    return set(member_oids(collection_obj))
 
 
 def closed_world_not(

@@ -64,6 +64,8 @@ from repro.errors import (
     ProtocolError,
     ReproError,
 )
+from repro.oodb.objects import DBObject
+from repro.oodb.oid import OID
 
 #: Protocol version spoken by this build.  A request carrying a different
 #: ``v`` is answered with a ProtocolError envelope (the connection stays
@@ -342,11 +344,10 @@ def encode_value(value: Any) -> Any:
     travels with the hit).  Values that cannot be represented degrade to
     ``repr`` strings rather than poisoning the whole response.
     """
+    if isinstance(value, OID):  # before int: an OID is an int subclass
+        return str(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    from repro.oodb.objects import DBObject
-    from repro.oodb.oid import OID
-
     if isinstance(value, DBObject):
         attributes = {}
         for name, attr_value in value.database.read_attributes(value.oid).items():
@@ -360,8 +361,6 @@ def encode_value(value: Any) -> Any:
                 "attributes": attributes,
             }
         }
-    if isinstance(value, OID):
-        return str(value)
     if isinstance(value, (list, tuple, set, frozenset)):
         return [encode_value(item) for item in value]
     if isinstance(value, dict):

@@ -16,7 +16,7 @@ per-stage timing/cardinality tree::
     │  └─ coupling.findIRSValue  0.29ms  query=nii mode=probe
     │     └─ coupling.getIRSResult  0.28ms  query=nii buffered=False results=5
     │        └─ irs.query  0.13ms  model=inquery results=5
-    └─ oodb.query.join  0.20ms  strategy=d:nested p1:hash p2:hash rows=1 tuples_examined=4
+    └─ oodb.query.join  0.20ms  strategy=d:nested p1:hash p2:hash projected=compiled:1 sent:0 rows=1 tuples_examined=4
 
 A candidates span says how many of the variable's conjuncts ran through a
 compiled method (``compiled``) and how many candidates those maps answered
@@ -26,7 +26,11 @@ the statement's single ``getIRSResult``; only undecided candidates — not
 represented in the collection, not rejected by another conjunct — add
 ``coupling.findIRSValue source=derived`` spans (Figure 3's path).  The join
 span names each level's strategy in join order (``hash``: looked up through
-a compiled ``v1 -> m(...) == v2`` map; ``nested``: enumerated).
+a compiled ``v1 -> m(...) == v2`` map; ``nested``: enumerated) and how many
+of the expressions evaluated per result tuple (select items, aggregate
+arguments, ORDER BY / GROUP BY keys) were read as compiled columns and how
+many send a method per row (``projected``); the plan part of the report
+names the columns.
 docs/observability.md lists the counter meanings.
 
 ``explain`` works even when global instrumentation is disabled — asking
@@ -82,6 +86,9 @@ class ExplainResult:
                 f"filters={info.get('residual_filters')}"
             )
         lines.append(f"  join: {self.plan.get('join_strategies') or '-'}")
+        lines.append(
+            f"  projected: {self.plan.get('projected')} columns={self.plan.get('columns') or '-'}"
+        )
         stats = self.stats
         lines.append(
             f"rows={len(self.rows)} tuples_examined={stats.tuples_examined} "

@@ -18,12 +18,11 @@ single-writer fast path used by the benchmarks).
 from __future__ import annotations
 
 import logging
-import operator
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro import obs
 from repro.errors import SchemaError, TransactionError
@@ -40,7 +39,6 @@ from repro.oodb.wal import WriteAheadLog
 logger = logging.getLogger(__name__)
 
 _UNWRITTEN = object()  # read_attribute: the attribute has no stored value
-_OID_VALUE = operator.attrgetter("value")
 
 _SNAPSHOT_FILE = "snapshot.json"
 _WAL_FILE = "wal.log"
@@ -253,6 +251,25 @@ class Database:
             return self.schema.resolve_attribute(class_name, attr).default
         return None  # undeclared attributes read as None
 
+    def read_column(self, oids: Iterable[OID], attr: str) -> Dict[OID, Any]:
+        """``{oid: read_attribute(oid, attr)}`` for every OID, in one store pass.
+
+        The same values, defaults, errors and shared locks as
+        :meth:`read_attribute`; the transaction is looked up once, not once
+        per object.
+        """
+        txn = self._current_txn()
+        if txn is not None:
+            oids = list(oids)
+            for oid in oids:
+                self._store.class_of(oid)  # a missing object raises before locking
+                self._locks.acquire(txn.txn_id, oid, LockMode.SHARED)
+        column = self._store.read_column(oids, attr, _UNWRITTEN)
+        for oid, value in column.items():
+            if value is _UNWRITTEN:
+                column[oid] = self.read_attribute(oid, attr)  # the default
+        return column
+
     def write_attribute(self, oid: OID, attr: str, value: Any) -> None:
         """Write ``attr``; type-checked when declared, logged, index-maintained."""
         class_name = self._store.class_of(oid)
@@ -396,9 +413,7 @@ class Database:
         )
         objects: List[DBObject] = []
         for cname in class_names:
-            # Keyed on the int: the dataclass-generated OID.__lt__ compares
-            # tuples and costs several times the sort itself.
-            for oid in sorted(self._store.extent(cname), key=_OID_VALUE):
+            for oid in sorted(self._store.extent(cname)):
                 objects.append(DBObject(self, oid, cname))
         return objects
 
@@ -419,7 +434,7 @@ class Database:
         return [
             oid
             for cname in self.schema.subclasses(class_name)
-            for oid in sorted(oids.intersection(self._store.extent(cname)), key=_OID_VALUE)
+            for oid in sorted(oids.intersection(self._store.extent(cname)))
         ]
 
     def iter_objects(self) -> Iterator[DBObject]:

@@ -10,31 +10,36 @@ represents (Section 4.3), so OIDs must serialize to short, parseable strings.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
-class OID:
-    """An immutable, totally ordered object identifier.
+class OID(int):
+    """An immutable object identifier: a non-negative ``int``.
 
-    OIDs render as ``OID<n>`` and parse back via :meth:`parse`, which is the
-    format stored as IRS-document metadata and written to IRS result files.
+    Equality, hashing and ordering are the int's own — ``OID(3) == 3`` and
+    ``hash(OID(3)) == 3`` — so sets and dicts of OIDs hash and compare in C.
+    What sets an OID apart is its text: it renders as ``OID<n>`` and parses
+    back via :meth:`parse`, the format stored as IRS-document metadata and
+    written to IRS result files; stored values tell OIDs from plain ints by
+    type.
     """
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or self.value < 0:
-            raise ValueError(f"OID value must be a non-negative int, got {self.value!r}")
+    def __new__(cls, value: int) -> "OID":
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"OID value must be a non-negative int, got {value!r}")
+        return super().__new__(cls, value)
 
-    def __hash__(self) -> int:
-        return self.value  # candidate sets and maps hash OIDs by the million
+    @property
+    def value(self) -> int:
+        """The identifier as a plain ``int``."""
+        return int(self)
 
     def __str__(self) -> str:
-        return f"OID{self.value}"
+        return f"OID{int(self)}"
 
     def __repr__(self) -> str:
-        return f"OID({self.value})"
+        return f"OID({int(self)})"
 
     @classmethod
     def parse(cls, text: str) -> "OID":
@@ -43,19 +48,10 @@ class OID:
         >>> OID.parse("OID42")
         OID(42)
         """
-        if not text.startswith("OID"):
-            raise ValueError(f"not an OID string: {text!r}")
         digits = text[3:]
-        if digits.isascii() and digits.isdigit():
-            # Canonical ``OID<n>``: ASCII digits are a non-negative int, so
-            # the dataclass constructor's validation has nothing to check.
-            oid = object.__new__(cls)
-            object.__setattr__(oid, "value", int(digits))
-            return oid
-        try:
-            return cls(int(text[3:]))
-        except ValueError as exc:
-            raise ValueError(f"not an OID string: {text!r}") from exc
+        if not (text.startswith("OID") and digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not an OID string: {text!r}")
+        return cls(int(digits))
 
 
 class OIDAllocator:

@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 
 class Expr:
     """Base class of all expression nodes."""
 
+    def children(self) -> Iterator["Expr"]:
+        """The expressions directly inside this one."""
+        for value in vars(self).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, Expr):
+                    yield child
+
     def variables(self) -> Set[str]:
         """The query variables this expression references."""
-        raise NotImplementedError
+        return set().union(*(child.variables() for child in self.children()))
+
+    def sends(self) -> bool:
+        """True when evaluating the expression sends a method to an object."""
+        return any(child.sends() for child in self.children())
 
 
 @dataclass(frozen=True)
@@ -20,18 +31,12 @@ class Literal(Expr):
 
     value: Any
 
-    def variables(self) -> Set[str]:
-        return set()
-
 
 @dataclass(frozen=True)
 class Parameter(Expr):
     """A ``$name`` placeholder bound at execution time."""
 
     name: str
-
-    def variables(self) -> Set[str]:
-        return set()
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,6 @@ class AttributeAccess(Expr):
     target: Expr
     attribute: str
 
-    def variables(self) -> Set[str]:
-        return self.target.variables()
-
 
 @dataclass(frozen=True)
 class MethodCall(Expr):
@@ -63,11 +65,8 @@ class MethodCall(Expr):
     method: str
     args: Tuple[Expr, ...] = ()
 
-    def variables(self) -> Set[str]:
-        result = set(self.target.variables())
-        for arg in self.args:
-            result |= arg.variables()
-        return result
+    def sends(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,6 @@ class Comparison(Expr):
     left: Expr
     right: Expr
 
-    def variables(self) -> Set[str]:
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class Arithmetic(Expr):
@@ -90,9 +86,6 @@ class Arithmetic(Expr):
     left: Expr
     right: Expr
 
-    def variables(self) -> Set[str]:
-        return self.left.variables() | self.right.variables()
-
 
 @dataclass(frozen=True)
 class BooleanOp(Expr):
@@ -101,21 +94,12 @@ class BooleanOp(Expr):
     op: str  # "AND" | "OR"
     operands: Tuple[Expr, ...]
 
-    def variables(self) -> Set[str]:
-        result: Set[str] = set()
-        for operand in self.operands:
-            result |= operand.variables()
-        return result
-
 
 @dataclass(frozen=True)
 class NotOp(Expr):
     """Logical negation."""
 
     operand: Expr
-
-    def variables(self) -> Set[str]:
-        return self.operand.variables()
 
 
 AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -127,11 +111,6 @@ class Aggregate(Expr):
 
     function: str
     argument: Optional[Expr] = None  # None only for COUNT(*)
-
-    def variables(self) -> Set[str]:
-        if self.argument is None:
-            return set()
-        return self.argument.variables()
 
 
 @dataclass(frozen=True)
@@ -163,12 +142,20 @@ class Query:
         """True when any select item is an aggregate function."""
         return any(isinstance(item, Aggregate) for item in self.select)
 
+    @property
+    def projected(self) -> List[Expr]:
+        """What is evaluated per result tuple: the select items (an
+        aggregate's argument, a 1 for ``COUNT(*)``), the GROUP BY keys and
+        the ORDER BY key."""
+        items = [
+            (item.argument or Literal(1)) if isinstance(item, Aggregate) else item
+            for item in self.select
+        ]
+        return items + self.group_by + ([self.order_by] if self.order_by is not None else [])
+
 
 def flatten_conjunction(expr: Expr) -> List[Expr]:
     """Split a WHERE tree into top-level AND conjuncts (for the optimizer)."""
     if isinstance(expr, BooleanOp) and expr.op == "AND":
-        result: List[Expr] = []
-        for operand in expr.operands:
-            result.extend(flatten_conjunction(operand))
-        return result
+        return [c for operand in expr.operands for c in flatten_conjunction(operand)]
     return [expr]

@@ -1,13 +1,19 @@
 """Query evaluator.
 
-Executes the optimizer's plan a set at a time.  Candidates of a variable
-are OIDs: the extent, cut by index probes and by the maps compiled methods
-answer (:mod:`repro.oodb.query.optimizer`, item 4); an object is built only
-for an OID that reaches a per-object filter, the join or the projection.
-One tuple generator joins the variables in order of candidate-set size
-among those a join conjunct connects to the bound ones — a hash lookup per
-level where a join conjunct compiled, a nested loop with predicate pushdown
-elsewhere — and feeds projection, aggregation and ordering alike.
+Executes the optimizer's plan a set at a time, from candidates to rows.
+Candidates of a variable are OIDs: the extent, cut by index probes and by
+the maps compiled methods answer (:mod:`repro.oodb.query.optimizer`, item
+4); an object is built only for an OID that reaches a per-object filter,
+the join or the projection.  One tuple generator joins the variables in
+order of candidate-set size among those a join conjunct connects to the
+bound ones — a hash lookup per level where a join conjunct compiled, a
+nested loop with predicate pushdown elsewhere — and feeds projection,
+aggregation and ordering alike.
+
+Every expression is lowered once per statement to a closure over the
+environment (range variable -> object); a projected chain that compiled is
+one column over the distinct objects the result tuples bind, and what a
+compiler declined or left undecided is sent per object from the closure.
 
 The evaluator also collects :class:`QueryStats` — candidate counts, tuples
 examined, method invocations — which the benchmark harness uses to compare
@@ -16,8 +22,10 @@ evaluation strategies (Sections 4.5.3/4.5.4 of the paper).
 
 from __future__ import annotations
 
+import functools
 import operator
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
@@ -46,6 +54,7 @@ from repro.oodb.query.optimizer import (
     MethodPredicate,
     Optimizer,
     QueryPlan,
+    Steps,
     VariablePlan,
     compile_method,
 )
@@ -57,12 +66,15 @@ if TYPE_CHECKING:  # pragma: no cover
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
+Env = Dict[str, DBObject]
+#: An expression lowered to a closure over the environment.
+Lowered = Callable[[Env], Any]
+
 
 @dataclass
 class QueryStats:
     """Counters filled in during one query execution."""
 
-    candidates_scanned: int = 0
     tuples_examined: int = 0
     rows_produced: int = 0
     method_calls: int = 0
@@ -82,10 +94,17 @@ class _Level:
     variable: str
     oids: List[OID]
     #: Hash strategy: the candidates joining the bound variables' objects.
-    lookup: Optional[Callable[[Dict[str, DBObject]], Iterable[OID]]] = None
-    checks: List[Callable[[Dict[str, DBObject]], bool]] = field(default_factory=list)
+    lookup: Optional[Callable[[Env], Iterable[OID]]] = None
+    checks: List[Lowered] = field(default_factory=list)
     #: Nested strategy: every candidate's object, built at the first pass.
     objects: Optional[List[DBObject]] = None
+
+
+def _receiver(value: Any, what: str) -> DBObject:
+    """``value`` when it is an object; else the error ``what`` on it raises."""
+    if not isinstance(value, DBObject):
+        raise QueryEvaluationError(f"{what} on non-object {value!r}")
+    return value
 
 
 class QueryEvaluator:
@@ -143,7 +162,6 @@ class QueryEvaluator:
                 span.set_attribute("candidates", len(oids))
             candidates[variable] = oids
             self.stats.per_variable_candidates[variable] = len(oids)
-            self.stats.candidates_scanned += len(oids)
 
         order = self._join_order(candidates, plan.join_conjuncts)
         with obs.tracer().span("oodb.query.join") as join_span:
@@ -151,20 +169,20 @@ class QueryEvaluator:
             join_span.set_attribute("strategy", " ".join(
                 f"{lv.variable}:{'nested' if lv.lookup is None else 'hash'}" for lv in levels
             ))
-            tuples = self._tuples(levels)
-
-            def project(env: Dict[str, DBObject]) -> tuple:
-                return tuple(self._eval(expr, env, bindings) for expr in query.select)
-
+            join_span.set_attribute("projected", plan.description["projected"])
+            envs = list(self._tuples(levels))
+            project = functools.partial(self._project, plan, envs, bindings)
             if query.is_aggregate:
-                rows = self._aggregate_rows(query, tuples, bindings)
-            elif query.order_by is not None:
-                order_by = query.order_by
-                keyed = [(self._eval(order_by, env, bindings), project(env)) for env in tuples]
-                keyed.sort(key=lambda kv: (kv[0] is None, kv[0]), reverse=query.order_desc)
-                rows = [row for _key, row in keyed]
+                rows = self._aggregate_rows(query, envs, project)
             else:
-                rows = [project(env) for env in tuples]
+                items = [project(item) for item in query.select]
+                rows = [tuple(item(env) for item in items) for env in envs]
+                if query.order_by is not None:
+                    keyed = zip(map(project(query.order_by), envs), rows)
+                    ordered = sorted(
+                        keyed, key=lambda kv: (kv[0] is None, kv[0]), reverse=query.order_desc
+                    )
+                    rows = [row for _key, row in ordered]
             if query.limit is not None:
                 rows = rows[: query.limit]
             join_span.set_attribute("rows", len(rows))
@@ -227,7 +245,7 @@ class QueryEvaluator:
                 join = plan.method_joins.get(i) if level.lookup is None else None
                 forward = join and self._join_map(plan, join, candidates)
                 if forward is None:
-                    level.checks.append(self._env_check(conjunct, bindings))
+                    level.checks.append(self._lower(conjunct, bindings))
                 elif variable == join.target:
                     members = set(level.oids)
                     level.lookup = lambda env, f=forward, s=join.variable, m=members: (
@@ -243,46 +261,38 @@ class QueryEvaluator:
     def _join_map(
         self, plan: QueryPlan, join: MethodPredicate, candidates: Dict[str, List[OID]]
     ) -> Optional[Dict[OID, OID]]:
-        """``source candidate -> OID of the object its method returns``, or None.
-
-        None as well when the map names an object that does not exist: the
-        nested loop sends the method, and the object reports it.
-        """
+        """``source candidate -> OID of the object its method returns``, or None
+        unless the column decides every candidate — an undecided one, or one
+        whose method names an object that does not exist, goes to the nested
+        loop, which sends the method and lets the object report it."""
         sources = set(candidates[join.variable])
         class_name = plan.variable_plans[join.variable].class_name
-        ((method, args),) = join.steps
-        compiled = compile_method(self._db, class_name, method, args)
-        answer = compiled and compiled(sources, None)
-        if not answer or not answer.refs or answer.undecided or answer.default is not None:
-            return None
-        targets = {answer.values.get(oid) for oid in sources} - {None}
-        if not all(map(self._db.object_exists, targets)):
+        targets = self._column(class_name, join.steps, sources)
+        if len(targets) < len(sources) or not all(
+            target is None or isinstance(target, DBObject) for target in targets.values()
+        ):
             return None
         self.stats.probed_predicates += 1
         self.stats.method_calls += len(sources)
-        return answer.values
+        return {oid: target.oid for oid, target in targets.items() if target is not None}
 
-    def _tuples(self, levels: List[_Level]) -> Iterator[Dict[str, DBObject]]:
+    def _tuples(self, levels: List[_Level]) -> Iterator[Env]:
         """Every binding of all variables that passes the join conjuncts.
 
         Outer to inner in level order, each variable in candidate (extent)
-        order; the yielded environment is reused from tuple to tuple.
+        order; each yielded environment is a dictionary of its own.
         """
-        env: Dict[str, DBObject] = {}
-        stats, get_object = self.stats, self._db.get_object
+        env: Env = {}
+        stats, fetch = self.stats, self._db.get_object
 
-        def bind(depth: int) -> Iterator[Dict[str, DBObject]]:
+        def bind(depth: int) -> Iterator[Env]:
             if depth == len(levels):
-                yield env
+                yield dict(env)
                 return
             level = levels[depth]
-            if level.lookup is not None:
-                objects = map(get_object, level.lookup(env))
-            else:
-                if level.objects is None:
-                    level.objects = [get_object(oid) for oid in level.oids]
-                objects = level.objects
-            for obj in objects:
+            if level.lookup is None and level.objects is None:
+                level.objects = [fetch(oid) for oid in level.oids]
+            for obj in level.objects if level.lookup is None else map(fetch, level.lookup(env)):
                 env[level.variable] = obj
                 stats.tuples_examined += 1
                 if all(check(env) for check in level.checks):
@@ -292,7 +302,7 @@ class QueryEvaluator:
         return bind(0)
 
     def _aggregate_rows(
-        self, query: Query, tuples: Iterator[Dict[str, DBObject]], bindings: Dict[str, Any]
+        self, query: Query, envs: List[Env], project: Callable[[Expr], Lowered]
     ) -> List[tuple]:
         """Grouped aggregation: one output row per GROUP BY key, first seen first.
 
@@ -300,22 +310,21 @@ class QueryEvaluator:
         non-NULL argument of an aggregate (a 1 per tuple for ``COUNT(*)``),
         only the latest value of a plain expression.
         """
+        keys = [project(expr) for expr in query.group_by]
+        # What each select item contributes per tuple: its first projected expressions.
+        columns = [project(expr) for expr in query.projected[: len(query.select)]]
         groups: Dict[tuple, List[list]] = {}
-        for env in tuples:
-            key = tuple(self._eval(expr, env, bindings) for expr in query.group_by)
-            columns = groups.setdefault(key, [[] for _item in query.select])
-            for item, values in zip(query.select, columns):
+        for env in envs:
+            group = groups.setdefault(tuple(key(env) for key in keys), [[] for _ in columns])
+            for item, column, values in zip(query.select, columns, group):
+                value = column(env)
                 if not isinstance(item, Aggregate):
-                    values[:] = [self._eval(item, env, bindings)]
-                elif item.argument is None:
-                    values.append(1)
-                else:
-                    value = self._eval(item.argument, env, bindings)
-                    if value is not None:  # NULLs are ignored by aggregates, SQL-style
-                        values.append(value)
+                    values[:] = [value]
+                elif value is not None:  # NULLs are ignored by aggregates, SQL-style
+                    values.append(value)
         return [
-            tuple(self._finalize(item, values) for item, values in zip(query.select, columns))
-            for columns in groups.values()
+            tuple(self._finalize(item, values) for item, values in zip(query.select, group))
+            for group in groups.values()
         ]
 
     @staticmethod
@@ -364,11 +373,11 @@ class QueryEvaluator:
                 side = "low" if ip.op[0] == ">" else "high"
                 alive &= index.range(**{side: ip.constant, "include_" + side: ip.op[-1] == "="})
 
-        env: Dict[str, DBObject] = {}
+        env: Env = {}
 
         def survivors(oids: Set[OID], checks: List[Tuple[Optional[Set[OID]], Expr]]) -> List[OID]:
             """``oids`` in extent order, less those whose object fails a check meant for it."""
-            tests = [(only, self._env_check(conjunct, bindings)) for only, conjunct in checks]
+            tests = [(only, self._lower(conjunct, bindings)) for only, conjunct in checks]
 
             def passes(oid: OID) -> bool:
                 env[variable] = db.get_object(oid)
@@ -405,129 +414,165 @@ class QueryEvaluator:
         return survivors(alive, residual + deferred)
 
     def _decide(
-        self,
-        class_name: str,
-        steps: Tuple[Tuple[str, tuple], ...],
-        oids: Set[OID],
-        op: str,
-        constant: Any,
+        self, class_name: str, steps: Steps, oids: Set[OID], op: str, constant: Any
     ) -> Optional[Tuple[Set[OID], Set[OID], bool]]:
-        """``x -> m1(...) -> m2(...) ... OP constant`` over ``oids``: those that
+        """``x -> m1(...) ... -> mn(...) OP constant`` over ``oids``: those that
         pass, those left undecided and whether the map restricts; None when
         not compiled.
 
-        A path decides its later steps once per distinct object the first
-        step returned (all of one class, or the path is left to the objects);
-        what the values are compared with goes to the last step's compiler.
+        The leading steps of a path are a column (:meth:`_column`); the last
+        step is decided once per distinct object they return — all of one
+        class, or the path is left to the objects — and is the one told what
+        its values are compared with.
         """
-        (method, args), rest = steps[0], steps[1:]
+        *path, (method, args) = steps
+        if path:
+            receivers = self._column(class_name, tuple(path), oids)
+            classes = {getattr(receiver, "class_name", None) for receiver in receivers.values()}
+            if len(receivers) < len(oids) or len(classes) != 1 or None in classes:
+                return None  # per object: the evaluator reports a call on a non-object
+            class_name = classes.pop()
+            targets = {oid: receiver.oid for oid, receiver in receivers.items()}
+            oids = set(targets.values())
         compiled = compile_method(self._db, class_name, method, args)
         if compiled is None:
             return None
-        answer = compiled(oids, None if rest else (op, constant))
-        if not rest:
-            undecided = oids.intersection(answer.undecided)
-            return self._passing(oids - undecided, answer, op, constant), undecided, answer.restricts
-        targets = {oid: answer.values.get(oid, answer.default) for oid in oids}
-        distinct = set(targets.values())
-        if not answer.refs or answer.undecided or None in distinct:
-            return None  # per object: the evaluator reports a call on a non-object
-        classes = {self._db.class_of(target) for target in distinct}
-        onward = len(classes) == 1 and self._decide(classes.pop(), rest, distinct, op, constant)
-        if not onward or onward[2]:
+        answer = compiled(oids, (op, constant))
+        undecided = oids.intersection(answer.undecided)
+        values, default, decided = answer.values, answer.default, oids - undecided
+        if not _compare(op, default, constant):
+            # Only a listed value can pass.  Two differences instead of an
+            # intersection: against a dict they reuse the set's stored hashes.
+            decided = decided - decided.difference(values)
+        if answer.refs:  # compared as the objects ``send`` returns
+            values = {
+                o: self._db.get_object(values[o]) for o in decided if values.get(o) is not None
+            }
+        passing = {oid for oid in decided if _compare(op, values.get(oid, default), constant)}
+        if not path:
+            return passing, undecided, answer.restricts
+        if answer.restricts:
             return None
-        passing, undecided, _restricts = onward
         return (
             {oid for oid, target in targets.items() if target in passing},
             {oid for oid, target in targets.items() if target in undecided},
             False,
         )
 
-    def _passing(self, decided: Set[OID], answer: MethodMap, op: str, constant: Any) -> Set[OID]:
-        """Those of ``decided`` whose value passes ``OP constant``."""
-        values, default, compare = answer.values, answer.default, self._compare
-        if not compare(op, default, constant):
-            # Only a listed value can pass.  Two differences instead of an
-            # intersection: against a dict they reuse the set's stored hashes.
-            decided = decided - decided.difference(values)
-        if answer.refs:  # compared as the objects ``send`` returns
-            values = {o: self._db.get_object(values[o]) for o in decided if values.get(o)}
-        return {oid for oid in decided if compare(op, values.get(oid, default), constant)}
+    # -- projection ----------------------------------------------------------------
 
-    def _env_check(
-        self, conjunct: Expr, bindings: Dict[str, Any]
-    ) -> Callable[[Dict[str, DBObject]], bool]:
-        """A conjunct as a test of an environment, methods sent per object."""
-        return lambda env: bool(self._eval(conjunct, env, bindings))
+    def _project(
+        self, plan: QueryPlan, envs: List[Env], bindings: Dict[str, Any], expr: Expr
+    ) -> Lowered:
+        """``expr`` as evaluated per result tuple.  A compiled column is read
+        once over the distinct objects ``envs`` bind; a tuple whose object it
+        left open gets the lowered closure, which sends the methods."""
+        lowered = self._lower(expr, bindings)
+        if expr not in plan.columns:
+            return lowered
+        variable, steps = plan.columns[expr]
+        oids = {env[variable].oid for env in envs}
+        values = self._column(plan.variable_plans[variable].class_name, steps, oids) if oids else {}
+        # One logical call per step and tuple; the closure counts its own.
+        self.stats.method_calls += len(steps) * sum(env[variable].oid in values for env in envs)
+        return lambda env: (
+            values[env[variable].oid] if env[variable].oid in values else lowered(env)
+        )
 
-    # -- expression evaluation ------------------------------------------------------
+    def _column(self, class_name: str, steps: Steps, oids: Set[OID]) -> Dict[OID, Any]:
+        """What sending the chain ``steps`` returns, for those of ``oids`` the
+        compiled maps decide: one map per step, a later step over the
+        distinct objects the earlier one returned, grouped by class.  An OID
+        whose chain meets an undecided candidate, a declining compiler, a
+        non-object receiver or an object that does not exist is left out."""
+        (method, args), rest = steps[0], steps[1:]
+        compiled = compile_method(self._db, class_name, method, args)
+        answer = compiled(oids, None) if compiled else MethodMap({}, oids)
+        decided = oids.difference(answer.undecided)
+        values = {oid: answer.values.get(oid, answer.default) for oid in decided}
+        if not answer.refs:
+            return {} if rest else values
+        exists, get_object = self._db.object_exists, self._db.get_object
+        found = {t: get_object(t) for t in set(values.values()) - {None} if exists(t)}
+        if rest:
+            by_class: Dict[str, Set[OID]] = defaultdict(set)
+            for obj in found.values():
+                by_class[obj.class_name].add(obj.oid)
+            found = {}
+            for name, targets in by_class.items():
+                found.update(self._column(name, rest, targets))
+        else:
+            found[None] = None
+        return {oid: found[target] for oid, target in values.items() if target in found}
 
-    def _eval(self, expr: Expr, env: Dict[str, DBObject], bindings: Dict[str, Any]) -> Any:
+    # -- lowering --------------------------------------------------------------------
+
+    def _lower(self, expr: Expr, bindings: Dict[str, Any]) -> Lowered:
+        """``expr`` as a closure over the environment, built once per statement.
+
+        Methods are sent per object, one logical call each; a name that is
+        neither a range variable nor bound raises only when a tuple reaches it.
+        """
+        lower = functools.partial(self._lower, bindings=bindings)
         if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Parameter):
-            if expr.name not in bindings:
-                raise QueryEvaluationError(f"unbound parameter ${expr.name}")
-            return bindings[expr.name]
-        if isinstance(expr, Variable):
-            if expr.name in env:
-                return env[expr.name]
-            if expr.name in bindings:
-                return bindings[expr.name]
-            raise QueryEvaluationError(
-                f"unknown name {expr.name!r}: not a range variable and not bound"
-            )
+            value = expr.value
+            return lambda env: value
+        if isinstance(expr, (Parameter, Variable)):
+            name, bound, value = expr.name, expr.name in bindings, bindings.get(expr.name)
+            if isinstance(expr, Parameter):
+                message = f"unbound parameter ${name}"
+                return lambda env: value if bound else _fail(message)
+            message = f"unknown name {name!r}: not a range variable and not bound"
+            # A range variable comes first.
+            return lambda env: env[name] if name in env else value if bound else _fail(message)
         if isinstance(expr, AttributeAccess):
-            target = self._eval(expr.target, env, bindings)
-            if not isinstance(target, DBObject):
-                raise QueryEvaluationError(
-                    f"attribute access .{expr.attribute} on non-object {target!r}"
-                )
-            return target.get(expr.attribute)
+            target, attribute = lower(expr.target), expr.attribute
+            what = f"attribute access .{attribute}"
+            return lambda env: _receiver(target(env), what).get(attribute)
         if isinstance(expr, MethodCall):
-            target = self._eval(expr.target, env, bindings)
-            if not isinstance(target, DBObject):
-                raise QueryEvaluationError(
-                    f"method call ->{expr.method} on non-object {target!r}"
-                )
-            args = [self._eval(a, env, bindings) for a in expr.args]
-            self.stats.method_calls += 1
-            return target.send(expr.method, *args)
-        if isinstance(expr, Comparison):
-            return self._compare(
-                expr.op,
-                self._eval(expr.left, env, bindings),
-                self._eval(expr.right, env, bindings),
-            )
-        if isinstance(expr, Arithmetic):
-            left = self._eval(expr.left, env, bindings)
-            right = self._eval(expr.right, env, bindings)
-            try:
-                return _ARITHMETIC[expr.op](left, right)
-            except TypeError as exc:
-                raise QueryEvaluationError(
-                    f"cannot compute {left!r} {expr.op} {right!r}"
-                ) from exc
-            except ZeroDivisionError as exc:
-                raise QueryEvaluationError("division by zero in query") from exc
-        if isinstance(expr, BooleanOp):
-            combine = all if expr.op == "AND" else any
-            return combine(bool(self._eval(e, env, bindings)) for e in expr.operands)
-        if isinstance(expr, NotOp):
-            return not self._eval(expr.operand, env, bindings)
-        raise QueryEvaluationError(f"cannot evaluate expression {expr!r}")  # pragma: no cover
+            target, args, method = lower(expr.target), list(map(lower, expr.args)), expr.method
+            what, stats = f"method call ->{method}", self.stats
 
-    @staticmethod
-    def _compare(op: str, left: Any, right: Any) -> bool:
-        if op in ("=", "=="):
-            return left == right
-        if op in ("!=", "<>"):
-            return left != right
-        if left is None or right is None:
-            return False  # SQL-style: ordering against NULL is never true
-        try:
-            return _ORDERING[op](left, right)
-        except TypeError as exc:
-            raise QueryEvaluationError(
-                f"cannot compare {left!r} {op} {right!r}"
-            ) from exc
+            def call(env: Env) -> Any:
+                receiver, values = _receiver(target(env), what), [arg(env) for arg in args]
+                stats.method_calls += 1
+                return receiver.send(method, *values)
+
+            return call
+        if isinstance(expr, (Comparison, Arithmetic)):
+            op, left, right = expr.op, lower(expr.left), lower(expr.right)
+            apply = _compare if isinstance(expr, Comparison) else _compute
+            return lambda env: apply(op, left(env), right(env))
+        if isinstance(expr, BooleanOp):
+            operands, combine = list(map(lower, expr.operands)), all if expr.op == "AND" else any
+            return lambda env: combine(operand(env) for operand in operands)
+        if isinstance(expr, NotOp):
+            operand = lower(expr.operand)
+            return lambda env: not operand(env)
+        raise QueryEvaluationError(f"cannot evaluate expression {expr!r}")
+
+
+def _fail(message: str) -> Any:
+    raise QueryEvaluationError(message)
+
+
+def _compute(op: str, left: Any, right: Any) -> Any:
+    try:
+        return _ARITHMETIC[op](left, right)
+    except TypeError as exc:
+        raise QueryEvaluationError(f"cannot compute {left!r} {op} {right!r}") from exc
+    except ZeroDivisionError as exc:
+        raise QueryEvaluationError("division by zero in query") from exc
+
+
+def _compare(op: str, left: Any, right: Any) -> bool:
+    if op in ("=", "=="):
+        return left == right
+    if op in ("!=", "<>"):
+        return left != right
+    if left is None or right is None:
+        return False  # SQL-style: ordering against NULL is never true
+    try:
+        return _ORDERING[op](left, right)
+    except TypeError as exc:
+        raise QueryEvaluationError(f"cannot compare {left!r} {op} {right!r}") from exc

@@ -20,22 +20,22 @@ Turns a parsed :class:`~repro.oodb.query.ast.Query` into an executable plan:
    ``var -> m(consts) OP constant`` filters the map; a path
    ``var -> m1(consts) -> m2(consts) OP constant`` maps the second step once
    per distinct target of the first; an equi-join ``v1 -> m(consts) == v2``
-   becomes a hash lookup through the map instead of a call per tuple.
-   Undecided candidates, and everything a compiler declines, are sent the
-   method per object — the only fallback.  A method registered as reading
-   an *outside* source (the IRS) has its map asked for after the variable's
-   other conjuncts: no candidate reaching it means no outside call.
+   becomes a hash lookup through the map instead of a call per tuple.  A
+   projected chain ``var -> m1(consts) [-> m2(consts)]`` is one *column*
+   over the distinct objects the result tuples bind.  Undecided candidates,
+   and everything a compiler declines, are sent the method per object — the
+   only fallback.  A method registered as reading an *outside* source (the
+   IRS) is never projected as a column, and has its map asked for after the
+   variable's other conjuncts: no candidate reaching it means no outside call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple,
 )
 
-from repro.errors import UnknownClassError
 from repro.oodb.query.ast import (
     AttributeAccess,
     Comparison,
@@ -129,9 +129,7 @@ def _constant_of(expr: Expr, bindings: Dict[str, Any]) -> Tuple[bool, Any]:
     return False, None
 
 
-def _method_steps(
-    expr: Expr, bindings: Dict[str, Any]
-) -> Tuple[Optional[str], Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
+def _method_steps(expr: Expr, bindings: Dict[str, Any]) -> Tuple[Optional[str], Steps]:
     """``var -> m1(consts) -> m2(consts) ...`` as ``(var, calls in sending order)``.
 
     ``(None, ())`` unless ``expr`` is such a chain on a variable, every
@@ -150,8 +148,11 @@ def _method_steps(
     return None, ()
 
 
-def _render_steps(predicate: "MethodPredicate") -> str:
-    return predicate.variable + "".join(f" -> {method}(...)" for method, _args in predicate.steps)
+Steps = Tuple[Tuple[str, Tuple[Any, ...]], ...]
+
+
+def _render_steps(variable: str, steps: Steps) -> str:
+    return variable + "".join(f" -> {method}(...)" for method, _args in steps)
 
 
 @dataclass
@@ -176,7 +177,7 @@ class MethodPredicate:
     """
 
     variable: str
-    steps: Tuple[Tuple[str, Tuple[Any, ...]], ...]
+    steps: Steps
     op: str
     constant: Any
     source: Comparison
@@ -208,6 +209,8 @@ class QueryPlan:
     join_conjuncts: List[Expr]
     #: Position in ``join_conjuncts`` -> the conjunct as a hash-joinable method.
     method_joins: Dict[int, MethodPredicate] = field(default_factory=dict)
+    #: Projected expression -> ``(variable, steps)`` of the column it compiles to.
+    columns: Dict[Expr, Tuple[str, Steps]] = field(default_factory=dict)
     description: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -219,7 +222,6 @@ class Optimizer:
 
     def plan(self, query: Query, bindings: Dict[str, Any]) -> QueryPlan:
         """Classify predicates and choose access paths."""
-        range_vars = {r.variable for r in query.ranges}
         vplans = {
             r.variable: VariablePlan(variable=r.variable, class_name=r.class_name)
             for r in query.ranges
@@ -228,7 +230,7 @@ class Optimizer:
         method_joins: Dict[int, MethodPredicate] = {}
 
         for conjunct in query.conjuncts:
-            used = conjunct.variables() & range_vars
+            used = conjunct.variables() & vplans.keys()
             if len(used) != 1:
                 join = self._classify_join(conjunct, used, bindings)
                 if join is not None:
@@ -245,17 +247,30 @@ class Optimizer:
             else:
                 vplan.filters.append(conjunct)
 
+        columns = {}
+        for expr in query.projected:
+            root, steps = _method_steps(expr, bindings)
+            if (
+                root in vplans
+                and steps
+                and not any(method in _OUTSIDE for method, _args in steps)
+                and self._db.schema.has_class(vplans[root].class_name)
+                and compile_method(self._db, vplans[root].class_name, *steps[0])
+            ):
+                columns[expr] = (root, steps)
+        compiled = sum(expr in columns for expr in query.projected)
+        sent = sum(expr not in columns and expr.sends() for expr in query.projected)
+
         description = {
             "variables": {
                 v: {
                     "class": p.class_name,
-                    "extent_size": self._extent_size(p.class_name),
                     "index_predicates": [
                         f"{p.class_name}.{ip.attribute} {ip.op} {ip.constant!r}"
                         for ip in p.index_predicates
                     ],
                     "method_predicates": [
-                        f"{_render_steps(mp)} {mp.op} {mp.constant!r}"
+                        f"{_render_steps(mp.variable, mp.steps)} {mp.op} {mp.constant!r}"
                         for mp in p.method_predicates
                     ],
                     "residual_filters": len(p.filters),
@@ -271,14 +286,15 @@ class Optimizer:
             },
             "join_conjuncts": len(join_conjuncts),
             "join_strategies": [
-                f"hash {_render_steps(method_joins[i])} == {method_joins[i].target}"
-                if i in method_joins
+                f"hash {_render_steps(join.variable, join.steps)} == {join.target}"
+                if join is not None
                 else "nested loop"
-                for i in range(len(join_conjuncts))
+                for join in map(method_joins.get, range(len(join_conjuncts)))
             ],
-            "estimated_cross_product": self._cross_product_estimate(vplans),
+            "projected": f"compiled:{compiled} sent:{sent}",
+            "columns": [_render_steps(*column) for column in columns.values()],
         }
-        return QueryPlan(query, vplans, join_conjuncts, method_joins, description)
+        return QueryPlan(query, vplans, join_conjuncts, method_joins, columns, description)
 
     # -- classification ------------------------------------------------------
 
@@ -344,13 +360,3 @@ class Optimizer:
         """The index covering ``attribute`` for the class or an ancestor, if any."""
         ancestry = [c.name for c in self._db.schema.ancestry(class_name)]
         return self._db.indexes.covering(ancestry, attribute)
-
-    def _extent_size(self, class_name: str) -> int:
-        try:
-            return self._db.extent_size(class_name)
-        except UnknownClassError:  # surfaces at execution time instead
-            return 0
-
-    def _cross_product_estimate(self, vplans: Dict[str, VariablePlan]) -> int:
-        """Upper bound on tuples examined (no predicate applied)."""
-        return math.prod(max(1, self._extent_size(p.class_name)) for p in vplans.values())

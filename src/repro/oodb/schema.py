@@ -50,8 +50,9 @@ class AttributeDefinition:
 
         checkers: Dict[str, Callable[[Any], bool]] = {
             "STRING": lambda v: isinstance(v, str),
-            "INT": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "REAL": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+            # An OID is an int subclass, but a reference, not a number.
+            "INT": lambda v: isinstance(v, int) and not isinstance(v, (bool, OID)),
+            "REAL": lambda v: isinstance(v, (int, float)) and not isinstance(v, (bool, OID)),
             "BOOL": lambda v: isinstance(v, bool),
             "OID": lambda v: isinstance(v, OID),
             "LIST": lambda v: isinstance(v, list),

@@ -18,7 +18,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.oodb.oid import OID
@@ -128,6 +128,14 @@ class ObjectStore:
     def read(self, oid: OID, attr: str, default: Any = None) -> Any:
         """Read one attribute (``default`` when never written)."""
         return self._require(oid).attributes.get(attr, default)
+
+    def read_column(self, oids: Iterable[OID], attr: str, default: Any = None) -> Dict[OID, Any]:
+        """:meth:`read` of every OID, in one pass over the object table."""
+        objects = self._objects
+        try:
+            return {oid: objects[oid].attributes.get(attr, default) for oid in oids}
+        except KeyError as exc:
+            raise ObjectNotFoundError(f"no object with {exc.args[0]}") from None
 
     def has_written(self, oid: OID, attr: str) -> bool:
         """True when the attribute has an explicitly written value."""
@@ -247,7 +255,7 @@ class ObjectStore:
                     "class": stored.class_name,
                     "attributes": {k: encode_value(v) for k, v in stored.attributes.items()},
                 }
-                for oid, stored in sorted(self._objects.items(), key=lambda kv: kv[0].value)
+                for oid, stored in sorted(self._objects.items())
             ]
         payload = {
             "oid_high_water": oid_high_water,

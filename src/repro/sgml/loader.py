@@ -19,7 +19,7 @@ sample queries use (Section 4.4).
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
@@ -33,84 +33,122 @@ ELEMENT_CLASS = "Element"
 
 
 # --------------------------------------------------------------------------
-# Navigation: readers over stored attributes, by OID
+# Navigation: columns over stored attributes, by OID
 # --------------------------------------------------------------------------
-# Each navigation exists once, as a *reader* ``oid -> value`` that builds no
-# handle and resolves a shared ancestor or sibling list once.  The methods
-# installed on ``Element`` ask a fresh reader about one object; the
-# optimizer's method hook runs one reader over a whole candidate set.
+# Each navigation exists once, as a *column* ``oids -> {oid: value}`` that
+# reads each attribute it needs in one store pass over the set
+# (:meth:`Database.read_column`), resolves a shared ancestor or sibling list
+# once and builds no handle.  The optimizer's method hook runs a column over
+# a whole candidate set; the method installed on ``Element`` runs it over
+# one object.
 
-def _parent_reader(db: Database) -> Callable[[OID], Optional[OID]]:
-    read, exists = db.read_attribute, db.object_exists
-
-    def parent(oid: OID) -> Optional[OID]:
-        ref = read(oid, "parent")
-        return ref if isinstance(ref, OID) and exists(ref) else None
-
-    return parent
+Column = Callable[[Iterable[OID]], Dict[OID, Any]]
 
 
-def _containing_reader(db: Database, class_name: str) -> Callable[[OID], Optional[OID]]:
-    """Nearest ancestor of ``class_name`` (``p1 -> getContaining('MMFDOC')``)."""
-    parent, is_subclass, class_of = _parent_reader(db), db.schema.is_subclass, db.class_of
-    found: dict = {}  # ancestor -> itself or its nearest ancestor of the class
+def _parents(db: Database, oids: Iterable[OID]) -> Dict[OID, Optional[OID]]:
+    """Each object's parent; None for a root or a reference to no object."""
+    exists = db.object_exists
+    return {
+        oid: ref if isinstance(ref, OID) and exists(ref) else None
+        for oid, ref in db.read_column(oids, "parent").items()
+    }
 
-    def containing(oid: OID) -> Optional[OID]:
-        up = parent(oid)
-        if up is not None and up not in found:
-            found[up] = up if is_subclass(class_of(up), class_name) else containing(up)
-        return found.get(up)
+
+def _parent_column(db: Database) -> Column:
+    return lambda oids: _parents(db, oids)
+
+
+def _containing_column(db: Database, class_name: str) -> Column:
+    """Nearest ancestor of ``class_name`` (``p1 -> getContaining('MMFDOC')``),
+    resolved once per distinct ancestor."""
+
+    def containing(oids: Iterable[OID]) -> Dict[OID, Optional[OID]]:
+        of_class = functools.lru_cache(maxsize=None)(
+            lambda name: db.schema.is_subclass(name, class_name)
+        )
+        found: Dict[Optional[OID], Optional[OID]] = {None: None}  # ancestor -> the answer
+
+        def resolve(up: Optional[OID]) -> Optional[OID]:
+            if up not in found:
+                found[up] = up if of_class(db.class_of(up)) else resolve(_parents(db, (up,))[up])
+            return found[up]
+
+        return {oid: resolve(up) for oid, up in _parents(db, oids).items()}
 
     return containing
 
 
-def _sibling_reader(db: Database, forward: bool) -> Callable[[OID], Optional[OID]]:
+def _sibling_column(db: Database, forward: bool) -> Column:
     """The next (previous) sibling element (``p1 -> getNext() == p2``)."""
-    parent, read = _parent_reader(db), db.read_attribute
-    neighbours: dict = {}  # parent -> {child: the sibling after (before) it}
 
-    def sibling(oid: OID) -> Optional[OID]:
-        up = parent(oid)
-        if up is None:
-            return None
-        if up not in neighbours:
-            children = read(up, "children") or []
+    def siblings(oids: Iterable[OID]) -> Dict[OID, Optional[OID]]:
+        parent = _parents(db, oids)
+        neighbours: Dict[Optional[OID], dict] = {None: {}}  # parent -> {child: beside it}
+        for up, children in db.read_column(set(parent.values()) - {None}, "children").items():
+            children = children or []
             beside = children[1:] + [None] if forward else [None] + children[:-1]
             # Reversed: a child listed twice has its first place, as ``list.index`` finds it.
             neighbours[up] = dict(zip(reversed(children), reversed(beside)))
-        return neighbours[up].get(oid)
+        return {oid: neighbours[up].get(oid) for oid, up in parent.items()}
 
-    return sibling
+    return siblings
 
 
-def _attribute_reader(db: Database, name: str) -> Callable[[OID], Optional[str]]:
+def _attribute_column(db: Database, name: str) -> Column:
     """SGML attribute lookup (``d -> getAttributeValue('YEAR')``)."""
-    read, key = db.read_attribute, name.upper()
-    return lambda oid: (read(oid, "sgml_attributes") or {}).get(key)
+    key = name.upper()
+    return lambda oids: {
+        oid: (attributes or {}).get(key)
+        for oid, attributes in db.read_column(oids, "sgml_attributes").items()
+    }
 
 
-#: method -> (reader factory taking the call's arguments, arity, returns objects)
-_READERS = {
-    "getParent": (_parent_reader, 0, True),
-    "getContaining": (_containing_reader, 1, True),
-    "getNext": (functools.partial(_sibling_reader, forward=True), 0, True),
-    "getPrev": (functools.partial(_sibling_reader, forward=False), 0, True),
-    "getAttributeValue": (_attribute_reader, 1, False),
+def _length_column(db: Database) -> Column:
+    """Subtree text length (``p -> length()``), ``len(getTextContent())``
+    without building the text: bottom-up over the stored ``content`` and
+    ``children``, a level of the subtrees at a time — the own part if
+    non-empty, each non-empty child text, a separator between parts,
+    children without an object skipped."""
+    exists = db.object_exists
+
+    def lengths(oids: Iterable[OID]) -> Dict[OID, int]:
+        children = {
+            oid: [child for child in kids or () if exists(child)]
+            for oid, kids in db.read_column(set(oids), "children").items()
+        }
+        below = lengths(set().union(*children.values())) if any(children.values()) else {}
+        result = {}
+        for oid, own in db.read_column(children, "content").items():
+            parts = ([len(own)] if own else []) + [n for n in map(below.get, children[oid]) if n]
+            result[oid] = sum(parts) + len(parts) - 1 if parts else 0
+        return result
+
+    return lengths
+
+
+#: method -> (column factory taking the call's arguments, arity, returns objects)
+_COLUMNS = {
+    "getParent": (_parent_column, 0, True),
+    "getContaining": (_containing_column, 1, True),
+    "getNext": (functools.partial(_sibling_column, forward=True), 0, True),
+    "getPrev": (functools.partial(_sibling_column, forward=False), 0, True),
+    "getAttributeValue": (_attribute_column, 1, False),
+    "length": (_length_column, 0, False),
 }
 
 
-def _reader_method(method: str) -> Callable[..., Any]:
-    """The per-object form of a reader: what ``obj -> method(args)`` runs."""
-    factory, _arity, refs = _READERS[method]
+def _column_method(method: str) -> Callable[..., Any]:
+    """The per-object form of a column: what ``obj -> method(args)`` runs."""
+    factory, _arity, refs = _COLUMNS[method]
 
     def navigate(obj: DBObject, *args: str) -> Any:
-        value = factory(obj.database, *args)(obj.oid)
+        value = factory(obj.database, *args)((obj.oid,))[obj.oid]
         return obj.database.get_object(value) if refs and value is not None else value
 
     return navigate
 
 
-_NAVIGATION = {method: _reader_method(method) for method in _READERS}
+_NAVIGATION = {method: _column_method(method) for method in _COLUMNS}
 _get_parent = _NAVIGATION["getParent"]
 
 
@@ -148,11 +186,6 @@ def _get_text_content(obj: DBObject) -> str:
     return " ".join(parts)
 
 
-def _length(obj: DBObject) -> int:
-    """Character length of the subtree text (``p -> length()``)."""
-    return len(_get_text_content(obj))
-
-
 def _get_descendants(obj: DBObject, class_name: Optional[str] = None) -> List[DBObject]:
     """All descendants (not self), optionally filtered by class."""
     result: List[DBObject] = []
@@ -175,27 +208,26 @@ ELEMENT_METHODS = {
     "getTextContent": _get_text_content,
     "getDescendants": _get_descendants,
     "isLeaf": _is_leaf,
-    "length": _length,
 }
 
 
-def _compile_navigation(method: str, db: Database, class_name: str, args: tuple):
-    """``x -> method(args)`` over a range as one reader's pass over the set.
+def _compile_column(method: str, db: Database, class_name: str, args: tuple):
+    """``x -> method(args)`` over a range as one column over the set.
 
     Declines unless every class in the range answers ``method`` with the
-    reader's own per-object form.
+    column's own per-object form.
     """
-    factory, arity, refs = _READERS[method]
+    factory, arity, refs = _COLUMNS[method]
     if len(args) != arity or not all(isinstance(arg, str) for arg in args):
         return None
     if not db.schema.method_is(class_name, method, ELEMENT_METHODS[method]):
         return None
-    reader = factory(db, *args)
-    return lambda oids, bound=None: MethodMap({oid: reader(oid) for oid in oids}, refs=refs)
+    column = factory(db, *args)
+    return lambda oids, bound=None: MethodMap(column(oids), refs=refs)
 
 
-for _method in _READERS:
-    register_method_compiler(_method, functools.partial(_compile_navigation, _method))
+for _method in _COLUMNS:
+    register_method_compiler(_method, functools.partial(_compile_column, _method))
 
 
 def _one_group(method: Callable[..., Any]) -> Callable[..., Any]:

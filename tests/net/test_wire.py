@@ -197,6 +197,21 @@ class TestValueEncoding:
         assert element.oid == collection.oid
         assert element.get("irs_name") == "collPara"
 
+    def test_element_snapshot_carries_references_as_oid_strings(self, system):
+        """An OID is an int, but crosses the wire as ``OID<n>``, never a number."""
+        from repro.oodb.oid import OID
+
+        root = system.roots[0]
+        paragraph = next(c for c in root.send("getChildren") if c.get("tag") == "PARA")
+        attributes = wire.encode_value(paragraph)[wire.OBJECT_TAG]["attributes"]
+        assert attributes["parent"] == f"OID{root.oid.value}" == str(root.oid)
+        assert attributes["children"] == []
+        assert attributes["doc_order"] == paragraph.get("doc_order")
+        assert wire.encode_value([OID(7), 7]) == ["OID7", 7]
+        assert wire.encode_value({OID(7): OID(8)}) == {"OID7": "OID8"}
+        snapshot = wire.decode_value(json.loads(json.dumps(wire.encode_value(paragraph))))
+        assert snapshot.get("parent") == str(root.oid)
+
     def test_unrepresentable_value_degrades_to_repr(self):
         encoded = wire.encode_value({"x": object()})
         assert isinstance(encoded["x"], str)

@@ -131,6 +131,29 @@ class TestExplainOnPaperQueries:
         ]
         assert len(derived) == documents
 
+    def test_projected_items_compiled_or_sent_in_span_and_plan(self, journal):
+        system, collection = journal
+        bindings = {"collPara": collection}
+        result = system.explain(QUERY_ONE, bindings)
+        (join,) = [s for s in result.root.iter_spans() if s.name == "oodb.query.join"]
+        assert join.attributes["projected"] == "compiled:1 sent:0"
+        assert "projected: compiled:1 sent:0 columns=['p -> length(...)']" in result.render()
+        # getIRSValue reads an outside source and getTextContent has no
+        # compiler: both are sent per row; the ORDER BY key is a column.
+        mixed = (
+            "ACCESS p -> getIRSValue(collPara, 'WWW'), p -> getTextContent() "
+            "FROM p IN PARA ORDER BY p -> length() DESC"
+        )
+        result = system.explain(mixed, bindings)
+        (join,) = [s for s in result.root.iter_spans() if s.name == "oodb.query.join"]
+        assert join.attributes["projected"] == "compiled:1 sent:2"
+        assert "projected: compiled:1 sent:2 columns=['p -> length(...)']" in result.render()
+        # Still one logical method call per row and projected item.
+        rows = len(result.rows)
+        assert result.stats.method_calls == 3 * rows == 3 * system.db.extent_size("PARA")
+        lengths = [len(text) for _value, text in result.rows]
+        assert lengths == sorted(lengths, reverse=True)
+
     def test_render_includes_plan_counters_and_tree(self, journal):
         system, collection = journal
         result = system.explain(QUERY_ONE, {"collPara": collection})

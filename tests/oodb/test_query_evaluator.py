@@ -113,6 +113,15 @@ class TestBindings:
         with pytest.raises(QueryEvaluationError):
             db.query("ACCESS p FROM p IN Para WHERE p.n = $missing")
 
+    def test_unbound_names_raise_only_when_a_tuple_reaches_them(self, db):
+        """Lowering happens once per statement; the error waits for a tuple."""
+        assert db.query("ACCESS $missing, mystery FROM p IN Para WHERE p.n > 100") == []
+        assert db.query("ACCESS p FROM p IN Para WHERE p.n > 100 AND p.n = $missing") == []
+        with pytest.raises(QueryEvaluationError, match=r"\$missing"):
+            db.query("ACCESS p, $missing FROM p IN Para WHERE p.n = 1")
+        with pytest.raises(QueryEvaluationError, match="mystery"):
+            db.query("ACCESS p FROM p IN Para ORDER BY mystery")
+
     def test_unknown_identifier_raises(self, db):
         with pytest.raises(QueryEvaluationError):
             db.query("ACCESS p FROM p IN Para WHERE p.n = mystery")

@@ -253,3 +253,107 @@ class TestOneLoggedGroupPerAction:
         reopened = DocumentSystem(directory=image)
         assert sorted(o.get("content") for o in reopened.db.instances_of("PARA")) == expected
         reopened.close()
+
+
+class TestCompiledColumnsOnInconsistentTrees:
+    """What the optimizer's method hook maps over a candidate set equals what
+    ``send`` returns object by object, on trees no loader would build."""
+
+    @pytest.fixture
+    def messy(self):
+        from repro.oodb.oid import OID
+
+        db = Database()
+        loader = SGMLLoader(db)
+        loader.register_dtd(mmf_dtd())
+        doc = build_document(
+            "Messy",
+            ["alpha text", "beta text"],
+            year="1994",
+            sections=[{"title": "Sec", "paragraphs": ["gamma text", "delta text"]}],
+        )
+        para = doc.append_element("PARA")  # nested inline elements, one of them empty
+        para.append_text("lead")
+        emphasis = para.append_element("EM")
+        emphasis.append_text("inline")
+        emphasis.append_element("EM").append_text("deeper")
+        para.append_element("EM")
+        root = loader.load_document(doc)
+        paras = {p.get("content"): p for p in db.instances_of("PARA")}
+        children = root.get("children")
+        children.append(OID(10**6))  # dangling
+        children.append(paras["alpha text"].oid)  # listed twice
+        unwritten = db.create_object("PARA", tag="PARA", parent=root.oid)  # no content
+        children.append(unwritten.oid)
+        root.set("children", children)
+        db.delete_object(paras["beta text"])  # deleted, still listed
+        db.delete_object(db.instances_of("SECTION")[0])  # intermediate parent gone
+        return db, root
+
+    @staticmethod
+    def compiled(db, method, *args):
+        from repro.oodb.query.optimizer import compile_method
+
+        oids = db.extent_oids(ELEMENT_CLASS)
+        answer = compile_method(db, ELEMENT_CLASS, method, args)(oids, None)
+        assert not answer.undecided
+        values = {oid: answer.values.get(oid, answer.default) for oid in oids}
+        if answer.refs:
+            values = {o: None if v is None else db.get_object(v) for o, v in values.items()}
+        return values
+
+    @pytest.mark.parametrize(
+        "method,args",
+        [
+            ("length", ()),
+            ("getContaining", ("MMFDOC",)),
+            ("getContaining", ("SECTION",)),
+            ("getContaining", ("NOSUCHCLASS",)),
+            ("getAttributeValue", ("YEAR",)),
+            ("getAttributeValue", ("TITLE",)),
+        ],
+    )
+    def test_column_equals_send_per_object(self, messy, method, args):
+        db, _root = messy
+        values = self.compiled(db, method, *args)
+        assert values == {
+            obj.oid: obj.send(method, *args) for obj in db.instances_of(ELEMENT_CLASS)
+        }
+
+    def test_length_is_the_length_of_the_text(self, messy):
+        db, root = messy
+        lengths = self.compiled(db, "length")
+        for obj in db.instances_of(ELEMENT_CLASS):
+            assert lengths[obj.oid] == len(obj.send("getTextContent")), obj
+        assert root.send("getTextContent").count("alpha text") == 2
+        assert lengths[root.oid] == len(root.send("getTextContent"))
+
+    def test_projected_rows_equal_per_row_send(self, messy):
+        from repro.oodb.query.evaluator import QueryEvaluator
+
+        db, _root = messy
+        evaluator = QueryEvaluator(db)
+        rows, stats = evaluator.run_with_stats(
+            "ACCESS p, p -> length() FROM p IN Element ORDER BY p -> length() DESC"
+        )
+        expected = [(obj, obj.send("length")) for obj in db.instances_of(ELEMENT_CLASS)]
+        assert rows == sorted(expected, key=lambda row: row[1], reverse=True)
+        assert stats.method_calls == 2 * len(rows)  # one per row for each of two items
+        rows = db.query("ACCESS p, p -> getContaining('MMFDOC') FROM p IN PARA")
+        assert rows == [(p, p.send("getContaining", "MMFDOC")) for p in db.instances_of("PARA")]
+        assert any(container is None for _p, container in rows)  # under the deleted SECTION
+
+    def test_a_chain_through_no_object_raises_as_per_row(self, messy):
+        from repro.errors import QueryEvaluationError
+
+        db, root = messy
+        year = "p -> getContaining('MMFDOC') -> getAttributeValue('YEAR')"
+        with pytest.raises(QueryEvaluationError, match="non-object None"):
+            db.query(f"ACCESS {year} FROM p IN PARA")
+        rows = db.query(
+            f"ACCESS p, {year} FROM p IN PARA WHERE p -> getContaining('MMFDOC') != NULL"
+        )
+        assert rows and all(value == "1994" for _p, value in rows)
+        assert {p for p, _v in rows} == {
+            p for p in db.instances_of("PARA") if p.send("getContaining", "MMFDOC") == root
+        }
