@@ -44,8 +44,7 @@ from repro import obs
 from repro.core import updates
 from repro.core.buffer import ResultBuffer
 from repro.core.context import coupling_context
-from repro.core.text_modes import text_for
-from repro.errors import CouplingError, DocumentMissingError, ObjectNotFoundError
+from repro.errors import CouplingError, ObjectNotFoundError
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
@@ -214,7 +213,6 @@ def index_objects(
         query_text = collection_obj.get("spec_query")
         if not query_text:
             raise CouplingError("collection has no specification query")
-        mode = collection_obj.get("text_mode") or 0
 
         with obs.tracer().span("coupling.indexObjects") as span:
             rows = db.query(query_text, bindings or {})
@@ -232,59 +230,18 @@ def index_objects(
             irs_name = collection_obj.get("irs_name")
             span.set_attribute("collection", irs_name)
             span.set_attribute("members", len(members))
-            engine = context.engine
-
-            # Phase 1 — database reads only: every member's text, segmented,
-            # plus the previous doc ids to drop.
-            old_map = collection_obj.get("doc_map") or {}
-            segment_words = collection_obj.get("segment_words") or 0
-            pieces_by_oid: List[Tuple[str, List[str]]] = []
-            for obj in members:
-                text = obj.send("getText", mode) if obj.responds_to("getText") else text_for(obj, mode)
-                pieces_by_oid.append((str(obj.oid), segment_text(text, segment_words)))
-
-            # Phase 2 — engine mutations under the collection write lock so
-            # concurrent queries see the rebuild atomically.  No database
-            # access happens in here; epoch bumps coalesce into one so the
-            # rebuild invalidates epoch-keyed caches once, not per document.
-            spool_lines = []
-            doc_map: Dict[str, list] = {}
-            indexed = 0
-            with engine.bulk_mutating(irs_name):
-                for doc_ids in old_map.values():
-                    for doc_id in doc_ids:
-                        try:
-                            engine.remove_document(irs_name, doc_id)
-                        except DocumentMissingError:
-                            # Recovery reindexes into a freshly recreated
-                            # collection; the old doc ids are simply gone.
-                            pass
-                for oid_str, pieces in pieces_by_oid:
-                    doc_ids = []
-                    for piece in pieces:
-                        doc_id = engine.index_document(irs_name, piece, {"oid": oid_str})
-                        doc_ids.append(doc_id)
-                        spool_lines.append(f"{oid_str}\t{piece}")
-                        indexed += 1
-                    doc_map[oid_str] = doc_ids
-            context.counters.add("documents_indexed", indexed)
-
+            planned = updates.rebuild(collection_obj, [str(obj.oid) for obj in members])
+            collection_obj.set("pending_ops", [])
             if context.result_file_directory is not None:
                 spool_path = os.path.join(
                     context.result_file_directory, f"{irs_name}.spool.txt"
                 )
                 with open(spool_path, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(spool_lines))
-
-            collection_obj.set("doc_map", doc_map)
-            ResultBuffer(collection_obj, context.counters).invalidate()
-            collection_obj.set("pending_ops", [])
-            collection_obj.set(
-                "index_gen", int(collection_obj.get("index_gen") or 0) + 1
-            )
-            from repro.core.hierarchical import invalidate_scorer
-
-            invalidate_scorer(collection_obj)
+                    fh.write("\n".join(
+                        f"{oid_str}\t{piece}"
+                        for op, oid_str, pieces in planned if op == updates.INSERT
+                        for piece in pieces
+                    ))
             context.counters.add("index_runs")
     registry = obs.metrics()
     registry.counter("coupling.indexObjects.calls").inc()
@@ -341,18 +298,11 @@ def _get_irs_result(
             span.set_attribute("collection", irs_name)
             if context.result_file_directory is not None:
                 values = _query_via_file(context, irs_name, irs_query, model)
+                oid_values = {OID.parse(oid_str): value for oid_str, value in values.items()}
             else:
-                # Score and map doc ids to OIDs under one read hold so a
-                # concurrent propagation cannot remove documents between the
-                # two steps.
-                with context.engine.reading(irs_name):
-                    result = context.engine.query(irs_name, irs_query, model=model)
-                    values = result.by_metadata(
-                        context.engine.collection(irs_name), "oid"
-                    )
-            # Decode once: the same mapping is returned, kept as the decoded
-            # view's entry, and ``values`` is stored as the IRS keyed it.
-            oid_values = {OID.parse(oid_str): value for oid_str, value in values.items()}
+                oid_values, values = irs_values(context.engine, irs_name, irs_query, model)
+            # The same mapping is returned and kept as the decoded view's
+            # entry; ``values`` is stored as the IRS keyed it.
             buffer.store(irs_query, oid_values, model, encoded=values)
             span.set_attribute("results", len(oid_values))
     registry = obs.metrics()
@@ -361,6 +311,21 @@ def _get_irs_result(
         time.perf_counter() - started
     )
     return oid_values
+
+
+def irs_values(
+    engine, irs_name: str, irs_query: str, model: Optional[str], top_k: Optional[int] = None
+) -> Tuple[Dict[OID, float], Dict[str, float]]:
+    """Score ``irs_query``; ``({OID: value}, {"OID<n>": value})``.
+
+    Scoring and mapping doc ids to OIDs happen under one read hold, so a
+    concurrent propagation cannot remove documents between the two steps;
+    the result is decoded once.
+    """
+    with engine.reading(irs_name):
+        result = engine.query(irs_name, irs_query, model=model, top_k=top_k)
+        values = result.by_metadata(engine.collection(irs_name), "oid")
+    return {OID.parse(oid_str): value for oid_str, value in values.items()}, values
 
 
 def _query_via_file(context, irs_name: str, irs_query: str, model: Optional[str]) -> Dict[str, float]:

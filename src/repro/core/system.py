@@ -331,38 +331,10 @@ class DocumentSystem:
         # incrementally (insertObject/propagateUpdates) since the last
         # indexObjects, and recovery must reproduce exactly the state the
         # database committed, not what the spec would select today.
-        self._reindex_from_doc_map(obj, name)
+        from repro.core.collection import member_keys
+        from repro.core.updates import rebuild
 
-    def _reindex_from_doc_map(self, obj: DBObject, name: str) -> None:
-        """Reindex a collection from its persisted membership."""
-        from repro.core.collection import member_keys, segment_text
-        from repro.core.text_modes import text_for
-        from repro.oodb.oid import OID
-
-        mode = obj.get("text_mode") or 0
-        segment_words = obj.get("segment_words") or 0
-        new_map: Dict[str, list] = {}
-        with self.engine.bulk_mutating(name):
-            for oid_str in member_keys(obj):
-                oid = OID.parse(oid_str)
-                if not self.db.object_exists(oid):
-                    continue
-                member = self.db.get_object(oid)
-                text = (
-                    member.send("getText", mode)
-                    if member.responds_to("getText")
-                    else text_for(member, mode)
-                )
-                new_map[oid_str] = [
-                    self.engine.index_document(name, piece, {"oid": oid_str})
-                    for piece in segment_text(text, segment_words)
-                ]
-        obj.set("doc_map", new_map)
-        obj.set("buffer", {})
-        obj.set("index_gen", int(obj.get("index_gen") or 0) + 1)
-        from repro.core.hierarchical import invalidate_scorer
-
-        invalidate_scorer(obj)
+        rebuild(obj, member_keys(obj))
 
     # -- querying -----------------------------------------------------------------------
 
@@ -399,17 +371,13 @@ class DocumentSystem:
         See :mod:`repro.obs.health` for the report's structure and the
         ``ok`` / ``degraded`` / ``overloaded`` verdict rules.
         """
-        from repro.obs.health import DEFAULT_SLO_SECONDS, build_health
+        from repro.obs.health import DEFAULT_SLO_SECONDS, build_health, storage_stats
 
         services = [
             session.service
             for session in self._sessions
             if session.service is not None
         ]
-        storage = None
-        if self.store is not None:
-            storage = dict(self.store.stats())
-            storage["dirty"] = self.store.dirty_info(self.engine)
         return build_health(
             engine=self.engine,
             services=services,
@@ -417,7 +385,7 @@ class DocumentSystem:
                 DEFAULT_SLO_SECONDS if slo_seconds is None else slo_seconds
             ),
             servers=self._servers,
-            storage=storage,
+            storage=storage_stats(self.store, self.engine),
         )
 
     # -- bookkeeping ------------------------------------------------------------------------

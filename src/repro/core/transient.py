@@ -8,9 +8,10 @@ that inserting and deleting of IRS documents is costly."
 TRANS benchmark can quantify that claim against buffered derivation: inside
 the ``with`` block the given objects are genuinely represented in the IRS
 collection (queries return direct values for them); on exit their IRS
-documents are removed and the result buffer is invalidated twice — once on
-entry and once on exit, since both transitions change the collection's
-contents.
+documents are removed.  Both transitions go through update propagation's
+one membership-change path — segmented like any member, one logged group
+each, ``index_gen`` moved and the result buffer invalidated — since both
+change the collection's contents.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, List
 
-from repro.core.context import coupling_context
-from repro.core.text_modes import text_for
+from repro.core import updates
 from repro.oodb.objects import DBObject
 
 
@@ -32,41 +32,18 @@ def transient_members(
     Yields the list of objects actually inserted (those that were already
     members are left alone and not removed afterwards).
     """
-    db = collection_obj.database
-    context = coupling_context(db)
-    engine = context.engine
-    irs_name = collection_obj.get("irs_name")
-    text_mode = collection_obj.get("text_mode") or 0
-
-    inserted: List[DBObject] = []
+    doc_map = collection_obj.get("doc_map") or {}
+    inserted = list({
+        obj.oid: obj for obj in objects if str(obj.oid) not in doc_map
+    }.values())
+    _change(collection_obj, updates.INSERT, inserted)
     try:
-        for obj in objects:
-            key = str(obj.oid)
-            if key in (collection_obj.get("doc_map") or {}):
-                continue
-            text = (
-                obj.send("getText", text_mode)
-                if obj.responds_to("getText")
-                else text_for(obj, text_mode)
-            )
-            doc_id = engine.index_document(irs_name, text, {"oid": key})
-            db.write_dict_item(collection_obj.oid, "doc_map", (key,), [doc_id])
-            inserted.append(obj)
-            context.counters.add("documents_indexed")
-        collection_obj.set("buffer", {})  # contents changed: results stale
-        _invalidate_derived_caches(collection_obj)
         yield inserted
     finally:
-        doc_map = collection_obj.get("doc_map") or {}
-        for obj in inserted:
-            for doc_id in doc_map.get(str(obj.oid), []):
-                engine.remove_document(irs_name, doc_id)
-            db.delete_dict_item(collection_obj.oid, "doc_map", (str(obj.oid),))
-        collection_obj.set("buffer", {})  # and stale again after removal
-        _invalidate_derived_caches(collection_obj)
+        _change(collection_obj, updates.DELETE, inserted)
 
 
-def _invalidate_derived_caches(collection_obj: DBObject) -> None:
-    from repro.core.hierarchical import invalidate_scorer
-
-    invalidate_scorer(collection_obj)
+def _change(collection_obj: DBObject, op: str, objects: List[DBObject]) -> None:
+    with collection_obj.database.autocommit_group():
+        updates._apply([[op, str(obj.oid)] for obj in objects], collection_obj)
+        updates._invalidate_buffer(collection_obj)

@@ -166,6 +166,70 @@ def propagate(collection_obj: DBObject, forced: bool = False) -> int:
 def _apply(operations: List[list], collection_obj: DBObject) -> None:
     """Run operations against the IRS collection, maintaining doc_map.
 
+    The one membership-change path: propagation, eager updates and
+    transient members call it; :func:`rebuild` (``indexObjects``,
+    recovery) shares its two halves.  ``doc_map`` is written as a delta:
+    one item set per object whose document ids changed, one item delete
+    per removed member, applied to the stored dictionary in place under
+    the store lock so that a reader copying it
+    (:func:`repro.core.collection.member_keys`) sees the whole batch or
+    none of it.
+    """
+    _write_doc_map(collection_obj, _index(operations, collection_obj)[0])
+
+
+def rebuild(collection_obj: DBObject, members: List[str]) -> List[tuple]:
+    """Replace the whole membership with ``members`` (``str(oid)`` each).
+
+    Every stored member is deleted, then every member inserted, in one
+    engine batch — deletes first, because recovery rebuilds into a fresh
+    IRS collection whose new doc ids collide with the stale ones still
+    stored.  A member listed twice is indexed once ("each IRS document is
+    assigned exactly one object", Section 4.3).  ``doc_map`` is written
+    whole, as one record; ``pending_ops`` is left alone (recovery keeps
+    deferred operations).  Returns the planned ``(op, oid, pieces)``.
+    """
+    from repro.core.collection import member_keys
+
+    members = list(dict.fromkeys(members))
+    operations = [[DELETE, key] for key in member_keys(collection_obj)]
+    operations += [[INSERT, key] for key in members]
+    changed, planned = _index(operations, collection_obj)
+    whole = {key: changed[key] for key in members if changed.get(key) is not None}
+    _write_doc_map(collection_obj, changed, whole)
+    _invalidate_buffer(collection_obj)
+    return planned
+
+
+def _write_doc_map(
+    collection_obj: DBObject,
+    changed: Dict[str, Optional[List[int]]],
+    whole: Optional[Dict[str, List[int]]] = None,
+) -> None:
+    """Write ``doc_map`` — ``whole``, or ``changed`` as items — and move
+    ``index_gen``, changed map or not: a same-shape replacement changes the
+    index under an unchanged map."""
+    db = collection_obj.database
+    if whole is not None:
+        collection_obj.set("doc_map", whole)
+    else:
+        with db.store_lock():
+            for oid_str, doc_ids in changed.items():
+                if doc_ids is None:
+                    db.delete_dict_item(collection_obj.oid, "doc_map", (oid_str,))
+                else:
+                    db.write_dict_item(collection_obj.oid, "doc_map", (oid_str,), doc_ids)
+    collection_obj.set("index_gen", int(collection_obj.get("index_gen") or 0) + 1)
+
+
+def _index(
+    operations: List[list], collection_obj: DBObject
+) -> Tuple[Dict[str, Optional[List[int]]], List[tuple]]:
+    """Run operations against the IRS collection; ``(changed, planned)``.
+
+    ``changed`` maps each object whose document ids changed to its new ids
+    (None: member removed); ``planned`` lists ``(op, oid, pieces)``.
+
     Two phases.  Phase 1 performs every database read (object texts,
     segmentation) with no engine access; phase 2 performs the engine
     mutations under the collection's write lock with no database access —
@@ -174,13 +238,6 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
     Engine mutations tolerate already-missing documents so a retried
     propagation (after a deadlock abort rolled back ``pending_ops`` but an
     earlier attempt's engine work survived) stays idempotent.
-
-    ``doc_map`` is written as a delta: one item set per object whose
-    document ids changed, one item delete per removed member, applied to the
-    stored dictionary in place under the store lock so that a reader copying
-    it (:func:`repro.core.collection.member_keys`) sees the whole batch or
-    none of it.  ``index_gen`` moves with every batch, changed map or not:
-    a same-shape replacement changes the index under an unchanged map.
     """
     context = coupling_context(collection_obj.database)
     engine = context.engine
@@ -241,13 +298,7 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
                 indexed += 1
             changed[oid_str] = new_ids
     context.counters.add("documents_indexed", indexed)
-    with db.store_lock():
-        for oid_str, doc_ids in changed.items():
-            if doc_ids is None:
-                db.delete_dict_item(collection_obj.oid, "doc_map", (oid_str,))
-            else:
-                db.write_dict_item(collection_obj.oid, "doc_map", (oid_str,), doc_ids)
-    collection_obj.set("index_gen", int(collection_obj.get("index_gen") or 0) + 1)
+    return changed, planned
 
 
 def _invalidate_buffer(collection_obj: DBObject) -> None:

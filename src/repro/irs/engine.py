@@ -424,7 +424,7 @@ class IRSEngine:
         the query shape allows it, identical scores guaranteed; otherwise
         exhaustively, then truncated.  The pruning decision is recorded on
         the ``irs.query`` span (``pruned`` / ``prune_fallback``), so it
-        shows up in ``explain()`` output.
+        shows up in ``explain()`` output, and so is ``outcome``.
         """
         collection = self.collection(collection_name)
         model_name = model or self._default_model
@@ -460,9 +460,19 @@ class IRSEngine:
             span.set_attribute("results", len(values))
             span.set_attribute("epoch", epoch)
             span.set_attribute("segments", segment_count)
+            # The one classification of how the result was produced; the
+            # slow log and request telemetry read it from here.
+            attrs = span.attributes
+            if attrs.get("cached"):
+                span.set_attribute("outcome", "cached")
+            elif attrs.get("pruned"):
+                span.set_attribute("outcome", "pruned")
+            elif "prune_fallback" in attrs:
+                span.set_attribute("outcome", "fallback:" + str(attrs["prune_fallback"]))
+            else:
+                span.set_attribute("outcome", "exhaustive")
         elapsed = time.perf_counter() - started
         registry.rolling("irs.query.seconds." + model_name).observe(elapsed)
-        attrs = getattr(span, "attributes", None) or {}
         if profile is not None:
             profile.queries += 1
             profile.scoring_seconds += elapsed
@@ -476,22 +486,16 @@ class IRSEngine:
             profile.stats_cache_misses += (
                 stats_after["misses"] - stats_before["misses"]
             )
-        # The slow log carries the same attribution PR 5 put on the span:
-        # k, the pruning outcome, and how wide the segment stack was.
+        # The slow log carries the span's attribution: k, the outcome, and
+        # how wide the segment stack was.
         info: Dict[str, object] = dict(
             collection=collection_name, model=model_name,
             segments=segment_count, epoch=epoch,
         )
         if top_k is not None:
             info["top_k"] = top_k
-            if attrs.get("cached"):
-                info["outcome"] = "cached"
-            elif attrs.get("pruned"):
-                info["outcome"] = "pruned"
-            elif "prune_fallback" in attrs:
-                info["outcome"] = "fallback:" + str(attrs["prune_fallback"])
-        elif attrs.get("cached"):
-            info["outcome"] = "cached"
+        if "outcome" in attrs:
+            info["outcome"] = attrs["outcome"]
         if obs.slow_log().record("irs", irs_query, elapsed, **info):
             registry.counter("irs.query.slow").inc()
         return IRSResult(collection_name, irs_query, model_name, values)

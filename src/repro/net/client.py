@@ -43,6 +43,7 @@ from repro.net import wire
 from repro.net.config import ClientConfig
 from repro.obs.telemetry import RequestTelemetry
 from repro.oodb.oid import OID
+from repro.service.batch import unpack
 from repro.service.executor import _UNSET
 from repro.service.results import ResultSet, ScoredHit
 
@@ -456,17 +457,15 @@ class RemoteSession:
         self, items: Sequence[Any], timeout: Any = _UNSET
     ) -> List[ResultSet]:
         """Run many IRS queries in one round trip (one server batch window)."""
-        encoded = []
-        for item in items:
-            collection_obj, irs_query = item[0], item[1]
-            encoded.append(
-                {
-                    "collection": self._collection_name(collection_obj),
-                    "irs_query": irs_query,
-                    "model": item[2] if len(item) > 2 else None,
-                    "top_k": item[3] if len(item) > 3 else None,
-                }
-            )
+        encoded = [
+            {
+                "collection": self._collection_name(collection_obj),
+                "irs_query": irs_query,
+                "model": model,
+                "top_k": top_k,
+            }
+            for collection_obj, irs_query, model, top_k in map(unpack, items)
+        ]
         result, _ = self._call(
             "query_batch",
             {"items": encoded, "include_elements": self.config.materialize},

@@ -186,6 +186,15 @@ STORAGE_DEAD_RATIO = 0.6
 STORAGE_DEAD_BYTES = 1 << 20
 
 
+def storage_stats(store, engine) -> Optional[Dict[str, Any]]:
+    """``store.stats()`` plus its ``"dirty"`` estimate (None without a store)."""
+    if store is None:
+        return None
+    stats = dict(store.stats())
+    stats["dirty"] = store.dirty_info(engine)
+    return stats
+
+
 def _storage_section(storage: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Durable-store facts: size, dead space, dirty volume since checkpoint.
 

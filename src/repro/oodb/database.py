@@ -118,11 +118,6 @@ class Database:
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
 
-    @property
-    def lock_manager(self) -> LockManager:
-        """The lock manager (conflict-listener hooks for the service layer)."""
-        return self._locks
-
     def _log_autocommit(self, kind: str, payload: Dict[str, Any]) -> None:
         """Log one autocommitted mutation (already applied to the store).
 

@@ -184,10 +184,6 @@ class IndexCatalog:
                 return index
         return None
 
-    def indexes_for_class(self, class_name: str) -> list:
-        """All indexes declared on ``class_name``."""
-        return [idx for (cname, _a), idx in self._indexes.items() if cname == class_name]
-
     def all_indexes(self) -> list:
         """Every index in the catalog."""
         return list(self._indexes.values())

@@ -90,13 +90,6 @@ class LockManager:
         """
         self._conflict_listeners.append(listener)
 
-    def remove_conflict_listener(self, listener: ConflictListener) -> None:
-        """Unregister a listener added by :meth:`add_conflict_listener`."""
-        try:
-            self._conflict_listeners.remove(listener)
-        except ValueError:
-            pass
-
     # -- acquisition -----------------------------------------------------------
 
     def acquire(self, txn_id: int, resource: Hashable, mode: LockMode) -> None:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs.telemetry import CostProfile, collecting
+from repro.obs.telemetry import CostProfile, RequestTelemetry, collecting, sampler
 from repro.core import updates
+from repro.core.collection import irs_values
 from repro.core.context import CouplingContext
 from repro.errors import (
     CouplingError,
@@ -126,7 +127,6 @@ class GroupOutcome:
 
 
 def execute_group(
-    db: Database,
     context: CouplingContext,
     collection_obj: DBObject,
     requested: List[Tuple[Optional[str], str, Optional[int]]],
@@ -154,15 +154,7 @@ def execute_group(
         # One propagation per group, before the read snapshot is taken.
         # Shared work: it benefits every request of the group equally, so
         # its cost lands in ``outcome.shared`` (split evenly at attribution).
-        if updates.has_pending(collection_obj):
-            propagation_started = time.perf_counter()
-            applied = updates.propagate(collection_obj, forced=True)
-            if collect:
-                outcome.shared.propagations += 1
-                outcome.shared.propagated_updates += applied
-                outcome.shared.propagation_seconds += (
-                    time.perf_counter() - propagation_started
-                )
+        propagate_pending(collection_obj, outcome.shared)
 
         default_model = collection_obj.get("model")
         irs_name = collection_obj.get("irs_name")
@@ -182,8 +174,7 @@ def execute_group(
         # runs inside its own ``service.query`` span and cost profile —
         # that is the per-key artifact attribution hands to rider requests.
         with engine.reading(irs_name):
-            collection = engine.collection(irs_name)
-            outcome.epoch = collection.index.epoch
+            outcome.epoch = engine.collection(irs_name).index.epoch
             for key in distinct:
                 model, irs_query, top_k = key
                 profile = CostProfile() if collect else None
@@ -196,13 +187,9 @@ def execute_group(
                         ) as query_span:
                             if top_k is not None:
                                 query_span.set_attribute("top_k", top_k)
-                            result = engine.query(
-                                irs_name, irs_query, model=model, top_k=top_k
-                            )
-                    values = result.by_metadata(collection, "oid")
-                    outcome.values[key] = {
-                        OID.parse(oid_str): value for oid_str, value in values.items()
-                    }
+                            outcome.values[key] = irs_values(
+                                engine, irs_name, irs_query, model, top_k
+                            )[0]
                 except BaseException as exc:  # mapped + contained per query
                     outcome.errors[key] = map_query_error(exc)
                 if collect:
@@ -217,36 +204,79 @@ def execute_group(
     return outcome
 
 
-def query_outcome(query_span) -> Tuple[str, Optional[int], Optional[int]]:
-    """Classify a finished ``service.query`` span: (outcome, epoch, segments).
+def propagate_pending(collection_obj: DBObject, profile: Optional[CostProfile]) -> None:
+    """Force a pending propagation before scoring (Section 4.6).
 
-    Reads the nested ``irs.query`` span's attributes (PR 5 records the
-    pruning decision there).  Outcomes: ``cached`` (result LRU hit),
+    Its cost lands in ``profile`` (None: not collecting).
+    """
+    if not updates.has_pending(collection_obj):
+        return
+    started = time.perf_counter()
+    applied = updates.propagate(collection_obj, forced=True)
+    if profile is not None:
+        profile.propagations += 1
+        profile.propagated_updates += applied
+        profile.propagation_seconds += time.perf_counter() - started
+
+
+def query_outcome(span) -> str:
+    """The ``outcome`` the ``irs.query`` span nested under ``span`` carries.
+
+    :meth:`IRSEngine.query` stamps it: ``cached`` (result LRU hit),
     ``pruned`` (block-max path), ``fallback:<reason>``, or ``exhaustive``.
     """
-    attrs = {}
-    stack = list(getattr(query_span, "children", None) or ())
+    stack = list(getattr(span, "children", None) or ())
     while stack:
         child = stack.pop()
         if getattr(child, "name", "") == "irs.query":
-            attrs = getattr(child, "attributes", None) or {}
-            break
+            return child.attributes.get("outcome", "exhaustive")
         stack.extend(getattr(child, "children", None) or ())
-    if attrs.get("cached"):
-        outcome = "cached"
-    elif attrs.get("pruned"):
-        outcome = "pruned"
-    elif "prune_fallback" in attrs:
-        outcome = "fallback:" + str(attrs["prune_fallback"])
-    else:
-        outcome = "exhaustive"
-    return outcome, attrs.get("epoch"), attrs.get("segments")
+    return "exhaustive"
+
+
+def request_telemetry(
+    mode: str,
+    irs_name: str,
+    irs_query: str,
+    model: Optional[str],
+    top_k: Optional[int],
+    epoch: Optional[int],
+    cost: CostProfile,
+    span,
+    enqueued: float,
+    started: float,
+    finished: float,
+) -> RequestTelemetry:
+    """Package one request's cost, timings and outcome (inline or batched).
+
+    A request whose cost holds no engine query was answered from the
+    COLLECTION's persistent result buffer (Section 4.2): ``buffered``.
+    """
+    telemetry = RequestTelemetry(
+        collection=irs_name, query=irs_query, model=model or "", top_k=top_k, mode=mode
+    )
+    telemetry.epoch = epoch
+    telemetry.cost = cost
+    telemetry.queue_seconds = started - enqueued
+    telemetry.run_seconds = finished - started
+    telemetry.total_seconds = finished - enqueued
+    telemetry.outcome = query_outcome(span) if cost.queries else "buffered"
+    # Tail-based retention: the span tree survives only for slow requests
+    # or the head-sampled fraction of healthy traffic.
+    telemetry.sampled = sampler().keep(telemetry.total_seconds)
+    if telemetry.sampled and span is not None:
+        telemetry.trace = span
+    return telemetry
+
+
+def unpack(item: Sequence) -> Tuple[object, str, Optional[str], Optional[int]]:
+    """A ``query_batch`` item as ``(collection, irs_query, model, top_k)``."""
+    return (*item, None, None)[:4]
 
 
 def result_for(
     outcome: GroupOutcome,
     db: Database,
-    collection_obj: DBObject,
     irs_name: str,
     model: Optional[str],
     default_model: Optional[str],

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.obs.telemetry import CostProfile, RequestTelemetry, sampler
+from repro.obs.telemetry import CostProfile, RequestTelemetry
 from repro.core.context import coupling_context
 from repro.errors import (
     DeadlockError,
@@ -251,12 +251,7 @@ class DocumentService:
         Submitting together is what lets the dispatcher put them into one
         batching window (shared snapshots, deduplicated scoring).
         """
-        futures = []
-        for item in items:
-            collection_obj, irs_query = item[0], item[1]
-            model = item[2] if len(item) > 2 else None
-            top_k = item[3] if len(item) > 3 else None
-            futures.append(self.submit_query(collection_obj, irs_query, model, top_k))
+        futures = [self.submit_query(*batch_module.unpack(item)) for item in items]
         return [self._await(future, timeout) for future in futures]
 
     def call(
@@ -333,7 +328,11 @@ class DocumentService:
         started = time.perf_counter()
         try:
             outcome = self._with_retry(
-                lambda: self._execute_group_once(collection_obj, requests),
+                lambda: batch_module.execute_group(
+                    self.context,
+                    collection_obj,
+                    [(r.model, r.irs_query, r.top_k) for r in requests],
+                ),
                 label="group",
             )
         except BaseException as exc:
@@ -354,7 +353,6 @@ class DocumentService:
                 result = batch_module.result_for(
                     outcome,
                     self.db,
-                    collection_obj,
                     irs_name,
                     request.model,
                     default_model,
@@ -390,45 +388,24 @@ class DocumentService:
         splits rebuild ``totals`` exactly.
         """
         key = (request.model or default_model, request.irs_query, request.top_k)
-        telemetry = RequestTelemetry(
-            collection=irs_name,
-            query=request.irs_query,
-            model=key[0] or "",
-            top_k=request.top_k,
-            mode="batched",
+        riders = outcome.riders.get(key, 1)
+        cost = CostProfile()
+        key_cost = (outcome.costs or {}).get(key)
+        if key_cost is not None and riders:
+            cost.merge(key_cost, 1.0 / riders)
+        if outcome.shared is not None and outcome.requested_count:
+            cost.merge(outcome.shared, 1.0 / outcome.requested_count)
+        telemetry = batch_module.request_telemetry(
+            "batched", irs_name, request.irs_query, key[0], request.top_k,
+            outcome.epoch, cost, outcome.query_spans.get(key),
+            request.enqueued_at, started, finished,
         )
-        telemetry.epoch = outcome.epoch
         telemetry.window_size = window_size or outcome.requested_count
         telemetry.group_size = outcome.requested_count
         telemetry.distinct_queries = len(outcome.costs or ())
-        telemetry.riders = outcome.riders.get(key, 1)
-        cost = CostProfile()
-        key_cost = (outcome.costs or {}).get(key)
-        if key_cost is not None and telemetry.riders:
-            cost.merge(key_cost, 1.0 / telemetry.riders)
-        if outcome.shared is not None and outcome.requested_count:
-            cost.merge(outcome.shared, 1.0 / outcome.requested_count)
-        telemetry.cost = cost
-        telemetry.queue_seconds = started - request.enqueued_at
-        telemetry.run_seconds = finished - started
-        telemetry.total_seconds = finished - request.enqueued_at
+        telemetry.riders = riders
         telemetry.group_totals = totals
-        query_span = outcome.query_spans.get(key)
-        telemetry.outcome, _epoch, _segments = batch_module.query_outcome(query_span)
-        # Tail-based retention: the span tree survives only for slow
-        # requests or the head-sampled fraction of healthy traffic.
-        telemetry.sampled = sampler().keep(telemetry.total_seconds)
-        if telemetry.sampled and query_span is not None:
-            telemetry.trace = query_span
         return telemetry
-
-    def _execute_group_once(self, collection_obj: DBObject, requests: List[_Request]):
-        return batch_module.execute_group(
-            self.db,
-            self.context,
-            collection_obj,
-            [(r.model, r.irs_query, r.top_k) for r in requests],
-        )
 
     def _run_solo(self, request: _Request) -> None:
         started = time.perf_counter()

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs
-from repro.obs.telemetry import CostProfile, RequestTelemetry, collecting, sampler
+from repro.obs.telemetry import CostProfile, collecting
 from repro.core import collection as collection_module
 from repro.core import updates
 from repro.core.context import CouplingContext, coupling_context
@@ -151,26 +151,33 @@ class Session:
             if obj.get("irs_name")
         )
 
+    def _run(
+        self,
+        fn: Callable[[], Any],
+        label: str,
+        mapper: Callable[[BaseException], BaseException] = batch_module.map_coupling_error,
+        timeout: Any = _UNSET,
+    ) -> Any:
+        """Run ``fn`` through the pool (pooled) or on this thread (inline).
+
+        Either way a non-Repro failure reaches the caller through ``mapper``.
+        """
+        if self._service is not None:
+            return self._service.call(fn, label=label, error_mapper=mapper, timeout=timeout)
+        with _mapped_errors(mapper):
+            return fn()
+
     def index(self, collection_obj: Union[DBObject, str], **options: Any) -> bool:
         """Run ``indexObjects``: (re)populate the IRS collection."""
         collection_obj = self._resolve(collection_obj)
-        if self._service is not None:
-            return self._service.call(
-                lambda: collection_module.index_objects(collection_obj, **options),
-                label="index",
-            )
-        with _mapped_errors(batch_module.map_coupling_error):
-            return collection_module.index_objects(collection_obj, **options)
+        return self._run(
+            lambda: collection_module.index_objects(collection_obj, **options), "index"
+        )
 
     def propagate(self, collection_obj: Union[DBObject, str]) -> int:
         """Apply pending deferred updates now."""
         collection_obj = self._resolve(collection_obj)
-        if self._service is not None:
-            return self._service.call(
-                lambda: updates.propagate(collection_obj), label="propagate"
-            )
-        with _mapped_errors(batch_module.map_coupling_error):
-            return updates.propagate(collection_obj)
+        return self._run(lambda: updates.propagate(collection_obj), "propagate")
 
     def remove(self, collection_obj: Union[DBObject, str], obj: Any) -> None:
         """Remove ``obj``'s documents from the collection (``deleteObject``).
@@ -184,14 +191,7 @@ class Session:
         """
         collection_obj = self._resolve(collection_obj)
         obj = self._resolve_object(obj)
-        if self._service is not None:
-            self._service.call(
-                lambda: collection_module.delete_object(collection_obj, obj),
-                label="remove",
-            )
-            return
-        with _mapped_errors(batch_module.map_coupling_error):
-            collection_module.delete_object(collection_obj, obj)
+        self._run(lambda: collection_module.delete_object(collection_obj, obj), "remove")
 
     # -- querying -----------------------------------------------------------
 
@@ -228,19 +228,12 @@ class Session:
         sequentially.
         """
         items = [
-            (self._resolve(item[0]),) + tuple(item[1:]) for item in items
+            (self._resolve(collection_obj), irs_query, model, top_k)
+            for collection_obj, irs_query, model, top_k in map(batch_module.unpack, items)
         ]
         if self._service is not None:
             return self._service.query_batch(items, timeout)
-        results = []
-        for item in items:
-            collection_obj, irs_query = item[0], item[1]
-            model = item[2] if len(item) > 2 else None
-            top_k = item[3] if len(item) > 3 else None
-            results.append(
-                self._query_inline(collection_obj, irs_query, model, top_k)
-            )
-        return results
+        return [self._query_inline(*item) for item in items]
 
     def _query_inline(
         self,
@@ -251,6 +244,7 @@ class Session:
     ) -> ResultSet:
         default_model = collection_obj.get("model")
         irs_name = collection_obj.get("irs_name")
+        engine = self.context.engine
         profile = CostProfile() if obs.is_enabled() else None
         started = time.perf_counter()
         request_span = None
@@ -263,31 +257,17 @@ class Session:
                     values = collection_module._get_irs_result(
                         collection_obj, irs_query
                     )
+                    epoch = engine.collection(irs_name).index.epoch
                 else:
                     # Model override or top-k request: score directly (the
                     # persistent buffer stores full rankings for the collection
                     # default model only; both cases bypass it).
-                    engine = self.context.engine
-                    if updates.has_pending(collection_obj):
-                        propagation_started = time.perf_counter()
-                        applied = updates.propagate(collection_obj, forced=True)
-                        if profile is not None:
-                            profile.propagations += 1
-                            profile.propagated_updates += applied
-                            profile.propagation_seconds += (
-                                time.perf_counter() - propagation_started
-                            )
-                    from repro.oodb.oid import OID
-
-                    with engine.reading(irs_name):
-                        result = engine.query(
-                            irs_name, irs_query, model=model, top_k=top_k
-                        )
-                        raw = result.by_metadata(engine.collection(irs_name), "oid")
-                    values = {
-                        OID.parse(oid_str): value for oid_str, value in raw.items()
-                    }
-                epoch = self.context.engine.collection(irs_name).index.epoch
+                    batch_module.propagate_pending(collection_obj, profile)
+                    with engine.reading(irs_name):  # the epoch scored against
+                        values = collection_module.irs_values(
+                            engine, irs_name, irs_query, model, top_k
+                        )[0]
+                        epoch = engine.collection(irs_name).index.epoch
         result_set = ResultSet.from_values(
             values,
             db=self.db,
@@ -297,44 +277,11 @@ class Session:
             epoch=epoch,
         )
         if profile is not None:
-            result_set.telemetry = self._inline_telemetry(
-                irs_name, irs_query, model or default_model, top_k,
-                epoch, profile, started, request_span,
+            result_set.telemetry = batch_module.request_telemetry(
+                "inline", irs_name, irs_query, model or default_model, top_k,
+                epoch, profile, request_span, started, started, time.perf_counter(),
             )
         return result_set
-
-    def _inline_telemetry(
-        self,
-        irs_name: str,
-        irs_query: str,
-        model: Optional[str],
-        top_k: Optional[int],
-        epoch: Optional[int],
-        profile: CostProfile,
-        started: float,
-        request_span,
-    ) -> RequestTelemetry:
-        """Package an inline query's cost profile (no batch — all its own)."""
-        telemetry = RequestTelemetry(
-            collection=irs_name,
-            query=irs_query,
-            model=model or "",
-            top_k=top_k,
-            mode="inline",
-        )
-        telemetry.epoch = epoch
-        telemetry.cost = profile
-        telemetry.run_seconds = time.perf_counter() - started
-        telemetry.total_seconds = telemetry.run_seconds
-        telemetry.outcome, _epoch, _segments = batch_module.query_outcome(request_span)
-        if profile.queries == 0:
-            # The classic path answered from the COLLECTION's persistent
-            # result buffer without ever reaching the engine (Section 4.2).
-            telemetry.outcome = "buffered"
-        telemetry.sampled = sampler().keep(telemetry.total_seconds)
-        if telemetry.sampled and request_span is not None:
-            telemetry.trace = request_span
-        return telemetry
 
     def find_value(
         self, collection_obj: Union[DBObject, str], irs_query: str, obj: Any
@@ -342,16 +289,11 @@ class Session:
         """``findIRSValue``: the IRS value of one object (derived if needed)."""
         collection_obj = self._resolve(collection_obj)
         obj = self._resolve_object(obj)
-        if self._service is not None:
-            return self._service.call(
-                lambda: collection_module._find_irs_value(
-                    collection_obj, irs_query, obj
-                ),
-                label="find_value",
-                error_mapper=batch_module.map_query_error,
-            )
-        with _mapped_errors(batch_module.map_query_error):
-            return collection_module._find_irs_value(collection_obj, irs_query, obj)
+        return self._run(
+            lambda: collection_module._find_irs_value(collection_obj, irs_query, obj),
+            "find_value",
+            batch_module.map_query_error,
+        )
 
     def execute(
         self,
@@ -360,15 +302,9 @@ class Session:
         timeout: Any = _UNSET,
     ) -> List[tuple]:
         """Run a mixed OODBMS query (content predicates via ``getIRSValue``)."""
-        if self._service is not None:
-            return self._service.call(
-                lambda: self.db.query(text, bindings),
-                label="mixed",
-                error_mapper=batch_module.map_query_error,
-                timeout=timeout,
-            )
-        with _mapped_errors(batch_module.map_query_error):
-            return self.db.query(text, bindings)
+        return self._run(
+            lambda: self.db.query(text, bindings), "mixed", batch_module.map_query_error, timeout
+        )
 
     def explain(self, text: str, bindings: Optional[Dict[str, Any]] = None):
         """Execute a mixed query under the tracer; returns an ExplainResult.
@@ -394,20 +330,15 @@ class Session:
 
     def health(self, slo_seconds: Optional[float] = None) -> Dict[str, Any]:
         """Overload health seen from this session (see repro.obs.health)."""
-        from repro.obs.health import DEFAULT_SLO_SECONDS, build_health
+        from repro.obs.health import DEFAULT_SLO_SECONDS, build_health, storage_stats
 
-        storage = None
-        store = getattr(self.context, "storage", None)
-        if store is not None:
-            storage = dict(store.stats())
-            storage["dirty"] = store.dirty_info(self.context.engine)
         return build_health(
             engine=self.context.engine,
             services=[self._service] if self._service is not None else [],
             slo_seconds=(
                 DEFAULT_SLO_SECONDS if slo_seconds is None else slo_seconds
             ),
-            storage=storage,
+            storage=storage_stats(self.context.storage, self.context.engine),
         )
 
     def checkpoint(self) -> Dict[str, Any]:
@@ -421,11 +352,7 @@ class Session:
         """
         from repro.core.system import checkpoint_coupling
 
-        if self._service is not None:
-            return self._service.call(
-                lambda: checkpoint_coupling(self.db), label="checkpoint"
-            )
-        return checkpoint_coupling(self.db)
+        return self._run(lambda: checkpoint_coupling(self.db), "checkpoint")
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -106,11 +106,6 @@ class ContentModel:
         """"EMPTY", "ANY" or "model"."""
         return self._kind
 
-    @property
-    def allows_text(self) -> bool:
-        """True when text leaves are permitted among the children."""
-        return self._allows_text
-
     def validate(self, child_tags: List[str], has_text: bool) -> Optional[str]:
         """Check a child sequence.
 

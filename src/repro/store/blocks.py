@@ -119,10 +119,6 @@ def encode_record(kind: int, payload: bytes) -> bytes:
     return _RECORD_STRUCT.pack(len(payload), crc, kind) + payload
 
 
-def record_total_length(payload_length: int) -> int:
-    return RECORD_HEADER_SIZE + payload_length
-
-
 def decode_record_header(data: bytes) -> Tuple[int, int, int]:
     """``(payload_length, crc, kind)`` of a record header."""
     if len(data) < RECORD_HEADER_SIZE:

@@ -141,15 +141,3 @@ class ReadWriteLock:
         finally:
             if acquired:
                 self.release_write()
-
-    # -- introspection (tests) -------------------------------------------
-
-    def write_held(self) -> bool:
-        """True when some thread currently holds the write lock."""
-        with self._cond:
-            return bool(self._writer)
-
-    def reader_count(self) -> int:
-        """Number of threads currently holding the read lock."""
-        with self._cond:
-            return len(self._readers)

@@ -78,6 +78,23 @@ class TestIndexObjects:
         irs = mmf_system.engine.collection("collPara")
         assert len(irs) == 6  # not 12
 
+    def test_duplicate_spec_rows_give_each_member_one_document(self, mmf_system):
+        """A spec query listing every PARA once per MMFDOC still assigns each
+        IRS document exactly one object (Section 4.3), however often it runs."""
+        collection = _create_collection(
+            mmf_system.db, "dup", "ACCESS p FROM p IN PARA, d IN MMFDOC"
+        )
+        irs = mmf_system.engine.collection("dup")
+        for _run in range(3):
+            index_objects(collection)
+            assert irs.document_count == collection.send("memberCount") == 6
+            assert len(irs) == 6
+        fresh = _create_collection(mmf_system.db, "fresh", "ACCESS p FROM p IN PARA")
+        index_objects(fresh)
+        for query in ("www", "#sum(nii telnet)"):
+            ranked = mmf_system.search(collection, query)
+            assert ranked and ranked == mmf_system.search(fresh, query)
+
     def test_reindex_clears_buffer(self, mmf_system, para_collection):
         _get_irs_result(para_collection, "www")
         assert para_collection.get("buffer")

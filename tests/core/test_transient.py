@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.collection import _get_irs_result
+from repro.core.collection import (
+    _create_collection,
+    _get_irs_result,
+    index_objects,
+    segment_text,
+)
 from repro.core.transient import transient_members
 
 
@@ -59,6 +64,28 @@ class TestScope:
             _get_irs_result(collection, "telnet")
             assert collection.get("buffer")
         assert collection.get("buffer") == {}
+
+
+class TestMembershipPath:
+    """Transient members go through the members' own change path."""
+
+    def test_segmented_like_members_and_index_gen_moves(self, mmf_system):
+        collection = _create_collection(
+            mmf_system.db, "words", "ACCESS p FROM p IN PARA", segment_words=1
+        )
+        index_objects(collection)
+        irs = mmf_system.engine.collection("words")
+        doc = mmf_system.roots[1]
+        pieces = segment_text(doc.send("getText", 0), 1)
+        generation = collection.get("index_gen")
+        with transient_members(collection, [doc]):
+            doc_map = collection.get("doc_map")
+            assert len(doc_map[str(doc.oid)]) == len(pieces) > 1
+            assert irs.document_count == sum(map(len, doc_map.values()))
+            assert collection.get("index_gen") == generation + 1
+        assert collection.get("index_gen") == generation + 2
+        assert str(doc.oid) not in collection.get("doc_map")
+        assert irs.find_by_metadata("oid", str(doc.oid)) == []
 
 
 class TestCost:

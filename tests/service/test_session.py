@@ -179,6 +179,29 @@ class TestErrorRouting:
             system.session.execute("FROM FROM FROM")
         assert isinstance(excinfo.value, ReproError)
 
+    def test_store_failure_maps_alike_inline_and_pooled(self, tmp_path, monkeypatch):
+        """A non-Repro failure under ``checkpoint`` reaches an inline and a
+        pooled caller as the same type with the same cause."""
+        from repro.core import DocumentSystem
+
+        system = DocumentSystem(directory=str(tmp_path))
+        failure = OSError("no space left on device")
+
+        def fail(*_args, **_kwargs):
+            raise failure
+
+        monkeypatch.setattr(system.store, "checkpoint", fail)
+        raised = []
+        with system.open_session(workers=1) as pooled:
+            for session in (system.session, pooled):
+                with pytest.raises(ReproError) as excinfo:
+                    session.checkpoint()
+                raised.append(excinfo.value)
+        monkeypatch.undo()
+        system.close()
+        assert [type(exc) for exc in raised] == [CouplingError, CouplingError]
+        assert [exc.__cause__ for exc in raised] == [failure, failure]
+
     def test_batch_failure_is_contained(self, system, collection):
         with system.open_session(workers=2) as sess:
             futures = [

@@ -230,6 +230,30 @@ class TestSystemLevelCrashes:
         system.close()
         assert self._reopened_rankings(image) == expected
 
+    def test_kill_after_a_checkpoint_inside_a_transient_block(self, tmp_path):
+        """Transient members move ``index_gen`` on entry and on exit, so a
+        store checkpointed inside the block is detectably stale after it."""
+        from repro.core.transient import transient_members
+
+        path, system, collection, dtd = self.populated(tmp_path)
+        system.checkpoint()
+        with transient_members(collection, system.db.instances_of("MMFDOC")):
+            system.checkpoint()
+        system.db._wal._file.flush()
+        image = self._crash_image(path, tmp_path, "transient")
+        expected = self.expected(system, collection)
+        system.close()
+        reopened = DocumentSystem(directory=image)
+        collection2 = next(iter(reopened.db.instances_of("COLLECTION")))
+        doc_map = collection2.get("doc_map")
+        irs = reopened.engine.collection("paras")
+        assert irs.document_count == sum(map(len, doc_map.values()))
+        for model in MODELS:
+            ranked = reopened.search(collection2, "telnet retrieval", model=model)
+            assert {str(oid) for oid in ranked.oids()} <= set(doc_map)
+            assert ranked.to_dict() == expected[model]
+        reopened.close()
+
     def test_sharded_system_recovers_identically(self, tmp_path):
         path, system, collection, dtd = self.populated(tmp_path, shards=2)
         system.checkpoint()

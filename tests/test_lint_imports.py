@@ -3,6 +3,8 @@
 import importlib.util
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _spec = importlib.util.spec_from_file_location(
@@ -37,6 +39,21 @@ def test_reports_unused_imports_and_undefined_names():
         (14, "undefined name 'missing_name'"),
         (15, "undefined name 'undefined'"),
     ]
+
+
+@pytest.mark.parametrize(
+    "source, line, message",
+    [
+        ('x = input()\nif x is "a":\n    pass\n', 2, '"is" with a literal'),
+        ("def f():\n    pass\nbreak\n", 3, "'break' outside loop"),
+        ("return 1\n", 1, "'return' outside function"),
+        ("def f(:\n", 1, ""),
+    ],
+)
+def test_reports_what_does_not_compile(source, line, message):
+    [(found_line, found)] = lint.check_source(source, "sample.py")
+    assert found_line == line
+    assert found.startswith("does not compile: ") and message in found
 
 
 def test_package_init_may_reexport():

@@ -1,19 +1,18 @@
-"""Unused imports and undefined names, from the standard library alone.
-
-``ruff check`` is the project's linter, but it is not installable
-everywhere the tests run.  This script covers the two findings that break
-code at run time or rot silently — an import nothing uses (ruff F401) and a
-name nothing defines (F821) — with :mod:`ast` only::
+"""Compile errors, unused imports and undefined names, from the standard
+library alone — the project's linter::
 
     python tools/lint_imports.py            # src tests benchmarks bench examples tools
     python tools/lint_imports.py src/repro/oodb
 
-It is deliberately coarser than ruff.  A name counts as defined when the
-module binds it *anywhere* (scopes are not modelled), and as used when it
-is read anywhere, appears in ``__all__``, or occurs in a string that parses
-as an expression (quoted annotations).  ``__init__.py`` files may import
-without using (re-exports), and a line carrying ``# noqa`` is skipped.
-Exit status 1 when anything is found.
+Every file is first compiled with ``SyntaxWarning`` as an error: syntax
+errors, ``break`` / ``return`` outside their block and ``is`` against a
+literal.  Then two findings that break code at run time or rot silently —
+an import nothing uses and a name nothing defines — with :mod:`ast`.  A
+name counts as defined when the module binds it *anywhere* (scopes are not
+modelled), and as used when it is read anywhere, appears in ``__all__``,
+or occurs in a string that parses as an expression (quoted annotations).
+``__init__.py`` files may import without using (re-exports), and a line
+carrying ``# noqa`` is skipped.  Exit status 1 when anything is found.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import ast
 import builtins
 import os
 import sys
+import warnings
 from typing import Iterator, List, Set, Tuple
 
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "bench", "examples", "tools")
@@ -68,6 +68,12 @@ def _exported(tree: ast.Module) -> Set[str]:
 
 def check_source(source: str, path: str) -> List[Tuple[int, str]]:
     """``(line, message)`` findings for one module's source text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        try:
+            compile(source, path, "exec", dont_inherit=True)
+        except SyntaxError as exc:  # a SyntaxWarning raised as an error too
+            return [(exc.lineno or 0, f"does not compile: {exc.msg}")]
     tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     imported: List[Tuple[str, int]] = []  # (bound name, line)
