@@ -215,7 +215,7 @@ def postings_memory(engine) -> dict:
     """Compact block bytes vs the dict-of-Posting proxy (8 bytes per
     id/position plus term text, :func:`repro.irs.compression.raw_size`'s
     convention), over the sealed segments."""
-    manager = engine.collection("bench").segment_managers()[0]
+    manager = engine.collection("bench").segments
     compact_bytes = 0
     dict_bytes = 0
     for segment in manager.sealed_segments():

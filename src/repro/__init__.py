@@ -19,8 +19,8 @@ Subpackages
 ``repro.workloads``
     Seeded corpora, the Figure 4 base, query workloads, metrics.
 ``repro.net``
-    The out-of-process service: wire protocol, socket server, remote and
-    async sessions.  :func:`repro.connect` is the transport-agnostic
+    The out-of-process service: wire protocol, socket server, remote
+    sessions.  :func:`repro.connect` is the transport-agnostic
     front door.
 """
 
@@ -34,7 +34,6 @@ from repro.core.system import DocumentSystem  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.service import ResultSet, ScoredHit, ServiceConfig, Session  # noqa: E402
 from repro.net import (  # noqa: E402
-    AsyncSession,
     DocumentServer,
     RemoteSession,
     connect,
@@ -43,7 +42,6 @@ from repro.net import (  # noqa: E402
 __version__ = "1.2.0"
 
 __all__ = [
-    "AsyncSession",
     "DocumentServer",
     "DocumentSystem",
     "RemoteSession",

@@ -120,7 +120,6 @@ def _create_collection(
     update_policy: Optional[str] = None,
     type_weights: Optional[Dict[str, float]] = None,
     segment_words: int = 0,
-    shards: Optional[int] = None,
 ) -> DBObject:
     """Create a COLLECTION object and its encapsulated IRS collection.
 
@@ -129,18 +128,13 @@ def _create_collection(
     OODBMS query expression and thus is powerful enough to specify any
     reasonable combination of objects").  Call ``indexObjects`` to run it.
 
-    ``shards`` overrides the engine's default shard count for this one
-    collection (0 forces unsharded; None keeps the engine default).
-    Sharding is a physical layout choice only — rankings are bit-identical
-    either way (DESIGN.md §"Sharded scoring").
-
     Internal implementation — the supported entry point is
     :meth:`repro.Session.create_collection`.
     """
     context = coupling_context(db)
     if context.engine.has_collection(name):
         raise CouplingError(f"IRS collection {name!r} already exists")
-    context.engine.create_collection(name, shards=shards)
+    context.engine.create_collection(name)
     return db.create_object(
         COLLECTION_CLASS,
         irs_name=name,
@@ -230,8 +224,12 @@ def index_objects(
             irs_name = collection_obj.get("irs_name")
             span.set_attribute("collection", irs_name)
             span.set_attribute("members", len(members))
-            planned = updates.rebuild(collection_obj, [str(obj.oid) for obj in members])
-            collection_obj.set("pending_ops", [])
+            # One logged group: a crash leaves the whole rebuild or none of it.
+            with db.autocommit_group():
+                planned = updates.rebuild(
+                    collection_obj, [str(obj.oid) for obj in members]
+                )
+                collection_obj.set("pending_ops", [])
             if context.result_file_directory is not None:
                 spool_path = os.path.join(
                     context.result_file_directory, f"{irs_name}.spool.txt"

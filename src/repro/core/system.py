@@ -77,16 +77,6 @@ class DocumentSystem:
     use_result_files:
         Force the file-based IRS exchange even without a directory
         (a temp directory is then created lazily).
-    shards:
-        Default shard count for new IRS collections (0: unsharded).  A
-        persisted store reloads re-partitioned to this count — every
-        layout cross-loads into every other.  Scoring over shards is
-        bit-identical to unsharded scoring (DESIGN.md §"Sharded
-        scoring"); parallel scatter workers engage once a session is
-        opened with ``open_session(shards=N)``.
-    shard_config:
-        :class:`repro.irs.shards.ShardConfig` tunables (timeouts,
-        retries, the fault-injection hook) for the scatter executor.
     storage:
         The durable index format; ``"store"`` (the single-file store) is
         the only one.
@@ -98,8 +88,6 @@ class DocumentSystem:
         model: str = "inquery",
         analyzer: Optional[Analyzer] = None,
         use_result_files: bool = False,
-        shards: int = 0,
-        shard_config: Any = None,
         storage: str = "store",
     ) -> None:
         if storage != "store":
@@ -113,14 +101,10 @@ class DocumentSystem:
             # Reload persisted inverted indexes ("stored in a file system").
             self.store = SingleFileStore(os.path.join(directory, "irs.store"))
             self.engine = self.store.load_engine(
-                default_model=model, analyzer=analyzer,
-                shard_count=shards, shard_config=shard_config,
+                default_model=model, analyzer=analyzer
             )
         else:
-            self.engine = IRSEngine(
-                default_model=model, analyzer=analyzer,
-                shard_count=shards, shard_config=shard_config,
-            )
+            self.engine = IRSEngine(default_model=model, analyzer=analyzer)
         result_dir = None
         if directory:
             result_dir = os.path.join(directory, "irs")
@@ -178,28 +162,15 @@ class DocumentSystem:
 
     # -- collections ----------------------------------------------------------------
 
-    def open_session(
-        self, workers: int = 0, config: Any = None, shards: Optional[int] = None
-    ):
+    def open_session(self, workers: int = 0, config: Any = None):
         """Open a new :class:`repro.Session` on this system.
 
         ``workers=0`` gives the classic inline mode; ``workers>=1`` starts
         an embedded worker pool with cross-request batching.  Pooled
         sessions opened here are closed with the system.
-
-        ``shards=N`` turns parallel scatter-gather scoring on: new
-        collections default to N hash shards and prunable top-k queries
-        fan out to per-shard worker processes (exact results guaranteed —
-        sharded scoring is bit-identical to unsharded, and a failed
-        worker degrades to retry then inline fallback, never a wrong
-        ranking).  The worker pools are closed with the system.
         """
         from repro.service.session import Session
 
-        if shards is not None:
-            self.engine.shard_count = shards
-            if shards:
-                self.engine.attach_shard_executor()
         session = Session(self.db, workers=workers, config=config)
         if session.pooled:
             self._sessions.append(session)
@@ -318,14 +289,9 @@ class DocumentSystem:
 
     def _reindex_collection(self, obj: DBObject, name: str) -> None:
         """Rebuild one stale IRS collection from recovered database state."""
-        entry = (self.store.manifest or {}).get("collections", {}).get(name)
-        shards = None
-        if entry is not None and entry.get("layout") == "sharded":
-            # Keep the shard override the collection was created with.
-            shards = entry.get("shard_count")
         if self.engine.has_collection(name):
             self.engine.drop_collection(name)
-        self.engine.create_collection(name, shards=shards)
+        self.engine.create_collection(name)
         # Replay the WAL-durable doc_map rather than re-evaluating the
         # specification query: membership may have been modified
         # incrementally (insertObject/propagateUpdates) since the last
@@ -334,7 +300,8 @@ class DocumentSystem:
         from repro.core.collection import member_keys
         from repro.core.updates import rebuild
 
-        rebuild(obj, member_keys(obj))
+        with self.db.autocommit_group():
+            rebuild(obj, member_keys(obj))
 
     # -- querying -----------------------------------------------------------------------
 
@@ -404,7 +371,6 @@ class DocumentSystem:
         for session in self._sessions:
             session.close()
         self._sessions = []
-        self.engine.shutdown_shards()
         if self.store is not None:
             self.store.checkpoint(self.engine, gens=collection_gens(self.db))
         self.db.close()

@@ -38,7 +38,6 @@ from repro.irs.collection import IRSCollection
 from repro.irs.models import MODELS, RetrievalModel
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import MergeScheduler, SegmentConfig
-from repro.irs.shards import ShardConfig, ShardExecutor
 from repro.sync import ReadWriteLock
 
 logger = logging.getLogger(__name__)
@@ -162,8 +161,6 @@ class IRSEngine:
         analyzer: Optional[Analyzer] = None,
         result_cache_size: int = 128,
         segment_config: Optional[SegmentConfig] = None,
-        shard_count: int = 0,
-        shard_config: Optional[ShardConfig] = None,
     ) -> None:
         if default_model not in MODELS:
             raise UnknownModelError(
@@ -182,13 +179,6 @@ class IRSEngine:
         #: Tuning of every collection's segment stack (seal thresholds,
         #: merge policy); see docs/api.md.
         self.segment_config = segment_config or SegmentConfig()
-        #: Default shard count for new collections (0 = unsharded).  The
-        #: scatter executor is attached separately (see
-        #: :meth:`attach_shard_executor`) — sharded collections without one
-        #: score inline through the union view, still bit-exact.
-        self.shard_count = shard_count
-        self.shard_config = shard_config
-        self._shard_executor: Optional[ShardExecutor] = None
         self._merge_scheduler: Optional[MergeScheduler] = None
         self.counters = EngineCounters()
         self.cache_stats = ResultCacheStats()
@@ -265,27 +255,14 @@ class IRSEngine:
     # -- collection management ----------------------------------------------
 
     def create_collection(
-        self,
-        name: str,
-        analyzer: Optional[Analyzer] = None,
-        shards: Optional[int] = None,
+        self, name: str, analyzer: Optional[Analyzer] = None
     ) -> IRSCollection:
-        """Create an empty collection called ``name``.
-
-        ``shards`` overrides the engine's default shard count for this
-        collection (``None``: use the default; ``0``: force unsharded;
-        ``>= 1``: that many hash shards, each with its own segment
-        lifecycle).
-        """
-        count = self.shard_count if shards is None else shards
+        """Create an empty collection called ``name``."""
         with self._registry_lock:
             if name in self._collections or name in self._lazy_loaders:
                 raise DuplicateCollectionError(f"IRS collection {name!r} already exists")
             collection = IRSCollection(
-                name,
-                analyzer or self._analyzer,
-                segment_config=self.segment_config,
-                shard_count=count,
+                name, analyzer or self._analyzer, self.segment_config
             )
             self._collections[name] = collection
             return collection
@@ -297,8 +274,6 @@ class IRSEngine:
                 raise UnknownCollectionError(f"no IRS collection {name!r}")
             self._collections.pop(name, None)
             self._lazy_loaders.pop(name, None)
-        if self._shard_executor is not None:
-            self._shard_executor.drop_collection(name)
         # A later collection with the same name starts its index epoch from
         # scratch, so stale entries would otherwise be indistinguishable.
         with self._cache_lock:
@@ -556,8 +531,7 @@ class IRSEngine:
                 profile.candidates_scored += len(values)
         else:
             values = self._score_top_k(
-                collection, model_name, model_impl, tree, irs_query,
-                top_k, span, registry,
+                collection, model_name, model_impl, tree, top_k, span, registry
             )
         if self._result_cache_size > 0:
             with self._cache_lock:
@@ -574,7 +548,6 @@ class IRSEngine:
         model_name: str,
         model_impl: RetrievalModel,
         tree,
-        irs_query: str,
         top_k: int,
         span,
         registry,
@@ -582,19 +555,9 @@ class IRSEngine:
         """Pruned top-k scoring with exhaustive fallback (read lock held)."""
         from repro.irs import topk as topk_mod
 
-        executor = self._shard_executor
-        outcome = None
-        if executor is not None and collection.shard_count:
-            # None when the scatter declines (non-prunable shape): the
-            # inline union path below is exact for every model and shape.
-            outcome = executor.scatter_topk(
-                collection, model_name, model_impl, tree, irs_query,
-                top_k, span, registry,
-            )
-        if outcome is None:
-            outcome = topk_mod.topk_scores(
-                collection, model_name, model_impl, tree, top_k
-            )
+        outcome = topk_mod.topk_scores(
+            collection, model_name, model_impl, tree, top_k
+        )
         profile = active_profile()
         if outcome.values is not None:
             span.set_attribute("pruned", True)
@@ -626,57 +589,6 @@ class IRSEngine:
             profile.fallback_queries += 1
             profile.candidates_scored += len(values)
         return topk_mod.truncate_top_k(values, top_k)
-
-    # -- shard scatter executor ------------------------------------------------
-
-    def attach_shard_executor(
-        self, config: Optional[ShardConfig] = None
-    ) -> ShardExecutor:
-        """Attach (or return) the scatter-gather executor.
-
-        Without one, sharded collections score inline through the union
-        view — same exact scores, one process.  With one, prunable top-k
-        queries fan out to per-shard worker processes.
-        """
-        with self._registry_lock:
-            executor = self._shard_executor
-            if executor is None:
-                executor = ShardExecutor(config or self.shard_config)
-                self._shard_executor = executor
-            return executor
-
-    @property
-    def shard_executor(self) -> Optional[ShardExecutor]:
-        return self._shard_executor
-
-    def shutdown_shards(self) -> None:
-        """Close the scatter executor and all its worker pools."""
-        with self._registry_lock:
-            executor = self._shard_executor
-            self._shard_executor = None
-        if executor is not None:
-            executor.close()
-
-    def shard_info(self) -> Dict[str, Dict[str, object]]:
-        """Per-collection shard layout and document skew, for ``health()``.
-
-        ``skew`` is max/mean documents per shard (1.0 = perfectly even,
-        0.0 for an empty collection); hash routing keeps it near 1.
-        """
-        info: Dict[str, Dict[str, object]] = {}
-        for name, collection in sorted(self._collections.items()):
-            if not collection.shard_count:
-                continue
-            counts = [
-                manager.document_count for manager in collection.segment_managers()
-            ]
-            mean = sum(counts) / len(counts) if counts else 0.0
-            info[name] = {
-                "shards": collection.shard_count,
-                "documents": counts,
-                "skew": (max(counts) / mean) if mean else 0.0,
-            }
-        return info
 
     # -- segment maintenance ---------------------------------------------------
 
@@ -721,11 +633,10 @@ class IRSEngine:
         """
         from repro.irs.segments.merge import select_candidates
 
-        backlog = 0
-        for collection in list(self._collections.values()):
-            for manager in collection.segment_managers():
-                backlog += len(select_candidates(manager))
-        return backlog
+        return sum(
+            len(select_candidates(collection.segments))
+            for collection in list(self._collections.values())
+        )
 
     def total_segments(self) -> int:
         """Live segments across all materialized collections."""
@@ -738,20 +649,18 @@ class IRSEngine:
         """Unsealed (memtable) volume across collections, for health reports."""
         documents = tokens = approx_bytes = 0
         for collection in list(self._collections.values()):
-            for manager in collection.segment_managers():
-                memtable = manager.memtable
-                documents += memtable.document_count
-                tokens += memtable.token_count
-                approx_bytes += memtable.approx_bytes()
+            memtable = collection.segments.memtable
+            documents += memtable.document_count
+            tokens += memtable.token_count
+            approx_bytes += memtable.approx_bytes()
         return {"documents": documents, "tokens": tokens, "bytes": approx_bytes}
 
     def segment_info(self) -> Dict[str, Dict[str, object]]:
-        """Per-manager segment snapshots (shards appear as ``name#i``)."""
-        info: Dict[str, Dict[str, object]] = {}
-        for _name, collection in sorted(self._collections.items()):
-            for manager in collection.segment_managers():
-                info[manager.name] = manager.info()
-        return info
+        """Per-collection segment snapshots."""
+        return {
+            name: collection.segments.info()
+            for name, collection in sorted(self._collections.items())
+        }
 
     def statistics_cache_info(self) -> Dict[str, Dict[str, int]]:
         """Per-collection :meth:`StatisticsCache.cache_info` snapshots."""

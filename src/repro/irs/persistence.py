@@ -28,7 +28,7 @@ import os
 from typing import Optional
 
 from repro.irs.analysis import Analyzer
-from repro.irs.collection import IRSCollection
+from repro.irs.collection import IRSCollection, segment_entries
 from repro.irs.engine import IRSEngine
 
 _MANIFEST = "collections.json"
@@ -39,11 +39,7 @@ def load_engine(
     default_model: str = "inquery",
     analyzer: Optional[Analyzer] = None,
 ) -> IRSEngine:
-    """An engine holding every collection of a legacy JSON directory.
-
-    Sharded collections come back unsharded; the store re-partitions on
-    load to whatever shard count the engine that opens it asks for.
-    """
+    """An engine holding every collection of a legacy JSON directory."""
     engine = IRSEngine(default_model=default_model, analyzer=analyzer)
     manifest_path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(manifest_path):
@@ -64,14 +60,15 @@ def _read_collection_payload(directory: str, name: str) -> dict:
     if os.path.isdir(shard_dir) and os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        entries = []
+        # Shards partition the documents: their segments, concatenated in
+        # shard order, are the exact logical index.
+        payload["segments"] = []
         for i in range(payload["shard_count"]):
             with open(
                 os.path.join(shard_dir, f"shard_{i:04d}.json"), "r",
                 encoding="utf-8",
             ) as fh:
-                entries.append(json.load(fh))
-        payload["shards"] = entries
+                payload["segments"].extend(segment_entries(json.load(fh)))
         return payload
     path = os.path.join(directory, _collection_file(name))
     with open(path, "r", encoding="utf-8") as fh:

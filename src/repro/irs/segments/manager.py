@@ -1,6 +1,6 @@
 """SegmentManager: lifecycle of a collection's segment stack.
 
-One manager per collection (per shard, when sharded) owns:
+One manager per collection owns:
 
 * the mutable :class:`~repro.irs.segments.segment.MemtableSegment` plus the
   ordered list of immutable :class:`SealedSegment`\\ s;

@@ -125,21 +125,18 @@ class MergeScheduler:
             collection = self._engine.collection(name)
         except UnknownCollectionError:
             return 0
-        # A sharded collection owns one manager per shard; all of them
-        # serialize on the *parent* collection's lock (shard mutations
-        # only ever happen under it), so the commit contract is unchanged.
+        manager = collection.segments
         merges = 0
-        for manager in collection.segment_managers():
-            deadline = time.monotonic() + manager.config.merge_budget_seconds
-            while not self._stop.is_set():
-                candidates = select_candidates(manager)
-                if not candidates:
-                    break
-                if not self._merge_once(name, manager, candidates):
-                    break
-                merges += 1
-                if time.monotonic() >= deadline:
-                    break
+        deadline = time.monotonic() + manager.config.merge_budget_seconds
+        while not self._stop.is_set():
+            candidates = select_candidates(manager)
+            if not candidates:
+                break
+            if not self._merge_once(name, manager, candidates):
+                break
+            merges += 1
+            if time.monotonic() >= deadline:
+                break
         return merges
 
     def _merge_once(

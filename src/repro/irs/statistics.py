@@ -5,8 +5,7 @@ Two concerns live here:
 * :class:`StatisticsCache` — the query-evaluation fast path's memo of
   global statistics (average document length, per-term df/idf, per-document
   TF-IDF norms, per-term document-id sets).  One instance is attached to
-  each :class:`~repro.irs.collection.IRSCollection` (and to each shard
-  worker's replica); every read validates against the index epoch and
+  each :class:`~repro.irs.collection.IRSCollection`; every read validates against the index epoch and
   drops all memos when the index mutated, so interleaved
   add/remove/query sequences never observe stale values.  Norms come from
   forward vectors one document at a time.
@@ -33,8 +32,7 @@ class StatisticsCache:
     memos were built at; a mismatch clears everything.  Per-term values are
     filled lazily; so are per-document norms, each computed on demand from
     the document's ``{term: tf}`` forward vector (``forward_vector(doc_id)``,
-    O(|document|) for segment stacks, shard unions and worker replicas): a
-    query scoring k documents after an update costs O(sum of their vector
+    O(|document|) for a segment stack): a query scoring k documents after an update costs O(sum of their vector
     sizes), never a sweep over every postings list.
 
     Accessors are serialized by a re-entrant lock so concurrent scorers on
@@ -196,8 +194,7 @@ class StatisticsCache:
     def _norm_of(self, doc_id: int) -> float:
         """The document's terms in **sorted order** with the memoized global
         idf: a canonical float accumulation, so the norm is bit-identical
-        whichever sources hold the document (segment stack, shard union,
-        worker replica) — the sharded-scoring equivalence relies on it."""
+        whichever source of the segment stack holds the document."""
         vector = self._forward_vector(doc_id)
         if not vector:
             return 0.0

@@ -18,10 +18,9 @@ ranking and the same scores (the safe-up-to-k contract):
 Impacts are exact, not estimated.  One column scan per (model, term, index
 version) — :func:`term_impacts` — reads the term's decoded ``(doc_ids,
 tfs)`` blocks from every scoring source (``collection.scoring_sources()``
-— the one index, a segment stack, or all shards' stacks flattened, each
-sharing the one global heap — and their ``term_columns``: tombstones
-filtered, no position decoded, no posting object built) and has the model
-turn each block into its per-document score contributions per unit of
+— a segment stack sharing the one global heap — and their
+``term_columns``: tombstones filtered, no position decoded, no posting
+object built) and has the model turn each block into its per-document score contributions per unit of
 query weight ("impacts") with one comprehension.  The resulting per-block
 columns and the ``doc_id -> impact`` / ``doc_id -> tf`` probe maps are
 cached, least recently used first out, until the index version moves.
@@ -247,7 +246,6 @@ def _score_segment(
     score_candidate: Callable[[int, Dict[str, int]], Optional[float]],
     cut_of: Callable[[float], float],
     outcome: TopKOutcome,
-    floor_cut: float = _NEG_INF,
 ) -> None:
     """Run MaxScore over one segment, sharing the global top-k heap.
 
@@ -274,23 +272,14 @@ def _score_segment(
     All bound arithmetic happens in the model's *contribution space* (the
     raw weighted-impact sum, before any final transform); ``cut_of`` maps
     the k-th heap value into that space, deflated by :data:`CUT_SCALE`.
-    Until the heap holds ``k`` entries the cut is ``floor_cut`` (``-inf``
-    unless a caller seeds one); a candidate is skipped only when its bound
-    falls *clearly* below the k-th score, so ties at the threshold are
-    always evaluated.  ``floor_cut`` is the sharded scatter path's seed: a
-    failed shard re-scored inline starts from the already-merged k-th
-    value (deflated by :data:`CUT_SCALE`), never below it — exact, because
-    anything bounded under the global k-th cannot enter the global top-k.
+    Until the heap holds ``k`` entries the cut is ``-inf``; a candidate is
+    skipped only when its bound falls *clearly* below the k-th score, so
+    ties at the threshold are always evaluated.
     """
     lists.sort(key=lambda tl: tl.ub, reverse=True)
     m = len(lists)
     total_ub = sum(tl.ub for tl in lists)
-    if len(heap) >= k:
-        cut = cut_of(heap[0][0])
-        if cut < floor_cut:
-            cut = floor_cut
-    else:
-        cut = floor_cut
+    cut = cut_of(heap[0][0]) if len(heap) >= k else _NEG_INF
     heap_len = len(heap)
     heappush = heapq.heappush
     heapreplace = heapq.heapreplace
@@ -411,8 +400,6 @@ def _score_segment(
                 else:
                     continue
                 cut = cut_of(heap[0][0])
-                if cut < floor_cut:
-                    cut = floor_cut
                 t = (cut - rest) / wl
         outcome.blocks_skipped += skipped
         outcome.blocks_decoded += len(block_us) - skipped
@@ -430,7 +417,6 @@ def _run(
     weighted_terms: List[Tuple[str, float]],
     score_candidate,
     cut_of,
-    floor_cut: float = _NEG_INF,
 ) -> TopKOutcome:
     """Shared driver: build per-segment term lists, score segment by segment.
 
@@ -451,16 +437,12 @@ def _run(
             if impacts is not None:
                 lists.append(_TermList(term, weight, weight * impacts.max_u, impacts))
         if lists:
-            _score_segment(
-                lists, k, heap, score_candidate, cut_of, outcome, floor_cut
-            )
+            _score_segment(lists, k, heap, score_candidate, cut_of, outcome)
     outcome.values = {-neg_doc: value for value, neg_doc in heap}
     return outcome
 
 
-def _vector_outcome(
-    collection, model_impl, tree, k: int, floor_value: Optional[float] = None
-) -> TopKOutcome:
+def _vector_outcome(collection, model_impl, tree, k: int) -> TopKOutcome:
     entries, reason = _vector_plan(collection, model_impl, tree)
     if entries is None:
         return TopKOutcome(values=None, reason=reason)
@@ -498,15 +480,10 @@ def _vector_outcome(
     def cut_of(theta: float) -> float:
         return theta * CUT_SCALE
 
-    floor_cut = cut_of(floor_value) if floor_value is not None else _NEG_INF
-    return _run(
-        collection, model_impl, k, weighted, score_candidate, cut_of, floor_cut
-    )
+    return _run(collection, model_impl, k, weighted, score_candidate, cut_of)
 
 
-def _inquery_outcome(
-    collection, model_impl, tree, k: int, floor_value: Optional[float] = None
-) -> TopKOutcome:
+def _inquery_outcome(collection, model_impl, tree, k: int) -> TopKOutcome:
     leaves, reason = _inquery_plan(collection, model_impl, tree)
     if leaves is None:
         return TopKOutcome(values=None, reason=reason)
@@ -560,10 +537,7 @@ def _inquery_outcome(
         return (theta - db) * total_weight * CUT_SCALE
 
     weighted = list(combined_weight.items())
-    floor_cut = cut_of(floor_value) if floor_value is not None else _NEG_INF
-    return _run(
-        collection, model_impl, k, weighted, score_candidate, cut_of, floor_cut
-    )
+    return _run(collection, model_impl, k, weighted, score_candidate, cut_of)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +550,6 @@ def topk_scores(
     model_impl,
     tree: QueryNode,
     k: int,
-    floor_value: Optional[float] = None,
 ) -> TopKOutcome:
     """Score the best ``k`` documents with early termination when possible.
 
@@ -585,20 +558,13 @@ def topk_scores(
     ``reason`` when the query shape or model is not prunable — the caller
     then runs the exhaustive path and truncates.  Must be called under the
     collection's read lock (same contract as model scoring).
-
-    ``floor_value`` seeds the pruning threshold with an externally known
-    lower bound on the global k-th *score* (the sharded scatter-gather
-    merge uses this when re-scoring a failed shard inline).  Documents
-    bounded strictly below it are skipped even before the local heap holds
-    ``k`` entries, so the outcome may carry fewer than ``k`` values — every
-    omitted document is provably below the seeded k-th score.
     """
     if k <= 0:
         return TopKOutcome(values={})
     if model_name == "vector":
-        return _vector_outcome(collection, model_impl, tree, k, floor_value)
+        return _vector_outcome(collection, model_impl, tree, k)
     if model_name == "inquery":
-        return _inquery_outcome(collection, model_impl, tree, k, floor_value)
+        return _inquery_outcome(collection, model_impl, tree, k)
     return TopKOutcome(values=None, reason="model:" + model_name)
 
 

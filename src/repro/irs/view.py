@@ -1,8 +1,7 @@
 """UnionIndexView: one logical index over a versioned list of sources.
 
 A collection's postings live in one or more **scoring sources** — the
-sealed segments plus the memtable index of each of its segment managers
-(one, or one per shard), flattened.  Each source answers the same small
+sealed segments plus the memtable index of its segment manager.  Each source answers the same small
 read contract over its own *live* documents:
 
 * ``term_columns(term)`` — decoded ``(doc_ids, tfs)`` blocks, what every
@@ -15,10 +14,9 @@ read contract over its own *live* documents:
 
 This view turns such a list back into the full read surface of
 ``InvertedIndex``, so the retrieval models, the statistics caches and the
-engine run unchanged over any source list.  Its **owner** — an
-:class:`~repro.irs.collection.IRSCollection`, or a single
-:class:`~repro.irs.segments.manager.SegmentManager` (what a shard replica
-sync dumps) — supplies only what the view cannot derive:
+engine run unchanged over any source list.  Its **owner** — the
+collection's :class:`~repro.irs.segments.manager.SegmentManager` —
+supplies only what the view cannot derive:
 
 * ``scoring_sources()`` and ``index_version`` (the memo key; moves on every
   content *or* structure change) plus ``epoch`` (content changes only —
@@ -31,8 +29,7 @@ sync dumps) — supplies only what the view cannot derive:
 
 Statistics are sums of the sources' integer counters, so idf values are
 bit-equal to a fresh :class:`InvertedIndex` holding the same documents.  The view is
-read-only: writes enter through the owning collection, which knows the
-memtable (or the shard) a document belongs to.
+read-only: writes enter through the collection, which owns the manager.
 
 Version discipline: the per-term merged postings and the term list are
 memoized per ``index_version``.  Versions only move under the collection's
@@ -127,9 +124,8 @@ class UnionIndexView:
         if len(lists) == 1:
             return lists[0]
         # Doc-id ranges interleave across sources (merges fold old and new
-        # segments, shard routing is a hash), so concatenation is not
-        # enough; each input is sorted but we sort the union (cheap:
-        # postings are few per term).
+        # segments), so concatenation is not enough; each input is sorted
+        # but we sort the union (cheap: postings are few per term).
         merged = [posting for sub in lists for posting in sub]
         merged.sort(key=lambda posting: posting.doc_id)
         return merged
@@ -202,10 +198,9 @@ class UnionIndexView:
     def to_payload(self) -> dict:
         """An ``InvertedIndex.to_payload``-format dump of the *live* logical index.
 
-        What a shard-worker replica is synced from, and what compression
-        experiments and ad-hoc tooling read; the store writes per-segment
-        records instead.  Streams each term straight from the
-        sources — a dump touches every term once, so parking the decoded
+        What compression experiments and ad-hoc tooling read; the store
+        writes per-segment records instead.  Streams each term straight
+        from the sources — a dump touches every term once, so parking the decoded
         lists in the per-version memo would only pin them.
         """
         return {

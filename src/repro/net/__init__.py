@@ -8,7 +8,6 @@
   (usually pooled) :class:`repro.Session`;
 * :class:`RemoteSession` — the blocking client: connection pool,
   reconnect with backoff, per-request deadlines;
-* :class:`AsyncSession` — thin ``asyncio`` wrappers over the sync core;
 * :func:`connect` — the transport-agnostic front door (also exported as
   ``repro.connect``).
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple, Union
 
-from repro.net.aio import AsyncSession
 from repro.net.client import (
     ConnectionPool,
     RemoteCollection,
@@ -30,7 +28,6 @@ from repro.net.server import DocumentServer
 from repro.net.wire import MAX_FRAME_BYTES, PROTOCOL_VERSION
 
 __all__ = [
-    "AsyncSession",
     "ClientConfig",
     "ConnectionPool",
     "DocumentServer",
@@ -68,7 +65,6 @@ def connect(
     *,
     workers: int = 0,
     config: Any = None,
-    asynchronous: bool = False,
     **options: Any,
 ) -> Any:
     """Open a session — local, pooled, or remote — behind one contract.
@@ -94,10 +90,6 @@ def connect(
     a running :class:`DocumentServer`       :class:`RemoteSession` to its
                                             address (loopback convenience)
     =====================================  =================================
-
-    ``asynchronous=True`` wraps the result in :class:`AsyncSession` —
-    the same application code then runs ``await``-based over any
-    transport.
 
     Remote keyword options (``pool_size=``, ``request_timeout=``,
     ``materialize=``, …) configure the :class:`ClientConfig`; local ones
@@ -126,6 +118,4 @@ def connect(
                 "the server's — size the client with pool_size= instead"
             )
         session = RemoteSession(address, config=config, **options)
-    if asynchronous:
-        return AsyncSession(session)
     return session

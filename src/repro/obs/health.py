@@ -13,13 +13,9 @@ ROADMAP, a remote load balancer) needs into a JSON-encodable report:
   segments.
 * **memtable** — unsealed documents/tokens and an approximate heap
   footprint, per :meth:`MemtableSegment.approx_bytes`.
-* **shards** — per-collection shard layout with document skew
-  (max/mean), plus the scatter executor's fault counters (retries,
-  failovers, timeouts).  Informational: failovers degrade latency, never
-  correctness.
 * **network** — socket-server admission (active/accepted/rejected
   connections), request outcomes, and per-endpoint rolling latency for
-  every wire operation.  Informational, like shards: a connection
+  every wire operation.  Informational: a connection
   rejection *is* the backpressure mechanism working, not a failure.
 * **latency** — p50/p95/p99/p999 of the most relevant rolling histogram
   plus the *slow ratio*: the fraction of windowed requests above the SLO.
@@ -118,26 +114,6 @@ def _memtable_section(engine) -> Dict[str, Any]:
     if engine is None:
         return {"documents": 0, "tokens": 0, "bytes": 0}
     return engine.memtable_info()
-
-
-def _shards_section(engine, registry) -> Dict[str, Any]:
-    """Shard layout, document skew, and scatter fault counters.
-
-    Informational only — shard skew or failovers never flip the verdict
-    (a failover still returned the exact ranking; it is a capacity signal,
-    not a correctness one).
-    """
-    shard_info = getattr(engine, "shard_info", None)
-    collections = shard_info() if shard_info is not None else {}
-    counters = registry.snapshot().get("counters", {})
-    return {
-        "collections": collections,
-        "executor_attached": getattr(engine, "shard_executor", None) is not None,
-        "scatters": counters.get("irs.shard.scatters", 0),
-        "retries": counters.get("irs.shard.retries", 0),
-        "failovers": counters.get("irs.shard.failovers", 0),
-        "timeouts": counters.get("irs.shard.timeouts", 0),
-    }
 
 
 #: Rolling-histogram name prefix of the per-endpoint server latencies.
@@ -239,7 +215,7 @@ def build_health(
 
     ``servers`` are :class:`~repro.net.server.DocumentServer` instances;
     their connection admission and per-endpoint latency appear under
-    ``"network"``.  Like shards, the network section is informational —
+    ``"network"``.  The network section is informational —
     connection rejections already *are* the backpressure response, so
     they never flip the verdict on their own.
 
@@ -258,7 +234,6 @@ def build_health(
         "admission": admission,
         "merge": merge,
         "memtable": _memtable_section(engine),
-        "shards": _shards_section(engine, registry),
         "network": _network_section(registry, servers),
         "latency": latency,
         "storage": storage_section,

@@ -55,7 +55,7 @@ FOOTER_SIZE = _FOOTER_STRUCT.size  # 24
 # can insist on the kind they expect.
 KIND_DOCS = 1       # one batch of documents of one collection
 KIND_SEGMENT = 2    # one immutable sealed segment's postings
-KIND_MEMTABLE = 3   # a collection's (or shard's) current memtable postings
+KIND_MEMTABLE = 3   # a collection's current memtable postings
 KIND_INDEX = 4      # a legacy monolithic index; read, no longer written
 KIND_MANIFEST = 5   # a checkpoint manifest (the commit record)
 

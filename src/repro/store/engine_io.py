@@ -1,9 +1,9 @@
 """:class:`SingleFileStore` — whole-engine persistence in one file.
 
 Section 1.1: the internal representations "are stored in a file system".
-Every collection — one segment manager, or one per shard —
-serializes into one append-only :class:`~repro.store.file.StoreFile`; a
-checkpoint appends only what changed since the previous one:
+Every collection serializes into one append-only
+:class:`~repro.store.file.StoreFile`; a checkpoint appends only what
+changed since the previous one:
 
 * **sealed segments** are written exactly once.  A written segment gets a
   ``store_stamp`` (token, offset, length); later checkpoints reference
@@ -13,7 +13,7 @@ checkpoint appends only what changed since the previous one:
   ``(doc_id, revision)`` changed since the last checkpoint.  Removals are
   listed in the manifest; once the removal list outgrows the live set,
   the batches are rewritten from scratch (self-trimming).
-* **memtables** re-append only when their manager's version moved.
+* **memtables** re-append only when the segment manager's version moved.
 
 The manifest (one JSON record + footer per checkpoint) is the atomic
 commit: crash anywhere before the footer fsync leaves the previous
@@ -23,12 +23,12 @@ Loading is lazy by default: each collection registers a loader with the
 engine and materializes from the manifest on first touch, so
 restart-to-first-query cost is O(touched collections), not O(corpus).
 Materialization builds a payload (documents plus segment entries) and
-hands it to ``IRSCollection.from_payload`` at the engine's shard count,
-which loads the stored managers as they are when the counts agree and
-re-partitions otherwise.  A ``flat`` entry — the monolithic layout
-older builds wrote — is read as one sealed segment; until its collection
-is touched it is carried forward verbatim, and the first checkpoint
-after that writes it as segments.
+hands it to ``IRSCollection.from_payload``.  Older builds wrote two more
+layouts, both read-only here: a ``flat`` entry (one monolithic index,
+read as one sealed segment) and a ``sharded`` entry (one part per shard,
+whose segments all load into the one manager).  Until its collection is
+touched such an entry is carried forward verbatim; the first checkpoint
+after that writes it as ``segmented``.
 
 Offline :meth:`pack` copies live records into a fresh file and atomically
 replaces the store, keeping a one-generation offset remap so segment
@@ -48,20 +48,10 @@ from repro.store.blocks import encode_json
 from repro.store.file import StoreFile, fsync_directory
 
 
-class _ManagerState:
-    """Last-persisted memtable ref of one segment manager."""
-
-    __slots__ = ("mem_ref", "mem_version")
-
-    def __init__(self) -> None:
-        self.mem_ref: Optional[List[int]] = None
-        self.mem_version: Optional[tuple] = None
-
-
 class _CollectionState:
     """Incremental bookkeeping for one collection between checkpoints."""
 
-    __slots__ = ("revisions", "batches", "removed", "managers")
+    __slots__ = ("revisions", "batches", "removed", "mem_ref", "mem_version")
 
     def __init__(self) -> None:
         #: doc id -> revision as of the last persisted batch.
@@ -70,13 +60,14 @@ class _CollectionState:
         self.batches: List[List[int]] = []
         #: doc ids persisted in some batch and since removed.
         self.removed: Set[int] = set()
-        #: per-manager refs, by manager name (``<name>`` or ``<name>#<i>``).
-        self.managers: Dict[str, _ManagerState] = {}
+        #: the last-persisted memtable record and the manager version it held.
+        self.mem_ref: Optional[List[int]] = None
+        self.mem_version: Optional[tuple] = None
 
 
-def _manager_entries(entry: dict) -> List[dict]:
-    """The per-manager parts of a manifest entry (a shard list, or the
-    entry itself)."""
+def _index_parts(entry: dict) -> List[dict]:
+    """The index parts of a manifest entry: the entry itself, or the
+    shard list of a ``sharded`` entry older builds wrote."""
     return entry["shards"] if entry["layout"] == "sharded" else [entry]
 
 
@@ -144,10 +135,7 @@ class SingleFileStore:
             manifest = {
                 "checkpoint_id": self.checkpoint_id + 1,
                 "prev": self.file.manifest_offset,
-                "engine": {
-                    "default_model": engine._default_model,
-                    "shard_count": engine.shard_count,
-                },
+                "engine": {"default_model": engine._default_model},
                 "gens": dict(gens or {}),
                 "collections": collections,
             }
@@ -187,17 +175,8 @@ class SingleFileStore:
             "document_count": len(collection._documents),
         }
         self._checkpoint_docs(state, collection, entry)
-        managers = [
-            self._manager_entry(state, manager)
-            for manager in collection.segment_managers()
-        ]
-        if collection.shard_count:
-            entry["layout"] = "sharded"
-            entry["shard_count"] = collection.shard_count
-            entry["shards"] = managers
-        else:
-            entry["layout"] = "segmented"
-            entry.update(managers[0])
+        entry["layout"] = "segmented"
+        entry.update(self._manager_entry(state, collection.segments))
         return entry
 
     def _checkpoint_docs(self, state, collection, entry) -> None:
@@ -244,8 +223,7 @@ class SingleFileStore:
         entry["removed_docs"] = sorted(state.removed)
 
     def _manager_entry(self, state, manager) -> dict:
-        """Index refs of one segment manager: sealed segments + memtable."""
-        mstate = state.managers.setdefault(manager.name, _ManagerState())
+        """Index refs of the segment manager: sealed segments + memtable."""
         segments = []
         for segment in manager.sealed_segments():
             offset, length = self._segment_ref(segment)
@@ -261,21 +239,21 @@ class SingleFileStore:
         mem_ref = None
         if memtable.document_count:
             if (
-                mstate.mem_ref is not None
-                and mstate.mem_version == manager.index_version
+                state.mem_ref is not None
+                and state.mem_version == manager.index_version
             ):
-                mem_ref = list(mstate.mem_ref)
+                mem_ref = list(state.mem_ref)
                 self._reused += 1
             else:
                 mem_ref = self._append(
                     blocks.KIND_MEMTABLE,
                     {"index": memtable.index.to_payload()},
                 )
-                mstate.mem_ref = list(mem_ref)
-                mstate.mem_version = manager.index_version
+                state.mem_ref = list(mem_ref)
+                state.mem_version = manager.index_version
         else:
-            mstate.mem_ref = None
-            mstate.mem_version = None
+            state.mem_ref = None
+            state.mem_version = None
         return {"segments": segments, "memtable": mem_ref}
 
     def _segment_ref(self, segment) -> Tuple[int, int]:
@@ -306,8 +284,6 @@ class SingleFileStore:
         self,
         default_model: str = "inquery",
         analyzer=None,
-        shard_count: int = 0,
-        shard_config=None,
         lazy: bool = True,
     ):
         """Build an engine over the last checkpoint.
@@ -318,12 +294,7 @@ class SingleFileStore:
         """
         from repro.irs.engine import IRSEngine
 
-        engine = IRSEngine(
-            default_model=default_model,
-            analyzer=analyzer,
-            shard_count=shard_count,
-            shard_config=shard_config,
-        )
+        engine = IRSEngine(default_model=default_model, analyzer=analyzer)
         manifest = self.manifest
         if manifest is None:
             return engine
@@ -354,21 +325,15 @@ class SingleFileStore:
             "analyzer": entry["analyzer"],
             "documents": self._replay_docs(entry),
         }
-        if entry["layout"] == "sharded":
-            payload["shard_count"] = entry["shard_count"]
-            payload["shards"] = [
-                {"segments": self._segment_payloads(shard_entry)}
-                for shard_entry in entry["shards"]
-            ]
-        else:
-            payload["segments"] = self._segment_payloads(entry)
+        payload["segments"] = [
+            segment
+            for part in _index_parts(entry)
+            for segment in self._segment_payloads(part)
+        ]
         collection = IRSCollection.from_payload(
-            payload,
-            engine._analyzer,
-            segment_config=engine.segment_config,
-            shard_count=engine.shard_count,
+            payload, engine._analyzer, segment_config=engine.segment_config
         )
-        self._seed_state(name, entry, collection)
+        self._seed_state(name, entry, collection, payload["segments"])
         return collection
 
     def _replay_docs(self, entry: dict) -> List[dict]:
@@ -383,7 +348,8 @@ class SingleFileStore:
 
     def _segment_payloads(self, entry: dict) -> List[dict]:
         """Segment entries of one manager entry, memtable last (a legacy
-        ``flat`` index ref reads as one segment)."""
+        ``flat`` index ref reads as one segment).  An entry read from a
+        segment record carries that record's ``ref``."""
         if entry.get("index") is not None:
             ref = entry["index"]
             record = self.file.read_json(ref[0], ref[1], blocks.KIND_INDEX)
@@ -394,7 +360,11 @@ class SingleFileStore:
                 segment["offset"], segment["length"], blocks.KIND_SEGMENT
             )
             payloads.append(
-                {"index": record["index"], "tombstones": segment["tombstones"]}
+                {
+                    "index": record["index"],
+                    "tombstones": segment["tombstones"],
+                    "ref": (segment["offset"], segment["length"]),
+                }
             )
         mem_ref = entry.get("memtable")
         if mem_ref:
@@ -404,10 +374,11 @@ class SingleFileStore:
             payloads.append({"index": record["index"], "tombstones": []})
         return payloads
 
-    def _seed_state(self, name: str, entry: dict, collection) -> None:
+    def _seed_state(self, name: str, entry: dict, collection, segments) -> None:
         """Prime incremental bookkeeping after a load, so the very next
-        checkpoint is already a delta (documents and matching segments are
-        referenced, not rewritten)."""
+        checkpoint is already a delta: the documents, and every segment
+        loaded from a segment record (``segments``, in load order), are
+        referenced, not rewritten."""
         state = _CollectionState()
         state.revisions = {
             doc.doc_id: doc.revision
@@ -416,28 +387,12 @@ class SingleFileStore:
         state.batches = [list(ref) for ref in entry["doc_batches"]]
         state.removed = set(entry["removed_docs"])
         self._state[name] = state
-        stored = _manager_entries(entry)
-        managers = collection.segment_managers()
-        # Only a load that kept the stored managers as they were can
-        # reference their records; re-partitioned and flattened loads
-        # skip stamping, and the next checkpoint writes the new shape once.
-        if len(stored) == len(managers):
-            for manager, manager_entry in zip(managers, stored):
-                self._stamp_manager(manager, manager_entry.get("segments", []))
-
-    def _stamp_manager(self, manager, segment_entries: List[dict]) -> None:
-        # ``load_sealed`` registered segments in entry order; a trailing
-        # extra one came from the memtable record and is left unstamped
-        # (its record kind differs — it is written once as a segment at
-        # the next checkpoint).
-        for segment, seg_entry in zip(
-            manager.sealed_segments(), segment_entries
-        ):
-            segment.store_stamp = (
-                self.token,
-                seg_entry["offset"],
-                seg_entry["length"],
-            )
+        # One read from a memtable or a flat index record (another record
+        # kind) has no ref: it is written once as a segment at the next
+        # checkpoint.
+        for segment, loaded in zip(collection.segments.sealed_segments(), segments):
+            if "ref" in loaded:
+                segment.store_stamp = (self.token, *loaded["ref"])
 
     # ------------------------------------------------------------------
     # pack
@@ -502,17 +457,16 @@ class SingleFileStore:
         else:
             packed["doc_batches"] = []
         packed["removed_docs"] = []
-        if entry["layout"] == "sharded":
+        if entry["layout"] == "sharded":  # an untouched entry older builds wrote
             packed["shards"] = [
-                self._pack_refs(shard_entry, new_file, remap)
-                for shard_entry in entry["shards"]
+                self._pack_refs(part, new_file, remap) for part in entry["shards"]
             ]
         else:
             packed.update(self._pack_refs(entry, new_file, remap))
         return packed
 
     def _pack_refs(self, entry: dict, new_file: StoreFile, remap) -> dict:
-        """Copy one manager's records verbatim; returns the rewritten refs."""
+        """Copy one index part's records verbatim; returns the rewritten refs."""
         out: Dict[str, Any] = {}
         if entry.get("index") is not None:  # a carried-forward flat entry
             out["index"] = self._copy_record(entry["index"], new_file, remap)
@@ -551,12 +505,11 @@ class SingleFileStore:
                 continue
             state.batches = [list(ref) for ref in entry["doc_batches"]]
             state.removed = set(entry["removed_docs"])
-            for mstate in state.managers.values():
-                if mstate.mem_ref is not None:
-                    moved = remap.get(mstate.mem_ref[0])
-                    mstate.mem_ref = list(moved) if moved else None
-                if mstate.mem_ref is None:
-                    mstate.mem_version = None
+            if state.mem_ref is not None:
+                moved = remap.get(state.mem_ref[0])
+                state.mem_ref = list(moved) if moved else None
+            if state.mem_ref is None:
+                state.mem_version = None
 
     # ------------------------------------------------------------------
     # accounting
@@ -571,14 +524,11 @@ class SingleFileStore:
         for entry in manifest["collections"].values():
             for ref in entry.get("doc_batches", []):
                 live[ref[0]] = ref[1]
-            for manager_entry in _manager_entries(entry):
-                for ref in (
-                    manager_entry.get("index"),
-                    manager_entry.get("memtable"),
-                ):
+            for part in _index_parts(entry):
+                for ref in (part.get("index"), part.get("memtable")):
                     if ref:
                         live[ref[0]] = ref[1]
-                for segment in manager_entry.get("segments", []):
+                for segment in part.get("segments", []):
                     live[segment["offset"]] = segment["length"]
         return total + sum(live.values())
 
@@ -610,18 +560,11 @@ class SingleFileStore:
                 if revisions.get(doc.doc_id) != doc.revision:
                     documents += 1
                     approx_bytes += len(doc.text)
-            for manager in collection.segment_managers():
-                mstate = (
-                    state.managers.get(manager.name) if state is not None else None
-                )
-                if (
-                    manager.memtable.document_count
-                    and (
-                        mstate is None
-                        or mstate.mem_version != manager.index_version
-                    )
-                ):
-                    approx_bytes += manager.memtable.approx_bytes()
+            manager = collection.segments
+            if manager.memtable.document_count and (
+                state is None or state.mem_version != manager.index_version
+            ):
+                approx_bytes += manager.memtable.approx_bytes()
         return {"documents": documents, "approx_bytes": approx_bytes}
 
     def stats(self) -> Dict[str, Any]:

@@ -165,7 +165,7 @@ class TestBulkNormCounters:
     @pytest.mark.parametrize("sealing", [True, False], ids=["segmented", "memtable"])
     def test_bulk_equals_per_id_loop(self, sealing):
         collection = self._collection(sealing)
-        assert bool(collection.segment_managers()[0].sealed_segments()) == sealing
+        assert bool(collection.segments.sealed_segments()) == sealing
         looped = collection.stats
         bulk = self._collection(sealing).stats
         for _round in ("cold", "warm"):
@@ -195,14 +195,15 @@ class TestBulkNormCounters:
         _values, delta = self._delta(lazy, lambda: lazy.document_norms(self.IDS))
         assert delta == (len(self.IDS), 0)
 
-    def test_sharded_bulk_equals_per_id_loop(self):
-        from repro.irs.collection import IRSCollection
+    def test_imported_bulk_equals_per_id_loop(self):
+        """Over an older build's two shards, opened as one manager."""
+        from tests.legacy import ShardedHistory
 
         def build():
-            collection = IRSCollection("s", shard_count=2)
+            history = ShardedHistory("s", 2)
             for text in self.TEXTS:
-                collection.add_document(text)
-            return collection.stats
+                history.add_document(text)
+            return history.load().stats
 
         looped, bulk = build(), build()
         want, loop_delta = self._delta(

@@ -18,6 +18,7 @@ from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
 from repro.irs.postings import BLOCK_SIZE, CompactPostings
 from repro.irs.segments import SegmentConfig
+from tests.legacy import ShardedHistory
 
 VOCABULARY = [f"w{i}" for i in range(40)]
 
@@ -44,13 +45,20 @@ def _columns(index, term):
     ]
 
 
+def _imported():
+    """Filled as an older build's three shards, each sealing every 50
+    documents, then opened as one manager."""
+    history = ShardedHistory("c", 3, Analyzer(), SegmentConfig(seal_document_count=50))
+    return _fill(history).load()
+
+
 LAYOUTS = {
-    "memtable": lambda: IRSCollection("c", Analyzer()),
-    "segmented": lambda: IRSCollection(
-        "c", Analyzer(), segment_config=SegmentConfig(seal_document_count=150)
-    ),
-    "sharded": lambda: IRSCollection(
-        "c", Analyzer(), SegmentConfig(seal_document_count=100), shard_count=3
+    "imported-shards": _imported,
+    "memtable": lambda: _fill(IRSCollection("c", Analyzer())),
+    "segmented": lambda: _fill(
+        IRSCollection(
+            "c", Analyzer(), segment_config=SegmentConfig(seal_document_count=150)
+        )
     ),
 }
 
@@ -58,7 +66,7 @@ LAYOUTS = {
 class TestTermColumns:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_columns_are_the_live_postings(self, layout):
-        collection = _fill(LAYOUTS[layout]())
+        collection = LAYOUTS[layout]()
         index = collection.index
         for term in VOCABULARY + ["absent"]:
             want = [(p.doc_id, p.tf) for p in index.postings(term)]
@@ -70,8 +78,8 @@ class TestTermColumns:
             "c", Analyzer(), segment_config=SegmentConfig(seal_document_count=10_000)
         )
         ids = [collection.add_document("alpha beta") for _ in range(3 * BLOCK_SIZE + 5)]
-        collection.segment_managers()[0].seal()
-        (segment,) = collection.segment_managers()[0].sealed_segments()
+        collection.segments.seal()
+        (segment,) = collection.segments.sealed_segments()
         assert [len(i) for i, _ in segment.term_columns("alpha")] == [
             BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE, 5,
         ]
@@ -97,7 +105,7 @@ class TestTermColumns:
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_doc_lengths_cover_the_live_documents(self, layout):
-        collection = _fill(LAYOUTS[layout]())
+        collection = LAYOUTS[layout]()
         index = collection.index
         lengths = index.doc_lengths
         assert sorted(lengths) == index.document_ids()
@@ -116,7 +124,7 @@ class TestScoringNeverMaterialisesPositions:
         for doc_id in rng.sample(ids, 60):
             engine.remove_document("c", doc_id)
         collection = engine.collection("c")
-        assert len(collection.segment_managers()[0].sealed_segments()) >= 3
+        assert len(collection.segments.sealed_segments()) >= 3
 
         calls = []
         original = CompactPostings.decode_block_positions

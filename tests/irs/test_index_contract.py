@@ -4,8 +4,7 @@ A collection is a versioned list of *scoring sources* behind one logical
 index (``repro.irs.view``).  Whatever holds the postings — the dict-form
 ``InvertedIndex``, a ``CompactIndex``, a memtable, a sealed segment with
 tombstones, the union view over a segment stack (before, in the middle of
-and after a merge) or over 1/2/4 shards, a shard worker's
-``GlobalStatsIndex`` — must read exactly like an ``InvertedIndex`` built
+and after a merge, or imported from an older build's shard list) — must read exactly like an ``InvertedIndex`` built
 from scratch over the same live documents: integer statistics exactly,
 postings and columns identically.  One body (:func:`check_source`,
 :func:`check_index`, :func:`check_collection`) runs over all of them; a
@@ -27,9 +26,8 @@ from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.irs.segments import SegmentConfig, SegmentManager
-from repro.irs.shards import worker as shard_worker
-from repro.irs.shards.executor import shard_global_stats
 from repro.irs.view import UnionIndexView
+from tests.legacy import ShardedHistory
 
 #: ``common`` is in every document, so its list spans several blocks.
 VOCABULARY = ["www", "nii", "telnet", "database", "retrieval"] + [
@@ -245,7 +243,7 @@ def _segmented_collection(seed: int):
     assert list(ids) == list(ids.values())
     for doc_id in set(everything) - set(live):
         collection.remove_document(doc_id)
-    manager = collection.segment_managers()[0]
+    manager = collection.segments
     assert len(manager.sealed_segments()) >= 5 and manager.tombstone_count()
     assert manager.memtable.document_count
     return collection, live
@@ -259,7 +257,7 @@ def segments_before_merge_case() -> Case:
 def segments_mid_merge_case() -> Case:
     """A merge is built but not committed; a delete landed after its snapshot."""
     collection, live = _segmented_collection(6)
-    manager = collection.segment_managers()[0]
+    manager = collection.segments
     plan = manager.begin_merge(manager.sealed_segments()[:3])
     victim = sorted(plan.segments[0].forward)[0]
     collection.remove_document(victim)
@@ -270,7 +268,7 @@ def segments_mid_merge_case() -> Case:
 
 def segments_after_merge_case() -> Case:
     collection, live = _segmented_collection(7)
-    manager = collection.segment_managers()[0]
+    manager = collection.segments
     plan = manager.begin_merge(manager.sealed_segments()[:3])
     victim = sorted(plan.segments[1].forward)[0]
     collection.remove_document(victim)
@@ -285,54 +283,35 @@ def segments_after_compact_case() -> Case:
     epoch = collection.index.epoch
     assert collection.compact() is True
     assert collection.index.epoch == epoch, "compaction is content-preserving"
-    (segment,) = collection.segment_managers()[0].sealed_segments()
+    (segment,) = collection.segments.sealed_segments()
     assert segment.tombstones == set()
     return Case(collection.index, live, collection=collection)
 
 
-def sharded_case(shard_count: int, sealing: bool):
-    """Shards whose memtables seal every 25 documents, or never seal."""
+def shards_import_case(shard_count: int, sealing: bool):
+    """A collection opened from the shards an older build partitioned it
+    into (``tests.legacy``), each sealing every 25 documents or never:
+    doc-id ranges interleave across the loaded segments, which carry the
+    shards' tombstones."""
 
     def build() -> Case:
         everything, live = churned_docs(10 + shard_count)
         config = SegmentConfig(seal_document_count=25) if sealing else None
-        collection = IRSCollection(
-            "sharded", Analyzer(stemming=False), config, shard_count=shard_count
+        history = ShardedHistory(
+            "imported", shard_count, Analyzer(stemming=False), config
         )
         for doc_id, terms in everything.items():
-            assert collection.add_document(" ".join(terms), {"oid": f"1.{doc_id}"}) == doc_id
+            assert history.add_document(" ".join(terms)) == doc_id
         for doc_id in set(everything) - set(live):
-            collection.remove_document(doc_id)
-        assert all(manager.document_count for manager in collection.segment_managers())
+            history.remove_document(doc_id)
+        assert all(part.document_count for part in history.parts)
+        assert bool(sum(part.tombstone_count() for part in history.parts)) == sealing
+        collection = history.load()
+        assert collection.segments.name == "imported"
+        assert len(collection.segments.sealed_segments()) >= shard_count
         return Case(collection.index, live, collection=collection)
 
     return build
-
-
-def global_stats_case() -> Case:
-    """A worker replica, installed by the real sync, of a one-shard union."""
-    everything, live = churned_docs(9)
-    collection = IRSCollection(
-        "replicated", Analyzer(stemming=False), SegmentConfig(seal_document_count=25), 1
-    )
-    for terms in everything.values():
-        collection.add_document(" ".join(terms))
-    for doc_id in set(everything) - set(live):
-        collection.remove_document(doc_id)
-    reply = shard_worker.sync_replica(
-        "replicated", 0,
-        collection.segment_managers()[0].index_version,
-        collection.index_version,
-        UnionIndexView(collection.segment_managers()[0]).to_payload(),
-        collection.analyzer,
-        shard_global_stats(collection),
-    )
-    assert reply == {"status": "synced", "mode": "full"}
-    replica = shard_worker._REPLICAS.pop(("replicated", 0))["collection"]
-    assert isinstance(replica.index, shard_worker.GlobalStatsIndex)
-    assert replica.scoring_sources() == [replica.index.segment]
-    assert not replica.index.segment.tombstones
-    return Case(replica.index, live)
 
 
 CASES = {
@@ -344,13 +323,12 @@ CASES = {
     "segments-mid-merge": segments_mid_merge_case,
     "segments-after-merge": segments_after_merge_case,
     "segments-after-compact": segments_after_compact_case,
-    "shards-1-segmented": sharded_case(1, True),
-    "shards-2-segmented": sharded_case(2, True),
-    "shards-4-segmented": sharded_case(4, True),
-    "shards-1-memtable": sharded_case(1, False),
-    "shards-2-memtable": sharded_case(2, False),
-    "shards-4-memtable": sharded_case(4, False),
-    "global-stats": global_stats_case,
+    "shards-import-1-segmented": shards_import_case(1, True),
+    "shards-import-2-segmented": shards_import_case(2, True),
+    "shards-import-4-segmented": shards_import_case(4, True),
+    "shards-import-1-memtable": shards_import_case(1, False),
+    "shards-import-2-memtable": shards_import_case(2, False),
+    "shards-import-4-memtable": shards_import_case(4, False),
 }
 
 
@@ -404,7 +382,8 @@ def legacy_indexed_bytes(index) -> int:
 
 class TestWholeIndexReadsLeaveTheMemoEmpty:
     @pytest.mark.parametrize(
-        "name", ["segments-before-merge", "shards-2-segmented", "shards-2-memtable"]
+        "name",
+        ["segments-before-merge", "shards-import-2-segmented", "shards-import-2-memtable"],
     )
     def test_indexed_bytes_reads_counters_only(self, name):
         case = CASES[name]()
@@ -420,7 +399,7 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
             collection.add_document(" ".join(terms))
         for doc_id in set(everything) - set(live):
             collection.remove_document(doc_id)
-        assert not collection.segment_managers()[0].sealed_segments()
+        assert not collection.segments.sealed_segments()
         assert collection.indexed_bytes() == legacy_indexed_bytes(rebuild(live))
         assert collection.index._merged_postings == {}
 
@@ -438,31 +417,3 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
                 for term in sorted(reference.terms())
             },
         }
-
-    def test_full_replica_sync_leaves_the_parent_memo_empty(self):
-        from repro.irs.shards.executor import ShardExecutor
-
-        case = CASES["shards-2-segmented"]()
-        collection = case.collection
-        submitted = []
-
-        class RecordingPool:
-            def submit(self, function, *args):
-                submitted.append((function, args))
-
-        class Registry:
-            def counter(self, _name):
-                return self
-
-            def inc(self):
-                pass
-
-        executor = ShardExecutor()
-        for shard_index in range(collection.shard_count):
-            executor._ensure_synced(
-                RecordingPool(), collection, shard_index,
-                collection.index_version, Registry(),
-            )
-        assert [function for function, _ in submitted] == [shard_worker.sync_replica] * 2
-        assert all(args[4] is not None for _, args in submitted), "full syncs"
-        assert collection.index._merged_postings == {}

@@ -6,6 +6,7 @@ from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
+from repro.irs.segments import SegmentConfig
 from repro.store import SingleFileStore
 
 
@@ -93,3 +94,40 @@ class TestPayload:
         assert restored.index.document_frequency("www") == 1
         # new additions continue the id sequence
         assert restored.add_document("next") == 3
+
+
+class TestOneSegmentManager:
+    """A collection is one segment manager named like it; the logical
+    index is a read-only view over that manager's sources."""
+
+    def test_manager_is_named_like_the_collection(self, collection):
+        assert collection.segments.name == "paras"
+        assert collection.scoring_sources() == collection.segments.scoring_sources()
+        assert collection.index_version == collection.segments.index_version
+        assert collection.document_count == collection.segments.document_count == 2
+
+    def test_view_is_read_only(self, collection):
+        # Documents enter through the collection; the view has no way around it.
+        assert not hasattr(collection.index, "add_document")
+        assert not hasattr(collection.index, "remove_document")
+
+    def test_every_write_moves_the_epoch(self, collection):
+        epochs = [collection.index.epoch]
+        collection.add_document("fresh words")
+        epochs.append(collection.index.epoch)
+        collection.replace_document(1, "rewritten words")
+        epochs.append(collection.index.epoch)
+        collection.remove_document(2)
+        epochs.append(collection.index.epoch)
+        assert epochs == sorted(set(epochs))
+
+    def test_engine_reports_one_manager_per_collection(self):
+        engine = IRSEngine(segment_config=SegmentConfig(seal_document_count=2))
+        for name in ("a", "b"):
+            engine.create_collection(name)
+            for text in ("www nii", "telnet www", "nii pages"):
+                engine.index_document(name, text)
+        info = engine.segment_info()
+        assert sorted(info) == ["a", "b"]
+        assert [info[name]["documents"] for name in ("a", "b")] == [3, 3]
+        assert [info[name]["sealed"] for name in ("a", "b")] == [1, 1]

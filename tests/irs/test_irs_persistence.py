@@ -44,8 +44,8 @@ class TestLoad:
         restored = load_engine(DIRECTORY)
         for name in restored.collection_names():
             collection = restored.collection(name)
-            (manager,) = collection.segment_managers()
-            assert collection.shard_count == 0, name
+            manager = collection.segments
+            assert manager.name == name
             assert manager.sealed_segments(), name
             assert manager.memtable.document_count == 0, name
             assert sorted(collection.index.document_ids()) == sorted(

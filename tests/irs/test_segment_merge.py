@@ -142,9 +142,9 @@ class TestEngineCompaction:
     def test_compact_collection_folds_everything(self):
         engine = self._engine()
         collection = engine.collection("docs")
-        assert len(collection.segment_managers()[0].sealed_segments()) >= 3
+        assert len(collection.segments.sealed_segments()) >= 3
         assert engine.compact_collection("docs") is True
-        assert len(collection.segment_managers()[0].sealed_segments()) == 1
+        assert len(collection.segments.sealed_segments()) == 1
         assert engine.compact_collection("docs") is False  # already clean
 
     def test_compaction_keeps_statistics_cache_warm(self):
@@ -187,12 +187,12 @@ class TestMergeScheduler:
     def test_run_once_merges_within_budget(self):
         engine = self._engine()
         collection = engine.collection("docs")
-        before_segments = len(collection.segment_managers()[0].sealed_segments())
+        before_segments = len(collection.segments.sealed_segments())
         before_docs = set(collection.index.document_ids())
         scheduler = MergeScheduler(engine, interval=0.01)
         merges = scheduler.run_once()
         assert merges >= 1
-        assert len(collection.segment_managers()[0].sealed_segments()) < before_segments
+        assert len(collection.segments.sealed_segments()) < before_segments
         assert set(collection.index.document_ids()) == before_docs
 
     def test_run_once_skips_collections_with_nothing_sealed(self):
@@ -200,7 +200,7 @@ class TestMergeScheduler:
         engine.create_collection("unsealed")
         engine.index_document("unsealed", "www nii")
         engine.index_document("unsealed", "telnet gopher")
-        manager = engine.collection("unsealed").segment_managers()[0]
+        manager = engine.collection("unsealed").segments
         assert MergeScheduler(engine, interval=0.01).run_once() == 0
         assert not manager.sealed_segments()
         assert manager.memtable.document_count == 2
@@ -227,7 +227,7 @@ class TestMergeScheduler:
 
                 deadline = time.monotonic() + 5.0
                 while time.monotonic() < deadline:
-                    if not select_candidates(collection.segment_managers()[0]):
+                    if not select_candidates(collection.segments):
                         done.set()
                         return
                     time.sleep(0.01)

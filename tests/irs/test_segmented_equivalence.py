@@ -5,7 +5,8 @@ arbitrary segmented state — live memtable, several sealed segments,
 tombstones from deletes and re-indexing — must produce the *same rankings*
 as an index rebuilt from scratch over the surviving documents, for the
 vector-space, inference-network and boolean models, both before and after
-background compaction.
+background compaction — and so must the segments an older build's
+three shards stored, opened as one manager.
 
 Statistics combination is integer-exact (df/cf are sums of per-segment
 counters), so scores agree to float noise only (≤ 1e-9).
@@ -27,6 +28,7 @@ from repro.irs.models import (
 )
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SegmentConfig
+from tests.legacy import ShardedHistory
 
 TOLERANCE = 1e-9
 
@@ -55,16 +57,9 @@ VOCABULARY = [
 ] + [f"w{i}" for i in range(60)]
 
 
-def build_segmented_corpus(seed: int = 20260806, documents: int = 5000):
-    """A 5k-doc segmented collection after a messy update history.
-
-    Seal threshold of 700 forces multiple sealed segments plus a live
-    memtable; the removes and replacements leave tombstones behind in the
-    sealed ones.
-    """
+def _messy_history(collection, seed: int, documents: int):
+    """``documents`` additions, then 150 removals and 100 replacements."""
     rng = random.Random(seed)
-    config = SegmentConfig(seal_document_count=700)
-    collection = IRSCollection("seg5k", Analyzer(), segment_config=config)
     for _ in range(documents):
         words = rng.choices(VOCABULARY, k=rng.randint(3, 30))
         collection.add_document(" ".join(words))
@@ -75,6 +70,28 @@ def build_segmented_corpus(seed: int = 20260806, documents: int = 5000):
         words = rng.choices(VOCABULARY, k=rng.randint(3, 30))
         collection.replace_document(doc_id, " ".join(words))
     return collection
+
+
+def build_segmented_corpus(seed: int = 20260806, documents: int = 5000):
+    """A 5k-doc segmented collection after a messy update history.
+
+    Seal threshold of 700 forces multiple sealed segments plus a live
+    memtable; the removes and replacements leave tombstones behind in the
+    sealed ones.
+    """
+    config = SegmentConfig(seal_document_count=700)
+    collection = IRSCollection("seg5k", Analyzer(), segment_config=config)
+    return _messy_history(collection, seed, documents)
+
+
+def build_imported_corpus(seed: int = 20260806, documents: int = 5000):
+    """The same history as an older build wrote it across three shards,
+    each sealing every 233 documents, then opened: one manager holding
+    every shard's segments and memtable, tombstones included."""
+    history = ShardedHistory(
+        "seg5k", 3, Analyzer(), SegmentConfig(seal_document_count=233)
+    )
+    return _messy_history(history, seed, documents).load()
 
 
 def fresh_rebuild(collection: IRSCollection) -> IRSCollection:
@@ -102,7 +119,7 @@ def fresh_rebuild(collection: IRSCollection) -> IRSCollection:
 @pytest.fixture(scope="module")
 def corpora():
     segmented = build_segmented_corpus()
-    manager = segmented.segment_managers()[0]
+    manager = segmented.segments
     assert len(manager.sealed_segments()) >= 5, "corpus must span several segments"
     assert manager.memtable.document_count > 0, "memtable must be live"
     assert manager.tombstone_count() > 0, "sealed tombstones required"
@@ -146,9 +163,11 @@ class TestSegmentedScoringEquivalence:
 
 
 class TestEquivalenceAfterMerge:
+    build = staticmethod(build_segmented_corpus)
+
     @pytest.mark.parametrize("model", MODELS)
     def test_compaction_preserves_rankings(self, model):
-        segmented = build_segmented_corpus(seed=42, documents=1200)
+        segmented = self.build(seed=42, documents=1200)
         rebuilt = fresh_rebuild(segmented)
         trees = [
             parse_irs_query(q, default_operator=model.default_operator)
@@ -158,8 +177,8 @@ class TestEquivalenceAfterMerge:
         epoch = segmented.index.epoch
         assert segmented.compact() is True
         assert segmented.index.epoch == epoch
-        assert len(segmented.segment_managers()[0].sealed_segments()) == 1
-        assert segmented.segment_managers()[0].tombstone_count() == 0
+        assert len(segmented.segments.sealed_segments()) == 1
+        assert segmented.segments.tombstone_count() == 0
         for query, tree, prior in zip(QUERIES, trees, before):
             merged_result = model.score(segmented, tree)
             assert_same_ranking(
@@ -169,3 +188,22 @@ class TestEquivalenceAfterMerge:
             assert_same_ranking(
                 merged_result, prior, f"{model.name} / {query} / before-vs-after"
             )
+
+
+class TestImportedShardsScoringEquivalence(TestSegmentedScoringEquivalence):
+    """An older build's three shards, opened as one manager, rank like the
+    fresh rebuild too."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        imported = build_imported_corpus()
+        manager = imported.segments
+        assert len(manager.sealed_segments()) >= 15, "every shard's segments"
+        assert manager.tombstone_count() > 0, "the shards' tombstones"
+        return imported, fresh_rebuild(imported)
+
+
+class TestImportedShardsAfterMerge(TestEquivalenceAfterMerge):
+    """Compaction folds the imported shards' segments into one."""
+
+    build = staticmethod(build_imported_corpus)

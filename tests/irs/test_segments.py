@@ -187,20 +187,20 @@ class TestPayloads:
         engine.remove_document("pay", 2)
         engine.remove_document("pay", 7)
         collection = engine.collection("pay")
-        sealed = collection.segment_managers()[0].sealed_segments()
+        sealed = collection.segments.sealed_segments()
         assert any(segment.tombstones for segment in sealed)
-        assert collection.segment_managers()[0].memtable.document_count
+        assert collection.segments.memtable.document_count
         path = str(tmp_path / "irs.store")
         with SingleFileStore(path) as store:
             store.checkpoint(engine)
         with SingleFileStore(path) as store:
             restored = store.load_engine(lazy=False).collection("pay")
-        restored_sealed = restored.segment_managers()[0].sealed_segments()
+        restored_sealed = restored.segments.sealed_segments()
         assert [s.tombstones for s in restored_sealed[: len(sealed)]] == [
             s.tombstones for s in sealed
         ]
         assert len(restored_sealed) == len(sealed) + 1
-        assert restored.segment_managers()[0].memtable.document_count == 0
+        assert restored.segments.memtable.document_count == 0
         assert restored.index.to_payload() == collection.index.to_payload()
         assert restored.add_document("next doc") == collection._next_doc_id
         assert len(restored) == len(collection) + 1
@@ -224,7 +224,7 @@ class TestPayloads:
                 "index": reference.to_payload(),
             }
         )
-        assert len(restored.segment_managers()[0].sealed_segments()) == 1
+        assert len(restored.segments.sealed_segments()) == 1
         assert restored.index.to_payload() == reference.to_payload()
         assert restored.add_document("next doc") == 7
 

@@ -4,7 +4,8 @@ The safe-up-to-k contract of :mod:`repro.irs.topk`: for every eligible
 query the pruned ranking's first k entries must equal — same documents,
 same order, bit-identical values — the first k entries of the exhaustive
 ranking.  Checked across both models, memtable + sealed segments, a
-memtable that never seals, tombstones, ties at the kth position, mid-merge reads and post-merge
+memtable that never seals, an older build's shards opened as one
+manager, tombstones, ties at the kth position, mid-merge reads and post-merge
 state.
 """
 
@@ -18,6 +19,7 @@ from repro.irs.engine import MODELS, IRSEngine
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SegmentConfig
 from repro.irs import topk
+from tests.legacy import ShardedHistory
 
 CORPUS_SIZE = 5000
 SEED = 7
@@ -44,20 +46,27 @@ def _make_doc(rng):
     return " ".join(words)
 
 
-#: Seal every 1 200 documents, or hold the whole corpus in the memtable.
+#: Seal every 1 200 documents, hold the whole corpus in the memtable, or
+#: open what an older build stored across three shards sealing every 400.
 LAYOUTS = {
     "segmented": SegmentConfig(seal_document_count=1200),
     "memtable": SegmentConfig(
         seal_document_count=CORPUS_SIZE + 1, seal_token_count=10**9
     ),
+    "imported-shards": SegmentConfig(seal_document_count=400),
 }
 
 
 def _build(size=CORPUS_SIZE, layout="segmented"):
     engine = IRSEngine(result_cache_size=0, segment_config=LAYOUTS[layout])
-    engine.create_collection("c")
     rng = random.Random(SEED)
-    docs = [engine.index_document("c", _make_doc(rng)) for _ in range(size)]
+    if layout == "imported-shards":
+        history = ShardedHistory("c", 3, segment_config=LAYOUTS[layout])
+        docs = [history.add_document(_make_doc(rng)) for _ in range(size)]
+        engine.register_lazy_collection("c", history.load)
+    else:
+        engine.create_collection("c")
+        docs = [engine.index_document("c", _make_doc(rng)) for _ in range(size)]
     return engine, docs, rng
 
 
@@ -77,8 +86,8 @@ def _assert_equivalent(engine, queries=QUERIES, ks=KS):
 @pytest.fixture(scope="module", params=sorted(LAYOUTS, reverse=True))
 def corpus(request):
     engine, docs, rng = _build(layout=request.param)
-    sealed = engine.collection("c").segment_managers()[0].sealed_segments()
-    assert bool(sealed) == (request.param == "segmented")
+    sealed = engine.collection("c").segments.sealed_segments()
+    assert bool(sealed) == (request.param != "memtable")
     return engine, docs, rng
 
 
@@ -153,7 +162,7 @@ class TestMidMergeReads:
         for doc in rng.sample(docs, 200):
             engine.remove_document("c", doc)
         collection = engine.collection("c")
-        manager = collection.segment_managers()[0]
+        manager = collection.segments
         manager.seal()
         sealed = manager.sealed_segments()
         assert len(sealed) >= 2

@@ -60,13 +60,12 @@ class TestRemoteCheckpoint:
             session.close()
 
 
-class TestAsyncCheckpoint:
-    def test_async_checkpoint(self, durable_system):
+class TestCheckpointFromAsyncio:
+    def test_checkpoint_through_a_thread(self, durable_system):
         server = durable_system.serve()
 
         async def scenario():
-            async with repro.connect(server.address, asynchronous=True) as session:
-                return await session.checkpoint()
+            with repro.connect(server.address) as session:
+                return await asyncio.to_thread(session.checkpoint)
 
-        stats = asyncio.run(scenario())
-        assert stats["checkpoint_id"] >= 1
+        assert asyncio.run(scenario())["checkpoint_id"] >= 1

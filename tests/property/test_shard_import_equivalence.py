@@ -1,26 +1,24 @@
-"""Property-based proof that sharded scoring is *exactly* unsharded scoring.
+"""Property-based proof that an imported shard list scores *exactly* like
+one collection.
 
-The sharding design note (DESIGN.md §"Sharded scoring") claims bit-identical
-results — not approximately equal: the union view sums integer statistics
-across shards, norms are accumulated in one canonical term order everywhere,
-and the scatter merge keeps the total rank order ``(-value, doc_id)``.  These
-tests let hypothesis hunt for a corpus that breaks the claim:
+Older builds could partition a collection across N segment managers
+("shards"); what they stored opens as one manager holding every shard's
+segments, in shard order (``tests.legacy``).  The union view sums integer
+statistics across those segments and norms are accumulated in one
+canonical term order, so the claim is bit-identical results — not
+approximately equal.  Hypothesis hunts for a corpus that breaks it:
 
-* exhaustive scoring equality (``==`` on the score dicts, no tolerance) for
-  shard counts {1, 2, 4, 7} under all three retrieval models;
+* exhaustive scoring equality (``==`` on the score dicts, no tolerance)
+  for shard counts {1, 2, 4, 7} under all three retrieval models;
 * top-k equality for k in {1, 10, 100} with deliberate ties at the cut —
   every corpus is doubled so *every* score is tied at least once;
 * equality preserved across interleaved adds / removes / replacements
-  applied mid-run to both layouts.
+  applied to both collections after the import.
 
-Profiles: the default ``shard-fixed`` profile is derandomized (reproducible
-CI gate); set ``HYPOTHESIS_PROFILE=shard-random`` for a shorter randomized
-pass (CI runs both).
+Every example is derandomized: the suite is a reproducible gate.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,22 +30,13 @@ from repro.irs.models import MODELS
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SegmentConfig
 from repro.irs.topk import topk_scores, truncate_top_k
+from tests.legacy import ShardedHistory
 
-settings.register_profile(
-    "shard-fixed",
+_SETTINGS = settings(
     max_examples=10,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "shard-random",
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-_SETTINGS = settings.get_profile(
-    os.environ.get("HYPOTHESIS_PROFILE", "shard-fixed")
 )
 
 SHARD_COUNTS = [1, 2, 4, 7]
@@ -93,16 +82,14 @@ _operations = st.lists(
 
 
 def build_pair(texts, shard_count, segment_config=None):
-    """The same corpus in both layouts; doc ids allocate identically."""
+    """The same corpus as one collection and as the shard list an older
+    build stored, opened; doc ids allocate identically."""
     analyzer = Analyzer()
     plain = IRSCollection("plain", analyzer)
-    sharded = IRSCollection(
-        "sharded", analyzer, segment_config=segment_config,
-        shard_count=shard_count,
-    )
+    history = ShardedHistory("imported", shard_count, analyzer, segment_config)
     for text in texts:
-        assert plain.add_document(text) == sharded.add_document(text)
-    return plain, sharded
+        assert plain.add_document(text) == history.add_document(text)
+    return plain, history.load()
 
 
 def engine_topk(collection, model_name, model_impl, tree, k):
@@ -117,12 +104,12 @@ def ranking(values):
     return sorted(values, key=lambda doc_id: (-values[doc_id], doc_id))
 
 
-def assert_bit_identical(sharded_values, plain_values, context):
+def assert_bit_identical(imported_values, plain_values, context):
     # Dict equality is float bit-equality here — no tolerance on purpose.
-    assert sharded_values == plain_values, (
-        f"{context}: sharded scores diverge from unsharded"
+    assert imported_values == plain_values, (
+        f"{context}: imported scores diverge from one collection's"
     )
-    assert ranking(sharded_values) == ranking(plain_values), (
+    assert ranking(imported_values) == ranking(plain_values), (
         f"{context}: rank order diverges"
     )
 
@@ -133,15 +120,13 @@ class TestExhaustiveEquivalence:
     @given(_documents)
     def test_all_models_bit_identical(self, shard_count, documents):
         texts = [" ".join(words) for words in documents]
-        plain, sharded = build_pair(texts, shard_count)
+        plain, imported = build_pair(texts, shard_count)
         for model_name, model_cls in MODELS.items():
             model = model_cls()
             for query in QUERIES:
-                tree = parse_irs_query(
-                    query, default_operator=model.default_operator
-                )
+                tree = parse_irs_query(query, default_operator=model.default_operator)
                 assert_bit_identical(
-                    model.score(sharded, tree),
+                    model.score(imported, tree),
                     model.score(plain, tree),
                     f"{model_name}/{query}/shards={shard_count}",
                 )
@@ -149,19 +134,17 @@ class TestExhaustiveEquivalence:
     @_SETTINGS
     @given(_documents)
     def test_segmented_shards_bit_identical(self, documents):
-        # Each shard running its own memtable/seal lifecycle must not
-        # change a single bit either.
+        # Shards that sealed on their own — segments of interleaved doc
+        # ids — must not change a single bit either.
         texts = [" ".join(words) for words in documents]
-        plain, sharded = build_pair(
+        plain, imported = build_pair(
             texts, 3, segment_config=SegmentConfig(seal_document_count=4)
         )
         model = MODELS["inquery"]()
         for query in QUERIES:
-            tree = parse_irs_query(
-                query, default_operator=model.default_operator
-            )
+            tree = parse_irs_query(query, default_operator=model.default_operator)
             assert_bit_identical(
-                model.score(sharded, tree),
+                model.score(imported, tree),
                 model.score(plain, tree),
                 f"segmented-shards/{query}",
             )
@@ -172,22 +155,18 @@ class TestTopKEquivalence:
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     @_SETTINGS
     @given(_documents)
-    def test_topk_bit_identical_with_ties_at_k(
-        self, shard_count, model_name, documents
-    ):
+    def test_topk_bit_identical_with_ties_at_k(self, shard_count, model_name, documents):
         # Double the corpus: every document exists twice, so every score
         # is tied — k routinely lands *inside* a tie group and the
         # (-value, doc_id) tie-break must agree across layouts.
         texts = [" ".join(words) for words in documents] * 2
-        plain, sharded = build_pair(texts, shard_count)
+        plain, imported = build_pair(texts, shard_count)
         model = MODELS[model_name]()
         for query in QUERIES:
-            tree = parse_irs_query(
-                query, default_operator=model.default_operator
-            )
+            tree = parse_irs_query(query, default_operator=model.default_operator)
             for k in TOP_KS:
                 assert_bit_identical(
-                    engine_topk(sharded, model_name, model, tree, k),
+                    engine_topk(imported, model_name, model, tree, k),
                     engine_topk(plain, model_name, model, tree, k),
                     f"{model_name}/{query}/k={k}/shards={shard_count}",
                 )
@@ -197,11 +176,9 @@ class TestEquivalenceUnderUpdates:
     @pytest.mark.parametrize("shard_count", [2, 4])
     @_SETTINGS
     @given(_documents, _operations)
-    def test_interleaved_updates_and_deletes(
-        self, shard_count, documents, operations
-    ):
+    def test_interleaved_updates_and_deletes(self, shard_count, documents, operations):
         texts = [" ".join(words) for words in documents]
-        plain, sharded = build_pair(texts, shard_count)
+        plain, imported = build_pair(texts, shard_count)
         models = [(name, MODELS[name]()) for name in ("vector", "inquery")]
         trees = {
             name: parse_irs_query("www nii", default_operator=model.default_operator)
@@ -211,28 +188,28 @@ class TestEquivalenceUnderUpdates:
             live = sorted(plain._documents)
             if op == "add":
                 text = " ".join(payload)
-                assert plain.add_document(text) == sharded.add_document(text)
+                assert plain.add_document(text) == imported.add_document(text)
             elif op == "remove" and live:
                 victim = live[payload % len(live)]
                 plain.remove_document(victim)
-                sharded.remove_document(victim)
+                imported.remove_document(victim)
             elif op == "replace" and live:
                 position, words = payload
                 victim = live[position % len(live)]
                 text = " ".join(words)
                 plain.replace_document(victim, text)
-                sharded.replace_document(victim, text)
+                imported.replace_document(victim, text)
             # Equality must hold at *every* intermediate state, not just
-            # the final one — a stale shard statistic would surface here.
+            # the final one — a stale imported statistic would surface here.
             for name, model in models:
                 assert_bit_identical(
-                    model.score(sharded, trees[name]),
+                    model.score(imported, trees[name]),
                     model.score(plain, trees[name]),
                     f"{name}/after-{op}",
                 )
                 assert_bit_identical(
-                    engine_topk(sharded, name, model, trees[name], 10),
+                    engine_topk(imported, name, model, trees[name], 10),
                     engine_topk(plain, name, model, trees[name], 10),
                     f"{name}/topk-after-{op}",
                 )
-        assert set(plain._documents) == set(sharded._documents)
+        assert set(plain._documents) == set(imported._documents)

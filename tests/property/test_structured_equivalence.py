@@ -12,8 +12,8 @@ that break the claim:
   is positive, zero or negative, and ``#od/#uw`` proximity leaves;
 * the same documents under the same ids in every physical layout:
   monolithic, segmented with tombstones (read before a merge, between a
-  merge's build and its commit, and after it), sharded over 1, 2 and 4
-  shards;
+  merge's build and its commit, and after it), and an older build's 1, 2
+  or 4 shards opened as one manager;
 * ``score()`` equals the reference in retrieved set and in every float
   (``==``, no tolerance), and ``top_k=k`` equals the ranked prefix for
   k in {1, 10, 100}.
@@ -45,6 +45,7 @@ from repro.irs.models.reference import NaiveInferenceNetworkModel
 from repro.irs.queries import OperatorNode, ProximityNode, TermNode
 from repro.irs.segments import SegmentConfig
 from repro.irs.topk import topk_scores, truncate_top_k
+from tests.legacy import ShardedHistory
 
 settings.register_profile(
     "structured-fixed",
@@ -183,7 +184,7 @@ class TestStructuredEquivalence:
             removals,
         )
         checker.check(collection, "segmented")
-        manager = collection.segment_managers()[0]
+        manager = collection.segments
         manager.seal()
         plan = manager.begin_merge(list(manager.sealed_segments()))
         assert plan is not None
@@ -192,20 +193,18 @@ class TestStructuredEquivalence:
         manager.commit_merge(plan, merged)
         checker.check(collection, "segmented, merged")
 
-    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     @_SETTINGS
     @given(_documents, _removals, _tree)
-    def test_sharded(self, shard_count, documents, removals, tree):
+    def test_imported_from_shards(self, shards, documents, removals, tree):
+        """The same documents as an older build stored them across
+        ``shards`` managers sealing every 4 documents, opened as one."""
         checker = Checker(documents, removals, tree)
-        for segment_config in (None, SegmentConfig(seal_document_count=3)):
-            sharded = fill(
-                IRSCollection(
-                    "sharded", Analyzer(), segment_config, shard_count=shard_count
-                ),
-                documents,
-                removals,
-            )
-            checker.check(sharded, f"shards={shard_count} {segment_config}")
+        history = ShardedHistory(
+            "old", shards, Analyzer(), SegmentConfig(seal_document_count=4)
+        )
+        imported = fill(history, documents, removals).load()
+        checker.check(imported, f"imported from {shards} shards")
 
     @_SETTINGS
     @given(_documents, _removals, _tree)

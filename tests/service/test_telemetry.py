@@ -185,10 +185,9 @@ class TestHealth:
         health = system.health()
         assert health["status"] in {"ok", "degraded", "overloaded"}
         assert set(health) == {
-            "status", "admission", "merge", "memtable", "shards", "network",
-            "latency", "storage",
+            "status", "admission", "merge", "memtable", "network", "latency",
+            "storage",
         }
-        assert health["shards"]["executor_attached"] is False
         network = health["network"]
         assert network["servers"] == []  # no socket server started here
         assert network["connections"]["active"] == 0

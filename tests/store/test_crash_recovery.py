@@ -133,8 +133,8 @@ class TestStoreLevelCrashes:
         recovered.close()
 
 
-def _make_system(path, **kwargs):
-    system = DocumentSystem(directory=path, **kwargs)
+def _make_system(path):
+    system = DocumentSystem(directory=path)
     dtd = mmf_dtd()
     system.register_dtd(dtd)
     return system, dtd
@@ -143,9 +143,9 @@ def _make_system(path, **kwargs):
 class TestSystemLevelCrashes:
     """The coordinated WAL + store crash window (kill between commits)."""
 
-    def populated(self, tmp_path, shards=0):
+    def populated(self, tmp_path):
         path = str(tmp_path / "sys")
-        system, dtd = _make_system(path, shards=shards)
+        system, dtd = _make_system(path)
         for i in range(6):
             system.add_document(
                 build_document(
@@ -254,14 +254,22 @@ class TestSystemLevelCrashes:
             assert ranked.to_dict() == expected[model]
         reopened.close()
 
-    def test_sharded_system_recovers_identically(self, tmp_path):
-        path, system, collection, dtd = self.populated(tmp_path, shards=2)
-        system.checkpoint()
-        system.add_document(
-            build_document("More", ["another telnet paragraph www"]), dtd=dtd
-        )
-        system.index_collection(collection)
-        image = self._crash_image(path, tmp_path, "sharded")
+    def test_kill_after_updating_a_collection_stored_as_shards(self, tmp_path):
+        """The store still holds the ``sharded`` entry an older build wrote
+        (``fixtures/sharded_system``) when a propagation commits to the WAL
+        and the process dies: reopening replays it onto the imported
+        segments."""
+        path = str(tmp_path / "sys")
+        fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+        shutil.copytree(os.path.join(fixtures, "sharded_system"), path)
+        system = DocumentSystem(directory=path)
+        assert system.store.manifest["collections"]["paras"]["layout"] == "sharded"
+        (collection,) = system.db.instances_of("COLLECTION")
+        para = system.db.instances_of("PARA")[0]
+        system.loader.update_content(para, "telnet telnet retrieval rewritten")
+        collection.send("modifyObject", para)
+        collection.send("propagateUpdates")
+        image = self._crash_image(path, tmp_path, "sharded_entry")
         expected = self.expected(system, collection)
         system.close()
         assert self._reopened_rankings(image) == expected
@@ -314,11 +322,14 @@ class TestSystemLevelCrashes:
         reopened.close()
         assert self._reopened_rankings(image) == expected
 
-    def test_kill_at_every_byte_of_one_propagation_group(self, tmp_path):
-        """One propagation is one logged group of doc_map items, index_gen,
-        pending_ops and the buffer reset.  Cut the log at every byte of it:
-        the database reopens to exactly the before- or the after-state, and
-        either way the system answers like a fresh rebuild."""
+    @pytest.mark.parametrize("method", ["propagateUpdates", "indexObjects"])
+    def test_kill_at_every_byte_of_one_membership_group(self, tmp_path, method):
+        """A propagation (``doc_map`` items) and an ``indexObjects`` (the
+        whole ``doc_map``) are each one logged group with ``index_gen``, the
+        emptied ``pending_ops`` and the buffer reset.  Cut the log at every
+        byte of it: the database reopens to exactly the before- or the
+        after-state, and either way the system answers like a fresh
+        rebuild."""
         import copy
 
         path, system, collection, dtd = self.populated(tmp_path)
@@ -349,7 +360,8 @@ class TestSystemLevelCrashes:
         before = state(db)
         db._wal._file.flush()
         base = os.path.getsize(wal_path)
-        assert collection.send("propagateUpdates") == 4
+        assert len(before["pending_ops"]) == 4
+        collection.send(method)
         db._wal._file.flush()
         end = os.path.getsize(wal_path)
         after = state(db)

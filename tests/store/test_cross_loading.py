@@ -1,19 +1,25 @@
 """What older builds wrote opens with identical documents and rankings.
 
 ``fixtures/`` holds files written by the previous writers, before the
-JSON write path and the monolithic layout were removed.  They are kept
-small and are never regenerated from this code:
+JSON write path, the monolithic layout and the sharded layout were
+removed.  They are kept small and are never regenerated from this code:
 
 * ``irs_index/`` — a bare-engine JSON directory holding a monolithic
   (``mono``), a segmented (``seg``) and a 2-shard (``shard``) collection;
 * ``irs.store`` — a single-file store over two checkpoints whose manifest
   has a ``flat`` entry (``mono``) next to a segmented and a sharded one;
-* ``irs_index_expected.json`` / ``store_expected.json`` — the documents
-  and the rankings (3 models, 5 queries) the writer's own engine gave.
+* ``sharded_system/`` — a whole system directory (``db/`` and
+  ``irs.store``), closed cleanly, whose ``paras`` collection is a 3-shard
+  entry: sealed segments, tombstones, a revised document and memtables;
+* ``*_expected.json`` — the documents and the rankings (3 models, 5
+  queries) the writer's own engine gave; for ``sharded_system`` also its
+  ``doc_map`` and how many records the writer's build appended at the
+  first checkpoint after reopening the directory unsharded.
 
 The JSON directory is read-only now: it is imported once into the store.
-A ``flat`` store entry reads as one sealed segment and is rewritten as
-segments by the first checkpoint after its collection is touched.
+A ``flat`` or ``sharded`` store entry reads as sealed segments of the
+collection's one segment manager and is rewritten as ``segmented`` by the
+first checkpoint after its collection is touched.
 """
 
 import json
@@ -23,9 +29,13 @@ import shutil
 import pytest
 
 from repro.core.system import DocumentSystem
+from repro.irs.collection import IRSCollection
+from repro.irs.engine import IRSEngine
 from repro.irs.persistence import load_engine as load_json_engine
+from repro.irs.segments import SegmentConfig
 from repro.sgml.mmf import build_document, mmf_dtd
 from repro.store import SingleFileStore
+from tests.legacy import ShardedHistory, write_sharded_store
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -61,8 +71,7 @@ def store_copy(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("shard_count", [0, 2])
-def test_json_directory_imports_into_store(tmp_path, shard_count):
+def test_json_directory_imports_into_store(tmp_path):
     want = expected("irs_index_expected.json")
     imported = load_json_engine(os.path.join(FIXTURES, "irs_index"))
     assert_matches(imported, want)
@@ -70,7 +79,7 @@ def test_json_directory_imports_into_store(tmp_path, shard_count):
     store.checkpoint(imported)
     store.close()
     again = SingleFileStore(str(tmp_path / "irs.store"))
-    assert_matches(again.load_engine(shard_count=shard_count), want)
+    assert_matches(again.load_engine(), want)
     again.close()
 
 
@@ -89,9 +98,6 @@ def layouts(store):
 
 @pytest.mark.parametrize("layout", sorted(FIXTURE_COLLECTION))
 class TestEngineLevel:
-    def shard_count(self, layout):
-        return 2 if layout == "sharded" else 0
-
     def test_json_to_store(self, tmp_path, layout):
         """Each older JSON layout imports on its own and is written to the
         store as segments."""
@@ -112,17 +118,16 @@ class TestEngineLevel:
             store.checkpoint(load_json_engine(str(json_dir)))
             assert layouts(store) == {name: "segmented"}
         with SingleFileStore(str(tmp_path / "irs.store")) as again:
-            assert_matches(again.load_engine(shard_count=self.shard_count(layout)), want)
+            assert_matches(again.load_engine(), want)
 
     def test_full_cycle_preserves_payloads(self, tmp_path, layout):
         """An older store entry of each layout, checkpointed in full into a
         fresh store file and from there into another, reads back identically
         and loses nothing on the way."""
         name = FIXTURE_COLLECTION[layout]
-        shard_count = self.shard_count(layout)
         want = only(expected("store_expected.json"), name)
         source = SingleFileStore(store_copy(tmp_path))
-        engine = source.load_engine(shard_count=shard_count)
+        engine = source.load_engine()
         for other in set(FIXTURE_COLLECTION.values()) - {name}:
             engine.drop_collection(other)
         payloads = []
@@ -130,9 +135,9 @@ class TestEngineLevel:
             path = str(tmp_path / f"{step}.store")
             with SingleFileStore(path) as store:
                 store.checkpoint(engine)
-                assert layouts(store) == {name: "sharded" if shard_count else "segmented"}
+                assert layouts(store) == {name: "segmented"}
             with SingleFileStore(path) as store:
-                engine = store.load_engine(shard_count=shard_count, lazy=False)
+                engine = store.load_engine(lazy=False)
                 assert_matches(engine, want)
                 payloads.append(engine.collection(name).index.to_payload())
         source.close()
@@ -149,35 +154,120 @@ class TestOlderStoreFile:
         assert layouts == {"mono": "flat", "seg": "segmented", "shard": "sharded"}
         store.close()
 
-    @pytest.mark.parametrize("shard_count", [0, 1, 2, 3])
     @pytest.mark.parametrize("lazy", [True, False])
-    def test_opens_with_identical_results(self, tmp_path, lazy, shard_count):
-        """Every shard count: the 2-shard entry then loads flattened (0),
-        into one scatter-eligible manager (1), as stored (2) and
-        re-partitioned (3)."""
+    def test_opens_with_identical_results(self, tmp_path, lazy):
         store = SingleFileStore(store_copy(tmp_path))
-        engine = store.load_engine(shard_count=shard_count, lazy=lazy)
+        engine = store.load_engine(lazy=lazy)
         assert_matches(engine, expected("store_expected.json"))
         store.close()
 
-    def test_touched_flat_entry_is_rewritten_as_segments(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_touched_entry_is_rewritten_as_segmented(self, tmp_path, layout):
+        name = FIXTURE_COLLECTION[layout]
         path = store_copy(tmp_path)
         store = SingleFileStore(path)
         before = store.manifest["collections"]
         engine = store.load_engine()
-        engine.collection("mono")
+        engine.collection(name)
         store.checkpoint(engine)
         after = store.manifest["collections"]
-        assert after["mono"]["layout"] == "segmented"
-        assert "index" not in after["mono"]
+        assert after[name]["layout"] == "segmented"
+        assert not {"index", "shards", "shard_count"} & set(after[name])
         # Untouched entries are carried forward verbatim.
-        assert after["seg"] == before["seg"]
-        assert after["shard"] == before["shard"]
+        for other in set(before) - {name}:
+            assert after[other] == before[other]
         store.pack()
         store.close()
         again = SingleFileStore(path)
         assert_matches(again.load_engine(), expected("store_expected.json"))
         again.close()
+
+
+SHARDED_SYSTEM = expected("sharded_system_expected.json")
+#: Records the writer's build appended at the first checkpoint after it
+#: reopened ``sharded_system`` unsharded, with ``paras`` touched or not.
+WRITER_RECORDS = SHARDED_SYSTEM["writer_reopen_checkpoint_records"]
+
+
+def system_copy(tmp_path):
+    path = str(tmp_path / "sys")
+    shutil.copytree(os.path.join(FIXTURES, "sharded_system"), path)
+    return path
+
+
+def doc_map(system):
+    (collection,) = system.db.instances_of("COLLECTION")
+    return {key: list(ids) for key, ids in collection.get("doc_map").items()}
+
+
+def assert_paras_match(engine):
+    assert_matches(engine, {**SHARDED_SYSTEM, "collections": {"paras": SHARDED_SYSTEM}})
+
+
+class TestOlderSystemDirectory:
+    """A cleanly closed directory whose ``paras`` collection a build with
+    hash shards stored as a 3-shard entry: it opens without a reindex."""
+
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_opens_with_identical_doc_map_and_rankings(self, tmp_path, lazy):
+        system = DocumentSystem(directory=system_copy(tmp_path))
+        try:
+            assert system.engine.lazy_collection_names() == ["paras"]
+            engine = system.engine if lazy else system.store.load_engine(lazy=False)
+            assert engine.is_lazy("paras") is lazy
+            assert doc_map(system) == SHARDED_SYSTEM["doc_map"]
+            assert_paras_match(engine)
+        finally:
+            system.close()
+
+    def test_touched_entry_is_rewritten_as_segmented_then_packed(self, tmp_path):
+        """The first checkpoint after a touch writes ``segmented``: the
+        shards' segment records stay referenced and only their memtables
+        are written again, as segments — no more records than the writer's
+        build appended.  ``pack`` then reclaims what only the shard entry
+        referenced."""
+        path = system_copy(tmp_path)
+        system = DocumentSystem(directory=path)
+        try:
+            store = system.store
+            stale = store.manifest["collections"]["paras"]
+            assert stale["layout"] == "sharded" and len(stale["shards"]) == 3
+            kept = {
+                (segment["offset"], segment["length"])
+                for part in stale["shards"]
+                for segment in part["segments"]
+            }
+            memtables = [part["memtable"] for part in stale["shards"] if part["memtable"]]
+            system.engine.collection("paras")
+            stats = system.checkpoint()
+            entry = store.manifest["collections"]["paras"]
+            assert entry["layout"] == "segmented"
+            assert not {"shards", "shard_count"} & set(entry)
+            assert store.manifest["engine"] == {"default_model": "inquery"}
+            assert kept <= {(s["offset"], s["length"]) for s in entry["segments"]}
+            assert stats["records_appended"] == len(memtables)
+            assert stats["records_appended"] <= WRITER_RECORDS["touched"]
+            dead = store.stats()["dead_bytes"]
+            assert dead >= sum(length for _offset, length in memtables)
+            assert system.pack()["reclaimed_bytes"] >= dead
+            assert store.stats()["dead_bytes"] == 0
+        finally:
+            system.close()
+        reopened = DocumentSystem(directory=path)
+        try:
+            assert doc_map(reopened) == SHARDED_SYSTEM["doc_map"]
+            assert_paras_match(reopened.engine)
+        finally:
+            reopened.close()
+
+    def test_untouched_entry_is_carried_forward(self, tmp_path):
+        system = DocumentSystem(directory=system_copy(tmp_path))
+        try:
+            before = system.store.manifest["collections"]["paras"]
+            assert system.checkpoint()["records_appended"] == WRITER_RECORDS["untouched"] == 0
+            assert system.store.manifest["collections"]["paras"] == before
+        finally:
+            system.close()
 
 
 def _populate(system, dtd):
@@ -240,3 +330,112 @@ class TestSystemLevel:
         for storage in ("parquet", "json", "auto"):
             with pytest.raises(ValueError):
                 DocumentSystem(directory=str(tmp_path / "x"), storage=storage)
+
+
+WORDS = [
+    "structured", "retrieval", "document", "elements", "oodbms",
+    "coupling", "segments", "archie", "gopher", "telnet",
+]
+SHARD_QUERIES = [
+    "structured retrieval",
+    "#and(document elements)",
+    "#or(gopher #not(retrieval))",
+    "#wsum(2 retrieval 1 telnet)",
+]
+
+
+def populate(collection):
+    """Forty documents, five removed and two revised, in one fixed order."""
+    for i in range(40):
+        words = [WORDS[(i * j + j) % len(WORDS)] for j in range(1, 2 + i % 7)]
+        collection.add_document(" ".join(words), {"oid": f"OID{i}"})
+    for doc_id in (3, 11, 12, 25, 40):
+        collection.remove_document(doc_id)
+    collection.replace_document(7, "telnet archie gopher retrieval")
+    collection.replace_document(30, "structured structured document")
+    return collection
+
+
+def unpartitioned_want():
+    """What ``populate`` gives in one collection: documents and rankings."""
+    collection = populate(IRSCollection("docs"))
+    engine = IRSEngine()
+    engine.register_lazy_collection("docs", lambda: collection)
+    rankings = {
+        model: {
+            query: [[d, v] for d, v in engine.query("docs", query, model=model).ranked()]
+            for query in SHARD_QUERIES
+        }
+        for model in MODELS
+    }
+    documents = {
+        str(doc.doc_id): {
+            "text": doc.text, "metadata": doc.metadata, "revision": doc.revision,
+        }
+        for doc in collection.documents()
+    }
+    return {
+        "models": list(MODELS),
+        "queries": SHARD_QUERIES,
+        "collections": {"docs": {"documents": documents, "rankings": rankings}},
+    }
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+class TestShardedEntryOfAnyShardCount:
+    """A ``sharded`` entry of one, two or three shards, each sealing every
+    four documents — the shape older builds wrote, reproduced by
+    ``tests.legacy`` — opens like the unpartitioned collection."""
+
+    def written(self, tmp_path, shards):
+        history = ShardedHistory(
+            "docs", shards, segment_config=SegmentConfig(seal_document_count=4)
+        )
+        path = str(tmp_path / "irs.store")
+        write_sharded_store(path, populate(history))
+        return path
+
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_opens_with_identical_results(self, tmp_path, shards, lazy):
+        with SingleFileStore(self.written(tmp_path, shards)) as store:
+            assert store.manifest["collections"]["docs"]["shard_count"] == shards
+            assert_matches(store.load_engine(lazy=lazy), unpartitioned_want())
+
+    def test_touched_entry_is_rewritten_as_segmented_then_packed(self, tmp_path, shards):
+        path = self.written(tmp_path, shards)
+        with SingleFileStore(path) as store:
+            stale = store.manifest["collections"]["docs"]
+            kept = {
+                (segment["offset"], segment["length"])
+                for part in stale["shards"]
+                for segment in part["segments"]
+            }
+            memtables = [part["memtable"] for part in stale["shards"] if part["memtable"]]
+            engine = store.load_engine()
+            engine.collection("docs")
+            stats = store.checkpoint(engine)
+            entry = store.manifest["collections"]["docs"]
+            assert entry["layout"] == "segmented"
+            assert not {"shards", "shard_count"} & set(entry)
+            assert kept <= {(s["offset"], s["length"]) for s in entry["segments"]}
+            # Only the shards' memtables are written again, as segments.
+            assert stats["records_appended"] == len(memtables)
+            shard_records = sum(length for _offset, length in memtables)
+            assert store.stats()["dead_bytes"] >= shard_records
+            assert store.pack()["reclaimed_bytes"] >= shard_records
+            assert store.stats()["dead_bytes"] == 0
+        with SingleFileStore(path) as store:
+            assert_matches(store.load_engine(), unpartitioned_want())
+
+    def test_untouched_entry_is_carried_and_packed_verbatim(self, tmp_path, shards):
+        path = self.written(tmp_path, shards)
+        with SingleFileStore(path) as store:
+            before = store.manifest["collections"]["docs"]
+            assert store.checkpoint(store.load_engine())["records_appended"] == 0
+            assert store.manifest["collections"]["docs"] == before
+            store.pack()
+            packed = store.manifest["collections"]["docs"]
+            assert packed["layout"] == "sharded" and len(packed["shards"]) == shards
+            assert store.stats()["dead_bytes"] == 0
+        with SingleFileStore(path) as store:
+            assert_matches(store.load_engine(lazy=False), unpartitioned_want())

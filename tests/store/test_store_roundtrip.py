@@ -1,8 +1,10 @@
 """SingleFileStore: both layouts round-trip, with sealed segments or with
-every document still in the memtable; checkpoints are incremental.
+every document still in the memtable, and so does a ``sharded`` entry
+older builds wrote; checkpoints are incremental, also after opening one.
 
-Files written by older builds (a ``flat`` manifest entry) are pinned by
-the fixtures of ``test_cross_loading.py``.
+The files real older builds wrote (``flat`` and ``sharded`` manifest
+entries) are pinned by the fixtures of ``test_cross_loading.py``; the
+``sharded`` layout here is written in their shape by ``tests.legacy``.
 """
 
 import pytest
@@ -10,13 +12,14 @@ import pytest
 from repro.irs.engine import IRSEngine
 from repro.irs.segments.segment import SegmentConfig
 from repro.store import SingleFileStore
+from tests.legacy import ShardedHistory, write_sharded_store
 
 TEXTS = [
     "information retrieval over structured documents",
     "the oodbms stores structured document elements",
     "retrieval models score documents by relevance",
     "segments seal into immutable sorted runs",
-    "sharded collections scatter scoring across workers",
+    "hash partitions once split the collection across workers",
     "the coupling buffers retrieval results persistently",
     "queries combine structure and content conditions",
     "document elements inherit irs object behaviour",
@@ -30,18 +33,52 @@ def segment_config(layout):
     return SegmentConfig(seal_document_count=100 if layout == "memtable" else 3)
 
 
-def shard_count(layout):
-    return 2 if layout == "sharded" else 0
-
-
-def build_engine(layout):
-    engine = IRSEngine(
-        segment_config=segment_config(layout), shard_count=shard_count(layout)
-    )
+def build_engine(layout, texts=TEXTS, config=None):
+    engine = IRSEngine(segment_config=config or segment_config(layout))
     engine.create_collection("docs")
-    for i, text in enumerate(TEXTS):
+    for i, text in enumerate(texts):
         engine.index_document("docs", text, {"oid": f"OID{i}"})
     return engine
+
+
+def sharded_history(texts=TEXTS, config=None):
+    """``texts`` as an older build stored them: two shards, each sealing
+    every three documents unless ``config`` says otherwise."""
+    history = ShardedHistory(
+        "docs", 2, segment_config=config or segment_config("sharded")
+    )
+    for i, text in enumerate(texts):
+        history.add_document(text, {"oid": f"OID{i}"})
+    return history
+
+
+def stored(tmp_path, layout, engine):
+    """The path of a store holding ``engine``'s documents: checkpointed
+    from it, or — ``sharded`` — written as an older build's entry."""
+    path = str(tmp_path / "irs.store")
+    if layout == "sharded":
+        write_sharded_store(path, sharded_history())
+    else:
+        with SingleFileStore(path) as store:
+            store.checkpoint(engine)
+    return path
+
+
+def opened(tmp_path, layout, texts=TEXTS, config=None):
+    """``(engine, store, first)``: an open store, the engine it holds and
+    what writing the store appended.  ``sharded``: the engine is what
+    opening the older entry gives, touched and checkpointed once — which
+    rewrites the entry as ``segmented``."""
+    path = str(tmp_path / "irs.store")
+    if layout == "sharded":
+        first = write_sharded_store(path, sharded_history(texts, config))
+        store = SingleFileStore(path)
+        engine = store.load_engine(lazy=False)
+        store.checkpoint(engine)
+        return engine, store, first
+    engine = build_engine(layout, texts, config)
+    store = SingleFileStore(path)
+    return engine, store, store.checkpoint(engine)
 
 
 def rankings(engine, query="structured retrieval documents"):
@@ -57,25 +94,17 @@ class TestRoundTrip:
     def test_rankings_bit_identical(self, tmp_path, layout, lazy):
         engine = build_engine(layout)
         if layout == "memtable":
-            assert not engine.collection("docs").segment_managers()[0].sealed_segments()
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        store.checkpoint(engine)
-        expected = rankings(engine)
-        store.close()
-
-        again = SingleFileStore(str(tmp_path / "irs.store"))
-        restored = again.load_engine(shard_count=shard_count(layout), lazy=lazy)
+            assert not engine.collection("docs").segments.sealed_segments()
+        again = SingleFileStore(stored(tmp_path, layout, engine))
+        restored = again.load_engine(lazy=lazy)
         restored.segment_config = segment_config(layout)
-        assert rankings(restored) == expected
+        assert rankings(restored) == rankings(engine)
         again.close()
 
     def test_metadata_and_documents_survive(self, tmp_path, layout, lazy):
         engine = build_engine(layout)
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        store.checkpoint(engine)
-        store.close()
-        again = SingleFileStore(str(tmp_path / "irs.store"))
-        restored = again.load_engine(shard_count=shard_count(layout), lazy=lazy)
+        again = SingleFileStore(stored(tmp_path, layout, engine))
+        restored = again.load_engine(lazy=lazy)
         collection = restored.collection("docs")
         original = engine.collection("docs")
         assert len(collection) == len(original)
@@ -86,12 +115,18 @@ class TestRoundTrip:
 
 @pytest.mark.parametrize("layout", ["segmented", "sharded"])
 class TestIncremental:
+    def test_entry_is_written_segmented(self, tmp_path, layout):
+        _engine, store, _first = opened(tmp_path, layout)
+        entry = store.manifest["collections"]["docs"]
+        assert entry["layout"] == "segmented" and entry["segments"]
+        assert not {"shards", "shard_count", "index"} & set(entry)
+        assert store.manifest["engine"] == {"default_model": "inquery"}
+        store.close()
+
     def test_unchanged_checkpoint_appends_nothing_but_volatile_refs(
         self, tmp_path, layout
     ):
-        engine = build_engine(layout)
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        first = store.checkpoint(engine)
+        engine, store, first = opened(tmp_path, layout)
         assert first["records_appended"] > 0
         second = store.checkpoint(engine)
         # Nothing changed: documents and sealed segments are all reused;
@@ -100,25 +135,22 @@ class TestIncremental:
         assert second["records_reused"] > 0
         store.close()
 
-    def test_reload_at_the_stored_shard_count_appends_nothing(self, tmp_path, layout):
-        """A load that keeps the stored managers references their records:
-        the first checkpoint after it writes no record."""
-        engine = build_engine(layout)
+    def test_reload_appends_nothing(self, tmp_path, layout):
+        """A load references the stored segment records: the first
+        checkpoint after it writes no record."""
+        engine, store, _first = opened(tmp_path, layout)
         engine.compact_collection("docs")  # every document in a sealed segment
-        path = str(tmp_path / "irs.store")
-        with SingleFileStore(path) as store:
-            store.checkpoint(engine)
-        with SingleFileStore(path) as store:
-            restored = store.load_engine(shard_count=shard_count(layout), lazy=False)
+        store.checkpoint(engine)
+        store.close()
+        with SingleFileStore(store.path) as store:
+            restored = store.load_engine(lazy=False)
             assert not restored.is_lazy("docs")
             stats = store.checkpoint(restored)
         assert stats["records_appended"] == 0
         assert stats["records_reused"] > 0
 
     def test_small_delta_appends_small(self, tmp_path, layout):
-        engine = build_engine(layout)
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        first = store.checkpoint(engine)
+        engine, store, first = opened(tmp_path, layout)
         engine.index_document("docs", "one more tiny document", {"oid": "NEW"})
         delta = store.checkpoint(engine)
         assert 0 < delta["records_appended"] <= 2  # doc batch + memtable
@@ -126,15 +158,13 @@ class TestIncremental:
         store.close()
 
     def test_sealed_segments_written_exactly_once(self, tmp_path, layout):
-        engine = build_engine(layout)
-        managers = engine.collection("docs").segment_managers()
+        engine, store, _first = opened(tmp_path, layout)
+        manager = engine.collection("docs").segments
 
         def sealed():
-            return [s for m in managers for s in m.sealed_segments()]
+            return list(manager.sealed_segments())
 
         assert sealed()
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        store.checkpoint(engine)
         stamps = [s.store_stamp for s in sealed()]
         assert all(stamps)
         store.checkpoint(engine)
@@ -142,13 +172,11 @@ class TestIncremental:
         store.close()
 
     def test_document_revision_delta(self, tmp_path, layout):
-        engine = build_engine(layout)
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        store.checkpoint(engine)
+        engine, store, _first = opened(tmp_path, layout)
         engine.replace_document("docs", 1, "replaced text about retrieval")
         stats = store.checkpoint(engine)
         # One doc batch holding exactly the replaced document, plus the
-        # memtable the new revision landed in (other shards' are reused).
+        # memtable the new revision landed in.
         entry = store.manifest["collections"]["docs"]
         last_batch = entry["doc_batches"][-1]
         batch = store.file.read_json(last_batch[0], last_batch[1])
@@ -158,9 +186,7 @@ class TestIncremental:
         store.close()
 
     def test_removals_travel_in_manifest(self, tmp_path, layout):
-        engine = build_engine(layout)
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        store.checkpoint(engine)
+        engine, store, _first = opened(tmp_path, layout)
         engine.remove_document("docs", 2)
         store.checkpoint(engine)
         entry = store.manifest["collections"]["docs"]
@@ -170,12 +196,8 @@ class TestIncremental:
         store.close()
 
     def test_mass_removal_triggers_rebatch(self, tmp_path, layout):
-        engine = IRSEngine(shard_count=shard_count(layout))
-        engine.create_collection("docs")
-        for i in range(200):
-            engine.index_document("docs", f"document number {i}", {})
-        store = SingleFileStore(str(tmp_path / "irs.store"))
-        store.checkpoint(engine)
+        texts = [f"document number {i}" for i in range(200)]
+        engine, store, _first = opened(tmp_path, layout, texts, SegmentConfig())
         for i in range(1, 180):
             engine.remove_document("docs", i)
         store.checkpoint(engine)

@@ -5,9 +5,8 @@ deliberate, documented decision (update the snapshot AND ``docs/api.md``),
 or a regression this test just caught.
 
 Since PR 9 the surface is the *transport-agnostic Session contract*: the
-local :class:`repro.Session`, the network :class:`repro.RemoteSession`
-and the awaitable :class:`repro.AsyncSession` expose the same methods
-with the same parameters — application code chooses a transport with
+local :class:`repro.Session` and the network :class:`repro.RemoteSession`
+expose the same methods with the same parameters — application code chooses a transport with
 :func:`repro.connect`, nothing else changes.
 """
 
@@ -18,12 +17,10 @@ import inspect
 import pytest
 
 import repro
-from repro.net.aio import AsyncSession
 from repro.net.client import RemoteSession
 from repro.service.session import Session
 
 EXPECTED_ALL = [
-    "AsyncSession",
     "DocumentServer",
     "DocumentSystem",
     "RemoteSession",
@@ -96,7 +93,6 @@ class TestPublicSurface:
     def test_session_is_the_exported_class(self):
         assert repro.Session is Session
         assert repro.RemoteSession is RemoteSession
-        assert repro.AsyncSession is AsyncSession
 
     def test_session_method_signatures(self):
         for method, expected in SESSION_SIGNATURES.items():
@@ -138,16 +134,6 @@ class TestSessionContract:
             f"{actual} != {expected}"
         )
 
-    @pytest.mark.parametrize("method, expected", sorted(SESSION_CONTRACT.items()))
-    def test_async_session_matches_contract(self, method, expected):
-        fn = getattr(AsyncSession, method)
-        assert inspect.iscoroutinefunction(fn), f"AsyncSession.{method} must be async"
-        actual = _signature(fn)
-        assert actual == expected, (
-            f"AsyncSession.{method} drifted from the contract: "
-            f"{actual} != {expected}"
-        )
-
     def test_remote_session_surface(self):
         assert _public_methods(RemoteSession) == (
             set(SESSION_CONTRACT) | REMOTE_EXTRAS | {"pooled"}
@@ -155,19 +141,9 @@ class TestSessionContract:
         assert isinstance(vars(RemoteSession)["pooled"], property)
         assert isinstance(vars(RemoteSession)["pool_stats"], property)
 
-    def test_async_session_surface(self):
-        public = {
-            name
-            for name, member in vars(AsyncSession).items()
-            if not name.startswith("_") and callable(member)
-        }
-        assert public == set(SESSION_CONTRACT)
-
     def test_remote_session_is_a_context_manager(self):
         assert hasattr(RemoteSession, "__enter__")
         assert hasattr(RemoteSession, "__exit__")
-        assert hasattr(AsyncSession, "__aenter__")
-        assert hasattr(AsyncSession, "__aexit__")
 
 
 class TestConnect:
@@ -175,7 +151,7 @@ class TestConnect:
 
     def test_connect_signature(self):
         assert _signature(repro.connect) == (
-            "(target, workers=0, config=None, asynchronous=False, **options)"
+            "(target, workers=0, config=None, **options)"
         )
 
     def test_connect_local_returns_system_session(self):
@@ -188,12 +164,6 @@ class TestConnect:
             session = repro.connect(system, workers=2)
             assert session is not system.session
             assert session.pooled
-
-    def test_connect_async_wraps_local(self):
-        with repro.DocumentSystem() as system:
-            session = repro.connect(system, asynchronous=True)
-            assert isinstance(session, repro.AsyncSession)
-            assert session.session is system.session
 
     def test_connect_rejects_workers_for_remote_target(self):
         with pytest.raises(ValueError, match="pool_size"):
