@@ -9,7 +9,8 @@ visible differences are inherent to distribution:
 * ``ScoredHit.element`` resolves to an eagerly materialized
   :class:`RemoteElement` snapshot shipped with the response (the
   in-process lazy dereference degrades to eager materialization over the
-  wire; ``materialize=False`` trades it away for half the payload);
+  wire; ``materialize=False`` trades it away for a top-10 response a
+  quarter to a third the size);
 * transport failures surface as :class:`~repro.errors.ConnectionLostError`
   — a new error case in-process callers never see.
 

@@ -89,7 +89,8 @@ class ClientConfig:
         When True (default), query hits carry eagerly materialized
         element snapshots — the wire's stand-in for the in-process lazy
         ``ScoredHit.element``.  False ships bare ``(oid, score)`` pairs
-        (half the payload for rank-only workloads).
+        (a top-10 response a quarter to a third the size, for rank-only
+        workloads).
     ``retry_seed``
         Seed of the backoff jitter RNG (tests pin it).
     """

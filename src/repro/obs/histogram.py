@@ -101,12 +101,13 @@ class RollingHistogram:
             slot.clear(period)
         return slot
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value``, ``count`` times (a group's shared latency)."""
         with self._lock:
             slot = self._slot(self._clock())
-            slot.counts[self._bucket(value)] += 1
-            slot.count += 1
-            slot.total += value
+            slot.counts[self._bucket(value)] += count
+            slot.count += count
+            slot.total += value * count
             if slot.minimum is None or value < slot.minimum:
                 slot.minimum = value
             if slot.maximum is None or value > slot.maximum:
@@ -212,7 +213,7 @@ class NoopRollingHistogram(RollingHistogram):
     def __init__(self) -> None:
         super().__init__()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
     def snapshot(self) -> Dict[str, object]:

@@ -35,6 +35,8 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
+from repro.obs.runtime import slow_log
+
 #: Counter fields of a CostProfile, in presentation order.  Floats, because
 #: shared batch work is attributed fractionally to rider requests.
 COST_FIELDS = (
@@ -152,6 +154,7 @@ class RequestTelemetry:
         model: str = "",
         top_k: Optional[int] = None,
         mode: str = "inline",
+        cost: Optional[CostProfile] = None,
     ) -> None:
         self.request_id = next(_request_ids)
         self.collection = collection
@@ -161,7 +164,7 @@ class RequestTelemetry:
         self.epoch: Optional[int] = None
         self.mode = mode  # "inline" | "batched"
         self.outcome = "unknown"  # cached | pruned | fallback:<reason> | exhaustive
-        self.cost = CostProfile()
+        self.cost = cost if cost is not None else CostProfile()
         self.queue_seconds = 0.0
         self.run_seconds = 0.0
         self.total_seconds = 0.0
@@ -181,30 +184,14 @@ class RequestTelemetry:
         wire response as JSON and comes back as a real artifact on
         ``ResultSet.telemetry``.  ``request_id`` is the *server's* id for
         the request; a retained trace stays in its JSON record form (span
-        objects do not round-trip, their records do).
+        objects do not round-trip, their records do).  Absent fields keep
+        the constructor's defaults.
         """
-        telemetry = cls(
-            collection=record.get("collection", ""),
-            query=record.get("query", ""),
-            model=record.get("model", ""),
-            top_k=record.get("top_k"),
-            mode=record.get("mode", "inline"),
-        )
-        telemetry.request_id = record.get("request_id", telemetry.request_id)
-        telemetry.epoch = record.get("epoch")
-        telemetry.outcome = record.get("outcome", "unknown")
-        telemetry.queue_seconds = record.get("queue_seconds", 0.0)
-        telemetry.run_seconds = record.get("run_seconds", 0.0)
-        telemetry.total_seconds = record.get("total_seconds", 0.0)
-        telemetry.window_size = record.get("window_size", 1)
-        telemetry.group_size = record.get("group_size", 1)
-        telemetry.distinct_queries = record.get("distinct_queries", 1)
-        telemetry.riders = record.get("riders", 1)
-        telemetry.sampled = record.get("sampled", False)
         cost = record.get("cost") or {}
-        telemetry.cost = CostProfile(
-            **{field: cost[field] for field in COST_FIELDS if field in cost}
-        )
+        telemetry = cls(cost=CostProfile(**{f: cost[f] for f in COST_FIELDS if f in cost}))
+        for name in _RECORD_FIELDS:
+            if name in record:
+                setattr(telemetry, name, record[name])
         if record.get("group_totals") is not None:
             telemetry.group_totals = dict(record["group_totals"])
         telemetry.trace = record.get("trace")
@@ -212,25 +199,8 @@ class RequestTelemetry:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-encodable view (trace serialized via ``Span.to_record``)."""
-        record: Dict[str, Any] = {
-            "request_id": self.request_id,
-            "collection": self.collection,
-            "query": self.query,
-            "model": self.model,
-            "top_k": self.top_k,
-            "epoch": self.epoch,
-            "mode": self.mode,
-            "outcome": self.outcome,
-            "queue_seconds": self.queue_seconds,
-            "run_seconds": self.run_seconds,
-            "total_seconds": self.total_seconds,
-            "window_size": self.window_size,
-            "group_size": self.group_size,
-            "distinct_queries": self.distinct_queries,
-            "riders": self.riders,
-            "sampled": self.sampled,
-            "cost": self.cost.as_dict(),
-        }
+        record: Dict[str, Any] = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        record["cost"] = self.cost.as_dict()
         if self.group_totals is not None:
             record["group_totals"] = dict(self.group_totals)
         if self.trace is not None:
@@ -242,6 +212,13 @@ class RequestTelemetry:
             f"<RequestTelemetry #{self.request_id} {self.mode} {self.outcome} "
             f"total={self.total_seconds * 1e3:.2f}ms riders={self.riders}>"
         )
+
+
+#: The plain fields of a :meth:`RequestTelemetry.as_dict` record, in order.
+_RECORD_FIELDS = tuple(
+    name for name in RequestTelemetry.__slots__
+    if name not in ("cost", "group_totals", "trace")
+)
 
 
 # -- tail-based trace retention ----------------------------------------------
@@ -268,8 +245,6 @@ class TraceSampler:
             return True
         slow = self.slow_seconds
         if slow is None:
-            from repro.obs.runtime import slow_log
-
             slow = slow_log().threshold
         if seconds >= slow:
             return True

@@ -26,10 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs.telemetry import CostProfile, RequestTelemetry, collecting, sampler
+from repro.obs.telemetry import (
+    COST_FIELDS,
+    CostProfile,
+    RequestTelemetry,
+    collecting,
+    sampler,
+)
 from repro.core import updates
 from repro.core.collection import irs_values
 from repro.core.context import CouplingContext
@@ -42,6 +49,8 @@ from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
 from repro.service.results import ResultSet
+
+_cost_values = attrgetter(*COST_FIELDS)
 
 
 def map_query_error(exc: BaseException) -> BaseException:
@@ -68,42 +77,38 @@ def map_coupling_error(exc: BaseException) -> BaseException:
     return wrapped
 
 
+#: A request's identity within a group: (model, query, top_k).
+Key = Tuple[Optional[str], str, Optional[int]]
+
+
 @dataclass
 class GroupOutcome:
     """Per-distinct-query results (or failures) of one executed group."""
 
     epoch: Optional[int] = None
-    #: (model, query, top_k) -> ranked {OID: value}
-    values: Dict[Tuple[Optional[str], str, Optional[int]], Dict[OID, float]] = field(
-        default_factory=dict
-    )
-    #: (model, query, top_k) -> mapped exception for queries that failed
-    errors: Dict[Tuple[Optional[str], str, Optional[int]], BaseException] = field(
-        default_factory=dict
-    )
-    #: (model, query, top_k) -> the ResultSet built for the first request of
+    #: key -> ranked {OID: value}
+    values: Dict[Key, Dict[OID, float]] = field(default_factory=dict)
+    #: key -> mapped exception for queries that failed
+    errors: Dict[Key, BaseException] = field(default_factory=dict)
+    #: key -> the ResultSet built for the first request of
     #: that key; duplicates share its ranked hits list (built once per group).
-    built: Dict[Tuple[Optional[str], str, Optional[int]], ResultSet] = field(
-        default_factory=dict
-    )
+    built: Dict[Key, ResultSet] = field(default_factory=dict)
     deduplicated: int = 0
     # -- telemetry (populated only while instrumentation is enabled) --------
     #: requests in the group and distinct keys scored, for attribution.
     requested_count: int = 0
-    #: (model, query, top_k) -> how many of the group's requests asked for it.
-    riders: Dict[Tuple[Optional[str], str, Optional[int]], int] = field(
-        default_factory=dict
-    )
+    #: key -> how many of the group's requests asked for it.
+    riders: Dict[Key, int] = field(default_factory=dict)
     #: per-distinct-query cost, measured around the one scoring pass.
-    costs: Optional[Dict[Tuple[Optional[str], str, Optional[int]], CostProfile]] = None
-    #: group-shared cost (propagation before the snapshot) — split evenly
-    #: across ALL requests of the group during attribution.
+    costs: Optional[Dict[Key, CostProfile]] = None
+    #: group-shared cost (a propagation before the snapshot; None when none
+    #: ran) — split evenly across ALL requests of the group.
     shared: Optional[CostProfile] = None
-    #: (model, query, top_k) -> the finished ``service.query`` span, whose
+    #: key -> one rider's attributed share (see :meth:`telemetry`).
+    split: Dict[Key, CostProfile] = field(default_factory=dict)
+    #: key -> the finished ``service.query`` span, whose
     #: children hold the ``irs.query`` subtree for that key's scoring pass.
-    query_spans: Dict[Tuple[Optional[str], str, Optional[int]], object] = field(
-        default_factory=dict
-    )
+    query_spans: Dict[Key, object] = field(default_factory=dict)
 
     def group_totals(self) -> Optional[Dict[str, float]]:
         """The unsplit group aggregate: sum of distinct costs plus shared.
@@ -114,22 +119,73 @@ class GroupOutcome:
         """
         if self.costs is None:
             return None
-        total = CostProfile()
-        for profile in self.costs.values():
-            total.merge(profile)
-        if self.shared is not None:
-            total.merge(self.shared)
-        aggregate = total.as_dict()
+        profiles = [*self.costs.values(), self.shared or CostProfile()]
+        aggregate = dict(zip(COST_FIELDS, map(sum, zip(*map(_cost_values, profiles)))))
         aggregate["requests"] = self.requested_count
         aggregate["distinct"] = len(self.costs)
         aggregate["deduplicated"] = self.deduplicated
         return aggregate
 
+    def result(self, key: Key, db: Database, irs_name: str) -> ResultSet:
+        """One request's :class:`ResultSet`, or the error its key raised.
+
+        Ranking and hit construction happen once per distinct key;
+        duplicate requests get their own lightweight :class:`ResultSet`
+        sharing the same ranked hits list.
+        """
+        error = self.errors.get(key)
+        if error is not None:
+            raise error
+        model, irs_query, _top_k = key
+        built = self.built.get(key)
+        if built is None:
+            built = self.built[key] = ResultSet.from_values(
+                self.values[key], db=db, collection=irs_name, query=irs_query,
+                model=model, epoch=self.epoch,
+            )
+            return built
+        return ResultSet(
+            built.hits, collection=irs_name, query=irs_query, model=model,
+            epoch=self.epoch,
+        )
+
+    def telemetry(
+        self, key: Key, irs_name: str, totals: Dict[str, float], enqueued: float,
+        started: float, finished: float, window_size: int,
+    ) -> RequestTelemetry:
+        """One rider's telemetry, with its share of the group's cost.
+
+        Conservation by construction: a rider of ``key`` receives the key's
+        cost divided by its rider count, plus the shared cost divided by
+        the group size; summed over the group's requests the splits rebuild
+        ``totals`` exactly.  Riders of one key share one attributed
+        profile; a lone rider with nothing shared gets the key's own.
+        """
+        cost = self.split.get(key)
+        if cost is None:
+            cost, riders = self.costs[key], self.riders[key]
+            if riders > 1 or self.shared is not None:
+                cost = CostProfile().merge(cost, 1.0 / riders)
+                if self.shared is not None:
+                    cost.merge(self.shared, 1.0 / self.requested_count)
+            self.split[key] = cost
+        model, irs_query, top_k = key
+        telemetry = request_telemetry(
+            "batched", irs_name, irs_query, model, top_k, self.epoch, cost,
+            self.query_spans.get(key), enqueued, started, finished,
+        )
+        telemetry.window_size = window_size or self.requested_count
+        telemetry.group_size = self.requested_count
+        telemetry.distinct_queries = len(self.costs)
+        telemetry.riders = self.riders[key]
+        telemetry.group_totals = totals
+        return telemetry
+
 
 def execute_group(
     context: CouplingContext,
     collection_obj: DBObject,
-    requested: List[Tuple[Optional[str], str, Optional[int]]],
+    requested: List[Key],
 ) -> GroupOutcome:
     """Execute one collection's batched IRS queries against one snapshot.
 
@@ -146,7 +202,6 @@ def execute_group(
     collect = obs.is_enabled()
     if collect:
         outcome.costs = {}
-        outcome.shared = CostProfile()
 
     with obs.tracer().span(
         "service.group", requests=len(requested)
@@ -154,13 +209,15 @@ def execute_group(
         # One propagation per group, before the read snapshot is taken.
         # Shared work: it benefits every request of the group equally, so
         # its cost lands in ``outcome.shared`` (split evenly at attribution).
-        propagate_pending(collection_obj, outcome.shared)
+        outcome.shared = propagate_pending(
+            collection_obj, CostProfile() if collect else None
+        )
 
         default_model = collection_obj.get("model")
         irs_name = collection_obj.get("irs_name")
         span.set_attribute("collection", irs_name)
 
-        distinct: List[Tuple[Optional[str], str, Optional[int]]] = []
+        distinct: List[Key] = []
         for model, irs_query, top_k in requested:
             key = (model or default_model, irs_query, top_k)
             if key not in outcome.riders:
@@ -204,19 +261,23 @@ def execute_group(
     return outcome
 
 
-def propagate_pending(collection_obj: DBObject, profile: Optional[CostProfile]) -> None:
+def propagate_pending(
+    collection_obj: DBObject, profile: Optional[CostProfile]
+) -> Optional[CostProfile]:
     """Force a pending propagation before scoring (Section 4.6).
 
-    Its cost lands in ``profile`` (None: not collecting).
+    Its cost lands in ``profile`` (None: not collecting); returns
+    ``profile`` when a propagation ran, else None.
     """
     if not updates.has_pending(collection_obj):
-        return
+        return None
     started = time.perf_counter()
     applied = updates.propagate(collection_obj, forced=True)
     if profile is not None:
         profile.propagations += 1
         profile.propagated_updates += applied
         profile.propagation_seconds += time.perf_counter() - started
+    return profile
 
 
 def query_outcome(span) -> str:
@@ -252,11 +313,8 @@ def request_telemetry(
     A request whose cost holds no engine query was answered from the
     COLLECTION's persistent result buffer (Section 4.2): ``buffered``.
     """
-    telemetry = RequestTelemetry(
-        collection=irs_name, query=irs_query, model=model or "", top_k=top_k, mode=mode
-    )
+    telemetry = RequestTelemetry(irs_name, irs_query, model or "", top_k, mode, cost)
     telemetry.epoch = epoch
-    telemetry.cost = cost
     telemetry.queue_seconds = started - enqueued
     telemetry.run_seconds = finished - started
     telemetry.total_seconds = finished - enqueued
@@ -272,43 +330,3 @@ def request_telemetry(
 def unpack(item: Sequence) -> Tuple[object, str, Optional[str], Optional[int]]:
     """A ``query_batch`` item as ``(collection, irs_query, model, top_k)``."""
     return (*item, None, None)[:4]
-
-
-def result_for(
-    outcome: GroupOutcome,
-    db: Database,
-    irs_name: str,
-    model: Optional[str],
-    default_model: Optional[str],
-    irs_query: str,
-    top_k: Optional[int] = None,
-) -> ResultSet:
-    """Build one request's :class:`ResultSet` from its group's outcome.
-
-    Ranking and hit construction happen once per distinct query; duplicate
-    requests get their own lightweight :class:`ResultSet` sharing the same
-    ranked hits list.
-    """
-    key = (model or default_model, irs_query, top_k)
-    error = outcome.errors.get(key)
-    if error is not None:
-        raise error
-    built = outcome.built.get(key)
-    if built is None:
-        built = ResultSet.from_values(
-            outcome.values[key],
-            db=db,
-            collection=irs_name,
-            query=irs_query,
-            model=key[0],
-            epoch=outcome.epoch,
-        )
-        outcome.built[key] = built
-        return built
-    return ResultSet(
-        built.hits,
-        collection=irs_name,
-        query=irs_query,
-        model=key[0],
-        epoch=outcome.epoch,
-    )

@@ -25,12 +25,8 @@ class ServiceConfig:
         The dispatcher drains up to ``workers * max_batch_per_worker``
         requests into one batching window (cross-request batching is where
         the throughput win comes from — shared snapshots and deduplicated
-        scoring, not thread parallelism).
-    ``batch_linger``
-        Seconds the dispatcher waits for an underfull window to fill before
-        executing it.  Clients released by the previous window need a moment
-        to resubmit; without a linger, windows right after a barrier run
-        nearly empty and the batching win evaporates.  0 disables it.
+        scoring, not thread parallelism).  There is no linger knob: the
+        last window decides (:func:`repro.service.executor.linger_after`).
     ``max_retries``
         Automatic retries of a request aborted by
         :class:`~repro.errors.DeadlockError` /
@@ -57,7 +53,6 @@ class ServiceConfig:
     workers: int = 4
     max_queue: int = 64
     max_batch_per_worker: int = 4
-    batch_linger: float = 0.002
     max_retries: int = 3
     backoff_base: float = 0.005
     backoff_cap: float = 0.1
@@ -73,8 +68,6 @@ class ServiceConfig:
             raise ValueError("max_queue must be >= 1")
         if self.max_batch_per_worker < 1:
             raise ValueError("max_batch_per_worker must be >= 1")
-        if self.batch_linger < 0:
-            raise ValueError("batch_linger must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base < 0 or self.backoff_cap < 0:

@@ -20,11 +20,16 @@ Request lifecycle::
           window's requests accumulate in the queue, which is what makes
           cross-request batching effective
 
+A window is what is queued when the dispatcher wakes, up to
+``window_size``; whether it waits for more is the last window's call
+(:func:`linger_after`).  A ``query_batch`` is admitted as one unit, so its
+items share a window (up to ``window_size`` at a time).
+
 Everything is instrumented through :mod:`repro.obs`: ``service.queue.depth``
 gauge (plus the ``depth_peak`` high watermark), per-stage rolling latency
 histograms with live percentiles (``service.request.queue_seconds`` /
 ``run_seconds`` / ``total_seconds``), ``service.retries`` counters, batch
-shape histograms.  Since PR 7 every successful IRS result also carries
+shape histograms.  Every successful IRS result also carries
 ``ResultSet.telemetry`` — the request's attributed share of its batch
 window's cost (see :mod:`repro.obs.telemetry`).
 """
@@ -42,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.obs.telemetry import CostProfile, RequestTelemetry
 from repro.core.context import coupling_context
 from repro.errors import (
     DeadlockError,
@@ -69,13 +73,24 @@ BatchItem = Union[
 ]
 
 
+def linger_after(filled: int, window_size: int, run_seconds: float) -> float:
+    """Seconds the next window may wait to fill, given the last window.
+
+    A full window (``filled == window_size``) had more clients than slots;
+    its barrier is releasing them now, so the next window waits for them,
+    bounded by the full window's own run time.  An underfull one lingers
+    not at all: no one else was waiting.
+    """
+    return run_seconds if filled >= window_size else 0.0
+
+
 @dataclass
 class _Request:
     """One admitted unit of work, resolved through its future."""
 
     kind: str  # "irs" or "call"
-    future: "Future[Any]"
-    enqueued_at: float
+    future: "Future[Any]" = field(default_factory=Future)
+    enqueued_at: float = field(default_factory=time.perf_counter)
     collection_obj: Optional[DBObject] = None
     irs_query: str = ""
     model: Optional[str] = None
@@ -99,7 +114,13 @@ class DocumentService:
         self.db = db
         self.config = config or ServiceConfig()
         self.context = coupling_context(db)
-        self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=self.config.max_queue)
+        # ``None`` in the queue is close() waking the dispatcher.
+        self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue(
+            maxsize=self.config.max_queue
+        )
+        # Held by query_batch while it admits and by the dispatcher while it
+        # drains, so a batch is never split between two windows.
+        self._admission = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -144,6 +165,10 @@ class DocumentService:
             return
         self._closed = True
         self._stop.set()
+        try:
+            self._queue.put_nowait(None)
+        except queue.Full:  # a full queue wakes the dispatcher by itself
+            pass
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
             self._dispatcher = None
@@ -152,9 +177,10 @@ class DocumentService:
                 request = self._queue.get_nowait()
             except queue.Empty:
                 break
-            request.future.set_exception(
-                ServiceClosedError("service closed before the request ran")
-            )
+            if request is not None:
+                request.future.set_exception(
+                    ServiceClosedError("service closed before the request ran")
+                )
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -181,14 +207,8 @@ class DocumentService:
         """Enqueue one IRS query; resolves to a :class:`ResultSet`."""
         return self._admit(
             _Request(
-                kind="irs",
-                future=Future(),
-                enqueued_at=time.perf_counter(),
-                collection_obj=collection_obj,
-                irs_query=irs_query,
-                model=model,
-                top_k=top_k,
-                label="query",
+                "irs", collection_obj=collection_obj, irs_query=irs_query,
+                model=model, top_k=top_k, label="query",
             )
         )
 
@@ -200,14 +220,7 @@ class DocumentService:
     ) -> "Future[Any]":
         """Enqueue an arbitrary coupling operation (index, mixed query, …)."""
         return self._admit(
-            _Request(
-                kind="call",
-                future=Future(),
-                enqueued_at=time.perf_counter(),
-                fn=fn,
-                error_mapper=error_mapper,
-                label=label,
-            )
+            _Request("call", fn=fn, error_mapper=error_mapper, label=label)
         )
 
     def _admit(self, request: _Request) -> "Future[Any]":
@@ -248,10 +261,17 @@ class DocumentService:
     ) -> List[ResultSet]:
         """Submit many IRS queries at once and wait for all of them.
 
-        Submitting together is what lets the dispatcher put them into one
-        batching window (shared snapshots, deduplicated scoring).
+        The items are admitted as one unit, ``window_size`` at a time, so
+        each chunk lands in one batching window (shared snapshots,
+        deduplicated scoring).
         """
-        futures = [self.submit_query(*batch_module.unpack(item)) for item in items]
+        items, size, futures = list(items), self.config.window_size, []
+        for start in range(0, len(items), size):
+            with self._admission:
+                futures.extend(
+                    self.submit_query(*batch_module.unpack(item))
+                    for item in items[start : start + size]
+                )
         return [self._await(future, timeout) for future in futures]
 
     def call(
@@ -277,24 +297,44 @@ class DocumentService:
     # -- dispatcher ---------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
+        linger = 0.0
         while not self._stop.is_set():
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
+            first = self._queue.get()
+            if first is None:
                 continue
-            window = [first]
-            deadline = time.perf_counter() + self.config.batch_linger
-            while len(window) < self.config.window_size:
-                try:
-                    window.append(self._queue.get_nowait())
-                except queue.Empty:
-                    # Linger briefly: clients released by the previous
-                    # window's barrier are resubmitting right now.
-                    if time.perf_counter() >= deadline or self._stop.is_set():
-                        break
-                    time.sleep(0.0003)
+            window = self._collect(first, linger)
             obs.metrics().gauge("service.queue.depth").set(self._queue.qsize())
+            started = time.perf_counter()
             self._run_window(window)
+            linger = linger_after(
+                len(window), self.config.window_size, time.perf_counter() - started
+            )
+
+    def _collect(self, first: _Request, linger: float) -> List[_Request]:
+        """The window ``first`` opens: what is queued, up to ``window_size``,
+        and what arrives within ``linger`` seconds while it is not full."""
+        window, size = [first], self.config.window_size
+        deadline = time.perf_counter() + linger
+        while True:
+            with self._admission:
+                while len(window) < size:
+                    try:
+                        request = self._queue.get_nowait()
+                    except queue.Empty:
+                        break
+                    if request is None:
+                        return window
+                    window.append(request)
+            remaining = deadline - time.perf_counter()
+            if len(window) == size or remaining <= 0:
+                return window
+            try:
+                request = self._queue.get(timeout=remaining)
+            except queue.Empty:
+                return window
+            if request is None:
+                return window
+            window.append(request)
 
     def _run_window(self, window: List[_Request]) -> None:
         registry = obs.metrics()
@@ -349,63 +389,18 @@ class DocumentService:
         for request in requests:
             if request.future.done():
                 continue
+            key = (request.model or default_model, request.irs_query, request.top_k)
             try:
-                result = batch_module.result_for(
-                    outcome,
-                    self.db,
-                    irs_name,
-                    request.model,
-                    default_model,
-                    request.irs_query,
-                    request.top_k,
-                )
+                result = outcome.result(key, self.db, irs_name)
                 if totals is not None:
-                    result.telemetry = self._build_telemetry(
-                        request, outcome, irs_name, default_model,
-                        started, finished, totals, window_size,
+                    result.telemetry = outcome.telemetry(
+                        key, irs_name, totals, request.enqueued_at, started,
+                        finished, window_size,
                     )
                 request.future.set_result(result)
             except BaseException as exc:
                 request.future.set_exception(exc)
         self._observe(requests, started)
-
-    def _build_telemetry(
-        self,
-        request: _Request,
-        outcome,
-        irs_name: str,
-        default_model: Optional[str],
-        started: float,
-        finished: float,
-        totals: Dict[str, float],
-        window_size: int,
-    ) -> RequestTelemetry:
-        """Attribute the group's shared work back to one rider request.
-
-        Conservation by construction: this request receives its key's cost
-        divided by that key's rider count, plus the group-shared cost
-        divided by the group size.  Summed over the group's requests the
-        splits rebuild ``totals`` exactly.
-        """
-        key = (request.model or default_model, request.irs_query, request.top_k)
-        riders = outcome.riders.get(key, 1)
-        cost = CostProfile()
-        key_cost = (outcome.costs or {}).get(key)
-        if key_cost is not None and riders:
-            cost.merge(key_cost, 1.0 / riders)
-        if outcome.shared is not None and outcome.requested_count:
-            cost.merge(outcome.shared, 1.0 / outcome.requested_count)
-        telemetry = batch_module.request_telemetry(
-            "batched", irs_name, request.irs_query, key[0], request.top_k,
-            outcome.epoch, cost, outcome.query_spans.get(key),
-            request.enqueued_at, started, finished,
-        )
-        telemetry.window_size = window_size or outcome.requested_count
-        telemetry.group_size = outcome.requested_count
-        telemetry.distinct_queries = len(outcome.costs or ())
-        telemetry.riders = riders
-        telemetry.group_totals = totals
-        return telemetry
 
     def _run_solo(self, request: _Request) -> None:
         started = time.perf_counter()
@@ -454,15 +449,14 @@ class DocumentService:
     ) -> None:
         registry = obs.metrics()
         now = time.perf_counter()
-        run_seconds = now - started
+        queued = registry.rolling("service.request.queue_seconds")
+        total = registry.rolling("service.request.total_seconds")
         for request in requests:
-            registry.rolling("service.request.queue_seconds").observe(
-                started - request.enqueued_at
-            )
-            registry.rolling("service.request.run_seconds").observe(run_seconds)
-            registry.rolling("service.request.total_seconds").observe(
-                now - request.enqueued_at
-            )
-            registry.counter(
-                "service.requests.failed" if failed else "service.requests.completed"
-            ).inc()
+            queued.observe(started - request.enqueued_at)
+            total.observe(now - request.enqueued_at)
+        registry.rolling("service.request.run_seconds").observe(
+            now - started, len(requests)
+        )
+        registry.counter(
+            "service.requests.failed" if failed else "service.requests.completed"
+        ).inc(len(requests))
