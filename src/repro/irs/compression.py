@@ -7,10 +7,11 @@ they relied on: document ids and positions are delta-encoded (gaps) and the
 gaps written as variable-byte integers — small gaps, which dominate in
 redundant multi-level indexes because the same text repeats, cost one byte.
 
-:func:`encode_index` / :func:`decode_index` round-trip a whole
-:class:`~repro.irs.inverted_index.InvertedIndex` through the compressed
-binary form; :func:`compressed_size` measures it.  The persistence layer
-can store either form; the GRAN/HIER benchmarks use the measurements.
+:func:`encode_index` writes a whole
+:class:`~repro.irs.inverted_index.InvertedIndex` in the compressed binary
+form (one :func:`encode_postings` stream per term, read back with
+:func:`decode_postings`); :func:`compressed_size` measures it for the
+GRAN/HIER benchmarks.
 """
 
 from __future__ import annotations
@@ -175,26 +176,6 @@ def encode_index(index: InvertedIndex) -> Dict[str, bytes]:
             {p.doc_id: p.positions for p in index.postings(term)}
         )
     return encoded
-
-
-def decode_index(encoded: Dict[str, bytes], doc_lengths: Dict[int, int]) -> InvertedIndex:
-    """Rebuild an :class:`InvertedIndex` from its compressed form.
-
-    ``doc_lengths`` must be supplied separately (they are collection
-    metadata, not postings).
-    """
-    index = InvertedIndex()
-    index._doc_lengths = dict(doc_lengths)
-    from repro.irs.inverted_index import Posting
-
-    index._postings = {
-        term: {
-            doc_id: Posting(doc_id, positions)
-            for doc_id, positions in decode_postings(data).items()
-        }
-        for term, data in encoded.items()
-    }
-    return index
 
 
 def compressed_size(index: InvertedIndex) -> int:

@@ -31,17 +31,30 @@ contract").
 
 from __future__ import annotations
 
+import struct
+import sys
 from bisect import bisect_left
 from array import array
 from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.errors import StoreCorruptionError
 from repro.irs.compression import vbyte_decode_stream, vbyte_encode
 from repro.irs.inverted_index import Posting
 
 #: Documents per block.  128 keeps skip granularity fine enough for top-k
 #: pruning while the metadata overhead stays at ~3 ints per 128 postings.
 BLOCK_SIZE = 128
+
+#: :meth:`CompactIndex.to_bytes`: its header (document count, term count,
+#: then the byte width of each of its twelve columns), its per-term fields
+#: (name length, doc_count, collection_frequency, block count, data and
+#: position stream lengths) and the block columns it concatenates.
+_BYTES_HEADER = struct.Struct("<II12B")
+_TERM_FIELDS = 6
+_BLOCK_COLUMNS = ("_offsets", "_last_docs", "_max_tfs", "_pos_offsets")
+#: Column width in bytes -> array typecode (8 bytes: signed, as in memory).
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "q"}
 
 
 class CompactPostings:
@@ -143,16 +156,11 @@ class CompactPostings:
             out.append(positions)
         return out
 
-    def iter_entries(self, with_positions: bool = True) -> Iterator[tuple]:
-        """Yield ``(doc_id, tf, positions-or-None)`` in doc-id order."""
+    def iter_entries(self) -> Iterator[tuple]:
+        """Yield ``(doc_id, tf, positions)`` in doc-id order."""
         for block in range(self.block_count):
             ids, tfs = self.decode_block(block)
-            if with_positions:
-                positions = self.decode_block_positions(block, tfs)
-                yield from zip(ids, tfs, positions)
-            else:
-                for doc_id, tf in zip(ids, tfs):
-                    yield doc_id, tf, None
+            yield from zip(ids, tfs, self.decode_block_positions(block, tfs))
 
     def to_postings(self) -> List[Posting]:
         """Full-fidelity :class:`Posting` list (doc-id order)."""
@@ -455,8 +463,10 @@ class CompactIndex:
             doc_id: {} for doc_id in self._doc_lengths
         }
         for term, postings in self._terms.items():
-            for doc_id, tf, _positions in postings.iter_entries(with_positions=False):
-                forward[doc_id][term] = tf
+            for block in range(postings.block_count):
+                ids, tfs = postings.decode_block(block)
+                for doc_id, tf in zip(ids, tfs):
+                    forward[doc_id][term] = tf
         return forward
 
     # -- size accounting ---------------------------------------------------
@@ -470,11 +480,98 @@ class CompactIndex:
 
     # -- persistence -------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """The same logical JSON schema as ``InvertedIndex.to_payload``.
+    def to_bytes(self) -> bytes:
+        """A sealed segment's native record (docs/storage-format.md, kind 6):
+        little-endian columns, each 1, 2, 4 or 8 bytes wide as its largest
+        value needs, then the term names, then each term's two streams."""
+        names = [term.encode("utf-8") for term in self._terms]
+        postings = list(self._terms.values())
+        rows = [
+            (len(name), p.doc_count, p.collection_frequency, p.block_count,
+             len(p._data), len(p._pos_data))
+            for name, p in zip(names, postings)
+        ]
+        columns = [list(self._doc_lengths), list(self._doc_lengths.values())]
+        columns += [[row[field] for row in rows] for field in range(_TERM_FIELDS)]
+        for attribute in _BLOCK_COLUMNS:
+            columns.append(array("q"))
+            for p in postings:
+                columns[-1].extend(getattr(p, attribute))
+        bits = [max(column, default=0).bit_length() for column in columns]
+        widths = [next(w for w in _TYPECODES if b <= 8 * w) for b in bits]
+        parts = [_BYTES_HEADER.pack(len(self._doc_lengths), len(names), *widths)]
+        for column, width in zip(columns, widths):
+            column = array(_TYPECODES[width], column)
+            if sys.byteorder == "big":
+                column.byteswap()
+            parts.append(column.tobytes())
+        streams = [stream for p in postings for stream in (p._data, p._pos_data)]
+        return b"".join(parts + names + streams)
 
-        Persistence stays representation-neutral: old payloads load into
-        compact segments and compact dumps load into old code.
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "CompactIndex":
+        """Inverse of :meth:`to_bytes` by ``array.frombytes`` and slicing; raises
+        :class:`StoreCorruptionError` unless the declared lengths consume
+        ``data`` exactly and every block count fits its document count."""
+        size = len(data)
+        if size < _BYTES_HEADER.size:
+            raise StoreCorruptionError(f"block record truncated at {size} bytes")
+        documents, term_count, *widths = _BYTES_HEADER.unpack_from(data)
+        cursor = _BYTES_HEADER.size
+        head = cursor + documents * sum(widths[:2]) + term_count * sum(widths[2:8])
+        if not set(widths) <= set(_TYPECODES) or size < head:
+            raise StoreCorruptionError(f"block record header overruns its {size} bytes")
+        pending = iter(widths)
+
+        def column(count: int) -> array:
+            nonlocal cursor
+            width = next(pending)
+            out = array(_TYPECODES[width], data[cursor: cursor + count * width])
+            cursor += count * width
+            if sys.byteorder == "big":
+                out.byteswap()
+            return out
+
+        doc_ids = column(documents).tolist()
+        doc_lengths = dict(zip(doc_ids, column(documents).tolist()))
+        fields = [column(term_count).tolist() for _ in range(_TERM_FIELDS)]
+        name_lens, doc_counts, _cfs, block_counts, data_lens, pos_lens = fields
+        blocks = sum(block_counts)
+        name_at = cursor + (blocks + term_count) * widths[8] + blocks * sum(widths[9:])
+        stream_at = name_at + sum(name_lens)
+        if stream_at + sum(data_lens) + sum(pos_lens) != size or block_counts != [
+            -(-count // BLOCK_SIZE) for count in doc_counts
+        ]:
+            raise StoreCorruptionError(f"block record lengths do not add up to {size} bytes")
+        offsets, last_docs, max_tfs, pos_offsets = [
+            array("q", column(count)) for count in (blocks + term_count, blocks, blocks, blocks)
+        ]
+        terms: Dict[str, CompactPostings] = {}
+        block = 0
+        for index, (name_len, doc_count, cf, count, data_len, pos_len) in enumerate(
+            zip(*fields)
+        ):
+            try:
+                term = data[name_at: name_at + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StoreCorruptionError(f"block record term name: {exc}") from None
+            end, pos_at = block + count, stream_at + data_len
+            terms[term] = CompactPostings(
+                doc_count, cf, data[stream_at:pos_at],
+                offsets[block + index: end + index + 1], last_docs[block:end],
+                max_tfs[block:end], data[pos_at: pos_at + pos_len], pos_offsets[block:end],
+            )
+            name_at, stream_at, block = name_at + name_len, pos_at + pos_len, end
+        if len(terms) != term_count:
+            raise StoreCorruptionError("block record repeats a term name")
+        return cls(terms, doc_lengths)
+
+    def to_payload(self) -> dict:
+        """The logical JSON schema of ``InvertedIndex.to_payload``.
+
+        What builds before the native record stored for a sealed segment
+        (:meth:`from_payload` still reads it); the store now writes
+        :meth:`to_bytes`.
         """
         return {
             "doc_lengths": {str(d): l for d, l in self._doc_lengths.items()},
@@ -489,15 +586,12 @@ class CompactIndex:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CompactIndex":
-        """Build compact form straight from a logical payload."""
-        terms: Dict[str, CompactPostings] = {}
-        for term, by_doc in payload["postings"].items():
-            builder = CompactPostingsBuilder()
-            for doc_id in sorted(int(d) for d in by_doc):
-                positions = by_doc.get(doc_id, by_doc.get(str(doc_id)))
-                builder.add(doc_id, list(positions))
-            built = builder.build()
-            if built.doc_count:
-                terms[term] = built
-        doc_lengths = {int(d): l for d, l in payload["doc_lengths"].items()}
-        return cls(terms, doc_lengths)
+        """Build compact form from a logical payload (the JSON records and
+        directories older builds wrote): every posting is re-encoded."""
+        return cls.from_entry_streams(
+            (
+                (term, sorted((int(d), len(p), p) for d, p in by_doc.items()))
+                for term, by_doc in payload["postings"].items()
+            ),
+            {int(d): l for d, l in payload["doc_lengths"].items()},
+        )

@@ -271,10 +271,11 @@ class SealedSegment:
 
     @classmethod
     def from_payload(cls, segment_id: int, payload: dict) -> "SealedSegment":
-        # Payloads are representation-neutral (the logical schema of
-        # ``InvertedIndex.to_payload``); loading encodes straight into the
-        # compact block form.
-        index = CompactIndex.from_payload(payload["index"])
+        # A CompactIndex (a native store record), or the logical schema of
+        # ``InvertedIndex.to_payload`` (memtables, older files) to encode.
+        index = payload["index"]
+        if not isinstance(index, CompactIndex):
+            index = CompactIndex.from_payload(index)
         segment = cls(segment_id, index, index.forward_map())
         for doc_id in payload.get("tombstones", ()):
             segment.tombstone(int(doc_id))

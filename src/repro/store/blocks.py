@@ -1,6 +1,6 @@
 """Binary block codecs of the single-file store.
 
-Three fixed layouts make up the file (all integers big-endian):
+Three fixed layouts make up the file (their integers big-endian):
 
 **Superblock** (32 bytes, offset 0) — written once at creation::
 
@@ -17,9 +17,10 @@ gets a fresh token).
     payload_length u32 | crc u32 | kind u8 | payload bytes
 
 The CRC-32 covers the kind byte plus the payload, so a record can never
-be "valid but of the wrong kind".  Payloads are compact JSON (the same
-representation-neutral schemas the legacy layouts use — that is what
-makes cross-loading free).
+be "valid but of the wrong kind".  Payloads are compact JSON, except a
+sealed segment's: kind ``BLOCKS`` holds its native block form, with
+little-endian columns (``CompactIndex.to_bytes``; byte table in
+docs/storage-format.md).
 
 **Footer** (24 bytes) — appended after every manifest record::
 
@@ -54,10 +55,11 @@ FOOTER_SIZE = _FOOTER_STRUCT.size  # 24
 # Record kinds.  A record's kind is covered by its checksum, so readers
 # can insist on the kind they expect.
 KIND_DOCS = 1       # one batch of documents of one collection
-KIND_SEGMENT = 2    # one immutable sealed segment's postings
+KIND_SEGMENT = 2    # a sealed segment as JSON; read, no longer written
 KIND_MEMTABLE = 3   # a collection's current memtable postings
 KIND_INDEX = 4      # a legacy monolithic index; read, no longer written
 KIND_MANIFEST = 5   # a checkpoint manifest (the commit record)
+KIND_BLOCKS = 6     # one sealed segment in native block form
 
 _KIND_NAMES = {
     KIND_DOCS: "docs",
@@ -65,6 +67,7 @@ _KIND_NAMES = {
     KIND_MEMTABLE: "memtable",
     KIND_INDEX: "index",
     KIND_MANIFEST: "manifest",
+    KIND_BLOCKS: "blocks",
 }
 
 

@@ -5,10 +5,11 @@ Every collection serializes into one append-only
 :class:`~repro.store.file.StoreFile`; a checkpoint appends only what
 changed since the previous one:
 
-* **sealed segments** are written exactly once.  A written segment gets a
-  ``store_stamp`` (token, offset, length); later checkpoints reference
-  the existing record.  Tombstones travel in the *manifest* entry, so
-  deleting documents never rewrites a segment record.
+* **sealed segments** are written exactly once, in their native block
+  form (``blocks`` records, ``CompactIndex.to_bytes``).  A written or
+  loaded segment gets a ``store_stamp`` (token, offset, length); later
+  checkpoints reference the existing record.  Tombstones travel in the
+  *manifest* entry, so deleting documents never rewrites a segment record.
 * **documents** append as delta batches: only documents whose
   ``(doc_id, revision)`` changed since the last checkpoint.  Removals are
   listed in the manifest; once the removal list outgrows the live set,
@@ -22,13 +23,15 @@ checkpoint intact (see :mod:`repro.store.file` for recovery).
 Loading is lazy by default: each collection registers a loader with the
 engine and materializes from the manifest on first touch, so
 restart-to-first-query cost is O(touched collections), not O(corpus).
-Materialization builds a payload (documents plus segment entries) and
-hands it to ``IRSCollection.from_payload``.  Older builds wrote two more
-layouts, both read-only here: a ``flat`` entry (one monolithic index,
-read as one sealed segment) and a ``sharded`` entry (one part per shard,
-whose segments all load into the one manager).  Until its collection is
-touched such an entry is carried forward verbatim; the first checkpoint
-after that writes it as ``segmented``.
+Materialization slices each segment record into a ``CompactIndex``
+(``from_bytes``, no posting re-encoded) and hands documents and segments
+to ``IRSCollection.from_payload``.  Older builds wrote JSON segment
+records and two more layouts, all read-only here: a ``flat`` entry (one
+monolithic index, read as one sealed segment) and a ``sharded`` entry
+(one part per shard, whose segments all load into the one manager).
+Until its collection is touched such an entry is carried forward
+verbatim; the first checkpoint after that writes it as ``segmented`` and
+its segments as native records.
 
 Offline :meth:`pack` copies live records into a fresh file and atomically
 replaces the store, keeping a one-generation offset remap so segment
@@ -43,6 +46,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import StoreError
+from repro.irs.postings import CompactIndex
 from repro.store import blocks
 from repro.store.blocks import encode_json
 from repro.store.file import StoreFile, fsync_directory
@@ -161,8 +165,8 @@ class SingleFileStore:
             "dead_bytes": max(0, self.file.size - self._live_bytes),
         }
 
-    def _append(self, kind: int, payload: dict) -> List[int]:
-        offset, length = self.file.append_record(kind, encode_json(payload))
+    def _append(self, kind: int, payload: bytes) -> List[int]:
+        offset, length = self.file.append_record(kind, payload)
         self._appended += 1
         self._appended_bytes += length
         return [offset, length]
@@ -217,7 +221,7 @@ class SingleFileStore:
                 )
                 state.revisions[doc_id] = current[doc_id]
             state.batches.append(
-                self._append(blocks.KIND_DOCS, {"documents": batch})
+                self._append(blocks.KIND_DOCS, encode_json({"documents": batch}))
             )
         entry["doc_batches"] = [list(ref) for ref in state.batches]
         entry["removed_docs"] = sorted(state.removed)
@@ -247,7 +251,7 @@ class SingleFileStore:
             else:
                 mem_ref = self._append(
                     blocks.KIND_MEMTABLE,
-                    {"index": memtable.index.to_payload()},
+                    encode_json({"index": memtable.index.to_payload()}),
                 )
                 state.mem_ref = list(mem_ref)
                 state.mem_version = manager.index_version
@@ -270,9 +274,7 @@ class SingleFileStore:
                     segment.store_stamp = (self.token, moved[0], moved[1])
                     self._reused += 1
                     return moved[0], moved[1]
-        ref = self._append(
-            blocks.KIND_SEGMENT, {"index": segment.index.to_payload()}
-        )
+        ref = self._append(blocks.KIND_BLOCKS, segment.index.to_bytes())
         segment.store_stamp = (self.token, ref[0], ref[1])
         return ref[0], ref[1]
 
@@ -349,23 +351,23 @@ class SingleFileStore:
     def _segment_payloads(self, entry: dict) -> List[dict]:
         """Segment entries of one manager entry, memtable last (a legacy
         ``flat`` index ref reads as one segment).  An entry read from a
-        segment record carries that record's ``ref``."""
+        native ``blocks`` record carries that record's ``ref``; one read
+        from an older JSON ``segment`` record does not, so the next
+        checkpoint rewrites it in native form."""
         if entry.get("index") is not None:
             ref = entry["index"]
             record = self.file.read_json(ref[0], ref[1], blocks.KIND_INDEX)
             return [{"index": record["index"], "tombstones": []}]
         payloads = []
         for segment in entry["segments"]:
-            record = self.file.read_json(
-                segment["offset"], segment["length"], blocks.KIND_SEGMENT
-            )
-            payloads.append(
-                {
-                    "index": record["index"],
-                    "tombstones": segment["tombstones"],
-                    "ref": (segment["offset"], segment["length"]),
-                }
-            )
+            ref = (segment["offset"], segment["length"])
+            kind, data = self.file.read_typed(*ref, (blocks.KIND_BLOCKS, blocks.KIND_SEGMENT))
+            loaded = {"tombstones": segment["tombstones"]}
+            if kind == blocks.KIND_BLOCKS:
+                loaded.update(index=CompactIndex.from_bytes(data), ref=ref)
+            else:
+                loaded["index"] = blocks.decode_json(data)["index"]
+            payloads.append(loaded)
         mem_ref = entry.get("memtable")
         if mem_ref:
             record = self.file.read_json(
@@ -377,8 +379,8 @@ class SingleFileStore:
     def _seed_state(self, name: str, entry: dict, collection, segments) -> None:
         """Prime incremental bookkeeping after a load, so the very next
         checkpoint is already a delta: the documents, and every segment
-        loaded from a segment record (``segments``, in load order), are
-        referenced, not rewritten."""
+        loaded from a native segment record (``segments``, in load order),
+        are referenced, not rewritten."""
         state = _CollectionState()
         state.revisions = {
             doc.doc_id: doc.revision
@@ -387,8 +389,8 @@ class SingleFileStore:
         state.batches = [list(ref) for ref in entry["doc_batches"]]
         state.removed = set(entry["removed_docs"])
         self._state[name] = state
-        # One read from a memtable or a flat index record (another record
-        # kind) has no ref: it is written once as a segment at the next
+        # One read from a memtable, a flat index or a JSON segment record
+        # has no ref: it is written once as a native segment at the next
         # checkpoint.
         for segment, loaded in zip(collection.segments.sealed_segments(), segments):
             if "ref" in loaded:

@@ -245,6 +245,13 @@ class StoreFile:
         data = self._pread(offset, length)
         return blocks.verify_record(data, kind)
 
+    def read_typed(self, offset: int, length: int, kinds) -> Tuple[int, bytes]:
+        """``(kind, payload)`` of one checksum-validated record; raises
+        unless its kind is one of ``kinds``."""
+        data = self._pread(offset, length)
+        kind = blocks.decode_record_header(data)[2]
+        return kind, blocks.verify_record(data, kind if kind in kinds else kinds[0])
+
     def read_json(self, offset: int, length: int, kind: int = None) -> dict:
         return blocks.decode_json(self.read_record(offset, length, kind))
 

@@ -1,4 +1,5 @@
-"""Compact block postings: round-trips, block metadata, payloads."""
+"""Compact block postings: round-trips, block metadata, payloads and the
+native byte form sealed segments are stored in."""
 
 from __future__ import annotations
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StoreCorruptionError
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import (
     BLOCK_SIZE,
     CompactIndex,
     CompactPostingsBuilder,
 )
+from repro.store import blocks
 
 
 def build(entries):
@@ -59,7 +62,7 @@ class TestBuilderRoundTrip:
         assert postings.collection_frequency == 6
         assert [(p.doc_id, p.positions) for p in postings.to_postings()] == entries
         assert [
-            (d, tf) for d, tf, _ in postings.iter_entries(with_positions=False)
+            (d, tf) for d, tf, _ in postings.iter_entries()
         ] == [(3, 2), (9, 1), (200, 3)]
 
     @settings(max_examples=30, deadline=None)
@@ -194,3 +197,100 @@ class TestCompactIndex:
             for p in inverted.postings(term):
                 dict_proxy += 8 + 8 * len(p.positions)
         assert compact.postings_bytes() < dict_proxy
+
+
+# -- native byte form ------------------------------------------------------
+
+
+@st.composite
+def compact_indexes(draw):
+    """A sealed index over unicode terms: up to three blocks per term, doc
+    ids starting anywhere up to past 2**32 (which forces 64-bit columns)."""
+    vocabulary = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1,
+                               max_size=10, unique=True))
+    documents = draw(st.integers(0, 3 * BLOCK_SIZE + 9))
+    doc_id = draw(st.sampled_from([1, 2**31, 2**32 - 40, 2**40]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    inverted = InvertedIndex()
+    for _ in range(documents):
+        inverted.add_document(
+            doc_id, [rng.choice(vocabulary) for _ in range(rng.randint(1, 9))]
+        )
+        doc_id += rng.randint(1, 400)
+    return CompactIndex.from_inverted(inverted)
+
+
+def assert_same_index(loaded, source):
+    assert list(loaded.terms()) == list(source.terms())
+    assert loaded.doc_lengths == source.doc_lengths
+    assert loaded.postings_bytes() == source.postings_bytes()
+    assert loaded.forward_map() == source.forward_map()
+    for term in source.terms():
+        got, want = loaded.compact_postings(term), source.compact_postings(term)
+        assert (got.doc_count, got.collection_frequency, got.block_count) == (
+            want.doc_count, want.collection_frequency, want.block_count
+        )
+        assert [
+            (got.block_last_doc(b), got.block_max_tf(b), got.block_doc_count(b))
+            for b in range(got.block_count)
+        ] == [
+            (want.block_last_doc(b), want.block_max_tf(b), want.block_doc_count(b))
+            for b in range(want.block_count)
+        ]
+        assert list(loaded.term_columns(term)) == list(source.term_columns(term))
+        assert got.to_postings() == want.to_postings()
+        for posting in want.to_postings():
+            assert loaded.positions(term, posting.doc_id) == posting.positions
+
+
+class TestNativeBytes:
+    def test_empty_index(self):
+        empty = CompactIndex({}, {})
+        loaded = CompactIndex.from_bytes(empty.to_bytes())
+        assert loaded.document_count == loaded.term_count == 0
+        assert_same_index(loaded, empty)
+
+    @settings(max_examples=40, deadline=None)
+    @given(compact_indexes())
+    def test_round_trip(self, index):
+        data = index.to_bytes()
+        assert_same_index(CompactIndex.from_bytes(data), index)
+        # Header: two u32 counts, then the doc-id column's width first.
+        wide = any(doc_id > 0xFFFFFFFF for doc_id in index.doc_lengths)
+        assert (data[8] == 8) == wide
+
+    @settings(max_examples=40, deadline=None)
+    @given(compact_indexes(), st.data())
+    def test_truncated_or_overlong_record_is_corruption(self, index, data):
+        """A payload of the wrong length fails loud even when its record's
+        CRC is valid (the record was written that way)."""
+        payload = index.to_bytes()
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        extra = data.draw(st.binary(min_size=1, max_size=16))
+        for bad in (payload[:cut], payload + extra):
+            record = blocks.encode_record(blocks.KIND_BLOCKS, bad)
+            with pytest.raises(StoreCorruptionError):
+                CompactIndex.from_bytes(blocks.verify_record(record, blocks.KIND_BLOCKS))
+
+    def test_block_count_must_fit_doc_count(self):
+        index = CompactIndex.from_inverted(build_inverted({1: ["a"], 2: ["a", "b"]}))
+        index.compact_postings("a").doc_count = BLOCK_SIZE + 1  # one block
+        with pytest.raises(StoreCorruptionError):
+            CompactIndex.from_bytes(index.to_bytes())
+
+    def test_native_record_is_smaller_than_its_json(self):
+        rng = random.Random(5)
+        vocabulary = [f"term{i}" for i in range(400)]
+        inverted = build_inverted({
+            doc_id: [rng.choice(vocabulary) for _ in range(60)]
+            for doc_id in range(1, 1025)
+        })
+        index = CompactIndex.from_inverted(inverted)
+        assert len(index.to_bytes()) < len(blocks.encode_json({"index": index.to_payload()}))
+
+
+def build_inverted(documents):
+    inverted = InvertedIndex()
+    for doc_id, terms in documents.items():
+        inverted.add_document(doc_id, terms)
+    return inverted

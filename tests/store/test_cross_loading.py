@@ -1,13 +1,19 @@
 """What older builds wrote opens with identical documents and rankings.
 
 ``fixtures/`` holds files written by the previous writers, before the
-JSON write path, the monolithic layout and the sharded layout were
-removed.  They are kept small and are never regenerated from this code:
+JSON write path, the monolithic layout, the sharded layout and the JSON
+segment record were removed.  They are kept small and are never
+regenerated from this code:
 
 * ``irs_index/`` — a bare-engine JSON directory holding a monolithic
   (``mono``), a segmented (``seg``) and a 2-shard (``shard``) collection;
 * ``irs.store`` — a single-file store over two checkpoints whose manifest
   has a ``flat`` entry (``mono``) next to a segmented and a sharded one;
+  its six sealed segments are JSON ``segment`` records;
+* ``blocks.store`` — a store whose sealed segments are native ``blocks``
+  records: two collections of eighteen documents over unicode terms,
+  sealed every four documents, three removed and one revised, one with
+  doc ids from 2**32 - 2 (8-byte doc-id columns), the other 1-byte ones;
 * ``sharded_system/`` — a whole system directory (``db/`` and
   ``irs.store``), closed cleanly, whose ``paras`` collection is a 3-shard
   entry: sealed segments, tombstones, a revised document and memtables;
@@ -19,7 +25,8 @@ removed.  They are kept small and are never regenerated from this code:
 The JSON directory is read-only now: it is imported once into the store.
 A ``flat`` or ``sharded`` store entry reads as sealed segments of the
 collection's one segment manager and is rewritten as ``segmented`` by the
-first checkpoint after its collection is touched.
+first checkpoint after its collection is touched; that checkpoint also
+rewrites every JSON segment record it references as a native one.
 """
 
 import json
@@ -34,7 +41,7 @@ from repro.irs.engine import IRSEngine
 from repro.irs.persistence import load_engine as load_json_engine
 from repro.irs.segments import SegmentConfig
 from repro.sgml.mmf import build_document, mmf_dtd
-from repro.store import SingleFileStore
+from repro.store import SingleFileStore, blocks
 from tests.legacy import ShardedHistory, write_sharded_store
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -183,6 +190,119 @@ class TestOlderStoreFile:
         again.close()
 
 
+SEGMENT_KINDS = (blocks.KIND_BLOCKS, blocks.KIND_SEGMENT)
+
+
+def segment_kinds(store):
+    """Record kind of every sealed segment the manifest references."""
+    return [
+        store.file.read_typed(segment["offset"], segment["length"], SEGMENT_KINDS)[0]
+        for entry in store.manifest["collections"].values()
+        for part in entry.get("shards", [entry])
+        for segment in part.get("segments", [])
+    ]
+
+
+def record_kinds(path):
+    """Kind of every record in the file, live or dead, in file order."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kinds, offset = [], blocks.SUPER_SIZE
+    while offset < len(data):
+        if data[offset: offset + 8] == blocks.FOOTER_MAGIC:
+            offset += blocks.FOOTER_SIZE
+            continue
+        length, _crc, kind = blocks.decode_record_header(data[offset:])
+        kinds.append(kind)
+        offset += blocks.RECORD_HEADER_SIZE + length
+    return kinds
+
+
+def touch_all(engine):
+    for name in engine.collection_names():
+        engine.collection(name)
+    return engine
+
+
+class TestOlderSegmentRecords:
+    """``irs.store``'s six JSON segment records load as they always did;
+    the first checkpoint after a touch rewrites each once as a native
+    record, and ``pack`` reclaims the JSON."""
+
+    def test_touch_and_checkpoint_converts_then_pack_drops_json(self, tmp_path):
+        want = expected("store_expected.json")
+        path = store_copy(tmp_path)
+        with SingleFileStore(path) as store:
+            assert segment_kinds(store) == [blocks.KIND_SEGMENT] * 6
+            engine = store.load_engine()
+            assert_matches(engine, want)
+            store.checkpoint(engine)
+            assert set(segment_kinds(store)) == {blocks.KIND_BLOCKS}
+            assert_matches(engine, want)
+            assert store.checkpoint(engine)["records_appended"] == 0
+            store.pack()
+        assert blocks.KIND_SEGMENT not in record_kinds(path)
+        with SingleFileStore(path) as again:
+            assert set(segment_kinds(again)) == {blocks.KIND_BLOCKS}
+            assert_matches(again.load_engine(), want)
+
+    def test_crash_at_every_byte_of_the_converting_checkpoint(self, tmp_path):
+        want = expected("store_expected.json")
+        path = store_copy(tmp_path)
+        start = os.path.getsize(path)
+        with SingleFileStore(path) as store:
+            before = store.manifest
+            store.checkpoint(touch_all(store.load_engine()))
+            after = store.manifest
+        end = os.path.getsize(path)
+        work = str(tmp_path / "work.store")
+        shutil.copyfile(path, work)
+        # A cut never moves the surviving prefix, so truncate one copy
+        # from the end backwards instead of copying once per byte.
+        for cut in range(end, start - 1, -1):
+            os.truncate(work, cut)
+            with SingleFileStore(work) as crashed:
+                assert crashed.manifest == (after if cut == end else before), cut
+                if cut in (end, end - 1, start) or cut % 101 == 0:
+                    assert_matches(crashed.load_engine(), want)
+
+
+BLOCKS_STORE = expected("blocks_store_expected.json")
+
+
+class TestNativeStoreFile:
+    """``blocks.store``: the native segment record of kind 6, with 1-byte
+    and 8-byte doc-id columns, opens with the writer's documents and
+    rankings."""
+
+    def test_segments_are_native_records_of_both_widths(self, tmp_path):
+        path = str(tmp_path / "blocks.store")
+        shutil.copyfile(os.path.join(FIXTURES, "blocks.store"), path)
+        with SingleFileStore(path) as store:
+            # Byte 8 of the payload: the width of its doc-id column.
+            widths = {
+                name: {
+                    store.file.read_typed(s["offset"], s["length"], SEGMENT_KINDS)[1][8]
+                    for s in entry["segments"]
+                }
+                for name, entry in store.manifest["collections"].items()
+            }
+            assert set(segment_kinds(store)) == {blocks.KIND_BLOCKS}
+        assert widths == {"narrow": {1}, "wide": {8}}
+
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_opens_with_identical_results(self, tmp_path, lazy):
+        path = str(tmp_path / "blocks.store")
+        shutil.copyfile(os.path.join(FIXTURES, "blocks.store"), path)
+        with SingleFileStore(path) as store:
+            memtables = [e["memtable"] for e in store.manifest["collections"].values()]
+            engine = store.load_engine(lazy=lazy)
+            assert_matches(engine, BLOCKS_STORE)
+            # Native segments keep their records; each memtable is written
+            # once more, as a segment.
+            assert store.checkpoint(touch_all(engine))["records_appended"] == len(memtables) == 2
+
+
 SHARDED_SYSTEM = expected("sharded_system_expected.json")
 #: Records the writer's build appended at the first checkpoint after it
 #: reopened ``sharded_system`` unsharded, with ``paras`` touched or not.
@@ -222,8 +342,8 @@ class TestOlderSystemDirectory:
 
     def test_touched_entry_is_rewritten_as_segmented_then_packed(self, tmp_path):
         """The first checkpoint after a touch writes ``segmented``: the
-        shards' segment records stay referenced and only their memtables
-        are written again, as segments — no more records than the writer's
+        shards' JSON segment records and their memtables are written again,
+        once each, as native segments — no more records than the writer's
         build appended.  ``pack`` then reclaims what only the shard entry
         referenced."""
         path = system_copy(tmp_path)
@@ -244,11 +364,11 @@ class TestOlderSystemDirectory:
             assert entry["layout"] == "segmented"
             assert not {"shards", "shard_count"} & set(entry)
             assert store.manifest["engine"] == {"default_model": "inquery"}
-            assert kept <= {(s["offset"], s["length"]) for s in entry["segments"]}
-            assert stats["records_appended"] == len(memtables)
+            assert not kept & {(s["offset"], s["length"]) for s in entry["segments"]}
+            assert stats["records_appended"] == len(kept) + len(memtables)
             assert stats["records_appended"] <= WRITER_RECORDS["touched"]
             dead = store.stats()["dead_bytes"]
-            assert dead >= sum(length for _offset, length in memtables)
+            assert dead >= sum(length for _offset, length in [*kept, *memtables])
             assert system.pack()["reclaimed_bytes"] >= dead
             assert store.stats()["dead_bytes"] == 0
         finally:
@@ -417,10 +537,11 @@ class TestShardedEntryOfAnyShardCount:
             entry = store.manifest["collections"]["docs"]
             assert entry["layout"] == "segmented"
             assert not {"shards", "shard_count"} & set(entry)
-            assert kept <= {(s["offset"], s["length"]) for s in entry["segments"]}
-            # Only the shards' memtables are written again, as segments.
-            assert stats["records_appended"] == len(memtables)
-            shard_records = sum(length for _offset, length in memtables)
+            assert not kept & {(s["offset"], s["length"]) for s in entry["segments"]}
+            # The shards' JSON segments and memtables are written again,
+            # once each, as native segments.
+            assert stats["records_appended"] == len(kept) + len(memtables)
+            shard_records = sum(length for _offset, length in [*kept, *memtables])
             assert store.stats()["dead_bytes"] >= shard_records
             assert store.pack()["reclaimed_bytes"] >= shard_records
             assert store.stats()["dead_bytes"] == 0

@@ -45,6 +45,15 @@ class TestLifecycle:
         assert again.recovered_tail_bytes == 0
         again.close()
 
+    def test_read_typed_accepts_only_the_named_kinds(self, tmp_path):
+        store = _store(tmp_path)
+        offset, length = _commit_one(store)
+        kinds = (blocks.KIND_MANIFEST, blocks.KIND_DOCS)
+        assert store.read_typed(offset, length, kinds) == (blocks.KIND_DOCS, b"some docs")
+        with pytest.raises(StoreCorruptionError):
+            store.read_typed(offset, length, (blocks.KIND_BLOCKS, blocks.KIND_SEGMENT))
+        store.close()
+
     def test_mmap_and_fallback_reads_agree(self, tmp_path):
         plain = _store(tmp_path, "a.store", use_mmap=False)
         offset, length = _commit_one(plain)
