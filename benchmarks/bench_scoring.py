@@ -94,13 +94,17 @@ TOPK_SMOKE_TIERS = (20000,)
 TOPK_K = 10
 
 #: Prunable shapes only: the top-k scorer's eligibility covers vector
-#: queries and inquery #sum/#wsum trees; structured operators fall back to
-#: exhaustive scoring and would just measure the fallback overhead here.
+#: queries, inquery #sum/#wsum trees and inquery flat #and/#or/#max roots;
+#: nested operators, #not and proximity fall back to exhaustive scoring and
+#: would just measure the fallback overhead here.
 TOPK_QUERIES = [
     "topic0",
     "topic1 topic4",
     "#sum(topic0 topic2 topic7)",
     "#wsum(2 topic0 1 topic8 0.5 topic9)",
+    "#and(topic0 topic3)",
+    "#or(topic1 topic5 topic6)",
+    "#max(topic2 topic8)",
 ]
 
 

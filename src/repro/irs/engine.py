@@ -579,8 +579,8 @@ class IRSEngine:
                 profile.early_terminations += outcome.early_terminations
                 profile.candidates_scored += outcome.candidates_scored
             return outcome.values
-        # Structured operators (#and/#or/#not/#max), proximity leaves and
-        # non-positive weights keep their exhaustive semantics; record why.
+        # Nested operators, #not, proximity leaves and non-positive weights
+        # keep their exhaustive semantics; record why.
         span.set_attribute("pruned", False)
         span.set_attribute("prune_fallback", outcome.reason)
         registry.counter("irs.topk.fallbacks").inc()

@@ -39,11 +39,19 @@ expressions, same accumulation order), and ties resolve by the same
 ``(-value, doc_id)`` order :meth:`IRSResult.ranked` uses — so the pruned
 top-k equals ``exhaustive.ranked()[:k]`` exactly, not just approximately.
 
-Eligibility.  Only flat ``#sum``/``#wsum`` shapes over plain positive-
-weight terms qualify (vector additionally accepts any operator nesting it
-would flatten anyway, except ``#not``); structured operators, proximity
-leaves, and negative weights fall back to exhaustive scoring + truncation,
-with the decision recorded on the query span (visible in ``explain()``).
+Eligibility.  Flat ``#sum``/``#wsum`` shapes over plain positive-weight
+terms qualify for both models (vector additionally accepts any operator
+nesting it would flatten anyway, except ``#not``), and so, for inquery, does
+a root ``#and``/``#or``/``#max`` over plain terms — stopped, unknown and
+repeated terms included.  Each is monotone in every leaf's impact ``u``:
+``#and`` and ``#or`` run the same kernel after a monotone *lift* under
+which their parts add (``log1p(u/db)`` and ``-log1p(-u/(1-db))``), screening
+raw impacts against the lifted threshold mapped back and rounded down;
+``#max`` runs each term's list alone.  Survivors fold their beliefs in leaf
+order exactly as ``op_and``/``op_or``/``op_max`` do, so values stay
+bit-identical.  Nested operators, ``#not``, proximity leaves and
+non-positive weights fall back to exhaustive scoring + truncation, with the
+decision recorded on the query span (visible in ``explain()``).
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.irs.models.base import (
@@ -69,6 +78,13 @@ from repro.irs.queries import OperatorNode, ProximityNode, QueryNode
 #: re-association error between a bound sum and the exhaustive
 #: accumulation while costing nothing measurable in pruning power.
 CUT_SCALE = 1.0 - 1e-7
+
+#: Absolute deflation of the ``#and``/``#or``/``#max`` thresholds.  Their
+#: exact values round every belief ``db + u`` and every step of the fold,
+#: an error that is absolute in the lifted space; as the k-th value nears
+#: the query's baseline the lifted cut nears 0, where the relative
+#: :data:`CUT_SCALE` no longer covers it.
+_CUT_MARGIN = 1e-9
 
 #: Impact-cache entries per collection; beyond it the least recently used
 #: entry goes, so the frequent terms most queries share outlive a stream of
@@ -119,22 +135,27 @@ def _vector_plan(collection, model_impl, tree) -> Tuple[Optional[list], Optional
     return list(query_vector.items()), None
 
 
-def _inquery_plan(collection, model_impl, tree) -> Tuple[Optional[list], Optional[str]]:
-    """Ordered ``(weight, analyzed-term-or-None)`` leaves for inquery."""
+def _inquery_plan(collection, model_impl, tree) -> Tuple[Optional[tuple], Optional[str]]:
+    """``(op, leaves)`` for inquery: ``"sum"`` for a flat linear shape, or a
+    root ``and``/``or``/``max`` over plain terms; ``leaves`` are the ordered
+    ``(weight, analyzed-term-or-None)`` pairs."""
     compiled = compile_query(collection, tree)
     flat = model_impl._flat_linear(compiled)
+    op = "sum"
     if flat is None:
-        if isinstance(compiled, CompiledOperator) and compiled.op not in (
-            "sum",
-            "wsum",
-        ):
-            return None, "operator:" + compiled.op
-        return None, "structure"
+        if not isinstance(compiled, CompiledOperator) or compiled.op in ("sum", "wsum"):
+            return None, "structure"
+        op = compiled.op
+        if op not in ("and", "or", "max") or (op == "and" and model_impl._db == 0.0):
+            return None, "operator:" + op
+        flat = [(1.0, child) for child in compiled.children]
     if any(isinstance(leaf, CompiledProximity) for _w, leaf in flat):
         return None, "proximity"
+    if any(isinstance(leaf, CompiledOperator) for _w, leaf in flat):
+        return None, "structure"
     if any(weight <= 0 for weight, _leaf in flat):
         return None, "weights"
-    return [(weight, leaf.term) for weight, leaf in flat], None
+    return (op, [(weight, leaf.term) for weight, leaf in flat]), None
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +253,28 @@ class _TermList:
 
     term: str
     weight: float  #: combined query weight
-    ub: float  #: weight * max impact over the whole list
+    ub: float  #: weight * lifted max impact over the whole list
     impacts: TermImpacts
+    #: Monotone map of an impact into the space where the parts add (None:
+    #: they already do), and its inverse, rounded down, for raw screening.
+    lift: Optional[Callable[[float], float]] = None
+    unlift: Optional[Callable[[float], float]] = None
+
+    def probe(self) -> Callable[[int], Optional[float]]:
+        """``doc_id -> lifted impact`` (None when the doc lacks the term)."""
+        get, lift = self.impacts.probe_us.get, self.lift
+        return get if lift is None else lambda doc: None if (u := get(doc)) is None else lift(u)
 
 
 _NEG_INF = float("-inf")
 
 
 def _score_segment(
-    lists: List[_TermList],
     k: int,
-    heap: List[Tuple[float, int]],
     score_candidate: Callable[[int, Dict[str, int]], Optional[float]],
     cut_of: Callable[[float], float],
+    lists: List[_TermList],
+    heap: List[Tuple[float, int]],
     outcome: TopKOutcome,
 ) -> None:
     """Run MaxScore over one segment, sharing the global top-k heap.
@@ -270,8 +300,10 @@ def _score_segment(
     still reaches the threshold are scored exactly.
 
     All bound arithmetic happens in the model's *contribution space* (the
-    raw weighted-impact sum, before any final transform); ``cut_of`` maps
-    the k-th heap value into that space, deflated by :data:`CUT_SCALE`.
+    weighted sum of impacts, lifted where the lists carry a lift, before
+    any final transform); ``cut_of`` maps the k-th heap value into that
+    space, deflated.  Block maxima and postings stay raw: the lead's
+    threshold is mapped back through ``unlift`` and only survivors lift.
     Until the heap holds ``k`` entries the cut is ``-inf``; a candidate is
     skipped only when its bound falls *clearly* below the k-th score, so
     ties at the threshold are always evaluated.
@@ -291,6 +323,8 @@ def _score_segment(
             outcome.early_terminations += 1
             break
         wl = lead.weight
+        lift = lead.lift
+        unlift = lead.unlift
         lead_term = lead.term
         block_maxes = lead.impacts.block_maxes
         block_us = lead.impacts.block_us
@@ -301,7 +335,7 @@ def _score_segment(
         # already considered during that list's scan, and a miss removes
         # the largest remaining slack from the bound fastest.
         probes = [
-            (tl.impacts.probe_us.get, tl.impacts.probe_tfs, tl.ub, tl.weight, tl.term, j < li)
+            (tl.probe(), tl.impacts.probe_tfs, tl.ub, tl.weight, tl.term, j < li)
             for j, tl in enumerate(lists)
             if j != li
         ]
@@ -312,6 +346,8 @@ def _score_segment(
             get_2, tfs_2, ub_2, w_2, term_2, scanned_2 = probes[1]
         rest = total_ub - lead.ub
         t = (cut - rest) / wl
+        if unlift is not None:
+            t = unlift(t)
         skipped = 0
         for b in range(len(block_us)):
             if block_maxes[b] < t:
@@ -323,6 +359,8 @@ def _score_segment(
                 if u < t:
                     continue
                 doc = ids[i]
+                if lift is not None:
+                    u = lift(u)
                 if n_probes == 0:
                     # u >= t already proves wl*u reaches the cut.
                     tf_map = {lead_term: lead_tfs[doc]}
@@ -401,6 +439,8 @@ def _score_segment(
                     continue
                 cut = cut_of(heap[0][0])
                 t = (cut - rest) / wl
+                if unlift is not None:
+                    t = unlift(t)
         outcome.blocks_skipped += skipped
         outcome.blocks_decoded += len(block_us) - skipped
         remaining -= lead.ub
@@ -413,10 +453,10 @@ def _score_segment(
 def _run(
     collection,
     model_impl,
-    k: int,
     weighted_terms: List[Tuple[str, float]],
-    score_candidate,
-    cut_of,
+    score_segment: Callable[[List[_TermList], list, TopKOutcome], None],
+    lift=None,
+    unlift=None,
 ) -> TopKOutcome:
     """Shared driver: build per-segment term lists, score segment by segment.
 
@@ -435,9 +475,10 @@ def _run(
         for term, weight in weighted_terms:
             impacts = impact_maps[term].get(id(source))
             if impacts is not None:
-                lists.append(_TermList(term, weight, weight * impacts.max_u, impacts))
+                max_u = impacts.max_u if lift is None else lift(impacts.max_u)
+                lists.append(_TermList(term, weight, weight * max_u, impacts, lift, unlift))
         if lists:
-            _score_segment(lists, k, heap, score_candidate, cut_of, outcome)
+            score_segment(lists, heap, outcome)
     outcome.values = {-neg_doc: value for value, neg_doc in heap}
     return outcome
 
@@ -480,64 +521,143 @@ def _vector_outcome(collection, model_impl, tree, k: int) -> TopKOutcome:
     def cut_of(theta: float) -> float:
         return theta * CUT_SCALE
 
-    return _run(collection, model_impl, k, weighted, score_candidate, cut_of)
+    kernel = partial(_score_segment, k, score_candidate, cut_of)
+    return _run(collection, model_impl, weighted, kernel)
 
 
 def _inquery_outcome(collection, model_impl, tree, k: int) -> TopKOutcome:
-    leaves, reason = _inquery_plan(collection, model_impl, tree)
-    if leaves is None:
+    plan, reason = _inquery_plan(collection, model_impl, tree)
+    if plan is None:
         return TopKOutcome(values=None, reason=reason)
+    op, leaves = plan
     stats = collection.stats
-    index = collection.index
     db = model_impl._db
     one_minus_db = 1.0 - db
-    total_weight = sum(weight for weight, _term in leaves)
     avg_dl = stats.average_document_length or 1.0
-    # Leaves kept for scoring: real terms with evidence capacity.  Stopped
-    # and zero-idf leaves contribute exactly 0.0 excess (their belief is
-    # the default belief bit-for-bit), so dropping them from the loop
-    # cannot change any accumulated float — but their weight stays in W.
-    idf_parts: Dict[str, float] = {}
-    scoring_leaves: List[Tuple[float, str]] = []
-    for weight, term in leaves:
-        if term is None:
-            continue
-        idf_part = idf_parts.get(term)
-        if idf_part is None:
-            idf_part = idf_parts[term] = stats.inquery_idf(term)
-        if idf_part > 0.0:
-            scoring_leaves.append((weight, term))
-    if not scoring_leaves:
-        return TopKOutcome(values={})
+    document_length = collection.index.document_length
+    idf_parts = {t: stats.inquery_idf(t) for t in dict.fromkeys(t for _w, t in leaves) if t}
+    # Terms with lists: real terms with evidence capacity.  Stopped and
+    # zero-idf leaves believe the default belief bit-for-bit everywhere,
+    # so they need no list — but they stay in every fold below.
     combined_weight: Dict[str, float] = {}
-    for weight, term in scoring_leaves:
-        combined_weight[term] = combined_weight.get(term, 0.0) + weight
-    document_length = index.document_length
+    for weight, term in leaves:
+        if term is not None and idf_parts[term] > 0.0:
+            combined_weight[term] = combined_weight.get(term, 0.0) + weight
+    weighted = list(combined_weight.items())
+    if op == "max":
+        return _inquery_max(collection, model_impl, k, weighted, db)
+
+    if op == "sum":
+        total_weight = sum(weight for weight, _term in leaves)
+        scoring_leaves = [(w, term) for w, term in leaves if term in combined_weight]
+
+        def score_candidate(doc_id: int, tf_map: Dict[str, int]) -> Optional[float]:
+            # Bit-identical to _score_term_at_a_time + _term_belief_map: same
+            # belief expression, same leaf-order accumulation.
+            acc = 0.0
+            for weight, term in scoring_leaves:
+                tf = tf_map.get(term)
+                if not tf:
+                    continue
+                dl = document_length(doc_id)
+                tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
+                belief = db + one_minus_db * tf_part * idf_parts[term]
+                acc += weight * (belief - db)
+            if acc <= 0.0:
+                return None
+            return db + acc / total_weight
+
+        # Contribution space is the weighted-excess sum (the accumulator of
+        # the exhaustive TAAT loop); the k-th *value* maps back through the
+        # final ``db + acc / W`` transform.
+        def cut_of(theta: float) -> float:
+            return (theta - db) * total_weight * CUT_SCALE
+
+        kernel = partial(_score_segment, k, score_candidate, cut_of)
+        return _run(collection, model_impl, weighted, kernel)
+
+    # #and / #or: a document's value folds the beliefs of every leaf in leaf
+    # order — the float sequence of op_and / op_or, hence of set_and /
+    # set_or.  Both are monotone in each impact u, and after a monotone
+    # lift of u the parts add:  #and = db^m * exp(sum of log1p(u / db)),
+    # #or = 1 - (1 - db)^m * exp(-(sum of -log1p(-u / (1 - db)))).
+    terms = [term for _w, term in leaves]  # every leaf, stopped ones included
+    baseline = model_impl.baseline(tree)
+    is_and = op == "and"
+    if is_and:
+        log_base = len(terms) * math.log(db)
+
+        def lift(u: float) -> float:
+            return math.log1p(u / db)
+
+        def unlift(t: float) -> float:
+            # Impacts lie below 1, so capping t only keeps expm1 finite.
+            return db * math.expm1(min(t, 50.0)) * CUT_SCALE
+
+        def cut_of(theta: float) -> float:
+            return (math.log(theta) - log_base) * CUT_SCALE - _CUT_MARGIN
+    else:
+        log_base = len(terms) * math.log(one_minus_db)
+
+        def lift(u: float) -> float:
+            return -math.log1p(-u / one_minus_db)
+
+        def unlift(t: float) -> float:
+            return -one_minus_db * math.expm1(-t) * CUT_SCALE
+
+        def cut_of(theta: float) -> float:
+            # 2**-53 covers the rounding of the final ``1 - product``.
+            return (log_base - math.log(1.0 - theta + 2.0**-53)) * CUT_SCALE - _CUT_MARGIN
 
     def score_candidate(doc_id: int, tf_map: Dict[str, int]) -> Optional[float]:
-        # Bit-identical to _score_term_at_a_time + _term_belief_map: same
-        # belief expression, same leaf-order accumulation.
-        acc = 0.0
-        for weight, term in scoring_leaves:
+        dl = document_length(doc_id)
+        acc = 1.0
+        for term in terms:
             tf = tf_map.get(term)
-            if not tf:
-                continue
-            dl = document_length(doc_id)
-            tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
-            belief = db + one_minus_db * tf_part * idf_parts[term]
-            acc += weight * (belief - db)
-        if acc <= 0.0:
-            return None
-        return db + acc / total_weight
+            if tf:
+                tf_part = tf / (tf + 0.5 + 1.5 * dl / avg_dl)
+                belief = db + one_minus_db * tf_part * idf_parts[term]
+            else:
+                belief = db
+            acc *= belief if is_and else 1.0 - belief
+        value = acc if is_and else 1.0 - acc
+        return value if value > baseline else None
 
-    # Contribution space is the weighted-excess sum (the accumulator of
-    # the exhaustive TAAT loop); the k-th *value* maps back through the
-    # final ``db + acc / W`` transform.
+    kernel = partial(_score_segment, k, score_candidate, cut_of)
+    return _run(collection, model_impl, weighted, kernel, lift, unlift)
+
+
+def _inquery_max(collection, model_impl, k: int, weighted, db: float) -> TopKOutcome:
+    """#max: each term list alone, strongest first, against the shared heap.
+
+    A document is scored once per segment — when the first list admits it
+    — as ``db + max u`` over the segment's probe maps: ``fl(db + u)`` is
+    monotone in u, so that is set_max's float.  A list whose largest
+    impact is below the cut ends the segment.
+    """
+
     def cut_of(theta: float) -> float:
-        return (theta - db) * total_weight * CUT_SCALE
+        return (theta - db) * CUT_SCALE - _CUT_MARGIN
 
-    weighted = list(combined_weight.items())
-    return _run(collection, model_impl, k, weighted, score_candidate, cut_of)
+    def score_segment(lists, heap, outcome) -> None:
+        gets = [tl.impacts.probe_us.get for tl in lists]
+        seen = set()
+
+        def score_candidate(doc_id: int, _tf_map) -> Optional[float]:
+            if doc_id in seen:
+                return None
+            seen.add(doc_id)
+            value = db + max(get(doc_id, 0.0) for get in gets)
+            return value if value > db else None
+
+        lists.sort(key=lambda tl: tl.ub, reverse=True)
+        for tl in lists:
+            if len(heap) >= k and tl.ub < cut_of(heap[0][0]):
+                outcome.early_terminations += 1
+                break
+            _score_segment(k, score_candidate, cut_of, [tl], heap, outcome)
+
+    return _run(collection, model_impl, [(term, 1.0) for term, _w in weighted], score_segment)
 
 
 # ---------------------------------------------------------------------------

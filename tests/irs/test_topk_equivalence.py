@@ -3,7 +3,9 @@
 The safe-up-to-k contract of :mod:`repro.irs.topk`: for every eligible
 query the pruned ranking's first k entries must equal — same documents,
 same order, bit-identical values — the first k entries of the exhaustive
-ranking.  Checked across both models, memtable + sealed segments, a
+ranking.  Checked for #sum/#wsum shapes and inquery's flat #and/#or/#max
+roots (repeated, stopped, unknown and every-document terms included),
+across both models, memtable + sealed segments, a
 memtable that never seals, an older build's shards opened as one
 manager, tombstones, ties at the kth position, mid-merge reads and post-merge
 state.
@@ -31,16 +33,28 @@ QUERIES = [
     "topic1 topic4",
     "#sum(topic0 topic2 topic7)",
     "#wsum(2 topic0 1 topic8 0.5 topic9)",
-]
-FALLBACK_QUERIES = [
     "#and(topic0 topic1)",
+    "#or(topic2 topic6 w3)",
     "#max(topic3 topic5)",
+    "#and(topic0 topic0 topic1)",
+    "#or(topic4 the zzz topic4)",
+    "#max(w7 the topic8 zzz)",
+    "#and(ubiq topic5)",
+    "#or(ubiq w11)",
+]
+#: Shapes the pruned path still declines: ``#not``, a nested operator and
+#: a proximity leaf.
+FALLBACK_QUERIES = [
+    "#not(topic0)",
+    "#and(#or(topic0 topic1) topic2)",
+    "#or(topic3 #od2(topic3 w1))",
 ]
 KS = (1, 10, 100)
 
 
 def _make_doc(rng):
-    words = rng.choices(VOCAB, k=rng.randint(20, 80))
+    """Every document holds ``ubiq``, whose idf part is (nearly) 0."""
+    words = rng.choices(VOCAB, k=rng.randint(20, 80)) + ["ubiq"]
     if rng.random() < 0.35:
         words += [rng.choice(TOPICS)] * rng.randint(1, 4)
     return " ".join(words)
@@ -97,7 +111,7 @@ class TestRankEquivalence:
         _assert_equivalent(engine)
 
     def test_fallback_shapes_truncate_exhaustively(self, corpus):
-        """Structured operators aren't prunable; top_k must still agree."""
+        """Shapes the pruned path declines; top_k must still agree."""
         engine, _docs, _rng = corpus
         _assert_equivalent(engine, queries=FALLBACK_QUERIES, ks=(1, 10))
 
@@ -122,15 +136,17 @@ class TestTiesAtKth:
             engine.index_document("c", "alpha beta gamma")
         for _ in range(5):
             engine.index_document("c", "alpha alpha beta")
+        queries = ("alpha beta", "#and(alpha beta)", "#or(alpha beta)", "#max(alpha beta)")
         for model in ("vector", "inquery"):
-            ranked = engine.query("c", "alpha beta", model=model).ranked()
-            for k in (1, 10, 100):
-                pruned = engine.query("c", "alpha beta", model=model, top_k=k)
-                got = sorted(pruned.values.items(), key=lambda kv: (-kv[1], kv[0]))
-                assert got == ranked[:k]
-            # The kth boundary really does split a tie group.
-            values = [v for _, v in ranked]
-            assert values[9] == values[10]
+            for q in queries:
+                ranked = engine.query("c", q, model=model).ranked()
+                for k in (1, 10, 100):
+                    pruned = engine.query("c", q, model=model, top_k=k)
+                    got = sorted(pruned.values.items(), key=lambda kv: (-kv[1], kv[0]))
+                    assert got == ranked[:k], (model, q, k)
+                # The kth boundary really does split a tie group.
+                values = [v for _, v in ranked]
+                assert values[9] == values[10]
 
 
 class TestTombstones:
@@ -177,11 +193,20 @@ class TestMidMergeReads:
 
 
 class TestOutcomeBookkeeping:
-    def test_eligible_query_prunes_and_counts(self):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "#sum(topic0 topic2 topic7)",
+            "#and(topic0 topic2 topic7)",
+            "#or(topic0 topic2 topic7)",
+            "#max(topic0 topic2 topic7)",
+        ],
+    )
+    def test_eligible_query_prunes_and_counts(self, query):
         engine, _docs, _rng = _build(size=2000)
         collection = engine.collection("c")
         impl = MODELS["inquery"]()
-        tree = parse_irs_query("#sum(topic0 topic2 topic7)")
+        tree = parse_irs_query(query)
         outcome = topk.topk_scores(collection, "inquery", impl, tree, 10)
         assert outcome.reason is None
         exhaustive = len(impl.score(collection, tree))
@@ -191,9 +216,14 @@ class TestOutcomeBookkeeping:
         engine, _docs, _rng = _build(size=200)
         collection = engine.collection("c")
         impl = MODELS["inquery"]()
-        tree = parse_irs_query("#and(topic0 topic1)")
-        outcome = topk.topk_scores(collection, "inquery", impl, tree, 10)
-        assert outcome.reason is not None
+        reasons = {
+            q: topk.topk_scores(collection, "inquery", impl, parse_irs_query(q), 10)
+            for q in FALLBACK_QUERIES
+        }
+        assert {q: outcome.reason for q, outcome in reasons.items()} == dict(
+            zip(FALLBACK_QUERIES, ["operator:not", "structure", "proximity"])
+        )
+        assert all(outcome.values is None for outcome in reasons.values())
 
 
 class TestImpactCacheEviction:

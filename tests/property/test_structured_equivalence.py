@@ -16,7 +16,14 @@ that break the claim:
   or 4 shards opened as one manager;
 * ``score()`` equals the reference in retrieved set and in every float
   (``==``, no tolerance), and ``top_k=k`` equals the ranked prefix for
-  k in {1, 10, 100}.
+  k in {1, 10, 100};
+* flat ``#and/#or/#max`` roots — the shapes top-k prunes with a lifted
+  bound — over skewed 300-document corpora big enough to skip, where an
+  unsafe lift drops documents.  Half of each corpus mirrors the other
+  with paired words swapped, so equal scores reach the heap from
+  different lists; long documents and a default belief of ``1 - 1e-12``
+  shrink impacts until the k-th value sits within a rounding step of the
+  baseline, where a threshold without its absolute margin drops a tie.
 
 One documented exception: a *flat* ``#sum``/``#wsum`` of leaves with a
 positive weight sum takes the term-at-a-time accumulator
@@ -31,6 +38,7 @@ Profiles: the default ``structured-fixed`` profile is derandomized; set
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +49,7 @@ from repro.irs.collection import IRSCollection
 from repro.irs.models import InferenceNetworkModel, VectorSpaceModel
 from repro.irs.models import operators as ops
 from repro.irs.models.base import compile_query
+from repro.irs.models.probabilistic import DEFAULT_BELIEF
 from repro.irs.models.reference import NaiveInferenceNetworkModel
 from repro.irs.queries import OperatorNode, ProximityNode, TermNode
 from repro.irs.segments import SegmentConfig
@@ -125,6 +134,38 @@ def _trees(depth):
 
 _tree = _trees(3)
 
+#: Swaps each word with its neighbour in the Zipf order.
+MIRROR = {**dict(zip(WORDS[::2], WORDS[1::2])), **dict(zip(WORDS[1::2], WORDS[::2]))}
+
+
+def _flat(op, terms, mirrored):
+    if mirrored:
+        terms = terms + [MIRROR.get(term, term) for term in terms]
+    return OperatorNode(op, tuple(map(TermNode, terms)))
+
+
+#: A flat root over plain terms, half the time with their mirror images.
+#: Every skewed document holds ``ubiq``, whose idf part is nearly 0.
+_flat_root = st.builds(
+    _flat,
+    st.sampled_from(["and", "or", "max"]),
+    st.lists(st.sampled_from(QUERY_TERMS + ["ubiq"]), min_size=1, max_size=3),
+    st.booleans(),
+)
+
+
+def skewed_corpus(seed, long_documents):
+    """150 short Zipf-skewed documents (``long_documents`` of them long),
+    then their 150 mirror images."""
+    rng = random.Random(seed)
+    weights = [1.0 / rank for rank in range(1, len(WORDS) + 1)]
+    documents = [
+        rng.choices(WORDS, weights, k=rng.randint(1, 8)) + ["ubiq"] for _ in range(150)
+    ]
+    for position in rng.sample(range(150), long_documents):
+        documents[position] += rng.choices(WORDS, weights, k=rng.randint(500, 2000))
+    return documents + [[MIRROR.get(word, word) for word in words] for words in documents]
+
 
 def ranking(values):
     return sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -150,13 +191,13 @@ def fill(collection, documents, removals):
 class Checker:
     """Holds one example's reference values; checks a layout against them."""
 
-    def __init__(self, documents, removals, tree):
+    def __init__(self, documents, removals, tree, default_belief=DEFAULT_BELIEF):
         self.tree = tree
-        self.model = InferenceNetworkModel()
-        plain = fill(IRSCollection("plain", Analyzer()), documents, removals)
-        self.want = NaiveInferenceNetworkModel().score(plain, tree)
-        self.flat = self.model._flat_linear(compile_query(plain, tree)) is not None
-        self.check(plain, "monolithic")
+        self.model = InferenceNetworkModel(default_belief)
+        self.plain = fill(IRSCollection("plain", Analyzer()), documents, removals)
+        self.want = NaiveInferenceNetworkModel(default_belief).score(self.plain, tree)
+        self.flat = self.model._flat_linear(compile_query(self.plain, tree)) is not None
+        self.check(self.plain, "monolithic")
 
     def check(self, collection, context):
         got = self.model.score(collection, self.tree)
@@ -192,6 +233,34 @@ class TestStructuredEquivalence:
         checker.check(collection, "segmented, merge built but not committed")
         manager.commit_merge(plan, merged)
         checker.check(collection, "segmented, merged")
+
+    @_SETTINGS
+    @given(
+        st.integers(0, 2**16),
+        st.integers(0, 4),
+        st.sets(st.integers(0, 149), max_size=15),
+        _flat_root,
+        st.sampled_from([DEFAULT_BELIEF, 1.0 - 1e-12]),
+    )
+    def test_flat_roots_prune_to_the_ranked_prefix(
+        self, seed, long_documents, removals, tree, default_belief
+    ):
+        documents = skewed_corpus(seed, long_documents)
+        removals |= {position + 150 for position in removals}  # keep the mirror
+        checker = Checker(documents, removals, tree, default_belief)
+        collection = fill(
+            IRSCollection(
+                "seg", Analyzer(), segment_config=SegmentConfig(seal_document_count=120)
+            ),
+            documents,
+            removals,
+        )
+        checker.check(collection, "segmented")
+        for layout in (checker.plain, collection):
+            ranked = ranking(checker.model.score(layout, tree))
+            for k in range(1, 41):
+                top = topk_scores(layout, "inquery", checker.model, tree, k).values
+                assert top is not None and ranking(top) == ranked[:k], f"top-{k}"
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @_SETTINGS
