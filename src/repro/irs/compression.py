@@ -82,24 +82,29 @@ _LOW_SEVEN_BITS = bytes(byte & 0x7F for byte in range(256))
 
 
 def vbyte_decode_stream(
-    data: bytes, offset: int, count: int
+    data: bytes, offset: int, count: int, end: int = None
 ) -> "tuple[List[int], int]":
     """Decode exactly ``count`` integers starting at ``offset``.
 
     Returns ``(values, next_offset)``.  This is the random-access primitive
     the block postings use: a block's varint stream can be decoded without
-    touching (or even validating) the bytes of any other block.
+    touching (or even validating) the bytes of any other block.  ``end``
+    (default ``len(data)``) bounds the read: an integer that would need a
+    byte at or past it raises, so a decode never leaves its own stream.
     """
+    if end is None:
+        end = len(data)
     # A run of single-byte integers (every stop bit set) — almost every tf
     # column and the doc gaps of frequent terms — decodes without a loop.
-    chunk = data[offset : offset + count]
-    if len(chunk) == count and count and min(chunk) >= 0x80:
-        return list(chunk.translate(_LOW_SEVEN_BITS)), offset + count
+    stop = offset + count
+    if count and stop <= end:
+        chunk = data[offset:stop]
+        if min(chunk) >= 0x80:
+            return list(chunk.translate(_LOW_SEVEN_BITS)), stop
     values: List[int] = []
     append = values.append
     current = 0
     position = offset
-    end = len(data)
     while len(values) < count:
         if position >= end:
             raise ValueError("truncated vbyte stream")

@@ -64,10 +64,7 @@ def _live_entries(
     segment: "SealedSegment", term: str, dead: Set[int]
 ) -> Iterator[tuple]:
     """``(doc_id, tf, positions)`` of one input's live postings, doc order."""
-    compact = segment.index.compact_postings(term)
-    if compact is None:
-        return
-    for entry in compact.iter_entries():
+    for entry in segment.index.entries(term):
         if entry[0] not in dead:
             yield entry
 
@@ -299,8 +296,8 @@ class SealedSegment:
         structures, which are immutable, so it runs without any lock.
 
         Build-once: live entries stream per term straight from the inputs'
-        blocks through a k-way merge into the output's
-        :class:`~repro.irs.postings.CompactPostingsBuilder` — no
+        blocks through a k-way merge into the one record writer,
+        :meth:`~repro.irs.postings.CompactIndex.from_entry_streams` — no
         dict-of-Posting intermediate is ever materialized.
         """
         dead_sets = [set(dead) for dead in dead_sets]

@@ -61,6 +61,9 @@ class _LockEntry:
     #: Waiting requests in arrival order; grants never jump an earlier
     #: incompatible waiter (FIFO fairness).
     waiters: List[Tuple[int, LockMode]] = field(default_factory=list)
+    #: Requests between their lookup and their grant or failure (counted
+    #: under the manager's mutex); the entry is dropped only at zero.
+    acquirers: int = 0
 
 
 class LockManager:
@@ -99,7 +102,10 @@ class LockManager:
         waits-for graph, :class:`LockTimeoutError` on timeout.
         """
         with self._mutex:
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:
+                entry = self._entries[resource] = _LockEntry()
+            entry.acquirers += 1
         waited_since: Optional[float] = None
         with entry.condition:
             try:
@@ -165,6 +171,17 @@ class LockManager:
                 if self._remove_waiter(entry, txn_id):
                     entry.condition.notify_all()
                 raise
+            finally:
+                with self._mutex:
+                    entry.acquirers -= 1
+                    self._drop_if_idle(resource, entry)
+
+    def _drop_if_idle(self, resource: Hashable, entry: _LockEntry) -> None:
+        """Forget ``entry`` once nothing holds, awaits or is acquiring it, so
+        the table holds only live entries.  Call under the entry's condition
+        and then the mutex (the order every path takes)."""
+        if not (entry.holders or entry.waiters or entry.acquirers):
+            del self._entries[resource]
 
     @staticmethod
     def _remove_waiter(entry: _LockEntry, txn_id: int) -> bool:
@@ -233,6 +250,8 @@ class LockManager:
             with entry.condition:
                 entry.holders.pop(txn_id, None)
                 entry.condition.notify_all()
+                with self._mutex:
+                    self._drop_if_idle(resource, entry)
 
     # -- introspection ----------------------------------------------------------
 

@@ -23,8 +23,8 @@ checkpoint intact (see :mod:`repro.store.file` for recovery).
 Loading is lazy by default: each collection registers a loader with the
 engine and materializes from the manifest on first touch, so
 restart-to-first-query cost is O(touched collections), not O(corpus).
-Materialization slices each segment record into a ``CompactIndex``
-(``from_bytes``, no posting re-encoded) and hands documents and segments
+Materialization parses each segment record into the ``CompactIndex``
+it is (``from_bytes``, no posting re-encoded) and hands documents and segments
 to ``IRSCollection.from_payload``.  Older builds wrote JSON segment
 records and two more layouts, all read-only here: a ``flat`` entry (one
 monolithic index, read as one sealed segment) and a ``sharded`` entry

@@ -16,7 +16,7 @@ import pytest
 from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
-from repro.irs.postings import BLOCK_SIZE, CompactPostings
+from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.irs.segments import SegmentConfig
 from tests.legacy import ShardedHistory
 
@@ -127,13 +127,13 @@ class TestScoringNeverMaterialisesPositions:
         assert len(collection.segments.sealed_segments()) >= 3
 
         calls = []
-        original = CompactPostings.decode_block_positions
+        original = CompactIndex._block_positions
 
-        def counting(self, block, tfs):
+        def counting(self, ordinal, block, tfs):
             calls.append(block)
-            return original(self, block, tfs)
+            return original(self, ordinal, block, tfs)
 
-        monkeypatch.setattr(CompactPostings, "decode_block_positions", counting)
+        monkeypatch.setattr(CompactIndex, "_block_positions", counting)
 
         queries = set()
         while len(queries) < 300:

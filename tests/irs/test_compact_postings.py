@@ -4,6 +4,7 @@ native byte form sealed segments are stored in."""
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +12,20 @@ from hypothesis import strategies as st
 
 from repro.errors import StoreCorruptionError
 from repro.irs.inverted_index import InvertedIndex
-from repro.irs.postings import (
-    BLOCK_SIZE,
-    CompactIndex,
-    CompactPostingsBuilder,
-)
+from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.store import blocks
 
 
 def build(entries):
-    """entries: [(doc_id, positions)] ascending -> CompactPostings."""
-    builder = CompactPostingsBuilder()
-    for doc_id, positions in entries:
-        builder.add(doc_id, positions)
-    return builder.build()
+    """entries: [(doc_id, positions)] ascending -> a one-term index ("t")."""
+    return CompactIndex.from_entry_streams(
+        [("t", [(doc_id, len(positions), positions) for doc_id, positions in entries])],
+        {doc_id: len(positions) for doc_id, positions in entries},
+    )
+
+
+def pairs(index, term="t"):
+    return [(p.doc_id, p.positions) for p in index.postings(term)]
 
 
 def sample_entries(n, seed=0, gap_max=50):
@@ -49,43 +50,42 @@ entry_lists = st.builds(
 
 class TestBuilderRoundTrip:
     def test_empty(self):
-        postings = build([])
-        assert postings.doc_count == 0
-        assert postings.block_count == 0
-        assert postings.max_tf == 0
-        assert postings.to_postings() == []
+        index = build([])
+        assert index.term_count == 0
+        assert index.document_frequency("t") == 0
+        assert list(index.term_columns("t")) == []
+        assert len(index._max_tfs) == 0
+        assert pairs(index) == []
 
     def test_small_round_trip(self):
         entries = [(3, [0, 4]), (9, [1]), (200, [5, 6, 7])]
-        postings = build(entries)
-        assert postings.doc_count == 3
-        assert postings.collection_frequency == 6
-        assert [(p.doc_id, p.positions) for p in postings.to_postings()] == entries
+        index = build(entries)
+        assert index.document_frequency("t") == 3
+        assert index.collection_frequency("t") == 6
+        assert pairs(index) == entries
         assert [
-            (d, tf) for d, tf, _ in postings.iter_entries()
+            (d, tf) for d, tf, _ in index.entries("t")
         ] == [(3, 2), (9, 1), (200, 3)]
 
     @settings(max_examples=30, deadline=None)
     @given(entry_lists)
     def test_round_trip_property(self, entries):
-        postings = build(entries)
-        assert postings.doc_count == len(entries)
-        assert [(p.doc_id, p.positions) for p in postings.to_postings()] == entries
-        assert postings.collection_frequency == sum(
+        index = build(entries)
+        assert index.document_frequency("t") == len(entries)
+        assert pairs(index) == entries
+        assert index.collection_frequency("t") == sum(
             len(positions) for _, positions in entries
         )
 
     def test_rejects_non_ascending(self):
-        builder = CompactPostingsBuilder()
-        builder.add(5, [0])
         with pytest.raises(ValueError):
-            builder.add(5, [1])
+            build([(5, [0]), (5, [1])])
         with pytest.raises(ValueError):
-            builder.add(3, [1])
+            build([(5, [0]), (3, [1])])
 
     def test_rejects_empty_positions(self):
         with pytest.raises(ValueError):
-            CompactPostingsBuilder().add(1, [])
+            build([(1, [])])
 
 
 class TestBlockMetadata:
@@ -99,42 +99,45 @@ class TestBlockMetadata:
         return build(entries), entries
 
     def test_block_shape(self, postings):
-        compact, entries = postings
-        assert compact.block_count == 3
-        assert compact.block_doc_count(0) == BLOCK_SIZE
-        assert compact.block_doc_count(2) == BLOCK_SIZE // 2
-        assert compact.block_last_doc(0) == entries[BLOCK_SIZE - 1][0]
-        assert compact.block_last_doc(2) == entries[-1][0]
+        index, entries = postings
+        assert [len(ids) for ids, _ in index.term_columns("t")] == [
+            BLOCK_SIZE, BLOCK_SIZE, BLOCK_SIZE // 2
+        ]
+        # The skip entries: each block's last doc id.
+        assert index._last_docs.tolist() == [
+            entries[BLOCK_SIZE - 1][0], entries[2 * BLOCK_SIZE - 1][0], entries[-1][0]
+        ]
 
     def test_block_max_tf_is_exact(self, postings):
-        compact, entries = postings
-        for b in range(compact.block_count):
-            chunk = entries[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE]
-            assert compact.block_max_tf(b) == max(len(p) for _, p in chunk)
-        assert compact.max_tf == max(len(p) for _, p in entries)
+        index, entries = postings
+        assert index._max_tfs.tolist() == [
+            max(len(p) for _, p in entries[b * BLOCK_SIZE: (b + 1) * BLOCK_SIZE])
+            for b in range(3)
+        ]
 
     def test_blocks_decode_independently(self, postings):
-        compact, entries = postings
-        ids, tfs = compact.decode_block(1)  # no block 0 decode needed
+        index, entries = postings
+        ids, tfs = next(index._scan(0, 1))  # no block 0 decode needed
         chunk = entries[BLOCK_SIZE : 2 * BLOCK_SIZE]
         assert ids == [d for d, _ in chunk]
         assert tfs == [len(p) for _, p in chunk]
-        positions = compact.decode_block_positions(1, tfs)
+        positions = index._block_positions(0, 1, tfs)
         assert positions == [p for _, p in chunk]
 
     def test_point_lookups(self, postings):
-        compact, entries = postings
+        index, entries = postings
         present = entries[BLOCK_SIZE + 3]
-        assert compact.term_frequency(present[0]) == len(present[1])
-        assert compact.positions(present[0]) == present[1]
-        assert compact.term_frequency(present[0] + 1) == 0
-        assert compact.positions(present[0] + 1) is None
-        assert compact.term_frequency(10**9) == 0
+        assert index.term_frequency("t", present[0]) == len(present[1])
+        assert index.positions("t", present[0]) == present[1]
+        assert index.term_frequency("t", present[0] + 1) == 0
+        assert index.positions("t", present[0] + 1) is None
+        assert index.term_frequency("t", 10**9) == 0
+        assert index.positions("u", present[0]) is None
 
     def test_compact_is_smaller_than_dict_proxy(self, postings):
-        compact, entries = postings
+        index, entries = postings
         dict_bytes = sum(8 + 8 * len(p) for _, p in entries)
-        assert compact.postings_bytes < dict_bytes / 3
+        assert index.postings_bytes() < dict_bytes / 3
 
 
 class TestCompactIndex:
@@ -221,31 +224,24 @@ def compact_indexes(draw):
 
 
 def assert_same_index(loaded, source):
+    assert loaded.to_bytes() == source.to_bytes()
     assert list(loaded.terms()) == list(source.terms())
     assert loaded.doc_lengths == source.doc_lengths
     assert loaded.postings_bytes() == source.postings_bytes()
     assert loaded.forward_map() == source.forward_map()
     for term in source.terms():
-        got, want = loaded.compact_postings(term), source.compact_postings(term)
-        assert (got.doc_count, got.collection_frequency, got.block_count) == (
-            want.doc_count, want.collection_frequency, want.block_count
+        assert (loaded.document_frequency(term), loaded.collection_frequency(term)) == (
+            source.document_frequency(term), source.collection_frequency(term)
         )
-        assert [
-            (got.block_last_doc(b), got.block_max_tf(b), got.block_doc_count(b))
-            for b in range(got.block_count)
-        ] == [
-            (want.block_last_doc(b), want.block_max_tf(b), want.block_doc_count(b))
-            for b in range(want.block_count)
-        ]
         assert list(loaded.term_columns(term)) == list(source.term_columns(term))
-        assert got.to_postings() == want.to_postings()
-        for posting in want.to_postings():
+        assert loaded.postings(term) == source.postings(term)
+        for posting in source.postings(term):
             assert loaded.positions(term, posting.doc_id) == posting.positions
 
 
 class TestNativeBytes:
     def test_empty_index(self):
-        empty = CompactIndex({}, {})
+        empty = CompactIndex.from_entry_streams([], {})
         loaded = CompactIndex.from_bytes(empty.to_bytes())
         assert loaded.document_count == loaded.term_count == 0
         assert_same_index(loaded, empty)
@@ -274,9 +270,15 @@ class TestNativeBytes:
 
     def test_block_count_must_fit_doc_count(self):
         index = CompactIndex.from_inverted(build_inverted({1: ["a"], 2: ["a", "b"]}))
-        index.compact_postings("a").doc_count = BLOCK_SIZE + 1  # one block
+        payload = bytearray(index.to_bytes())
+        documents, terms, *widths = struct.unpack_from("<II12B", payload)
+        # Term "a" (ordinal 0) of the doc_count column: 129 documents need
+        # two blocks, and the record declares one.
+        at = struct.calcsize("<II12B") + documents * (widths[0] + widths[1]) + terms * widths[2]
+        assert (widths[3], payload[at]) == (1, 2)
+        payload[at] = BLOCK_SIZE + 1
         with pytest.raises(StoreCorruptionError):
-            CompactIndex.from_bytes(index.to_bytes())
+            CompactIndex.from_bytes(bytes(payload))
 
     def test_native_record_is_smaller_than_its_json(self):
         rng = random.Random(5)
