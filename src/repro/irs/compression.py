@@ -34,8 +34,14 @@ from repro.irs.inverted_index import InvertedIndex
 # the convention down, including empty-positions and 2**60-sized gaps.
 # ---------------------------------------------------------------------------
 
+#: The encodings of 0..127, one stop byte each: most gaps and tfs.
+_ONE_BYTE = [bytes((number | 0x80,)) for number in range(0x80)]
+
+
 def vbyte_encode(number: int) -> bytes:
     """Encode one non-negative integer (big-endian 7-bit groups, MSB = stop)."""
+    if 0 <= number < 0x80:
+        return _ONE_BYTE[number]
     if number < 0:
         raise ValueError("vbyte encodes non-negative integers only")
     pieces = []
@@ -82,18 +88,16 @@ _LOW_SEVEN_BITS = bytes(byte & 0x7F for byte in range(256))
 
 
 def vbyte_decode_stream(
-    data: bytes, offset: int, count: int, end: int = None
+    data: bytes, offset: int, count: int, end: int
 ) -> "tuple[List[int], int]":
     """Decode exactly ``count`` integers starting at ``offset``.
 
     Returns ``(values, next_offset)``.  This is the random-access primitive
     the block postings use: a block's varint stream can be decoded without
     touching (or even validating) the bytes of any other block.  ``end``
-    (default ``len(data)``) bounds the read: an integer that would need a
-    byte at or past it raises, so a decode never leaves its own stream.
+    bounds the read: an integer that would need a byte at or past it
+    raises, so a decode never leaves its own stream.
     """
-    if end is None:
-        end = len(data)
     # A run of single-byte integers (every stop bit set) — almost every tf
     # column and the doc gaps of frequent terms — decodes without a loop.
     stop = offset + count

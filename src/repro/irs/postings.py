@@ -69,13 +69,6 @@ _TYPECODES = {1: "B", 2: "H", 4: "I", 8: "q"}
 _METADATA_ITEMSIZE = 8
 
 
-def _put_vbyte(out: bytearray, number: int) -> None:
-    if number < 0x80:
-        out.append(number | 0x80)
-    else:
-        out += vbyte_encode(number)
-
-
 def _pack(columns: List[list], names: List[bytes], streams: List[bytes]) -> bytes:
     """The kind-6 payload: header, columns at the narrowest width their
     largest value needs (little-endian), term names, then the streams."""
@@ -170,7 +163,7 @@ class CompactIndex:
                 tfs.append(len(positions))
                 previous = 0
                 for position in positions:
-                    _put_vbyte(pos, position - previous)
+                    pos += vbyte_encode(position - previous)
                     previous = position
             if not ids:
                 continue
@@ -180,10 +173,10 @@ class CompactIndex:
             for start in range(0, len(ids), BLOCK_SIZE):
                 block_tfs = tfs[start: start + BLOCK_SIZE]
                 for doc_id in ids[start: start + BLOCK_SIZE]:
-                    _put_vbyte(data, doc_id - base)
+                    data += vbyte_encode(doc_id - base)
                     base = doc_id
                 for tf in block_tfs:
-                    _put_vbyte(data, tf)
+                    data += vbyte_encode(tf)
                 offsets.append(len(data))
                 last_docs.append(base)
                 max_tfs.append(max(block_tfs))

@@ -117,14 +117,8 @@ class LockManager:
                         with self._mutex:
                             self._held_by_txn[txn_id].add(resource)
                             self._waits_for.pop(txn_id, None)
-                        # Later queued requests compatible with this grant
-                        # (e.g. a run of readers) may now proceed together.
-                        entry.condition.notify_all()
-                        if waited_since is not None:
-                            obs.metrics().histogram("oodb.lock.wait_seconds").observe(
-                                time.perf_counter() - waited_since
-                            )
-                        return
+                            entry.acquirers -= 1
+                        break
                     if waited_since is None:
                         waited_since = time.perf_counter()
                         obs.metrics().counter("oodb.lock.waits").inc()
@@ -170,11 +164,17 @@ class LockManager:
                 # wake waiters whose only fairness block was this request.
                 if self._remove_waiter(entry, txn_id):
                     entry.condition.notify_all()
-                raise
-            finally:
                 with self._mutex:
                     entry.acquirers -= 1
                     self._drop_if_idle(resource, entry)
+                raise
+            # Later queued requests compatible with this grant (e.g. a run of
+            # readers) may now proceed together.
+            entry.condition.notify_all()
+            if waited_since is not None:
+                obs.metrics().histogram("oodb.lock.wait_seconds").observe(
+                    time.perf_counter() - waited_since
+                )
 
     def _drop_if_idle(self, resource: Hashable, entry: _LockEntry) -> None:
         """Forget ``entry`` once nothing holds, awaits or is acquiring it, so

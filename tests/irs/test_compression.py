@@ -164,21 +164,21 @@ class TestStreamDecode:
     )
     def test_random_access_matches_full_decode(self, first, second):
         data = vbyte_encode_sequence(first) + vbyte_encode_sequence(second)
-        values, offset = vbyte_decode_stream(data, 0, len(first))
+        values, offset = vbyte_decode_stream(data, 0, len(first), len(data))
         assert values == first
-        rest, end = vbyte_decode_stream(data, offset, len(second))
+        rest, end = vbyte_decode_stream(data, offset, len(second), len(data))
         assert rest == second
         assert end == len(data)
 
     def test_count_zero_reads_nothing(self):
-        assert vbyte_decode_stream(b"\xff\xff", 0, 0) == ([], 0)
+        assert vbyte_decode_stream(b"\xff\xff", 0, 0, 2) == ([], 0)
 
     def test_truncated_stream_raises(self):
         data = vbyte_encode_sequence([1, 300])
         with pytest.raises(ValueError):
-            vbyte_decode_stream(data, 0, 3)
+            vbyte_decode_stream(data, 0, 3, len(data))
         with pytest.raises(ValueError):
-            vbyte_decode_stream(data[:-1], 1, 1)
+            vbyte_decode_stream(data[:-1], 1, 1, len(data) - 1)
 
 
 class TestEmptyPositions:
