@@ -9,7 +9,7 @@ query terms match indexed terms.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.irs import porter
 
@@ -29,6 +29,11 @@ DEFAULT_STOPWORDS = frozenset(
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
+#: Entries an analyser's token memo holds before it is cleared.
+MEMO_LIMIT = 1 << 16
+
+_MISSING = object()
+
 
 class Analyzer:
     """A configurable indexing/query analysis pipeline.
@@ -41,6 +46,11 @@ class Analyzer:
         When True (default), surviving tokens are Porter-stemmed.
     min_length:
         Tokens shorter than this are dropped (default 1: keep everything).
+
+    The configuration is fixed at construction, so each analyser memoises
+    raw token -> term (``None`` when dropped) and stems each distinct token
+    once.  Concurrent callers may race on the memo; a race only recomputes
+    a pure function.
     """
 
     def __init__(
@@ -52,17 +62,24 @@ class Analyzer:
         self._stopwords = DEFAULT_STOPWORDS if stopwords is None else frozenset(stopwords)
         self._stemming = stemming
         self._min_length = min_length
+        self._memo: Dict[str, Optional[str]] = {}
 
     def tokens(self, text: str) -> List[str]:
         """Analyze ``text`` into the final term list."""
+        memo = self._memo
         result = []
-        for match in _TOKEN_PATTERN.finditer(text.lower()):
-            token = match.group()
-            if len(token) < self._min_length or token in self._stopwords:
-                continue
-            if self._stemming:
-                token = porter.stem(token)
-            result.append(token)
+        for token in _TOKEN_PATTERN.findall(text.lower()):
+            term = memo.get(token, _MISSING)
+            if term is _MISSING:
+                if len(token) < self._min_length or token in self._stopwords:
+                    term = None
+                else:
+                    term = porter.stem(token) if self._stemming else token
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                memo[token] = term
+            if term is not None:
+                result.append(term)
         return result
 
     def term(self, word: str) -> Optional[str]:

@@ -51,25 +51,27 @@ class InvertedIndex:
 
     # -- building -------------------------------------------------------------
 
-    def add_document(self, doc_id: int, terms: List[str]) -> None:
-        """Index ``terms`` (analysis already applied) under ``doc_id``."""
+    def add_document(self, doc_id: int, terms: List[str]) -> Dict[str, List[int]]:
+        """Index ``terms`` (analysis already applied) under ``doc_id``.
+
+        Returns term -> positions, in first-occurrence order; the lists are
+        the new postings' own, so callers must treat them as read-only.
+        """
         if doc_id in self._doc_lengths:
             raise ValueError(f"document {doc_id} already indexed")
         self._doc_lengths[doc_id] = len(terms)
         self._token_count += len(terms)
+        grouped: Dict[str, List[int]] = {}
         for position, term in enumerate(terms):
-            by_doc = self._postings.setdefault(term, {})
-            posting = by_doc.get(doc_id)
-            if posting is None:
-                by_doc[doc_id] = Posting(doc_id, [position])
-                self._posting_count += 1
-            else:
-                posting.positions.append(position)
-            self._collection_frequency[term] = (
-                self._collection_frequency.get(term, 0) + 1
-            )
-            self._sorted.pop(term, None)
+            grouped.setdefault(term, []).append(position)
+        postings, frequency, cached = self._postings, self._collection_frequency, self._sorted
+        for term, positions in grouped.items():
+            postings.setdefault(term, {})[doc_id] = Posting(doc_id, positions)
+            frequency[term] = frequency.get(term, 0) + len(positions)
+            cached.pop(term, None)
+        self._posting_count += len(grouped)
         self._epoch += 1
+        return grouped
 
     def remove_document(self, doc_id: int, terms: List[str]) -> None:
         """Remove all trace of ``doc_id``, whose terms are ``terms``.

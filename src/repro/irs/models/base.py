@@ -64,15 +64,10 @@ CompiledNode = object  # CompiledTerm | CompiledProximity | CompiledOperator
 def compile_query(collection: IRSCollection, node: QueryNode) -> CompiledNode:
     """Resolve ``node`` into a compiled tree against ``collection``.
 
-    Analysis runs once per *distinct* raw term, however often (and however
-    deep) the term occurs in the query.
+    The analyser memoises its terms, so a term repeated in the query is
+    stemmed once.
     """
-    memo: Dict[str, Optional[str]] = {}
-
-    def analyze(raw: str) -> Optional[str]:
-        if raw not in memo:
-            memo[raw] = collection.analyzer.term(raw)
-        return memo[raw]
+    analyze = collection.analyzer.term
 
     def walk(current: QueryNode) -> CompiledNode:
         if isinstance(current, TermNode):

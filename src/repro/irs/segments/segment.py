@@ -85,11 +85,8 @@ class MemtableSegment:
         self.forward: Dict[int, Dict[str, int]] = {}
 
     def add_document(self, doc_id: int, terms: List[str]) -> None:
-        self.index.add_document(doc_id, terms)
-        vector: Dict[str, int] = {}
-        for term in terms:
-            vector[term] = vector.get(term, 0) + 1
-        self.forward[doc_id] = vector
+        grouped = self.index.add_document(doc_id, terms)
+        self.forward[doc_id] = {term: len(at) for term, at in grouped.items()}
 
     def remove_document(self, doc_id: int) -> None:
         """Physical removal: the memtable is the one segment that can."""

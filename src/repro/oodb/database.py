@@ -268,13 +268,12 @@ class Database:
     def write_attribute(self, oid: OID, attr: str, value: Any) -> None:
         """Write ``attr``; type-checked when declared, logged, index-maintained."""
         class_name = self._store.class_of(oid)
-        if self.schema.has_attribute(class_name, attr):
-            adef = self.schema.resolve_attribute(class_name, attr)
-            if not adef.check(value):
-                raise SchemaError(
-                    f"value {value!r} does not match type {adef.type_name} of "
-                    f"{class_name}.{attr}"
-                )
+        adef = self.schema.find_attribute(class_name, attr)
+        if adef is not None and not adef.check(value):
+            raise SchemaError(
+                f"value {value!r} does not match type {adef.type_name} of "
+                f"{class_name}.{attr}"
+            )
         old_value = self._store.read(oid, attr)
         txn = self._current_txn()
         if txn is not None:
@@ -452,6 +451,8 @@ class Database:
 
     def _indexes_covering(self, class_name: str, attr: str) -> List[AttributeIndex]:
         """Indexes whose class is ``class_name`` or an ancestor of it."""
+        if not self.indexes.covers_attribute(attr):
+            return []
         return [
             index
             for cdef in self.schema.ancestry(class_name)

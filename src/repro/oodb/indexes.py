@@ -153,6 +153,7 @@ class IndexCatalog:
 
     def __init__(self) -> None:
         self._indexes: Dict[tuple, AttributeIndex] = {}
+        self._attributes: Set[str] = set()
 
     def create(self, class_name: str, attribute: str, kind: str = "btree") -> AttributeIndex:
         """Create (or return the existing) index on ``class.attribute``."""
@@ -166,11 +167,17 @@ class IndexCatalog:
         else:
             raise ValueError(f"unknown index kind {kind!r}")
         self._indexes[key] = index
+        self._attributes.add(attribute)
         return index
 
     def drop(self, class_name: str, attribute: str) -> None:
         """Remove the index if present."""
         self._indexes.pop((class_name, attribute), None)
+        self._attributes = {attr for _, attr in self._indexes}
+
+    def covers_attribute(self, attribute: str) -> bool:
+        """True when some class has an index on ``attribute``."""
+        return attribute in self._attributes
 
     def find(self, class_name: str, attribute: str) -> Optional[AttributeIndex]:
         """The index on exactly ``(class_name, attribute)``, or None."""

@@ -20,11 +20,23 @@ from repro.errors import (
     UnknownClassError,
     UnknownMethodError,
 )
+from repro.oodb.oid import OID
 
 #: Attribute type names understood by the schema checker.  ``ANY`` disables
 #: checking; ``OID`` values reference other objects; ``LIST`` holds ordered
 #: references or scalars.
 ATTRIBUTE_TYPES = ("STRING", "INT", "REAL", "BOOL", "OID", "LIST", "DICT", "ANY")
+
+_CHECKERS: Dict[str, Callable[[Any], bool]] = {
+    "STRING": lambda v: isinstance(v, str),
+    # An OID is an int subclass, but a reference, not a number.
+    "INT": lambda v: isinstance(v, int) and not isinstance(v, (bool, OID)),
+    "REAL": lambda v: isinstance(v, (int, float)) and not isinstance(v, (bool, OID)),
+    "BOOL": lambda v: isinstance(v, bool),
+    "OID": lambda v: isinstance(v, OID),
+    "LIST": lambda v: isinstance(v, list),
+    "DICT": lambda v: isinstance(v, dict),
+}
 
 
 @dataclass(frozen=True)
@@ -46,19 +58,7 @@ class AttributeDefinition:
         """Return True when ``value`` is acceptable for this attribute."""
         if value is None or self.type_name == "ANY":
             return True
-        from repro.oodb.oid import OID  # local import to avoid a cycle
-
-        checkers: Dict[str, Callable[[Any], bool]] = {
-            "STRING": lambda v: isinstance(v, str),
-            # An OID is an int subclass, but a reference, not a number.
-            "INT": lambda v: isinstance(v, int) and not isinstance(v, (bool, OID)),
-            "REAL": lambda v: isinstance(v, (int, float)) and not isinstance(v, (bool, OID)),
-            "BOOL": lambda v: isinstance(v, bool),
-            "OID": lambda v: isinstance(v, OID),
-            "LIST": lambda v: isinstance(v, list),
-            "DICT": lambda v: isinstance(v, dict),
-        }
-        return checkers[self.type_name](value)
+        return _CHECKERS[self.type_name](value)
 
 
 @dataclass
@@ -164,22 +164,25 @@ class Schema:
 
     # -- member resolution ---------------------------------------------------
 
-    def resolve_attribute(self, class_name: str, attr: str) -> AttributeDefinition:
-        """Find ``attr`` on the class or its ancestors."""
+    def find_attribute(self, class_name: str, attr: str) -> Optional[AttributeDefinition]:
+        """``attr`` on the class or its ancestors, or None when undeclared."""
         for cdef in self.ancestry(class_name):
             if attr in cdef.attributes:
                 return cdef.attributes[attr]
-        raise UnknownAttributeError(
-            f"attribute {attr!r} is not defined on class {class_name!r} or its superclasses"
-        )
+        return None
+
+    def resolve_attribute(self, class_name: str, attr: str) -> AttributeDefinition:
+        """Find ``attr`` on the class or its ancestors."""
+        adef = self.find_attribute(class_name, attr)
+        if adef is None:
+            raise UnknownAttributeError(
+                f"attribute {attr!r} is not defined on class {class_name!r} or its superclasses"
+            )
+        return adef
 
     def has_attribute(self, class_name: str, attr: str) -> bool:
         """Return True when ``attr`` resolves on ``class_name``."""
-        try:
-            self.resolve_attribute(class_name, attr)
-            return True
-        except UnknownAttributeError:
-            return False
+        return self.find_attribute(class_name, attr) is not None
 
     def resolve_method(self, class_name: str, method: str) -> Callable[..., Any]:
         """Find ``method`` on the class or its ancestors (override-aware)."""

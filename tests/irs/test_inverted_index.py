@@ -1,10 +1,13 @@
 """Inverted index: postings, statistics, round trips."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.irs.inverted_index import InvertedIndex
+from repro.irs.segments.segment import MemtableSegment
 
 
 @pytest.fixture
@@ -117,3 +120,55 @@ class TestRoundTrip:
         assert 1 not in index.document_ids()
         for term in index.terms():
             assert index.document_frequency(term) >= 1
+
+
+def per_token_reference(docs):
+    """What one update per token builds: term -> doc -> positions, and cf."""
+    postings, frequency = {}, {}
+    for doc_id, terms in enumerate(docs, start=1):
+        for position, term in enumerate(terms):
+            postings.setdefault(term, {}).setdefault(doc_id, []).append(position)
+            frequency[term] = frequency.get(term, 0) + 1
+    return postings, frequency
+
+
+_repetitive_docs = st.lists(
+    st.lists(st.sampled_from(["www", "nii", "web"]), max_size=16), min_size=1, max_size=8
+)
+
+
+class TestGroupedAdd:
+    @settings(max_examples=50, deadline=None)
+    @given(_repetitive_docs)
+    def test_matches_per_token_updates(self, docs):
+        index = InvertedIndex()
+        for doc_id, terms in enumerate(docs, start=1):
+            epoch = index.epoch
+            grouped = index.add_document(doc_id, terms)
+            assert index.epoch == epoch + 1
+            assert list(grouped) == list(dict.fromkeys(terms))
+        postings, frequency = per_token_reference(docs)
+        assert list(index.terms()) == list(postings)
+        for term, by_doc in postings.items():
+            assert [(p.doc_id, p.positions) for p in index.postings(term)] == sorted(
+                by_doc.items()
+            )
+            assert index.collection_frequency(term) == frequency[term]
+        assert index.posting_count == sum(len(by_doc) for by_doc in postings.values())
+        assert index.token_count == sum(len(terms) for terms in docs)
+
+    def test_later_add_drops_cached_sorted_list(self, index):
+        before = index.postings("www")
+        index.add_document(4, ["www", "www", "nii"])
+        after = index.postings("www")
+        assert after is not before
+        assert [(p.doc_id, p.positions) for p in after] == [(1, [0, 2]), (3, [0]), (4, [0, 1])]
+        assert index.postings("browser") is index.postings("browser")
+
+    @settings(max_examples=30, deadline=None)
+    @given(_repetitive_docs)
+    def test_memtable_forward_vector_counts_terms(self, docs):
+        memtable = MemtableSegment(0)
+        for doc_id, terms in enumerate(docs, start=1):
+            memtable.add_document(doc_id, terms)
+            assert memtable.forward[doc_id] == Counter(terms)

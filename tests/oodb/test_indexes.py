@@ -84,6 +84,18 @@ class TestCatalog:
         catalog.drop("X", "v")
         assert catalog.find("X", "v") is None
 
+    def test_covers_attribute_tracks_create_and_drop(self):
+        catalog = IndexCatalog()
+        assert not catalog.covers_attribute("v")
+        catalog.create("X", "v")
+        catalog.create("Y", "v")
+        assert catalog.covers_attribute("v")
+        assert not catalog.covers_attribute("w")
+        catalog.drop("X", "v")
+        assert catalog.covers_attribute("v")
+        catalog.drop("Y", "v")
+        assert not catalog.covers_attribute("v")
+
 
 class TestDatabaseIndexMaintenance:
     @pytest.fixture
@@ -110,6 +122,18 @@ class TestDatabaseIndexMaintenance:
         index = db.indexes.find("Base", "v")
         assert index.lookup(1) == set()
         assert index.lookup(2) == {obj.oid}
+
+    def test_subclass_write_maintains_superclass_index(self, db):
+        db.define_class("Leaf", superclass="Sub", attributes={"w": "INT"})
+        db.create_index("Base", "v")
+        leaf = db.create_object("Leaf", v=1, w=5)
+        leaf.set("w", 6)
+        leaf.set("v", 2)
+        index = db.indexes.find("Base", "v")
+        assert index.lookup(1) == set()
+        assert index.lookup(2) == {leaf.oid}
+        db.delete_object(leaf)
+        assert index.lookup(2) == set()
 
     def test_delete_unindexes(self, db):
         db.create_index("Base", "v")

@@ -8,8 +8,9 @@ from repro.errors import (
     UnknownClassError,
     UnknownMethodError,
 )
+from repro.oodb import Database
 from repro.oodb.oid import OID
-from repro.oodb.schema import AttributeDefinition, Schema
+from repro.oodb.schema import ATTRIBUTE_TYPES, AttributeDefinition, Schema
 
 
 @pytest.fixture
@@ -111,3 +112,44 @@ class TestTypeChecking:
 
     def test_real_accepts_int(self):
         assert AttributeDefinition("a", "REAL").check(3)
+
+
+#: Probe values, and the types that accept each (``None`` and ``ANY`` are
+#: accepted everywhere and for everything).
+_PROBES = [
+    ("x", {"STRING"}),
+    (5, {"INT", "REAL"}),
+    (-1.5, {"REAL"}),
+    (True, {"BOOL"}),
+    (False, {"BOOL"}),
+    (OID(3), {"OID"}),
+    ([OID(3)], {"LIST"}),
+    ((1,), set()),
+    ({"k": 1}, {"DICT"}),
+    (object(), set()),
+]
+
+
+class TestCheckMatrix:
+    @pytest.mark.parametrize("type_name", ATTRIBUTE_TYPES)
+    def test_every_type_against_every_probe(self, type_name):
+        adef = AttributeDefinition("a", type_name)
+        assert adef.check(None)
+        for value, accepted_by in _PROBES:
+            expected = type_name == "ANY" or type_name in accepted_by
+            assert adef.check(value) is expected, (type_name, value)
+
+    @pytest.mark.parametrize(
+        "type_name,value",
+        [("INT", True), ("INT", OID(2)), ("REAL", OID(2)), ("OID", 2), ("STRING", 5)],
+    )
+    def test_write_error_text(self, type_name, value):
+        db = Database()
+        db.define_class("Base", attributes={"a": type_name})
+        db.define_class("Sub", superclass="Base")
+        obj = db.create_object("Sub")
+        with pytest.raises(SchemaError) as raised:
+            db.write_attribute(obj.oid, "a", value)
+        assert str(raised.value) == (
+            f"value {value!r} does not match type {type_name} of Sub.a"
+        )
