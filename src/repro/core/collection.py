@@ -41,7 +41,7 @@ import time
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
-from repro.core import updates
+from repro.core import derivation, updates
 from repro.core.buffer import ResultBuffer
 from repro.core.context import coupling_context
 from repro.errors import CouplingError, ObjectNotFoundError
@@ -250,7 +250,8 @@ def index_objects(
 
 
 def _get_irs_result(
-    collection_obj: DBObject, irs_query: str, buffer: Optional[ResultBuffer] = None
+    collection_obj: DBObject, irs_query: str,
+    buffer: Optional[ResultBuffer] = None, merged: bool = True,
 ) -> Dict[OID, float]:
     """``getIRSResult(IRSQuery)`` — dictionary of IRSObjects to IRS values.
 
@@ -264,9 +265,10 @@ def _get_irs_result(
     The returned mapping is the buffer's decoded entry, shared by every
     caller of the same query: read it, never change it.  A caller that will
     amend the result passes its own ``buffer``, which ties the amend to the
-    buffer generation this lookup saw; it gets the entry as last published
-    and asks ``buffer.amended`` for values derived since (``findIRSValue``
-    reads one value, and merging per call would cost O(result) per amend).
+    buffer generation this lookup saw.  With ``merged=False`` it gets the
+    entry as last published and asks ``buffer.amended`` for values derived
+    since (``findIRSValue`` reads one value, and merging per call would cost
+    O(result) per amend).
 
     Internal implementation — the supported entry point is
     :meth:`repro.Session.query`.
@@ -282,7 +284,6 @@ def _get_irs_result(
             updates.propagate(collection_obj, forced=True)
 
         model = collection_obj.get("model")
-        merged = buffer is None
         if buffer is None:
             buffer = ResultBuffer(collection_obj, context.counters)
         cached = buffer.lookup(irs_query, model, merged)
@@ -355,7 +356,7 @@ def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
         "coupling.findIRSValue", query=obs.trim(irs_query), oid=str(obj.oid)
     ) as span:
         buffer = ResultBuffer(collection_obj, context.counters)
-        values = _get_irs_result(collection_obj, irs_query, buffer)
+        values = _get_irs_result(collection_obj, irs_query, buffer, merged=False)
         value = values.get(obj.oid)
         if value is None and obj.oid in member_oids(collection_obj):
             value = 0.0  # represented, but the IRS found no relevance
@@ -475,19 +476,23 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
     fetches the (buffered) IRS result once — forcing a pending propagation
     once — and that result *is* the map: a represented object the IRS did
     not return has the default 0.0, so a ``>`` against a positive constant
-    touches only the hits.  Objects not represented in the collection are
-    *undecided*: the evaluator sends them ``getIRSValue`` after every other
-    conjunct, which is Figure 3's path through ``findIRSValue`` —
-    ``deriveIRSValue`` dispatched on the object, the value amended to the
-    buffer.  Strategy (2), when enabled, is the same map with nothing
-    undecided and no default: only what the IRS returned can pass ``>`` /
-    ``>=``.  Values are those ``send("getIRSValue", ...)`` returns, so the
-    compiler declines whenever ``send`` could reach other code: the
-    collection left to the object's choice, or ``getIRSValue`` /
-    ``findIRSValue`` overridden on a class in the range or on the
-    collection's class.
+    touches only the hits.  Objects not represented in the collection get
+    Figure 3's derived value, all in one pass: their descendants read as a
+    column, combined with the scheme's :func:`~repro.core.derivation.combination`
+    and amended to the buffer one by one in extent order.  That takes every
+    class in the range answering ``deriveIRSValue`` and ``getDescendants``
+    with the defaults, and a combining scheme when the map runs; otherwise
+    they are *undecided*, sent ``getIRSValue`` after every other conjunct
+    to dispatch ``deriveIRSValue`` per object.  Strategy (2), when enabled,
+    is the same map with nothing undecided and no default: only what the
+    IRS returned can pass ``>`` / ``>=``.  Values are those
+    ``send("getIRSValue", ...)`` returns, so the compiler declines whenever
+    ``send`` could reach other code: the collection left to the object's
+    choice, or ``getIRSValue`` / ``findIRSValue`` overridden on a class in
+    the range or on the collection's class.
     """
-    from repro.core.irs_object import _resolve_explicit, get_irs_value
+    from repro.core.irs_object import _resolve_explicit, derive_irs_value, get_irs_value
+    from repro.sgml.loader import _get_descendants, descendants
 
     if len(args) != 2 or not isinstance(args[1], str):
         return None
@@ -502,17 +507,38 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
     if not schema.method_is(class_name, "getIRSValue", get_irs_value):
         return None
     irs_query = args[1]
+    defaults = {"deriveIRSValue": derive_irs_value, "getDescendants": _get_descendants}
+    by_column = all(schema.method_is(class_name, m, f) for m, f in defaults.items())
 
     def irs_values(oids, bound=None) -> MethodMap:
         context.counters.add("get_irs_value_calls")
+        buffer = ResultBuffer(collection_obj, context.counters)
         with obs.tracer().span(
             "coupling.findIRSValue", query=obs.trim(irs_query), mode="probe"
         ):
-            values = _get_irs_result(collection_obj, irs_query)
+            values = _get_irs_result(collection_obj, irs_query, buffer)
         if context.irs_first_enabled and bound is not None and bound[0] in (">", ">="):
             return MethodMap(values, restricts=True)
-        undecided = oids.difference(values, member_oids(collection_obj))
-        return MethodMap(values, undecided, default=0.0)
+        members = member_oids(collection_obj)
+        undecided = oids.difference(values, members)
+        combine = by_column and undecided and derivation.combination(collection_obj)
+        if not combine:
+            return MethodMap(values, undecided, default=0.0)
+        order = db.in_extent_order(class_name, undecided)
+        scheme = collection_obj.get("derivation") or "maximum"
+        with obs.tracer().span(
+            "coupling.deriveIRSValue", mode="column", scheme=scheme, objects=len(order)
+        ):
+            derived = {
+                oid: combine([values.get(d, 0.0) for d in below if d in members])
+                for oid, below in descendants(db, order).items()
+            }
+        context.counters.add("derivations", len(derived))
+        obs.metrics().counter("coupling.derivations").inc(len(derived))
+        model = collection_obj.get("model")
+        for oid, value in derived.items():
+            buffer.amend(irs_query, oid, value, model)
+        return MethodMap({**values, **derived}, default=0.0)
 
     return irs_values
 

@@ -33,7 +33,7 @@ discusses:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.context import coupling_context
 from repro.errors import CouplingError
@@ -73,20 +73,24 @@ def component_values(
     ]
 
 
-def derive_maximum(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
+def maximum(values: List[float]) -> float:
     """Maximum over component values (the paper's tested scheme)."""
-    components = component_values(collection_obj, irs_query, obj)
-    if not components:
-        return 0.0
-    return max(value for _c, value in components)
+    return max(values, default=0.0)
+
+
+def average(values: List[float]) -> float:
+    """Mean over component values [CST92]."""
+    return sum(values) / len(values) if values else 0.0
+
+
+def derive_maximum(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
+    """:func:`maximum` over the object's component values."""
+    return maximum([value for _c, value in component_values(collection_obj, irs_query, obj)])
 
 
 def derive_average(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
-    """Mean over component values [CST92]."""
-    components = component_values(collection_obj, irs_query, obj)
-    if not components:
-        return 0.0
-    return sum(value for _c, value in components) / len(components)
+    """:func:`average` over the object's component values."""
+    return average([value for _c, value in component_values(collection_obj, irs_query, obj)])
 
 
 def derive_weighted_type(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
@@ -95,15 +99,12 @@ def derive_weighted_type(collection_obj: DBObject, irs_query: str, obj: DBObject
     if not components:
         return 0.0
     weights = collection_obj.get("type_weights") or {}
-    total_weight = 0.0
-    total = 0.0
+    total_weight = total = 0.0
     for component, value in components:
         weight = float(weights.get(component.get("tag"), 1.0))
         total_weight += weight
         total += weight * value
-    if total_weight == 0:
-        return 0.0
-    return total / total_weight
+    return total / total_weight if total_weight else 0.0
 
 
 def derive_length_weighted(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
@@ -112,10 +113,8 @@ def derive_length_weighted(collection_obj: DBObject, irs_query: str, obj: DBObje
     if not components:
         return 0.0
     lengths = [max(1, component.send("length")) for component, _v in components]
-    total_length = sum(lengths)
-    return sum(
-        length * value for length, (_c, value) in zip(lengths, components)
-    ) / total_length
+    total = sum(length * value for length, (_c, value) in zip(lengths, components))
+    return total / sum(lengths)
 
 
 def derive_subquery(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
@@ -140,19 +139,14 @@ def derive_subquery(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
         derive_subquery(collection_obj, format_query(child), obj)
         for child in tree.children
     ]
-    if tree.op == "and":
-        return ops.op_and(sub_maxima)
-    if tree.op == "or":
-        return ops.op_or(sub_maxima)
     if tree.op == "not":
         return ops.op_not(sub_maxima[0])
-    if tree.op == "sum":
-        return ops.op_sum(sub_maxima)
     if tree.op == "wsum":
         return ops.op_wsum(tree.weights, sub_maxima)
-    if tree.op == "max":
-        return ops.op_max(sub_maxima)
-    raise CouplingError(f"no combination rule for operator #{tree.op}")  # pragma: no cover
+    combine = {"and": ops.op_and, "or": ops.op_or, "sum": ops.op_sum, "max": ops.op_max}
+    if tree.op not in combine:  # pragma: no cover
+        raise CouplingError(f"no combination rule for operator #{tree.op}")
+    return combine[tree.op](sub_maxima)
 
 
 def derive_subquery_locality(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
@@ -207,17 +201,23 @@ def register_scheme(name: str, scheme: DerivationScheme) -> None:
 
 def scheme_named(name: str) -> DerivationScheme:
     """Look up a scheme; raises :class:`CouplingError` when unknown."""
-    try:
-        return _SCHEMES[name]
-    except KeyError:
+    if name not in _SCHEMES:
         raise CouplingError(
             f"unknown derivation scheme {name!r}; registered: {sorted(_SCHEMES)}"
-        ) from None
+        )
+    return _SCHEMES[name]
 
 
 def known_schemes() -> List[str]:
     """All registered scheme names."""
     return sorted(_SCHEMES)
+
+
+def combination(collection_obj: DBObject) -> Optional[Callable[[List[float]], float]]:
+    """What the collection's scheme combines a composite's ordered component
+    values with when it reads nothing else: ``maximum``, ``average`` or None."""
+    scheme = _SCHEMES.get(collection_obj.get("derivation") or "maximum")
+    return maximum if scheme is derive_maximum else average if scheme is derive_average else None
 
 
 def derive(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:

@@ -9,8 +9,8 @@ content conditions (evaluated by the IRS).  The paper names two strategies:
     the OODBMS."  In our system this is plain query evaluation: every
     candidate object has its ``getIRSValue`` compared — from one map per
     statement (:func:`repro.core.collection._compile_irs_value`): the
-    buffered IRS result decides the represented objects, the others are
-    sent the method and derive their value.
+    buffered IRS result decides the represented objects, the others derive
+    their value in one column (or per object, for an overriding class).
 
 (2) **irs_first** — "The IRS selects all IRS documents fulfilling the
     conditions on the content.  The structure conditions are only verified

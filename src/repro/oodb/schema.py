@@ -12,7 +12,7 @@ loader (Section 4.1) and the coupling classes ``COLLECTION`` / ``IRSObject``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     SchemaError,
@@ -97,6 +97,8 @@ class Schema:
 
     def __init__(self) -> None:
         self._classes: Dict[str, ClassDefinition] = {}
+        #: class name -> :meth:`subclasses`, replaced whenever a class is defined.
+        self._subclasses: Dict[str, Tuple[str, ...]] = {}
 
     # -- class management --------------------------------------------------
 
@@ -116,6 +118,7 @@ class Schema:
             cdef.add_attribute(attr_name, type_name)
         self._classes[name] = cdef
         self._check_acyclic(name)
+        self._subclasses = {}
         return cdef
 
     def _check_acyclic(self, name: str) -> None:
@@ -124,6 +127,7 @@ class Schema:
         while current is not None:
             if current in seen:
                 del self._classes[name]
+                self._subclasses = {}
                 raise SchemaError(f"inheritance cycle involving class {name!r}")
             seen.add(current)
             current = self._classes[current].superclass
@@ -157,10 +161,14 @@ class Schema:
         """Return True when ``name`` is ``ancestor`` or inherits from it."""
         return any(cdef.name == ancestor for cdef in self.ancestry(name))
 
-    def subclasses(self, name: str) -> List[str]:
-        """All classes that are ``name`` or inherit from it (for extents)."""
-        self.get_class(name)  # validate
-        return [cname for cname in self._classes if self.is_subclass(cname, name)]
+    def subclasses(self, name: str) -> Tuple[str, ...]:
+        """All classes that are ``name`` or inherit from it (for extents),
+        in definition order; worked out once per change of the hierarchy."""
+        memo = self._subclasses  # a define replaces it: a walk it raced is dropped
+        if name not in memo:
+            self.get_class(name)  # validate
+            memo[name] = tuple(cname for cname in self._classes if self.is_subclass(cname, name))
+        return memo[name]
 
     # -- member resolution ---------------------------------------------------
 
@@ -195,11 +203,7 @@ class Schema:
 
     def has_method(self, class_name: str, method: str) -> bool:
         """Return True when ``method`` resolves on ``class_name``."""
-        try:
-            self.resolve_method(class_name, method)
-            return True
-        except UnknownMethodError:
-            return False
+        return any(method in cdef.methods for cdef in self.ancestry(class_name))
 
     def method_is(self, class_name: str, method: str, implementation: Callable[..., Any]) -> bool:
         """True when ``class_name`` and every subclass answer ``method`` with

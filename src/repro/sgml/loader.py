@@ -19,7 +19,7 @@ sample queries use (Section 4.4).
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
 
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
@@ -103,23 +103,33 @@ def _attribute_column(db: Database, name: str) -> Column:
     }
 
 
+def descendants(db: Database, oids: Collection[OID]) -> Dict[OID, List[OID]]:
+    """Each object's descendants (not itself) in ``getDescendants`` order —
+    each child, then its own, a child listed twice walked twice — read a
+    subtree level at a time; children without an object are skipped."""
+    exists, kids, level = db.object_exists, {}, set(oids)
+    while level:
+        for oid, children in db.read_column(level, "children").items():
+            kids[oid] = [child for child in children if exists(child)] if children else []
+        level = {child for oid in level for child in kids[oid]}.difference(kids)
+
+    def walk(oid: OID) -> List[OID]:
+        return [d for child in kids[oid] for d in (child, *walk(child))] if kids[oid] else []
+
+    return {oid: walk(oid) for oid in oids}
+
+
 def _length_column(db: Database) -> Column:
     """Subtree text length (``p -> length()``), ``len(getTextContent())``
-    without building the text: bottom-up over the stored ``content`` and
-    ``children``, a level of the subtrees at a time — the own part if
-    non-empty, each non-empty child text, a separator between parts,
-    children without an object skipped."""
-    exists = db.object_exists
+    without building the text: the non-empty ``content`` of the object and
+    of its :func:`descendants`, a separator between each two."""
 
-    def lengths(oids: Iterable[OID]) -> Dict[OID, int]:
-        children = {
-            oid: [child for child in kids or () if exists(child)]
-            for oid, kids in db.read_column(set(oids), "children").items()
-        }
-        below = lengths(set().union(*children.values())) if any(children.values()) else {}
+    def lengths(oids: Collection[OID]) -> Dict[OID, int]:
+        below = descendants(db, oids)
+        content = db.read_column(set(oids).union(*below.values()), "content")
         result = {}
-        for oid, own in db.read_column(children, "content").items():
-            parts = ([len(own)] if own else []) + [n for n in map(below.get, children[oid]) if n]
+        for oid, nodes in below.items():
+            parts = [len(content[node]) for node in (oid, *nodes) if content[node]]
             result[oid] = sum(parts) + len(parts) - 1 if parts else 0
         return result
 
@@ -157,20 +167,13 @@ def _get_tag(obj: DBObject) -> str:
 
 
 def _get_children(obj: DBObject) -> List[DBObject]:
-    return [
-        obj.database.get_object(child)
-        for child in (obj.get("children") or [])
-        if obj.database.object_exists(child)
-    ]
+    db = obj.database
+    return [db.get_object(child) for child in obj.get("children") or () if db.object_exists(child)]
 
 
 def _get_root(obj: DBObject) -> DBObject:
-    node = obj
-    while True:
-        parent = _get_parent(node)
-        if parent is None:
-            return node
-        node = parent
+    parent = _get_parent(obj)
+    return obj if parent is None else _get_root(parent)
 
 
 def _get_text_content(obj: DBObject) -> str:
@@ -187,13 +190,10 @@ def _get_text_content(obj: DBObject) -> str:
 
 
 def _get_descendants(obj: DBObject, class_name: Optional[str] = None) -> List[DBObject]:
-    """All descendants (not self), optionally filtered by class."""
-    result: List[DBObject] = []
-    for child in _get_children(obj):
-        if class_name is None or child.isa(class_name):
-            result.append(child)
-        result.extend(_get_descendants(child, class_name))
-    return result
+    """All descendants (not self), optionally filtered by class: the
+    :func:`descendants` column over one object."""
+    found = map(obj.database.get_object, descendants(obj.database, (obj.oid,))[obj.oid])
+    return [d for d in found if class_name is None or d.isa(class_name)]
 
 
 def _is_leaf(obj: DBObject) -> bool:

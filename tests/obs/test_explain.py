@@ -112,14 +112,40 @@ class TestExplainOnPaperQueries:
         assert "hash p1 -> getNext(...) == p2" in text
         assert "hash p1 -> getContaining(...) == d" in text
 
-    def test_undecided_candidates_show_in_the_candidates_span(self, journal):
+    DOCUMENTS_ABOUT_WWW = (
+        "ACCESS d FROM d IN MMFDOC WHERE d -> getAttributeValue('YEAR') = '1994' "
+        "AND d -> getIRSValue(collPara, 'WWW') > 0.4"
+    )
+
+    def test_non_members_are_derived_as_one_column(self, journal):
         system, collection = journal
         collection.set("buffer", {})
-        result = system.explain(
-            "ACCESS d FROM d IN MMFDOC WHERE d -> getAttributeValue('YEAR') = '1994' "
-            "AND d -> getIRSValue(collPara, 'WWW') > 0.4",
-            {"collPara": collection},
+        result = system.explain(self.DOCUMENTS_ABOUT_WWW, {"collPara": collection})
+        (span,) = [s for s in result.root.iter_spans() if s.name == "oodb.query.candidates"]
+        documents = system.db.extent_size("MMFDOC")
+        assert span.attributes["compiled"] == 2
+        assert span.attributes["decided"] == 2 * documents  # YEAR all, the IRS those left
+        assert span.attributes["undecided"] == 0
+        (column,) = [s for s in result.root.iter_spans() if s.name == "coupling.deriveIRSValue"]
+        assert column.attributes["mode"] == "column"
+        assert column.attributes["scheme"] == "maximum"
+        assert column.attributes["objects"] == documents
+        assert not [
+            s for s in result.root.iter_spans()
+            if s.name == "coupling.findIRSValue" and s.attributes.get("source") == "derived"
+        ]
+
+    def test_undecided_candidates_show_in_the_candidates_span(self, journal, monkeypatch):
+        system, collection = journal
+        default = system.db.schema.resolve_method("MMFDOC", "deriveIRSValue")
+        # An application's own deriveIRSValue: each document is sent it.
+        monkeypatch.setitem(
+            system.db.schema.get_class("MMFDOC").methods,
+            "deriveIRSValue",
+            lambda obj, *args: default(obj, *args),
         )
+        collection.set("buffer", {})
+        result = system.explain(self.DOCUMENTS_ABOUT_WWW, {"collPara": collection})
         (span,) = [s for s in result.root.iter_spans() if s.name == "oodb.query.candidates"]
         documents = system.db.extent_size("MMFDOC")
         assert span.attributes["compiled"] == 2

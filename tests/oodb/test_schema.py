@@ -57,7 +57,32 @@ class TestInheritance:
 
     def test_subclasses_lists_whole_subtree(self, schema):
         assert set(schema.subclasses("IRSObject")) == {"IRSObject", "Element", "PARA"}
-        assert schema.subclasses("PARA") == ["PARA"]
+        assert schema.subclasses("PARA") == ("PARA",)
+
+    def test_subclass_defined_after_a_first_call_shows_up(self):
+        db = Database()
+        db.define_class("PARA")
+        db.schema.get_class("PARA").add_method("length", len)
+        db.create_object("PARA")
+        assert db.schema.subclasses("PARA") == ("PARA",)
+        assert db.schema.method_is("PARA", "length", len)
+        assert len(db.extent_oids("PARA")) == 1
+        db.define_class("LASTPARA", superclass="PARA")
+        db.schema.get_class("LASTPARA").add_method("length", lambda obj: 0)
+        last = db.create_object("LASTPARA")
+        assert db.schema.subclasses("PARA") == ("PARA", "LASTPARA")
+        assert not db.schema.method_is("PARA", "length", len)
+        assert last.oid in db.extent_oids("PARA")
+        assert db.in_extent_order("PARA", db.extent_oids("PARA"))[-1] == last.oid
+
+    def test_a_class_rolled_back_for_a_cycle_is_not_listed(self, schema):
+        assert schema.subclasses("Element") == ("Element", "PARA")
+        schema.get_class("IRSObject").superclass = "PARA"
+        with pytest.raises(SchemaError):
+            schema.define_class("LOOP", superclass="PARA")
+        schema.get_class("IRSObject").superclass = None
+        assert schema.subclasses("Element") == ("Element", "PARA")
+        assert not schema.has_class("LOOP")
 
     def test_attribute_resolution_walks_up(self, schema):
         adef = schema.resolve_attribute("PARA", "default_collection")
