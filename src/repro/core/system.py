@@ -40,7 +40,7 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
     :meth:`repro.Session.checkpoint` — reads every collection's
     ``index_gen`` from the committed database state, appends one
     incremental store checkpoint recording them, then checkpoints the
-    database (snapshot + WAL truncation).  Raises
+    database (its changed objects, then a WAL reset).  Raises
     :class:`~repro.errors.StoreError` when the coupling has no
     single-file store attached (an in-memory system).
     """
@@ -227,7 +227,7 @@ class DocumentSystem:
         ``<directory>/irs.store`` (sealed segments already on disk are
         referenced, not rewritten) with the database ``index_gen`` of every
         collection recorded in the manifest, then checkpoints the OODB
-        (snapshot + WAL truncation).  The ordering matters: generations are
+        (its changed objects, then a WAL reset).  The ordering matters: generations are
         read from the committed database state *before* the store commit,
         so a crash at any point leaves either a manifest that matches the
         database or one that is detectably older — never newer (see
@@ -239,19 +239,20 @@ class DocumentSystem:
         return checkpoint_coupling(self.db)
 
     def pack(self) -> Dict[str, Any]:
-        """Checkpoint, then compact the store file offline; returns stats.
+        """Checkpoint, then compact both store files offline; returns stats.
 
-        Copies only live records into a fresh file and atomically replaces
-        ``irs.store``, reclaiming the dead space incremental checkpoints
-        leave behind (``health()["storage"]["dead_ratio"]`` tells when this
-        is worth doing).  Durable systems only.
+        Copies only live records into fresh files that atomically replace
+        ``irs.store`` and ``db/objects.store`` (``stats["objects"]``),
+        reclaiming the dead space incremental checkpoints leave behind
+        (``health()["storage"]["dead_ratio"]`` tells when this is worth
+        doing).  Durable systems only.
         """
         from repro.errors import StoreError
 
         if self.store is None:
             raise StoreError("pack requires the single-file store")
         self.checkpoint()
-        return self.store.pack()
+        return dict(self.store.pack(), objects=self.db.pack())
 
     def _recover_coupling(self) -> None:
         """Reconcile the recovered IRS store with the recovered database.
@@ -352,7 +353,7 @@ class DocumentSystem:
                 DEFAULT_SLO_SECONDS if slo_seconds is None else slo_seconds
             ),
             servers=self._servers,
-            storage=storage_stats(self.store, self.engine),
+            storage=storage_stats(self.store, self.engine, self.db),
         )
 
     # -- bookkeeping ------------------------------------------------------------------------

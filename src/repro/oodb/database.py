@@ -6,8 +6,9 @@ It supports two persistence modes:
 
 * **ephemeral** (``Database()``) — everything in memory, WAL in memory too;
   used by tests and short-lived experiments;
-* **durable** (``Database(directory=...)``) — snapshot + WAL files in a
-  directory; :meth:`checkpoint` writes a snapshot and truncates the log, and
+* **durable** (``Database(directory=...)``) — an object file plus a WAL in
+  a directory; :meth:`checkpoint` appends the objects changed since the
+  previous one to ``objects.store`` and resets the log in place, and
   re-opening the directory recovers committed state.
 
 Concurrency: operations inside an explicit transaction take strict-2PL
@@ -32,7 +33,8 @@ from repro.oodb.locks import LockManager, LockMode
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID, OIDAllocator
 from repro.oodb.schema import ClassDefinition, Schema
-from repro.oodb.store import ObjectStore, _StoredObject, decode_value, encode_value
+from repro.oodb.store import ObjectFile, ObjectStore, _StoredObject, load_snapshot
+from repro.oodb.store import decode_value, encode_value
 from repro.oodb.transactions import Transaction
 from repro.oodb.wal import WriteAheadLog
 
@@ -40,7 +42,12 @@ logger = logging.getLogger(__name__)
 
 _UNWRITTEN = object()  # read_attribute: the attribute has no stored value
 
-_SNAPSHOT_FILE = "snapshot.json"
+#: The record kinds recovery redoes (the others delimit transactions).
+_REDONE = {wal_records.CREATE, wal_records.WRITE, wal_records.ITEM,
+           wal_records.DELETE, wal_records.SCHEMA}
+
+_OBJECTS_FILE = "objects.store"
+_SNAPSHOT_FILE = "snapshot.json"  # written by older builds; imported, never written
 _WAL_FILE = "wal.log"
 
 
@@ -57,16 +64,20 @@ class Database:
         self._local = threading.local()
         self._closed = False
 
+        self._objects: Optional[ObjectFile] = None
         if directory is None:
             self._wal = WriteAheadLog()
         else:
             os.makedirs(directory, exist_ok=True)
+            self._objects = ObjectFile(os.path.join(directory, _OBJECTS_FILE))
             snapshot_path = os.path.join(directory, _SNAPSHOT_FILE)
-            if os.path.exists(snapshot_path):
-                info = self._store.load_snapshot(snapshot_path)
-                self._allocator.advance_to(info.oid_high_water)
-                self._restore_schema(info.schema_payload)
-            self._wal = WriteAheadLog(os.path.join(directory, _WAL_FILE))
+            image = self._objects.load(self._store) or (
+                load_snapshot(snapshot_path, self._store) if os.path.exists(snapshot_path) else {}
+            )
+            self._allocator.advance_to(image.get("oid_high_water", 0))
+            self._restore_schema(image.get("schema", []))
+            mark = image.get("wal_mark", 0)
+            self._wal = WriteAheadLog(os.path.join(directory, _WAL_FILE), mark=mark)
             self._replay_wal()
             self._rebuild_indexes()
 
@@ -167,26 +178,26 @@ class Database:
     # ------------------------------------------------------------------
 
     def create_object(self, class_name: str, **attributes: Any) -> DBObject:
-        """Create an instance of ``class_name``; keyword args set attributes."""
+        """Create an instance of ``class_name``; keyword args set attributes
+        (logged inside its one ``CREATE`` record)."""
         self.schema.get_class(class_name)  # validates existence
+        for attr, value in attributes.items():
+            self._check_type(class_name, attr, value)
         oid = self._allocator.allocate()
+        encoded = {k: encode_value(v) for k, v in attributes.items()}
+        payload = {"oid": oid.value, "class": class_name, "attributes": encoded}
         txn = self._current_txn()
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
             txn.record_undo(self._undo_create, oid)
-            self._store.create(oid, class_name)
-            self._wal.append(
-                wal_records.CREATE, txn.txn_id, {"oid": oid.value, "class": class_name}
-            )
+            self._store.create(oid, class_name, attributes)
+            self._wal.append(wal_records.CREATE, txn.txn_id, payload)
         else:
-            self._store.create(oid, class_name)
-            self._log_autocommit(
-                wal_records.CREATE, {"oid": oid.value, "class": class_name}
-            )
-        obj = DBObject(self, oid, class_name)
+            self._store.create(oid, class_name, attributes)
+            self._log_autocommit(wal_records.CREATE, payload)
         for attr, value in attributes.items():
-            obj.set(attr, value)
-        return obj
+            self._reindex_attribute(oid, class_name, attr, None, value)
+        return DBObject(self, oid, class_name)
 
     def _undo_create(self, oid: OID) -> None:
         if self._store.exists(oid):
@@ -265,15 +276,18 @@ class Database:
                 column[oid] = self.read_attribute(oid, attr)  # the default
         return column
 
-    def write_attribute(self, oid: OID, attr: str, value: Any) -> None:
-        """Write ``attr``; type-checked when declared, logged, index-maintained."""
-        class_name = self._store.class_of(oid)
+    def _check_type(self, class_name: str, attr: str, value: Any) -> None:
         adef = self.schema.find_attribute(class_name, attr)
         if adef is not None and not adef.check(value):
             raise SchemaError(
                 f"value {value!r} does not match type {adef.type_name} of "
                 f"{class_name}.{attr}"
             )
+
+    def write_attribute(self, oid: OID, attr: str, value: Any) -> None:
+        """Write ``attr``; type-checked when declared, logged, index-maintained."""
+        class_name = self._store.class_of(oid)
+        self._check_type(class_name, attr, value)
         old_value = self._store.read(oid, attr)
         txn = self._current_txn()
         if txn is not None:
@@ -503,33 +517,46 @@ class Database:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Write a snapshot and truncate the WAL (durable mode only)."""
-        if self._directory is None:
-            return
+        """Append the objects changed since the last checkpoint to the
+        object file and reset the WAL (durable mode only)."""
+        if self._objects is not None:
+            self._checkpoint(self._objects.commit)
+
+    def pack(self) -> Optional[Dict[str, int]]:
+        """Checkpoint by rewriting the object file as the live set alone,
+        reclaiming what earlier batches left dead (durable mode only)."""
+        return None if self._objects is None else self._checkpoint(self._objects.pack)
+
+    def _checkpoint(self, commit: Callable[..., Dict[str, int]]) -> Dict[str, int]:
         started = time.perf_counter()
-        with obs.tracer().span("oodb.checkpoint", objects=len(self._store)):
-            snapshot_path = os.path.join(self._directory, _SNAPSHOT_FILE)
+        with obs.tracer().span("oodb.checkpoint", objects=len(self._store)) as span:
             # Every writer changes the store, then logs: a record below the
-            # mark is in the snapshot, one from the mark on may not be.
+            # mark is in the batches, one from the mark on may not be.
             mark = self._wal.next_lsn
-            self._store.snapshot(
-                snapshot_path, self._allocator.high_water_mark, self._schema_payload()
-            )
-            self._wal.append(wal_records.CHECKPOINT, 0)
-            self._wal.truncate(keep_from=mark)
+            high_water = self._allocator.high_water_mark
+            header = {"schema": self._schema_payload(), "oid_high_water": high_water, "wal_mark": mark}
+            stats = commit(self._store, header)
+            self._wal.reset(mark)
+            for name, value in stats.items():
+                span.set_attribute(name, value)
         elapsed = time.perf_counter() - started
         registry = obs.metrics()
         registry.counter("oodb.checkpoints").inc()
+        registry.counter("oodb.checkpoint.objects").inc(stats["objects_written"])
+        registry.counter("oodb.checkpoint.bytes").inc(stats["bytes"])
         registry.histogram("oodb.checkpoint.seconds").observe(elapsed)
         logger.info(
-            "checkpoint of %s: %d objects in %.1f ms",
-            self._directory,
-            len(self._store),
-            elapsed * 1000.0,
+            "checkpoint of %s: %d of %d objects in %.1f ms",
+            self._directory, stats["objects_written"], len(self._store), elapsed * 1000.0,
         )
+        return stats
+
+    def storage_stats(self) -> Optional[Dict[str, Any]]:
+        """Size, live and dead bytes of the object file (None in memory)."""
+        return None if self._objects is None else self._objects.stats()
 
     def _schema_payload(self) -> List[Dict[str, Any]]:
-        """Class structure + index catalog for the snapshot.
+        """Class structure + index catalog for the object file's manifest.
 
         Method implementations are code and are not persisted; indexes are
         recorded structurally and rebuilt (backfilled) at recovery.
@@ -569,7 +596,7 @@ class Database:
                 )
 
     def _rebuild_indexes(self) -> None:
-        """Re-create and backfill indexes recorded in the snapshot.
+        """Re-create and backfill indexes recorded in the durable image.
 
         Runs after WAL replay so the backfill sees the fully recovered
         object table.
@@ -585,6 +612,8 @@ class Database:
             return
         self.checkpoint()
         self._wal.close()
+        if self._objects is not None:
+            self._objects.close()
         self._closed = True
 
     def __enter__(self) -> "Database":
@@ -594,7 +623,7 @@ class Database:
         self.close()
 
     def _replay_schema(self, payload: Dict[str, Any]) -> None:
-        """Redo one SCHEMA record; tolerates classes already in the snapshot."""
+        """Redo one SCHEMA record; tolerates classes already in the image."""
         if payload["op"] == "class":
             if not self.schema.has_class(payload["name"]):
                 self.schema.define_class(
@@ -611,46 +640,39 @@ class Database:
                     )
 
     def _replay_wal(self) -> None:
-        """Redo committed WAL records on top of the loaded snapshot."""
+        """Redo committed WAL records on top of the loaded object batches."""
         started = time.perf_counter()
         replayed = 0
         with obs.tracer().span("oodb.recovery", wal_records=len(self._wal)) as span:
             committed = self._wal.committed_transactions()
             max_oid = 0
             for record in self._wal.records():
-                if record.txn_id not in committed:
+                if record.txn_id not in committed or record.kind not in _REDONE:
                     continue
-                payload = record.payload
-                if record.kind == wal_records.CREATE:
-                    oid = OID(payload["oid"])
-                    max_oid = max(max_oid, oid.value)
-                    if not self._store.exists(oid):
-                        self._store.create(oid, payload["class"])
-                    replayed += 1
-                elif record.kind == wal_records.WRITE:
-                    oid = OID(payload["oid"])
-                    if self._store.exists(oid):
-                        self._store.write(oid, payload["attr"], decode_value(payload["value"]))
-                    replayed += 1
-                elif record.kind == wal_records.ITEM:
-                    oid = OID(payload["oid"])
-                    if self._store.exists(oid):
-                        self._store.write_item(
-                            oid,
-                            payload["attr"],
-                            [decode_value(key) for key in payload["path"]],
-                            decode_value(payload.get("value")),
-                            delete="value" not in payload,
-                        )
-                    replayed += 1
-                elif record.kind == wal_records.DELETE:
-                    oid = OID(payload["oid"])
-                    if self._store.exists(oid):
-                        self._store.delete(oid)
-                    replayed += 1
-                elif record.kind == wal_records.SCHEMA:
+                payload, replayed = record.payload, replayed + 1
+                if record.kind == wal_records.SCHEMA:
                     self._replay_schema(payload)
-                    replayed += 1
+                    continue
+                oid = OID(payload["oid"])
+                if record.kind == wal_records.CREATE:
+                    max_oid = max(max_oid, oid.value)
+                    if not self._store.exists(oid):  # older logs' CREATE has no attributes
+                        attributes = payload.get("attributes", {})
+                        self._store.load_objects([(oid, payload["class"], attributes)])
+                elif not self._store.exists(oid):
+                    continue  # deleted later on
+                elif record.kind == wal_records.WRITE:
+                    self._store.write(oid, payload["attr"], decode_value(payload["value"]))
+                elif record.kind == wal_records.ITEM:
+                    self._store.write_item(
+                        oid,
+                        payload["attr"],
+                        [decode_value(key) for key in payload["path"]],
+                        decode_value(payload.get("value")),
+                        delete="value" not in payload,
+                    )
+                else:
+                    self._store.delete(oid)
             self._allocator.advance_to(max_oid + 1)
             span.set_attribute("records_replayed", replayed)
         elapsed = time.perf_counter() - started
@@ -681,7 +703,7 @@ class Database:
         """Define a class, optionally with attributes and methods in one call.
 
         The structural part of the definition (name, superclass, attribute
-        names and types) is WAL-logged so a crash before the next snapshot
+        names and types) is WAL-logged so a crash before the next checkpoint
         does not lose the schema the logged objects depend on.  Method
         implementations are code and are never persisted.
         """

@@ -1,10 +1,11 @@
-"""The object store: in-memory object table with snapshot persistence.
+"""The object store: in-memory object table and its durable image.
 
 Objects live in a dictionary ``oid -> _StoredObject`` with per-class extents
-maintained incrementally.  Persistence is snapshot-plus-WAL: a checkpoint
-serializes the whole table to a JSON file; crash recovery loads the snapshot
-and replays committed WAL records on top of it (see
-:class:`repro.oodb.database.Database`).
+maintained incrementally.  The durable image is :class:`ObjectFile`, a store
+file (the format of ``irs.store``) to which each checkpoint appends the
+objects whose write version moved; recovery reads it and replays committed
+WAL records on top (see :class:`repro.oodb.database.Database`).  A
+``snapshot.json`` older builds wrote is only read, by :func:`load_snapshot`.
 
 Attribute values are restricted to a JSON-encodable universe extended with
 :class:`~repro.oodb.oid.OID` references (encoded as ``{"__oid__": n}``),
@@ -22,6 +23,8 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.oodb.oid import OID
+from repro.store import blocks
+from repro.store.file import StoreFile, fsync_directory
 
 
 def encode_value(value: Any) -> Any:
@@ -42,12 +45,14 @@ def decode_value(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_value(v) for v in value]
     if isinstance(value, dict):
-        if set(value) == {"__oid__"}:
-            return OID(value["__oid__"])
-        if set(value) == {"__tuple__"}:
-            return tuple(decode_value(v) for v in value["__tuple__"])
-        if set(value) == {"__dict__"}:
-            return {decode_value(k): decode_value(v) for k, v in value["__dict__"]}
+        if len(value) == 1:
+            ((key, inner),) = value.items()
+            if key == "__oid__":
+                return OID(inner)
+            if key == "__tuple__":
+                return tuple(decode_value(v) for v in inner)
+            if key == "__dict__":
+                return {decode_value(k): decode_value(v) for k, v in inner}
         return {k: decode_value(v) for k, v in value.items()}
     return value
 
@@ -65,14 +70,6 @@ class _StoredObject:
     version: int = 0
 
 
-@dataclass(frozen=True)
-class SnapshotInfo:
-    """What :meth:`ObjectStore.load_snapshot` recovered besides objects."""
-
-    oid_high_water: int
-    schema_payload: list
-
-
 class ObjectStore:
     """The object table plus class extents."""
 
@@ -80,7 +77,7 @@ class ObjectStore:
         self._objects: Dict[OID, _StoredObject] = {}
         self._extents: Dict[str, Set[OID]] = {}
         #: Held while an object's attributes (or a dictionary inside them)
-        #: change and while :meth:`snapshot` encodes them, so a checkpoint
+        #: change and while :meth:`ObjectFile.commit` encodes them, so a checkpoint
         #: never iterates a dictionary another thread is adding items to.
         #: Re-entrant: a writer keeps it over a batch of item writes that
         #: readers must see whole (:meth:`Database.store_lock`).
@@ -88,11 +85,11 @@ class ObjectStore:
 
     # -- object lifecycle -----------------------------------------------------
 
-    def create(self, oid: OID, class_name: str) -> None:
-        """Register a new, empty object of ``class_name`` under ``oid``."""
+    def create(self, oid: OID, class_name: str, attributes: Optional[dict] = None) -> None:
+        """Register a new object of ``class_name`` under ``oid``."""
         if oid in self._objects:
             raise ValueError(f"{oid} already exists")
-        self._objects[oid] = _StoredObject(class_name)
+        self._objects[oid] = _StoredObject(class_name, dict(attributes or {}))
         self._extents.setdefault(class_name, set()).add(oid)
 
     def delete(self, oid: OID) -> _StoredObject:
@@ -237,62 +234,115 @@ class ObjectStore:
     def __len__(self) -> int:
         return len(self._objects)
 
-    # -- snapshots ------------------------------------------------------------------------
+    # -- durable image ----------------------------------------------------------
 
-    def snapshot(self, path: str, oid_high_water: int, schema_payload: Optional[list] = None) -> None:
-        """Serialize the whole table to ``path`` atomically.
+    def load_objects(self, entries: Iterable[Tuple[int, str, dict]]) -> None:
+        """Add the objects of ``(oid, class, encoded attributes)`` entries."""
+        for oid, class_name, attributes in entries:
+            self.create(OID(oid), class_name, {k: decode_value(v) for k, v in attributes.items()})
 
-        ``schema_payload`` is an opaque class-structure description produced
-        by the database facade; it rides along so re-opened databases know
-        their classes (method implementations are code and must be
-        re-registered by the application).
-        """
-        # Writers wait while the table is encoded, not while it is written out.
-        with self._write_lock:
-            objects = [
-                {
-                    "oid": oid.value,
-                    "class": stored.class_name,
-                    "attributes": {k: encode_value(v) for k, v in stored.attributes.items()},
-                }
-                for oid, stored in sorted(self._objects.items())
+
+def load_snapshot(path: str, store: ObjectStore) -> dict:
+    """Import a ``snapshot.json`` an older build wrote; returns its header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    store.load_objects((e["oid"], e["class"], e["attributes"]) for e in payload.pop("objects"))
+    return payload
+
+
+class ObjectFile:
+    """The database's durable image: batches of changed objects in a store file.
+
+    Each :meth:`commit` appends one ``KIND_OBJECTS`` record, a line
+    ``<oid> [class, attributes]`` per object whose write version moved,
+    and a manifest (format in docs/storage-format.md).  Reading parses
+    only each object's newest line.  Once the batches hold more dead
+    lines than live objects, the next one rewrites the live set (the
+    documents' rule in ``irs.store``); :meth:`pack` reclaims dead bytes.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.file = StoreFile(path, use_mmap=False)  # each batch is read once, at open
+        self.manifest: Optional[dict] = self.file.read_manifest()
+        #: OID -> the write version its newest persisted entry holds.
+        self.persisted: Dict[OID, int] = {}
+        #: Object entries in the live batches, superseded ones included.
+        self._entries = 0
+
+    def load(self, store: ObjectStore) -> Optional[dict]:
+        """Fill ``store`` from the batches; returns the manifest (None when
+        nothing was committed yet)."""
+        if self.manifest is None:
+            return None
+        newest: Dict[int, bytes] = {}
+        for offset, length in self.manifest["batches"]:
+            lines = self.file.read_record(offset, length, blocks.KIND_OBJECTS).split(b"\n")
+            self._entries += len(lines)
+            for line in lines:
+                oid, _space, entry = line.partition(b" ")
+                newest[int(oid)] = entry
+        for oid in self.manifest["deleted"]:
+            newest.pop(oid, None)
+        decoded = json.loads(b"[" + b",".join(newest.values()) + b"]")
+        store.load_objects((oid, *entry) for oid, entry in zip(newest, decoded))
+        self.persisted = dict.fromkeys(map(OID, newest), 0)
+        return self.manifest
+
+    def commit(self, store: ObjectStore, header: dict) -> Dict[str, int]:
+        """Append the changed objects and a manifest holding ``header``
+        (``schema``, ``oid_high_water``, ``wal_mark``); durable on return."""
+        previous = self.manifest or {"batches": [], "deleted": []}
+        start = self.file.size
+        with store._write_lock:  # writers wait while the changed objects are encoded
+            objects = store._objects
+            versions = {oid: stored.version for oid, stored in objects.items()}
+            gone = [oid.value for oid in self.persisted if oid not in versions]
+            changed = [oid for oid, version in versions.items() if self.persisted.get(oid) != version]
+            kept, deleted = self._entries, set(previous["deleted"]).union(gone)
+            if kept + len(changed) - len(versions) > max(64, len(versions)):
+                # More dead entries than live objects: rewrite the live set.
+                changed, kept, deleted, previous = list(versions), 0, set(), {"batches": []}
+            entries = [
+                b"%d %s" % (oid, json.dumps([objects[oid].class_name, {
+                    k: encode_value(v) for k, v in objects[oid].attributes.items()
+                }], separators=(",", ":")).encode("ascii"))
+                for oid in sorted(changed)
             ]
-        payload = {
-            "oid_high_water": oid_high_water,
-            "schema": schema_payload or [],
-            "objects": objects,
-        }
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            # dumps, not dump: only the one-string form runs the C encoder.
-            fh.write(json.dumps(payload))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
+        batches = list(previous["batches"])
+        if entries:
+            batches.append(list(self.file.append_record(blocks.KIND_OBJECTS, b"\n".join(entries))))
+        manifest = dict(header, batches=batches, deleted=sorted(deleted.difference(changed)))
+        self.file.commit(blocks.encode_json(manifest))
+        self.manifest, self.persisted, self._entries = manifest, versions, kept + len(entries)
+        return {"objects_written": len(entries), "objects_deleted": len(gone), "bytes": self.file.size - start}
 
-    def load_snapshot(self, path: str) -> "SnapshotInfo":
-        """Replace the table with the snapshot at ``path``."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        self._objects = {}
-        self._extents = {}
-        for entry in payload["objects"]:
-            oid = OID(entry["oid"])
-            self.create(oid, entry["class"])
-            self._objects[oid].attributes = {
-                k: decode_value(v) for k, v in entry["attributes"].items()
-            }
-        return SnapshotInfo(
-            oid_high_water=payload["oid_high_water"],
-            schema_payload=payload.get("schema", []),
-        )
+    def pack(self, store: ObjectStore, header: dict) -> Dict[str, int]:
+        """Rewrite the file as one batch of the live set (write new, then
+        ``os.replace``): the one place its dead bytes are given back."""
+        tmp_path = self.path + ".pack"
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        packed = ObjectFile(tmp_path)
+        stats = packed.commit(store, header)
+        packed.close()
+        self.close()
+        os.replace(tmp_path, self.path)
+        fsync_directory(self.path)
+        self.file, self.manifest = StoreFile(self.path, use_mmap=False), packed.manifest
+        self.persisted, self._entries = packed.persisted, packed._entries
+        return stats
 
+    def stats(self) -> Dict[str, Any]:
+        """Size, and the bytes the manifest, footer and live batches take."""
+        live = blocks.SUPER_SIZE + (self.file.manifest_length + blocks.FOOTER_SIZE + sum(
+            length for _offset, length in self.manifest["batches"]
+        ) if self.manifest else 0)
+        size = self.file.size
+        return {"path": self.path, "size_bytes": size, "live_bytes": live, "dead_bytes": size - live}
 
-class _Missing:
-    """Sentinel distinguishing 'attribute never written' from None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<missing>"
+    def close(self) -> None:
+        self.file.close()
 
 
-_MISSING = _Missing()
+_MISSING = object()  # 'attribute never written', as distinct from None

@@ -4,13 +4,16 @@ Durability and atomicity are implemented with a classic redo-only WAL: every
 object mutation is appended to the log as it is applied to the in-memory
 store (store first, then log — nothing reaches disk but the log), commit
 appends a COMMIT record and fsyncs, and recovery replays the log, applying
-only mutations of committed transactions.  Checkpoints snapshot the whole
-store and truncate the log up to where the snapshot began; records other
-threads appended meanwhile stay and are replayed on top of it.
+only mutations of committed transactions.
 
-Records are newline-delimited JSON so the log is inspectable with standard
-tools — adequate for a reproduction and analogous in structure to the page
-logs of production systems.
+Records are newline-delimited JSON, inspectable with standard tools; each
+line starts with ``"crc"``, the CRC-32 of the line without that field.  The
+log is never truncated or replaced: once a checkpoint has made its *mark*
+(the next LSN) durable, :meth:`WriteAheadLog.reset` sends the next append
+to offset 0, over the old records, and reading stops where LSNs stop
+rising (docs/storage-format.md has the rules).  ``CREATE`` carries the new
+object's attributes; older logs' bare ``CREATE`` plus ``WRITE`` records
+replay unchanged.
 
 ``ITEM`` is the one record that carries a *delta* instead of a whole
 attribute value: ``{"oid", "attr", "path", "value"}`` sets
@@ -18,7 +21,7 @@ attribute value: ``{"oid", "attr", "path", "value"}`` sets
 (path keys and value in the store's value encoding).  Its size depends on
 the item, not on the dictionary, which is what keeps an amend of the
 persistent IRS-result buffer O(1) in log bytes.  Replay rule: applied in
-LSN order like ``WRITE``, on top of whatever the snapshot and earlier
+LSN order like ``WRITE``, on top of whatever the checkpoint and earlier
 records left in the attribute; dictionaries missing along the path are
 created; a record whose object no longer exists is skipped.  An ``ITEM``
 record *without* ``"value"`` deletes the item (a collection's ``doc_map``
@@ -26,7 +29,7 @@ loses a member this way); replaying it where the item, or a dictionary on
 the path, is already gone changes nothing, so it is idempotent like the rest.
 
 An in-memory log (``path=None``) has nothing to recover and nothing that
-truncates it, so it keeps only its most recent :data:`MEMORY_RECORDS`
+resets it, so it keeps only its most recent :data:`MEMORY_RECORDS`
 records — what tests and tooling look at — while LSNs keep counting.
 """
 
@@ -35,11 +38,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import RecoveryError
@@ -50,18 +55,21 @@ logger = logging.getLogger(__name__)
 BEGIN = "BEGIN"
 WRITE = "WRITE"          # attribute write: oid, attr, value
 ITEM = "ITEM"            # dict-item write: oid, attr, key path, value (none: delete)
-CREATE = "CREATE"        # object creation: oid, class_name
+CREATE = "CREATE"        # object creation: oid, class_name, initial attributes
 DELETE = "DELETE"        # object deletion: oid
 SCHEMA = "SCHEMA"        # schema DDL: class definition or attribute addition
 COMMIT = "COMMIT"
 ABORT = "ABORT"
-CHECKPOINT = "CHECKPOINT"
+CHECKPOINT = "CHECKPOINT"  # written by older builds only
 
 _RECORD_KINDS = {BEGIN, WRITE, ITEM, CREATE, DELETE, SCHEMA, COMMIT, ABORT, CHECKPOINT}
 
 #: Records an in-memory log retains (a file-backed log keeps every record
 #: since the last checkpoint: recovery needs them all).
 MEMORY_RECORDS = 4096
+
+_CRC_PREFIX = b'{"crc": '
+_LSN_FIELD = re.compile(rb'"lsn": (\d+)')
 
 
 @dataclass(frozen=True)
@@ -74,10 +82,11 @@ class LogRecord:
     payload: Dict[str, Any]
 
     def to_json(self) -> str:
-        return json.dumps(
+        body = json.dumps(
             {"lsn": self.lsn, "kind": self.kind, "txn": self.txn_id, "payload": self.payload},
             sort_keys=True,
         )
+        return f'{{"crc": {zlib.crc32(body.encode("utf-8"))}, {body[1:]}'
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":
@@ -91,55 +100,83 @@ class LogRecord:
             raise RecoveryError(f"corrupt WAL record: {line!r}") from exc
 
 
+def _verified(line: bytes) -> Optional[LogRecord]:
+    """The record on ``line`` if it parses and its CRC holds (lines older
+    builds wrote have none)."""
+    head, _sep, body = line.partition(b", ")
+    if line.startswith(_CRC_PREFIX) and head[len(_CRC_PREFIX):] != b"%d" % zlib.crc32(b"{" + body):
+        return None
+    try:
+        return LogRecord.from_json(line.decode("utf-8"))
+    except (RecoveryError, UnicodeDecodeError):
+        return None
+
+
 class WriteAheadLog:
     """Append-only log file with LSN assignment and replay support.
 
     ``path=None`` yields an in-memory log (used by ephemeral databases and by
-    unit tests); the interface is identical.
+    unit tests); the interface is identical.  ``mark`` is the LSN the last
+    durable checkpoint recorded: records below it are not read.
     """
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        self._path = path
+    def __init__(self, path: Optional[str] = None, mark: int = 0) -> None:
         self._records: Deque[LogRecord] = deque(
             maxlen=MEMORY_RECORDS if path is None else None
         )
         self._next_lsn = 1
         self._file = None
         #: Appends come from any thread (readers buffer IRS results); LSN
-        #: assignment, the file write and truncation exclude each other.
+        #: assignment, the file write and the reset exclude each other.
         self._lock = threading.Lock()
         if path is not None:
-            existing = self._read_existing(path)
+            existing, offset = self._read_existing(path, mark)
             self._records.extend(existing)
-            self._next_lsn = (existing[-1].lsn + 1) if existing else 1
-            self._file = open(path, "a", encoding="utf-8")
+            self._next_lsn = max(existing[-1].lsn + 1 if existing else 1, mark)
+            self._file = open(path, "r+b" if os.path.exists(path) else "w+b")
+            if self._file.seek(0, os.SEEK_END) < offset:  # the last record lacks its newline
+                self._file.write(b"\n")
+            self._file.seek(offset)
 
     @staticmethod
-    def _read_existing(path: str) -> List[LogRecord]:
-        """Read records from disk, tolerating a torn final record.
-
-        A crash while appending can leave a truncated last line; that tail
-        is discarded (its transaction never committed — the COMMIT record is
-        always flushed).  Corruption anywhere *before* the tail is a real
-        integrity problem and raises :class:`RecoveryError`.
+    def _read_existing(path: str, mark: int) -> Tuple[List[LogRecord], int]:
+        """The records at or above ``mark`` and the offset appends resume at
+        (past the newline ending the last of them, else 0).  Stops at a torn
+        line (its transaction never committed: COMMIT records are flushed)
+        or at older records behind a reset; a verifying record with a higher
+        LSN after the stop raises :class:`RecoveryError`.
         """
         if not os.path.exists(path):
-            return []
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-        lines = [line for line in lines if line]
-        records = []
-        for index, line in enumerate(lines):
-            try:
-                records.append(LogRecord.from_json(line))
-            except RecoveryError:
-                if index == len(lines) - 1:
-                    logger.warning(
-                        "dropping torn WAL tail record in %s (crash mid-append)", path
+            return [], 0
+        with open(path, "rb") as fh:
+            data = fh.read()
+        records: List[LogRecord] = []
+        offset = position = last = 0
+        while position < len(data):
+            end = data.find(b"\n", position)
+            end = len(data) if end < 0 else end
+            line, position = data[position:end].strip(), end + 1
+            if not line:
+                continue
+            record = _verified(line)
+            if record is None or record.lsn <= last:
+                # Only a line with a higher LSN can be a lost middle; the
+                # older records behind a reset all have lower ones.
+                floor = max(last, mark - 1)
+                for found in _LSN_FIELD.finditer(data, position):
+                    start = data.rfind(b"\n", 0, found.start()) + 1
+                    later = int(found.group(1)) > floor and _verified(
+                        data[start:].split(b"\n", 1)[0].strip()
                     )
-                    break
-                raise
-        return records
+                    if later and later.lsn > floor:
+                        raise RecoveryError(f"corrupt WAL record: {line.decode('utf-8', 'replace')!r}")
+                logger.info("WAL %s ends at byte %d (torn tail or older records)", path, offset)
+                break
+            last = record.lsn
+            if record.lsn >= mark:
+                records.append(record)
+                offset = position
+        return records, offset
 
     # -- appending ----------------------------------------------------------
 
@@ -152,10 +189,10 @@ class WriteAheadLog:
             self._records.append(record)
             registry.counter("oodb.wal.appends").inc()
             if self._file is not None:
-                line = record.to_json() + "\n"
+                line = (record.to_json() + "\n").encode("utf-8")
                 self._file.write(line)
                 registry.counter("oodb.wal.bytes").inc(len(line))
-                if kind in (COMMIT, CHECKPOINT):
+                if kind == COMMIT:
                     started = time.perf_counter()
                     self._file.flush()
                     os.fsync(self._file.fileno())
@@ -168,7 +205,7 @@ class WriteAheadLog:
     # -- reading ---------------------------------------------------------------
 
     def records(self) -> Iterator[LogRecord]:
-        """All records in LSN order (since the last truncation)."""
+        """All records in LSN order (since the last checkpoint's mark)."""
         return iter(list(self._records))
 
     def committed_transactions(self) -> set:
@@ -185,35 +222,20 @@ class WriteAheadLog:
         """The LSN the next appended record gets."""
         return self._next_lsn
 
-    def truncate(self, keep_from: Optional[int] = None) -> None:
-        """Discard the records a durable checkpoint snapshot covers.
+    def reset(self, mark: int) -> None:
+        """Forget the records below ``mark``: a durable checkpoint has them.
 
-        All of them, or those below LSN ``keep_from``: a record another
-        thread appended while the snapshot was taken may describe a change
-        the snapshot missed, so it stays and is replayed on top (redo is
-        idempotent, an ``ITEM`` needs the state it was applied to).
+        The next record goes to offset 0, over the old ones, unless records
+        were appended from the mark on (changes the checkpoint may have
+        missed): then appends continue at the end, and reading skips what
+        lies below the mark.
         """
         with self._lock:
-            kept = [
-                r for r in self._records
-                if keep_from is not None and r.lsn >= keep_from and r.kind != CHECKPOINT
-            ]
-            self._records = deque(kept, self._records.maxlen)
-            if self._file is None:
-                return
-            self._file.close()
-            if not kept:
-                self._file = open(self._path, "w", encoding="utf-8")
-                return
-            # A crash before the replace leaves the whole old log, which
-            # replays on top of the snapshot just as well.
-            tmp_path = self._path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                fh.writelines(record.to_json() + "\n" for record in kept)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self._path)
-            self._file = open(self._path, "a", encoding="utf-8")
+            self._records = deque(
+                (r for r in self._records if r.lsn >= mark), self._records.maxlen
+            )
+            if self._file is not None and self._next_lsn == mark:
+                self._file.seek(0)
 
     def close(self) -> None:
         """Close the underlying file, flushing buffered records."""

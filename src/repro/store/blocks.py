@@ -60,6 +60,7 @@ KIND_MEMTABLE = 3   # a collection's current memtable postings
 KIND_INDEX = 4      # a legacy monolithic index; read, no longer written
 KIND_MANIFEST = 5   # a checkpoint manifest (the commit record)
 KIND_BLOCKS = 6     # one sealed segment in native block form
+KIND_OBJECTS = 7    # one batch of database objects (``db/objects.store``)
 
 _KIND_NAMES = {
     KIND_DOCS: "docs",
@@ -68,6 +69,7 @@ _KIND_NAMES = {
     KIND_INDEX: "index",
     KIND_MANIFEST: "manifest",
     KIND_BLOCKS: "blocks",
+    KIND_OBJECTS: "objects",
 }
 
 

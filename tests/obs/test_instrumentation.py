@@ -53,10 +53,10 @@ class TestWalAndRecoveryMetrics:
             assert recovered.object_count() == 2
             snapshot = metrics.snapshot()
             assert snapshot["counters"]["oodb.recovery.runs"] == 1
-            # 1 SCHEMA (define_class DDL) + 2 CREATEs + 2 title WRITEs
-            # from the committed transactions.
-            assert snapshot["counters"]["oodb.recovery.records_replayed"] == 5
-            assert snapshot["gauges"]["oodb.recovery.last_records"] == 5
+            # 1 SCHEMA (define_class DDL) + 2 CREATEs (each carrying its
+            # title) from the committed transactions.
+            assert snapshot["counters"]["oodb.recovery.records_replayed"] == 3
+            assert snapshot["gauges"]["oodb.recovery.last_records"] == 3
             assert snapshot["gauges"]["oodb.recovery.last_seconds"] > 0.0
 
     def test_recovery_emits_span(self, tmp_path):
@@ -83,6 +83,29 @@ class TestWalAndRecoveryMetrics:
         assert snapshot["counters"]["oodb.checkpoints"] == 1
         assert snapshot["histograms"]["oodb.wal.fsync_seconds"]["count"] >= 2
         assert snapshot["histograms"]["oodb.checkpoint.seconds"]["count"] == 1
+
+    def test_checkpoint_span_and_counters_say_what_was_written(self, tmp_path, instruments):
+        tracer, metrics = instruments
+        db = Database(directory=str(tmp_path / "db"))
+        db.define_class("P", attributes={"x": "INT"})
+        objects = [db.create_object("P", x=i) for i in range(3)]
+        db.checkpoint()
+        db.delete_object(objects[0])
+        objects[1].set("x", 9)
+        db.checkpoint()
+        spans = [r for r in tracer.finished_traces() if r.name == "oodb.checkpoint"]
+        assert [
+            (span.attributes["objects_written"], span.attributes["objects_deleted"])
+            for span in spans
+        ] == [(3, 0), (1, 1)]
+        written = [span.attributes["bytes"] for span in spans]
+        counters = metrics.snapshot()["counters"]
+        assert counters["oodb.checkpoint.objects"] == 4
+        # Batches, manifests and footers: the whole file but its superblock.
+        assert counters["oodb.checkpoint.bytes"] == sum(written) == (
+            db.storage_stats()["size_bytes"] - 32
+        )
+        db.close()
 
 
 class TestLockMetrics:

@@ -1,5 +1,7 @@
 """Durable databases: checkpoints, WAL replay, schema restoration."""
 
+import json
+
 from repro.oodb import Database
 
 
@@ -109,7 +111,7 @@ class TestWALReplay:
         assert db2.read_attribute(a.oid, "ref") == b.oid
         db2.close()
 
-    def test_checkpoint_truncates_wal(self, tmp_path):
+    def test_checkpoint_resets_wal(self, tmp_path):
         path = str(tmp_path)
         db = make_db(path)
         db.create_object("Doc", n=1)
@@ -165,3 +167,58 @@ class TestIndexRecovery:
         assert plan["variables"]["d"]["access_path"] == "index probe"
         assert db2.query("ACCESS d.n FROM d IN Doc WHERE d.n = 9") == [(9,)]
         db2.close()
+
+
+class TestCreateRecords:
+    def test_create_logs_one_record_with_its_attributes(self, tmp_path):
+        path = str(tmp_path)
+        db = make_db(path)
+        mark = db._wal.next_lsn
+        doc = db.create_object("Doc", title="a", n=1)
+        records = [r for r in db._wal.records() if r.lsn >= mark]
+        assert [r.kind for r in records] == ["BEGIN", "CREATE", "COMMIT"]
+        assert records[1].payload == {
+            "oid": doc.oid.value, "class": "Doc", "attributes": {"title": "a", "n": 1},
+        }
+        db._wal.close()  # crash: recovery replays the one record
+        db2 = make_db(path)
+        assert db2.read_attributes(doc.oid) == {"title": "a", "n": 1}
+        db2._wal.close()
+
+    def test_create_checks_every_attribute_before_creating(self):
+        import pytest
+
+        from repro.errors import SchemaError
+
+        db = make_db(None)
+        with pytest.raises(SchemaError):
+            db.create_object("Doc", title="a", n="not an int")
+        assert db.object_count() == 0
+
+    def test_a_rolled_back_create_leaves_no_object_and_no_index_entry(self):
+        db = make_db(None)
+        db.create_index("Doc", "n")
+        txn = db.begin()
+        doc = db.create_object("Doc", n=4)
+        txn.rollback()
+        assert not db.object_exists(doc.oid)
+        assert db.query("ACCESS d FROM d IN Doc WHERE d.n = 4") == []
+
+    def test_older_create_then_write_records_replay(self, tmp_path):
+        path = str(tmp_path)
+        with open(tmp_path / "wal.log", "w", encoding="utf-8") as fh:
+            for lsn, kind, payload in [
+                (1, "BEGIN", {}),
+                (2, "SCHEMA", {"op": "class", "name": "Doc", "superclass": None,
+                               "attributes": {"title": "STRING", "n": "INT"}}),
+                (3, "CREATE", {"oid": 1, "class": "Doc"}),
+                (4, "WRITE", {"oid": 1, "attr": "title", "value": "old"}),
+                (5, "WRITE", {"oid": 1, "attr": "n", "value": 7}),
+                (6, "COMMIT", {}),
+            ]:
+                fh.write(f'{{"lsn": {lsn}, "kind": "{kind}", "txn": 1, "payload": '
+                         f'{json.dumps(payload)}}}\n')
+        db = make_db(path)
+        (doc,) = db.instances_of("Doc")
+        assert (doc.get("title"), doc.get("n")) == ("old", 7)
+        db.close()

@@ -437,7 +437,7 @@ class TestExtentAccess:
 
 class TestCheckpointVersusItemWrites:
     def test_checkpoints_while_another_thread_writes_items(self, tmp_path):
-        """A snapshot never iterates a dictionary that is being added to."""
+        """A checkpoint never iterates a dictionary that is being added to."""
         path = str(tmp_path)
         db = make_db(path)
         box = db.create_object("Box", items={"big": {str(i): i for i in range(20000)}})
@@ -463,8 +463,8 @@ class TestCheckpointVersusItemWrites:
             stop.set()
             thread.join()
         assert not errors and written[0] > 0
-        # No write is lost between a snapshot and its truncation: records
-        # logged while a checkpoint ran stay in the log.
+        # No write is lost between a checkpoint's batch and the log's
+        # reset: records logged while a checkpoint ran stay readable.
         db._wal.close()
         recovered = make_db(path)
         assert recovered.get_object(box.oid).get("items") == box.get("items")

@@ -43,6 +43,22 @@ class TestTornTail:
         with pytest.raises(RecoveryError):
             Database(directory=path)
 
+    def test_the_next_record_overwrites_a_torn_tail(self, tmp_path):
+        """Appends resume at the end of the last verified record, not behind
+        the torn fragment, so a second reopen reads every record."""
+        path = str(tmp_path)
+        db = make_db(path)
+        db.create_object("Doc", n=1)
+        db._wal.close()
+        with open(os.path.join(path, "wal.log"), "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "BEGIN", "lsn": 99')  # torn, no newline
+        reopened = make_db(path)
+        reopened.create_object("Doc", n=2)
+        reopened._wal.close()  # no checkpoint
+        again = make_db(path)
+        assert sorted(o.get("n") for o in again.instances_of("Doc")) == [1, 2]
+        again.close()
+
     def test_torn_tail_of_uncommitted_txn_loses_nothing(self, tmp_path):
         # The torn record necessarily belongs to an uncommitted transaction,
         # because COMMIT records are fsynced before append() returns.
@@ -65,7 +81,7 @@ class TestCrashWindows:
         path = str(tmp_path)
         db = make_db(path)
         db.create_object("Doc", n=5)
-        db._wal.close()  # no snapshot ever written
+        db._wal.close()  # no checkpoint ever written
         recovered = make_db(path)
         assert [o.get("n") for o in recovered.instances_of("Doc")] == [5]
         recovered.close()
@@ -102,6 +118,30 @@ class TestCrashWindows:
         db = make_db(path)
         assert db.object_count() == 0
         db.close()
+
+
+class TestFailedCheckpoint:
+    def test_a_checkpoint_whose_commit_fails_leaves_the_log_in_use(self, tmp_path, monkeypatch):
+        """The log is reset only after the object batch is durable: when
+        the commit fails, later records go on behind the old ones."""
+        from repro.store.file import StoreFile
+
+        path = str(tmp_path)
+        db = make_db(path)
+        db.create_object("Doc", n=1)
+
+        def broken(self, payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(StoreFile, "commit", broken)
+        with pytest.raises(OSError):
+            db.checkpoint()
+        monkeypatch.undo()
+        db.create_object("Doc", n=2)
+        db._wal.close()  # crash
+        recovered = make_db(path)
+        assert sorted(o.get("n") for o in recovered.instances_of("Doc")) == [1, 2]
+        recovered.close()
 
 
 class TestWALUnit:

@@ -1,4 +1,6 @@
-"""Object store: lifecycle, extents, snapshots, value encoding."""
+"""Object store: lifecycle, extents, the object file, value encoding."""
+
+import os
 
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ObjectNotFoundError
 from repro.oodb.oid import OID
-from repro.oodb.store import ObjectStore, decode_value, encode_value
+from repro.oodb.store import ObjectFile, ObjectStore, decode_value, encode_value, load_snapshot
 
 
 @pytest.fixture
@@ -83,54 +85,134 @@ class TestExtents:
         assert store.extent("NOPE") == set()
 
 
-class TestSnapshots:
+HEADER = {"schema": [{"name": "PARA"}], "oid_high_water": 10, "wal_mark": 5}
+
+
+def reload(path):
+    """A fresh table and object file read back from ``path``."""
+    table = ObjectStore()
+    image = ObjectFile(path)
+    return table, image, image.load(table)
+
+
+class TestObjectFile:
     def test_round_trip(self, store, tmp_path):
         store.write(OID(1), "text", "hello")
         store.write(OID(1), "ref", OID(3))
         store.write(OID(2), "children", [OID(1), OID(3)])
-        path = str(tmp_path / "snap.json")
-        store.snapshot(path, oid_high_water=10, schema_payload=[{"name": "PARA"}])
-        fresh = ObjectStore()
-        info = fresh.load_snapshot(path)
-        assert info.oid_high_water == 10
-        assert info.schema_payload == [{"name": "PARA"}]
+        path = str(tmp_path / "objects.store")
+        image = ObjectFile(path)
+        assert image.load(ObjectStore()) is None
+        image.commit(store, HEADER)
+        image.close()
+        fresh, again, manifest = reload(path)
+        assert {k: manifest[k] for k in HEADER} == HEADER
         assert fresh.read(OID(1), "ref") == OID(3)
+        assert list(fresh.read_all(OID(1))) == ["text", "ref"]  # attribute order kept
         assert fresh.read(OID(2), "children") == [OID(1), OID(3)]
         assert fresh.extent("PARA") == {OID(1), OID(2)}
+        again.close()
 
-    def test_file_bytes_are_those_of_the_streaming_encoder(self, store, tmp_path):
-        """The snapshot is encoded in one string (the C encoder); the file
-        holds byte for byte what ``json.dump`` streamed into it before."""
-        import io
-        import json
+    def test_a_commit_writes_only_the_changed_objects(self, store, tmp_path):
+        path = str(tmp_path / "objects.store")
+        image = ObjectFile(path)
+        assert image.commit(store, HEADER)["objects_written"] == 3
+        assert image.commit(store, HEADER) == {
+            "objects_written": 0, "objects_deleted": 0, "bytes": image.file.size - image.file.manifest_offset,
+        }
+        store.write(OID(2), "text", "changed")
+        store.delete(OID(3))
+        store.create(OID(4), "PARA", {"text": "new"})
+        stats = image.commit(store, HEADER)
+        assert (stats["objects_written"], stats["objects_deleted"]) == (2, 1)
+        assert len(image.manifest["batches"]) == 2
+        assert image.manifest["deleted"] == [3]
+        image.close()
+        fresh, again, _manifest = reload(path)
+        assert sorted(fresh.all_oids()) == [OID(1), OID(2), OID(4)]
+        assert fresh.read(OID(2), "text") == "changed"
+        assert fresh.read(OID(4), "text") == "new"
+        assert again.commit(fresh, HEADER)["objects_written"] == 0  # loaded = persisted
+        again.close()
 
-        store.write(OID(1), "text", "h\u00e9llo \"quoted\" \u2028")
-        store.write(OID(1), "score", 0.1 + 0.2)
-        store.write(OID(2), "doc_map", {"OID7": [1, 2], "OID9": []})
-        store.write(OID(2), "children", [OID(1), (OID(3), None, True, -1e-7)])
-        path = str(tmp_path / "snap.json")
-        store.snapshot(path, oid_high_water=10, schema_payload=[{"name": "PARA"}])
-        with open(path, encoding="utf-8") as fh:
-            written = fh.read()
-        streamed = io.StringIO()
-        json.dump(json.loads(written), streamed)
-        assert written == streamed.getvalue()
+    def test_an_object_restored_after_its_deletion_was_persisted(self, store, tmp_path):
+        path = str(tmp_path / "objects.store")
+        image = ObjectFile(path)
+        image.commit(store, HEADER)
+        stored = store.delete(OID(3))
+        image.commit(store, HEADER)
+        store.restore(OID(3), stored)  # a rolled-back delete
+        image.commit(store, HEADER)
+        assert image.manifest["deleted"] == []
+        image.close()
+        fresh, again, _manifest = reload(path)
+        assert fresh.exists(OID(3))
+        again.close()
 
-    def test_fixed_table_gives_fixed_bytes(self, tmp_path):
+    def test_batches_self_trim_once_dead_entries_outnumber_live_ones(self, tmp_path):
         table = ObjectStore()
-        table.create(OID(2), "COLLECTION")
-        table.create(OID(1), "PARA")
-        table.write(OID(1), "content", "telnet")
-        table.write(OID(2), "doc_map", {"OID1": [0]})
+        for number in range(100):
+            table.create(OID(number), "PARA", {"n": number})
+        path = str(tmp_path / "objects.store")
+        image = ObjectFile(path)
+        image.commit(table, HEADER)
+        for rounds in range(1, 3):
+            for number in range(40):
+                table.write(OID(number), "n", -rounds)
+            image.commit(table, HEADER)
+        # 180 entries for 100 live objects.  After 40 deletions and one
+        # more change, 121 entries would be dead against 60 live objects,
+        # so the next commit rewrites the live set instead.
+        assert len(image.manifest["batches"]) == 3
+        for number in range(40):
+            table.delete(OID(number))
+        table.write(OID(50), "n", 0)
+        stats = image.commit(table, HEADER)
+        assert stats["objects_written"] == 60
+        assert image.manifest["batches"] == [image.manifest["batches"][-1]]
+        assert image.manifest["deleted"] == []
+        image.close()
+        fresh, again, _manifest = reload(path)
+        assert sorted(fresh.all_oids()) == [OID(n) for n in range(40, 100)]
+        assert fresh.read(OID(50), "n") == 0
+        again.close()
+
+    def test_pack_keeps_the_live_set_alone(self, store, tmp_path):
+        path = str(tmp_path / "objects.store")
+        image = ObjectFile(path)
+        image.commit(store, HEADER)
+        for number in range(5):
+            store.write(OID(1), "text", "x" * 1000 + str(number))
+            image.commit(store, HEADER)
+        before = image.stats()  # the superseded copies sit in live batches
+        assert 0 < before["dead_bytes"] and before["size_bytes"] > 5000
+        stats = image.pack(store, HEADER)
+        assert stats["objects_written"] == 3
+        after = image.stats()
+        assert after["dead_bytes"] == 0 and after["size_bytes"] < 2000
+        assert not os.path.exists(path + ".pack")
+        store.write(OID(2), "text", "after the pack")
+        assert image.commit(store, HEADER)["objects_written"] == 1
+        image.close()
+        fresh, again, _manifest = reload(path)
+        assert fresh.read(OID(1), "text") == "x" * 1000 + "4"
+        assert fresh.read(OID(2), "text") == "after the pack"
+        again.close()
+
+    def test_a_snapshot_older_builds_wrote_imports(self, tmp_path):
         path = str(tmp_path / "snap.json")
-        table.snapshot(path, oid_high_water=3)
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == (
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(
                 '{"oid_high_water": 3, "schema": [], "objects": ['
                 '{"oid": 1, "class": "PARA", "attributes": {"content": "telnet"}}, '
                 '{"oid": 2, "class": "COLLECTION", "attributes": '
                 '{"doc_map": {"__dict__": [["OID1", [0]]]}}}]}'
             )
+        table = ObjectStore()
+        assert load_snapshot(path, table) == {"oid_high_water": 3, "schema": []}
+        assert table.read(OID(1), "content") == "telnet"
+        assert table.read(OID(2), "doc_map") == {"OID1": [0]}
+        assert table.extent("COLLECTION") == {OID(2)}
 
 
 _scalar = st.one_of(

@@ -133,6 +133,18 @@ class TestStoreLevelCrashes:
         recovered.close()
 
 
+def encoded_objects(db):
+    """Every object of ``db`` in the store's value encoding, by OID."""
+    from repro.oodb.store import encode_value
+
+    return {
+        obj.oid.value: (obj.class_name, {
+            k: encode_value(v) for k, v in db._store.read_all(obj.oid).items()
+        })
+        for obj in db.iter_objects()
+    }
+
+
 def _make_system(path):
     system = DocumentSystem(directory=path)
     dtd = mmf_dtd()
@@ -294,7 +306,9 @@ class TestSystemLevelCrashes:
         """Buffered results and derived values reach the WAL as ITEM deltas;
         a kill before the next checkpoint replays them bit-identically."""
         import copy
-        import json
+
+        from repro.oodb.store import ObjectFile
+        from repro.oodb.wal import WriteAheadLog
 
         path, system, collection, dtd = self.populated(tmp_path)
         system.checkpoint()
@@ -311,8 +325,13 @@ class TestSystemLevelCrashes:
         image = self._crash_image(path, tmp_path, "items")
         expected = self.expected(system, collection)
         system.close()
-        with open(os.path.join(image, "db", "wal.log"), encoding="utf-8") as fh:
-            kinds = [json.loads(line)["kind"] for line in fh if line.strip()]
+        # The log's live records: those from the mark the last checkpoint
+        # committed on (older ones may follow them in the file).
+        objects = ObjectFile(os.path.join(image, "db", "objects.store"))
+        mark = objects.manifest["wal_mark"]
+        objects.close()
+        with WriteAheadLog(os.path.join(image, "db", "wal.log"), mark=mark) as log:
+            kinds = [record.kind for record in log.records()]
         assert kinds.count("ITEM") == 2 + 2 * documents  # 2 results + the derived values
         assert "WRITE" not in kinds  # no whole-buffer copies
         reopened = DocumentSystem(directory=image)
@@ -356,14 +375,15 @@ class TestSystemLevelCrashes:
                 for attr in ("doc_map", "pending_ops", "index_gen", "buffer")
             }
 
-        wal_path = os.path.join(path, "db", "wal.log")
+        # The log's end, not the file's: a checkpoint resets the log in
+        # place, and older records may lie behind the new ones.
         before = state(db)
         db._wal._file.flush()
-        base = os.path.getsize(wal_path)
+        base = db._wal._file.tell()
         assert len(before["pending_ops"]) == 4
         collection.send(method)
         db._wal._file.flush()
-        end = os.path.getsize(wal_path)
+        end = db._wal._file.tell()
         after = state(db)
         assert before["pending_ops"] and after["pending_ops"] == []
         assert before["buffer"] and after["buffer"] == {}
@@ -389,4 +409,117 @@ class TestSystemLevelCrashes:
             shutil.rmtree(work, ignore_errors=True)
             shutil.copytree(image, work)
             os.truncate(os.path.join(work, "db", "wal.log"), cut)
+            assert self._reopened_rankings(work) == expected, f"cut at {cut}"
+
+    def test_kill_at_every_byte_of_one_object_batch(self, tmp_path):
+        """Cut ``db/objects.store`` at every byte of one checkpoint's object
+        batch, manifest and footer.  Before the footer the database opens
+        from the previous manifest plus the WAL, which the reset has not
+        overwritten yet; at the end from the new manifest alone.  Either
+        way every object is as committed, and the system ranks like a
+        fresh rebuild."""
+        from repro.oodb import Database
+
+        path, system, collection, dtd = self.populated(tmp_path)
+        db = system.db
+        system.checkpoint()
+        root = system.add_document(build_document("Late", ["late telnet paragraph"]), dtd=dtd)
+        for para in root.send("getDescendants", "PARA"):
+            collection.send("insertObject", para)
+        para = db.instances_of("PARA")[0]
+        system.loader.update_content(para, "telnet telnet rewritten retrieval")
+        collection.send("modifyObject", para)
+        collection.send("propagateUpdates")
+        objects_path = os.path.join(path, "db", "objects.store")
+        base, old_mark = os.path.getsize(objects_path), db._objects.manifest["wal_mark"]
+        system.checkpoint()
+        end, new_mark = os.path.getsize(objects_path), db._objects.manifest["wal_mark"]
+        assert len(db._objects.manifest["batches"]) == 2 and new_mark > old_mark
+        image = self._crash_image(path, tmp_path, "batch")
+        committed = encoded_objects(db)
+        expected = self.expected(system, collection)
+        system.index_collection(collection)  # the fresh rebuild of the same documents
+        assert self.expected(system, collection) == expected
+        system.close()
+
+        work = str(tmp_path / "work")
+        for cut in range(base, end + 1):
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(os.path.join(image, "db"), work)
+            os.truncate(os.path.join(work, "objects.store"), cut)
+            recovered = Database(directory=work)
+            mark = recovered._objects.manifest["wal_mark"]
+            assert mark == (new_mark if cut == end else old_mark), f"cut at {cut}"
+            assert encoded_objects(recovered) == committed, f"cut at {cut}"
+            recovered._wal.close()
+            recovered._objects.close()
+        for cut in sorted({base, end - 1, end, *range(base, end, 97)}):
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(image, work)
+            os.truncate(os.path.join(work, "db", "objects.store"), cut)
+            assert self._reopened_rankings(work) == expected, f"cut at {cut}"
+
+    def test_kill_at_every_byte_of_the_first_records_after_a_reset(self, tmp_path):
+        """After a checkpoint the log's next group overwrites older records
+        from offset 0.  Cut that write at every byte — the new bytes up to
+        the cut, the older ones behind it — and the database reopens to
+        exactly the checkpointed state or the one after the group, and
+        ranks like a fresh rebuild."""
+        from repro.oodb import Database
+
+        path, system, collection, dtd = self.populated(tmp_path)
+        db = system.db
+        system.session.query(collection, "telnet retrieval")  # something buffered
+        root = system.add_document(
+            build_document("Late", ["late telnet paragraph", "second late retrieval"]),
+            dtd=dtd,
+        )
+        old = db.instances_of("PARA")[:2]
+        with db.begin():
+            for para in root.send("getDescendants", "PARA"):
+                collection.send("insertObject", para)
+            system.loader.update_content(old[0], "telnet telnet rewritten retrieval")
+            collection.send("modifyObject", old[0])
+            collection.send("deleteObject", old[1])
+            system.loader.remove_element(old[1])
+        system.checkpoint()  # the pending operations are durable, the log reset
+        wal_path = os.path.join(path, "db", "wal.log")
+        with open(wal_path, "rb") as fh:
+            older = fh.read()
+        before = encoded_objects(db)
+        collection.send("propagateUpdates")
+        db._wal._file.flush()
+        end = db._wal._file.tell()
+        with open(wal_path, "rb") as fh:
+            written = fh.read()
+        after = encoded_objects(db)
+        assert before != after and written[end:] == older[end:]
+        image = self._crash_image(path, tmp_path, "reset")
+        expected = self.expected(system, collection)
+        system.index_collection(collection)  # the fresh rebuild of the same documents
+        assert self.expected(system, collection) == expected
+        system.close()
+
+        def crash_at(cut, directory):
+            with open(os.path.join(directory, "wal.log"), "r+b") as fh:
+                fh.write(written[:cut] + older[cut:])
+                fh.truncate()
+
+        work = str(tmp_path / "work")
+        for cut in range(0, end + 1):
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(os.path.join(image, "db"), work)
+            crash_at(cut, work)
+            recovered = Database(directory=work)
+            got = encoded_objects(recovered)
+            # A COMMIT line cut before its newline verifies only when the
+            # older byte behind it happens to be one.
+            assert got == (after if cut == end else before) or cut == end - 1, f"cut at {cut}"
+            assert got in (before, after), f"cut at {cut}"
+            recovered._wal.close()
+            recovered._objects.close()
+        for cut in sorted({0, end - 2, end - 1, end, *range(0, end, 41)}):
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(image, work)
+            crash_at(cut, os.path.join(work, "db"))
             assert self._reopened_rankings(work) == expected, f"cut at {cut}"

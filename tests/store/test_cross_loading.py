@@ -17,10 +17,18 @@ regenerated from this code:
 * ``sharded_system/`` — a whole system directory (``db/`` and
   ``irs.store``), closed cleanly, whose ``paras`` collection is a 3-shard
   entry: sealed segments, tombstones, a revised document and memtables;
+* ``wal_system/`` — a whole system directory written by the last build
+  whose database checkpoint wrote ``db/snapshot.json``: four documents
+  indexed and checkpointed, then a document added, a paragraph rewritten,
+  one removed, a propagation and a buffered query that reached only
+  ``db/wal.log``, closed without a checkpoint (its ``irs.store`` is a
+  checkpoint behind the database);
 * ``*_expected.json`` — the documents and the rankings (3 models, 5
   queries) the writer's own engine gave; for ``sharded_system`` also its
   ``doc_map`` and how many records the writer's build appended at the
-  first checkpoint after reopening the directory unsharded.
+  first checkpoint after reopening the directory unsharded; for
+  ``wal_system`` every object in the value encoding of the store, and
+  rankings by OID.
 
 The JSON directory is read-only now: it is imported once into the store.
 A ``flat`` or ``sharded`` store entry reads as sealed segments of the
@@ -29,6 +37,7 @@ first checkpoint after its collection is touched; that checkpoint also
 rewrites every JSON segment record it references as a native one.
 """
 
+import copy
 import json
 import os
 import shutil
@@ -388,6 +397,88 @@ class TestOlderSystemDirectory:
             assert system.store.manifest["collections"]["paras"] == before
         finally:
             system.close()
+
+
+WAL_SYSTEM = expected("wal_system_expected.json")
+
+
+def encoded_objects(db):
+    from repro.oodb.store import encode_value
+
+    return {
+        str(obj.oid.value): {
+            "class": obj.class_name,
+            "attributes": {k: encode_value(v) for k, v in db._store.read_all(obj.oid).items()},
+        }
+        for obj in db.iter_objects()
+    }
+
+
+def oid_rankings(system):
+    (collection,) = system.db.instances_of("COLLECTION")
+    return {
+        model: {
+            query: [
+                [str(oid), value]
+                for oid, value in system.search(collection, query, model=model).to_dict().items()
+            ]
+            for query in WAL_SYSTEM["queries"]
+        }
+        for model in WAL_SYSTEM["models"]
+    }
+
+
+class TestSnapshotDirectory:
+    """``db/snapshot.json`` plus a non-empty WAL, as the last build that
+    wrote snapshots left them: imported once, never written."""
+
+    def test_opens_with_identical_objects_and_rankings(self, tmp_path):
+        path = str(tmp_path / "sys")
+        shutil.copytree(os.path.join(FIXTURES, "wal_system"), path)
+        from repro.oodb import Database
+
+        db = Database(directory=os.path.join(path, "db"))
+        assert encoded_objects(db) == WAL_SYSTEM["objects"]
+        db._wal.close()  # no checkpoint: the directory stays as written
+        db._objects.close()
+        system = DocumentSystem(directory=path)
+        try:
+            # The store is a checkpoint behind: the collection is reindexed
+            # from its doc_map's keys, which renumbers the IRS documents,
+            # moves index_gen and empties the buffer.
+            objects, want = encoded_objects(system.db), copy.deepcopy(WAL_SYSTEM["objects"])
+            (oid,) = [k for k, v in objects.items() if v["class"] == "COLLECTION"]
+            for attributes in (objects[oid]["attributes"], want[oid]["attributes"]):
+                del attributes["index_gen"], attributes["buffer"]
+                attributes["doc_map"] = [key for key, _ids in attributes["doc_map"]["__dict__"]]
+            assert objects == want
+            assert oid_rankings(system) == WAL_SYSTEM["rankings"]
+        finally:
+            system.close()
+
+    @pytest.mark.parametrize("fixture", ["wal_system", "sharded_system"])
+    def test_the_first_checkpoint_writes_the_live_set_and_the_snapshot_stays(
+        self, tmp_path, fixture
+    ):
+        path = str(tmp_path / "sys")
+        shutil.copytree(os.path.join(FIXTURES, fixture), path)
+        snapshot = os.path.join(path, "db", "snapshot.json")
+        with open(snapshot, "rb") as fh:
+            written = fh.read()
+        system = DocumentSystem(directory=path)
+        objects, rankings = encoded_objects(system.db), oid_rankings(system)
+        system.checkpoint()
+        manifest = system.db._objects.manifest
+        assert len(manifest["batches"]) == 1 and manifest["deleted"] == []
+        system.close()
+        reopened = DocumentSystem(directory=path)
+        try:
+            assert encoded_objects(reopened.db) == objects
+            assert oid_rankings(reopened) == rankings
+        finally:
+            reopened.close()
+        with open(snapshot, "rb") as fh:
+            assert fh.read() == written
 
 
 def _populate(system, dtd):

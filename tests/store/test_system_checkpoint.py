@@ -40,13 +40,18 @@ class TestCheckpoint:
         assert again["records_reused"] > 0
         system.close()
 
-    def test_checkpoint_truncates_the_wal(self, tmp_path):
+    def test_checkpoint_resets_the_wal_in_place(self, tmp_path):
         system, collection, dtd = populated(tmp_path)
         wal_path = os.path.join(str(tmp_path / "sys"), "db", "wal.log")
-        assert os.path.getsize(wal_path) > 0
+        size = os.path.getsize(wal_path)
+        assert size > 0
         system.checkpoint()
-        assert os.path.getsize(wal_path) == 0
+        assert len(system.db._wal) == 0
+        assert os.path.getsize(wal_path) == size  # overwritten later, never truncated
         system.close()
+        reopened = DocumentSystem(directory=str(tmp_path / "sys"))
+        assert len(reopened.db._wal) == 0  # nothing from the mark on
+        reopened.close()
 
     def test_memory_system_cannot_checkpoint(self):
         system = DocumentSystem()
@@ -104,6 +109,88 @@ class TestPackThroughSystem:
         reopened.close()
 
 
+    def test_pack_rewrites_the_object_file_as_the_live_set(self, tmp_path):
+        system, collection, dtd = populated(tmp_path)
+        system.checkpoint()
+        for round_ in range(3):
+            para = system.db.instances_of("PARA")[round_]
+            system.loader.update_content(para, f"rewritten paragraph {round_}")
+            system.checkpoint()
+        before = system.db.storage_stats()
+        assert before["dead_bytes"] > 0
+        objects = system.pack()["objects"]
+        assert objects["objects_written"] == system.db.object_count()
+        after = system.db.storage_stats()
+        assert after["dead_bytes"] == 0 and after["size_bytes"] < before["size_bytes"]
+        assert not os.path.exists(after["path"] + ".pack")
+        expected = {oid: system.db.read_attributes(oid) for oid in system.db._store.all_oids()}
+        system.close()
+        reopened = DocumentSystem(directory=str(tmp_path / "sys"))
+        assert {
+            oid: reopened.db.read_attributes(oid) for oid in reopened.db._store.all_oids()
+        } == expected
+        reopened.close()
+
+
+class TestNoBlockFreeing:
+    """A checkpoint or a restart frees no disk block: it neither replaces,
+    truncates nor removes a file, nor opens an existing one for writing
+    from scratch (``pack`` and torn-tail recovery are the exceptions)."""
+
+    def test_checkpoints_closes_and_reopens_free_no_blocks(self, tmp_path, monkeypatch):
+        import builtins
+
+        path = str(tmp_path / "sys")
+        system, collection, dtd = populated(tmp_path)
+        system.checkpoint()
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args))
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("replace", "rename", "truncate", "ftruncate", "remove", "unlink"):
+            monkeypatch.setattr(os, name, spy(name, getattr(os, name)))
+        real_open = builtins.open
+
+        def guarded_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and not isinstance(file, int) and os.path.exists(file):
+                calls.append(("open", file, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", guarded_open)
+
+        def files():
+            found = {}
+            for root, _dirs, names in os.walk(path):
+                for name in names:
+                    info = os.stat(os.path.join(root, name))
+                    found[os.path.join(root, name)] = (info.st_ino, info.st_size)
+            return found
+
+        seen = files()
+        for round_ in range(3):
+            system.add_document(
+                build_document(f"R{round_}", [f"round {round_} telnet"]), dtd=dtd
+            )
+            para = system.db.instances_of("PARA")[round_]
+            system.loader.update_content(para, f"rewritten in round {round_}")
+            collection.send("modifyObject", para)
+            for _ in range(2):
+                system.session.checkpoint()
+                now = files()
+                for name, (inode, size) in seen.items():
+                    assert now[name][0] == inode and now[name][1] >= size, name
+                seen = now
+            system.close()
+            system = DocumentSystem(directory=path)
+            collection = next(iter(system.db.instances_of("COLLECTION")))
+        system.close()
+        assert calls == []
+
+
 class TestCloseSemantics:
     def test_close_checkpoints_automatically(self, tmp_path):
         system, collection, _ = populated(tmp_path)
@@ -142,6 +229,15 @@ class TestHealthStorage:
         assert storage["dirty"]["documents"] > 0
         system.checkpoint()
         assert system.health()["storage"]["dirty"]["documents"] == 0
+        system.close()
+
+    def test_object_file_bytes_in_the_storage_section(self, tmp_path):
+        system, collection, dtd = populated(tmp_path)
+        system.checkpoint()
+        objects = system.health()["storage"]["objects"]
+        assert objects["path"].endswith(os.path.join("db", "objects.store"))
+        assert objects["size_bytes"] == objects["live_bytes"] + objects["dead_bytes"]
+        assert objects["live_bytes"] > 0
         system.close()
 
     def test_memory_system_storage_disabled(self):
