@@ -108,7 +108,7 @@ class CouplingContext:
     result_file_directory: Optional[str] = None
     #: The single-file durable store backing this coupling
     #: (:class:`repro.store.SingleFileStore`); None when the system runs
-    #: in memory or on the legacy per-collection JSON layout.
+    #: in memory.
     storage: Optional[object] = None
     #: Default update-propagation policy for new collections.
     default_update_policy: str = "deferred"

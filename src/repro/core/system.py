@@ -42,7 +42,9 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
     incremental store checkpoint recording them, then checkpoints the
     database (its changed objects, then a WAL reset).  Raises
     :class:`~repro.errors.StoreError` when the coupling has no
-    single-file store attached (an in-memory system).
+    single-file store attached (an in-memory system), and
+    :class:`~repro.errors.TransactionError`, writing neither half, while
+    an explicit transaction is open.
     """
     from repro.core.context import coupling_context
     from repro.errors import StoreError
@@ -53,8 +55,9 @@ def checkpoint_coupling(db: Database) -> Dict[str, Any]:
         raise StoreError(
             "checkpoint requires a durable system (open it with a directory)"
         )
-    stats = store.checkpoint(context.engine, gens=collection_gens(db))
-    db.checkpoint()
+    with db.no_open_transactions():
+        stats = store.checkpoint(context.engine, gens=collection_gens(db))
+        db.checkpoint()
     return stats
 
 
@@ -372,9 +375,10 @@ class DocumentSystem:
         for session in self._sessions:
             session.close()
         self._sessions = []
-        if self.store is not None:
-            self.store.checkpoint(self.engine, gens=collection_gens(self.db))
-        self.db.close()
+        with self.db.no_open_transactions():
+            if self.store is not None:
+                self.store.checkpoint(self.engine, gens=collection_gens(self.db))
+            self.db.close()
         if self.store is not None:
             self.store.close()
 

@@ -199,16 +199,17 @@ class IRSCollection:
         analyzer: Optional[Analyzer] = None,
         segment_config: Optional[SegmentConfig] = None,
     ) -> "IRSCollection":
-        """Rebuild a collection from a payload (documents + index entries).
-
-        The shape the single-file store materializes, and the one-way
-        import of a legacy JSON directory reads: every stored entry loads
-        as a sealed segment (see :func:`segment_entries`).
+        """Rebuild a collection from a payload: its documents, and a
+        ``"segments"`` list whose entries each load as a sealed segment
+        (an ``"index"`` — a ``CompactIndex`` or the logical schema of
+        ``InvertedIndex.to_payload`` — and the ``"tombstones"`` replayed
+        on it).  The single-file store materializes this shape, and so
+        does :mod:`repro.store.importer` from older JSON dumps.
         """
         collection = cls(payload["name"], analyzer, segment_config)
         collection._next_doc_id = payload["next_doc_id"]
         collection._documents = documents_of(payload)
-        for entry in segment_entries(payload):
+        for entry in payload["segments"]:
             collection.segments.load_sealed(entry)
         return collection
 
@@ -225,14 +226,3 @@ def documents_of(payload: dict) -> Dict[int, IRSDocument]:
         for entry in payload["documents"]
     }
 
-
-def segment_entries(payload: dict) -> List[dict]:
-    """The sealed-segment entries of one payload.
-
-    A ``"segments"`` list loads entry by entry (physical postings plus the
-    tombstone list, replayed on load); a legacy monolithic ``"index"``
-    dump loads as one sealed segment.
-    """
-    if "segments" in payload:
-        return payload["segments"]
-    return [{"index": payload["index"], "tombstones": []}]

@@ -266,7 +266,7 @@ class SealedSegment:
     @classmethod
     def from_payload(cls, segment_id: int, payload: dict) -> "SealedSegment":
         # A CompactIndex (a native store record), or the logical schema of
-        # ``InvertedIndex.to_payload`` (memtables, older files) to encode.
+        # ``InvertedIndex.to_payload`` (an older JSON dump) to encode.
         index = payload["index"]
         if not isinstance(index, CompactIndex):
             index = CompactIndex.from_payload(index)

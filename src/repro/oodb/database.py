@@ -63,6 +63,10 @@ class Database:
         self._directory = directory
         self._local = threading.local()
         self._closed = False
+        #: Explicit transactions begun and not yet finished, on any thread;
+        #: the gate is held across a checkpoint, so none begins during one.
+        self._open_txns: Set[Transaction] = set()
+        self._txn_gate = threading.RLock()
 
         self._objects: Optional[ObjectFile] = None
         if directory is None:
@@ -90,7 +94,9 @@ class Database:
         if self._current_txn() is not None:
             raise TransactionError("a transaction is already active on this thread")
         txn = Transaction(self)
-        self._wal.append(wal_records.BEGIN, txn.txn_id)
+        with self._txn_gate:
+            self._wal.append(wal_records.BEGIN, txn.txn_id)
+            self._open_txns.add(txn)
         self._local.txn = txn
         obs.metrics().counter("oodb.txn.begins").inc()
         return txn
@@ -107,6 +113,8 @@ class Database:
         kind = wal_records.COMMIT if committed else wal_records.ABORT
         self._wal.append(kind, txn.txn_id)
         self._locks.release_all(txn.txn_id)
+        with self._txn_gate:
+            self._open_txns.discard(txn)
         if getattr(self._local, "txn", None) is txn:
             self._local.txn = None
         obs.metrics().counter(
@@ -116,6 +124,24 @@ class Database:
     def in_transaction(self) -> bool:
         """True when an explicit transaction is active on this thread."""
         return self._current_txn() is not None
+
+    @contextmanager
+    def no_open_transactions(self) -> Iterator[None]:
+        """Hold off :meth:`begin` while the caller persists state.
+
+        Raises :class:`TransactionError`, before anything is written,
+        while an explicit transaction is open on any thread: a checkpoint
+        would persist its uncommitted writes, and they would survive its
+        rollback.  :meth:`checkpoint`, :meth:`pack` and :meth:`close` run
+        under it, and so does a coupling checkpoint's store half.
+        """
+        with self._txn_gate:
+            if self._open_txns:
+                raise TransactionError(
+                    f"{len(self._open_txns)} transaction(s) open: commit or "
+                    "roll back before a checkpoint"
+                )
+            yield
 
     def lock_exclusive(self, oid: OID) -> None:
         """X-lock ``oid`` under the current transaction without writing it.
@@ -519,13 +545,15 @@ class Database:
     def checkpoint(self) -> None:
         """Append the objects changed since the last checkpoint to the
         object file and reset the WAL (durable mode only)."""
-        if self._objects is not None:
-            self._checkpoint(self._objects.commit)
+        with self.no_open_transactions():
+            if self._objects is not None:
+                self._checkpoint(self._objects.commit)
 
     def pack(self) -> Optional[Dict[str, int]]:
         """Checkpoint by rewriting the object file as the live set alone,
         reclaiming what earlier batches left dead (durable mode only)."""
-        return None if self._objects is None else self._checkpoint(self._objects.pack)
+        with self.no_open_transactions():
+            return None if self._objects is None else self._checkpoint(self._objects.pack)
 
     def _checkpoint(self, commit: Callable[..., Dict[str, int]]) -> Dict[str, int]:
         started = time.perf_counter()
@@ -607,14 +635,16 @@ class Database:
         self._pending_index_rebuild = []
 
     def close(self) -> None:
-        """Checkpoint (when durable) and release file handles."""
+        """Checkpoint (when durable) and release file handles; refused
+        while a transaction is open (see :meth:`no_open_transactions`)."""
         if self._closed:
             return
-        self.checkpoint()
-        self._wal.close()
-        if self._objects is not None:
-            self._objects.close()
-        self._closed = True
+        with self.no_open_transactions():
+            self.checkpoint()
+            self._wal.close()
+            if self._objects is not None:
+                self._objects.close()
+            self._closed = True
 
     def __enter__(self) -> "Database":
         return self

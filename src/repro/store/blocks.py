@@ -17,10 +17,11 @@ gets a fresh token).
     payload_length u32 | crc u32 | kind u8 | payload bytes
 
 The CRC-32 covers the kind byte plus the payload, so a record can never
-be "valid but of the wrong kind".  Payloads are compact JSON, except a
-sealed segment's: kind ``BLOCKS`` holds its native block form, with
-little-endian columns (``CompactIndex.to_bytes``; byte table in
-docs/storage-format.md).
+be "valid but of the wrong kind".  Payloads are compact JSON, except an
+index's: kind ``BLOCKS`` holds a sealed segment or a memtable in native
+block form, with little-endian columns (``CompactIndex.to_bytes``; byte
+table in docs/storage-format.md).  Kinds 2, 3 and 4 are what older
+builds wrote; only :mod:`repro.store.importer` reads them.
 
 **Footer** (24 bytes) — appended after every manifest record::
 
@@ -56,10 +57,10 @@ FOOTER_SIZE = _FOOTER_STRUCT.size  # 24
 # can insist on the kind they expect.
 KIND_DOCS = 1       # one batch of documents of one collection
 KIND_SEGMENT = 2    # a sealed segment as JSON; read, no longer written
-KIND_MEMTABLE = 3   # a collection's current memtable postings
+KIND_MEMTABLE = 3   # a memtable as JSON; read, no longer written
 KIND_INDEX = 4      # a legacy monolithic index; read, no longer written
 KIND_MANIFEST = 5   # a checkpoint manifest (the commit record)
-KIND_BLOCKS = 6     # one sealed segment in native block form
+KIND_BLOCKS = 6     # one sealed segment or memtable in native block form
 KIND_OBJECTS = 7    # one batch of database objects (``db/objects.store``)
 
 _KIND_NAMES = {

@@ -14,7 +14,10 @@ changed since the previous one:
   ``(doc_id, revision)`` changed since the last checkpoint.  Removals are
   listed in the manifest; once the removal list outgrows the live set,
   the batches are rewritten from scratch (self-trimming).
-* **memtables** re-append only when the segment manager's version moved.
+* **memtables** append, as the same native record a seal would write
+  (``CompactIndex.from_inverted``), only when the segment manager's
+  version moved.  A memtable loads as the last sealed segment, stamped
+  with its record, so after a restart that record is referenced again.
 
 The manifest (one JSON record + footer per checkpoint) is the atomic
 commit: crash anywhere before the footer fsync leaves the previous
@@ -25,13 +28,10 @@ engine and materializes from the manifest on first touch, so
 restart-to-first-query cost is O(touched collections), not O(corpus).
 Materialization parses each segment record into the ``CompactIndex``
 it is (``from_bytes``, no posting re-encoded) and hands documents and segments
-to ``IRSCollection.from_payload``.  Older builds wrote JSON segment
-records and two more layouts, all read-only here: a ``flat`` entry (one
-monolithic index, read as one sealed segment) and a ``sharded`` entry
-(one part per shard, whose segments all load into the one manager).
-Until its collection is touched such an entry is carried forward
-verbatim; the first checkpoint after that writes it as ``segmented`` and
-its segments as native records.
+to ``IRSCollection.from_payload``.  An untouched collection's manifest
+entry is carried forward verbatim.  This module knows one layout: a
+``segmented`` entry of native records.  What older builds wrote is
+converted when the store opens, by :mod:`repro.store.importer`.
 
 Offline :meth:`pack` copies live records into a fresh file and atomically
 replaces the store, keeping a one-generation offset remap so segment
@@ -50,6 +50,7 @@ from repro.irs.postings import CompactIndex
 from repro.store import blocks
 from repro.store.blocks import encode_json
 from repro.store.file import StoreFile, fsync_directory
+from repro.store.importer import import_store
 
 
 class _CollectionState:
@@ -69,20 +70,22 @@ class _CollectionState:
         self.mem_version: Optional[tuple] = None
 
 
-def _index_parts(entry: dict) -> List[dict]:
-    """The index parts of a manifest entry: the entry itself, or the
-    shard list of a ``sharded`` entry older builds wrote."""
-    return entry["shards"] if entry["layout"] == "sharded" else [entry]
+def _index_records(entry: dict) -> List[Tuple[int, int, List[int]]]:
+    """``(offset, length, tombstones)`` of every index record of a manifest
+    entry: its sealed segments in order, then its memtable (none dead)."""
+    records = [(s["offset"], s["length"], s["tombstones"]) for s in entry["segments"]]
+    if entry["memtable"]:
+        records.append((*entry["memtable"], []))
+    return records
 
 
 class SingleFileStore:
     """The engine's single-file durable store (see module docstring)."""
 
-    def __init__(self, path: str, use_mmap: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._use_mmap = use_mmap
-        self.file = StoreFile(path, use_mmap=use_mmap)
-        self.manifest: Optional[dict] = self.file.read_manifest()
+        self.file = StoreFile(path)
+        self.manifest: Optional[dict] = import_store(self.file, self.file.read_manifest())
         self._state: Dict[str, _CollectionState] = {}
         #: One-generation stamp translation after :meth:`pack`:
         #: ``(previous_token, {old_offset: [new_offset, length]})``.
@@ -250,8 +253,8 @@ class SingleFileStore:
                 self._reused += 1
             else:
                 mem_ref = self._append(
-                    blocks.KIND_MEMTABLE,
-                    encode_json({"index": memtable.index.to_payload()}),
+                    blocks.KIND_BLOCKS,
+                    CompactIndex.from_inverted(memtable.index).to_bytes(),
                 )
                 state.mem_ref = list(mem_ref)
                 state.mem_version = manager.index_version
@@ -319,23 +322,44 @@ class SingleFileStore:
         return build
 
     def _materialize(self, engine, name: str, entry: dict):
+        """Build one collection and prime its incremental bookkeeping, so
+        the very next checkpoint is already a delta: its documents, and
+        every segment (the memtable loads as the last one), are
+        referenced, not rewritten."""
         from repro.irs.collection import IRSCollection
 
-        payload: Dict[str, Any] = {
+        records = _index_records(entry)
+        segments = [
+            {
+                "index": CompactIndex.from_bytes(
+                    self.file.read_record(offset, length, blocks.KIND_BLOCKS)
+                ),
+                "tombstones": tombstones,
+            }
+            for offset, length, tombstones in records
+        ]
+        payload = {
             "name": name,
             "next_doc_id": entry["next_doc_id"],
             "analyzer": entry["analyzer"],
             "documents": self._replay_docs(entry),
+            "segments": segments,
         }
-        payload["segments"] = [
-            segment
-            for part in _index_parts(entry)
-            for segment in self._segment_payloads(part)
-        ]
         collection = IRSCollection.from_payload(
             payload, engine._analyzer, segment_config=engine.segment_config
         )
-        self._seed_state(name, entry, collection, payload["segments"])
+        state = _CollectionState()
+        state.revisions = {
+            doc.doc_id: doc.revision
+            for doc in collection._documents.values()
+        }
+        state.batches = [list(ref) for ref in entry["doc_batches"]]
+        state.removed = set(entry["removed_docs"])
+        self._state[name] = state
+        for segment, (offset, length, _tombstones) in zip(
+            collection.segments.sealed_segments(), records
+        ):
+            segment.store_stamp = (self.token, offset, length)
         return collection
 
     def _replay_docs(self, entry: dict) -> List[dict]:
@@ -347,54 +371,6 @@ class SingleFileStore:
         for doc_id in entry["removed_docs"]:
             documents.pop(doc_id, None)
         return [documents[doc_id] for doc_id in sorted(documents)]
-
-    def _segment_payloads(self, entry: dict) -> List[dict]:
-        """Segment entries of one manager entry, memtable last (a legacy
-        ``flat`` index ref reads as one segment).  An entry read from a
-        native ``blocks`` record carries that record's ``ref``; one read
-        from an older JSON ``segment`` record does not, so the next
-        checkpoint rewrites it in native form."""
-        if entry.get("index") is not None:
-            ref = entry["index"]
-            record = self.file.read_json(ref[0], ref[1], blocks.KIND_INDEX)
-            return [{"index": record["index"], "tombstones": []}]
-        payloads = []
-        for segment in entry["segments"]:
-            ref = (segment["offset"], segment["length"])
-            kind, data = self.file.read_typed(*ref, (blocks.KIND_BLOCKS, blocks.KIND_SEGMENT))
-            loaded = {"tombstones": segment["tombstones"]}
-            if kind == blocks.KIND_BLOCKS:
-                loaded.update(index=CompactIndex.from_bytes(data), ref=ref)
-            else:
-                loaded["index"] = blocks.decode_json(data)["index"]
-            payloads.append(loaded)
-        mem_ref = entry.get("memtable")
-        if mem_ref:
-            record = self.file.read_json(
-                mem_ref[0], mem_ref[1], blocks.KIND_MEMTABLE
-            )
-            payloads.append({"index": record["index"], "tombstones": []})
-        return payloads
-
-    def _seed_state(self, name: str, entry: dict, collection, segments) -> None:
-        """Prime incremental bookkeeping after a load, so the very next
-        checkpoint is already a delta: the documents, and every segment
-        loaded from a native segment record (``segments``, in load order),
-        are referenced, not rewritten."""
-        state = _CollectionState()
-        state.revisions = {
-            doc.doc_id: doc.revision
-            for doc in collection._documents.values()
-        }
-        state.batches = [list(ref) for ref in entry["doc_batches"]]
-        state.removed = set(entry["removed_docs"])
-        self._state[name] = state
-        # One read from a memtable, a flat index or a JSON segment record
-        # has no ref: it is written once as a native segment at the next
-        # checkpoint.
-        for segment, loaded in zip(collection.segments.sealed_segments(), segments):
-            if "ref" in loaded:
-                segment.store_stamp = (self.token, *loaded["ref"])
 
     # ------------------------------------------------------------------
     # pack
@@ -419,7 +395,7 @@ class SingleFileStore:
             tmp_path = self.path + ".pack"
             if os.path.exists(tmp_path):
                 os.remove(tmp_path)
-            new_file = StoreFile(tmp_path, use_mmap=self._use_mmap)
+            new_file = StoreFile(tmp_path)
             remap: Dict[int, List[int]] = {}
             collections = {
                 name: self._pack_entry(entry, new_file, remap)
@@ -434,7 +410,7 @@ class SingleFileStore:
             self.file.close()
             os.replace(tmp_path, self.path)
             fsync_directory(self.path)
-            self.file = StoreFile(self.path, use_mmap=self._use_mmap)
+            self.file = StoreFile(self.path)
             self.manifest = self.file.read_manifest()
             self._remap = (old_token, remap)
             self._live_bytes = self._compute_live_bytes(self.manifest)
@@ -459,37 +435,19 @@ class SingleFileStore:
         else:
             packed["doc_batches"] = []
         packed["removed_docs"] = []
-        if entry["layout"] == "sharded":  # an untouched entry older builds wrote
-            packed["shards"] = [
-                self._pack_refs(part, new_file, remap) for part in entry["shards"]
-            ]
-        else:
-            packed.update(self._pack_refs(entry, new_file, remap))
+        # Index records: copied verbatim.
+        segments = []
+        for segment in entry["segments"]:
+            offset, length = self._copy_record(
+                segment["offset"], segment["length"], new_file, remap
+            )
+            segments.append(dict(segment, offset=offset, length=length))
+        packed["segments"] = segments
+        mem_ref = entry["memtable"]
+        packed["memtable"] = self._copy_record(*mem_ref, new_file, remap) if mem_ref else None
         return packed
 
-    def _pack_refs(self, entry: dict, new_file: StoreFile, remap) -> dict:
-        """Copy one index part's records verbatim; returns the rewritten refs."""
-        out: Dict[str, Any] = {}
-        if entry.get("index") is not None:  # a carried-forward flat entry
-            out["index"] = self._copy_record(entry["index"], new_file, remap)
-        if "segments" in entry:
-            segments = []
-            for segment in entry["segments"]:
-                moved = self._copy_record(
-                    [segment["offset"], segment["length"]], new_file, remap
-                )
-                rewritten = dict(segment)
-                rewritten["offset"], rewritten["length"] = moved
-                segments.append(rewritten)
-            out["segments"] = segments
-            mem_ref = entry.get("memtable")
-            out["memtable"] = (
-                self._copy_record(mem_ref, new_file, remap) if mem_ref else None
-            )
-        return out
-
-    def _copy_record(self, ref, new_file: StoreFile, remap) -> List[int]:
-        offset, length = ref
+    def _copy_record(self, offset: int, length: int, new_file: StoreFile, remap) -> List[int]:
         already = remap.get(offset)
         if already is not None:
             return list(already)
@@ -524,14 +482,10 @@ class SingleFileStore:
         total += self.file.manifest_length + blocks.FOOTER_SIZE
         live: Dict[int, int] = {}  # offset -> length; shared refs count once
         for entry in manifest["collections"].values():
-            for ref in entry.get("doc_batches", []):
-                live[ref[0]] = ref[1]
-            for part in _index_parts(entry):
-                for ref in (part.get("index"), part.get("memtable")):
-                    if ref:
-                        live[ref[0]] = ref[1]
-                for segment in part.get("segments", []):
-                    live[segment["offset"]] = segment["length"]
+            for offset, length in entry["doc_batches"]:
+                live[offset] = length
+            for offset, length, _tombstones in _index_records(entry):
+                live[offset] = length
         return total + sum(live.values())
 
     def _update_size_gauges(self, registry) -> None:

@@ -245,12 +245,12 @@ class StoreFile:
         data = self._pread(offset, length)
         return blocks.verify_record(data, kind)
 
-    def read_typed(self, offset: int, length: int, kinds) -> Tuple[int, bytes]:
-        """``(kind, payload)`` of one checksum-validated record; raises
-        unless its kind is one of ``kinds``."""
-        data = self._pread(offset, length)
-        kind = blocks.decode_record_header(data)[2]
-        return kind, blocks.verify_record(data, kind if kind in kinds else kinds[0])
+    def record_kind(self, offset: int) -> int:
+        """The kind byte of the record at ``offset``, from its header
+        alone (unverified: a full read checks it against the CRC)."""
+        return blocks.decode_record_header(
+            self._pread(offset, blocks.RECORD_HEADER_SIZE)
+        )[2]
 
     def read_json(self, offset: int, length: int, kind: int = None) -> dict:
         return blocks.decode_json(self.read_record(offset, length, kind))

@@ -10,7 +10,7 @@ import json
 import os
 import shutil
 
-from repro.irs.persistence import load_engine
+from repro.store.importer import load_json_engine
 
 FIXTURES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "store", "fixtures"
@@ -26,13 +26,13 @@ def expected_documents():
 
 class TestLoad:
     def test_collections_restored(self):
-        restored = load_engine(DIRECTORY)
+        restored = load_json_engine(DIRECTORY)
         assert restored.collection_names() == ["mono", "seg", "shard"]
         for name, documents in expected_documents().items():
             assert len(restored.collection(name)) == len(documents)
 
     def test_metadata_restored(self):
-        restored = load_engine(DIRECTORY)
+        restored = load_json_engine(DIRECTORY)
         for name, documents in expected_documents().items():
             collection = restored.collection(name)
             for doc_id, want in documents.items():
@@ -41,7 +41,7 @@ class TestLoad:
                 assert document.revision == want["revision"]
 
     def test_every_layout_loads_as_sealed_segments(self):
-        restored = load_engine(DIRECTORY)
+        restored = load_json_engine(DIRECTORY)
         for name in restored.collection_names():
             collection = restored.collection(name)
             manager = collection.segments
@@ -53,7 +53,7 @@ class TestLoad:
             ), name
 
     def test_additions_continue_the_id_sequence(self):
-        restored = load_engine(DIRECTORY)
+        restored = load_json_engine(DIRECTORY)
         for name in restored.collection_names():
             assert restored.index_document(name, "one more document") == 11
 
@@ -67,10 +67,10 @@ class TestLoad:
         (tmp_path / "collections.json").write_text(
             json.dumps({"collections": ["my coll/2!"]}), encoding="utf-8"
         )
-        restored = load_engine(str(tmp_path))
+        restored = load_json_engine(str(tmp_path))
         assert restored.has_collection("my coll/2!")
         assert len(restored.collection("my coll/2!")) == len(expected_documents()["seg"])
 
     def test_load_missing_directory_yields_empty_engine(self, tmp_path):
-        restored = load_engine(str(tmp_path / "nothing"))
+        restored = load_json_engine(str(tmp_path / "nothing"))
         assert restored.collection_names() == []

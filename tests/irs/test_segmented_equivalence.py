@@ -110,7 +110,7 @@ def fresh_rebuild(collection: IRSCollection) -> IRSCollection:
             "name": collection.name + "-rebuild",
             "next_doc_id": collection._next_doc_id,
             "documents": documents,
-            "index": index.to_payload(),
+            "segments": [{"index": index.to_payload(), "tombstones": []}],
         },
         collection.analyzer,
     )

@@ -9,6 +9,7 @@ in ``test_segmented_equivalence.py``.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -19,6 +20,7 @@ from repro.irs.inverted_index import InvertedIndex
 from repro.irs.segments import SegmentConfig, SegmentManager
 from repro.irs.statistics import StatisticsCache
 from repro.irs.view import UnionIndexView
+from repro.store.importer import load_json_engine
 
 VOCABULARY = ["www", "nii", "telnet", "database", "retrieval"] + [
     f"w{i}" for i in range(20)
@@ -205,9 +207,9 @@ class TestPayloads:
         assert restored.add_document("next doc") == collection._next_doc_id
         assert len(restored) == len(collection) + 1
 
-    def test_legacy_payload_loads_into_segments(self):
-        """A monolithic ``"index"`` payload — what older builds dumped — is
-        loaded as one sealed segment."""
+    def test_legacy_payload_loads_into_segments(self, tmp_path):
+        """A monolithic ``"index"`` dump — what older builds wrote under
+        ``irs_index/`` — is imported as one sealed segment."""
         rng = random.Random(18)
         reference = InvertedIndex()
         documents = []
@@ -216,14 +218,15 @@ class TestPayloads:
             text = " ".join(random_terms(rng))
             documents.append({"doc_id": doc_id, "text": text, "metadata": {}})
             reference.add_document(doc_id, collection.analyzer.tokens(text))
-        restored = IRSCollection.from_payload(
-            {
-                "name": "legacy",
-                "next_doc_id": 7,
-                "documents": documents,
-                "index": reference.to_payload(),
-            }
-        )
+        dump = {
+            "name": "legacy",
+            "next_doc_id": 7,
+            "documents": documents,
+            "index": reference.to_payload(),
+        }
+        (tmp_path / "collections.json").write_text(json.dumps({"collections": ["legacy"]}))
+        (tmp_path / "collection_legacy.json").write_text(json.dumps(dump))
+        restored = load_json_engine(str(tmp_path)).collection("legacy")
         assert len(restored.segments.sealed_segments()) == 1
         assert restored.index.to_payload() == reference.to_payload()
         assert restored.add_document("next doc") == 7

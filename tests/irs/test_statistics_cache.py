@@ -120,7 +120,7 @@ class TestCacheInvalidation:
                 "name": "c",
                 "next_doc_id": 2,
                 "documents": [{"doc_id": 1, "text": "www www nii", "metadata": {}}],
-                "index": loaded.to_payload(),
+                "segments": [{"index": loaded.to_payload(), "tombstones": []}],
             },
             analyzer,
         )

@@ -1,7 +1,12 @@
 """Durable databases: checkpoints, WAL replay, schema restoration."""
 
 import json
+import os
+import threading
 
+import pytest
+
+from repro.errors import TransactionError
 from repro.oodb import Database
 
 
@@ -119,6 +124,62 @@ class TestWALReplay:
         db.checkpoint()
         assert len(db._wal) == 0
         db.close()
+
+
+class TestCheckpointWhileATransactionIsOpen:
+    """A checkpoint would persist an open transaction's uncommitted
+    writes, which then survive its rollback: checkpoint, pack and close
+    refuse while one is open, on this thread or another, and write
+    nothing."""
+
+    def crash_and_reopen(self, db, path):
+        db._wal.close()  # no checkpoint: recovery reads what is on disk
+        db._objects.close()
+        return make_db(path)
+
+    def test_same_thread(self, tmp_path):
+        path = str(tmp_path)
+        db = make_db(path)
+        box = db.create_object("Doc", title="box")
+        db.checkpoint()
+        size = os.path.getsize(os.path.join(path, "objects.store"))
+        txn = db.begin()
+        box.set("n", 1)
+        for refused in (db.checkpoint, db.pack, db.close):
+            with pytest.raises(TransactionError):
+                refused()
+        assert os.path.getsize(os.path.join(path, "objects.store")) == size
+        txn.rollback()
+        db2 = self.crash_and_reopen(db, path)
+        assert db2.get_object(box.oid).get("n") is None
+        db2.close()
+
+    def test_another_thread(self, tmp_path):
+        path = str(tmp_path)
+        db = make_db(path)
+        box = db.create_object("Doc", title="box")
+        written, finish = threading.Event(), threading.Event()
+
+        def writer():
+            txn = db.begin()
+            box.set("n", 1)
+            written.set()
+            finish.wait(5)
+            txn.rollback()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert written.wait(5)
+            for refused in (db.checkpoint, db.pack, db.close):
+                with pytest.raises(TransactionError):
+                    refused()
+        finally:
+            finish.set()
+            thread.join(5)
+        db2 = self.crash_and_reopen(db, path)
+        assert db2.get_object(box.oid).get("n") is None
+        db2.close()
 
 
 class TestIndexRecovery:

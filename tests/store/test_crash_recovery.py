@@ -267,15 +267,15 @@ class TestSystemLevelCrashes:
         reopened.close()
 
     def test_kill_after_updating_a_collection_stored_as_shards(self, tmp_path):
-        """The store still holds the ``sharded`` entry an older build wrote
-        (``fixtures/sharded_system``) when a propagation commits to the WAL
-        and the process dies: reopening replays it onto the imported
-        segments."""
+        """A collection an older build stored as a ``sharded`` entry
+        (``fixtures/sharded_system``), imported as ``segmented`` at open,
+        when a propagation commits to the WAL and the process dies:
+        reopening replays it onto the imported segments."""
         path = str(tmp_path / "sys")
         fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
         shutil.copytree(os.path.join(fixtures, "sharded_system"), path)
         system = DocumentSystem(directory=path)
-        assert system.store.manifest["collections"]["paras"]["layout"] == "sharded"
+        assert system.store.manifest["collections"]["paras"]["layout"] == "segmented"
         (collection,) = system.db.instances_of("COLLECTION")
         para = system.db.instances_of("PARA")[0]
         system.loader.update_content(para, "telnet telnet retrieval rewritten")

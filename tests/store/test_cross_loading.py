@@ -31,10 +31,11 @@ regenerated from this code:
   rankings by OID.
 
 The JSON directory is read-only now: it is imported once into the store.
-A ``flat`` or ``sharded`` store entry reads as sealed segments of the
-collection's one segment manager and is rewritten as ``segmented`` by the
-first checkpoint after its collection is touched; that checkpoint also
-rewrites every JSON segment record it references as a native one.
+Opening a store converts what older builds wrote (``repro.store.importer``,
+swept byte by byte in ``test_importer.py``): a ``flat`` or ``sharded``
+entry becomes ``segmented``, its segments loading in the collection's one
+segment manager, and every JSON index record it references is written
+once more as a native one.
 """
 
 import copy
@@ -47,10 +48,10 @@ import pytest
 from repro.core.system import DocumentSystem
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
-from repro.irs.persistence import load_engine as load_json_engine
+from repro.store.importer import load_json_engine
 from repro.irs.segments import SegmentConfig
 from repro.sgml.mmf import build_document, mmf_dtd
-from repro.store import SingleFileStore, blocks
+from repro.store import SingleFileStore, StoreFile, blocks
 from tests.legacy import ShardedHistory, write_sharded_store
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -85,6 +86,12 @@ def store_copy(tmp_path):
     path = str(tmp_path / "irs.store")
     shutil.copyfile(os.path.join(FIXTURES, "irs.store"), path)
     return path
+
+
+def raw_manifest(path):
+    """The last committed manifest of ``path``, read without importing."""
+    with StoreFile(path) as file:
+        return file.read_manifest()
 
 
 def test_json_directory_imports_into_store(tmp_path):
@@ -162,13 +169,11 @@ class TestEngineLevel:
 
 class TestOlderStoreFile:
     def test_manifest_has_a_flat_entry(self, tmp_path):
-        store = SingleFileStore(store_copy(tmp_path))
         layouts = {
             name: entry["layout"]
-            for name, entry in store.manifest["collections"].items()
+            for name, entry in raw_manifest(store_copy(tmp_path))["collections"].items()
         }
         assert layouts == {"mono": "flat", "seg": "segmented", "shard": "sharded"}
-        store.close()
 
     @pytest.mark.parametrize("lazy", [True, False])
     def test_opens_with_identical_results(self, tmp_path, lazy):
@@ -178,20 +183,19 @@ class TestOlderStoreFile:
         store.close()
 
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
-    def test_touched_entry_is_rewritten_as_segmented(self, tmp_path, layout):
+    def test_entry_is_segmented_from_open(self, tmp_path, layout):
+        """The import at open writes the entry as ``segmented``; touching
+        its collection then rewrites nothing."""
         name = FIXTURE_COLLECTION[layout]
         path = store_copy(tmp_path)
         store = SingleFileStore(path)
         before = store.manifest["collections"]
+        assert before[name]["layout"] == "segmented"
+        assert not {"index", "shards", "shard_count"} & set(before[name])
         engine = store.load_engine()
         engine.collection(name)
-        store.checkpoint(engine)
-        after = store.manifest["collections"]
-        assert after[name]["layout"] == "segmented"
-        assert not {"index", "shards", "shard_count"} & set(after[name])
-        # Untouched entries are carried forward verbatim.
-        for other in set(before) - {name}:
-            assert after[other] == before[other]
+        assert store.checkpoint(engine)["records_appended"] == 0
+        assert store.manifest["collections"] == before
         store.pack()
         store.close()
         again = SingleFileStore(path)
@@ -199,14 +203,11 @@ class TestOlderStoreFile:
         again.close()
 
 
-SEGMENT_KINDS = (blocks.KIND_BLOCKS, blocks.KIND_SEGMENT)
-
-
-def segment_kinds(store):
-    """Record kind of every sealed segment the manifest references."""
+def segment_kinds(file, manifest):
+    """Record kind of every sealed segment ``manifest`` references."""
     return [
-        store.file.read_typed(segment["offset"], segment["length"], SEGMENT_KINDS)[0]
-        for entry in store.manifest["collections"].values()
+        file.record_kind(segment["offset"])
+        for entry in manifest["collections"].values()
         for part in entry.get("shards", [entry])
         for segment in part.get("segments", [])
     ]
@@ -234,46 +235,27 @@ def touch_all(engine):
 
 
 class TestOlderSegmentRecords:
-    """``irs.store``'s six JSON segment records load as they always did;
-    the first checkpoint after a touch rewrites each once as a native
-    record, and ``pack`` reclaims the JSON."""
+    """``irs.store``'s six JSON segment records load as they always did:
+    opening the store writes each once as a native record, and ``pack``
+    reclaims the JSON."""
 
-    def test_touch_and_checkpoint_converts_then_pack_drops_json(self, tmp_path):
+    def test_open_converts_then_pack_drops_json(self, tmp_path):
         want = expected("store_expected.json")
         path = store_copy(tmp_path)
+        with StoreFile(path) as file:
+            assert segment_kinds(file, file.read_manifest()) == [blocks.KIND_SEGMENT] * 6
         with SingleFileStore(path) as store:
-            assert segment_kinds(store) == [blocks.KIND_SEGMENT] * 6
+            assert set(segment_kinds(store.file, store.manifest)) == {blocks.KIND_BLOCKS}
             engine = store.load_engine()
             assert_matches(engine, want)
-            store.checkpoint(engine)
-            assert set(segment_kinds(store)) == {blocks.KIND_BLOCKS}
-            assert_matches(engine, want)
-            assert store.checkpoint(engine)["records_appended"] == 0
+            assert store.checkpoint(touch_all(engine))["records_appended"] == 0
             store.pack()
-        assert blocks.KIND_SEGMENT not in record_kinds(path)
+        assert not {blocks.KIND_SEGMENT, blocks.KIND_MEMTABLE, blocks.KIND_INDEX} & set(
+            record_kinds(path)
+        )
         with SingleFileStore(path) as again:
-            assert set(segment_kinds(again)) == {blocks.KIND_BLOCKS}
+            assert set(segment_kinds(again.file, again.manifest)) == {blocks.KIND_BLOCKS}
             assert_matches(again.load_engine(), want)
-
-    def test_crash_at_every_byte_of_the_converting_checkpoint(self, tmp_path):
-        want = expected("store_expected.json")
-        path = store_copy(tmp_path)
-        start = os.path.getsize(path)
-        with SingleFileStore(path) as store:
-            before = store.manifest
-            store.checkpoint(touch_all(store.load_engine()))
-            after = store.manifest
-        end = os.path.getsize(path)
-        work = str(tmp_path / "work.store")
-        shutil.copyfile(path, work)
-        # A cut never moves the surviving prefix, so truncate one copy
-        # from the end backwards instead of copying once per byte.
-        for cut in range(end, start - 1, -1):
-            os.truncate(work, cut)
-            with SingleFileStore(work) as crashed:
-                assert crashed.manifest == (after if cut == end else before), cut
-                if cut in (end, end - 1, start) or cut % 101 == 0:
-                    assert_matches(crashed.load_engine(), want)
 
 
 BLOCKS_STORE = expected("blocks_store_expected.json")
@@ -291,12 +273,12 @@ class TestNativeStoreFile:
             # Byte 8 of the payload: the width of its doc-id column.
             widths = {
                 name: {
-                    store.file.read_typed(s["offset"], s["length"], SEGMENT_KINDS)[1][8]
+                    store.file.read_record(s["offset"], s["length"], blocks.KIND_BLOCKS)[8]
                     for s in entry["segments"]
                 }
                 for name, entry in store.manifest["collections"].items()
             }
-            assert set(segment_kinds(store)) == {blocks.KIND_BLOCKS}
+            assert set(segment_kinds(store.file, store.manifest)) == {blocks.KIND_BLOCKS}
         assert widths == {"narrow": {1}, "wide": {8}}
 
     @pytest.mark.parametrize("lazy", [True, False])
@@ -304,12 +286,11 @@ class TestNativeStoreFile:
         path = str(tmp_path / "blocks.store")
         shutil.copyfile(os.path.join(FIXTURES, "blocks.store"), path)
         with SingleFileStore(path) as store:
-            memtables = [e["memtable"] for e in store.manifest["collections"].values()]
             engine = store.load_engine(lazy=lazy)
             assert_matches(engine, BLOCKS_STORE)
-            # Native segments keep their records; each memtable is written
-            # once more, as a segment.
-            assert store.checkpoint(touch_all(engine))["records_appended"] == len(memtables) == 2
+            # Native segments keep their records; each JSON memtable was
+            # written once more at open, as a segment.
+            assert store.checkpoint(touch_all(engine))["records_appended"] == 0
 
 
 SHARDED_SYSTEM = expected("sharded_system_expected.json")
@@ -349,33 +330,33 @@ class TestOlderSystemDirectory:
         finally:
             system.close()
 
-    def test_touched_entry_is_rewritten_as_segmented_then_packed(self, tmp_path):
-        """The first checkpoint after a touch writes ``segmented``: the
-        shards' JSON segment records and their memtables are written again,
-        once each, as native segments — no more records than the writer's
-        build appended.  ``pack`` then reclaims what only the shard entry
-        referenced."""
+    def test_entry_is_imported_as_segmented_then_packed(self, tmp_path):
+        """Opening writes ``segmented``: the shards' JSON segment records
+        and their memtables are written again, once each, as native
+        segments — no more records than the writer's build appended at a
+        touched checkpoint.  A checkpoint after a touch writes nothing, and
+        ``pack`` reclaims what only the shard entry referenced."""
         path = system_copy(tmp_path)
+        stale = raw_manifest(os.path.join(path, "irs.store"))["collections"]["paras"]
+        assert stale["layout"] == "sharded" and len(stale["shards"]) == 3
+        kept = {
+            (segment["offset"], segment["length"])
+            for part in stale["shards"]
+            for segment in part["segments"]
+        }
+        memtables = [part["memtable"] for part in stale["shards"] if part["memtable"]]
         system = DocumentSystem(directory=path)
         try:
             store = system.store
-            stale = store.manifest["collections"]["paras"]
-            assert stale["layout"] == "sharded" and len(stale["shards"]) == 3
-            kept = {
-                (segment["offset"], segment["length"])
-                for part in stale["shards"]
-                for segment in part["segments"]
-            }
-            memtables = [part["memtable"] for part in stale["shards"] if part["memtable"]]
-            system.engine.collection("paras")
-            stats = system.checkpoint()
             entry = store.manifest["collections"]["paras"]
             assert entry["layout"] == "segmented"
             assert not {"shards", "shard_count"} & set(entry)
-            assert store.manifest["engine"] == {"default_model": "inquery"}
             assert not kept & {(s["offset"], s["length"]) for s in entry["segments"]}
-            assert stats["records_appended"] == len(kept) + len(memtables)
-            assert stats["records_appended"] <= WRITER_RECORDS["touched"]
+            assert len(entry["segments"]) == len(kept) + len(memtables)
+            assert len(entry["segments"]) <= WRITER_RECORDS["touched"]
+            system.engine.collection("paras")
+            assert system.checkpoint()["records_appended"] == 0
+            assert store.manifest["engine"] == {"default_model": "inquery"}
             dead = store.stats()["dead_bytes"]
             assert dead >= sum(length for _offset, length in [*kept, *memtables])
             assert system.pack()["reclaimed_bytes"] >= dead
@@ -608,30 +589,31 @@ class TestShardedEntryOfAnyShardCount:
 
     @pytest.mark.parametrize("lazy", [True, False])
     def test_opens_with_identical_results(self, tmp_path, shards, lazy):
-        with SingleFileStore(self.written(tmp_path, shards)) as store:
-            assert store.manifest["collections"]["docs"]["shard_count"] == shards
+        path = self.written(tmp_path, shards)
+        assert raw_manifest(path)["collections"]["docs"]["shard_count"] == shards
+        with SingleFileStore(path) as store:
             assert_matches(store.load_engine(lazy=lazy), unpartitioned_want())
 
-    def test_touched_entry_is_rewritten_as_segmented_then_packed(self, tmp_path, shards):
+    def test_entry_is_imported_as_segmented_then_packed(self, tmp_path, shards):
         path = self.written(tmp_path, shards)
+        stale = raw_manifest(path)["collections"]["docs"]
+        kept = {
+            (segment["offset"], segment["length"])
+            for part in stale["shards"]
+            for segment in part["segments"]
+        }
+        memtables = [part["memtable"] for part in stale["shards"] if part["memtable"]]
         with SingleFileStore(path) as store:
-            stale = store.manifest["collections"]["docs"]
-            kept = {
-                (segment["offset"], segment["length"])
-                for part in stale["shards"]
-                for segment in part["segments"]
-            }
-            memtables = [part["memtable"] for part in stale["shards"] if part["memtable"]]
-            engine = store.load_engine()
-            engine.collection("docs")
-            stats = store.checkpoint(engine)
             entry = store.manifest["collections"]["docs"]
             assert entry["layout"] == "segmented"
             assert not {"shards", "shard_count"} & set(entry)
+            # The shards' JSON segments and memtables were written again at
+            # open, once each, as native segments.
             assert not kept & {(s["offset"], s["length"]) for s in entry["segments"]}
-            # The shards' JSON segments and memtables are written again,
-            # once each, as native segments.
-            assert stats["records_appended"] == len(kept) + len(memtables)
+            assert len(entry["segments"]) == len(kept) + len(memtables)
+            engine = store.load_engine()
+            engine.collection("docs")
+            assert store.checkpoint(engine)["records_appended"] == 0
             shard_records = sum(length for _offset, length in [*kept, *memtables])
             assert store.stats()["dead_bytes"] >= shard_records
             assert store.pack()["reclaimed_bytes"] >= shard_records
@@ -639,7 +621,7 @@ class TestShardedEntryOfAnyShardCount:
         with SingleFileStore(path) as store:
             assert_matches(store.load_engine(), unpartitioned_want())
 
-    def test_untouched_entry_is_carried_and_packed_verbatim(self, tmp_path, shards):
+    def test_untouched_entry_is_carried_and_packed(self, tmp_path, shards):
         path = self.written(tmp_path, shards)
         with SingleFileStore(path) as store:
             before = store.manifest["collections"]["docs"]
@@ -647,7 +629,8 @@ class TestShardedEntryOfAnyShardCount:
             assert store.manifest["collections"]["docs"] == before
             store.pack()
             packed = store.manifest["collections"]["docs"]
-            assert packed["layout"] == "sharded" and len(packed["shards"]) == shards
+            assert packed["layout"] == "segmented"
+            assert len(packed["segments"]) == len(before["segments"])
             assert store.stats()["dead_bytes"] == 0
         with SingleFileStore(path) as store:
             assert_matches(store.load_engine(lazy=False), unpartitioned_want())

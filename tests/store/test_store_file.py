@@ -45,13 +45,13 @@ class TestLifecycle:
         assert again.recovered_tail_bytes == 0
         again.close()
 
-    def test_read_typed_accepts_only_the_named_kinds(self, tmp_path):
+    def test_record_kind_reads_the_header_and_a_read_checks_it(self, tmp_path):
         store = _store(tmp_path)
         offset, length = _commit_one(store)
-        kinds = (blocks.KIND_MANIFEST, blocks.KIND_DOCS)
-        assert store.read_typed(offset, length, kinds) == (blocks.KIND_DOCS, b"some docs")
+        assert store.record_kind(offset) == blocks.KIND_DOCS
+        assert store.record_kind(store.manifest_offset) == blocks.KIND_MANIFEST
         with pytest.raises(StoreCorruptionError):
-            store.read_typed(offset, length, (blocks.KIND_BLOCKS, blocks.KIND_SEGMENT))
+            store.read_record(offset, length, blocks.KIND_BLOCKS)
         store.close()
 
     def test_mmap_and_fallback_reads_agree(self, tmp_path):

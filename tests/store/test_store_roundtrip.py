@@ -67,8 +67,8 @@ def stored(tmp_path, layout, engine):
 def opened(tmp_path, layout, texts=TEXTS, config=None):
     """``(engine, store, first)``: an open store, the engine it holds and
     what writing the store appended.  ``sharded``: the engine is what
-    opening the older entry gives, touched and checkpointed once — which
-    rewrites the entry as ``segmented``."""
+    opening the older entry gives — the import at open rewrites it as
+    ``segmented`` — checkpointed once."""
     path = str(tmp_path / "irs.store")
     if layout == "sharded":
         first = write_sharded_store(path, sharded_history(texts, config))

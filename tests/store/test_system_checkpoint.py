@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.core.system import DocumentSystem
-from repro.errors import StoreError
+from repro.errors import StoreError, TransactionError
 from repro.sgml.mmf import build_document, mmf_dtd
 
 
@@ -87,6 +87,25 @@ class TestCheckpoint:
         session = system.open_session(workers=2)
         stats = session.checkpoint()
         assert stats["checkpoint_id"] >= 1
+        system.close()
+
+
+class TestOpenTransaction:
+    def test_checkpoint_writes_neither_half_while_a_transaction_is_open(self, tmp_path):
+        """The store half is refused too: no manifest may name index
+        generations the database checkpoint then fails to match."""
+        system, collection, _ = populated(tmp_path)
+        system.checkpoint()
+        directory = str(tmp_path / "sys")
+        files = [os.path.join(directory, "irs.store"), os.path.join(directory, "db", "objects.store")]
+        sizes = [os.path.getsize(path) for path in files]
+        txn = system.db.begin()
+        collection.set("buffer", {})
+        for refused in (system.checkpoint, system.pack, system.close):
+            with pytest.raises(TransactionError):
+                refused()
+        assert [os.path.getsize(path) for path in files] == sizes
+        txn.rollback()
         system.close()
 
 
