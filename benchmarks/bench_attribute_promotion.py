@@ -49,7 +49,7 @@ def test_promotion_speedup(setup, report, benchmark):
         [
             ["dictionary lookup (scan)", stats_before.index_probes,
              stats_before.method_calls, len(rows_before), seconds_before],
-            ["promoted + hash index", stats_after.index_probes,
+            ["promoted + index", stats_after.index_probes,
              stats_after.method_calls, len(rows_after), seconds_after],
         ],
         notes=(

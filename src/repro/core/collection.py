@@ -36,7 +36,6 @@ Per instance, the persistent attributes are:
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
@@ -186,10 +185,8 @@ def index_objects(
     "indexObjects evaluates the specification query specQuery.  The result
     is a set of IRSObjects.  For each of these the method getText(mode) is
     invoked.  The results, in turn, are stored in a file which is indexed
-    by the IRS" (Section 4.2).  The spool file is written when the context
-    has a ``result_file_directory`` (the paper's file exchange); indexing
-    itself always goes through the engine, carrying each object's OID as
-    IRS-document metadata.
+    by the IRS" (Section 4.2).  No file is written: the texts go to the
+    engine, carrying each object's OID as IRS-document metadata.
     """
     db = collection_obj.database
     context = coupling_context(db)
@@ -226,20 +223,8 @@ def index_objects(
             span.set_attribute("members", len(members))
             # One logged group: a crash leaves the whole rebuild or none of it.
             with db.autocommit_group():
-                planned = updates.rebuild(
-                    collection_obj, [str(obj.oid) for obj in members]
-                )
+                updates.rebuild(collection_obj, [str(obj.oid) for obj in members])
                 collection_obj.set("pending_ops", [])
-            if context.result_file_directory is not None:
-                spool_path = os.path.join(
-                    context.result_file_directory, f"{irs_name}.spool.txt"
-                )
-                with open(spool_path, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(
-                        f"{oid_str}\t{piece}"
-                        for op, oid_str, pieces in planned if op == updates.INSERT
-                        for piece in pieces
-                    ))
             context.counters.add("index_runs")
     registry = obs.metrics()
     registry.counter("coupling.indexObjects.calls").inc()
@@ -295,11 +280,7 @@ def _get_irs_result(
             span.set_attribute("buffered", False)
             irs_name = collection_obj.get("irs_name")
             span.set_attribute("collection", irs_name)
-            if context.result_file_directory is not None:
-                values = _query_via_file(context, irs_name, irs_query, model)
-                oid_values = {OID.parse(oid_str): value for oid_str, value in values.items()}
-            else:
-                oid_values, values = irs_values(context.engine, irs_name, irs_query, model)
+            oid_values, values = irs_values(context.engine, irs_name, irs_query, model)
             # The same mapping is returned and kept as the decoded view's
             # entry; ``values`` is stored as the IRS keyed it.
             buffer.store(irs_query, oid_values, model, encoded=values)
@@ -325,16 +306,6 @@ def irs_values(
         result = engine.query(irs_name, irs_query, model=model, top_k=top_k)
         values = result.by_metadata(engine.collection(irs_name), "oid")
     return {OID.parse(oid_str): value for oid_str, value in values.items()}, values
-
-
-def _query_via_file(context, irs_name: str, irs_query: str, model: Optional[str]) -> Dict[str, float]:
-    """The paper's historical exchange: result file written, then parsed."""
-    from repro.irs.engine import parse_result_file
-
-    safe = "".join(ch if ch.isalnum() else "_" for ch in irs_query)[:40]
-    path = os.path.join(context.result_file_directory, f"{irs_name}.{safe}.result")
-    context.engine.query_to_file(irs_name, irs_query, path, metadata_key="oid", model=model)
-    return parse_result_file(path)
 
 
 def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:

@@ -103,9 +103,6 @@ class CouplingContext:
 
     engine: IRSEngine
     counters: CouplingCounters = field(default_factory=CouplingCounters)
-    #: When set, IRS queries go through result files on disk (the paper's
-    #: historical exchange mechanism) instead of the in-process API.
-    result_file_directory: Optional[str] = None
     #: The single-file durable store backing this coupling
     #: (:class:`repro.store.SingleFileStore`); None when the system runs
     #: in memory.

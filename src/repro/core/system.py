@@ -67,19 +67,15 @@ class DocumentSystem:
     Parameters
     ----------
     directory:
-        When given, the database persists under ``<directory>/db``, the IRS
-        indexes in the single-file store ``<directory>/irs.store``
+        When given, the database persists under ``<directory>/db`` and the
+        IRS indexes in the single-file store ``<directory>/irs.store``
         (incremental checkpoints, lazy restart — see
-        docs/storage-format.md), and IRS exchange files are written under
-        ``<directory>/irs`` (enabling the paper's file-based result
-        exchange).  Default: fully in memory.
+        docs/storage-format.md); IRS results come back through the API, as
+        in memory.  Default: fully in memory.
     model:
         Default retrieval model: "inquery" (default), "vector" or "boolean".
     analyzer:
         Custom analysis pipeline for all IRS collections.
-    use_result_files:
-        Force the file-based IRS exchange even without a directory
-        (a temp directory is then created lazily).
     storage:
         The durable index format; ``"store"`` (the single-file store) is
         the only one.
@@ -90,7 +86,6 @@ class DocumentSystem:
         directory: Optional[str] = None,
         model: str = "inquery",
         analyzer: Optional[Analyzer] = None,
-        use_result_files: bool = False,
         storage: str = "store",
     ) -> None:
         if storage != "store":
@@ -108,17 +103,7 @@ class DocumentSystem:
             )
         else:
             self.engine = IRSEngine(default_model=model, analyzer=analyzer)
-        result_dir = None
-        if directory:
-            result_dir = os.path.join(directory, "irs")
-            os.makedirs(result_dir, exist_ok=True)
-        elif use_result_files:
-            import tempfile
-
-            result_dir = tempfile.mkdtemp(prefix="repro_irs_")
-        self.context: CouplingContext = install_coupling(
-            self.db, self.engine, result_file_directory=result_dir
-        )
+        self.context: CouplingContext = install_coupling(self.db, self.engine)
         self.context.storage = self.store
         self.loader = SGMLLoader(self.db, base_class=IRSOBJECT_CLASS)
         if self.store is not None:

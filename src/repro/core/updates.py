@@ -175,10 +175,10 @@ def _apply(operations: List[list], collection_obj: DBObject) -> None:
     (:func:`repro.core.collection.member_keys`) sees the whole batch or
     none of it.
     """
-    _write_doc_map(collection_obj, _index(operations, collection_obj)[0])
+    _write_doc_map(collection_obj, _index(operations, collection_obj))
 
 
-def rebuild(collection_obj: DBObject, members: List[str]) -> List[tuple]:
+def rebuild(collection_obj: DBObject, members: List[str]) -> None:
     """Replace the whole membership with ``members`` (``str(oid)`` each).
 
     Every stored member is deleted, then every member inserted, in one
@@ -187,18 +187,17 @@ def rebuild(collection_obj: DBObject, members: List[str]) -> List[tuple]:
     stored.  A member listed twice is indexed once ("each IRS document is
     assigned exactly one object", Section 4.3).  ``doc_map`` is written
     whole, as one record; ``pending_ops`` is left alone (recovery keeps
-    deferred operations).  Returns the planned ``(op, oid, pieces)``.
+    deferred operations).
     """
     from repro.core.collection import member_keys
 
     members = list(dict.fromkeys(members))
     operations = [[DELETE, key] for key in member_keys(collection_obj)]
     operations += [[INSERT, key] for key in members]
-    changed, planned = _index(operations, collection_obj)
+    changed = _index(operations, collection_obj)
     whole = {key: changed[key] for key in members if changed.get(key) is not None}
     _write_doc_map(collection_obj, changed, whole)
     _invalidate_buffer(collection_obj)
-    return planned
 
 
 def _write_doc_map(
@@ -224,11 +223,10 @@ def _write_doc_map(
 
 def _index(
     operations: List[list], collection_obj: DBObject
-) -> Tuple[Dict[str, Optional[List[int]]], List[tuple]]:
-    """Run operations against the IRS collection; ``(changed, planned)``.
-
-    ``changed`` maps each object whose document ids changed to its new ids
-    (None: member removed); ``planned`` lists ``(op, oid, pieces)``.
+) -> Dict[str, Optional[List[int]]]:
+    """Run operations against the IRS collection; returns ``changed``, which
+    maps each object whose document ids changed to its new ids (None:
+    member removed).
 
     Two phases.  Phase 1 performs every database read (object texts,
     segmentation) with no engine access; phase 2 performs the engine
@@ -298,7 +296,7 @@ def _index(
                 indexed += 1
             changed[oid_str] = new_ids
     context.counters.add("documents_indexed", indexed)
-    return changed, planned
+    return changed
 
 
 def _invalidate_buffer(collection_obj: DBObject) -> None:

@@ -35,8 +35,8 @@ def define_link_class(db: Database) -> None:
             "link_type": "STRING",
         },
     )
-    db.create_index(LINK_CLASS, "source", kind="hash")
-    db.create_index(LINK_CLASS, "target", kind="hash")
+    db.create_index(LINK_CLASS, "source")
+    db.create_index(LINK_CLASS, "target")
 
 
 def create_link(
@@ -53,8 +53,8 @@ def _link_objects(db: Database, attr: str, obj: DBObject, link_type: Optional[st
     if not db.schema.has_class(LINK_CLASS):
         return []  # no link has ever been created in this database
     index = db.indexes.find(LINK_CLASS, attr)
-    if index is not None:
-        oids = index.lookup(obj.oid)
+    oids = None if index is None else index.lookup(obj.oid)
+    if oids is not None:
         links = [db.get_object(oid) for oid in sorted(oids)]
     else:
         links = [l for l in db.instances_of(LINK_CLASS) if l.get(attr) == obj.oid]

@@ -1,14 +1,9 @@
 """The IRS engine facade.
 
-Manages named collections and answers queries.  Two result channels exist,
-mirroring Section 4.5 of the paper:
-
-* **file exchange** — "Currently the IRS writes the result to a file which
-  is parsed afterwards to extract the OID-relevance value pairs":
-  :meth:`IRSEngine.query_to_file` writes ``<metadata>\\t<value>`` lines and
-  :func:`parse_result_file` reads them back;
-* **API exchange** — "This mechanism can be improved by using the API of an
-  IRS": :meth:`IRSEngine.query` returns the result in-process.
+Manages named collections and answers queries.  Results come back through
+the API, in process (:meth:`IRSEngine.query`): Section 4.5 of the paper
+names the result file it parsed a stopgap — "This mechanism can be improved
+by using the API of an IRS" — and a file would round every IRS value.
 
 The engine also keeps operation counters that the benchmark harness reads
 (IRS invocations are the paper's main cost driver for buffering and update
@@ -18,7 +13,6 @@ propagation).
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -85,7 +79,6 @@ class EngineCounters:
     queries_executed: int = 0
     documents_indexed: int = 0
     documents_removed: int = 0
-    result_files_written: int = 0
     result_cache_hits: int = 0
     per_collection_queries: Dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(
@@ -109,7 +102,6 @@ class EngineCounters:
             self.queries_executed = 0
             self.documents_indexed = 0
             self.documents_removed = 0
-            self.result_files_written = 0
             self.result_cache_hits = 0
             self.per_collection_queries = {}
 
@@ -674,48 +666,3 @@ class IRSEngine:
         self.cache_stats.reset()
         for collection in self._collections.values():
             collection.stats.reset_cache_info()
-
-    def query_to_file(
-        self,
-        collection_name: str,
-        irs_query: str,
-        path: str,
-        metadata_key: str = "oid",
-        model: Optional[str] = None,
-    ) -> str:
-        """Evaluate a query and write the paper's result-file format.
-
-        Each line is ``<metadata-value>\\t<IRS value>``; documents without
-        the metadata key fall back to ``doc:<id>``.  Returns ``path``.
-        """
-        result = self.query(collection_name, irs_query, model)
-        collection = self.collection(collection_name)
-        lines = []
-        for doc_id, value in result.ranked():
-            key = collection.document(doc_id).metadata.get(metadata_key, f"doc:{doc_id}")
-            lines.append(f"{key}\t{value:.6f}")
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
-        os.replace(tmp_path, path)
-        self.counters.inc("result_files_written")
-        return path
-
-
-def parse_result_file(path: str) -> Dict[str, float]:
-    """Parse a result file written by :meth:`IRSEngine.query_to_file`.
-
-    This is the "parsed afterwards to extract the OID-relevance value pairs"
-    step of Section 4.5.
-    """
-    values: Dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _sep, value = line.partition("\t")
-            values[key] = float(value)
-    return values

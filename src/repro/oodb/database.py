@@ -480,9 +480,9 @@ class Database:
     # Indexes
     # ------------------------------------------------------------------
 
-    def create_index(self, class_name: str, attribute: str, kind: str = "btree") -> AttributeIndex:
+    def create_index(self, class_name: str, attribute: str) -> AttributeIndex:
         """Create an index over ``class_name`` (incl. subclasses) and backfill it."""
-        index = self.indexes.create(class_name, attribute, kind)
+        index = self.indexes.create(class_name, attribute)
         for obj in self.instances_of(class_name):
             value = self._store.read(obj.oid, attribute)
             if value is not None:
@@ -600,11 +600,7 @@ class Database:
         payload.append(
             {
                 "__indexes__": [
-                    {
-                        "class": index.class_name,
-                        "attribute": index.attribute,
-                        "kind": index.kind,
-                    }
+                    {"class": index.class_name, "attribute": index.attribute}
                     for index in self.indexes.all_indexes()
                 ]
             }
@@ -627,11 +623,12 @@ class Database:
         """Re-create and backfill indexes recorded in the durable image.
 
         Runs after WAL replay so the backfill sees the fully recovered
-        object table.
+        object table.  The ``kind`` older builds recorded is ignored: there
+        is one index kind.
         """
         for entry in getattr(self, "_pending_index_rebuild", []):
             if self.schema.has_class(entry["class"]):
-                self.create_index(entry["class"], entry["attribute"], entry["kind"])
+                self.create_index(entry["class"], entry["attribute"])
         self._pending_index_rebuild = []
 
     def close(self) -> None:

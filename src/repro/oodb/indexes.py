@@ -1,10 +1,10 @@
 """Attribute indexes.
 
-Two physical index kinds over ``(class, attribute)`` pairs:
-
-* :class:`BTreeIndex` — supports equality and range predicates; backs the
-  comparison operators of the query language (``>``, ``>=``, ``<``, ``<=``).
-* :class:`HashIndex` — equality only, O(1) probes.
+One index kind over ``(class, attribute)`` pairs, serving both equality
+and the comparison operators of the query language (``>``, ``>=``, ``<``,
+``<=``).  An index changes the plan, never the result: a probe answers
+exactly what the evaluator's filter would, or returns None and the
+evaluator keeps the conjunct as a filter.
 
 Indexes cover a class *including its subclasses* (the extent semantics of
 the query language ``FROM x IN CLASS``), and are maintained on every
@@ -13,139 +13,92 @@ attribute write and object create/delete by the database facade.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Set
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, Iterable, List, Optional, Set
 
-from repro.oodb.btree import BTree
 from repro.oodb.oid import OID
 
 
 class AttributeIndex:
-    """Common interface of both index kinds."""
+    """A dict from the raw value to the OIDs holding it.
 
-    kind = "abstract"
+    Equality follows Python ``==``, as the filter does (``1``, ``1.0`` and
+    ``True`` are one key).  Range probes bisect a key list sorted on the
+    first range probe and dropped when a key appears or empties.  NULLs are
+    not indexed: no comparison of the filter matches them.  A value no
+    sorted dict key can stand for (unhashable, or NaN) is held aside, and
+    while any is held every probe returns None.
+    """
 
     def __init__(self, class_name: str, attribute: str) -> None:
         self.class_name = class_name
         self.attribute = attribute
-
-    # subclasses implement:
-    def insert(self, key: Any, oid: OID) -> None:
-        raise NotImplementedError
-
-    def remove(self, key: Any, oid: OID) -> None:
-        raise NotImplementedError
-
-    def lookup(self, key: Any) -> Set[OID]:
-        raise NotImplementedError
-
-    def supports_range(self) -> bool:
-        """True when the index can serve inequality predicates."""
-        return False
-
-    def range(
-        self,
-        low: Optional[Any] = None,
-        high: Optional[Any] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Set[OID]:
-        raise NotImplementedError(f"{self.kind} index cannot answer range queries")
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} on {self.class_name}.{self.attribute}>"
-
-
-class BTreeIndex(AttributeIndex):
-    """Ordered index; keys must be mutually comparable."""
-
-    kind = "btree"
-
-    def __init__(self, class_name: str, attribute: str, min_degree: int = 16) -> None:
-        super().__init__(class_name, attribute)
-        self._tree = BTree(min_degree=min_degree)
-
-    def insert(self, key: Any, oid: OID) -> None:
-        if key is None:
-            return  # NULLs are not indexed
-        self._tree.insert(self._normalize(key), oid)
-
-    def remove(self, key: Any, oid: OID) -> None:
-        if key is None:
-            return
-        self._tree.remove(self._normalize(key), oid)
-
-    def lookup(self, key: Any) -> Set[OID]:
-        return self._tree.get(self._normalize(key))
-
-    def supports_range(self) -> bool:
-        return True
-
-    def range(
-        self,
-        low: Optional[Any] = None,
-        high: Optional[Any] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Set[OID]:
-        result: Set[OID] = set()
-        for _key, oids in self._tree.range(
-            self._normalize(low) if low is not None else None,
-            self._normalize(high) if high is not None else None,
-            include_low,
-            include_high,
-        ):
-            result |= oids
-        return result
-
-    @staticmethod
-    def _normalize(key: Any) -> Any:
-        # Keys are tagged with a type rank so (a) booleans stay distinct
-        # from the ints they'd otherwise equal, and (b) a mixed-type key
-        # space orders deterministically instead of raising TypeError.
-        if isinstance(key, bool):
-            return (0, key)
-        if isinstance(key, (int, float)):
-            return (1, key)
-        if isinstance(key, str):
-            return (2, key)
-        return (3, key)
-
-    @property
-    def entry_count(self) -> int:
-        """Number of indexed (value, OID) pairs."""
-        return self._tree.entry_count
-
-
-class HashIndex(AttributeIndex):
-    """Equality-only index backed by a dict of sets."""
-
-    kind = "hash"
-
-    def __init__(self, class_name: str, attribute: str) -> None:
-        super().__init__(class_name, attribute)
         self._table: Dict[Any, Set[OID]] = {}
+        self._keys: Optional[List[Any]] = None
+        self._aside: Set[OID] = set()
 
     def insert(self, key: Any, oid: OID) -> None:
         if key is None:
             return
-        self._table.setdefault(key, set()).add(oid)
+        if _opaque(key):
+            self._aside.add(oid)
+            return
+        bucket = self._table.get(key)
+        if bucket is None:
+            bucket = self._table[key] = set()
+            self._keys = None
+        bucket.add(oid)
 
     def remove(self, key: Any, oid: OID) -> None:
         if key is None:
+            return
+        if _opaque(key):
+            self._aside.discard(oid)
             return
         bucket = self._table.get(key)
         if bucket is not None:
             bucket.discard(oid)
             if not bucket:
                 del self._table[key]
+                self._keys = None
 
-    def lookup(self, key: Any) -> Set[OID]:
+    def lookup(self, key: Any) -> Optional[Set[OID]]:
+        """OIDs whose value ``== key``; None when the filter must decide."""
+        if key is None or self._aside or _opaque(key):
+            return None
         return set(self._table.get(key, ()))
 
-    @property
-    def entry_count(self) -> int:
-        """Number of indexed (value, OID) pairs."""
-        return sum(len(bucket) for bucket in self._table.values())
+    def range(self, op: str, constant: Any) -> Optional[Set[OID]]:
+        """OIDs whose value ``op constant`` holds (``op`` one of ``> >= < <=``);
+        None when the keys or the constant are not mutually comparable."""
+        if constant is None or self._aside or _opaque(constant):
+            return None
+        try:
+            if self._keys is None:
+                self._keys = sorted(self._table)
+            keys = self._keys
+            if op[0] == ">":
+                start, stop = (bisect_left if op == ">=" else bisect_right)(keys, constant), len(keys)
+            else:
+                start, stop = 0, (bisect_right if op == "<=" else bisect_left)(keys, constant)
+        except TypeError:
+            return None
+        result: Set[OID] = set()
+        for key in keys[start:stop]:
+            result |= self._table[key]
+        return result
+
+    def __repr__(self) -> str:
+        return f"<AttributeIndex on {self.class_name}.{self.attribute}>"
+
+
+def _opaque(key: Any) -> bool:
+    """True for a value no sorted dict key can stand for: unhashable, or NaN."""
+    try:
+        hash(key)
+    except TypeError:
+        return True
+    return key != key
 
 
 class IndexCatalog:
@@ -155,20 +108,13 @@ class IndexCatalog:
         self._indexes: Dict[tuple, AttributeIndex] = {}
         self._attributes: Set[str] = set()
 
-    def create(self, class_name: str, attribute: str, kind: str = "btree") -> AttributeIndex:
+    def create(self, class_name: str, attribute: str) -> AttributeIndex:
         """Create (or return the existing) index on ``class.attribute``."""
         key = (class_name, attribute)
-        if key in self._indexes:
-            return self._indexes[key]
-        if kind == "btree":
-            index: AttributeIndex = BTreeIndex(class_name, attribute)
-        elif kind == "hash":
-            index = HashIndex(class_name, attribute)
-        else:
-            raise ValueError(f"unknown index kind {kind!r}")
-        self._indexes[key] = index
-        self._attributes.add(attribute)
-        return index
+        if key not in self._indexes:
+            self._indexes[key] = AttributeIndex(class_name, attribute)
+            self._attributes.add(attribute)
+        return self._indexes[key]
 
     def drop(self, class_name: str, attribute: str) -> None:
         """Remove the index if present."""

@@ -18,9 +18,8 @@ class OID(int):
     Equality, hashing and ordering are the int's own — ``OID(3) == 3`` and
     ``hash(OID(3)) == 3`` — so sets and dicts of OIDs hash and compare in C.
     What sets an OID apart is its text: it renders as ``OID<n>`` and parses
-    back via :meth:`parse`, the format stored as IRS-document metadata and
-    written to IRS result files; stored values tell OIDs from plain ints by
-    type.
+    back via :meth:`parse`, the format stored as IRS-document metadata;
+    stored values tell OIDs from plain ints by type.
     """
 
     __slots__ = ()

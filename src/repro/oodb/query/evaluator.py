@@ -364,14 +364,16 @@ class QueryEvaluator:
         for ip in vplan.index_predicates:
             index = self._optimizer.find_index(class_name, ip.attribute)
             if index is None:  # dropped between planning and execution
+                found = None
+            elif ip.op in ("=", "=="):
+                found = index.lookup(ip.constant)
+            else:
+                found = index.range(ip.op, ip.constant)
+            if found is None:  # or declined: the filter decides, as without an index
                 residual.append((None, ip.source))
                 continue
             self.stats.index_probes += 1
-            if ip.op in ("=", "=="):
-                alive &= index.lookup(ip.constant)
-            else:  # ">" and ">=" bound the range from below, "<" and "<=" from above
-                side = "low" if ip.op[0] == ">" else "high"
-                alive &= index.range(**{side: ip.constant, "include_" + side: ip.op[-1] == "="})
+            alive &= found
 
         env: Env = {}
 

@@ -315,7 +315,7 @@ class Optimizer:
         attribute = self._attribute_of(left, variable)
         if attribute is not None and op != "!=" and op != "<>":
             index = self.find_index(class_name, attribute)
-            if index is not None and (op in ("=", "==") or index.supports_range()):
+            if index is not None:
                 return IndexablePredicate(variable, attribute, op, const, conjunct)
 
         root, steps = _method_steps(left, bindings)

@@ -311,9 +311,7 @@ class SGMLLoader:
 
     # -- physical design -------------------------------------------------------
 
-    def promote_attribute(
-        self, class_name: str, attribute: str, index_kind: str = "hash"
-    ):
+    def promote_attribute(self, class_name: str, attribute: str):
         """Promote an SGML attribute to an indexed database attribute.
 
         The paper's requirement (4): logical integration "must not sacrifice
@@ -340,7 +338,7 @@ class SGMLLoader:
             value = (obj.get("sgml_attributes") or {}).get(attribute)
             if value is not None and obj.get(attribute) != value:
                 obj.set(attribute, value)
-        return self._db.create_index(class_name, attribute, kind=index_kind)
+        return self._db.create_index(class_name, attribute)
 
     def _apply_promotions(self, obj: DBObject) -> None:
         attributes = obj.get("sgml_attributes") or {}

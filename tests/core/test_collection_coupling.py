@@ -101,20 +101,6 @@ class TestIndexObjects:
         index_objects(para_collection)
         assert para_collection.get("buffer") == {}
 
-    def test_spool_file_written_with_result_files(self, tmp_path):
-        from repro.core import DocumentSystem
-        from repro.sgml.mmf import build_document, mmf_dtd
-
-        system = DocumentSystem(directory=str(tmp_path))
-        system.register_dtd(mmf_dtd())
-        system.add_document(build_document("T", ["some www text"]), dtd=mmf_dtd())
-        collection = _create_collection(system.db, "c", "ACCESS p FROM p IN PARA")
-        index_objects(collection)
-        spool = tmp_path / "irs" / "c.spool.txt"
-        assert spool.exists()
-        assert "www" in spool.read_text()
-        system.close()
-
 
 class TestGetIRSResult:
     def test_returns_oid_keyed_values(self, mmf_system, para_collection):

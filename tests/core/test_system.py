@@ -80,7 +80,3 @@ class TestLifecycle:
     def test_context_manager_closes(self, tmp_path):
         with DocumentSystem(directory=str(tmp_path)) as system:
             pass  # exit should checkpoint without error
-
-    def test_use_result_files_flag(self):
-        system = DocumentSystem(use_result_files=True)
-        assert system.context.result_file_directory is not None

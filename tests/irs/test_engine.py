@@ -1,9 +1,9 @@
-"""IRS engine: collections, querying, counters, file exchange."""
+"""IRS engine: collections, querying, counters."""
 
 import pytest
 
 from repro.errors import DuplicateCollectionError, UnknownCollectionError
-from repro.irs.engine import IRSEngine, parse_result_file
+from repro.irs.engine import IRSEngine
 
 
 @pytest.fixture
@@ -67,6 +67,23 @@ class TestQuerying:
         raw = engine.query("paras", "www").values
         assert values["OID1"] == max(raw[1], raw[4])
 
+    def test_by_metadata_keeps_values_exact(self, engine):
+        result = engine.query("paras", "www")
+        values = result.by_metadata(engine.collection("paras"), "oid")
+        assert values == {"OID1": result.values[1], "OID3": result.values[3]}
+
+    def test_no_match_gives_empty_mapping(self, engine):
+        result = engine.query("paras", "nonexistentterm")
+        assert result.by_metadata(engine.collection("paras"), "oid") == {}
+
+    def test_documents_without_the_key_are_left_out(self):
+        engine = IRSEngine()
+        engine.create_collection("c")
+        engine.index_document("c", "some www text")
+        result = engine.query("c", "www")
+        assert list(result.values) == [1]
+        assert result.by_metadata(engine.collection("c"), "oid") == {}
+
 
 class TestCounters:
     def test_counters_track_operations(self, engine):
@@ -84,29 +101,3 @@ class TestCounters:
         engine.counters.reset()
         engine.replace_document("paras", 1, "new text")
         assert engine.counters.documents_indexed == 1
-
-
-class TestFileExchange:
-    def test_result_file_round_trip(self, engine, tmp_path):
-        path = str(tmp_path / "result.txt")
-        engine.query_to_file("paras", "www", path)
-        values = parse_result_file(path)
-        assert set(values) == {"OID1", "OID3"}
-        direct = engine.query("paras", "www").by_metadata(
-            engine.collection("paras"), "oid"
-        )
-        for oid, value in values.items():
-            assert value == pytest.approx(direct[oid], abs=1e-5)
-
-    def test_empty_result_file(self, engine, tmp_path):
-        path = str(tmp_path / "empty.txt")
-        engine.query_to_file("paras", "nonexistentterm", path)
-        assert parse_result_file(path) == {}
-
-    def test_missing_metadata_falls_back_to_doc_id(self, tmp_path):
-        engine = IRSEngine()
-        engine.create_collection("c")
-        engine.index_document("c", "some www text")
-        path = str(tmp_path / "r.txt")
-        engine.query_to_file("c", "www", path)
-        assert list(parse_result_file(path)) == ["doc:1"]

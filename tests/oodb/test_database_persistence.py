@@ -208,13 +208,35 @@ class TestIndexRecovery:
         assert db2.indexes.find("Doc", "n").lookup(42) == {late.oid}
         db2.close()
 
-    def test_index_kind_preserved(self, tmp_path):
+    def test_image_with_older_index_kinds_opens(self, tmp_path, monkeypatch):
+        """Older builds recorded a B-tree or hash ``kind`` per index; it is
+        ignored, and both indexes answer equality and range probes."""
         path = str(tmp_path)
         db = make_db(path)
-        db.create_index("Doc", "title", kind="hash")
+        db.create_index("Doc", "n")
+        db.create_index("Doc", "title")
+        docs = [db.create_object("Doc", title=f"t{i}", n=i) for i in range(6)]
+        kinds = {"n": "btree", "title": "hash"}
+        writer = Database._schema_payload
+
+        def older_shape(self):
+            payload = writer(self)
+            for entry in payload[-1]["__indexes__"]:
+                entry["kind"] = kinds[entry["attribute"]]
+            return payload
+
+        monkeypatch.setattr(Database, "_schema_payload", older_shape)
         db.close()
+        monkeypatch.undo()
         db2 = make_db(path)
-        assert db2.indexes.find("Doc", "title").kind == "hash"
+        recorded = db2._objects.manifest["schema"][-1]["__indexes__"]
+        assert sorted(entry["kind"] for entry in recorded) == ["btree", "hash"]
+        n_index, title_index = db2.indexes.find("Doc", "n"), db2.indexes.find("Doc", "title")
+        assert n_index.lookup(2) == {docs[2].oid}
+        assert n_index.range(">=", 4) == {docs[4].oid, docs[5].oid}
+        assert title_index.lookup("t1") == {docs[1].oid}
+        assert title_index.range("<", "t2") == {docs[0].oid, docs[1].oid}
+        assert db2.query("ACCESS d.n FROM d IN Doc WHERE d.title > 't3'") == [(4,), (5,)]
         db2.close()
 
     def test_queries_use_rebuilt_index(self, tmp_path):

@@ -63,16 +63,10 @@ class TestIndexSelection:
         plan = db.explain("ACCESS x FROM x IN Item WHERE x.v = 7")
         assert plan["variables"]["x"]["index_predicates"] == ["Item.v = 7"]
 
-    def test_range_uses_btree(self, db):
+    def test_range_uses_index(self, db):
         db.create_index("Item", "v")
         plan = db.explain("ACCESS x FROM x IN Item WHERE x.v > 40")
         assert "Item.v > 40" in plan["variables"]["x"]["index_predicates"]
-
-    def test_hash_index_not_used_for_range(self, db):
-        db.create_index("Item", "name", kind="hash")
-        plan = db.explain("ACCESS x FROM x IN Item WHERE x.name > 'a'")
-        assert plan["variables"]["x"]["index_predicates"] == []
-        assert plan["variables"]["x"]["residual_filters"] == 1
 
     def test_flipped_comparison_normalized(self, db):
         db.create_index("Item", "v")
