@@ -31,7 +31,7 @@ from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.models import MODELS, RetrievalModel
 from repro.irs.queries import parse_irs_query
-from repro.irs.segments import MergeScheduler, SegmentConfig
+from repro.irs.segments import SegmentConfig, select_candidates
 from repro.sync import ReadWriteLock
 
 logger = logging.getLogger(__name__)
@@ -171,7 +171,6 @@ class IRSEngine:
         #: Tuning of every collection's segment stack (seal thresholds,
         #: merge policy); see docs/api.md.
         self.segment_config = segment_config or SegmentConfig()
-        self._merge_scheduler: Optional[MergeScheduler] = None
         self.counters = EngineCounters()
         self.cache_stats = ResultCacheStats()
         #: Guards the collection registry and the per-collection lock table.
@@ -587,44 +586,23 @@ class IRSEngine:
     def compact_collection(self, name: str) -> bool:
         """Fold all of ``name``'s segments into one, purging tombstones.
 
-        Runs under the collection write lock; content-preserving, so the
-        epoch (and every cache keyed on it) is untouched.  Returns True
-        when a merge happened (False for nothing to fold or a single
-        clean segment).
+        The one fold of an in-memory system (a durable one also folds at
+        every checkpoint).  Runs under the collection write lock;
+        content-preserving, so the epoch (and every cache keyed on it) is
+        untouched.  Returns True when a fold happened (False for nothing
+        to fold or a single clean segment).
         """
         collection = self.collection(name)
         with self.mutating(name):
             return collection.compact()
 
-    def start_merge_scheduler(self, interval: Optional[float] = None) -> MergeScheduler:
-        """Start (or return) the background size-tiered merge scheduler."""
-        scheduler = self._merge_scheduler
-        if scheduler is None:
-            scheduler = MergeScheduler(self, interval)
-            self._merge_scheduler = scheduler
-        scheduler.start()
-        return scheduler
-
-    def stop_merge_scheduler(self) -> None:
-        """Stop the background merge scheduler if it is running."""
-        if self._merge_scheduler is not None:
-            self._merge_scheduler.stop()
-
-    @property
-    def merge_scheduler_running(self) -> bool:
-        """True while the background merge scheduler thread is alive."""
-        scheduler = self._merge_scheduler
-        return bool(scheduler is not None and scheduler.running)
-
     def merge_backlog(self) -> int:
-        """Sealed segments the size-tiered policy would merge right now.
+        """Sealed segments the size-tiered policy would fold right now.
 
-        A health signal: a persistently non-zero backlog means sealing is
-        outpacing the scheduler and reads are fanning out over ever more
-        segments.  Racy by design — a point-in-time read without locks.
+        What the next checkpoint folds (an in-memory system folds only
+        through :meth:`compact_collection`).  A point-in-time read without
+        locks.
         """
-        from repro.irs.segments.merge import select_candidates
-
         return sum(
             len(select_candidates(collection.segments))
             for collection in list(self._collections.values())

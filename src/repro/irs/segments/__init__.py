@@ -5,20 +5,17 @@ mutable in-memory memtable absorbing all writes, plus immutable sealed
 segments with tombstones for logical deletion — served to the retrieval
 models through a :class:`~repro.irs.view.UnionIndexView` (owned by the
 :class:`SegmentManager`) that reads exactly like an
-:class:`~repro.irs.inverted_index.InvertedIndex` of the live documents.  A
-size-tiered background :class:`MergeScheduler` folds sealed segments and
-purges tombstones without blocking queries.  See DESIGN.md §"Segmented
-indexing" for the lifecycle and epoch semantics.
+:class:`~repro.irs.inverted_index.InvertedIndex` of the live documents.
+Each checkpoint seals the memtable and folds the segments the size-tiered
+policy (:func:`select_candidates`) picks, purging tombstones.  See
+DESIGN.md §"Segmented indexing" for the lifecycle and epoch semantics.
 """
 
-from repro.irs.segments.manager import MergePlan, SegmentManager
-from repro.irs.segments.merge import MergeScheduler, select_candidates
+from repro.irs.segments.manager import SegmentManager, select_candidates
 from repro.irs.segments.segment import MemtableSegment, SealedSegment, SegmentConfig
 
 __all__ = [
     "MemtableSegment",
-    "MergePlan",
-    "MergeScheduler",
     "SealedSegment",
     "SegmentConfig",
     "SegmentManager",

@@ -20,20 +20,23 @@ One manager per collection owns:
     the view's per-term merged postings (keyed on ``(epoch, structure)``)
     are refreshed.
 
+Upkeep is synchronous (paper Section 4.6: the IRS is maintained at
+explicit points).  :meth:`SegmentManager.seal_and_fold` seals the
+memtable and folds what the size-tiered policy (:func:`select_candidates`)
+picks; the single-file store runs it at every checkpoint, and
+:meth:`SegmentManager.compact` folds everything on demand.
+
 Locking contract: mutators (``add_document``, ``remove_document``,
-``seal``, ``compact``, ``commit_merge``) require the collection's write
-lock; ``begin_merge`` requires at least the read lock (it snapshots
-tombstones); ``SealedSegment.merged`` building runs lock-free on immutable
-inputs.  The manager itself only carries a tiny admin mutex for the
-single-merge-in-flight flag.
+``seal``, ``fold``, ``seal_and_fold``, ``compact``) require the
+collection's write lock.
 """
 
 from __future__ import annotations
 
-import threading
+import math
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro import obs
 from repro.irs.segments.segment import (
@@ -45,21 +48,39 @@ from repro.irs.segments.segment import (
 Segment = Union[MemtableSegment, SealedSegment]
 
 
-@dataclass
-class MergePlan:
-    """A merge in flight: chosen inputs plus their tombstone snapshots."""
+def select_candidates(manager: "SegmentManager") -> List[SealedSegment]:
+    """Pick the next set of sealed segments to fold (empty when none).
 
-    segment_id: int
-    segments: List[SealedSegment]
-    snapshots: List[Set[int]] = field(default_factory=list)
-
-    def build(self) -> SealedSegment:
-        """Fold the inputs into one segment; runs without any lock."""
-        return SealedSegment.merged(self.segment_id, self.segments, self.snapshots)
+    Size-tiered: sealed segments are bucketed by
+    ``floor(log_fanout(live_docs))``; once a tier holds ``tier_fanout``
+    segments they are folded into one (smallest tier first, at most
+    ``max_merge_segments`` per fold).  Otherwise a segment whose tombstone
+    ratio reaches ``tombstone_purge_ratio`` is rewritten alone.
+    """
+    config = manager.config
+    sealed = manager.sealed_segments()
+    if not sealed:
+        return []
+    tiers: dict = {}
+    for segment in sealed:
+        live = max(1, segment.live_document_count)
+        tier = int(math.log(live, config.tier_fanout))
+        tiers.setdefault(tier, []).append(segment)
+    for tier in sorted(tiers):
+        group = tiers[tier]
+        if len(group) >= config.tier_fanout:
+            return group[: config.max_merge_segments]
+    for segment in sealed:
+        if (
+            segment.dead_documents
+            and segment.tombstone_ratio >= config.tombstone_purge_ratio
+        ):
+            return [segment]
+    return []
 
 
 class SegmentManager:
-    """Owns one collection's memtable, sealed segments and merge state."""
+    """Owns one collection's memtable and sealed segments."""
 
     def __init__(self, name: str, config: Optional[SegmentConfig] = None) -> None:
         self.name = name
@@ -75,10 +96,6 @@ class SegmentManager:
         self._structure = 0
         self._batch_depth = 0
         self._batch_dirty = False
-        #: Guards the one-merge-in-flight flag (begin may run under a read
-        #: lock, so two planners could race without it).
-        self._admin_lock = threading.Lock()
-        self._merging = False
         self.seals = 0
         self.merges = 0
         self.tombstones_purged = 0
@@ -266,76 +283,68 @@ class SegmentManager:
         self._epoch = 1
         return segment
 
-    # -- merging -----------------------------------------------------------
+    # -- folding (collection write lock held) ------------------------------
 
-    def begin_merge(self, segments: Sequence[SealedSegment]) -> Optional[MergePlan]:
-        """Claim a merge over ``segments`` and snapshot their tombstones.
+    def fold(self, segments: Sequence[SealedSegment]) -> SealedSegment:
+        """Replace the registered ``segments`` by one merged segment.
 
-        Requires at least the collection read lock (writers are excluded,
-        so the snapshots are consistent).  Returns None when another merge
-        is already in flight or a candidate is no longer registered.
+        Their tombstoned documents are purged; the merged segment takes the
+        stack position of the first input.  Content-preserving: bumps
+        :attr:`structure`, not :attr:`epoch`.
         """
-        with self._admin_lock:
-            if self._merging or not segments:
-                return None
-            if any(segment not in self._sealed for segment in segments):
-                return None
-            self._merging = True
-            plan = MergePlan(self._next_segment_id, list(segments))
+        started = time.perf_counter()
+        with obs.tracer().span(
+            "irs.segments.merge", collection=self.name, inputs=len(segments)
+        ) as span:
+            merged = SealedSegment.merged(self._next_segment_id, segments)
             self._next_segment_id += 1
-        plan.snapshots = [set(segment.tombstones) for segment in plan.segments]
-        return plan
-
-    def commit_merge(self, plan: MergePlan, merged: SealedSegment) -> None:
-        """Swap the merged segment in (collection write lock held).
-
-        Documents tombstoned on an input *after* the snapshot are physically
-        present in ``merged``; they are re-tombstoned here so no deletion is
-        lost, then the inputs are spliced out at the position of the first.
-        """
-        try:
-            purged = 0
-            for segment, snapshot in zip(plan.segments, plan.snapshots):
-                purged += len(snapshot)
-                for doc_id in segment.tombstones - snapshot:
-                    merged.tombstone(doc_id)
-            position = self._sealed.index(plan.segments[0])
-            retained = [s for s in self._sealed if s not in plan.segments]
+            span.set_attribute("documents", merged.live_document_count)
+            span.set_attribute("postings_bytes", merged.postings_bytes())
+            position = self._sealed.index(segments[0])
+            retained = [s for s in self._sealed if s not in segments]
             retained.insert(min(position, len(retained)), merged)
             self._sealed = retained
             for doc_id in merged.forward:
                 self._locator[doc_id] = merged
-            self._structure += 1
-            self.merges += 1
-            self.tombstones_purged += purged
-            registry = obs.metrics()
-            registry.counter("irs.segments.merges").inc()
-            registry.counter("irs.segments.merged_inputs").inc(len(plan.segments))
-            registry.counter("irs.segments.tombstones_purged").inc(purged)
-            registry.gauge("irs.segments.count." + self.name).set(self.segment_count)
-        finally:
-            with self._admin_lock:
-                self._merging = False
+        purged = sum(len(segment.tombstones) for segment in segments)
+        self._structure += 1
+        self.merges += 1
+        self.tombstones_purged += purged
+        elapsed = time.perf_counter() - started
+        registry = obs.metrics()
+        registry.counter("irs.segments.merges").inc()
+        registry.counter("irs.segments.merged_inputs").inc(len(segments))
+        registry.counter("irs.segments.tombstones_purged").inc(purged)
+        registry.histogram("irs.segments.merge_seconds").observe(elapsed)
+        registry.gauge("irs.segments.count." + self.name).set(self.segment_count)
+        obs.slow_log().record(
+            "merge", f"segments:{self.name}", elapsed, collection=self.name,
+            inputs=len(segments),
+        )
+        return merged
 
-    def abort_merge(self, plan: MergePlan) -> None:
-        with self._admin_lock:
-            self._merging = False
+    def seal_and_fold(self) -> int:
+        """Seal the memtable, then fold until :func:`select_candidates`
+        picks nothing; returns the number of folds.  The checkpoint step."""
+        self.seal()
+        folds = 0
+        candidates = select_candidates(self)
+        while candidates:
+            self.fold(candidates)
+            folds += 1
+            candidates = select_candidates(self)
+        return folds
 
     def compact(self) -> bool:
         """Seal and fold everything into one tombstone-free segment.
 
-        Requires the collection write lock.  Returns True when a merge
-        happened.  A no-op (False) when there is nothing to fold or a
-        background merge holds the in-flight flag.
+        Returns True when a fold happened; False when there is nothing to
+        fold or the stack already is one clean segment.
         """
         self.seal()
         if not self._sealed:
             return False
         if len(self._sealed) == 1 and not self._sealed[0].tombstones:
             return False
-        plan = self.begin_merge(list(self._sealed))
-        if plan is None:
-            return False
-        merged = plan.build()
-        self.commit_merge(plan, merged)
+        self.fold(list(self._sealed))
         return True

@@ -17,8 +17,8 @@ O(vocabulary), lets the statistics layer compute one document's norm
 without sweeping every postings list, and is what a merge reads to carry
 live documents into the merged segment.
 
-Everything here is lock-free by design: callers synchronize through the
-engine's per-collection :class:`~repro.sync.ReadWriteLock` (see
+Nothing here locks: callers synchronize through the engine's
+per-collection :class:`~repro.sync.ReadWriteLock` (see
 :mod:`repro.irs.segments.manager` for the locking contract of each call).
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.irs.inverted_index import InvertedIndex, Posting
 from repro.irs.postings import CompactIndex
@@ -54,16 +54,17 @@ class SegmentConfig:
     #: A sealed segment whose tombstone ratio reaches this is rewritten
     #: (merged alone) even when its size tier is not full.
     tombstone_purge_ratio: float = 0.25
-    #: Background scheduler: seconds between merge scans.
-    merge_interval_seconds: float = 0.05
-    #: Background scheduler: per-collection merge time budget per scan.
-    merge_budget_seconds: float = 0.25
+
+    def __post_init__(self) -> None:
+        # A fold of one segment of a full tier leaves the tier full, and
+        # ``SegmentManager.seal_and_fold`` would fold it forever.
+        if self.tier_fanout < 2 or self.max_merge_segments < 2:
+            raise ValueError("tier_fanout and max_merge_segments must be at least 2")
 
 
-def _live_entries(
-    segment: "SealedSegment", term: str, dead: Set[int]
-) -> Iterator[tuple]:
+def _live_entries(segment: "SealedSegment", term: str) -> Iterator[tuple]:
     """``(doc_id, tf, positions)`` of one input's live postings, doc order."""
+    dead = segment.tombstones
     for entry in segment.index.entries(term):
         if entry[0] not in dead:
             yield entry
@@ -279,30 +280,24 @@ class SealedSegment:
 
     @classmethod
     def merged(
-        cls,
-        segment_id: int,
-        segments: Sequence["SealedSegment"],
-        dead_sets: Sequence[Iterable[int]],
+        cls, segment_id: int, segments: Sequence["SealedSegment"]
     ) -> "SealedSegment":
-        """Fold ``segments`` into one, dropping the docs in ``dead_sets``.
+        """Fold ``segments`` into one, dropping their tombstoned documents.
 
-        ``dead_sets[i]`` is the tombstone *snapshot* of ``segments[i]`` taken
-        when the merge began; documents tombstoned after the snapshot are
-        re-tombstoned on the merged segment at commit (see
-        ``SegmentManager.commit_merge``).  Reads only the inputs' physical
-        structures, which are immutable, so it runs without any lock.
+        Reads only the inputs' postings and tombstones and registers
+        nothing: the caller (``SegmentManager.fold``) splices the result
+        in under the collection write lock.
 
         Build-once: live entries stream per term straight from the inputs'
         blocks through a k-way merge into the one record writer,
         :meth:`~repro.irs.postings.CompactIndex.from_entry_streams` — no
         dict-of-Posting intermediate is ever materialized.
         """
-        dead_sets = [set(dead) for dead in dead_sets]
         doc_lengths: Dict[int, int] = {}
         forward: Dict[int, Dict[str, int]] = {}
-        for segment, dead in zip(segments, dead_sets):
+        for segment in segments:
             for doc_id, length in segment.index._doc_lengths.items():
-                if doc_id not in dead:
+                if doc_id not in segment.tombstones:
                     doc_lengths[doc_id] = length
                     forward[doc_id] = {}
         all_terms: Set[str] = set()
@@ -312,10 +307,7 @@ class SealedSegment:
         def entries_of(term: str) -> Iterator[tuple]:
             # Doc-id ranges may interleave after earlier merges, so the
             # per-segment sorted streams go through a k-way heap merge.
-            streams = [
-                _live_entries(segment, term, dead)
-                for segment, dead in zip(segments, dead_sets)
-            ]
+            streams = [_live_entries(segment, term) for segment in segments]
             for doc_id, tf, positions in heapq.merge(*streams):
                 forward[doc_id][term] = tf
                 yield doc_id, tf, positions

@@ -216,9 +216,10 @@ class DocumentServer:
                     break  # peer vanished mid-frame; nothing to answer
                 except ProtocolError as exc:
                     # Oversized or malformed frame: the byte stream can no
-                    # longer be trusted — answer once and close.
-                    self._send_error(conn, None, exc)
+                    # longer be trusted — answer once and close.  Count it
+                    # first, so a client that got the answer sees the count.
                     obs.metrics().counter("net.frames.rejected").inc()
+                    self._send_error(conn, None, exc)
                     break
                 if request is None:
                     break  # clean EOF between frames

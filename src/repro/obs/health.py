@@ -7,10 +7,10 @@ ROADMAP, a remote load balancer) needs into a JSON-encodable report:
   high-watermark since start (``service.queue.depth_peak``), and the count
   of rejected requests.  A queue near capacity means clients are about to
   see :class:`~repro.errors.ServiceOverloadedError`.
-* **merge** — how many sealed segments the size-tiered policy would merge
-  right now (backlog), whether the scheduler is running, and total segment
+* **merge** — how many sealed segments the size-tiered policy would fold
+  right now (backlog: what the next checkpoint folds) and total segment
   count.  A growing backlog means reads are fanning out over ever more
-  segments.
+  segments between checkpoints.
 * **memtable** — unsealed documents/tokens and an approximate heap
   footprint, per :meth:`MemtableSegment.approx_bytes`.
 * **network** — socket-server admission (active/accepted/rejected
@@ -103,12 +103,8 @@ def _admission_section(services: Iterable[Any], registry) -> Dict[str, Any]:
 
 def _merge_section(engine) -> Dict[str, Any]:
     if engine is None:
-        return {"backlog": 0, "segments": 0, "scheduler_running": False}
-    return {
-        "backlog": engine.merge_backlog(),
-        "segments": engine.total_segments(),
-        "scheduler_running": engine.merge_scheduler_running,
-    }
+        return {"backlog": 0, "segments": 0}
+    return {"backlog": engine.merge_backlog(), "segments": engine.total_segments()}
 
 
 def _memtable_section(engine) -> Dict[str, Any]:

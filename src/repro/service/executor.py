@@ -127,7 +127,6 @@ class DocumentService:
         self._closed = False
         self._rng = random.Random(self.config.retry_seed)
         self._rng_lock = threading.Lock()
-        self._owns_merge_scheduler = False
         if self.config.auto_start:
             self.start()
 
@@ -151,13 +150,6 @@ class DocumentService:
             target=self._dispatch_loop, name="repro-service-dispatcher", daemon=True
         )
         self._dispatcher.start()
-        # A pooled service implies concurrent update traffic: run the
-        # engine's background segment merges alongside the worker pool.
-        engine = self.context.engine
-        scheduler = getattr(engine, "_merge_scheduler", None)
-        if scheduler is None or not scheduler.running:
-            engine.start_merge_scheduler()
-            self._owns_merge_scheduler = True
 
     def close(self) -> None:
         """Stop accepting work, fail queued requests, stop the pool."""
@@ -184,9 +176,6 @@ class DocumentService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._owns_merge_scheduler:
-            self.context.engine.stop_merge_scheduler()
-            self._owns_merge_scheduler = False
         obs.metrics().gauge("service.queue.depth").set(0)
 
     def __enter__(self) -> "DocumentService":

@@ -328,8 +328,7 @@ class Shell:
         )
         merge = health["merge"]
         self._print(
-            f"  merge: backlog={merge['backlog']} segments={merge['segments']} "
-            f"scheduler={'running' if merge['scheduler_running'] else 'stopped'}"
+            f"  merge: backlog={merge['backlog']} segments={merge['segments']}"
         )
         memtable = health["memtable"]
         self._print(

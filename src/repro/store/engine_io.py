@@ -14,10 +14,12 @@ changed since the previous one:
   ``(doc_id, revision)`` changed since the last checkpoint.  Removals are
   listed in the manifest; once the removal list outgrows the live set,
   the batches are rewritten from scratch (self-trimming).
-* **memtables** append, as the same native record a seal would write
-  (``CompactIndex.from_inverted``), only when the segment manager's
-  version moved.  A memtable loads as the last sealed segment, stamped
-  with its record, so after a restart that record is referenced again.
+
+Before writing a materialized collection's entry, the checkpoint seals
+its memtable and folds what the size-tiered policy picks
+(``SegmentManager.seal_and_fold``), under the collection's write lock: a
+manifest references only sealed segments, never a memtable, and a fold's
+inputs drop out of it (their records stay dead until :meth:`pack`).
 
 The manifest (one JSON record + footer per checkpoint) is the atomic
 commit: crash anywhere before the footer fsync leaves the previous
@@ -56,7 +58,7 @@ from repro.store.importer import import_store
 class _CollectionState:
     """Incremental bookkeeping for one collection between checkpoints."""
 
-    __slots__ = ("revisions", "batches", "removed", "mem_ref", "mem_version")
+    __slots__ = ("revisions", "batches", "removed")
 
     def __init__(self) -> None:
         #: doc id -> revision as of the last persisted batch.
@@ -65,18 +67,6 @@ class _CollectionState:
         self.batches: List[List[int]] = []
         #: doc ids persisted in some batch and since removed.
         self.removed: Set[int] = set()
-        #: the last-persisted memtable record and the manager version it held.
-        self.mem_ref: Optional[List[int]] = None
-        self.mem_version: Optional[tuple] = None
-
-
-def _index_records(entry: dict) -> List[Tuple[int, int, List[int]]]:
-    """``(offset, length, tombstones)`` of every index record of a manifest
-    entry: its sealed segments in order, then its memtable (none dead)."""
-    records = [(s["offset"], s["length"], s["tombstones"]) for s in entry["segments"]]
-    if entry["memtable"]:
-        records.append((*entry["memtable"], []))
-    return records
 
 
 class SingleFileStore:
@@ -134,7 +124,8 @@ class SingleFileStore:
                     collections[name] = previous[name]
                     continue
                 collection = engine.collection(name)
-                with engine.reading(name):
+                with engine.mutating(name):
+                    collection.segments.seal_and_fold()
                     collections[name] = self._collection_entry(name, collection)
             for name in list(self._state):
                 if name not in collections:
@@ -183,7 +174,10 @@ class SingleFileStore:
         }
         self._checkpoint_docs(state, collection, entry)
         entry["layout"] = "segmented"
-        entry.update(self._manager_entry(state, collection.segments))
+        entry["segments"] = [
+            self._segment_entry(segment)
+            for segment in collection.segments.sealed_segments()
+        ]
         return entry
 
     def _checkpoint_docs(self, state, collection, entry) -> None:
@@ -229,39 +223,14 @@ class SingleFileStore:
         entry["doc_batches"] = [list(ref) for ref in state.batches]
         entry["removed_docs"] = sorted(state.removed)
 
-    def _manager_entry(self, state, manager) -> dict:
-        """Index refs of the segment manager: sealed segments + memtable."""
-        segments = []
-        for segment in manager.sealed_segments():
-            offset, length = self._segment_ref(segment)
-            segments.append(
-                {
-                    "offset": offset,
-                    "length": length,
-                    "tombstones": sorted(segment.tombstones),
-                    "documents": segment.index.document_count,
-                }
-            )
-        memtable = manager.memtable
-        mem_ref = None
-        if memtable.document_count:
-            if (
-                state.mem_ref is not None
-                and state.mem_version == manager.index_version
-            ):
-                mem_ref = list(state.mem_ref)
-                self._reused += 1
-            else:
-                mem_ref = self._append(
-                    blocks.KIND_BLOCKS,
-                    CompactIndex.from_inverted(memtable.index).to_bytes(),
-                )
-                state.mem_ref = list(mem_ref)
-                state.mem_version = manager.index_version
-        else:
-            state.mem_ref = None
-            state.mem_version = None
-        return {"segments": segments, "memtable": mem_ref}
+    def _segment_entry(self, segment) -> dict:
+        offset, length = self._segment_ref(segment)
+        return {
+            "offset": offset,
+            "length": length,
+            "tombstones": sorted(segment.tombstones),
+            "documents": segment.index.document_count,
+        }
 
     def _segment_ref(self, segment) -> Tuple[int, int]:
         """The (offset, length) of a sealed segment — written at most once."""
@@ -324,19 +293,18 @@ class SingleFileStore:
     def _materialize(self, engine, name: str, entry: dict):
         """Build one collection and prime its incremental bookkeeping, so
         the very next checkpoint is already a delta: its documents, and
-        every segment (the memtable loads as the last one), are
-        referenced, not rewritten."""
+        every segment, are referenced, not rewritten."""
         from repro.irs.collection import IRSCollection
 
-        records = _index_records(entry)
+        refs = entry["segments"]
         segments = [
             {
                 "index": CompactIndex.from_bytes(
-                    self.file.read_record(offset, length, blocks.KIND_BLOCKS)
+                    self.file.read_record(ref["offset"], ref["length"], blocks.KIND_BLOCKS)
                 ),
-                "tombstones": tombstones,
+                "tombstones": ref["tombstones"],
             }
-            for offset, length, tombstones in records
+            for ref in refs
         ]
         payload = {
             "name": name,
@@ -356,10 +324,8 @@ class SingleFileStore:
         state.batches = [list(ref) for ref in entry["doc_batches"]]
         state.removed = set(entry["removed_docs"])
         self._state[name] = state
-        for segment, (offset, length, _tombstones) in zip(
-            collection.segments.sealed_segments(), records
-        ):
-            segment.store_stamp = (self.token, offset, length)
+        for segment, ref in zip(collection.segments.sealed_segments(), refs):
+            segment.store_stamp = (self.token, ref["offset"], ref["length"])
         return collection
 
     def _replay_docs(self, entry: dict) -> List[dict]:
@@ -443,8 +409,6 @@ class SingleFileStore:
             )
             segments.append(dict(segment, offset=offset, length=length))
         packed["segments"] = segments
-        mem_ref = entry["memtable"]
-        packed["memtable"] = self._copy_record(*mem_ref, new_file, remap) if mem_ref else None
         return packed
 
     def _copy_record(self, offset: int, length: int, new_file: StoreFile, remap) -> List[int]:
@@ -465,11 +429,6 @@ class SingleFileStore:
                 continue
             state.batches = [list(ref) for ref in entry["doc_batches"]]
             state.removed = set(entry["removed_docs"])
-            if state.mem_ref is not None:
-                moved = remap.get(state.mem_ref[0])
-                state.mem_ref = list(moved) if moved else None
-            if state.mem_ref is None:
-                state.mem_version = None
 
     # ------------------------------------------------------------------
     # accounting
@@ -484,8 +443,8 @@ class SingleFileStore:
         for entry in manifest["collections"].values():
             for offset, length in entry["doc_batches"]:
                 live[offset] = length
-            for offset, length, _tombstones in _index_records(entry):
-                live[offset] = length
+            for segment in entry["segments"]:
+                live[segment["offset"]] = segment["length"]
         return total + sum(live.values())
 
     def _update_size_gauges(self, registry) -> None:
@@ -500,9 +459,8 @@ class SingleFileStore:
 
         ``approx_bytes`` counts text characters of documents whose
         revision moved since the last checkpoint plus the heap estimate
-        of memtables not persisted at their current version — a trend
-        signal (how much would the next checkpoint write), not an exact
-        byte count.
+        of the memtables the next checkpoint seals — a trend signal (how
+        much would the next checkpoint write), not an exact byte count.
         """
         documents = 0
         approx_bytes = 0
@@ -516,11 +474,7 @@ class SingleFileStore:
                 if revisions.get(doc.doc_id) != doc.revision:
                     documents += 1
                     approx_bytes += len(doc.text)
-            manager = collection.segments
-            if manager.memtable.document_count and (
-                state is None or state.mem_version != manager.index_version
-            ):
-                approx_bytes += manager.memtable.approx_bytes()
+            approx_bytes += collection.segments.memtable.approx_bytes()
         return {"documents": documents, "approx_bytes": approx_bytes}
 
     def stats(self) -> Dict[str, Any]:

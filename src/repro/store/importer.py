@@ -1,19 +1,21 @@
 """The one importer: what older builds wrote, converted once at open.
 
 This build stores an index one way (docs/storage-format.md): a
-``segmented`` manifest entry whose sealed segments and memtable are
-native kind 6 records (``CompactIndex.to_bytes``).  Only this module
-reads the older shapes: ``flat`` entries (one INDEX record, kind 4),
-``sharded`` entries (per shard, its segments and its memtable), JSON
-SEGMENT (kind 2) and MEMTABLE (kind 3) records under any entry, and
-``irs_index/`` directories of per-collection JSON dumps.
+``segmented`` manifest entry whose sealed segments are native kind 6
+records (``CompactIndex.to_bytes``) and which names no memtable.  Only
+this module reads the older shapes: ``flat`` entries (one INDEX record,
+kind 4), ``sharded`` entries (per shard, its segments and its memtable),
+a ``memtable`` ref under any entry (a JSON MEMTABLE record, kind 3, or a
+native kind 6 one), JSON SEGMENT (kind 2) records, and ``irs_index/``
+directories of per-collection JSON dumps.
 
 :func:`import_store` runs whenever :class:`~repro.store.SingleFileStore`
 opens a manifest.  It writes each older record once more as kind 6
-(``CompactIndex.from_payload(...).to_bytes()``), makes its entry
-``segmented`` with the segments in the order the older layout loaded
-them — for each shard in order, its segments, then its memtable — and
-commits one manifest with the same documents, ``gens`` and ``engine``.
+(``CompactIndex.from_payload(...).to_bytes()``; a kind 6 record is
+referenced as it is), makes its entry ``segmented`` with the segments in
+the order the older layout loaded them — for each shard in order, its
+segments, then its memtable — and commits one manifest with the same
+documents, ``gens`` and ``engine``.
 A crash before that manifest's footer leaves the older manifest, which
 is imported again at the next open.
 """
@@ -54,12 +56,12 @@ def import_store(file, manifest: Optional[dict]) -> Optional[dict]:
 
 
 def _is_native(file, entry: dict) -> bool:
-    if entry["layout"] != "segmented" or "memtable" not in entry:
+    if entry["layout"] != "segmented" or "memtable" in entry:
         return False
-    offsets = [segment["offset"] for segment in entry["segments"]]
-    if entry["memtable"]:
-        offsets.append(entry["memtable"][0])
-    return all(file.record_kind(offset) == blocks.KIND_BLOCKS for offset in offsets)
+    return all(
+        file.record_kind(segment["offset"]) == blocks.KIND_BLOCKS
+        for segment in entry["segments"]
+    )
 
 
 def _native_entry(file, entry: dict) -> dict:
@@ -88,8 +90,11 @@ def _native_entry(file, entry: dict) -> dict:
                     "documents": index.document_count,
                 }
             )
-    native = {k: v for k, v in entry.items() if k not in ("index", "shards", "shard_count")}
-    native.update(layout="segmented", segments=segments, memtable=None)
+    native = {
+        k: v for k, v in entry.items()
+        if k not in ("index", "memtable", "shards", "shard_count")
+    }
+    native.update(layout="segmented", segments=segments)
     return native
 
 

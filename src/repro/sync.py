@@ -83,27 +83,6 @@ class ReadWriteLock:
             self._writer = me
             self._writer_depth = 1
 
-    def acquire_write_nowait(self) -> bool:
-        """Take the write lock only if it is free right now.
-
-        Never blocks and never queues: contended (readers active, another
-        writer holding, or this thread holding a read lock it would have to
-        upgrade) means False.  This is what lets the background merge
-        scheduler *yield* to foreground writers instead of stalling them —
-        a waiting ``acquire_write`` would block every new reader behind it
-        (writer preference) for the whole commit wait.
-        """
-        me = threading.get_ident()
-        with self._cond:
-            if self._writer == me:
-                self._writer_depth += 1
-                return True
-            if me in self._readers or self._writer or self._readers:
-                return False
-            self._writer = me
-            self._writer_depth = 1
-            return True
-
     def release_write(self) -> None:
         me = threading.get_ident()
         with self._cond:
@@ -131,13 +110,3 @@ class ReadWriteLock:
             yield
         finally:
             self.release_write()
-
-    @contextmanager
-    def try_writing(self) -> Iterator[bool]:
-        """Non-blocking write attempt; yields whether the lock was taken."""
-        acquired = self.acquire_write_nowait()
-        try:
-            yield acquired
-        finally:
-            if acquired:
-                self.release_write()

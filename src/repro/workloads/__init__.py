@@ -1,4 +1,4 @@
-"""``repro.workloads`` — corpora, query workloads and metrics.
+"""``repro.workloads`` — corpora and metrics.
 
 The paper's MMF document base is proprietary; this package generates
 seeded synthetic MMF corpora with controllable topic placement (so every
@@ -8,7 +8,6 @@ document base, and provides the counters/metrics the benchmarks print.
 
 from repro.workloads.corpus import CorpusGenerator, TOPICS
 from repro.workloads.figure4 import load_figure4, figure4_documents
-from repro.workloads.queries import MixedQueryGenerator
 from repro.workloads import metrics
 
 __all__ = [
@@ -16,6 +15,5 @@ __all__ = [
     "TOPICS",
     "load_figure4",
     "figure4_documents",
-    "MixedQueryGenerator",
     "metrics",
 ]

@@ -25,7 +25,7 @@ from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import BLOCK_SIZE, CompactIndex
-from repro.irs.segments import SegmentConfig, SegmentManager
+from repro.irs.segments import SealedSegment, SegmentConfig, SegmentManager
 from repro.irs.view import UnionIndexView
 from tests.legacy import ShardedHistory
 
@@ -255,26 +255,25 @@ def segments_before_merge_case() -> Case:
 
 
 def segments_mid_merge_case() -> Case:
-    """A merge is built but not committed; a delete landed after its snapshot."""
+    """A merge is built but not folded in; a delete landed before the build."""
     collection, live = _segmented_collection(6)
-    manager = collection.segments
-    plan = manager.begin_merge(manager.sealed_segments()[:3])
-    victim = sorted(plan.segments[0].forward)[0]
+    inputs = collection.segments.sealed_segments()[:3]
+    victim = sorted(inputs[0].forward)[0]
     collection.remove_document(victim)
     del live[victim]
-    plan.build()  # the inputs stay registered until the commit
+    SealedSegment.merged(0, inputs)  # the inputs stay registered
     return Case(collection.index, live, collection=collection)
 
 
 def segments_after_merge_case() -> Case:
     collection, live = _segmented_collection(7)
     manager = collection.segments
-    plan = manager.begin_merge(manager.sealed_segments()[:3])
-    victim = sorted(plan.segments[1].forward)[0]
+    inputs = manager.sealed_segments()[:3]
+    victim = sorted(inputs[1].forward)[0]
+    manager.fold(inputs)
     collection.remove_document(victim)
     del live[victim]
-    manager.commit_merge(plan, plan.build())
-    assert victim in manager.sealed_segments()[0].tombstones, "re-tombstoned at commit"
+    assert victim in manager.sealed_segments()[0].tombstones, "tombstoned after the fold"
     return Case(collection.index, live, collection=collection)
 
 

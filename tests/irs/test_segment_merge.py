@@ -1,21 +1,20 @@
-"""Merge policy, merge protocol, and the background scheduler."""
+"""Merge policy, the fold, and the checkpoint's seal-and-fold step."""
 
 from __future__ import annotations
 
 import random
-import threading
 
 import pytest
 
+from repro import obs
 from repro.irs.engine import IRSEngine
 from repro.irs.segments import (
-    MergeScheduler,
+    SealedSegment,
     SegmentConfig,
     SegmentManager,
     select_candidates,
 )
 from repro.irs.view import UnionIndexView
-from repro.sync import ReadWriteLock
 
 WORDS = ["www", "nii", "telnet", "database", "retrieval"] + [
     f"w{i}" for i in range(15)
@@ -77,55 +76,55 @@ class TestSelectCandidates:
         assert select_candidates(manager) == []
 
 
-class TestMergeProtocol:
-    def test_only_one_merge_at_a_time(self):
-        manager, _ = manager_with_segments([4, 4, 4])
-        plan = manager.begin_merge(manager.sealed_segments())
-        assert plan is not None
-        assert manager.begin_merge(manager.sealed_segments()) is None
-        manager.abort_merge(plan)
-        assert manager.begin_merge(manager.sealed_segments()) is not None
-
-    def test_commit_replays_post_snapshot_tombstones(self):
-        manager, view = manager_with_segments([4, 4, 4])
-        before = set(view.document_ids())
-        plan = manager.begin_merge(manager.sealed_segments())
-        # A foreground delete lands *after* the snapshot, mid-build.
-        victim = sorted(manager.sealed_segments()[0].forward)[0]
-        manager.remove_document(victim)
-        merged = plan.build()
-        assert merged.is_live(victim), "built from the pre-delete snapshot"
-        manager.commit_merge(plan, merged)
-        assert len(manager.sealed_segments()) == 1
-        assert set(view.document_ids()) == before - {victim}
-        assert not view.has_document(victim)
-
-    def test_commit_purges_snapshot_tombstones(self):
+class TestFold:
+    def test_fold_purges_tombstones(self):
         manager, view = manager_with_segments([4, 4, 4])
         victim = sorted(manager.sealed_segments()[1].forward)[0]
         manager.remove_document(victim)
         assert manager.tombstone_count() == 1
-        plan = manager.begin_merge(manager.sealed_segments())
-        manager.commit_merge(plan, plan.build())
+        manager.fold(manager.sealed_segments())
         assert manager.tombstone_count() == 0
         assert manager.tombstones_purged == 1
         assert not view.has_document(victim)
 
-    def test_merge_preserves_epoch_and_bumps_structure(self):
+    def test_fold_preserves_epoch_and_bumps_structure(self):
         manager, _ = manager_with_segments([4, 4, 4])
         epoch, structure = manager.epoch, manager.structure
-        plan = manager.begin_merge(manager.sealed_segments())
-        manager.commit_merge(plan, plan.build())
+        manager.fold(manager.sealed_segments())
         assert manager.epoch == epoch
         assert manager.structure == structure + 1
 
-    def test_abort_leaves_segments_untouched(self):
+    def test_building_a_merge_leaves_segments_untouched(self):
         manager, view = manager_with_segments([4, 4, 4])
         before = view.to_payload()
-        plan = manager.begin_merge(manager.sealed_segments())
-        manager.abort_merge(plan)
+        SealedSegment.merged(99, manager.sealed_segments())
         assert view.to_payload() == before
         assert len(manager.sealed_segments()) == 3
+
+    def test_fold_records_its_counters_histogram_and_span(self):
+        manager, _ = manager_with_segments([4, 4, 4])
+        manager.remove_document(sorted(manager.sealed_segments()[0].forward)[0])
+        with obs.instrumentation() as (tracer, metrics):
+            manager.fold(manager.sealed_segments())
+            snapshot = metrics.snapshot()
+            spans = [
+                span for root in tracer.finished_traces() for span in root.iter_spans()
+                if span.name == "irs.segments.merge"
+            ]
+        counters = snapshot["counters"]
+        assert counters["irs.segments.merges"] == 1
+        assert counters["irs.segments.merged_inputs"] == 3
+        assert counters["irs.segments.tombstones_purged"] == 1
+        assert snapshot["histograms"]["irs.segments.merge_seconds"]["count"] == 1
+        assert [span.attributes["inputs"] for span in spans] == [3]
+
+    def test_fold_takes_the_position_of_its_first_input(self):
+        manager, view = manager_with_segments([40, 4, 4, 4])
+        big, *small = manager.sealed_segments()
+        before = set(view.document_ids())
+        merged = manager.fold(small)
+        assert manager.sealed_segments() == [big, merged]
+        assert set(view.document_ids()) == before
 
 
 class TestEngineCompaction:
@@ -157,6 +156,15 @@ class TestEngineCompaction:
         assert stats._doc_norms, "content-preserving merge must not invalidate"
         assert stats.document_norm(1) == norm
 
+    def test_indexing_alone_never_folds(self):
+        engine = self._engine(documents=14)
+        manager = engine.collection("docs").segments
+        assert engine.merge_backlog() > 0
+        assert manager.merges == 0
+        engine.compact_collection("docs")
+        assert manager.merges == 1
+        assert engine.merge_backlog() == 0
+
     def test_query_results_survive_compaction(self):
         engine = self._engine(documents=14)
         before = {
@@ -171,97 +179,47 @@ class TestEngineCompaction:
                 assert value == pytest.approx(expected[doc_id], abs=1e-9)
 
 
-class TestMergeScheduler:
-    def _engine(self):
-        engine = IRSEngine(
-            segment_config=SegmentConfig(
-                seal_document_count=3, tier_fanout=2, merge_interval_seconds=0.01
-            )
-        )
-        engine.create_collection("docs")
+class TestSealAndFold:
+    def _manager(self):
+        config = SegmentConfig(seal_document_count=3, tier_fanout=2)
+        manager = SegmentManager("docs", config)
+        view = UnionIndexView(manager)
         rng = random.Random(11)
-        for _ in range(13):
-            engine.index_document("docs", " ".join(rng.choices(WORDS, k=6)))
-        return engine
+        for doc_id in range(1, 14):
+            manager.add_document(doc_id, rng.choices(WORDS, k=6))
+        return manager, view
 
-    def test_run_once_merges_within_budget(self):
-        engine = self._engine()
-        collection = engine.collection("docs")
-        before_segments = len(collection.segments.sealed_segments())
-        before_docs = set(collection.index.document_ids())
-        scheduler = MergeScheduler(engine, interval=0.01)
-        merges = scheduler.run_once()
-        assert merges >= 1
-        assert len(collection.segments.sealed_segments()) < before_segments
-        assert set(collection.index.document_ids()) == before_docs
+    def test_seal_and_fold_merges_and_keeps_documents(self):
+        manager, view = self._manager()
+        before_segments = len(manager.sealed_segments())
+        before_docs = set(view.document_ids())
+        assert manager.seal_and_fold() >= 1
+        assert len(manager.sealed_segments()) < before_segments
+        assert set(view.document_ids()) == before_docs
 
-    def test_run_once_skips_collections_with_nothing_sealed(self):
-        engine = IRSEngine(segment_config=SegmentConfig(tier_fanout=2))
-        engine.create_collection("unsealed")
-        engine.index_document("unsealed", "www nii")
-        engine.index_document("unsealed", "telnet gopher")
-        manager = engine.collection("unsealed").segments
-        assert MergeScheduler(engine, interval=0.01).run_once() == 0
-        assert not manager.sealed_segments()
-        assert manager.memtable.document_count == 2
+    def test_seal_and_fold_folds_a_full_tier_with_an_empty_memtable(self):
+        manager, view = manager_with_segments([4, 4, 4])
+        before = set(view.document_ids())
+        assert manager.memtable.document_count == 0
+        assert manager.seal_and_fold() == 1
+        assert len(manager.sealed_segments()) == 1
+        assert set(view.document_ids()) == before
 
-    def test_engine_owns_one_scheduler(self):
-        engine = self._engine()
-        scheduler = engine.start_merge_scheduler(interval=0.01)
-        try:
-            assert scheduler.running
-            assert engine.start_merge_scheduler() is scheduler
-        finally:
-            engine.stop_merge_scheduler()
-        assert not scheduler.running
+    def test_seal_and_fold_keeps_the_epoch(self):
+        manager, _ = self._manager()
+        epoch = manager.epoch
+        manager.seal_and_fold()
+        assert manager.epoch == epoch
 
-    def test_background_thread_converges(self):
-        engine = self._engine()
-        collection = engine.collection("docs")
-        scheduler = engine.start_merge_scheduler(interval=0.005)
-        try:
-            done = threading.Event()
+    @pytest.mark.parametrize("knob", ["tier_fanout", "max_merge_segments"])
+    def test_a_fold_of_one_segment_per_tier_is_refused(self, knob):
+        with pytest.raises(ValueError):
+            SegmentConfig(**{knob: 1})
 
-            def probe():
-                import time
-
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    if not select_candidates(collection.segments):
-                        done.set()
-                        return
-                    time.sleep(0.01)
-
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-            assert done.is_set(), "scheduler never drained the merge candidates"
-        finally:
-            engine.stop_merge_scheduler()
-
-
-class TestCooperativeWriteAcquire:
-    def test_nowait_fails_under_reader(self):
-        lock = ReadWriteLock()
-        with lock.reading():
-            assert lock.acquire_write_nowait() is False
-        assert lock.acquire_write_nowait() is True
-        lock.release_write()
-
-    def test_try_writing_context(self):
-        lock = ReadWriteLock()
-        with lock.try_writing() as acquired:
-            assert acquired is True
-        with lock.reading():
-            with lock.try_writing() as acquired:
-                assert acquired is False
-
-    def test_nowait_is_reentrant_for_the_writer(self):
-        lock = ReadWriteLock()
-        assert lock.acquire_write_nowait() is True
-        assert lock.acquire_write_nowait() is True
-        lock.release_write()
-        lock.release_write()
-        # fully released: a reader can get in again
-        with lock.reading():
-            pass
+    def test_seal_and_fold_leaves_no_candidates_and_no_memtable(self):
+        manager, _ = self._manager()
+        assert manager.memtable.document_count
+        manager.seal_and_fold()
+        assert select_candidates(manager) == []
+        assert manager.memtable.document_count == 0
+        assert manager.seal_and_fold() == 0

@@ -177,11 +177,14 @@ class TestPerDocumentNorms:
 class TestPayloads:
     def test_segmented_round_trip(self, tmp_path):
         """Sealed segments, their tombstones and the memtable survive a
-        checkpoint into the store; the memtable comes back sealed."""
+        checkpoint into the store; the checkpoint seals the memtable.  The
+        policy here folds nothing, so the stack keeps its shape."""
         from repro.irs.engine import IRSEngine
         from repro.store import SingleFileStore
 
-        engine = IRSEngine(segment_config=small_config())
+        engine = IRSEngine(
+            segment_config=small_config(tier_fanout=8, tombstone_purge_ratio=0.5)
+        )
         engine.create_collection("pay")
         rng = random.Random(16)
         for _ in range(11):
@@ -189,7 +192,7 @@ class TestPayloads:
         engine.remove_document("pay", 2)
         engine.remove_document("pay", 7)
         collection = engine.collection("pay")
-        sealed = collection.segments.sealed_segments()
+        sealed = list(collection.segments.sealed_segments())
         assert any(segment.tombstones for segment in sealed)
         assert collection.segments.memtable.document_count
         path = str(tmp_path / "irs.store")

@@ -19,7 +19,7 @@ import pytest
 
 from repro.irs.engine import MODELS, IRSEngine
 from repro.irs.queries import parse_irs_query
-from repro.irs.segments import SegmentConfig
+from repro.irs.segments import SealedSegment, SegmentConfig
 from repro.irs import topk
 from tests.legacy import ShardedHistory
 
@@ -182,12 +182,11 @@ class TestMidMergeReads:
         manager.seal()
         sealed = manager.sealed_segments()
         assert len(sealed) >= 2
-        plan = manager.begin_merge(list(sealed))
-        assert plan is not None
-        merged = plan.build()
-        # Merge built but not committed: queries still see the old stack.
+        merged = SealedSegment.merged(0, list(sealed))
+        assert merged is not None
+        # Merge built but not folded in: queries still see the old stack.
         _assert_equivalent(engine, ks=(1, 10))
-        manager.commit_merge(plan, merged)
+        manager.fold(list(sealed))
         # And the swapped-in merged segment scores identically too.
         _assert_equivalent(engine, ks=(1, 10))
 

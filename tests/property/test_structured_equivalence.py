@@ -52,7 +52,7 @@ from repro.irs.models.base import compile_query
 from repro.irs.models.probabilistic import DEFAULT_BELIEF
 from repro.irs.models.reference import NaiveInferenceNetworkModel
 from repro.irs.queries import OperatorNode, ProximityNode, TermNode
-from repro.irs.segments import SegmentConfig
+from repro.irs.segments import SealedSegment, SegmentConfig
 from repro.irs.topk import topk_scores, truncate_top_k
 from tests.legacy import ShardedHistory
 
@@ -227,11 +227,10 @@ class TestStructuredEquivalence:
         checker.check(collection, "segmented")
         manager = collection.segments
         manager.seal()
-        plan = manager.begin_merge(list(manager.sealed_segments()))
-        assert plan is not None
-        merged = plan.build()
-        checker.check(collection, "segmented, merge built but not committed")
-        manager.commit_merge(plan, merged)
+        merged = SealedSegment.merged(0, list(manager.sealed_segments()))
+        assert merged is not None
+        checker.check(collection, "segmented, merge built but not folded in")
+        manager.fold(list(manager.sealed_segments()))
         checker.check(collection, "segmented, merged")
 
     @_SETTINGS

@@ -132,6 +132,19 @@ class TestSerialReplayEquivalence:
         assert len({r.epoch for r in results}) == 1
 
 
+class TestThreads:
+    def test_a_pooled_service_starts_only_its_dispatcher_and_workers(
+        self, system, collection
+    ):
+        before = set(threading.enumerate())
+        with DocumentService(system.db, ServiceConfig(workers=2)) as service:
+            assert service.query(collection, "telnet", timeout=10)
+            started = set(threading.enumerate()) - before
+        names = sorted(thread.name for thread in started)
+        assert "repro-service-dispatcher" in names
+        assert all(name.startswith("repro-service") for name in names), names
+
+
 class TestRetry:
     def _config(self, injector, **kw):
         return ServiceConfig(

@@ -185,7 +185,8 @@ class TestOlderStoreFile:
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
     def test_entry_is_segmented_from_open(self, tmp_path, layout):
         """The import at open writes the entry as ``segmented``; touching
-        its collection then rewrites nothing."""
+        its collection then rewrites nothing: the checkpoint appends only
+        what it folds."""
         name = FIXTURE_COLLECTION[layout]
         path = store_copy(tmp_path)
         store = SingleFileStore(path)
@@ -194,8 +195,11 @@ class TestOlderStoreFile:
         assert not {"index", "shards", "shard_count"} & set(before[name])
         engine = store.load_engine()
         engine.collection(name)
-        assert store.checkpoint(engine)["records_appended"] == 0
-        assert store.manifest["collections"] == before
+        assert store.checkpoint(engine)["records_appended"] == folds(engine)
+        after = store.manifest["collections"]
+        assert after == before or folds(engine)
+        for key in ("analyzer", "doc_batches", "document_count", "next_doc_id", "removed_docs"):
+            assert after[name][key] == before[name][key], key
         store.pack()
         store.close()
         again = SingleFileStore(path)
@@ -234,6 +238,13 @@ def touch_all(engine):
     return engine
 
 
+def folds(engine):
+    """Folds run on ``engine``'s materialized collections.  A checkpoint
+    after an import appends nothing else: it folds what the size-tiered
+    policy picks among the imported segments and writes each output once."""
+    return sum(c.segments.merges for c in engine._collections.values())
+
+
 class TestOlderSegmentRecords:
     """``irs.store``'s six JSON segment records load as they always did:
     opening the store writes each once as a native record, and ``pack``
@@ -248,7 +259,7 @@ class TestOlderSegmentRecords:
             assert set(segment_kinds(store.file, store.manifest)) == {blocks.KIND_BLOCKS}
             engine = store.load_engine()
             assert_matches(engine, want)
-            assert store.checkpoint(touch_all(engine))["records_appended"] == 0
+            assert store.checkpoint(touch_all(engine))["records_appended"] == folds(engine)
             store.pack()
         assert not {blocks.KIND_SEGMENT, blocks.KIND_MEMTABLE, blocks.KIND_INDEX} & set(
             record_kinds(path)
@@ -290,7 +301,7 @@ class TestNativeStoreFile:
             assert_matches(engine, BLOCKS_STORE)
             # Native segments keep their records; each JSON memtable was
             # written once more at open, as a segment.
-            assert store.checkpoint(touch_all(engine))["records_appended"] == 0
+            assert store.checkpoint(touch_all(engine))["records_appended"] == folds(engine)
 
 
 SHARDED_SYSTEM = expected("sharded_system_expected.json")
@@ -334,7 +345,8 @@ class TestOlderSystemDirectory:
         """Opening writes ``segmented``: the shards' JSON segment records
         and their memtables are written again, once each, as native
         segments — no more records than the writer's build appended at a
-        touched checkpoint.  A checkpoint after a touch writes nothing, and
+        touched checkpoint.  A checkpoint after a touch writes only what
+        it folds, and
         ``pack`` reclaims what only the shard entry referenced."""
         path = system_copy(tmp_path)
         stale = raw_manifest(os.path.join(path, "irs.store"))["collections"]["paras"]
@@ -355,7 +367,7 @@ class TestOlderSystemDirectory:
             assert len(entry["segments"]) == len(kept) + len(memtables)
             assert len(entry["segments"]) <= WRITER_RECORDS["touched"]
             system.engine.collection("paras")
-            assert system.checkpoint()["records_appended"] == 0
+            assert system.checkpoint()["records_appended"] == folds(system.engine)
             assert store.manifest["engine"] == {"default_model": "inquery"}
             dead = store.stats()["dead_bytes"]
             assert dead >= sum(length for _offset, length in [*kept, *memtables])
@@ -613,7 +625,7 @@ class TestShardedEntryOfAnyShardCount:
             assert len(entry["segments"]) == len(kept) + len(memtables)
             engine = store.load_engine()
             engine.collection("docs")
-            assert store.checkpoint(engine)["records_appended"] == 0
+            assert store.checkpoint(engine)["records_appended"] == folds(engine)
             shard_records = sum(length for _offset, length in [*kept, *memtables])
             assert store.stats()["dead_bytes"] >= shard_records
             assert store.pack()["reclaimed_bytes"] >= shard_records

@@ -1,12 +1,22 @@
 """The importer: opening a store converts what older builds wrote, once.
 
 ``repro.store.importer`` turns every ``flat`` and ``sharded`` manifest
-entry into a ``segmented`` one and writes every JSON index record
-(SEGMENT, MEMTABLE, INDEX) once more as a native kind 6 record, in one
-manifest commit at open.  The commit is crash-safe at every byte, every
-fixture an older build wrote comes out native with the writer's
-rankings, a native store opens without writing, and the memtable record
-this build writes is referenced again after a restart.
+entry into a ``segmented`` one, writes every JSON index record (SEGMENT,
+MEMTABLE, INDEX) once more as a native kind 6 record, and makes a kind 6
+memtable ref the entry's last segment, in one manifest commit at open.
+The commit is crash-safe at every byte, every fixture an older build
+wrote comes out native with the writer's rankings, a native store opens
+without writing, and a checkpoint seals the memtable into a segment
+record that is referenced again after a restart.
+
+``fixtures/memtable.store`` was written by the last build that stored
+memtables: two collections over unicode terms, sealed every four
+documents, checkpointed twice.  ``mixed`` has two sealed segments (one
+document tombstoned in each: one removed, one revised) and a kind 6
+memtable of three documents (one removed from it before the second
+checkpoint); ``fresh`` is a kind 6 memtable of three documents and no
+segment.  ``memtable_store_expected.json`` holds the writer's documents
+and rankings.
 """
 
 import os
@@ -23,6 +33,7 @@ from tests.store.test_cross_loading import (
     FIXTURES,
     assert_matches,
     expected,
+    folds,
     populate,
     record_kinds,
     unpartitioned_want,
@@ -32,6 +43,7 @@ from tests.store.test_cross_loading import (
 STORES = {
     "irs.store": "store_expected.json",
     "blocks.store": "blocks_store_expected.json",
+    "memtable.store": "memtable_store_expected.json",
 }
 SYSTEM_STORES = ["sharded_system/irs.store", "wal_system/irs.store"]
 
@@ -49,14 +61,13 @@ def raw_manifest(path):
 
 
 def assert_native(store):
-    """Every entry is ``segmented`` and every index record it references
-    verifies as kind 6."""
+    """Every entry is ``segmented``, names no memtable, and every index
+    record it references verifies as kind 6."""
     for entry in store.manifest["collections"].values():
         assert entry["layout"] == "segmented"
-        assert not {"index", "shards", "shard_count"} & set(entry)
-        refs = [[s["offset"], s["length"]] for s in entry["segments"]]
-        for offset, length in refs + ([entry["memtable"]] if entry["memtable"] else []):
-            store.file.read_record(offset, length, blocks.KIND_BLOCKS)
+        assert not {"index", "memtable", "shards", "shard_count"} & set(entry)
+        for segment in entry["segments"]:
+            store.file.read_record(segment["offset"], segment["length"], blocks.KIND_BLOCKS)
 
 
 @pytest.mark.parametrize("fixture", sorted(STORES))
@@ -95,15 +106,17 @@ def test_crash_at_every_byte_of_the_import_commit(tmp_path, fixture):
 @pytest.mark.parametrize("fixture", sorted(STORES) + SYSTEM_STORES)
 def test_each_fixture_is_native_after_open(tmp_path, fixture):
     """The import keeps documents, removals, ``gens`` and ``engine``,
-    appends only native segments and one manifest, and a second open
-    appends nothing."""
+    appends only native segments (none when every record already is one)
+    and one manifest, and a second open appends nothing."""
     path = copied(tmp_path, fixture)
     before = raw_manifest(path)
     kinds_before = len(record_kinds(path))
     with SingleFileStore(path) as store:
         assert_native(store)
         after = store.manifest
-    assert set(record_kinds(path)[kinds_before:]) == {blocks.KIND_BLOCKS, blocks.KIND_MANIFEST}
+    appended = record_kinds(path)[kinds_before:]
+    assert appended.count(blocks.KIND_MANIFEST) == 1
+    assert set(appended) <= {blocks.KIND_BLOCKS, blocks.KIND_MANIFEST}
     assert after["checkpoint_id"] == before["checkpoint_id"] + 1
     assert (after["gens"], after["engine"]) == (before["gens"], before["engine"])
     for name, entry in before["collections"].items():
@@ -120,7 +133,8 @@ def test_sharded_entry_imports_in_shard_order(tmp_path, shards):
     """A ``sharded`` entry of one, two or three shards becomes one
     ``segmented`` entry whose segments are, shard by shard, its sealed
     segments and then its memtable; it ranks like the unpartitioned
-    collection, and a second open appends nothing."""
+    collection, a checkpoint appends only what it folds, and a second
+    open appends nothing."""
     history = populate(
         ShardedHistory("docs", shards, segment_config=SegmentConfig(seal_document_count=4))
     )
@@ -137,16 +151,38 @@ def test_sharded_entry_imports_in_shard_order(tmp_path, shards):
         loaded = engine.collection("docs").segments.sealed_segments()
         assert [sorted(s.index.doc_lengths) for s in loaded] == order
         assert_matches(engine, unpartitioned_want())
-        assert store.checkpoint(engine)["records_appended"] == 0
+        assert store.checkpoint(engine)["records_appended"] == folds(engine)
     size = os.path.getsize(path)
     with SingleFileStore(path) as store:
         assert_native(store)
     assert os.path.getsize(path) == size
 
 
-def test_a_restarted_memtable_is_referenced_not_rewritten(tmp_path):
-    """The checkpoint writes the memtable as the native record a seal
-    would; after a restart it loads as the last sealed segment and the
+def test_a_kind_6_memtable_becomes_the_last_segment(tmp_path):
+    """A ``memtable`` ref of kind 6 is referenced as the entry's last
+    segment, with no tombstones: the import appends only the manifest."""
+    path = copied(tmp_path, "memtable.store")
+    before = raw_manifest(path)["collections"]
+    kinds_before = len(record_kinds(path))
+    with SingleFileStore(path) as store:
+        after = store.manifest["collections"]
+        for name, entry in before.items():
+            offset, length = entry["memtable"]
+            assert after[name]["segments"] == entry["segments"] + [
+                {
+                    "offset": offset,
+                    "length": length,
+                    "tombstones": [],
+                    "documents": after[name]["segments"][-1]["documents"],
+                }
+            ], name
+        assert_matches(store.load_engine(), expected("memtable_store_expected.json"))
+    assert record_kinds(path)[kinds_before:] == [blocks.KIND_MANIFEST]
+
+
+def test_a_checkpoint_seals_the_memtable_into_a_referenced_record(tmp_path):
+    """The checkpoint seals the memtable and writes the native record a
+    seal writes; the manifest names no memtable, and after a restart the
     next checkpoint references that record.  The store writes no record
     kinds but documents, manifests and native index records."""
     engine = IRSEngine()
@@ -157,15 +193,19 @@ def test_a_restarted_memtable_is_referenced_not_rewritten(tmp_path):
     path = str(tmp_path / "irs.store")
     with SingleFileStore(path) as store:
         store.checkpoint(engine)
-        mem_ref = store.manifest["collections"]["docs"]["memtable"]
+        entry = store.manifest["collections"]["docs"]
+        assert "memtable" not in entry
+        (segment,) = entry["segments"]
+        mem_ref = [segment["offset"], segment["length"]]
         assert store.file.read_record(*mem_ref, blocks.KIND_BLOCKS) == (
             CompactIndex.from_inverted(memtable.index).to_bytes()
         )
+    assert engine.collection("docs").segments.memtable.document_count == 0
     with SingleFileStore(path) as store:
         restored = store.load_engine(lazy=False)
         stats = store.checkpoint(restored)
         entry = store.manifest["collections"]["docs"]
     assert stats["records_appended"] == 0
     assert [[s["offset"], s["length"]] for s in entry["segments"]] == [mem_ref]
-    assert entry["memtable"] is None
+    assert "memtable" not in entry
     assert set(record_kinds(path)) == {blocks.KIND_DOCS, blocks.KIND_MANIFEST, blocks.KIND_BLOCKS}

@@ -153,7 +153,7 @@ class TestIncremental:
         engine, store, first = opened(tmp_path, layout)
         engine.index_document("docs", "one more tiny document", {"oid": "NEW"})
         delta = store.checkpoint(engine)
-        assert 0 < delta["records_appended"] <= 2  # doc batch + memtable
+        assert 0 < delta["records_appended"] <= 2  # doc batch + sealed memtable
         assert delta["bytes_appended"] < first["bytes_appended"]
         store.close()
 
