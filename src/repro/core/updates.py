@@ -264,10 +264,24 @@ def _index(
     # Phase 2 — engine mutations only, atomic for concurrent readers.  The
     # bulk context coalesces the whole window's epoch bumps into one, so a
     # batch of N pending updates evicts epoch-keyed caches once, not N times.
+    # New documents wait in ``fresh`` for one batch, flushed before any remove
+    # or replace: doc ids come out as one call per document would give them.
+    fresh: Dict[str, List[str]] = {}
+
+    def flush() -> None:
+        doc_ids = iter(engine.index_documents(irs_name, [
+            (piece, {"oid": key}) for key, pieces in fresh.items() for piece in pieces
+        ]))
+        changed.update((key, [next(doc_ids) for _ in pieces]) for key, pieces in fresh.items())
+        fresh.clear()
+
     indexed = 0
     with engine.bulk_mutating(irs_name):
         for op, oid_str, pieces in planned:
             old_ids = changed[oid_str] if oid_str in changed else doc_map.get(oid_str)
+            if fresh and (old_ids or oid_str in fresh):
+                flush()
+                old_ids = changed.get(oid_str, old_ids)
             if op == DELETE:
                 for doc_id in old_ids or []:
                     try:
@@ -290,11 +304,10 @@ def _index(
                     engine.remove_document(irs_name, doc_id)
                 except DocumentMissingError:
                     pass
-            new_ids = []
-            for piece in pieces:
-                new_ids.append(engine.index_document(irs_name, piece, {"oid": oid_str}))
-                indexed += 1
-            changed[oid_str] = new_ids
+            fresh[oid_str] = pieces
+            indexed += len(pieces)
+        if fresh:
+            flush()
     context.counters.add("documents_indexed", indexed)
     return changed
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.errors import DocumentMissingError
 from repro.irs.analysis import Analyzer
@@ -118,11 +118,21 @@ class IRSCollection:
 
     def add_document(self, text: str, metadata: Optional[Dict[str, str]] = None) -> int:
         """Index ``text``; returns the new IRS document id."""
-        doc_id = self._next_doc_id
-        self._next_doc_id += 1
-        self._documents[doc_id] = IRSDocument(doc_id, text, dict(metadata or {}))
-        self.segments.add_document(doc_id, self.analyzer.tokens(text))
-        return doc_id
+        return self.add_documents([(text, metadata)])[0]
+
+    def add_documents(self, items: Sequence[tuple]) -> List[int]:
+        """Index ``(text, metadata)`` items as one batch; returns their new
+        doc ids.  Each text is analysed when ``SegmentManager.add_documents``
+        reaches it."""
+        doc_ids = list(range(self._next_doc_id, self._next_doc_id + len(items)))
+        self._next_doc_id += len(items)
+        for doc_id, (text, metadata) in zip(doc_ids, items):
+            self._documents[doc_id] = IRSDocument(doc_id, text, dict(metadata or {}))
+        tokens = self.analyzer.tokens
+        self.segments.add_documents(
+            (doc_id, tokens(text)) for doc_id, (text, _metadata) in zip(doc_ids, items)
+        )
+        return doc_ids
 
     def remove_document(self, doc_id: int) -> None:
         """Delete a document and its postings."""

@@ -18,7 +18,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs.telemetry import active_profile
@@ -338,16 +338,21 @@ class IRSEngine:
         self, collection_name: str, text: str, metadata: Optional[Dict[str, str]] = None
     ) -> int:
         """Add one document to a collection; returns its IRS doc id."""
+        return self.index_documents(collection_name, [(text, metadata)])[0]
+
+    def index_documents(self, collection_name: str, items: Sequence[tuple]) -> List[int]:
+        """Add ``(text, metadata)`` items to a collection as one batch;
+        returns their IRS doc ids (see ``SegmentManager.add_documents``)."""
         collection = self.collection(collection_name)
         with self.mutating(collection_name):
             epoch_before = collection.index.epoch
-            doc_id = collection.add_document(text, metadata)
+            doc_ids = collection.add_documents(items)
             epoch_after = collection.index.epoch
-        self.counters.inc("documents_indexed")
+        self.counters.inc("documents_indexed", len(doc_ids))
         registry = obs.metrics()
-        registry.counter("irs.index.additions").inc()
+        registry.counter("irs.index.additions").inc(len(doc_ids))
         registry.counter("irs.index.epoch_bumps").inc(epoch_after - epoch_before)
-        return doc_id
+        return doc_ids
 
     def remove_document(self, collection_name: str, doc_id: int) -> None:
         """Remove one document from a collection."""

@@ -13,9 +13,9 @@ postings lists are materialized once per term and reused until the term is
 touched again.  Every mutation bumps :attr:`InvertedIndex.epoch`.
 
 This dict form is the memtable of every collection's segment stack
-(:mod:`repro.irs.segments`), where writes land; sealed segments hold the
-compact block form of :mod:`repro.irs.postings`.  Tests also build it from
-scratch as the reference a fresh rebuild is compared against.
+(:mod:`repro.irs.segments`), where small writes land; sealed segments, and
+the full chunks of an indexing batch, take the compact block form of
+:mod:`repro.irs.postings`.  Tests also build it as the fresh-rebuild reference.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ A block decodes independently of every other block: the first gap of block
 A :class:`CompactIndex` *is* its store record (docs/storage-format.md, kind
 6): the payload bytes plus the columns parsed from them.  A term is an
 ordinal into those shared columns — there is no per-term object — and its
-doc and position streams are byte ranges of the one payload.  Seal, merge
-and the JSON import all feed one writer that emits the payload, and every
-index is read from a payload through one parse, so :meth:`to_bytes` returns
-the record it holds and nothing converts between two layouts.
+doc and position streams are byte ranges of the one payload.  Seal, bulk
+indexing, merge and the JSON import all feed per-term columns to one writer
+(:meth:`CompactIndex.from_columns`), every index is read through one parse,
+so :meth:`to_bytes` returns the record it holds and nothing converts layouts.
 
 The mutable memtable keeps the dict form; both forms are read the same two
 ways — ``term_columns`` (decoded ``(doc_ids, tfs)`` blocks, what scoring
@@ -45,7 +45,8 @@ import sys
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import sub
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreCorruptionError
 from repro.irs.compression import vbyte_decode_stream, vbyte_encode
@@ -81,6 +82,20 @@ def _pack(columns: List[list], names: List[bytes], streams: List[bytes]) -> byte
             column.byteswap()
         parts.append(column.tobytes())
     return b"".join(parts + names + streams)
+
+
+def add_posting(column: tuple, doc_id: int, positions: Sequence[int]) -> None:
+    """Append one document's ascending ``positions`` to a term's ``column``:
+    ``(doc_ids, tfs, gap-encoded positions, position offset per block)``."""
+    ids, tfs, pos, pos_offsets = column
+    if not len(ids) % BLOCK_SIZE:
+        pos_offsets.append(len(pos))
+    ids.append(doc_id)
+    tfs.append(len(positions))
+    previous = 0
+    for position in positions:
+        pos += vbyte_encode(position - previous)
+        previous = position
 
 
 class CompactIndex:
@@ -136,11 +151,29 @@ class CompactIndex:
         streams: Iterable[Tuple[str, Iterable[tuple]]],
         doc_lengths: Dict[int, int],
     ) -> "CompactIndex":
-        """The one writer: ``(term, [(doc_id, tf, positions), ...])`` streams,
-        doc ids strictly ascending per term, encoded straight into the
-        kind-6 payload and parsed back (:meth:`from_bytes`).  A term whose
-        stream is empty is left out.  Merges feed it without any
-        dict-of-Posting intermediate."""
+        """``(term, [(doc_id, tf, positions), ...])`` streams, doc ids
+        strictly ascending per term, as columns of :meth:`from_columns`:
+        how seal, merge and the JSON import feed it."""
+
+        def column(entries: Iterable[tuple]) -> tuple:
+            out: tuple = ([], [], bytearray(), [])
+            for doc_id, _tf, positions in entries:
+                if out[0] and doc_id <= out[0][-1]:
+                    raise ValueError("doc ids must be strictly ascending")
+                if not positions:
+                    raise ValueError("a posting needs at least one position")
+                add_posting(out, doc_id, positions)
+            return out
+
+        return cls.from_columns(((term, column(e)) for term, e in streams), doc_lengths)
+
+    @classmethod
+    def from_columns(
+        cls, columns: Iterable[Tuple[str, tuple]], doc_lengths: Dict[int, int]
+    ) -> "CompactIndex":
+        """The one writer: ``(term, column)`` pairs (:func:`add_posting`)
+        encoded straight into the kind-6 payload and parsed back
+        (:meth:`from_bytes`); a term with no document is left out."""
         names: List[bytes] = []
         rows: List[Tuple[int, ...]] = []
         offsets: List[int] = []
@@ -148,38 +181,22 @@ class CompactIndex:
         max_tfs: List[int] = []
         pos_offsets: List[int] = []
         streams_out: List[bytes] = []
-        for term, entries in streams:
-            ids: List[int] = []
-            tfs: List[int] = []
-            pos = bytearray()
-            for doc_id, _tf, positions in entries:
-                if ids and doc_id <= ids[-1]:
-                    raise ValueError("doc ids must be strictly ascending")
-                if not positions:
-                    raise ValueError("a posting needs at least one position")
-                if not len(ids) % BLOCK_SIZE:
-                    pos_offsets.append(len(pos))
-                ids.append(doc_id)
-                tfs.append(len(positions))
-                previous = 0
-                for position in positions:
-                    pos += vbyte_encode(position - previous)
-                    previous = position
+        for term, (ids, tfs, pos, term_pos_offsets) in columns:
             if not ids:
                 continue
             data = bytearray()
             offsets.append(0)
             base = 0
             for start in range(0, len(ids), BLOCK_SIZE):
+                block_ids = ids[start: start + BLOCK_SIZE]
                 block_tfs = tfs[start: start + BLOCK_SIZE]
-                for doc_id in ids[start: start + BLOCK_SIZE]:
-                    data += vbyte_encode(doc_id - base)
-                    base = doc_id
-                for tf in block_tfs:
-                    data += vbyte_encode(tf)
+                data += b"".join(map(vbyte_encode, map(sub, block_ids, [base, *block_ids[:-1]])))
+                data += b"".join(map(vbyte_encode, block_tfs))
+                base = block_ids[-1]
                 offsets.append(len(data))
                 last_docs.append(base)
                 max_tfs.append(max(block_tfs))
+            pos_offsets += term_pos_offsets
             name = term.encode("utf-8")
             names.append(name)
             rows.append((len(name), len(ids), sum(tfs), -(-len(ids) // BLOCK_SIZE),

@@ -26,9 +26,9 @@ memtable and folds what the size-tiered policy (:func:`select_candidates`)
 picks; the single-file store runs it at every checkpoint, and
 :meth:`SegmentManager.compact` folds everything on demand.
 
-Locking contract: mutators (``add_document``, ``remove_document``,
-``seal``, ``fold``, ``seal_and_fold``, ``compact``) require the
-collection's write lock.
+Locking contract: mutators (``add_document``, ``add_documents``,
+``remove_document``, ``seal``, ``fold``, ``seal_and_fold``, ``compact``)
+require the collection's write lock.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.irs.segments.segment import (
@@ -165,12 +165,39 @@ class SegmentManager:
         self._token_count -= self._doc_lengths.pop(doc_id)
         self._bump_epoch()
 
+    def add_documents(self, batch: Iterable[Tuple[int, List[str]]]) -> None:
+        """Index new ``(doc_id, terms)``, doc ids ascending, cut exactly
+        where :meth:`add_document` would seal: the batch first fills a
+        memtable that holds documents, then every full chunk becomes a
+        sealed segment at once (:meth:`SealedSegment.from_documents`), and
+        the remainder goes to the memtable.  The batch is read lazily."""
+        chunk: List[Tuple[int, List[str]]] = []
+        tokens = 0
+        with self.batched_epoch():
+            for doc_id, terms in batch:
+                if self._memtable.document_count:
+                    self.add_document(doc_id, terms)
+                    continue
+                if doc_id in self._doc_lengths or (chunk and doc_id <= chunk[-1][0]):
+                    raise ValueError(f"document {doc_id} already indexed or out of order")
+                chunk.append((doc_id, terms))
+                tokens += len(terms)
+                if self._full(len(chunk), tokens):
+                    sealed = SealedSegment.from_documents(self._memtable.segment_id, chunk)
+                    self._doc_lengths.update(sealed.index.doc_lengths)
+                    self._token_count += tokens
+                    self._bump_epoch()
+                    self._install(sealed)
+                    chunk, tokens = [], 0
+            for doc_id, terms in chunk:
+                self.add_document(doc_id, terms)
+
+    def _full(self, documents: int, tokens: int) -> bool:
+        config = self.config
+        return documents >= config.seal_document_count or tokens >= config.seal_token_count
+
     def _maybe_seal(self) -> None:
-        memtable = self._memtable
-        if (
-            memtable.document_count >= self.config.seal_document_count
-            or memtable.token_count >= self.config.seal_token_count
-        ):
+        if self._full(self._memtable.document_count, self._memtable.token_count):
             self.seal()
 
     def seal(self) -> Optional[SealedSegment]:
@@ -181,7 +208,10 @@ class SegmentManager:
         """
         if not self._memtable.document_count:
             return None
-        sealed = self._memtable.seal()
+        return self._install(self._memtable.seal())
+
+    def _install(self, sealed: SealedSegment) -> SealedSegment:
+        # ``sealed`` took the memtable's segment id: a fresh memtable starts.
         self._sealed.append(sealed)
         for doc_id in sealed.forward:
             self._locator[doc_id] = sealed

@@ -2,12 +2,12 @@
 
 A collection's postings live in a stack of segments:
 
-* :class:`MemtableSegment` — the single mutable in-memory segment.  All
-  writes (indexObjects, update propagation) land here; removal is physical
-  because the memtable is small.
+* :class:`MemtableSegment` — the single mutable in-memory segment.  Small
+  writes land here; removal is physical because the memtable is small.
 * :class:`SealedSegment` — an immutable segment produced by sealing a full
-  memtable (or by merging).  Its postings never change; deletion is logical
-  via :meth:`SealedSegment.tombstone`, which records per-term dead
+  memtable, by inverting a seal-sized chunk of an indexing batch, or by
+  merging.  Its postings never change; deletion is logical via
+  :meth:`SealedSegment.tombstone`, which records per-term dead
   document/collection frequencies so merged statistics stay integer-exact
   without rescanning postings.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.irs.inverted_index import InvertedIndex, Posting
-from repro.irs.postings import CompactIndex
+from repro.irs.postings import CompactIndex, add_posting
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ class MemtableSegment:
 
         The handover re-encodes the memtable's dict postings into the
         compact block form — O(memtable tokens) once per sealed segment,
-        amortized across the writes that filled it.
+        amortized across the small writes that filled it (a batch's full
+        chunks skip the memtable: :meth:`SealedSegment.from_documents`).
         """
         compact = CompactIndex.from_inverted(self.index)
         return SealedSegment(self.segment_id, compact, self.forward)
@@ -276,6 +277,30 @@ class SealedSegment:
             segment.tombstone(int(doc_id))
         return segment
 
+    @classmethod
+    def from_documents(cls, segment_id: int, documents: Sequence[tuple]) -> "SealedSegment":
+        """Invert analysed ``(doc_id, terms)``, ids ascending, straight into
+        a sealed segment: one pass fills the terms' columns and the forward
+        map, and no per-posting object outlives its document.  Terms keep
+        first-occurrence order, so the memtable's seal writes the same bytes."""
+        columns: Dict[str, tuple] = {}
+        forward: Dict[int, Dict[str, int]] = {}
+        for doc_id, terms in documents:
+            grouped: Dict[str, List[int]] = {}
+            for position, term in enumerate(terms):
+                grouped.setdefault(term, []).append(position)
+            vector = forward[doc_id] = {}
+            for term, at in grouped.items():
+                column = columns.get(term)
+                if column is None:
+                    column = columns[term] = ([], [], bytearray(), [])
+                add_posting(column, doc_id, at)
+                vector[term] = len(at)
+        index = CompactIndex.from_columns(
+            columns.items(), {doc_id: len(terms) for doc_id, terms in documents}
+        )
+        return cls(segment_id, index, forward)
+
     # -- merging ----------------------------------------------------------
 
     @classmethod
@@ -289,8 +314,8 @@ class SealedSegment:
         in under the collection write lock.
 
         Build-once: live entries stream per term straight from the inputs'
-        blocks through a k-way merge into the one record writer,
-        :meth:`~repro.irs.postings.CompactIndex.from_entry_streams` — no
+        blocks through a k-way merge into the one record writer's columns
+        (:meth:`~repro.irs.postings.CompactIndex.from_entry_streams`) — no
         dict-of-Posting intermediate is ever materialized.
         """
         doc_lengths: Dict[int, int] = {}
