@@ -325,9 +325,9 @@ class SealedSegment:
                 if doc_id not in segment.tombstones:
                     doc_lengths[doc_id] = length
                     forward[doc_id] = {}
-        all_terms: Set[str] = set()
-        for segment in segments:
-            all_terms.update(segment.index.terms())
+        # Each term at its first appearance across the inputs, in input
+        # order: a fold's bytes follow from its inputs, not from str hashing.
+        all_terms = dict.fromkeys(term for segment in segments for term in segment.index.terms())
 
         def entries_of(term: str) -> Iterator[tuple]:
             # Doc-id ranges may interleave after earlier merges, so the

@@ -4,8 +4,9 @@
 catalog and query processor into the single entry point applications use.
 It supports two persistence modes:
 
-* **ephemeral** (``Database()``) — everything in memory, WAL in memory too;
-  used by tests and short-lived experiments;
+* **ephemeral** (``Database()``) — everything in memory and nothing logged
+  (there is nothing to recover; rollback reads the transaction's undo
+  list); used by tests and short-lived experiments;
 * **durable** (``Database(directory=...)``) — an object file plus a WAL in
   a directory; :meth:`checkpoint` appends the objects changed since the
   previous one to ``objects.store`` and resets the log in place, and
@@ -23,7 +24,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.errors import SchemaError, TransactionError
@@ -69,9 +70,8 @@ class Database:
         self._txn_gate = threading.RLock()
 
         self._objects: Optional[ObjectFile] = None
-        if directory is None:
-            self._wal = WriteAheadLog()
-        else:
+        self._wal: Optional[WriteAheadLog] = None  # a database in memory logs nothing
+        if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self._objects = ObjectFile(os.path.join(directory, _OBJECTS_FILE))
             snapshot_path = os.path.join(directory, _SNAPSHOT_FILE)
@@ -95,7 +95,7 @@ class Database:
             raise TransactionError("a transaction is already active on this thread")
         txn = Transaction(self)
         with self._txn_gate:
-            self._wal.append(wal_records.BEGIN, txn.txn_id)
+            self._log(wal_records.BEGIN, txn)
             self._open_txns.add(txn)
         self._local.txn = txn
         obs.metrics().counter("oodb.txn.begins").inc()
@@ -110,8 +110,7 @@ class Database:
 
     def _finish_transaction(self, txn: Transaction, committed: bool) -> None:
         """Called by Transaction.commit/rollback."""
-        kind = wal_records.COMMIT if committed else wal_records.ABORT
-        self._wal.append(kind, txn.txn_id)
+        self._log(wal_records.COMMIT if committed else wal_records.ABORT, txn)
         self._locks.release_all(txn.txn_id)
         with self._txn_gate:
             self._open_txns.discard(txn)
@@ -155,23 +154,36 @@ class Database:
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
 
-    def _log_autocommit(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Log one autocommitted mutation (already applied to the store).
+    def _log(
+        self,
+        kind: str,
+        txn: Optional[Transaction],
+        payload: Optional[Callable[[], Dict[str, Any]]] = None,
+    ) -> None:
+        """Append a record under ``txn``: every record is logged here.
 
-        Alone it is its own implicit transaction, BEGIN to COMMIT; inside
-        :meth:`autocommit_group` it joins the group's transaction.
+        With no transaction the record is a mutation already applied to
+        the store, and autocommitted: alone, BEGIN to COMMIT; inside
+        :meth:`autocommit_group`, in the group's transaction.  Only a
+        durable database logs: without a directory there is nothing to
+        recover, and this returns before ``payload`` builds the payload.
         """
-        group = getattr(self._local, "group", None)
-        if group is None:
-            txn_id = Transaction(self).txn_id
-            self._wal.append(wal_records.BEGIN, txn_id)
-            self._wal.append(kind, txn_id, payload)
-            self._wal.append(wal_records.COMMIT, txn_id)
+        wal = self._wal
+        if wal is None:
             return
-        if not group:
-            group.append(Transaction(self).txn_id)
-            self._wal.append(wal_records.BEGIN, group[0])
-        self._wal.append(kind, group[0], payload)
+        if txn is None:
+            group = getattr(self._local, "group", None)
+            if group is None:
+                txn = Transaction(self)
+                wal.append(wal_records.BEGIN, txn.txn_id)
+                wal.append(kind, txn.txn_id, payload())
+                wal.append(wal_records.COMMIT, txn.txn_id)
+                return
+            if not group:
+                group.append(Transaction(self))
+                wal.append(wal_records.BEGIN, group[0].txn_id)
+            txn = group[0]
+        wal.append(kind, txn.txn_id, None if payload is None else payload())
 
     @contextmanager
     def autocommit_group(self) -> Iterator[None]:
@@ -190,14 +202,14 @@ class Database:
         if self._current_txn() is not None or getattr(self._local, "group", None) is not None:
             yield
             return
-        group: List[int] = []
+        group: List[Transaction] = []
         self._local.group = group
         try:
             yield
         finally:
             self._local.group = None
             if group:
-                self._wal.append(wal_records.COMMIT, group[0])
+                self._log(wal_records.COMMIT, group[0])
 
     # ------------------------------------------------------------------
     # Object lifecycle
@@ -206,24 +218,59 @@ class Database:
     def create_object(self, class_name: str, **attributes: Any) -> DBObject:
         """Create an instance of ``class_name``; keyword args set attributes
         (logged inside its one ``CREATE`` record)."""
-        self.schema.get_class(class_name)  # validates existence
-        for attr, value in attributes.items():
-            self._check_type(class_name, attr, value)
+        self._check_values([(class_name, attributes)])
         oid = self._allocator.allocate()
-        encoded = {k: encode_value(v) for k, v in attributes.items()}
-        payload = {"oid": oid.value, "class": class_name, "attributes": encoded}
-        txn = self._current_txn()
-        if txn is not None:
-            self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
-            txn.record_undo(self._undo_create, oid)
-            self._store.create(oid, class_name, attributes)
-            self._wal.append(wal_records.CREATE, txn.txn_id, payload)
-        else:
-            self._store.create(oid, class_name, attributes)
-            self._log_autocommit(wal_records.CREATE, payload)
-        for attr, value in attributes.items():
-            self._reindex_attribute(oid, class_name, attr, None, value)
+        self._create_checked([(oid, class_name, attributes)])
         return DBObject(self, oid, class_name)
+
+    def allocate_oids(self, count: int) -> List[OID]:
+        """The next ``count`` OIDs, for :meth:`create_objects`."""
+        return [self._allocator.allocate() for _ in range(count)]
+
+    def create_objects(self, entries: Sequence[Tuple[OID, str, Dict[str, Any]]]) -> None:
+        """Create an object per ``(oid from allocate_oids, class, attributes)``,
+        each as :meth:`create_object` would, taking over the dictionaries.
+
+        Attributes may refer to objects of the batch.  No object is created
+        unless every value type-checks; types and indexes are looked up
+        once per class and attribute.
+        """
+        self._check_values((class_name, attributes) for _oid, class_name, attributes in entries)
+        self._create_checked(entries)
+
+    def _check_values(self, objects: Iterable[Tuple[str, Dict[str, Any]]]) -> None:
+        """Raise unless each class exists and each value has its attribute's
+        declared type (undeclared attributes take any value)."""
+        declared: Dict[str, Dict[str, Any]] = {}
+        for class_name, attributes in objects:
+            if class_name not in declared:
+                declared[class_name] = self.schema.all_attributes(class_name)
+            for attr, value in attributes.items():
+                adef = declared[class_name].get(attr)
+                if adef is not None and not adef.check(value):
+                    raise SchemaError(
+                        f"value {value!r} does not match type {adef.type_name} of "
+                        f"{class_name}.{attr}"
+                    )
+
+    def _create_checked(self, entries: Sequence[Tuple[OID, str, Dict[str, Any]]]) -> None:
+        txn = self._current_txn()
+        covering: Dict[Tuple[str, str], List[AttributeIndex]] = {}
+        for oid, class_name, attributes in entries:
+            if txn is not None:
+                self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
+                txn.record_undo(self._undo_create, oid)
+            self._store.create(oid, class_name, attributes)
+            self._log(wal_records.CREATE, txn, lambda: {
+                "oid": oid.value,
+                "class": class_name,
+                "attributes": {k: encode_value(v) for k, v in attributes.items()},
+            })
+            for attr, value in attributes.items():
+                if (class_name, attr) not in covering:
+                    covering[class_name, attr] = self._indexes_covering(class_name, attr)
+                for index in covering[class_name, attr]:
+                    index.insert(value, oid)  # None is not indexed
 
     def _undo_create(self, oid: OID) -> None:
         if self._store.exists(oid):
@@ -240,10 +287,9 @@ class Database:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
             stored = self._store.delete(oid)
             txn.record_undo(self._undo_delete, oid, stored)
-            self._wal.append(wal_records.DELETE, txn.txn_id, {"oid": oid.value})
         else:
             self._store.delete(oid)
-            self._log_autocommit(wal_records.DELETE, {"oid": oid.value})
+        self._log(wal_records.DELETE, txn, lambda: {"oid": oid.value})
         self._unindex_object(oid, class_name, attributes)
 
     def _undo_delete(self, oid: OID, stored: _StoredObject) -> None:
@@ -302,35 +348,21 @@ class Database:
                 column[oid] = self.read_attribute(oid, attr)  # the default
         return column
 
-    def _check_type(self, class_name: str, attr: str, value: Any) -> None:
-        adef = self.schema.find_attribute(class_name, attr)
-        if adef is not None and not adef.check(value):
-            raise SchemaError(
-                f"value {value!r} does not match type {adef.type_name} of "
-                f"{class_name}.{attr}"
-            )
-
     def write_attribute(self, oid: OID, attr: str, value: Any) -> None:
         """Write ``attr``; type-checked when declared, logged, index-maintained."""
         class_name = self._store.class_of(oid)
-        self._check_type(class_name, attr, value)
+        self._check_values([(class_name, {attr: value})])
         old_value = self._store.read(oid, attr)
         txn = self._current_txn()
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
             previous = self._store.write(oid, attr, value)
             txn.record_undo(self._undo_write, oid, attr, previous, old_value)
-            self._wal.append(
-                wal_records.WRITE,
-                txn.txn_id,
-                {"oid": oid.value, "attr": attr, "value": encode_value(value)},
-            )
         else:
             self._store.write(oid, attr, value)
-            self._log_autocommit(
-                wal_records.WRITE,
-                {"oid": oid.value, "attr": attr, "value": encode_value(value)},
-            )
+        self._log(wal_records.WRITE, txn, lambda: {
+            "oid": oid.value, "attr": attr, "value": encode_value(value),
+        })
         self._reindex_attribute(oid, class_name, attr, old_value, value)
 
     def _undo_write(self, oid: OID, attr: str, previous: Any, old_value: Any) -> None:
@@ -382,13 +414,6 @@ class Database:
                 raise SchemaError(
                     f"{class_name}.{attr} has type {type_name}, not DICT"
                 )
-        payload = {
-            "oid": oid.value,
-            "attr": attr,
-            "path": [encode_value(key) for key in path],
-        }
-        if not delete:
-            payload["value"] = encode_value(value)
         txn = self._current_txn()
         if txn is not None:
             self._locks.acquire(txn.txn_id, oid, LockMode.EXCLUSIVE)
@@ -398,9 +423,14 @@ class Database:
             raise SchemaError(str(exc)) from exc
         if txn is not None:
             txn.record_undo(self._undo_write_item, oid, token)
-            self._wal.append(wal_records.ITEM, txn.txn_id, payload)
-        else:
-            self._log_autocommit(wal_records.ITEM, payload)
+
+        def payload() -> Dict[str, Any]:
+            item = {"oid": oid.value, "attr": attr, "path": [encode_value(key) for key in path]}
+            if not delete:
+                item["value"] = encode_value(value)
+            return item
+
+        self._log(wal_records.ITEM, txn, payload)
         return version
 
     def _undo_write_item(self, oid: OID, token: tuple) -> None:
@@ -638,7 +668,8 @@ class Database:
             return
         with self.no_open_transactions():
             self.checkpoint()
-            self._wal.close()
+            if self._wal is not None:
+                self._wal.close()
             if self._objects is not None:
                 self._objects.close()
             self._closed = True
@@ -767,8 +798,4 @@ class Database:
 
     def _log_schema(self, payload: Dict[str, Any]) -> None:
         """Append a committed SCHEMA record (DDL auto-commits)."""
-        txn = self._current_txn()
-        if txn is not None:
-            self._wal.append(wal_records.SCHEMA, txn.txn_id, payload)
-        else:
-            self._log_autocommit(wal_records.SCHEMA, payload)
+        self._log(wal_records.SCHEMA, self._current_txn(), lambda: payload)

@@ -86,10 +86,11 @@ class ObjectStore:
     # -- object lifecycle -----------------------------------------------------
 
     def create(self, oid: OID, class_name: str, attributes: Optional[dict] = None) -> None:
-        """Register a new object of ``class_name`` under ``oid``."""
+        """Register a new object of ``class_name`` under ``oid``; the object
+        takes ``attributes`` over, not a copy."""
         if oid in self._objects:
             raise ValueError(f"{oid} already exists")
-        self._objects[oid] = _StoredObject(class_name, dict(attributes or {}))
+        self._objects[oid] = _StoredObject(class_name, {} if attributes is None else attributes)
         self._extents.setdefault(class_name, set()).add(oid)
 
     def delete(self, oid: OID) -> _StoredObject:

@@ -28,9 +28,9 @@ record *without* ``"value"`` deletes the item (a collection's ``doc_map``
 loses a member this way); replaying it where the item, or a dictionary on
 the path, is already gone changes nothing, so it is idempotent like the rest.
 
-An in-memory log (``path=None``) has nothing to recover and nothing that
-resets it, so it keeps only its most recent :data:`MEMORY_RECORDS`
-records — what tests and tooling look at — while LSNs keep counting.
+Only a durable database (one with a directory) logs.  A database kept in
+memory has nothing to recover, and its rollback reads the transaction's
+undo list, so it opens no log and appends no record.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ import re
 import threading
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import RecoveryError
@@ -63,10 +62,6 @@ ABORT = "ABORT"
 CHECKPOINT = "CHECKPOINT"  # written by older builds only
 
 _RECORD_KINDS = {BEGIN, WRITE, ITEM, CREATE, DELETE, SCHEMA, COMMIT, ABORT, CHECKPOINT}
-
-#: Records an in-memory log retains (a file-backed log keeps every record
-#: since the last checkpoint: recovery needs them all).
-MEMORY_RECORDS = 4096
 
 _CRC_PREFIX = b'{"crc": '
 _LSN_FIELD = re.compile(rb'"lsn": (\d+)')
@@ -115,28 +110,21 @@ def _verified(line: bytes) -> Optional[LogRecord]:
 class WriteAheadLog:
     """Append-only log file with LSN assignment and replay support.
 
-    ``path=None`` yields an in-memory log (used by ephemeral databases and by
-    unit tests); the interface is identical.  ``mark`` is the LSN the last
-    durable checkpoint recorded: records below it are not read.
+    It keeps every record since the last checkpoint: recovery needs them
+    all.  ``mark`` is the LSN the last durable checkpoint recorded: records
+    below it are not read.
     """
 
-    def __init__(self, path: Optional[str] = None, mark: int = 0) -> None:
-        self._records: Deque[LogRecord] = deque(
-            maxlen=MEMORY_RECORDS if path is None else None
-        )
-        self._next_lsn = 1
-        self._file = None
+    def __init__(self, path: str, mark: int = 0) -> None:
         #: Appends come from any thread (readers buffer IRS results); LSN
         #: assignment, the file write and the reset exclude each other.
         self._lock = threading.Lock()
-        if path is not None:
-            existing, offset = self._read_existing(path, mark)
-            self._records.extend(existing)
-            self._next_lsn = max(existing[-1].lsn + 1 if existing else 1, mark)
-            self._file = open(path, "r+b" if os.path.exists(path) else "w+b")
-            if self._file.seek(0, os.SEEK_END) < offset:  # the last record lacks its newline
-                self._file.write(b"\n")
-            self._file.seek(offset)
+        self._records, offset = self._read_existing(path, mark)
+        self._next_lsn = max(self._records[-1].lsn + 1 if self._records else 1, mark)
+        self._file = open(path, "r+b" if os.path.exists(path) else "w+b")
+        if self._file.seek(0, os.SEEK_END) < offset:  # the last record lacks its newline
+            self._file.write(b"\n")
+        self._file.seek(offset)
 
     @staticmethod
     def _read_existing(path: str, mark: int) -> Tuple[List[LogRecord], int]:
@@ -188,18 +176,17 @@ class WriteAheadLog:
             self._next_lsn += 1
             self._records.append(record)
             registry.counter("oodb.wal.appends").inc()
-            if self._file is not None:
-                line = (record.to_json() + "\n").encode("utf-8")
-                self._file.write(line)
-                registry.counter("oodb.wal.bytes").inc(len(line))
-                if kind == COMMIT:
-                    started = time.perf_counter()
-                    self._file.flush()
-                    os.fsync(self._file.fileno())
-                    registry.counter("oodb.wal.fsyncs").inc()
-                    registry.histogram("oodb.wal.fsync_seconds").observe(
-                        time.perf_counter() - started
-                    )
+            line = (record.to_json() + "\n").encode("utf-8")
+            self._file.write(line)
+            registry.counter("oodb.wal.bytes").inc(len(line))
+            if kind == COMMIT:
+                started = time.perf_counter()
+                self._file.flush()
+                os.fsync(self._file.fileno())
+                registry.counter("oodb.wal.fsyncs").inc()
+                registry.histogram("oodb.wal.fsync_seconds").observe(
+                    time.perf_counter() - started
+                )
         return record
 
     # -- reading ---------------------------------------------------------------
@@ -231,9 +218,7 @@ class WriteAheadLog:
         lies below the mark.
         """
         with self._lock:
-            self._records = deque(
-                (r for r in self._records if r.lsn >= mark), self._records.maxlen
-            )
+            self._records = [r for r in self._records if r.lsn >= mark]
             if self._file is not None and self._next_lsn == mark:
                 self._file.seek(0)
 

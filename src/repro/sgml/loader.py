@@ -19,7 +19,7 @@ sample queries use (Section 4.4).
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
@@ -340,15 +340,11 @@ class SGMLLoader:
                 obj.set(attribute, value)
         return self._db.create_index(class_name, attribute)
 
-    def _apply_promotions(self, obj: DBObject) -> None:
-        attributes = obj.get("sgml_attributes") or {}
-        for class_name, promoted in self._promotions.items():
-            if not obj.isa(class_name):
-                continue
-            for attribute in promoted:
-                value = attributes.get(attribute)
-                if value is not None:
-                    obj.set(attribute, value)
+    def _promoted(self, class_name: str) -> List[str]:
+        """The SGML attributes promoted on ``class_name`` or its ancestors."""
+        schema = self._db.schema
+        return [name for promoted, names in self._promotions.items()
+                if schema.is_subclass(class_name, promoted) for name in names]
 
     @_one_group
     def set_sgml_attribute(self, element: DBObject, name: str, value: str) -> None:
@@ -357,52 +353,65 @@ class SGMLLoader:
         attributes = dict(element.get("sgml_attributes") or {})
         attributes[name] = value
         element.set("sgml_attributes", attributes)
-        self._apply_promotions(element)
+        for promoted in self._promoted(element.class_name):
+            if attributes.get(promoted) is not None:
+                element.set(promoted, attributes[promoted])
 
     # -- document loading ---------------------------------------------------------
 
     @_one_group
     def load_document(self, root: TreeElement) -> DBObject:
-        """Create one database object per element of the tree; returns the root."""
-        counter = [0]
-        return self._load_element(root, None, counter)
+        """Create one database object per element of the tree; returns the root.
 
-    def _load_element(
-        self, node: TreeElement, parent: Optional[DBObject], counter: List[int]
-    ) -> DBObject:
-        self.ensure_element_type(node.tag)
-        obj = self._db.create_object(
-            node.tag,
-            tag=node.tag,
-            content=node.own_text(),
-            sgml_attributes=dict(node.attributes),
-            doc_order=counter[0],
-        )
-        counter[0] += 1
-        if parent is not None:
-            obj.set("parent", parent.oid)
-        child_oids = []
-        for child in node.child_elements():
-            child_obj = self._load_element(child, obj, counter)
-            child_oids.append(child_obj.oid)
-        obj.set("children", child_oids)
-        self._apply_promotions(obj)
-        return obj
+        One batch: the tree is walked once in preorder (``doc_order``, and
+        the order OIDs are allocated in), and each element is created with
+        its ``parent``, ``children`` and promoted attributes in one record.
+        """
+        order: List[Tuple[TreeElement, int]] = []  # (element, its parent's position)
+        below: List[List[int]] = []  # the positions of each element's children
+        promoted: Dict[str, List[str]] = {}  # class -> its promoted SGML attributes
+        stack = [(root, -1)]
+        while stack:
+            node, up = stack.pop()
+            if node.tag not in promoted:
+                self.ensure_element_type(node.tag)
+                promoted[node.tag] = self._promoted(node.tag)
+            if up >= 0:
+                below[up].append(len(order))
+            stack.extend((child, len(order)) for child in reversed(node.child_elements()))
+            order.append((node, up))
+            below.append([])
+        oids = self._db.allocate_oids(len(order))
+        entries = []
+        for position, (node, up) in enumerate(order):
+            attributes = dict(tag=node.tag, content=node.own_text(),
+                              sgml_attributes=dict(node.attributes), doc_order=position)
+            if up >= 0:
+                attributes["parent"] = oids[up]
+            attributes["children"] = [oids[child] for child in below[position]]
+            attributes.update((name, node.attributes[name]) for name in promoted[node.tag]
+                              if node.attributes.get(name) is not None)
+            entries.append((oids[position], node.tag, attributes))
+        self._db.create_objects(entries)
+        return self._db.get_object(oids[0])
 
     @_one_group
     def delete_document(self, root: DBObject) -> int:
-        """Delete a document subtree; returns the number of objects removed."""
-        removed = 0
-        for child in list(_get_children(root)):
-            removed += self.delete_document(child)
+        """Delete a document subtree; returns the number of objects removed.
+
+        Only the surviving parent's ``children`` is written, then each
+        object of the subtree is deleted.
+        """
+        subtree = dict.fromkeys([root.oid, *descendants(self._db, (root.oid,))[root.oid]])
         parent = _get_parent(root)
         if parent is not None:
             siblings = list(parent.get("children") or [])
             if root.oid in siblings:
                 siblings.remove(root.oid)
                 parent.set("children", siblings)
-        self._db.delete_object(root)
-        return removed + 1
+        for oid in subtree:
+            self._db.delete_object(oid)
+        return len(subtree)
 
     # -- element-level editing (drives the update-propagation experiments) -------
 
@@ -415,15 +424,19 @@ class SGMLLoader:
         position: Optional[int] = None,
         attributes: Optional[dict] = None,
     ) -> DBObject:
-        """Create a new element object under ``parent``."""
+        """Create a new element object under ``parent``, promoted copies
+        of its SGML attributes included."""
         self.ensure_element_type(tag)
+        attributes = dict(attributes or {})
         obj = self._db.create_object(
             tag.upper(),
             tag=tag.upper(),
             content=content,
-            sgml_attributes=dict(attributes or {}),
+            sgml_attributes=attributes,
             doc_order=0,
             parent=parent.oid,
+            **{name: attributes[name] for name in self._promoted(tag.upper())
+               if attributes.get(name) is not None},
         )
         children = list(parent.get("children") or [])
         if position is None:
@@ -431,7 +444,6 @@ class SGMLLoader:
         else:
             children.insert(position, obj.oid)
         parent.set("children", children)
-        self._apply_promotions(obj)
         return obj
 
     def update_content(self, element: DBObject, content: str) -> None:

@@ -233,9 +233,13 @@ class TestGenerationGuard:
         assert collection.get("buffer") == {"|www": {"OID1": 0.9}}
 
     def test_invalidating_an_empty_buffer_logs_nothing_but_moves_the_generation(
-        self, system, buffer_and_collection
+        self, tmp_path
     ):
-        buffer, collection, _counters = buffer_and_collection
+        from repro.core import DocumentSystem
+
+        system = DocumentSystem(directory=str(tmp_path))  # durable: it has a log to read
+        collection = _create_collection(system.db, "c", "ACCESS p FROM p IN IRSObject")
+        buffer = ResultBuffer(collection, CouplingCounters())
         assert buffer.lookup("www") is None  # a miss: the result gets computed
         logged = len(system.db._wal)
         version = system.db.write_version(collection.oid)
@@ -247,6 +251,7 @@ class TestGenerationGuard:
         assert buffer.lookup("www") is None
         buffer.store("www", {OID(1): 0.9})  # computed after it: kept
         assert buffer.lookup("www") == {OID(1): 0.9}
+        system.close()
 
     def test_writes_in_the_same_generation_go_through(self, buffer_and_collection):
         buffer, collection, _counters = buffer_and_collection

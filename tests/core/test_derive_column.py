@@ -75,17 +75,17 @@ def derived_spans(system, collection, statement):
 
 
 @pytest.fixture(scope="module")
-def figure4():
-    system = DocumentSystem()
+def figure4(tmp_path_factory):
+    system = DocumentSystem(directory=str(tmp_path_factory.mktemp("figure4")))
     setup = load_figure4(system)
     yield system, setup["collection"]
     system.close()
 
 
 @pytest.fixture(scope="module")
-def journal():
+def journal(tmp_path_factory):
     """Sections too, so a document's components sit at two depths."""
-    system = DocumentSystem()
+    system = DocumentSystem(directory=str(tmp_path_factory.mktemp("journal")))
     load_corpus(system, CorpusGenerator(seed=31).corpus(documents=9, paragraphs=3, sections=2))
     collection = system.session.create_collection("collPara", "ACCESS p FROM p IN PARA")
     system.session.index(collection)
@@ -224,8 +224,8 @@ class TestColumnSemantics:
         _rows, _buffer, (derivations, _metric, amends, _wal) = column
         assert derivations == amends == documents + len(first)
 
-    def test_a_dangling_child_is_skipped(self):
-        system = DocumentSystem()
+    def test_a_dangling_child_is_skipped(self, tmp_path):
+        system = DocumentSystem(directory=str(tmp_path))
         load_corpus(system, CorpusGenerator(seed=5).corpus(documents=3, paragraphs=3))
         collection = system.session.create_collection("collPara", "ACCESS p FROM p IN PARA")
         system.session.index(collection)
@@ -255,10 +255,10 @@ class TestColumnSemantics:
         finally:
             root.set("children", children)
 
-    def test_average_adds_components_in_document_order(self):
+    def test_average_adds_components_in_document_order(self, tmp_path):
         """Floats in another order can differ in the last bit; the corpus
         has a document where they do, so the order is pinned."""
-        system = DocumentSystem()
+        system = DocumentSystem(directory=str(tmp_path))
         load_corpus(system, CorpusGenerator(seed=11).corpus(documents=6, paragraphs=12))
         collection = system.session.create_collection(
             "collPara", "ACCESS p FROM p IN PARA", derivation="average"

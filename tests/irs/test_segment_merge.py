@@ -127,6 +127,45 @@ class TestFold:
         assert set(view.document_ids()) == before
 
 
+FOLD_SCRIPT = """
+import hashlib
+from repro.irs.segments import SealedSegment
+
+words = ["www", "nii", "telnet", "café", "straße", "日本語"] + ["w%d" % i for i in range(40)]
+first = SealedSegment.from_documents(1, [
+    (d, [words[(d * k) % len(words)] for k in range(1, 6)]) for d in range(1, 30)
+])
+second = SealedSegment.from_documents(2, [
+    (d, [words[(d + 3 * k) % len(words)] for k in range(1, 7)]) for d in range(30, 55)
+])
+first.tombstone(4)
+folded = SealedSegment.merged(3, [first, second])
+print(hashlib.sha256(folded.index.to_bytes()).hexdigest(), list(folded.forward[31]))
+"""
+
+
+class TestFoldBytes:
+    def test_a_fold_writes_the_same_bytes_under_any_hash_seed(self):
+        """Term order is each term's first appearance across the inputs,
+        in input order, so ``PYTHONHASHSEED`` does not reach the record."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", FOLD_SCRIPT],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outputs) == 1, outputs
+
+
 class TestEngineCompaction:
     def _engine(self, documents=10):
         engine = IRSEngine(

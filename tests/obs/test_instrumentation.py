@@ -17,9 +17,9 @@ def instruments():
 
 
 class TestTransactionMetrics:
-    def test_begin_commit_abort_counters(self, instruments):
+    def test_begin_commit_abort_counters(self, tmp_path, instruments):
         _tracer, metrics = instruments
-        db = Database()
+        db = Database(directory=str(tmp_path / "db"))
         db.define_class("P", attributes={"x": "INT"})
         txn = db.begin()
         db.create_object("P", x=1)

@@ -60,8 +60,8 @@ class TestWriteDictItem:
             db.write_dict_item(box.oid, "items", (), 1)
         assert box.get("items") == {"a": 1}
 
-    def test_logs_one_item_record_with_path_and_value_only(self):
-        db = make_db()
+    def test_logs_one_item_record_with_path_and_value_only(self, tmp_path):
+        db = make_db(str(tmp_path))
         box = db.create_object("Box", items={"big": {str(i): i for i in range(5000)}})
         mark = last_lsn(db)
         db.write_dict_item(box.oid, "items", ("big", "new"), 0.25)
@@ -71,6 +71,7 @@ class TestWriteDictItem:
             "oid": box.oid.value, "attr": "items", "path": ["big", "new"], "value": 0.25,
         }
         assert len(record.to_json()) < 200  # whatever the dictionary holds
+        db.close()
 
     def test_oid_keys_and_values_round_trip_the_log(self, tmp_path):
         path = str(tmp_path)
@@ -115,8 +116,8 @@ class TestDeleteDictItem:
             db.delete_dict_item(box.oid, "items", ())
         assert box.get("items") == {"a": 1}
 
-    def test_logs_one_item_record_without_a_value(self):
-        db = make_db()
+    def test_logs_one_item_record_without_a_value(self, tmp_path):
+        db = make_db(str(tmp_path))
         box = db.create_object("Box", items={str(i): [i] for i in range(5000)})
         mark = last_lsn(db)
         version = db.write_version(box.oid)
@@ -125,6 +126,7 @@ class TestDeleteDictItem:
         record = [r for r in db._wal.records() if r.kind == wal_records.ITEM][-1]
         assert record.payload == {"oid": box.oid.value, "attr": "items", "path": ["17"]}
         assert len(record.to_json()) < 200  # whatever the dictionary holds
+        db.close()
 
     def test_abort_restores_the_key_and_its_value(self):
         db = make_db()
@@ -330,8 +332,8 @@ class TestRedo:
 
 
 class TestAutocommitGroup:
-    def test_group_logs_one_begin_and_one_commit(self):
-        db = make_db()
+    def test_group_logs_one_begin_and_one_commit(self, tmp_path):
+        db = make_db(str(tmp_path))
         box = db.create_object("Box", items={})
         mark = last_lsn(db)
         with db.autocommit_group():
@@ -344,13 +346,15 @@ class TestAutocommitGroup:
             wal_records.ITEM, wal_records.COMMIT,
         ]
         assert len({r.txn_id for r in db._wal.records() if r.lsn > mark}) == 1
+        db.close()
 
-    def test_group_without_writes_logs_nothing(self):
-        db = make_db()
+    def test_group_without_writes_logs_nothing(self, tmp_path):
+        db = make_db(str(tmp_path))
         mark = last_lsn(db)
         with db.autocommit_group():
             pass
         assert kinds(db, mark) == []
+        db.close()
 
     def test_group_commits_what_was_applied_when_the_block_raises(self, tmp_path):
         path = str(tmp_path)

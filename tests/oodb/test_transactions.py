@@ -101,11 +101,20 @@ class TestAutocommit:
         assert obj.get("v") == 2
         assert not db.in_transaction()
 
-    def test_wal_records_autocommitted_ops(self, db):
+    def test_wal_records_autocommitted_ops(self, tmp_path):
+        db = Database(directory=str(tmp_path))
+        db.define_class("X", attributes={"v": "INT", "name": "STRING"})
         db.create_object("X", v=1)
         kinds = [r.kind for r in db._wal.records()]
         assert "CREATE" in kinds
         assert kinds.count("COMMIT") >= 1
+        db.close()
+
+    def test_a_database_in_memory_logs_nothing(self, db):
+        with db.begin():
+            obj = db.create_object("X", v=1)
+        obj.set("v", 2)
+        assert db._wal is None
 
 
 class TestIsolation:

@@ -11,53 +11,36 @@ from repro.oodb import wal as w
 from repro.oodb.wal import LogRecord, WriteAheadLog
 
 
-class TestInMemoryLog:
-    def test_lsns_monotone(self):
-        log = WriteAheadLog()
-        records = [log.append(w.BEGIN, 1), log.append(w.COMMIT, 1)]
+class TestLogRecords:
+    def test_lsns_monotone(self, tmp_path):
+        with WriteAheadLog(str(tmp_path / "wal.log")) as log:
+            records = [log.append(w.BEGIN, 1), log.append(w.COMMIT, 1)]
         assert [r.lsn for r in records] == [1, 2]
 
-    def test_committed_transactions(self):
-        log = WriteAheadLog()
-        log.append(w.BEGIN, 1)
-        log.append(w.COMMIT, 1)
-        log.append(w.BEGIN, 2)
-        log.append(w.ABORT, 2)
-        assert log.committed_transactions() == {1}
+    def test_committed_transactions(self, tmp_path):
+        with WriteAheadLog(str(tmp_path / "wal.log")) as log:
+            log.append(w.BEGIN, 1)
+            log.append(w.COMMIT, 1)
+            log.append(w.BEGIN, 2)
+            log.append(w.ABORT, 2)
+            assert log.committed_transactions() == {1}
 
-    def test_reset_forgets_the_records_below_the_mark(self):
-        log = WriteAheadLog()
-        log.append(w.BEGIN, 1)
-        log.reset(log.next_lsn)
-        assert len(log) == 0
-
-    def test_keeps_only_the_most_recent_records(self):
-        """Nothing recovers from or resets an in-memory log: it is a
-        bounded window, and LSNs keep counting past it."""
-        log = WriteAheadLog()
-        total = w.MEMORY_RECORDS + 500
-        for number in range(total):
-            log.append(w.WRITE, number, {"value": "x" * 100})
-        assert len(log) == w.MEMORY_RECORDS
-        kept = list(log.records())
-        assert [r.lsn for r in kept] == list(range(501, total + 1))
-        assert log.next_lsn == total + 1
-        log.reset(total - 9)  # still a bounded window afterwards
-        assert [r.lsn for r in log.records()] == list(range(total - 9, total + 1))
-        for number in range(total):
-            log.append(w.WRITE, number)
-        assert len(log) == w.MEMORY_RECORDS
+    def test_reset_forgets_the_records_below_the_mark(self, tmp_path):
+        with WriteAheadLog(str(tmp_path / "wal.log")) as log:
+            log.append(w.BEGIN, 1)
+            log.reset(log.next_lsn)
+            assert len(log) == 0
 
 
 class TestFileLog:
     def test_file_log_keeps_every_record_until_reset(self, tmp_path):
         path = str(tmp_path / "wal.log")
         with WriteAheadLog(path) as log:
-            for number in range(w.MEMORY_RECORDS + 10):
+            for number in range(5000):
                 log.append(w.WRITE, number)
-            assert len(log) == w.MEMORY_RECORDS + 10
+            assert len(log) == 5000
         with WriteAheadLog(path) as reopened:
-            assert len(reopened) == w.MEMORY_RECORDS + 10
+            assert len(reopened) == 5000
 
     def test_records_survive_reopen(self, tmp_path):
         path = str(tmp_path / "wal.log")

@@ -57,7 +57,9 @@ import atexit, os, sys, threading
 
 _out = os.environ.get("REPRO_REACH_DIR")
 if _out:
-    _root = os.environ["REPRO_REACH_ROOT"]
+    # Real paths on both sides: code imported through ``benchmarks/../src``
+    # or a symlink is the same file.
+    _root = os.path.join(os.path.realpath(os.environ["REPRO_REACH_ROOT"]), "")
     _codes = set()
 
     def _profile(frame, event, arg):
@@ -67,11 +69,13 @@ if _out:
     def _dump():
         sys.setprofile(None)
         threading.setprofile(None)
-        seen = {
-            f"{code.co_filename}\\t{code.co_firstlineno}\\t{code.co_name}"
-            for code in list(_codes)
-            if code.co_filename.startswith(_root)
-        }
+        real = {}
+        seen = set()
+        for code in list(_codes):
+            if code.co_filename not in real:
+                real[code.co_filename] = os.path.realpath(code.co_filename)
+            if real[code.co_filename].startswith(_root):
+                seen.add(f"{real[code.co_filename]}\\t{code.co_firstlineno}\\t{code.co_name}")
         with open(os.path.join(_out, f"{os.getpid()}.txt"), "w", encoding="utf-8") as fh:
             fh.write("\\n".join(sorted(seen)))
 
@@ -140,7 +144,7 @@ def targets(root: str) -> List[Tuple[str, List[str]]]:
 def copy_repository(destination: str) -> str:
     """Copy the working tree (less version control and caches) to ``destination``."""
     skipped = {".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"}
-    root = os.path.join(destination, "repo")
+    root = os.path.join(os.path.realpath(destination), "repo")
     shutil.copytree(REPO, root, ignore=lambda _dir, names: [n for n in names if n in skipped])
     return root
 
