@@ -23,42 +23,35 @@ from repro.sgml.loader import SGMLLoader
 from repro.sgml.parser import parse_document
 
 
-def collection_gens(db: Database) -> Dict[str, int]:
-    """Current ``index_gen`` of every COLLECTION object, by IRS name."""
-    from repro.core import collection as collection_module
-
-    return {
-        obj.get("irs_name"): int(obj.get("index_gen") or 0)
-        for obj in db.instances_of(collection_module.COLLECTION_CLASS)
-    }
-
-
 def checkpoint_coupling(db: Database) -> Dict[str, Any]:
-    """Checkpoint the coupling behind ``db``: store commit, then OODB.
+    """Checkpoint the coupling behind ``db``: both halves in one commit.
 
     The shared implementation behind ``DocumentSystem.checkpoint`` and
     :meth:`repro.Session.checkpoint` — reads every collection's
-    ``index_gen`` from the committed database state, appends one
-    incremental store checkpoint recording them, then checkpoints the
-    database (its changed objects, then a WAL reset).  Raises
-    :class:`~repro.errors.StoreError` when the coupling has no
-    single-file store attached (an in-memory system), and
-    :class:`~repro.errors.TransactionError`, writing neither half, while
-    an explicit transaction is open.
+    ``index_gen`` from the committed database state and checkpoints the
+    database with the IRS engine and those generations: the changed
+    objects, the index records and one manifest go to the store file in
+    one commit, then the WAL resets.  Raises
+    :class:`~repro.errors.StoreError` when the coupling has no single-file
+    store attached (an in-memory system), and
+    :class:`~repro.errors.TransactionError`, writing nothing, while an
+    explicit transaction is open.
     """
+    from repro.core.collection import COLLECTION_CLASS
     from repro.core.context import coupling_context
     from repro.errors import StoreError
 
     context = coupling_context(db)
-    store = context.storage
-    if store is None:
+    if context.storage is None:
         raise StoreError(
             "checkpoint requires a durable system (open it with a directory)"
         )
     with db.no_open_transactions():
-        stats = store.checkpoint(context.engine, gens=collection_gens(db))
-        db.checkpoint()
-    return stats
+        gens = {
+            obj.get("irs_name"): int(obj.get("index_gen") or 0)
+            for obj in db.instances_of(COLLECTION_CLASS)
+        }
+        return db.checkpoint(context.engine, gens)
 
 
 class DocumentSystem:
@@ -90,18 +83,20 @@ class DocumentSystem:
     ) -> None:
         if storage != "store":
             raise ValueError(f"unknown storage mode {storage!r}")
-        db_dir = os.path.join(directory, "db") if directory else None
-        self.db = Database(directory=db_dir)
         self.store = None
         if directory:
             from repro.store import SingleFileStore
 
-            # Reload persisted inverted indexes ("stored in a file system").
+            # One file for both halves: the database's objects and the
+            # persisted inverted indexes ("stored in a file system").
+            os.makedirs(directory, exist_ok=True)
             self.store = SingleFileStore(os.path.join(directory, "irs.store"))
+            self.db = Database(directory=os.path.join(directory, "db"), store=self.store)
             self.engine = self.store.load_engine(
                 default_model=model, analyzer=analyzer
             )
         else:
+            self.db = Database()
             self.engine = IRSEngine(default_model=model, analyzer=analyzer)
         self.context: CouplingContext = install_coupling(self.db, self.engine)
         self.context.storage = self.store
@@ -211,15 +206,11 @@ class DocumentSystem:
     def checkpoint(self) -> Dict[str, Any]:
         """Make the current IRS + database state durable; returns stats.
 
-        Appends one incremental checkpoint to
-        ``<directory>/irs.store`` (sealed segments already on disk are
-        referenced, not rewritten) with the database ``index_gen`` of every
-        collection recorded in the manifest, then checkpoints the OODB
-        (its changed objects, then a WAL reset).  The ordering matters: generations are
-        read from the committed database state *before* the store commit,
-        so a crash at any point leaves either a manifest that matches the
-        database or one that is detectably older — never newer (see
-        :meth:`_recover_coupling`).
+        One commit of ``<directory>/irs.store`` (see
+        :func:`checkpoint_coupling`): the objects changed since the last
+        checkpoint, the collections' new records (sealed segments already
+        on disk are referenced, not rewritten), the database ``index_gen``
+        of every collection and one manifest, then a WAL reset.
 
         A purely in-memory system has nothing to persist and raises
         :class:`~repro.errors.StoreError`.
@@ -227,12 +218,13 @@ class DocumentSystem:
         return checkpoint_coupling(self.db)
 
     def pack(self) -> Dict[str, Any]:
-        """Checkpoint, then compact both store files offline; returns stats.
+        """Checkpoint, then compact the store file offline; returns stats.
 
-        Copies only live records into fresh files that atomically replace
-        ``irs.store`` and ``db/objects.store`` (``stats["objects"]``),
-        reclaiming the dead space incremental checkpoints leave behind
-        (``health()["storage"]["dead_ratio"]`` tells when this is worth
+        Copies only live records into a fresh file that atomically
+        replaces ``irs.store`` — the objects and each collection's
+        documents as one batch each — reclaiming the dead space
+        incremental checkpoints leave behind
+        (``health()["storage"]["needs_pack"]`` tells when this is worth
         doing).  Durable systems only.
         """
         from repro.errors import StoreError
@@ -240,21 +232,21 @@ class DocumentSystem:
         if self.store is None:
             raise StoreError("pack requires the single-file store")
         self.checkpoint()
-        return dict(self.store.pack(), objects=self.db.pack())
+        return self.store.pack()
 
     def _recover_coupling(self) -> None:
-        """Reconcile the recovered IRS store with the recovered database.
+        """Reconcile the IRS half with WAL records past the checkpoint.
 
-        The database WAL is ground truth.  Every COLLECTION object carries
+        A checkpoint commits both halves at once, so the store's ``gens``
+        match the objects it holds; only committed WAL records past its
+        mark can move the database ahead.  Every COLLECTION object carries
         an ``index_gen`` bumped under the WAL whenever its ``doc_map`` is
-        rewritten; the store manifest records the generation each
-        collection was last checkpointed at.  A mismatch means the crash
-        fell between a WAL commit and the matching store checkpoint — the
-        IRS side of that collection is stale, so it is dropped and
-        deterministically reindexed from the database (same texts, same
-        analyzer: rankings come out bit-identical), and a fresh checkpoint
-        brings the store back in sync.  IRS collections whose database
-        object did not survive recovery are orphans and are removed.
+        rewritten: a collection whose recovered generation differs from
+        the stored one is dropped and deterministically reindexed from
+        the database (same texts, same analyzer: rankings come out
+        bit-identical), and a fresh checkpoint brings the store back in
+        sync.  IRS collections whose database object did not survive
+        recovery are orphans and are removed.
         """
         from repro.core import collection as collection_module
 
@@ -341,7 +333,7 @@ class DocumentSystem:
                 DEFAULT_SLO_SECONDS if slo_seconds is None else slo_seconds
             ),
             servers=self._servers,
-            storage=storage_stats(self.store, self.engine, self.db),
+            storage=storage_stats(self.store, self.engine),
         )
 
     # -- bookkeeping ------------------------------------------------------------------------
@@ -353,7 +345,7 @@ class DocumentSystem:
         self.engine.reset_cache_stats()
 
     def close(self) -> None:
-        """Persist IRS indexes (when durable) and close the database."""
+        """Checkpoint (when durable) and close the database and the store."""
         for server in self._servers:
             server.stop()
         self._servers = []
@@ -362,7 +354,7 @@ class DocumentSystem:
         self._sessions = []
         with self.db.no_open_transactions():
             if self.store is not None:
-                self.store.checkpoint(self.engine, gens=collection_gens(self.db))
+                self.checkpoint()
             self.db.close()
         if self.store is not None:
             self.store.close()

@@ -537,9 +537,9 @@ class RemoteSession:
     def checkpoint(self) -> Dict[str, Any]:
         """Checkpoint the server's durable state; returns commit stats.
 
-        The server appends one incremental store checkpoint and then
-        checkpoints its OODB; errors (e.g. no durable store behind the
-        server) arrive as the mapped :class:`~repro.errors.StoreError`.
+        The server commits its objects and index records in one
+        incremental store checkpoint; errors (e.g. no durable store behind
+        the server) arrive as the mapped :class:`~repro.errors.StoreError`.
         """
         result, _ = self._call("checkpoint", {})
         return result

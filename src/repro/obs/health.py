@@ -19,9 +19,9 @@ ROADMAP, a remote load balancer) needs into a JSON-encodable report:
   rejection *is* the backpressure mechanism working, not a failure.
 * **latency** — p50/p95/p99/p999 of the most relevant rolling histogram
   plus the *slow ratio*: the fraction of windowed requests above the SLO.
-* **storage** — single-file store size, dead-space ratio, the
-  un-checkpointed dirty volume, and the database's object file
-  (``"objects"``).  Dead space past both pack thresholds
+* **storage** — single-file store size (both halves of the coupling),
+  dead-space ratio and the un-checkpointed dirty volume.  Dead space
+  past both pack thresholds
   (:data:`STORAGE_DEAD_RATIO` and :data:`STORAGE_DEAD_BYTES`) degrades
   the verdict until ``DocumentSystem.pack()`` reclaims it.
 
@@ -159,14 +159,12 @@ STORAGE_DEAD_RATIO = 0.6
 STORAGE_DEAD_BYTES = 1 << 20
 
 
-def storage_stats(store, engine, db=None) -> Optional[Dict[str, Any]]:
-    """``store.stats()``, its ``"dirty"`` estimate, ``db``'s object file (None without a store)."""
+def storage_stats(store, engine) -> Optional[Dict[str, Any]]:
+    """``store.stats()`` and its ``"dirty"`` estimate (None without a store)."""
     if store is None:
         return None
     stats = dict(store.stats())
     stats["dirty"] = store.dirty_info(engine)
-    if db is not None:
-        stats["objects"] = db.storage_stats()
     return stats
 
 

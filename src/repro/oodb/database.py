@@ -7,10 +7,13 @@ It supports two persistence modes:
 * **ephemeral** (``Database()``) — everything in memory and nothing logged
   (there is nothing to recover; rollback reads the transaction's undo
   list); used by tests and short-lived experiments;
-* **durable** (``Database(directory=...)``) — an object file plus a WAL in
-  a directory; :meth:`checkpoint` appends the objects changed since the
-  previous one to ``objects.store`` and resets the log in place, and
-  re-opening the directory recovers committed state.
+* **durable** (``Database(directory=...)``) — a WAL in a directory plus
+  an image in a store file (:class:`repro.store.SingleFileStore`):
+  :meth:`checkpoint` appends the objects changed since the previous one
+  in one commit of that file and resets the log in place, and re-opening
+  the directory recovers committed state.  A ``DocumentSystem`` hands its
+  ``irs.store`` over (``store=``), so both halves of the coupling commit
+  together; a bare database keeps ``objects.store`` in its directory.
 
 Concurrency: operations inside an explicit transaction take strict-2PL
 locks; autocommitted single operations bypass the lock manager (the
@@ -34,10 +37,10 @@ from repro.oodb.locks import LockManager, LockMode
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID, OIDAllocator
 from repro.oodb.schema import ClassDefinition, Schema
-from repro.oodb.store import ObjectFile, ObjectStore, _StoredObject, load_snapshot
-from repro.oodb.store import decode_value, encode_value
+from repro.oodb.store import ObjectStore, _StoredObject, decode_value, encode_value
 from repro.oodb.transactions import Transaction
 from repro.oodb.wal import WriteAheadLog
+from repro.store import SingleFileStore
 
 logger = logging.getLogger(__name__)
 
@@ -47,15 +50,14 @@ _UNWRITTEN = object()  # read_attribute: the attribute has no stored value
 _REDONE = {wal_records.CREATE, wal_records.WRITE, wal_records.ITEM,
            wal_records.DELETE, wal_records.SCHEMA}
 
-_OBJECTS_FILE = "objects.store"
-_SNAPSHOT_FILE = "snapshot.json"  # written by older builds; imported, never written
+_OBJECTS_FILE = "objects.store"  # a bare database's store file
 _WAL_FILE = "wal.log"
 
 
 class Database:
     """An object database with transactions, indexes, and a query language."""
 
-    def __init__(self, directory: Optional[str] = None, lock_timeout: float = 5.0) -> None:
+    def __init__(self, directory: Optional[str] = None, lock_timeout: float = 5.0, store=None) -> None:
         self.schema = Schema()
         self._store = ObjectStore()
         self._allocator = OIDAllocator()
@@ -69,15 +71,14 @@ class Database:
         self._open_txns: Set[Transaction] = set()
         self._txn_gate = threading.RLock()
 
-        self._objects: Optional[ObjectFile] = None
+        self._storage: Optional[SingleFileStore] = store  # see close()
+        self._owns_storage = store is None
         self._wal: Optional[WriteAheadLog] = None  # a database in memory logs nothing
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-            self._objects = ObjectFile(os.path.join(directory, _OBJECTS_FILE))
-            snapshot_path = os.path.join(directory, _SNAPSHOT_FILE)
-            image = self._objects.load(self._store) or (
-                load_snapshot(snapshot_path, self._store) if os.path.exists(snapshot_path) else {}
-            )
+            if store is None:
+                self._storage = SingleFileStore(os.path.join(directory, _OBJECTS_FILE))
+            image = self._storage.load_objects(self._store)
             self._allocator.advance_to(image.get("oid_high_water", 0))
             self._restore_schema(image.get("schema", []))
             mark = image.get("wal_mark", 0)
@@ -131,8 +132,8 @@ class Database:
         Raises :class:`TransactionError`, before anything is written,
         while an explicit transaction is open on any thread: a checkpoint
         would persist its uncommitted writes, and they would survive its
-        rollback.  :meth:`checkpoint`, :meth:`pack` and :meth:`close` run
-        under it, and so does a coupling checkpoint's store half.
+        rollback.  :meth:`checkpoint` and :meth:`close` run under it, and
+        so does a coupling's checkpoint and close.
         """
         with self._txn_gate:
             if self._open_txns:
@@ -174,16 +175,20 @@ class Database:
         if txn is None:
             group = getattr(self._local, "group", None)
             if group is None:
-                txn = Transaction(self)
-                wal.append(wal_records.BEGIN, txn.txn_id)
-                wal.append(kind, txn.txn_id, payload())
-                wal.append(wal_records.COMMIT, txn.txn_id)
+                self._autocommit(kind, payload())
                 return
             if not group:
                 group.append(Transaction(self))
                 wal.append(wal_records.BEGIN, group[0].txn_id)
             txn = group[0]
         wal.append(kind, txn.txn_id, None if payload is None else payload())
+
+    def _autocommit(self, kind: str, payload: Dict[str, Any]) -> None:
+        """Log one record as a transaction of its own: BEGIN, it, COMMIT."""
+        txn_id = Transaction(self).txn_id
+        self._wal.append(wal_records.BEGIN, txn_id)
+        self._wal.append(kind, txn_id, payload)
+        self._wal.append(wal_records.COMMIT, txn_id)
 
     @contextmanager
     def autocommit_group(self) -> Iterator[None]:
@@ -572,49 +577,41 @@ class Database:
     # Persistence
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> None:
-        """Append the objects changed since the last checkpoint to the
-        object file and reset the WAL (durable mode only)."""
+    def checkpoint(self, engine=None, gens: Optional[Dict[str, int]] = None) -> Optional[Dict[str, Any]]:
+        """Commit the objects changed since the last checkpoint to the store
+        file, then reset the WAL (durable mode only); returns the store's
+        checkpoint stats.
+
+        A coupling passes its IRS ``engine`` and the collections' index
+        ``gens``: they go in the same manifest, one commit for both halves
+        (:meth:`repro.store.SingleFileStore.checkpoint`).
+        """
         with self.no_open_transactions():
-            if self._objects is not None:
-                self._checkpoint(self._objects.commit)
-
-    def pack(self) -> Optional[Dict[str, int]]:
-        """Checkpoint by rewriting the object file as the live set alone,
-        reclaiming what earlier batches left dead (durable mode only)."""
-        with self.no_open_transactions():
-            return None if self._objects is None else self._checkpoint(self._objects.pack)
-
-    def _checkpoint(self, commit: Callable[..., Dict[str, int]]) -> Dict[str, int]:
-        started = time.perf_counter()
-        with obs.tracer().span("oodb.checkpoint", objects=len(self._store)) as span:
-            # Every writer changes the store, then logs: a record below the
-            # mark is in the batches, one from the mark on may not be.
-            mark = self._wal.next_lsn
-            high_water = self._allocator.high_water_mark
-            header = {"schema": self._schema_payload(), "oid_high_water": high_water, "wal_mark": mark}
-            stats = commit(self._store, header)
-            self._wal.reset(mark)
-            for name, value in stats.items():
-                span.set_attribute(name, value)
-        elapsed = time.perf_counter() - started
-        registry = obs.metrics()
-        registry.counter("oodb.checkpoints").inc()
-        registry.counter("oodb.checkpoint.objects").inc(stats["objects_written"])
-        registry.counter("oodb.checkpoint.bytes").inc(stats["bytes"])
-        registry.histogram("oodb.checkpoint.seconds").observe(elapsed)
-        logger.info(
-            "checkpoint of %s: %d of %d objects in %.1f ms",
-            self._directory, stats["objects_written"], len(self._store), elapsed * 1000.0,
-        )
-        return stats
-
-    def storage_stats(self) -> Optional[Dict[str, Any]]:
-        """Size, live and dead bytes of the object file (None in memory)."""
-        return None if self._objects is None else self._objects.stats()
+            if self._storage is None:
+                return None
+            started = time.perf_counter()
+            with obs.tracer().span("oodb.checkpoint", objects=len(self._store)) as span:
+                # Every writer changes the store, then logs: a record below the
+                # mark is in the batches, one from the mark on may not be.
+                mark = self._wal.next_lsn
+                high_water = self._allocator.high_water_mark
+                header = {"schema": self._schema_payload(), "oid_high_water": high_water, "wal_mark": mark}
+                stats = self._storage.checkpoint(engine, gens, objects=(self._store, header))
+                self._wal.reset(mark)
+                span.set_attribute("objects_written", stats["objects_written"])
+            elapsed = time.perf_counter() - started
+            registry = obs.metrics()
+            registry.counter("oodb.checkpoints").inc()
+            registry.counter("oodb.checkpoint.objects").inc(stats["objects_written"])
+            registry.histogram("oodb.checkpoint.seconds").observe(elapsed)
+            logger.info(
+                "checkpoint of %s: %d of %d objects in %.1f ms",
+                self._directory, stats["objects_written"], len(self._store), elapsed * 1000.0,
+            )
+            return stats
 
     def _schema_payload(self) -> List[Dict[str, Any]]:
-        """Class structure + index catalog for the object file's manifest.
+        """Class structure + index catalog for the image's manifest section.
 
         Method implementations are code and are not persisted; indexes are
         recorded structurally and rebuilt (backfilled) at recovery.
@@ -662,16 +659,18 @@ class Database:
         self._pending_index_rebuild = []
 
     def close(self) -> None:
-        """Checkpoint (when durable) and release file handles; refused
-        while a transaction is open (see :meth:`no_open_transactions`)."""
+        """Release file handles; refused while a transaction is open (see
+        :meth:`no_open_transactions`).  A database that opened its own
+        store file checkpoints first; one given a store leaves the last
+        checkpoint to the store's owner (``DocumentSystem.close``)."""
         if self._closed:
             return
         with self.no_open_transactions():
-            self.checkpoint()
+            if self._owns_storage and self._storage is not None:
+                self.checkpoint()
+                self._storage.close()
             if self._wal is not None:
                 self._wal.close()
-            if self._objects is not None:
-                self._objects.close()
             self._closed = True
 
     def __enter__(self) -> "Database":
@@ -716,7 +715,9 @@ class Database:
                     max_oid = max(max_oid, oid.value)
                     if not self._store.exists(oid):  # older logs' CREATE has no attributes
                         attributes = payload.get("attributes", {})
-                        self._store.load_objects([(oid, payload["class"], attributes)])
+                        self._store.create(oid, payload["class"], {
+                            k: decode_value(v) for k, v in attributes.items()
+                        })
                 elif not self._store.exists(oid):
                     continue  # deleted later on
                 elif record.kind == wal_records.WRITE:
@@ -797,5 +798,8 @@ class Database:
         )
 
     def _log_schema(self, payload: Dict[str, Any]) -> None:
-        """Append a committed SCHEMA record (DDL auto-commits)."""
-        self._log(wal_records.SCHEMA, self._current_txn(), lambda: payload)
+        """Append a committed SCHEMA record: DDL auto-commits, as its own
+        transaction even inside an explicit one or an autocommit group, so
+        the definition a rollback leaves live is the one recovery restores."""
+        if self._wal is not None:
+            self._autocommit(wal_records.SCHEMA, payload)

@@ -1,11 +1,12 @@
-"""The object store: in-memory object table and its durable image.
+"""The object store: in-memory object table and its image lines.
 
 Objects live in a dictionary ``oid -> _StoredObject`` with per-class extents
-maintained incrementally.  The durable image is :class:`ObjectFile`, a store
-file (the format of ``irs.store``) to which each checkpoint appends the
-objects whose write version moved; recovery reads it and replays committed
-WAL records on top (see :class:`repro.oodb.database.Database`).  A
-``snapshot.json`` older builds wrote is only read, by :func:`load_snapshot`.
+maintained incrementally.  Their durable image is the ``objects`` section of
+the store file (``irs.store``, :class:`repro.store.SingleFileStore`): each
+checkpoint appends one ``KIND_OBJECTS`` record, an :func:`object_line` for
+each object whose write version moved; recovery reads the newest line of
+each object and replays committed WAL records on top (see
+:class:`repro.oodb.database.Database`).
 
 Attribute values are restricted to a JSON-encodable universe extended with
 :class:`~repro.oodb.oid.OID` references (encoded as ``{"__oid__": n}``),
@@ -16,15 +17,12 @@ lists and dicts of these, and object references.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.oodb.oid import OID
-from repro.store import blocks
-from repro.store.file import StoreFile, fsync_directory
 
 
 def encode_value(value: Any) -> Any:
@@ -77,7 +75,7 @@ class ObjectStore:
         self._objects: Dict[OID, _StoredObject] = {}
         self._extents: Dict[str, Set[OID]] = {}
         #: Held while an object's attributes (or a dictionary inside them)
-        #: change and while :meth:`ObjectFile.commit` encodes them, so a checkpoint
+        #: change and while :meth:`encode_changed` encodes them, so a checkpoint
         #: never iterates a dictionary another thread is adding items to.
         #: Re-entrant: a writer keeps it over a batch of item writes that
         #: readers must see whole (:meth:`Database.store_lock`).
@@ -237,113 +235,34 @@ class ObjectStore:
 
     # -- durable image ----------------------------------------------------------
 
-    def load_objects(self, entries: Iterable[Tuple[int, str, dict]]) -> None:
-        """Add the objects of ``(oid, class, encoded attributes)`` entries."""
-        for oid, class_name, attributes in entries:
+    def load_image(self, entries: Dict[int, bytes]) -> None:
+        """Add the objects of an image: OID -> the ``[class, attributes]``
+        part of its newest :func:`object_line`, parsed in one pass."""
+        decoded = json.loads(b"[" + b",".join(entries.values()) + b"]")
+        for oid, (class_name, attributes) in zip(entries, decoded):
             self.create(OID(oid), class_name, {k: decode_value(v) for k, v in attributes.items()})
 
+    def encode_changed(self, select: Callable[[Dict[OID, int]], List[OID]]) -> List[bytes]:
+        """The :func:`object_line` of each object ``select`` picks from the
+        write versions of all live objects, in its order.
 
-def load_snapshot(path: str, store: ObjectStore) -> dict:
-    """Import a ``snapshot.json`` an older build wrote; returns its header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    store.load_objects((e["oid"], e["class"], e["attributes"]) for e in payload.pop("objects"))
-    return payload
-
-
-class ObjectFile:
-    """The database's durable image: batches of changed objects in a store file.
-
-    Each :meth:`commit` appends one ``KIND_OBJECTS`` record, a line
-    ``<oid> [class, attributes]`` per object whose write version moved,
-    and a manifest (format in docs/storage-format.md).  Reading parses
-    only each object's newest line.  Once the batches hold more dead
-    lines than live objects, the next one rewrites the live set (the
-    documents' rule in ``irs.store``); :meth:`pack` reclaims dead bytes.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.file = StoreFile(path, use_mmap=False)  # each batch is read once, at open
-        self.manifest: Optional[dict] = self.file.read_manifest()
-        #: OID -> the write version its newest persisted entry holds.
-        self.persisted: Dict[OID, int] = {}
-        #: Object entries in the live batches, superseded ones included.
-        self._entries = 0
-
-    def load(self, store: ObjectStore) -> Optional[dict]:
-        """Fill ``store`` from the batches; returns the manifest (None when
-        nothing was committed yet)."""
-        if self.manifest is None:
-            return None
-        newest: Dict[int, bytes] = {}
-        for offset, length in self.manifest["batches"]:
-            lines = self.file.read_record(offset, length, blocks.KIND_OBJECTS).split(b"\n")
-            self._entries += len(lines)
-            for line in lines:
-                oid, _space, entry = line.partition(b" ")
-                newest[int(oid)] = entry
-        for oid in self.manifest["deleted"]:
-            newest.pop(oid, None)
-        decoded = json.loads(b"[" + b",".join(newest.values()) + b"]")
-        store.load_objects((oid, *entry) for oid, entry in zip(newest, decoded))
-        self.persisted = dict.fromkeys(map(OID, newest), 0)
-        return self.manifest
-
-    def commit(self, store: ObjectStore, header: dict) -> Dict[str, int]:
-        """Append the changed objects and a manifest holding ``header``
-        (``schema``, ``oid_high_water``, ``wal_mark``); durable on return."""
-        previous = self.manifest or {"batches": [], "deleted": []}
-        start = self.file.size
-        with store._write_lock:  # writers wait while the changed objects are encoded
-            objects = store._objects
-            versions = {oid: stored.version for oid, stored in objects.items()}
-            gone = [oid.value for oid in self.persisted if oid not in versions]
-            changed = [oid for oid, version in versions.items() if self.persisted.get(oid) != version]
-            kept, deleted = self._entries, set(previous["deleted"]).union(gone)
-            if kept + len(changed) - len(versions) > max(64, len(versions)):
-                # More dead entries than live objects: rewrite the live set.
-                changed, kept, deleted, previous = list(versions), 0, set(), {"batches": []}
-            entries = [
-                b"%d %s" % (oid, json.dumps([objects[oid].class_name, {
+        The versions are read and the lines encoded under the write lock,
+        so no writer changes a dictionary while it is encoded.
+        """
+        with self._write_lock:
+            objects = self._objects
+            return [
+                object_line(oid, objects[oid].class_name, {
                     k: encode_value(v) for k, v in objects[oid].attributes.items()
-                }], separators=(",", ":")).encode("ascii"))
-                for oid in sorted(changed)
+                })
+                for oid in select({oid: stored.version for oid, stored in objects.items()})
             ]
-        batches = list(previous["batches"])
-        if entries:
-            batches.append(list(self.file.append_record(blocks.KIND_OBJECTS, b"\n".join(entries))))
-        manifest = dict(header, batches=batches, deleted=sorted(deleted.difference(changed)))
-        self.file.commit(blocks.encode_json(manifest))
-        self.manifest, self.persisted, self._entries = manifest, versions, kept + len(entries)
-        return {"objects_written": len(entries), "objects_deleted": len(gone), "bytes": self.file.size - start}
 
-    def pack(self, store: ObjectStore, header: dict) -> Dict[str, int]:
-        """Rewrite the file as one batch of the live set (write new, then
-        ``os.replace``): the one place its dead bytes are given back."""
-        tmp_path = self.path + ".pack"
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        packed = ObjectFile(tmp_path)
-        stats = packed.commit(store, header)
-        packed.close()
-        self.close()
-        os.replace(tmp_path, self.path)
-        fsync_directory(self.path)
-        self.file, self.manifest = StoreFile(self.path, use_mmap=False), packed.manifest
-        self.persisted, self._entries = packed.persisted, packed._entries
-        return stats
 
-    def stats(self) -> Dict[str, Any]:
-        """Size, and the bytes the manifest, footer and live batches take."""
-        live = blocks.SUPER_SIZE + (self.file.manifest_length + blocks.FOOTER_SIZE + sum(
-            length for _offset, length in self.manifest["batches"]
-        ) if self.manifest else 0)
-        size = self.file.size
-        return {"path": self.path, "size_bytes": size, "live_bytes": live, "dead_bytes": size - live}
-
-    def close(self) -> None:
-        self.file.close()
+def object_line(oid: int, class_name: str, attributes: Dict[str, Any]) -> bytes:
+    """One object of a ``KIND_OBJECTS`` record: ``<oid> [class, attributes]``,
+    the attributes in the value encoding, in their order."""
+    return b"%d %s" % (oid, json.dumps([class_name, attributes], separators=(",", ":")).encode("ascii"))
 
 
 _MISSING = object()  # 'attribute never written', as distinct from None

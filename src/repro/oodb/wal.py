@@ -78,8 +78,7 @@ class LogRecord:
 
     def to_json(self) -> str:
         body = json.dumps(
-            {"lsn": self.lsn, "kind": self.kind, "txn": self.txn_id, "payload": self.payload},
-            sort_keys=True,
+            {"lsn": self.lsn, "kind": self.kind, "txn": self.txn_id, "payload": self.payload}
         )
         return f'{{"crc": {zlib.crc32(body.encode("utf-8"))}, {body[1:]}'
 

@@ -344,8 +344,8 @@ class Session:
     def checkpoint(self) -> Dict[str, Any]:
         """Checkpoint the durable store + database; returns commit stats.
 
-        Appends one incremental checkpoint to the single-file store (see
-        docs/storage-format.md) and then checkpoints the OODB.  Raises
+        Commits the changed objects and index records to the single-file
+        store in one checkpoint (see docs/storage-format.md).  Raises
         :class:`~repro.errors.StoreError` on systems without a store.
         Pooled sessions run it through the worker service so it
         serializes with in-flight index/update work.

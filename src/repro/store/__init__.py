@@ -1,7 +1,8 @@
 """repro.store — the single-file durable store.
 
-One append-only file holds every collection: a 32-byte superblock,
-checksummed record blocks, and a footer-committed manifest chain.  Checkpoints are incremental
+One append-only file holds every collection and the database's objects:
+a 32-byte superblock, checksummed record blocks, and a footer-committed
+manifest chain.  Checkpoints are incremental
 (sealed segments are written exactly once), recovery scans back to the
 last valid manifest, restart is lazy, and :meth:`SingleFileStore.pack`
 compacts offline.  See docs/storage-format.md for the on-disk format

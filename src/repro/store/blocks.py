@@ -61,7 +61,7 @@ KIND_MEMTABLE = 3   # a memtable as JSON; read, no longer written
 KIND_INDEX = 4      # a legacy monolithic index; read, no longer written
 KIND_MANIFEST = 5   # a checkpoint manifest (the commit record)
 KIND_BLOCKS = 6     # one sealed segment or memtable in native block form
-KIND_OBJECTS = 7    # one batch of database objects (``db/objects.store``)
+KIND_OBJECTS = 7    # one batch of database objects (the manifest's ``objects`` section)
 
 _KIND_NAMES = {
     KIND_DOCS: "docs",

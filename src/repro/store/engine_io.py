@@ -1,9 +1,9 @@
-""":class:`SingleFileStore` — whole-engine persistence in one file.
+""":class:`SingleFileStore` — both halves of the coupling in one file.
 
 Section 1.1: the internal representations "are stored in a file system".
-Every collection serializes into one append-only
-:class:`~repro.store.file.StoreFile`; a checkpoint appends only what
-changed since the previous one:
+Every collection, and the database's objects, serialize into one
+append-only :class:`~repro.store.file.StoreFile`; a checkpoint appends
+only what changed since the previous one:
 
 * **sealed segments** are written exactly once, in their native block
   form (``blocks`` records, ``CompactIndex.to_bytes``).  A written or
@@ -12,8 +12,11 @@ changed since the previous one:
   *manifest* entry, so deleting documents never rewrites a segment record.
 * **documents** append as delta batches: only documents whose
   ``(doc_id, revision)`` changed since the last checkpoint.  Removals are
-  listed in the manifest; once the removal list outgrows the live set,
-  the batches are rewritten from scratch (self-trimming).
+  listed in the manifest (see :class:`_Batches` for the self-trim rule).
+* **objects** — the database image, the manifest's ``objects`` section —
+  append the same way: one ``KIND_OBJECTS`` batch of the objects whose
+  write version moved (lines encoded by :mod:`repro.oodb.store`), with
+  the schema, OID high-water mark and WAL mark of the database.
 
 Before writing a materialized collection's entry, the checkpoint seals
 its memtable and folds what the size-tiered policy picks
@@ -22,8 +25,8 @@ manifest references only sealed segments, never a memtable, and a fold's
 inputs drop out of it (their records stay dead until :meth:`pack`).
 
 The manifest (one JSON record + footer per checkpoint) is the atomic
-commit: crash anywhere before the footer fsync leaves the previous
-checkpoint intact (see :mod:`repro.store.file` for recovery).
+commit of both halves: crash anywhere before the footer fsync leaves the
+previous checkpoint intact (see :mod:`repro.store.file` for recovery).
 
 Loading is lazy by default: each collection registers a loader with the
 engine and materializes from the manifest on first touch, so
@@ -55,28 +58,55 @@ from repro.store.file import StoreFile, fsync_directory
 from repro.store.importer import import_store
 
 
-class _CollectionState:
-    """Incremental bookkeeping for one collection between checkpoints."""
+class _Batches:
+    """Delta batches of one keyed set: a collection's documents, or the
+    database's objects.  A checkpoint appends one batch of the entries
+    whose revision moved; the manifest lists the keys removed since the
+    batches began.  Once they would hold more dead entries (superseded or
+    removed) than live ones, and more than 64, one batch of the whole live
+    set replaces them, so replay cost stays proportional to the live set.
+    """
 
-    __slots__ = ("revisions", "batches", "removed")
+    __slots__ = ("revisions", "refs", "removed", "entries")
 
-    def __init__(self) -> None:
-        #: doc id -> revision as of the last persisted batch.
-        self.revisions: Dict[int, int] = {}
-        #: ``[offset, length]`` of every live document batch, oldest first.
-        self.batches: List[List[int]] = []
-        #: doc ids persisted in some batch and since removed.
-        self.removed: Set[int] = set()
+    def __init__(self, revisions=None, refs=(), removed=(), entries: int = 0) -> None:
+        self.revisions: Dict[int, int] = revisions or {}  # key -> persisted revision
+        self.refs = [list(ref) for ref in refs]  # [offset, length] per live batch
+        self.removed: Set[int] = set(removed)
+        self.entries = entries  # in the live batches, superseded ones included
+
+    def delta(self, current: Dict[int, int]) -> List[int]:
+        """The keys the next batch holds, sorted, given every live key's
+        revision; from here on they count as persisted."""
+        gone = [key for key in self.revisions if key not in current]
+        self.removed.update(gone)
+        for key in gone:
+            del self.revisions[key]
+        changed = [key for key, revision in current.items() if self.revisions.get(key) != revision]
+        if self.entries + len(changed) - len(current) > max(64, len(current)):
+            self.refs, self.removed, self.entries, changed = [], set(), 0, list(current)
+        self.removed.difference_update(changed)  # a restored object is live again
+        self.entries += len(changed)
+        for key in changed:
+            self.revisions[key] = current[key]
+        return sorted(changed)
+
+    def repack(self, refs: List[List[int]]) -> None:
+        """The batches are now ``refs``, holding just the persisted set."""
+        self.refs, self.removed, self.entries = refs, set(), len(self.revisions)
 
 
 class SingleFileStore:
-    """The engine's single-file durable store (see module docstring)."""
+    """The coupling's single-file durable store (see module docstring)."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.file = StoreFile(path)
         self.manifest: Optional[dict] = import_store(self.file, self.file.read_manifest())
-        self._state: Dict[str, _CollectionState] = {}
+        #: Each materialized collection's document batches.
+        self._state: Dict[str, _Batches] = {}
+        #: The database's object batches.
+        self._objects = _Batches()
         #: One-generation stamp translation after :meth:`pack`:
         #: ``(previous_token, {old_offset: [new_offset, length]})``.
         self._remap: Optional[Tuple[int, Dict[int, List[int]]]] = None
@@ -101,42 +131,65 @@ class SingleFileStore:
     # checkpoint
     # ------------------------------------------------------------------
 
-    def checkpoint(self, engine, gens: Optional[Dict[str, int]] = None) -> dict:
-        """Append one incremental checkpoint of ``engine`` and commit it.
+    def checkpoint(self, engine=None, gens: Optional[Dict[str, int]] = None, objects=None) -> dict:
+        """Append one incremental checkpoint and commit it: one manifest,
+        one fsync.
 
-        ``gens`` are the OODB-side index generations recorded alongside
-        (see ``DocumentSystem.checkpoint``): on restart, a collection
+        ``objects`` is the database half, ``(table, header)``: its
+        :class:`~repro.oodb.store.ObjectStore`, whose objects with a moved
+        write version are appended as one batch, and the ``schema``,
+        ``oid_high_water`` and ``wal_mark`` of its image.  ``engine`` is
+        the IRS half, and ``gens`` the OODB index generations recorded
+        with it (see ``checkpoint_coupling``): on restart, a collection
         whose database generation outruns the stored one is reindexed
-        from the recovered database state.
+        from the recovered database state.  A half not given is carried
+        forward from the previous manifest.
         """
         registry = obs.metrics()
         started = time.perf_counter()
         self._appended = 0
         self._reused = 0
         self._appended_bytes = 0
+        written = 0
         with obs.tracer().span("store.checkpoint", path=self.path):
-            previous = (self.manifest or {}).get("collections", {})
-            collections: Dict[str, dict] = {}
-            for name in engine.collection_names():
-                if engine.is_lazy(name) and name in previous:
-                    # Untouched since load: its records and manifest entry
-                    # are still exact — carry the entry forward verbatim.
-                    collections[name] = previous[name]
-                    continue
-                collection = engine.collection(name)
-                with engine.mutating(name):
-                    collection.segments.seal_and_fold()
-                    collections[name] = self._collection_entry(name, collection)
-            for name in list(self._state):
-                if name not in collections:
-                    del self._state[name]
             manifest = {
+                "gens": {},
+                "collections": {},
+                **(self.manifest or {}),
                 "checkpoint_id": self.checkpoint_id + 1,
                 "prev": self.file.manifest_offset,
-                "engine": {"default_model": engine._default_model},
-                "gens": dict(gens or {}),
-                "collections": collections,
             }
+            if objects is not None:
+                table, header = objects
+                lines = table.encode_changed(self._objects.delta)
+                if lines:
+                    self._objects.refs.append(self._append(blocks.KIND_OBJECTS, b"\n".join(lines)))
+                written = len(lines)
+                manifest["objects"] = dict(
+                    header,
+                    batches=[list(ref) for ref in self._objects.refs],
+                    deleted=sorted(self._objects.removed),
+                )
+            if engine is not None:
+                previous, collections = manifest["collections"], {}
+                for name in engine.collection_names():
+                    if engine.is_lazy(name) and name in previous:
+                        # Untouched since load: its records and manifest entry
+                        # are still exact — carry the entry forward verbatim.
+                        collections[name] = previous[name]
+                        continue
+                    collection = engine.collection(name)
+                    with engine.mutating(name):
+                        collection.segments.seal_and_fold()
+                        collections[name] = self._collection_entry(name, collection)
+                for name in list(self._state):
+                    if name not in collections:
+                        del self._state[name]
+                manifest.update(
+                    engine={"default_model": engine._default_model},
+                    gens=dict(gens or {}),
+                    collections=collections,
+                )
             self.file.commit(encode_json(manifest))
             self.manifest = manifest
             self._live_bytes = self._compute_live_bytes(manifest)
@@ -151,6 +204,7 @@ class SingleFileStore:
         return {
             "checkpoint_id": manifest["checkpoint_id"],
             "seconds": elapsed,
+            "objects_written": written,
             "records_appended": self._appended,
             "records_reused": self._reused,
             "bytes_appended": self._appended_bytes,
@@ -166,62 +220,32 @@ class SingleFileStore:
         return [offset, length]
 
     def _collection_entry(self, name: str, collection) -> dict:
-        state = self._state.setdefault(name, _CollectionState())
-        entry: Dict[str, Any] = {
+        state = self._state.setdefault(name, _Batches())
+        documents = collection._documents
+        changed = state.delta({doc.doc_id: doc.revision for doc in documents.values()})
+        if changed:
+            batch = [
+                {
+                    "doc_id": doc_id,
+                    "text": documents[doc_id].text,
+                    "metadata": documents[doc_id].metadata,
+                    "revision": documents[doc_id].revision,
+                }
+                for doc_id in changed
+            ]
+            state.refs.append(self._append(blocks.KIND_DOCS, encode_json({"documents": batch})))
+        return {
             "analyzer": collection.analyzer.config(),
             "next_doc_id": collection._next_doc_id,
-            "document_count": len(collection._documents),
+            "document_count": len(documents),
+            "doc_batches": [list(ref) for ref in state.refs],
+            "removed_docs": sorted(state.removed),
+            "layout": "segmented",
+            "segments": [
+                self._segment_entry(segment)
+                for segment in collection.segments.sealed_segments()
+            ],
         }
-        self._checkpoint_docs(state, collection, entry)
-        entry["layout"] = "segmented"
-        entry["segments"] = [
-            self._segment_entry(segment)
-            for segment in collection.segments.sealed_segments()
-        ]
-        return entry
-
-    def _checkpoint_docs(self, state, collection, entry) -> None:
-        current = {
-            doc.doc_id: doc.revision
-            for doc in collection._documents.values()
-        }
-        removed = [
-            doc_id for doc_id in state.revisions if doc_id not in current
-        ]
-        state.removed.update(removed)
-        for doc_id in removed:
-            del state.revisions[doc_id]
-        if state.removed and len(state.removed) > max(64, len(current)):
-            # More dead than alive: rewrite the batches from scratch so
-            # replay cost stays proportional to the live set.
-            state.batches = []
-            state.removed = set()
-            state.revisions = {}
-            changed = sorted(current)
-        else:
-            changed = sorted(
-                doc_id
-                for doc_id, revision in current.items()
-                if state.revisions.get(doc_id) != revision
-            )
-        if changed:
-            batch = []
-            for doc_id in changed:
-                doc = collection._documents[doc_id]
-                batch.append(
-                    {
-                        "doc_id": doc.doc_id,
-                        "text": doc.text,
-                        "metadata": doc.metadata,
-                        "revision": doc.revision,
-                    }
-                )
-                state.revisions[doc_id] = current[doc_id]
-            state.batches.append(
-                self._append(blocks.KIND_DOCS, encode_json({"documents": batch}))
-            )
-        entry["doc_batches"] = [list(ref) for ref in state.batches]
-        entry["removed_docs"] = sorted(state.removed)
 
     def _segment_entry(self, segment) -> dict:
         offset, length = self._segment_ref(segment)
@@ -306,37 +330,66 @@ class SingleFileStore:
             }
             for ref in refs
         ]
+        documents, entries = self._live_docs(entry)
         payload = {
             "name": name,
             "next_doc_id": entry["next_doc_id"],
             "analyzer": entry["analyzer"],
-            "documents": self._replay_docs(entry),
+            "documents": documents,
             "segments": segments,
         }
         collection = IRSCollection.from_payload(
             payload, engine._analyzer, segment_config=engine.segment_config
         )
-        state = _CollectionState()
-        state.revisions = {
-            doc.doc_id: doc.revision
-            for doc in collection._documents.values()
-        }
-        state.batches = [list(ref) for ref in entry["doc_batches"]]
-        state.removed = set(entry["removed_docs"])
-        self._state[name] = state
+        self._state[name] = _Batches(
+            {doc.doc_id: doc.revision for doc in collection._documents.values()},
+            entry["doc_batches"],
+            entry["removed_docs"],
+            entries,
+        )
         for segment, ref in zip(collection.segments.sealed_segments(), refs):
             segment.store_stamp = (self.token, ref["offset"], ref["length"])
         return collection
 
-    def _replay_docs(self, entry: dict) -> List[dict]:
+    def _live_docs(self, entry: dict) -> Tuple[List[dict], int]:
+        """The live documents in doc-id order, and the count of documents
+        in the batches (superseded ones included)."""
         documents: Dict[int, dict] = {}
+        count = 0
         for offset, length in entry["doc_batches"]:
-            batch = self.file.read_json(offset, length, blocks.KIND_DOCS)
-            for doc in batch["documents"]:
-                documents[doc["doc_id"]] = doc
+            batch = self.file.read_json(offset, length, blocks.KIND_DOCS)["documents"]
+            count += len(batch)
+            documents.update((doc["doc_id"], doc) for doc in batch)
         for doc_id in entry["removed_docs"]:
             documents.pop(doc_id, None)
-        return [documents[doc_id] for doc_id in sorted(documents)]
+        return [documents[doc_id] for doc_id in sorted(documents)], count
+
+    def _live_objects(self, section: dict) -> Tuple[Dict[int, bytes], int]:
+        """Each live object's newest line past ``<oid> ``, by OID, and the
+        count of lines in the batches (superseded ones included)."""
+        newest: Dict[int, bytes] = {}
+        count = 0
+        for offset, length in section["batches"]:
+            lines = self.file.read_record(offset, length, blocks.KIND_OBJECTS).split(b"\n")
+            count += len(lines)
+            for line in lines:
+                oid, _space, entry = line.partition(b" ")
+                newest[int(oid)] = entry
+        for oid in section["deleted"]:
+            newest.pop(oid, None)
+        return newest, count
+
+    def load_objects(self, table) -> dict:
+        """Fill ``table``, the database's ``ObjectStore``, from the
+        ``objects`` section and return the section (empty before the first
+        checkpoint)."""
+        section = (self.manifest or {}).get("objects")
+        if section is None:
+            return {}
+        newest, entries = self._live_objects(section)
+        table.load_image(newest)
+        self._objects = _Batches(dict.fromkeys(newest, 0), section["batches"], section["deleted"], entries)
+        return section
 
     # ------------------------------------------------------------------
     # pack
@@ -345,7 +398,9 @@ class SingleFileStore:
     def pack(self) -> dict:
         """Offline compaction: copy live records into a fresh file.
 
-        Atomic (write-new + ``os.replace``); requires a quiesced system —
+        Each collection's documents, and the database's objects, become one
+        batch of the live set; index records are copied verbatim.  Atomic
+        (write-new + ``os.replace``); requires a quiesced system —
         ``DocumentSystem.pack`` checkpoints first, and no concurrent
         checkpoint or materialization may run during the copy.  Segment
         stamps survive via a one-generation offset remap.
@@ -371,6 +426,12 @@ class SingleFileStore:
             new_manifest["checkpoint_id"] = manifest["checkpoint_id"] + 1
             new_manifest["collections"] = collections
             new_manifest["prev"] = None
+            section = manifest.get("objects")
+            if section is not None:
+                newest, _entries = self._live_objects(section)
+                lines = [b"%d %s" % (oid, newest[oid]) for oid in sorted(newest)]
+                refs = [list(new_file.append_record(blocks.KIND_OBJECTS, b"\n".join(lines)))] if lines else []
+                new_manifest["objects"] = dict(section, batches=refs, deleted=[])
             new_file.commit(encode_json(new_manifest))
             new_file.close()
             self.file.close()
@@ -380,7 +441,11 @@ class SingleFileStore:
             self.manifest = self.file.read_manifest()
             self._remap = (old_token, remap)
             self._live_bytes = self._compute_live_bytes(self.manifest)
-            self._repoint_state(remap)
+            for name, state in self._state.items():
+                if name in collections:
+                    state.repack(collections[name]["doc_batches"])
+            if section is not None:
+                self._objects.repack(new_manifest["objects"]["batches"])
         registry.counter("store.packs").inc()
         self._update_size_gauges(registry)
         return {
@@ -393,7 +458,7 @@ class SingleFileStore:
     def _pack_entry(self, entry: dict, new_file: StoreFile, remap) -> dict:
         packed = dict(entry)
         # Documents: merge all delta batches into one live batch.
-        documents = self._replay_docs(entry)
+        documents, _entries = self._live_docs(entry)
         if documents or entry["doc_batches"]:
             data = encode_json({"documents": documents})
             offset, length = new_file.append_record(blocks.KIND_DOCS, data)
@@ -415,20 +480,9 @@ class SingleFileStore:
         already = remap.get(offset)
         if already is not None:
             return list(already)
-        data = self.file._pread(offset, length)
-        blocks.verify_record(data)
-        new_offset, new_length = new_file.append_raw(data)
-        remap[offset] = [new_offset, new_length]
-        return [new_offset, new_length]
-
-    def _repoint_state(self, remap: Dict[int, List[int]]) -> None:
-        new_collections = (self.manifest or {}).get("collections", {})
-        for name, state in self._state.items():
-            entry = new_collections.get(name)
-            if entry is None:
-                continue
-            state.batches = [list(ref) for ref in entry["doc_batches"]]
-            state.removed = set(entry["removed_docs"])
+        kind = self.file.record_kind(offset)
+        remap[offset] = list(new_file.append_record(kind, self.file.read_record(offset, length, kind)))
+        return list(remap[offset])
 
     # ------------------------------------------------------------------
     # accounting
@@ -445,6 +499,8 @@ class SingleFileStore:
                 live[offset] = length
             for segment in entry["segments"]:
                 live[segment["offset"]] = segment["length"]
+        for offset, length in manifest.get("objects", {}).get("batches", ()):
+            live[offset] = length
         return total + sum(live.values())
 
     def _update_size_gauges(self, registry) -> None:

@@ -215,15 +215,6 @@ class StoreFile:
         self._end = offset + len(encoded)
         return offset, len(encoded)
 
-    def append_raw(self, record_bytes: bytes) -> Tuple[int, int]:
-        """Append an already-encoded record verbatim (pack's copy path)."""
-        self._prepare_append()
-        offset = self._end
-        self._fh.seek(offset)
-        self._fh.write(record_bytes)
-        self._end = offset + len(record_bytes)
-        return offset, len(record_bytes)
-
     def commit(self, manifest_payload: bytes) -> Tuple[int, int]:
         """Append the manifest + footer, then fsync: the commit point."""
         offset, length = self.append_record(

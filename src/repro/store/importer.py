@@ -6,15 +6,17 @@ records (``CompactIndex.to_bytes``) and which names no memtable.  Only
 this module reads the older shapes: ``flat`` entries (one INDEX record,
 kind 4), ``sharded`` entries (per shard, its segments and its memtable),
 a ``memtable`` ref under any entry (a JSON MEMTABLE record, kind 3, or a
-native kind 6 one), JSON SEGMENT (kind 2) records, and ``irs_index/``
-directories of per-collection JSON dumps.
+native kind 6 one), JSON SEGMENT (kind 2) records, ``irs_index/``
+directories of per-collection JSON dumps, and the database images older
+builds kept in ``db/`` beside ``irs.store`` (:func:`_older_image`).
 
 :func:`import_store` runs whenever :class:`~repro.store.SingleFileStore`
 opens a manifest.  It writes each older record once more as kind 6
 (``CompactIndex.from_payload(...).to_bytes()``; a kind 6 record is
 referenced as it is), makes its entry ``segmented`` with the segments in
 the order the older layout loaded them — for each shard in order, its
-segments, then its memtable — and commits one manifest with the same
+segments, then its memtable — gives a manifest without an ``objects``
+section the older database image, and commits one manifest with the same
 documents, ``gens`` and ``engine``.
 A crash before that manifest's footer leaves the older manifest, which
 is imported again at the next open.
@@ -29,6 +31,7 @@ from typing import Optional
 from repro.irs.postings import CompactIndex
 from repro.store import blocks
 from repro.store.blocks import encode_json
+from repro.store.file import StoreFile
 
 #: Every kind an index ref of an older manifest entry may point at.
 _INDEX_KINDS = (
@@ -37,22 +40,57 @@ _INDEX_KINDS = (
 
 
 def import_store(file, manifest: Optional[dict]) -> Optional[dict]:
-    """``manifest`` itself when every entry is native; otherwise the
-    manifest with every older entry converted, committed to ``file``."""
+    """``manifest`` itself when every entry is native and it has an
+    ``objects`` section or there is no older database image in the
+    ``db/`` directory beside ``file``; otherwise the manifest with every
+    older entry converted and that image (:func:`_older_image`) as its
+    ``objects`` section, committed to ``file``."""
     collections = dict((manifest or {}).get("collections", {}))
     older = [name for name, entry in collections.items() if not _is_native(file, entry)]
-    if not older:
-        return manifest
     for name in older:
         collections[name] = _native_entry(file, collections[name])
+    directory = os.path.join(os.path.dirname(file.path), "db")
+    section = None if manifest and "objects" in manifest else _older_image(file, directory)
+    if not older and section is None:
+        return manifest
     imported = dict(
-        manifest,
-        checkpoint_id=manifest["checkpoint_id"] + 1,
+        manifest or {"gens": {}},
+        checkpoint_id=(manifest or {}).get("checkpoint_id", 0) + 1,
         prev=file.manifest_offset,
         collections=collections,
     )
+    if section is not None:
+        imported["objects"] = section
     file.commit(encode_json(imported))
     return imported
+
+
+def _older_image(file, directory: str) -> Optional[dict]:
+    """The image of ``<directory>/objects.store``, the object file that
+    builds with two files kept beside ``irs.store`` (its live batches
+    appended to ``file`` as they are), or else of the ``snapshot.json``
+    from before it (its objects appended as one batch); None when there
+    is neither.  Neither file is written to."""
+    older = os.path.join(directory, "objects.store")
+    if os.path.exists(older):
+        with StoreFile(older, use_mmap=False) as source:
+            image = source.read_manifest()
+            if image is not None:
+                return dict(image, batches=[
+                    list(file.append_record(
+                        blocks.KIND_OBJECTS, source.read_record(offset, length, blocks.KIND_OBJECTS)
+                    ))
+                    for offset, length in image["batches"]
+                ])
+    snapshot = os.path.join(directory, "snapshot.json")
+    if not os.path.exists(snapshot):
+        return None
+    from repro.oodb.store import object_line
+
+    image = _read_json(snapshot)
+    lines = [object_line(e["oid"], e["class"], e["attributes"]) for e in image.pop("objects")]
+    batches = [list(file.append_record(blocks.KIND_OBJECTS, b"\n".join(lines)))] if lines else []
+    return dict(image, batches=batches, deleted=[])
 
 
 def _is_native(file, entry: dict) -> bool:

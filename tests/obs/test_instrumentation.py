@@ -94,17 +94,13 @@ class TestWalAndRecoveryMetrics:
         objects[1].set("x", 9)
         db.checkpoint()
         spans = [r for r in tracer.finished_traces() if r.name == "oodb.checkpoint"]
-        assert [
-            (span.attributes["objects_written"], span.attributes["objects_deleted"])
-            for span in spans
-        ] == [(3, 0), (1, 1)]
-        written = [span.attributes["bytes"] for span in spans]
+        assert [span.attributes["objects_written"] for span in spans] == [3, 1]
         counters = metrics.snapshot()["counters"]
         assert counters["oodb.checkpoint.objects"] == 4
-        # Batches, manifests and footers: the whole file but its superblock.
-        assert counters["oodb.checkpoint.bytes"] == sum(written) == (
-            db.storage_stats()["size_bytes"] - 32
-        )
+        section = db._storage.manifest["objects"]
+        assert section["deleted"] == [objects[0].oid]
+        # The two object batches are all the store file's records.
+        assert counters["store.bytes.appended"] == sum(length for _offset, length in section["batches"])
         db.close()
 
 

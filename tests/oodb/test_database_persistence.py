@@ -128,13 +128,13 @@ class TestWALReplay:
 
 class TestCheckpointWhileATransactionIsOpen:
     """A checkpoint would persist an open transaction's uncommitted
-    writes, which then survive its rollback: checkpoint, pack and close
+    writes, which then survive its rollback: checkpoint and close
     refuse while one is open, on this thread or another, and write
     nothing."""
 
     def crash_and_reopen(self, db, path):
         db._wal.close()  # no checkpoint: recovery reads what is on disk
-        db._objects.close()
+        db._storage.close()
         return make_db(path)
 
     def test_same_thread(self, tmp_path):
@@ -145,7 +145,7 @@ class TestCheckpointWhileATransactionIsOpen:
         size = os.path.getsize(os.path.join(path, "objects.store"))
         txn = db.begin()
         box.set("n", 1)
-        for refused in (db.checkpoint, db.pack, db.close):
+        for refused in (db.checkpoint, db.close):
             with pytest.raises(TransactionError):
                 refused()
         assert os.path.getsize(os.path.join(path, "objects.store")) == size
@@ -171,7 +171,7 @@ class TestCheckpointWhileATransactionIsOpen:
         thread.start()
         try:
             assert written.wait(5)
-            for refused in (db.checkpoint, db.pack, db.close):
+            for refused in (db.checkpoint, db.close):
                 with pytest.raises(TransactionError):
                     refused()
         finally:
@@ -229,7 +229,7 @@ class TestIndexRecovery:
         db.close()
         monkeypatch.undo()
         db2 = make_db(path)
-        recorded = db2._objects.manifest["schema"][-1]["__indexes__"]
+        recorded = db2._storage.manifest["objects"]["schema"][-1]["__indexes__"]
         assert sorted(entry["kind"] for entry in recorded) == ["btree", "hash"]
         n_index, title_index = db2.indexes.find("Doc", "n"), db2.indexes.find("Doc", "title")
         assert n_index.lookup(2) == {docs[2].oid}

@@ -1,4 +1,4 @@
-"""Object store: lifecycle, extents, the object file, value encoding."""
+"""Object store: lifecycle, extents, its image in a store file, value encoding."""
 
 import os
 
@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ObjectNotFoundError
 from repro.oodb.oid import OID
-from repro.oodb.store import ObjectFile, ObjectStore, decode_value, encode_value, load_snapshot
+from repro.oodb.store import ObjectStore, decode_value, encode_value
+from repro.store import SingleFileStore
 
 
 @pytest.fixture
@@ -88,25 +89,36 @@ class TestExtents:
 HEADER = {"schema": [{"name": "PARA"}], "oid_high_water": 10, "wal_mark": 5}
 
 
+def commit(image, table):
+    """One checkpoint of the database half alone."""
+    return image.checkpoint(objects=(table, HEADER))
+
+
 def reload(path):
-    """A fresh table and object file read back from ``path``."""
+    """A fresh table filled from the store file at ``path``."""
     table = ObjectStore()
-    image = ObjectFile(path)
-    return table, image, image.load(table)
+    image = SingleFileStore(path)
+    return table, image, image.load_objects(table)
 
 
-class TestObjectFile:
+def section(image):
+    return image.manifest["objects"]
+
+
+class TestObjectSection:
+    """The database image as the ``objects`` section of a store file."""
+
     def test_round_trip(self, store, tmp_path):
         store.write(OID(1), "text", "hello")
         store.write(OID(1), "ref", OID(3))
         store.write(OID(2), "children", [OID(1), OID(3)])
-        path = str(tmp_path / "objects.store")
-        image = ObjectFile(path)
-        assert image.load(ObjectStore()) is None
-        image.commit(store, HEADER)
+        path = str(tmp_path / "irs.store")
+        table, image, image_section = reload(path)
+        assert image_section == {} and len(table) == 0
+        commit(image, store)
         image.close()
-        fresh, again, manifest = reload(path)
-        assert {k: manifest[k] for k in HEADER} == HEADER
+        fresh, again, image_section = reload(path)
+        assert {k: image_section[k] for k in HEADER} == HEADER
         assert fresh.read(OID(1), "ref") == OID(3)
         assert list(fresh.read_all(OID(1))) == ["text", "ref"]  # attribute order kept
         assert fresh.read(OID(2), "children") == [OID(1), OID(3)]
@@ -114,38 +126,36 @@ class TestObjectFile:
         again.close()
 
     def test_a_commit_writes_only_the_changed_objects(self, store, tmp_path):
-        path = str(tmp_path / "objects.store")
-        image = ObjectFile(path)
-        assert image.commit(store, HEADER)["objects_written"] == 3
-        assert image.commit(store, HEADER) == {
-            "objects_written": 0, "objects_deleted": 0, "bytes": image.file.size - image.file.manifest_offset,
-        }
+        path = str(tmp_path / "irs.store")
+        image = SingleFileStore(path)
+        assert commit(image, store)["objects_written"] == 3
+        stats = commit(image, store)
+        assert (stats["objects_written"], stats["records_appended"]) == (0, 0)
         store.write(OID(2), "text", "changed")
         store.delete(OID(3))
         store.create(OID(4), "PARA", {"text": "new"})
-        stats = image.commit(store, HEADER)
-        assert (stats["objects_written"], stats["objects_deleted"]) == (2, 1)
-        assert len(image.manifest["batches"]) == 2
-        assert image.manifest["deleted"] == [3]
+        assert commit(image, store)["objects_written"] == 2
+        assert len(section(image)["batches"]) == 2
+        assert section(image)["deleted"] == [3]
         image.close()
-        fresh, again, _manifest = reload(path)
+        fresh, again, _section = reload(path)
         assert sorted(fresh.all_oids()) == [OID(1), OID(2), OID(4)]
         assert fresh.read(OID(2), "text") == "changed"
         assert fresh.read(OID(4), "text") == "new"
-        assert again.commit(fresh, HEADER)["objects_written"] == 0  # loaded = persisted
+        assert commit(again, fresh)["objects_written"] == 0  # loaded = persisted
         again.close()
 
     def test_an_object_restored_after_its_deletion_was_persisted(self, store, tmp_path):
-        path = str(tmp_path / "objects.store")
-        image = ObjectFile(path)
-        image.commit(store, HEADER)
+        path = str(tmp_path / "irs.store")
+        image = SingleFileStore(path)
+        commit(image, store)
         stored = store.delete(OID(3))
-        image.commit(store, HEADER)
+        commit(image, store)
         store.restore(OID(3), stored)  # a rolled-back delete
-        image.commit(store, HEADER)
-        assert image.manifest["deleted"] == []
+        commit(image, store)
+        assert section(image)["deleted"] == []
         image.close()
-        fresh, again, _manifest = reload(path)
+        fresh, again, _section = reload(path)
         assert fresh.exists(OID(3))
         again.close()
 
@@ -153,66 +163,51 @@ class TestObjectFile:
         table = ObjectStore()
         for number in range(100):
             table.create(OID(number), "PARA", {"n": number})
-        path = str(tmp_path / "objects.store")
-        image = ObjectFile(path)
-        image.commit(table, HEADER)
+        path = str(tmp_path / "irs.store")
+        image = SingleFileStore(path)
+        commit(image, table)
         for rounds in range(1, 3):
             for number in range(40):
                 table.write(OID(number), "n", -rounds)
-            image.commit(table, HEADER)
+            commit(image, table)
         # 180 entries for 100 live objects.  After 40 deletions and one
         # more change, 121 entries would be dead against 60 live objects,
         # so the next commit rewrites the live set instead.
-        assert len(image.manifest["batches"]) == 3
+        assert len(section(image)["batches"]) == 3
         for number in range(40):
             table.delete(OID(number))
         table.write(OID(50), "n", 0)
-        stats = image.commit(table, HEADER)
-        assert stats["objects_written"] == 60
-        assert image.manifest["batches"] == [image.manifest["batches"][-1]]
-        assert image.manifest["deleted"] == []
+        assert commit(image, table)["objects_written"] == 60
+        assert section(image)["batches"] == [section(image)["batches"][-1]]
+        assert section(image)["deleted"] == []
         image.close()
-        fresh, again, _manifest = reload(path)
+        fresh, again, _section = reload(path)
         assert sorted(fresh.all_oids()) == [OID(n) for n in range(40, 100)]
         assert fresh.read(OID(50), "n") == 0
         again.close()
 
     def test_pack_keeps_the_live_set_alone(self, store, tmp_path):
-        path = str(tmp_path / "objects.store")
-        image = ObjectFile(path)
-        image.commit(store, HEADER)
+        path = str(tmp_path / "irs.store")
+        image = SingleFileStore(path)
+        commit(image, store)
         for number in range(5):
             store.write(OID(1), "text", "x" * 1000 + str(number))
-            image.commit(store, HEADER)
+            commit(image, store)
         before = image.stats()  # the superseded copies sit in live batches
         assert 0 < before["dead_bytes"] and before["size_bytes"] > 5000
-        stats = image.pack(store, HEADER)
-        assert stats["objects_written"] == 3
+        image.pack()
+        assert len(section(image)["batches"]) == 1
         after = image.stats()
         assert after["dead_bytes"] == 0 and after["size_bytes"] < 2000
         assert not os.path.exists(path + ".pack")
         store.write(OID(2), "text", "after the pack")
-        assert image.commit(store, HEADER)["objects_written"] == 1
+        assert commit(image, store)["objects_written"] == 1
         image.close()
-        fresh, again, _manifest = reload(path)
+        fresh, again, _section = reload(path)
         assert fresh.read(OID(1), "text") == "x" * 1000 + "4"
         assert fresh.read(OID(2), "text") == "after the pack"
         again.close()
 
-    def test_a_snapshot_older_builds_wrote_imports(self, tmp_path):
-        path = str(tmp_path / "snap.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                '{"oid_high_water": 3, "schema": [], "objects": ['
-                '{"oid": 1, "class": "PARA", "attributes": {"content": "telnet"}}, '
-                '{"oid": 2, "class": "COLLECTION", "attributes": '
-                '{"doc_map": {"__dict__": [["OID1", [0]]]}}}]}'
-            )
-        table = ObjectStore()
-        assert load_snapshot(path, table) == {"oid_high_water": 3, "schema": []}
-        assert table.read(OID(1), "content") == "telnet"
-        assert table.read(OID(2), "doc_map") == {"OID1": [0]}
-        assert table.extent("COLLECTION") == {OID(2)}
 
 
 _scalar = st.one_of(

@@ -117,6 +117,44 @@ class TestAutocommit:
         assert db._wal is None
 
 
+class TestDDLAutocommits:
+    """A SCHEMA record is a transaction of its own, inside an explicit
+    transaction or an autocommit group too: the class a rollback leaves
+    defined is the one recovery restores."""
+
+    def test_a_class_defined_in_a_rolled_back_transaction_survives_recovery(self, tmp_path):
+        path = str(tmp_path)
+        db = Database(directory=path)
+        txn = db.begin()
+        db.define_class("Late", attributes={"v": "INT"})
+        db.add_class_attribute("Late", "w", "STRING")
+        db.create_object("Late", v=1)
+        txn.rollback()
+        assert db.schema.has_class("Late") and db.extent_size("Late") == 0
+        db._wal.close()  # a crash: no checkpoint
+        db._storage.close()
+        recovered = Database(directory=path)
+        assert recovered.schema.has_class("Late") and recovered.extent_size("Late") == 0
+        assert recovered.schema.has_attribute("Late", "w")
+        recovered.close()
+
+    def test_inside_a_group_the_schema_record_commits_alone(self, tmp_path):
+        db = Database(directory=str(tmp_path))
+        db.define_class("X", attributes={"v": "INT"})
+        mark = db._wal.next_lsn
+        with db.autocommit_group():
+            db.create_object("X", v=1)
+            db.define_class("Late")
+            db.create_object("Late")
+        records = [(r.kind, r.txn_id) for r in db._wal.records() if r.lsn >= mark]
+        kinds = [kind for kind, _txn in records]
+        assert kinds == ["BEGIN", "CREATE", "BEGIN", "SCHEMA", "COMMIT", "CREATE", "COMMIT"]
+        group, ddl = records[0][1], records[2][1]
+        assert group != ddl
+        assert [txn for _kind, txn in records] == [group, group, ddl, ddl, ddl, group, group]
+        db.close()
+
+
 class TestIsolation:
     def test_sequential_transactions_reuse_objects(self, db):
         obj = db.create_object("X", v=1)

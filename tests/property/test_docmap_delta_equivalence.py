@@ -29,6 +29,7 @@ from repro.core.collection import segment_text
 from repro.oodb import Database
 from repro.oodb.oid import OID
 from repro.sgml.mmf import mmf_dtd
+from repro.store import SingleFileStore
 
 NAME = "paras"
 WORDS = "telnet www nii gopher retrieval structure database hypermedia".split()
@@ -100,15 +101,17 @@ def whole_attribute_result(before, pending, by_engine, alive):
 
 
 def recovered_doc_map(directory, collection_oid, scratch):
-    """The stored map a kill -9 here would recover (snapshot + WAL replay)."""
+    """The stored map a kill -9 here would recover (object batches + WAL
+    replay)."""
     image = f"{scratch}/image"
     shutil.rmtree(image, ignore_errors=True)
-    shutil.copytree(f"{directory}/db", image)
-    recovered = Database(directory=image)
+    shutil.copytree(directory, image)
+    recovered = Database(directory=f"{image}/db", store=SingleFileStore(f"{image}/irs.store"))
     try:
         return copy.deepcopy(recovered.get_object(collection_oid).get("doc_map"))
     finally:
         recovered._wal.close()
+        recovered._storage.close()
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -10,6 +10,7 @@ entries and answers; the batch must log one ``CREATE`` per element and
 nothing else, roll back whole and survive a crash at any byte whole.
 """
 
+import json
 import os
 import shutil
 
@@ -22,6 +23,7 @@ from repro.oodb import Database
 from repro.sgml.document import Element
 from repro.sgml.loader import ELEMENT_CLASS, SGMLLoader
 from repro.sgml.mmf import build_document, mmf_dtd
+from repro.store import SingleFileStore
 
 TAGS = ["MMFDOC", "SECTION", "PARA", "EM"]
 TEXTS = ["", "   ", "alpha", "beta gamma", "www nii telnet"]
@@ -82,15 +84,13 @@ trees = st.recursive(
 )
 
 
-def state(db, ordered=True):
-    """Everything a load leaves behind; attribute order included unless
-    ``ordered`` is false (replay restores a record's attributes sorted)."""
+def state(db):
+    """Everything a load leaves behind, attribute order included."""
     oids = sorted(db._store.all_oids())
     return {
         "schema": db.schema.class_names(),
         "objects": {
-            oid: (db.class_of(oid), list(db._store.read_all(oid).items()) if ordered
-                  else db._store.read_all(oid))
+            oid: (db.class_of(oid), list(db._store.read_all(oid).items()))
             for oid in oids
         },
         "extents": {name: sorted(db._store.extent(name)) for name in db.schema.class_names()},
@@ -161,30 +161,47 @@ class TestSameAsPerObjectLoad:
 
 
 class TestTransactions:
-    def test_rollback_leaves_no_object_of_the_tree(self):
-        db, loader = fresh("MMFDOC")
-        sections = [{"title": "Sec", "paragraphs": ["delta"]}]
-        kept = loader.load_document(build_document("Kept", ["alpha"], year="1994", sections=sections))
-        before = state(db)  # every class defined: DDL is not undone
+    def test_rollback_leaves_no_object_of_the_tree(self, tmp_path):
+        """A rolled-back load leaves no object, index entry or lock.  The
+        classes it defined stay: DDL auto-commits, so recovery restores the
+        same schema."""
+        path = str(tmp_path / "db")
+        db = Database(directory=path)
+        loader = SGMLLoader(db)
+        loader.promote_attribute("MMFDOC", "YEAR")
+        kept = loader.load_document(build_document("Kept", ["alpha"], year="1994"))
+        db.checkpoint()  # the promotion's index is durable
+        before = state(db)
         txn = db.begin()
-        root = loader.load_document(
-            build_document("Gone", ["beta", "gamma"], year="1994", sections=sections)
-        )
+        root = loader.load_document(build_document(
+            "Gone", ["beta", "gamma"], year="1994",
+            sections=[{"title": "Sec", "paragraphs": ["delta"]}],
+        ))
         assert db.object_exists(root.oid)
         txn.rollback()
-        assert state(db) == before
+        after = state(db)
+        defined = set(after["schema"]) - set(before["schema"])
+        assert "SECTION" in defined
+        assert after == dict(
+            before,
+            schema=after["schema"],
+            extents={**before["extents"], **dict.fromkeys(defined, [])},
+        )
         assert db.indexes.find("MMFDOC", "YEAR").lookup("1994") == {kept.oid}
         assert db._locks._entries == {}
+        db._wal.close()  # a crash: no checkpoint
+        db._storage.close()
+        assert load_image(path) == after
 
 
-def load_image(directory):
-    db = Database(directory=directory)
+def load_image(directory, store=None):
+    db = Database(directory=directory, store=store)
     SGMLLoader(db)  # attaches the navigation methods, writes nothing
     try:
-        return state(db, ordered=False)
+        return state(db)
     finally:
         db._wal.close()
-        db._objects.close()
+        db._storage.close()
 
 
 class TestCrashAtEveryByte:
@@ -195,7 +212,7 @@ class TestCrashAtEveryByte:
         db = Database(directory=path)
         loader = SGMLLoader(db)
         loader.load_document(build_document("First", ["alpha"], year="1994"))
-        before = state(db, ordered=False)
+        before = state(db)
         db._wal._file.flush()
         base = db._wal._file.tell()
         document = build_document("Second", ["beta", "gamma"], year="1995")
@@ -203,10 +220,18 @@ class TestCrashAtEveryByte:
         loader.load_document(document)
         db._wal._file.flush()
         end = db._wal._file.tell()
-        after = state(db, ordered=False)
-        assert after["schema"] != before["schema"]  # the SCHEMA record is in the group
+        after = state(db)
+        # The SCHEMA record of NOTE commits alone, before the load's group.
+        with open(os.path.join(path, "wal.log"), "rb") as fh:
+            lines = fh.read()[base:end].splitlines(keepends=True)
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds[:3] == ["BEGIN", "SCHEMA", "COMMIT"]
+        defined = base + sum(len(line) for line in lines[:3])
+        only_the_class = dict(
+            before, schema=after["schema"], extents={**before["extents"], "NOTE": []}
+        )
         db._wal.close()  # a crash: no checkpoint
-        db._objects.close()
+        db._storage.close()
 
         files = {}
         for name in os.listdir(path):
@@ -219,8 +244,39 @@ class TestCrashAtEveryByte:
             for name, data in files.items():
                 with open(os.path.join(work, name), "wb") as fh:
                     fh.write(data[:cut] if name == "wal.log" else data)
-            # The COMMIT line survives without its trailing newline.
-            assert load_image(work) == (after if cut >= end - 1 else before), f"cut at {cut}"
+            # A COMMIT line survives without its trailing newline.
+            want = after if cut >= end - 1 else only_the_class if cut >= defined - 1 else before
+            assert load_image(work) == want, f"cut at {cut}"
+
+
+class TestReplayKeepsAttributeOrder:
+    def test_the_batch_written_after_a_crash_equals_an_uncut_runs(self, tmp_path):
+        """Replay restores each ``CREATE``'s attributes in the order they
+        were written, so the object batch a checkpoint writes after a
+        crash and reopen is, byte for byte, the one an uncut run writes."""
+
+        def first_batch(path, crash):
+            db = Database(directory=path)
+            loader = SGMLLoader(db)
+            loader.load_document(build_document(
+                "Doc", ["alpha", "beta"], year="1994",
+                sections=[{"title": "Sec", "paragraphs": ["gamma"]}],
+            ))
+            db.create_object(ELEMENT_CLASS, tag="X", content="b then a", b=1, a=2)
+            if crash:
+                db._wal.close()
+                db._storage.close()
+                db = Database(directory=path)
+            db.checkpoint()
+            (batch,) = db._storage.manifest["objects"]["batches"]
+            try:
+                return db._storage.file.read_record(*batch)
+            finally:
+                db.close()
+
+        uncut = first_batch(str(tmp_path / "uncut"), crash=False)
+        assert b'"b":1,"a":2' in uncut
+        assert first_batch(str(tmp_path / "cut"), crash=True) == uncut
 
 
 class TestDeleteInOnePass:
@@ -244,8 +300,9 @@ class TestDeleteInOnePass:
     def reopened_matches(system, tmp_path):
         system.db._wal._file.flush()
         image = str(tmp_path / "image")
-        shutil.copytree(os.path.join(str(tmp_path / "sys"), "db"), image)
-        return load_image(image) == state(system.db, ordered=False)
+        shutil.copytree(str(tmp_path / "sys"), image)
+        store = SingleFileStore(os.path.join(image, "irs.store"))
+        return load_image(os.path.join(image, "db"), store) == state(system.db)
 
     def test_remove_logs_one_delete_per_element_and_no_write(self, system, tmp_path):
         """The shape of ``update_mix``'s remove: the collection forgets the

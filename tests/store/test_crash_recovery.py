@@ -17,7 +17,7 @@ from repro.errors import StoreCorruptionError
 from repro.irs.engine import IRSEngine
 from repro.irs.segments.segment import SegmentConfig
 from repro.sgml.mmf import build_document, mmf_dtd
-from repro.store import SingleFileStore, blocks
+from repro.store import SingleFileStore, StoreFile, blocks
 
 MODELS = ("inquery", "vector", "boolean")
 
@@ -143,6 +143,21 @@ def encoded_objects(db):
         })
         for obj in db.iter_objects()
     }
+
+
+def open_database(directory):
+    """The database half of a system directory alone: its image in
+    ``irs.store`` and its WAL in ``db/``, recovered without the engine."""
+    from repro.oodb import Database
+
+    store = SingleFileStore(os.path.join(directory, "irs.store"))
+    return Database(directory=os.path.join(directory, "db"), store=store)
+
+
+def crash(db):
+    """Drop ``db`` as a kill would: no checkpoint."""
+    db._wal.close()
+    db._storage.close()
 
 
 def _make_system(path):
@@ -307,7 +322,6 @@ class TestSystemLevelCrashes:
         a kill before the next checkpoint replays them bit-identically."""
         import copy
 
-        from repro.oodb.store import ObjectFile
         from repro.oodb.wal import WriteAheadLog
 
         path, system, collection, dtd = self.populated(tmp_path)
@@ -327,9 +341,8 @@ class TestSystemLevelCrashes:
         system.close()
         # The log's live records: those from the mark the last checkpoint
         # committed on (older ones may follow them in the file).
-        objects = ObjectFile(os.path.join(image, "db", "objects.store"))
-        mark = objects.manifest["wal_mark"]
-        objects.close()
+        with StoreFile(os.path.join(image, "irs.store")) as file:
+            mark = file.read_manifest()["objects"]["wal_mark"]
         with WriteAheadLog(os.path.join(image, "db", "wal.log"), mark=mark) as log:
             kinds = [record.kind for record in log.records()]
         assert kinds.count("ITEM") == 2 + 2 * documents  # 2 results + the derived values
@@ -394,32 +407,28 @@ class TestSystemLevelCrashes:
         assert self.expected(system, collection) == expected
         system.close()
 
-        from repro.oodb import Database
-
         work = str(tmp_path / "work")
         for cut in range(base, end + 1):
             shutil.rmtree(work, ignore_errors=True)
-            shutil.copytree(os.path.join(image, "db"), work)
-            os.truncate(os.path.join(work, "wal.log"), cut)
-            recovered = Database(directory=work)
+            shutil.copytree(image, work)
+            os.truncate(os.path.join(work, "db", "wal.log"), cut)
+            recovered = open_database(work)
             # The COMMIT line survives without its trailing newline.
             assert state(recovered) == (after if cut >= end - 1 else before), f"cut at {cut}"
-            recovered._wal.close()
+            crash(recovered)
         for cut in sorted({base, end - 2, end - 1, end, *range(base, end, 41)}):
             shutil.rmtree(work, ignore_errors=True)
             shutil.copytree(image, work)
             os.truncate(os.path.join(work, "db", "wal.log"), cut)
             assert self._reopened_rankings(work) == expected, f"cut at {cut}"
 
-    def test_kill_at_every_byte_of_one_object_batch(self, tmp_path):
-        """Cut ``db/objects.store`` at every byte of one checkpoint's object
-        batch, manifest and footer.  Before the footer the database opens
-        from the previous manifest plus the WAL, which the reset has not
-        overwritten yet; at the end from the new manifest alone.  Either
-        way every object is as committed, and the system ranks like a
-        fresh rebuild."""
-        from repro.oodb import Database
-
+    def test_kill_at_every_byte_of_one_combined_checkpoint(self, tmp_path):
+        """Cut ``irs.store`` at every byte of one checkpoint: the object
+        batch, the index records and the manifest with its footer.  Before
+        the footer both halves open from the previous manifest plus the
+        WAL, which the reset has not overwritten yet; at the end from the
+        new manifest alone.  Either way every object is as committed, and
+        the system ranks like a fresh rebuild."""
         path, system, collection, dtd = self.populated(tmp_path)
         db = system.db
         system.checkpoint()
@@ -430,11 +439,12 @@ class TestSystemLevelCrashes:
         system.loader.update_content(para, "telnet telnet rewritten retrieval")
         collection.send("modifyObject", para)
         collection.send("propagateUpdates")
-        objects_path = os.path.join(path, "db", "objects.store")
-        base, old_mark = os.path.getsize(objects_path), db._objects.manifest["wal_mark"]
-        system.checkpoint()
-        end, new_mark = os.path.getsize(objects_path), db._objects.manifest["wal_mark"]
-        assert len(db._objects.manifest["batches"]) == 2 and new_mark > old_mark
+        store_path = os.path.join(path, "irs.store")
+        base, old_mark = os.path.getsize(store_path), system.store.manifest["objects"]["wal_mark"]
+        stats = system.checkpoint()
+        end, new_mark = os.path.getsize(store_path), system.store.manifest["objects"]["wal_mark"]
+        assert stats["objects_written"] > 0 and stats["records_appended"] > 1
+        assert len(system.store.manifest["objects"]["batches"]) == 2 and new_mark > old_mark
         image = self._crash_image(path, tmp_path, "batch")
         committed = encoded_objects(db)
         expected = self.expected(system, collection)
@@ -443,20 +453,25 @@ class TestSystemLevelCrashes:
         system.close()
 
         work = str(tmp_path / "work")
-        for cut in range(base, end + 1):
-            shutil.rmtree(work, ignore_errors=True)
-            shutil.copytree(os.path.join(image, "db"), work)
-            os.truncate(os.path.join(work, "objects.store"), cut)
-            recovered = Database(directory=work)
-            mark = recovered._objects.manifest["wal_mark"]
+        shutil.copytree(image, work)
+        wal_path = os.path.join(work, "db", "wal.log")
+        with open(wal_path, "rb") as fh:
+            wal = fh.read()
+        # A cut never moves the surviving prefix: truncate one copy from
+        # the end backwards, and put the log back as it was each time.
+        for cut in range(end, base - 1, -1):
+            os.truncate(os.path.join(work, "irs.store"), cut)
+            with open(wal_path, "wb") as fh:
+                fh.write(wal)
+            recovered = open_database(work)
+            mark = recovered._storage.manifest["objects"]["wal_mark"]
             assert mark == (new_mark if cut == end else old_mark), f"cut at {cut}"
             assert encoded_objects(recovered) == committed, f"cut at {cut}"
-            recovered._wal.close()
-            recovered._objects.close()
+            crash(recovered)
         for cut in sorted({base, end - 1, end, *range(base, end, 97)}):
             shutil.rmtree(work, ignore_errors=True)
             shutil.copytree(image, work)
-            os.truncate(os.path.join(work, "db", "objects.store"), cut)
+            os.truncate(os.path.join(work, "irs.store"), cut)
             assert self._reopened_rankings(work) == expected, f"cut at {cut}"
 
     def test_kill_at_every_byte_of_the_first_records_after_a_reset(self, tmp_path):
@@ -508,16 +523,15 @@ class TestSystemLevelCrashes:
         work = str(tmp_path / "work")
         for cut in range(0, end + 1):
             shutil.rmtree(work, ignore_errors=True)
-            shutil.copytree(os.path.join(image, "db"), work)
-            crash_at(cut, work)
-            recovered = Database(directory=work)
+            shutil.copytree(image, work)
+            crash_at(cut, os.path.join(work, "db"))
+            recovered = open_database(work)
             got = encoded_objects(recovered)
             # A COMMIT line cut before its newline verifies only when the
             # older byte behind it happens to be one.
             assert got == (after if cut == end else before) or cut == end - 1, f"cut at {cut}"
             assert got in (before, after), f"cut at {cut}"
-            recovered._wal.close()
-            recovered._objects.close()
+            crash(recovered)
         for cut in sorted({0, end - 2, end - 1, end, *range(0, end, 41)}):
             shutil.rmtree(work, ignore_errors=True)
             shutil.copytree(image, work)

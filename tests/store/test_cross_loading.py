@@ -23,14 +23,24 @@ regenerated from this code:
   one removed, a propagation and a buffered query that reached only
   ``db/wal.log``, closed without a checkpoint (its ``irs.store`` is a
   checkpoint behind the database);
+* ``two_file_system/`` — a whole system directory written by the last
+  build that kept the database in a file of its own, ``db/objects.store``
+  (two object batches, one with deletions), beside ``irs.store``: four
+  documents indexed and checkpointed; a document added, a paragraph
+  rewritten, one removed and a propagation, checkpointed; then the same
+  again and a buffered query that reached only ``db/wal.log``, closed
+  without a checkpoint;
 * ``*_expected.json`` — the documents and the rankings (3 models, 5
   queries) the writer's own engine gave; for ``sharded_system`` also its
   ``doc_map`` and how many records the writer's build appended at the
   first checkpoint after reopening the directory unsharded; for
-  ``wal_system`` every object in the value encoding of the store, and
-  rankings by OID.
+  ``wal_system`` and ``two_file_system`` every object in the value
+  encoding of the store, and the rankings by OID of the writer's build
+  after reopening the directory.
 
-The JSON directory is read-only now: it is imported once into the store.
+The JSON directory is read-only now: it is imported once into the store,
+and so are the database images in ``db/`` (``snapshot.json``,
+``objects.store``).
 Opening a store converts what older builds wrote (``repro.store.importer``,
 swept byte by byte in ``test_importer.py``): a ``flat`` or ``sharded``
 entry becomes ``segmented``, its segments loading in the collection's one
@@ -50,6 +60,7 @@ from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
 from repro.store.importer import load_json_engine
 from repro.irs.segments import SegmentConfig
+from repro.oodb.store import ObjectStore
 from repro.sgml.mmf import build_document, mmf_dtd
 from repro.store import SingleFileStore, StoreFile, blocks
 from tests.legacy import ShardedHistory, write_sharded_store
@@ -407,7 +418,7 @@ def encoded_objects(db):
     }
 
 
-def oid_rankings(system):
+def oid_rankings(system, want=WAL_SYSTEM):
     (collection,) = system.db.instances_of("COLLECTION")
     return {
         model: {
@@ -415,10 +426,31 @@ def oid_rankings(system):
                 [str(oid), value]
                 for oid, value in system.search(collection, query, model=model).to_dict().items()
             ]
-            for query in WAL_SYSTEM["queries"]
+            for query in want["queries"]
         }
-        for model in WAL_SYSTEM["models"]
+        for model in want["models"]
     }
+
+
+def open_database(directory):
+    """The database half of a system directory alone (its image in
+    ``irs.store``, its WAL in ``db/``), recovered without the engine."""
+    from repro.oodb import Database
+
+    store = SingleFileStore(os.path.join(directory, "irs.store"))
+    return Database(directory=os.path.join(directory, "db"), store=store)
+
+
+def without_the_reindex(objects):
+    """``objects`` less what reindexing a collection moves: it renumbers
+    the IRS documents, moves ``index_gen`` and empties the buffer."""
+    objects = copy.deepcopy(objects)
+    for entry in objects.values():
+        if entry["class"] == "COLLECTION":
+            attributes = entry["attributes"]
+            del attributes["index_gen"], attributes["buffer"]
+            attributes["doc_map"] = [key for key, _ids in attributes["doc_map"]["__dict__"]]
+    return objects
 
 
 class TestSnapshotDirectory:
@@ -426,31 +458,27 @@ class TestSnapshotDirectory:
     wrote snapshots left them: imported once, never written."""
 
     def test_opens_with_identical_objects_and_rankings(self, tmp_path):
+        bare = str(tmp_path / "bare")
+        shutil.copytree(os.path.join(FIXTURES, "wal_system"), bare)
+        db = open_database(bare)
+        assert encoded_objects(db) == WAL_SYSTEM["objects"]
+        db._wal.close()  # no checkpoint
+        db._storage.close()
         path = str(tmp_path / "sys")
         shutil.copytree(os.path.join(FIXTURES, "wal_system"), path)
-        from repro.oodb import Database
-
-        db = Database(directory=os.path.join(path, "db"))
-        assert encoded_objects(db) == WAL_SYSTEM["objects"]
-        db._wal.close()  # no checkpoint: the directory stays as written
-        db._objects.close()
         system = DocumentSystem(directory=path)
         try:
             # The store is a checkpoint behind: the collection is reindexed
-            # from its doc_map's keys, which renumbers the IRS documents,
-            # moves index_gen and empties the buffer.
-            objects, want = encoded_objects(system.db), copy.deepcopy(WAL_SYSTEM["objects"])
-            (oid,) = [k for k, v in objects.items() if v["class"] == "COLLECTION"]
-            for attributes in (objects[oid]["attributes"], want[oid]["attributes"]):
-                del attributes["index_gen"], attributes["buffer"]
-                attributes["doc_map"] = [key for key, _ids in attributes["doc_map"]["__dict__"]]
-            assert objects == want
+            # from its doc_map's keys.
+            assert without_the_reindex(encoded_objects(system.db)) == without_the_reindex(
+                WAL_SYSTEM["objects"]
+            )
             assert oid_rankings(system) == WAL_SYSTEM["rankings"]
         finally:
             system.close()
 
     @pytest.mark.parametrize("fixture", ["wal_system", "sharded_system"])
-    def test_the_first_checkpoint_writes_the_live_set_and_the_snapshot_stays(
+    def test_the_import_writes_the_snapshot_as_one_batch_and_the_snapshot_stays(
         self, tmp_path, fixture
     ):
         path = str(tmp_path / "sys")
@@ -460,9 +488,10 @@ class TestSnapshotDirectory:
             written = fh.read()
         system = DocumentSystem(directory=path)
         objects, rankings = encoded_objects(system.db), oid_rankings(system)
+        section = system.store.manifest["objects"]
+        batch = system.store.file.read_record(*section["batches"][0], blocks.KIND_OBJECTS)
+        assert len(batch.split(b"\n")) == len(json.loads(written)["objects"])
         system.checkpoint()
-        manifest = system.db._objects.manifest
-        assert len(manifest["batches"]) == 1 and manifest["deleted"] == []
         system.close()
         reopened = DocumentSystem(directory=path)
         try:
@@ -472,6 +501,69 @@ class TestSnapshotDirectory:
             reopened.close()
         with open(snapshot, "rb") as fh:
             assert fh.read() == written
+
+
+TWO_FILE_SYSTEM = expected("two_file_system_expected.json")
+
+
+class TestTwoFileDirectory:
+    """``irs.store`` beside ``db/objects.store`` (two object batches and a
+    deleted list) and a ``db/wal.log`` holding committed records past the
+    mark, as the last build that kept the database in its own file left
+    them, closed without a checkpoint: the object file is imported into
+    ``irs.store`` once and never written."""
+
+    def copied(self, tmp_path, name="sys"):
+        path = str(tmp_path / name)
+        shutil.copytree(os.path.join(FIXTURES, "two_file_system"), path)
+        return path
+
+    def test_the_objects_are_equal(self, tmp_path):
+        path = self.copied(tmp_path)
+        older = os.path.join(path, "db", "objects.store")
+        with open(older, "rb") as fh:
+            written = fh.read()
+        with StoreFile(older) as file:
+            image = file.read_manifest()
+        assert len(image["batches"]) == 2 and image["deleted"]
+        db = open_database(path)
+        try:
+            assert len(db._wal) > 0  # committed records past the mark
+            assert encoded_objects(db) == TWO_FILE_SYSTEM["objects"]
+        finally:
+            db._wal.close()  # no checkpoint
+            db._storage.close()
+        with open(older, "rb") as fh:
+            assert fh.read() == written
+
+    def test_the_rankings_are_identical(self, tmp_path):
+        system = DocumentSystem(directory=self.copied(tmp_path))
+        try:
+            # The store is a checkpoint behind the WAL: the collection is
+            # reindexed from its doc_map's keys.
+            assert without_the_reindex(encoded_objects(system.db)) == without_the_reindex(
+                TWO_FILE_SYSTEM["objects"]
+            )
+            assert oid_rankings(system, TWO_FILE_SYSTEM) == TWO_FILE_SYSTEM["rankings"]
+        finally:
+            system.close()
+
+    def test_a_second_open_imports_nothing(self, tmp_path):
+        path = self.copied(tmp_path)
+        store_path = os.path.join(path, "irs.store")
+        system = DocumentSystem(directory=path)
+        objects, rankings = encoded_objects(system.db), oid_rankings(system, TWO_FILE_SYSTEM)
+        system.close()
+        size = os.path.getsize(store_path)
+        with SingleFileStore(store_path) as store:
+            store.load_objects(ObjectStore())
+        assert os.path.getsize(store_path) == size
+        reopened = DocumentSystem(directory=path)
+        try:
+            assert encoded_objects(reopened.db) == objects
+            assert oid_rankings(reopened, TWO_FILE_SYSTEM) == rankings
+        finally:
+            reopened.close()
 
 
 def _populate(system, dtd):

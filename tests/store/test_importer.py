@@ -7,7 +7,9 @@ memtable ref the entry's last segment, in one manifest commit at open.
 The commit is crash-safe at every byte, every fixture an older build
 wrote comes out native with the writer's rankings, a native store opens
 without writing, and a checkpoint seals the memtable into a segment
-record that is referenced again after a restart.
+record that is referenced again after a restart.  The database images
+older builds kept in ``db/`` (``snapshot.json``, then ``objects.store``)
+become the store's ``objects`` section the same way.
 
 ``fixtures/memtable.store`` was written by the last build that stored
 memtables: two collections over unicode terms, sealed every four
@@ -27,6 +29,8 @@ import pytest
 from repro.irs.engine import IRSEngine
 from repro.irs.postings import CompactIndex
 from repro.irs.segments import SegmentConfig
+from repro.oodb.oid import OID
+from repro.oodb.store import ObjectStore
 from repro.store import SingleFileStore, StoreFile, blocks
 from tests.legacy import ShardedHistory, write_sharded_store
 from tests.store.test_cross_loading import (
@@ -209,3 +213,86 @@ def test_a_checkpoint_seals_the_memtable_into_a_referenced_record(tmp_path):
     assert [[s["offset"], s["length"]] for s in entry["segments"]] == [mem_ref]
     assert "memtable" not in entry
     assert set(record_kinds(path)) == {blocks.KIND_DOCS, blocks.KIND_MANIFEST, blocks.KIND_BLOCKS}
+
+
+def table_state(table):
+    """Every object of an ``ObjectStore``, attribute order included."""
+    return {
+        oid: (table.class_of(oid), list(table.read_all(oid).items()))
+        for oid in sorted(table.all_oids())
+    }
+
+
+def opened_objects(path):
+    """The objects ``path`` holds once open (importing), and its section."""
+    table = ObjectStore()
+    with SingleFileStore(path) as store:
+        section = store.load_objects(table)
+    return table_state(table), section
+
+
+class TestDatabaseImages:
+    """The database images older builds kept in ``db/`` beside
+    ``irs.store`` become its ``objects`` section in one commit, once."""
+
+    def test_a_snapshot_older_builds_wrote_imports(self, tmp_path):
+        directory = tmp_path / "db"
+        directory.mkdir()
+        (directory / "snapshot.json").write_text(
+            '{"oid_high_water": 3, "schema": [], "objects": ['
+            '{"oid": 1, "class": "PARA", "attributes": {"content": "telnet"}}, '
+            '{"oid": 2, "class": "COLLECTION", "attributes": '
+            '{"doc_map": {"__dict__": [["OID1", [0]]]}}}]}',
+            encoding="utf-8",
+        )
+        path = str(tmp_path / "irs.store")
+        objects, section = opened_objects(path)
+        assert {k: section[k] for k in ("oid_high_water", "schema", "deleted")} == {
+            "oid_high_water": 3, "schema": [], "deleted": [],
+        }
+        assert len(section["batches"]) == 1
+        assert objects == {
+            OID(1): ("PARA", [("content", "telnet")]),
+            OID(2): ("COLLECTION", [("doc_map", {"OID1": [0]})]),
+        }
+        size = os.path.getsize(path)
+        assert opened_objects(path) == (objects, section)
+        assert os.path.getsize(path) == size  # a second open imports nothing
+
+    def test_crash_at_every_byte_of_the_object_file_import(self, tmp_path):
+        """A cut anywhere in the import of ``db/objects.store`` recovers the
+        manifest before it, and opening that file imports it again, to the
+        same objects; the live batches are copied as they are."""
+        system = str(tmp_path / "sys")
+        shutil.copytree(os.path.join(FIXTURES, "two_file_system"), system)
+        path, directory = os.path.join(system, "irs.store"), os.path.join(system, "db")
+        start = os.path.getsize(path)
+        before = raw_manifest(path)
+        objects, section = opened_objects(path)
+        after = raw_manifest(path)
+        end = os.path.getsize(path)
+        assert after == dict(before, checkpoint_id=before["checkpoint_id"] + 1,
+                             prev=after["prev"], objects=section)
+        with StoreFile(os.path.join(directory, "objects.store")) as older:
+            image = older.read_manifest()
+            with StoreFile(path) as file:
+                assert [
+                    file.read_record(offset, length, blocks.KIND_OBJECTS)
+                    for offset, length in section["batches"]
+                ] == [
+                    older.read_record(offset, length, blocks.KIND_OBJECTS)
+                    for offset, length in image["batches"]
+                ]
+        assert section == dict(image, batches=section["batches"])
+        with open(path, "rb") as fh:
+            imported = fh.read()
+        work = str(tmp_path / "work.store")
+        shutil.copyfile(path, work)
+        for cut in range(end, start - 1, -1):
+            os.truncate(work, cut)
+            assert raw_manifest(work) == (after if cut == end else before), cut
+            if cut in (end, end - 1, start) or cut % 97 == 0:
+                reopened = os.path.join(system, "reopened.store")
+                with open(reopened, "wb") as fh:
+                    fh.write(imported[:cut])
+                assert opened_objects(reopened) == (objects, section), cut

@@ -92,20 +92,67 @@ class TestCheckpoint:
 
 class TestOpenTransaction:
     def test_checkpoint_writes_neither_half_while_a_transaction_is_open(self, tmp_path):
-        """The store half is refused too: no manifest may name index
-        generations the database checkpoint then fails to match."""
+        """The IRS half is refused too: the store file is not written."""
         system, collection, _ = populated(tmp_path)
         system.checkpoint()
-        directory = str(tmp_path / "sys")
-        files = [os.path.join(directory, "irs.store"), os.path.join(directory, "db", "objects.store")]
-        sizes = [os.path.getsize(path) for path in files]
+        store_path = os.path.join(str(tmp_path / "sys"), "irs.store")
+        size = os.path.getsize(store_path)
         txn = system.db.begin()
         collection.set("buffer", {})
         for refused in (system.checkpoint, system.pack, system.close):
             with pytest.raises(TransactionError):
                 refused()
-        assert [os.path.getsize(path) for path in files] == sizes
+        assert os.path.getsize(store_path) == size
         txn.rollback()
+        system.close()
+
+
+class TestOneCommit:
+    """Both halves of the coupling live in ``irs.store``: a checkpoint is
+    one commit of it and then one WAL reset, and ``pack`` rewrites it
+    alone."""
+
+    def test_a_checkpoint_commits_once_then_resets_the_log(self, tmp_path, monkeypatch):
+        from repro.oodb.wal import WriteAheadLog
+        from repro.store.file import StoreFile
+
+        system, collection, dtd = populated(tmp_path)
+        system.checkpoint()
+        system.add_document(build_document("More", ["one more telnet paragraph"]), dtd=dtd)
+        system.index_collection(collection)
+        calls = []
+        for owner, name in ((StoreFile, "commit"), (WriteAheadLog, "reset")):
+            original = getattr(owner, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                calls.append((_name, getattr(self, "path", None)))
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, spy)
+        stats = system.checkpoint()
+        assert stats["objects_written"] > 0 and stats["records_appended"] > 1
+        assert calls == [("commit", system.store.file.path), ("reset", None)]
+        manifest = system.store.manifest
+        assert manifest["objects"]["wal_mark"] == system.db._wal.next_lsn
+        assert manifest["gens"] == {collection.get("irs_name"): collection.get("index_gen")}
+        monkeypatch.undo()
+        system.close()
+        assert sorted(os.listdir(str(tmp_path / "sys"))) == ["db", "irs.store"]
+        assert os.listdir(str(tmp_path / "sys" / "db")) == ["wal.log"]
+
+    def test_pack_rewrites_one_file(self, tmp_path, monkeypatch):
+        system, collection, _ = populated(tmp_path)
+        replaced = []
+        original = os.replace
+
+        def spy(source, target):
+            replaced.append(target)
+            return original(source, target)
+
+        monkeypatch.setattr(os, "replace", spy)
+        system.pack()
+        assert replaced == [system.store.path]
+        monkeypatch.undo()
         system.close()
 
 
@@ -128,18 +175,21 @@ class TestPackThroughSystem:
         reopened.close()
 
 
-    def test_pack_rewrites_the_object_file_as_the_live_set(self, tmp_path):
+    def test_pack_rewrites_the_objects_as_the_live_set(self, tmp_path):
         system, collection, dtd = populated(tmp_path)
         system.checkpoint()
         for round_ in range(3):
             para = system.db.instances_of("PARA")[round_]
             system.loader.update_content(para, f"rewritten paragraph {round_}")
             system.checkpoint()
-        before = system.db.storage_stats()
+        before = system.store.stats()
         assert before["dead_bytes"] > 0
-        objects = system.pack()["objects"]
-        assert objects["objects_written"] == system.db.object_count()
-        after = system.db.storage_stats()
+        assert len(system.store.manifest["objects"]["batches"]) == 4
+        system.pack()
+        (batch,) = system.store.manifest["objects"]["batches"]
+        lines = system.store.file.read_record(*batch).split(b"\n")
+        assert len(lines) == system.db.object_count()
+        after = system.store.stats()
         assert after["dead_bytes"] == 0 and after["size_bytes"] < before["size_bytes"]
         assert not os.path.exists(after["path"] + ".pack")
         expected = {oid: system.db.read_attributes(oid) for oid in system.db._store.all_oids()}
@@ -250,13 +300,26 @@ class TestHealthStorage:
         assert system.health()["storage"]["dirty"]["documents"] == 0
         system.close()
 
-    def test_object_file_bytes_in_the_storage_section(self, tmp_path):
-        system, collection, dtd = populated(tmp_path)
+    def test_the_objects_dead_bytes_reach_the_pack_verdict(self, tmp_path):
+        """One storage section covers both halves: an object rewritten at
+        every checkpoint fills batches that die once a batch rewrites the
+        live set, and ``needs_pack`` counts them; ``pack`` gives them back."""
+        system, collection, _ = populated(tmp_path)
         system.checkpoint()
-        objects = system.health()["storage"]["objects"]
-        assert objects["path"].endswith(os.path.join("db", "objects.store"))
-        assert objects["size_bytes"] == objects["live_bytes"] + objects["dead_bytes"]
-        assert objects["live_bytes"] > 0
+        live = system.db.object_count()
+        (doc, *_others) = system.db.instances_of("MMFDOC")
+        for round_ in range(66):
+            doc.set("note", f"{round_:02d}" + "x" * 30_000)
+            system.checkpoint()
+        assert len(system.store.manifest["objects"]["batches"]) < 66  # rewritten
+        storage = system.health()["storage"]
+        assert "objects" not in storage and live < 64
+        assert storage["size_bytes"] == storage["live_bytes"] + storage["dead_bytes"]
+        assert storage["dead_bytes"] > 60 * 30_000
+        assert storage["needs_pack"] and system.health()["status"] == "degraded"
+        system.pack()
+        storage = system.health()["storage"]
+        assert storage["dead_bytes"] == 0 and not storage["needs_pack"]
         system.close()
 
     def test_memory_system_storage_disabled(self):
