@@ -217,8 +217,9 @@ def time_engine_queries(engine, trees_text, min_seconds: float, model: str, top_
 
 def postings_memory(engine) -> dict:
     """Compact block bytes vs the dict-of-Posting proxy (8 bytes per
-    id/position plus term text, :func:`repro.irs.compression.raw_size`'s
-    convention), over the sealed segments."""
+    id/position plus term text, the convention of
+    :meth:`repro.irs.collection.IRSCollection.indexed_bytes`), over the
+    sealed segments."""
     manager = engine.collection("bench").segments
     compact_bytes = 0
     dict_bytes = 0

@@ -208,11 +208,6 @@ def scheme_named(name: str) -> DerivationScheme:
     return _SCHEMES[name]
 
 
-def known_schemes() -> List[str]:
-    """All registered scheme names."""
-    return sorted(_SCHEMES)
-
-
 def combination(collection_obj: DBObject) -> Optional[Callable[[List[float]], float]]:
     """What the collection's scheme combines a composite's ordered component
     values with when it reads nothing else: ``maximum``, ``average`` or None."""

@@ -193,14 +193,6 @@ class DocumentSystem:
         self._servers.append(server)
         return server
 
-    def create_collection(self, name: str, spec_query: str = "", **options: Any) -> DBObject:
-        """Create a COLLECTION object (delegates to :meth:`repro.Session.create_collection`)."""
-        return self.session.create_collection(name, spec_query, **options)
-
-    def index_collection(self, collection_obj: DBObject, **options: Any) -> bool:
-        """Run ``indexObjects`` on a collection (via the default session)."""
-        return self.session.index(collection_obj, **options)
-
     # -- durability -----------------------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
@@ -289,18 +281,6 @@ class DocumentSystem:
     def query(self, text: str, bindings: Optional[Dict[str, Any]] = None) -> List[tuple]:
         """Run a mixed OODBMS query (content predicates via getIRSValue)."""
         return self.session.execute(text, bindings)
-
-    def search(self, collection_obj: DBObject, irs_query: str, model: Optional[str] = None):
-        """Run a pure content query; returns a ranked :class:`repro.ResultSet`."""
-        return self.session.query(collection_obj, irs_query, model=model)
-
-    def irs_query(self, collection_obj: DBObject, irs_query: str) -> Dict:
-        """Run a pure content query; returns ``{OID: value}``.
-
-        Legacy shape — prefer :meth:`search` / :meth:`repro.Session.query`,
-        which return a ranked :class:`repro.ResultSet`.
-        """
-        return self.session.query(collection_obj, irs_query).to_dict()
 
     def explain(self, text: str, bindings: Optional[Dict[str, Any]] = None):
         """Execute a mixed query under a tracer; returns an ExplainResult.

@@ -97,8 +97,3 @@ def text_for(obj: DBObject, mode: int) -> str:
     if provider is None:
         raise CouplingError(f"unknown text mode {mode}; registered: {sorted(_MODES)}")
     return provider(obj)
-
-
-def known_modes() -> List[int]:
-    """All registered mode numbers."""
-    return sorted(_MODES)

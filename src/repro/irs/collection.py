@@ -17,8 +17,7 @@ over them (see DESIGN.md §"Segmented indexing").
 
 Scoring code reads :meth:`IRSCollection.scoring_sources`,
 :attr:`IRSCollection.index_version` and
-:meth:`IRSCollection.forward_vector` (or the logical ``index``, which
-mirrors the ``InvertedIndex`` read interface exactly), and :attr:`stats`
+:meth:`IRSCollection.forward_vector` (or the logical ``index``, the one full read surface over them), and :attr:`stats`
 holds the statistics cache over them.
 """
 
@@ -164,19 +163,6 @@ class IRSCollection:
     def __len__(self) -> int:
         return len(self._documents)
 
-    def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._documents
-
-    # -- metadata lookups ---------------------------------------------------------
-
-    def find_by_metadata(self, key: str, value: str) -> List[int]:
-        """Doc ids whose metadata maps ``key`` to ``value``."""
-        return [
-            doc_id
-            for doc_id in sorted(self._documents)
-            if self._documents[doc_id].metadata.get(key) == value
-        ]
-
     # -- size accounting (for the granularity experiments) --------------------------
 
     def indexed_bytes(self) -> int:
@@ -196,10 +182,6 @@ class IRSCollection:
             for term in index.terms()
         )
 
-    def text_bytes(self) -> int:
-        """Total bytes of raw document text stored in the collection."""
-        return sum(len(d.text.encode("utf-8")) for d in self._documents.values())
-
     # -- persistence ---------------------------------------------------------------
 
     @classmethod
@@ -211,8 +193,8 @@ class IRSCollection:
     ) -> "IRSCollection":
         """Rebuild a collection from a payload: its documents, and a
         ``"segments"`` list whose entries each load as a sealed segment
-        (an ``"index"`` — a ``CompactIndex`` or the logical schema of
-        ``InvertedIndex.to_payload`` — and the ``"tombstones"`` replayed
+        (an ``"index"`` — a ``CompactIndex`` or the older JSON index schema
+        of docs/storage-format.md — and the ``"tombstones"`` replayed
         on it).  The single-file store materializes this shape, and so
         does :mod:`repro.store.importer` from older JSON dumps.
         """

@@ -61,29 +61,6 @@ def vbyte_encode_sequence(numbers: List[int]) -> bytes:
     return b"".join(vbyte_encode(n) for n in numbers)
 
 
-def vbyte_decode(data: bytes) -> List[int]:
-    """Decode a concatenated vbyte stream back into integers.
-
-    Raises :class:`ValueError` on any trailing partial integer — including
-    one whose accumulated continuation bytes are all zero (``b"\\x00"``),
-    which the pre-fix implementation silently swallowed.
-    """
-    numbers = []
-    current = 0
-    pending = False
-    for byte in data:
-        if byte & 0x80:
-            numbers.append((current << 7) | (byte & 0x7F))
-            current = 0
-            pending = False
-        else:
-            current = (current << 7) | byte
-            pending = True
-    if pending:
-        raise ValueError("truncated vbyte stream")
-    return numbers
-
-
 _LOW_SEVEN_BITS = bytes(byte & 0x7F for byte in range(256))
 
 
@@ -160,19 +137,15 @@ def encode_postings(doc_positions: Dict[int, List[int]]) -> bytes:
 
 def decode_postings(data: bytes) -> Dict[int, List[int]]:
     """Inverse of :func:`encode_postings`."""
-    numbers = vbyte_decode(data)
-    cursor = 0
-    n_docs = numbers[cursor]
-    cursor += 1
-    doc_ids = ungaps(numbers[cursor : cursor + n_docs])
-    cursor += n_docs
+    end = len(data)
+    (n_docs,), cursor = vbyte_decode_stream(data, 0, 1, end)
+    doc_gaps, cursor = vbyte_decode_stream(data, cursor, n_docs, end)
     result: Dict[int, List[int]] = {}
-    for doc_id in doc_ids:
-        n_positions = numbers[cursor]
-        cursor += 1
-        result[doc_id] = ungaps(numbers[cursor : cursor + n_positions])
-        cursor += n_positions
-    if cursor != len(numbers):
+    for doc_id in ungaps(doc_gaps):
+        (n_positions,), cursor = vbyte_decode_stream(data, cursor, 1, end)
+        position_gaps, cursor = vbyte_decode_stream(data, cursor, n_positions, end)
+        result[doc_id] = ungaps(position_gaps)
+    if cursor != end:
         raise ValueError("trailing data in postings stream")
     return result
 
@@ -192,15 +165,4 @@ def compressed_size(index: InvertedIndex) -> int:
     total = 0
     for term, data in encode_index(index).items():
         total += len(term.encode("utf-8")) + len(data)
-    return total
-
-
-def raw_size(index: InvertedIndex) -> int:
-    """Bytes of the uncompressed proxy measure (8 bytes per id/position),
-    consistent with :meth:`repro.irs.collection.IRSCollection.indexed_bytes`."""
-    total = 0
-    for term in index.terms():
-        total += len(term.encode("utf-8"))
-        for posting in index.postings(term):
-            total += 8 + 8 * len(posting.positions)
     return total

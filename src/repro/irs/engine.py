@@ -637,13 +637,6 @@ class IRSEngine:
             for name, collection in sorted(self._collections.items())
         }
 
-    def statistics_cache_info(self) -> Dict[str, Dict[str, int]]:
-        """Per-collection :meth:`StatisticsCache.cache_info` snapshots."""
-        return {
-            name: collection.stats.cache_info()
-            for name, collection in sorted(self._collections.items())
-        }
-
     def reset_cache_stats(self) -> None:
         """Zero the result-LRU stats and every statistics cache's counters."""
         self.cache_stats.reset()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.irs.collection import IRSCollection
 from repro.irs.queries import parse_irs_query
@@ -120,20 +120,3 @@ def expand_query(
     for term in chosen:
         parts.append(f"{positive[term]:.4f} {term}")
     return f"#wsum({' '.join(parts)})"
-
-
-def feedback_iteration(
-    collection: IRSCollection,
-    engine,
-    collection_name: str,
-    irs_query: str,
-    relevant: List[int],
-    non_relevant: Optional[List[int]] = None,
-    parameters: Optional[FeedbackParameters] = None,
-) -> Tuple[str, Dict[int, float]]:
-    """One expand-and-requery round; returns (expanded query, new result)."""
-    expanded = expand_query(
-        collection, irs_query, relevant, non_relevant or [], parameters
-    )
-    result = engine.query(collection_name, expanded)
-    return expanded, result.values

@@ -199,9 +199,3 @@ class HierarchicalScorer:
             if query.op == "max":
                 return ops.op_max(children)
         raise ValueError(f"cannot score query node {query!r}")  # pragma: no cover
-
-    # -- storage accounting -------------------------------------------------------
-
-    def storage_bytes(self) -> int:
-        """Index bytes of the single stored (leaf) level."""
-        return self._collection.indexed_bytes()

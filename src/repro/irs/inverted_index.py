@@ -10,7 +10,7 @@ All aggregate statistics (posting count, token count, per-term collection
 frequencies) are maintained as running counters updated by
 ``add_document``/``remove_document``, so reading them is O(1).  Sorted
 postings lists are materialized once per term and reused until the term is
-touched again.  Every mutation bumps :attr:`InvertedIndex.epoch`.
+touched again.
 
 This dict form is the memtable of every collection's segment stack
 (:mod:`repro.irs.segments`), where small writes land; sealed segments, and
@@ -47,7 +47,6 @@ class InvertedIndex:
         self._posting_count = 0
         self._token_count = 0
         self._sorted: Dict[str, List[Posting]] = {}
-        self._epoch = 0
 
     # -- building -------------------------------------------------------------
 
@@ -70,7 +69,6 @@ class InvertedIndex:
             frequency[term] = frequency.get(term, 0) + len(positions)
             cached.pop(term, None)
         self._posting_count += len(grouped)
-        self._epoch += 1
         return grouped
 
     def remove_document(self, doc_id: int, terms: List[str]) -> None:
@@ -103,28 +101,13 @@ class InvertedIndex:
                 empty_terms.append(term)
         for term in empty_terms:
             del self._postings[term]
-        self._epoch += 1
 
     # -- statistics ----------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """Mutation counter: bumped by every add/remove.
-
-        Caches keyed on (index, epoch) are valid exactly while the epoch is
-        unchanged — the invalidation contract of the statistics caches.
-        """
-        return self._epoch
 
     @property
     def document_count(self) -> int:
         """Number of indexed documents."""
         return len(self._doc_lengths)
-
-    @property
-    def term_count(self) -> int:
-        """Number of distinct terms."""
-        return len(self._postings)
 
     @property
     def posting_count(self) -> int:
@@ -208,10 +191,6 @@ class InvertedIndex:
         posting = self._postings.get(term, {}).get(doc_id)
         return posting.positions if posting else None
 
-    def has_document(self, doc_id: int) -> bool:
-        """True when ``doc_id`` is indexed."""
-        return doc_id in self._doc_lengths
-
     def document_ids(self) -> List[int]:
         """All indexed doc ids, ascending."""
         return sorted(self._doc_lengths)
@@ -219,47 +198,3 @@ class InvertedIndex:
     def terms(self) -> Iterator[str]:
         """All distinct terms (unordered)."""
         return iter(self._postings)
-
-    def document_vector(self, doc_id: int) -> Dict[str, int]:
-        """term -> tf map of one document (rebuilt from postings)."""
-        vector: Dict[str, int] = {}
-        for term, by_doc in self._postings.items():
-            posting = by_doc.get(doc_id)
-            if posting is not None:
-                vector[term] = posting.tf
-        return vector
-
-    # -- persistence helpers -----------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """A JSON-encodable dump of the whole index."""
-        return {
-            "doc_lengths": {str(d): l for d, l in self._doc_lengths.items()},
-            "postings": {
-                term: {str(p.doc_id): p.positions for p in by_doc.values()}
-                for term, by_doc in self._postings.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "InvertedIndex":
-        """Inverse of :meth:`to_payload`."""
-        index = cls()
-        index._doc_lengths = {int(d): l for d, l in payload["doc_lengths"].items()}
-        index._postings = {
-            term: {
-                int(doc_id): Posting(int(doc_id), list(positions))
-                for doc_id, positions in by_doc.items()
-            }
-            for term, by_doc in payload["postings"].items()
-        }
-        index._token_count = sum(index._doc_lengths.values())
-        index._posting_count = sum(
-            len(by_doc) for by_doc in index._postings.values()
-        )
-        index._collection_frequency = {
-            term: sum(p.tf for p in by_doc.values())
-            for term, by_doc in index._postings.items()
-        }
-        index._epoch = 1
-        return index

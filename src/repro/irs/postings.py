@@ -101,12 +101,12 @@ def add_posting(column: tuple, doc_id: int, positions: Sequence[int]) -> None:
 class CompactIndex:
     """Read-only index over one kind-6 record.
 
-    Mirrors the read surface of
-    :class:`~repro.irs.inverted_index.InvertedIndex` (statistics, postings,
-    point lookups, payload round-trip), so sealed segments can swap the
-    dict representation out from under every existing consumer.  Mutation
-    methods are absent by design: sealed segments never change content —
-    deletion is the segment's tombstone bookkeeping, not the index's.
+    Answers what a sealed segment reads of its postings: the source
+    contract of :mod:`repro.irs.view` (statistics, ``postings``,
+    ``term_columns``) plus the ``term_frequency``/``positions`` lookups the
+    view reaches through ``index_of``.  Mutation methods are absent by
+    design: sealed segments never change content — deletion is the
+    segment's tombstone bookkeeping, not the index's.
 
     Term ``t`` (ordinal ``i = _ordinals[t]``) owns blocks
     ``_first_block[i] .. _first_block[i + 1]`` of the block columns, offsets
@@ -274,17 +274,8 @@ class CompactIndex:
     # -- statistics --------------------------------------------------------
 
     @property
-    def epoch(self) -> int:
-        """Immutable content: the epoch never moves after construction."""
-        return 1
-
-    @property
     def document_count(self) -> int:
         return len(self._doc_lengths)
-
-    @property
-    def term_count(self) -> int:
-        return len(self._ordinals)
 
     @property
     def posting_count(self) -> int:
@@ -296,12 +287,6 @@ class CompactIndex:
 
     def document_length(self, doc_id: int) -> int:
         return self._doc_lengths[doc_id]
-
-    @property
-    def average_document_length(self) -> float:
-        if not self._doc_lengths:
-            return 0.0
-        return self._token_count / len(self._doc_lengths)
 
     def document_frequency(self, term: str) -> int:
         ordinal = self._ordinals.get(term)
@@ -409,24 +394,8 @@ class CompactIndex:
         ordinal, block, tfs, i = found
         return self._block_positions(ordinal, block, tfs[: i + 1])[i]
 
-    def has_document(self, doc_id: int) -> bool:
-        return doc_id in self._doc_lengths
-
-    def document_ids(self) -> List[int]:
-        return sorted(self._doc_lengths)
-
     def terms(self) -> Iterator[str]:
         return iter(self._ordinals)
-
-    def document_vector(self, doc_id: int) -> Dict[str, int]:
-        """term -> tf of one document (O(vocabulary); segments prefer
-        their forward maps — this exists for interface completeness)."""
-        vector: Dict[str, int] = {}
-        for term in self._ordinals:
-            tf = self.term_frequency(term, doc_id)
-            if tf:
-                vector[term] = tf
-        return vector
 
     def forward_map(self) -> Dict[int, Dict[str, int]]:
         """doc id -> {term: tf} for every document (one decode sweep)."""
@@ -456,28 +425,11 @@ class CompactIndex:
         the payload this index was parsed from, as is."""
         return self._data
 
-    def to_payload(self) -> dict:
-        """The logical JSON schema of ``InvertedIndex.to_payload``.
-
-        What builds before the native record stored for a sealed segment
-        (:meth:`from_payload` still reads it); the store now writes
-        :meth:`to_bytes`.
-        """
-        return {
-            "doc_lengths": {str(d): l for d, l in self._doc_lengths.items()},
-            "postings": {
-                term: {
-                    str(doc_id): positions
-                    for doc_id, _tf, positions in self.entries(term)
-                }
-                for term in self._ordinals
-            },
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "CompactIndex":
-        """Build compact form from a logical payload (the JSON records and
-        directories older builds wrote): every posting is re-encoded."""
+        """Build compact form from the JSON index schema older builds wrote
+        (docs/storage-format.md, "Older JSON index schema"): every posting
+        is re-encoded."""
         return cls.from_entry_streams(
             (
                 (term, sorted((int(d), len(p), p) for d, p in by_doc.items()))

@@ -4,8 +4,9 @@ Every collection stores its postings as a stack of segments — one
 mutable in-memory memtable absorbing all writes, plus immutable sealed
 segments with tombstones for logical deletion — served to the retrieval
 models through a :class:`~repro.irs.view.UnionIndexView` (owned by the
-:class:`SegmentManager`) that reads exactly like an
-:class:`~repro.irs.inverted_index.InvertedIndex` of the live documents.
+:class:`SegmentManager`) whose statistics and postings equal those of a
+fresh :class:`~repro.irs.inverted_index.InvertedIndex` of the live
+documents.
 Each checkpoint seals the memtable and folds the segments the size-tiered
 policy (:func:`select_candidates`) picks, purging tombstones.  See
 DESIGN.md §"Segmented indexing" for the lifecycle and epoch semantics.

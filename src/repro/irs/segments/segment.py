@@ -191,9 +191,6 @@ class SealedSegment:
             self._dead_df[term] = self._dead_df.get(term, 0) + 1
             self._dead_cf[term] = self._dead_cf.get(term, 0) + tf
 
-    def is_live(self, doc_id: int) -> bool:
-        return doc_id in self.forward
-
     # -- live statistics (exact, O(1) per term) ---------------------------
 
     @property
@@ -267,8 +264,8 @@ class SealedSegment:
 
     @classmethod
     def from_payload(cls, segment_id: int, payload: dict) -> "SealedSegment":
-        # A CompactIndex (a native store record), or the logical schema of
-        # ``InvertedIndex.to_payload`` (an older JSON dump) to encode.
+        # A CompactIndex (a native store record), or the older JSON index
+        # schema (docs/storage-format.md) to encode.
         index = payload["index"]
         if not isinstance(index, CompactIndex):
             index = CompactIndex.from_payload(index)

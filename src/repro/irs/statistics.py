@@ -23,6 +23,7 @@ from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.irs.inverted_index import InvertedIndex
+from repro.irs.view import UnionIndexView
 
 
 class StatisticsCache:
@@ -86,10 +87,6 @@ class StatisticsCache:
             self.invalidations = 0
 
     @property
-    def index(self):
-        return self._index
-
-    @property
     def average_document_length(self) -> float:
         """Memoized mean document length."""
         with self._lock:
@@ -100,10 +97,6 @@ class StatisticsCache:
             else:
                 self.hits += 1
             return self._avg_dl
-
-    def document_frequency(self, term: str) -> int:
-        """df of ``term`` (delegates to the index; already O(1))."""
-        return self._index.document_frequency(term)
 
     def idf(self, term: str) -> float:
         """The vector model's idf, ``log(1 + N/df)`` (0.0 when df == 0)."""
@@ -284,7 +277,7 @@ def _slope(points: List[Tuple[float, float]]) -> float:
 
 
 def collection_statistics(
-    index: InvertedIndex, document_term_lists: List[List[str]]
+    index: UnionIndexView, document_term_lists: List[List[str]]
 ) -> CollectionStatistics:
     """All summary statistics in one call."""
     return CollectionStatistics(

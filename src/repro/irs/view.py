@@ -12,15 +12,16 @@ read contract over its own *live* documents:
   ``terms()`` — integer-exact live counters;
 * ``doc_lengths`` — doc id -> length of (at least) its live documents.
 
-This view turns such a list back into the full read surface of
-``InvertedIndex``, so the retrieval models, the statistics caches and the
-engine run unchanged over any source list.  Its **owner** — the
+The sources answer nothing more: this view is the one full read surface
+(statistics, postings, point lookups, document vectors, the epoch) that
+the retrieval models, the statistics caches and the engine read, over any
+source list.  Its **owner** — the
 collection's :class:`~repro.irs.segments.manager.SegmentManager` —
 supplies only what the view cannot derive:
 
 * ``scoring_sources()`` and ``index_version`` (the memo key; moves on every
   content *or* structure change) plus ``epoch`` (content changes only —
-  the invalidation contract of ``InvertedIndex.epoch``);
+  what the statistics caches invalidate on);
 * the live counters it already keeps: ``document_count``, ``token_count``,
   ``doc_lengths``, ``document_length(doc_id)``;
 * the doc -> part lookups: ``index_of(doc_id)`` (an index answering
@@ -45,7 +46,7 @@ from repro.irs.inverted_index import Posting
 
 
 class UnionIndexView:
-    """Read facade with ``InvertedIndex``'s interface over an owner's sources."""
+    """The full index read surface over an owner's sources."""
 
     def __init__(self, owner) -> None:
         self._owner = owner
@@ -164,9 +165,6 @@ class UnionIndexView:
             return None
         return index.positions(term, doc_id)
 
-    def has_document(self, doc_id: int) -> bool:
-        return self._owner.index_of(doc_id) is not None
-
     def document_ids(self) -> List[int]:
         return sorted(self._owner.doc_lengths)
 
@@ -192,27 +190,3 @@ class UnionIndexView:
     def doc_lengths(self) -> Dict[int, int]:
         """Live doc-id -> length map (read-only)."""
         return self._owner.doc_lengths
-
-    # -- persistence helpers -----------------------------------------------
-
-    def to_payload(self) -> dict:
-        """An ``InvertedIndex.to_payload``-format dump of the *live* logical index.
-
-        What compression experiments and ad-hoc tooling read; the store
-        writes per-segment records instead.  Streams each term straight
-        from the sources — a dump touches every term once, so parking the decoded
-        lists in the per-version memo would only pin them.
-        """
-        return {
-            "doc_lengths": {
-                str(doc_id): length
-                for doc_id, length in self._owner.doc_lengths.items()
-            },
-            "postings": {
-                term: {
-                    str(posting.doc_id): posting.positions
-                    for posting in self._live_postings(term)
-                }
-                for term in sorted(self._terms_memo())
-            },
-        }

@@ -242,9 +242,6 @@ class Tracer:
     def clear(self) -> None:
         self._ring.clear()
 
-    def set_exporter(self, exporter: Optional["JsonlSpanExporter"]) -> None:
-        self._exporter = exporter
-
 
 class NoopTracer(Tracer):
     """The disabled path: spans cost one call and record nothing."""
@@ -268,9 +265,6 @@ class NoopTracer(Tracer):
         return None
 
     def clear(self) -> None:
-        pass
-
-    def set_exporter(self, exporter: Optional["JsonlSpanExporter"]) -> None:
         pass
 
 

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.errors import SchemaError, TransactionError
+from repro.errors import RecoveryError, SchemaError, TransactionError
 from repro.oodb import wal as wal_records
 from repro.oodb.indexes import AttributeIndex, IndexCatalog
 from repro.oodb.locks import LockManager, LockMode
@@ -83,6 +83,16 @@ class Database:
             self._restore_schema(image.get("schema", []))
             mark = image.get("wal_mark", 0)
             self._wal = WriteAheadLog(os.path.join(directory, _WAL_FILE), mark=mark)
+            first = next(self._wal.records(), None)
+            if not image and first is not None and first.lsn > 1:
+                # A checkpoint reset the log, and its image is not in this store.
+                self._wal.close()
+                if self._owns_storage:
+                    self._storage.close()
+                raise RecoveryError(
+                    f"{directory}: the WAL starts at LSN {first.lsn}, past a checkpoint "
+                    f"whose image was not loaded (open it with that image's store=)"
+                )
             self._replay_wal()
             self._rebuild_indexes()
 
@@ -120,10 +130,6 @@ class Database:
         obs.metrics().counter(
             "oodb.txn.commits" if committed else "oodb.txn.aborts"
         ).inc()
-
-    def in_transaction(self) -> bool:
-        """True when an explicit transaction is active on this thread."""
-        return self._current_txn() is not None
 
     @contextmanager
     def no_open_transactions(self) -> Iterator[None]:

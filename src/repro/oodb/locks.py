@@ -15,10 +15,6 @@ under the service layer's concurrent load.  Lock upgrades (a holder
 re-requesting in a stronger mode) bypass the queue — they must, or an
 upgrade would deadlock against waiters that are themselves blocked on the
 upgrader's current hold.
-
-:meth:`LockManager.add_conflict_listener` registers a hook fired when a
-request first starts waiting; the service layer's tests use it to inject
-deterministic lock conflicts and to observe retry behaviour.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import DeadlockError, LockTimeoutError
@@ -46,10 +42,6 @@ class LockMode(Enum):
 
 def _compatible(held: LockMode, requested: LockMode) -> bool:
     return held is LockMode.SHARED and requested is LockMode.SHARED
-
-
-#: Signature of a conflict listener: (txn_id, resource, mode, blockers).
-ConflictListener = Callable[[int, Hashable, LockMode, Set[int]], None]
 
 
 @dataclass
@@ -79,19 +71,6 @@ class LockManager:
         self._waits_for: Dict[int, Set[int]] = defaultdict(set)
         self._held_by_txn: Dict[int, Set[Hashable]] = defaultdict(set)
         self._mutex = threading.Lock()
-        self._conflict_listeners: List[ConflictListener] = []
-
-    # -- conflict listeners -----------------------------------------------------
-
-    def add_conflict_listener(self, listener: ConflictListener) -> None:
-        """Register a hook fired when a request first starts waiting.
-
-        Called with ``(txn_id, resource, mode, blockers)`` while the entry's
-        condition is held — listeners must be quick and must not call back
-        into the lock manager.  Used by the service layer for retry metrics
-        and by tests for deterministic conflict injection.
-        """
-        self._conflict_listeners.append(listener)
 
     # -- acquisition -----------------------------------------------------------
 
@@ -124,11 +103,6 @@ class LockManager:
                         obs.metrics().counter("oodb.lock.waits").inc()
                         if txn_id not in entry.holders:
                             entry.waiters.append((txn_id, mode))
-                        for listener in list(self._conflict_listeners):
-                            listener(txn_id, resource, mode, set(blockers))
-                        # A listener may have released/changed state: re-check
-                        # before the deadlock test and the wait.
-                        continue
                     with self._mutex:
                         self._waits_for[txn_id] = blockers
                         if self._would_deadlock(txn_id):
@@ -266,8 +240,3 @@ class LockManager:
         if mode is None:
             return True
         return held is LockMode.EXCLUSIVE or held is mode
-
-    def held_resources(self, txn_id: int) -> Set[Hashable]:
-        """Resources currently locked by ``txn_id``."""
-        with self._mutex:
-            return set(self._held_by_txn.get(txn_id, ()))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from repro.errors import SchemaError
 from repro.oodb.oid import OID
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,20 +75,6 @@ class DBObject:
         return self._db.schema.is_subclass(self.class_name, class_name)
 
     # -- navigation -------------------------------------------------------------
-
-    def deref(self, attr: str) -> "DBObject":
-        """Follow an OID-valued attribute to the referenced object."""
-        value = self.get(attr)
-        if not isinstance(value, OID):
-            raise SchemaError(
-                f"attribute {attr!r} of {self!r} holds {value!r}, not an OID"
-            )
-        return self._db.get_object(value)
-
-    def deref_list(self, attr: str) -> list:
-        """Follow a LIST-of-OIDs attribute to the referenced objects."""
-        value = self.get(attr) or []
-        return [self._db.get_object(v) for v in value if isinstance(v, OID)]
 
     @property
     def database(self) -> "Database":

@@ -133,10 +133,6 @@ class ObjectStore:
         except KeyError as exc:
             raise ObjectNotFoundError(f"no object with {exc.args[0]}") from None
 
-    def has_written(self, oid: OID, attr: str) -> bool:
-        """True when the attribute has an explicitly written value."""
-        return attr in self._require(oid).attributes
-
     def write(self, oid: OID, attr: str, value: Any) -> Any:
         """Write one attribute; returns the previous value (for undo)."""
         stored = self._require(oid)

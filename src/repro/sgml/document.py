@@ -72,35 +72,6 @@ class Element:
             if isinstance(child, Element):
                 yield from child.iter()
 
-    def find_all(self, tag: str) -> List["Element"]:
-        """Descendant elements (including self) with the given tag."""
-        tag = tag.upper()
-        return [e for e in self.iter() if e.tag == tag]
-
-    def find(self, tag: str) -> Optional["Element"]:
-        """First descendant (or self) with the given tag, document order."""
-        matches = self.find_all(tag)
-        return matches[0] if matches else None
-
-    def ancestors(self) -> Iterator["Element"]:
-        """Parent chain, nearest first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
-    def next_sibling(self) -> Optional["Element"]:
-        """The next element sibling, if any."""
-        if self.parent is None:
-            return None
-        siblings = self.parent.child_elements()
-        index = siblings.index(self)
-        return siblings[index + 1] if index + 1 < len(siblings) else None
-
-    def depth(self) -> int:
-        """Root has depth 0."""
-        return sum(1 for _ in self.ancestors())
-
     # -- content ------------------------------------------------------------------
 
     def text(self) -> str:
@@ -125,10 +96,6 @@ class Element:
     def is_leaf(self) -> bool:
         """True when the element has no element children."""
         return not self.child_elements()
-
-    def element_count(self) -> int:
-        """Number of elements in the subtree (including self)."""
-        return sum(1 for _ in self.iter())
 
     def __repr__(self) -> str:
         return f"<Element {self.tag} children={len(self.children)}>"

@@ -110,15 +110,3 @@ class HTMLExporter:
         if value is not None and value > self._threshold:
             return f"<mark>{escaped_text}</mark>"
         return escaped_text
-
-
-def export_document(
-    obj: DBObject,
-    highlight_values: Optional[Dict[OID, float]] = None,
-    highlight_threshold: float = 0.0,
-) -> str:
-    """One-call page export (convenience wrapper)."""
-    exporter = HTMLExporter(
-        highlight_values=highlight_values, highlight_threshold=highlight_threshold
-    )
-    return exporter.render_page(obj)

@@ -298,13 +298,17 @@ class Shell:
                 f"  {name} (rolling): count={roll['count']} "
                 f"p50={roll['p50'] * 1000:.2f}ms p99={roll['p99'] * 1000:.2f}ms"
             )
-        cache = self.system.engine.cache_stats
+        engine = self.system.engine
+        cache = engine.cache_stats
         self._print(
             f"  engine result cache: hits={cache.hits} misses={cache.misses} "
             f"evictions={cache.evictions} epoch_invalidations={cache.epoch_invalidations} "
             f"dropped={cache.dropped} hit_rate={cache.hit_rate:.2f}"
         )
-        for name, info in self.system.engine.statistics_cache_info().items():
+        for name in engine.collection_names():
+            if engine.is_lazy(name):
+                continue
+            info = engine.collection(name).stats.cache_info()
             self._print(
                 f"  statistics cache {name!r}: hits={info['hits']} "
                 f"misses={info['misses']} invalidations={info['invalidations']}"

@@ -12,7 +12,8 @@ builds kept in ``db/`` beside ``irs.store`` (:func:`_older_image`).
 
 :func:`import_store` runs whenever :class:`~repro.store.SingleFileStore`
 opens a manifest.  It writes each older record once more as kind 6
-(``CompactIndex.from_payload(...).to_bytes()``; a kind 6 record is
+(``CompactIndex.from_payload(...).to_bytes()`` of the older JSON index
+schema, docs/storage-format.md; a kind 6 record is
 referenced as it is), makes its entry ``segmented`` with the segments in
 the order the older layout loaded them — for each shard in order, its
 segments, then its memtable — gives a manifest without an ``objects``

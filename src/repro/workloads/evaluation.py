@@ -2,9 +2,8 @@
 
 The 1996 IR community evaluated systems with relevance judgments (qrels)
 and ranked runs; this module provides that machinery for the reproduction's
-experiments: mean average precision, precision-recall curves with the
-classic 11-point interpolation, P@k, R-precision, and a paired sign test
-for comparing two runs over the same topics.
+experiments: mean average precision, P@k, R-precision, recall, and a
+paired sign test for comparing two runs over the same topics.
 
 A *run* is ``{topic_id: ranked list of doc keys}``; *qrels* are
 ``{topic_id: set of relevant doc keys}``.  Doc keys are strings (OIDs in
@@ -20,10 +19,6 @@ from repro.workloads.metrics import average_precision, precision_at_k, recall
 
 Qrels = Mapping[str, Set[str]]
 Run = Mapping[str, Sequence[str]]
-
-#: The classic 11 recall points.
-RECALL_POINTS = tuple(i / 10 for i in range(11))
-
 
 @dataclass(frozen=True)
 class TopicResult:
@@ -94,43 +89,6 @@ def evaluate_run(run: Run, qrels: Qrels) -> RunEvaluation:
             )
         )
     return RunEvaluation(tuple(results))
-
-
-def interpolated_precision_recall(
-    ranked: Sequence[str], relevant: Set[str]
-) -> List[Tuple[float, float]]:
-    """The 11-point interpolated precision-recall curve of one ranking."""
-    if not relevant:
-        return [(point, 0.0) for point in RECALL_POINTS]
-    precisions: List[Tuple[float, float]] = []  # (recall, precision) at hits
-    hits = 0
-    for index, item in enumerate(ranked, start=1):
-        if item in relevant:
-            hits += 1
-            precisions.append((hits / len(relevant), hits / index))
-    curve = []
-    for point in RECALL_POINTS:
-        attained = [p for r, p in precisions if r >= point]
-        curve.append((point, max(attained) if attained else 0.0))
-    return curve
-
-
-def mean_interpolated_curve(run: Run, qrels: Qrels) -> List[Tuple[float, float]]:
-    """11-point curve averaged over topics."""
-    totals = [0.0] * len(RECALL_POINTS)
-    count = 0
-    for topic, relevant in qrels.items():
-        if not relevant:
-            continue
-        curve = interpolated_precision_recall(list(run.get(topic, ())), relevant)
-        for index, (_point, precision) in enumerate(curve):
-            totals[index] += precision
-        count += 1
-    if count == 0:
-        return [(point, 0.0) for point in RECALL_POINTS]
-    return [
-        (point, totals[index] / count) for index, point in enumerate(RECALL_POINTS)
-    ]
 
 
 def sign_test(run_a: Run, run_b: Run, qrels: Qrels) -> Dict[str, float]:

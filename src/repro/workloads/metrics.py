@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def precision_at_k(ranked: Sequence[str], relevant: Sequence[str], k: int) -> float:
@@ -38,15 +38,6 @@ def average_precision(ranked: Sequence[str], relevant: Sequence[str]) -> float:
     return total / len(relevant_set)
 
 
-def reciprocal_rank(ranked: Sequence[str], relevant: Sequence[str]) -> float:
-    """1/rank of the first relevant item (0 when none retrieved)."""
-    relevant_set = set(relevant)
-    for index, item in enumerate(ranked, start=1):
-        if item in relevant_set:
-            return 1.0 / index
-    return 0.0
-
-
 def kendall_tau(order_a: Sequence[str], order_b: Sequence[str]) -> float:
     """Kendall rank correlation between two orderings of the same items.
 
@@ -67,11 +58,6 @@ def kendall_tau(order_a: Sequence[str], order_b: Sequence[str]) -> float:
             else:
                 discordant += 1
     return (concordant - discordant) / (n * (n - 1) / 2)
-
-
-def separation(values: Dict[str, float], better: str, worse: str) -> float:
-    """How far ``better`` scores above ``worse`` (negative = inversion)."""
-    return values[better] - values[worse]
 
 
 # --------------------------------------------------------------------------

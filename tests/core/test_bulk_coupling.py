@@ -54,10 +54,10 @@ def build(one_by_one: bool):
     db = system.db
     with db.begin():
         paras = [db.create_object("PARA", tag="PARA", content=text(i)) for i in range(11)]
-    collection = system.create_collection(
+    collection = system.session.create_collection(
         "paras", SPEC, update_policy="deferred", segment_words=4
     )
-    system.index_collection(collection)
+    system.session.index(collection)
     if one_by_one:
         collection.set("update_policy", "eager")
     return system, collection, paras
@@ -115,8 +115,8 @@ def rankings(system, collection):
 
 
 def assert_ranks_like_a_fresh_rebuild(system, collection, name):
-    fresh = system.create_collection(name, SPEC, segment_words=4)
-    system.index_collection(fresh)
+    fresh = system.session.create_collection(name, SPEC, segment_words=4)
+    system.session.index(fresh)
     for key, values in rankings(system, collection).items():
         expected = system.session.query(fresh, key[0], model=key[1]).to_dict()
         assert values == pytest.approx(expected, abs=1e-9), key
@@ -138,8 +138,8 @@ def test_batches_equal_one_call_per_document_and_a_fresh_rebuild(stage, monkeypa
     if stage == "reindex":
         assert collection.get("doc_map")
         del chunks[:]
-        bulk.index_collection(collection)
-        reference.index_collection(reference_collection)
+        bulk.session.index(collection)
+        reference.session.index(reference_collection)
         assert chunks
     assert observed(bulk, collection) == observed(reference, reference_collection)
     assert rankings(bulk, collection) == rankings(reference, reference_collection)
@@ -152,7 +152,7 @@ def test_counters_count_documents_and_the_segments_the_batch_seals():
     documents, seals = len(irs), irs.segments.seals
     assert seals >= 3  # 11 objects, 4 words a piece, 4 documents a chunk
     with obs.instrumentation() as (_tracer, metrics):
-        system.index_collection(collection)
+        system.session.index(collection)
     counters = metrics.snapshot()["counters"]
     assert counters["irs.index.additions"] == len(irs) == documents
     assert counters["irs.segments.sealed"] == irs.segments.seals - seals >= 3

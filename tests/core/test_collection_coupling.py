@@ -92,8 +92,8 @@ class TestIndexObjects:
         fresh = _create_collection(mmf_system.db, "fresh", "ACCESS p FROM p IN PARA")
         index_objects(fresh)
         for query in ("www", "#sum(nii telnet)"):
-            ranked = mmf_system.search(collection, query)
-            assert ranked and ranked == mmf_system.search(fresh, query)
+            ranked = mmf_system.session.query(collection, query)
+            assert ranked and ranked == mmf_system.session.query(fresh, query)
 
     def test_reindex_clears_buffer(self, mmf_system, para_collection):
         _get_irs_result(para_collection, "www")

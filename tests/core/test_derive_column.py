@@ -291,7 +291,7 @@ class TestColumnSemantics:
             rows = system.session.execute(statement, {"coll": collection})
             held = {
                 resource: db._locks.holds(txn.txn_id, resource, LockMode.EXCLUSIVE)
-                for resource in db._locks.held_resources(txn.txn_id)
+                for resource in db._locks._held_by_txn.get(txn.txn_id, ())
             }
             inside = json.dumps(collection.get("buffer"))
             txn.rollback()

@@ -27,8 +27,8 @@ def values(system):
     system.register_dtd(dtd)
     for title, paragraphs in DOCUMENTS:
         system.add_document(build_document(title, paragraphs), dtd=dtd)
-    collection = system.create_collection("collPara", "ACCESS p FROM p IN PARA")
-    system.index_collection(collection)
+    collection = system.session.create_collection("collPara", "ACCESS p FROM p IN PARA")
+    system.session.index(collection)
     return [
         [(obj.oid, value) for obj, value in system.query(statement, {"coll": collection})]
         for statement in STATEMENTS

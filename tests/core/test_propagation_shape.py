@@ -31,10 +31,10 @@ def build(directory, members, **collection_options):
     system.register_dtd(mmf_dtd())
     with system.db.begin():
         paras = [para(system.db, number) for number in range(members)]
-    collection = system.create_collection(
+    collection = system.session.create_collection(
         "paras", "ACCESS p FROM p IN PARA", update_policy="deferred", **collection_options
     )
-    system.index_collection(collection)
+    system.session.index(collection)
     return system, collection, paras
 
 

@@ -54,14 +54,10 @@ class TestQuerying:
         )
         assert rows
 
-    def test_irs_query_wrapper(self, mmf_system, para_collection):
-        values = mmf_system.irs_query(para_collection, "telnet")
-        assert values
-
 
 class TestLifecycle:
     def test_reset_counters(self, mmf_system, para_collection):
-        mmf_system.irs_query(para_collection, "telnet")
+        mmf_system.session.query(para_collection, "telnet")
         mmf_system.reset_counters()
         assert mmf_system.engine.counters.queries_executed == 0
         assert mmf_system.context.counters.buffer_misses == 0

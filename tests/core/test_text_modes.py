@@ -72,11 +72,5 @@ class TestRegistry:
         text_modes.register_text_mode(50, lambda obj: "constant")
         try:
             assert text_modes.text_for(doc_root, 50) == "constant"
-            assert 50 in text_modes.known_modes()
         finally:
             text_modes._MODES.pop(50, None)
-
-    def test_known_modes_sorted(self):
-        modes = text_modes.known_modes()
-        assert modes == sorted(modes)
-        assert text_modes.FULL_TEXT in modes

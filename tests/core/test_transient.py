@@ -53,7 +53,7 @@ class TestScope:
         assert not collection.send("containsObject", doc)
         # The IRS holds no orphan document for the OID.
         irs = system.engine.collection(collection.get("irs_name"))
-        assert irs.find_by_metadata("oid", str(doc.oid)) == []
+        assert str(doc.oid) not in {d.metadata.get("oid") for d in irs.documents()}
 
     def test_buffer_invalidated_on_both_transitions(self, setup):
         system, collection = setup
@@ -85,7 +85,7 @@ class TestMembershipPath:
             assert collection.get("index_gen") == generation + 1
         assert collection.get("index_gen") == generation + 2
         assert str(doc.oid) not in collection.get("doc_map")
-        assert irs.find_by_metadata("oid", str(doc.oid)) == []
+        assert str(doc.oid) not in {d.metadata.get("oid") for d in irs.documents()}
 
 
 class TestCost:

@@ -13,7 +13,9 @@ import pytest
 
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import BLOCK_SIZE, CompactIndex
+from repro.irs.segments import SealedSegment
 from repro.store import blocks
+from tests.legacy import index_payload
 
 VOCABULARY = ("www", "café", "naïve", "日本語", "straße", "🙂", "gopher", "x")
 
@@ -22,11 +24,16 @@ VOCABULARY = ("www", "café", "naïve", "日本語", "straße", "🙂", "gopher"
 PINNED_SHA256 = "980a9cb7fa01e08945b7c36979188d21fbd758a57d14c04bb427e0fc19d84160"
 
 
-def pinned_corpus() -> InvertedIndex:
+def sealed(documents) -> CompactIndex:
+    """The record a batch's chunk seals ``(doc_id, tokens)`` into."""
+    return SealedSegment.from_documents(0, documents).index
+
+
+def pinned_corpus() -> list:
     """420 documents with ids on both sides of 2**32 (so the doc-id column
     is 64-bit), unicode terms, ``www`` in every document (four blocks) and
     a few single-document terms."""
-    inverted = InvertedIndex()
+    documents = []
     for i in range(420):
         doc_id = 2**32 - 630 + 3 * i
         tokens = ["www"]
@@ -35,22 +42,26 @@ def pinned_corpus() -> InvertedIndex:
         if i % 7 == 0:
             tokens.append(f"rare{i}")
         tokens.append("www")
-        inverted.add_document(doc_id, tokens)
-    return inverted
+        documents.append((doc_id, tokens))
+    return documents
 
 
 class TestWriteSide:
     def test_sealed_record_bytes_are_pinned(self):
-        inverted = pinned_corpus()
-        payload = CompactIndex.from_inverted(inverted).to_bytes()
-        assert -(-inverted.document_frequency("www") // BLOCK_SIZE) == 4
+        documents = pinned_corpus()
+        index = sealed(documents)
+        payload = index.to_bytes()
+        assert -(-index.document_frequency("www") // BLOCK_SIZE) == 4
         assert hashlib.sha256(payload).hexdigest() == PINNED_SHA256
-        # The JSON import writes the same record.
-        imported = CompactIndex.from_payload(inverted.to_payload())
-        assert imported.to_bytes() == payload
+        # The memtable's seal and the JSON import write the same record.
+        inverted = InvertedIndex()
+        for doc_id, tokens in documents:
+            inverted.add_document(doc_id, tokens)
+        assert CompactIndex.from_inverted(inverted).to_bytes() == payload
+        assert CompactIndex.from_payload(index_payload(inverted)).to_bytes() == payload
 
     def test_parse_returns_the_record_it_read(self):
-        payload = CompactIndex.from_inverted(pinned_corpus()).to_bytes()
+        payload = sealed(pinned_corpus()).to_bytes()
         assert CompactIndex.from_bytes(payload).to_bytes() == payload
 
 
@@ -78,13 +89,11 @@ def _move_length(payload: bytes, src: tuple, dst: tuple, k: int) -> bytes:
     return blocks.verify_record(record, blocks.KIND_BLOCKS)
 
 
-def _two_terms() -> InvertedIndex:
+def _two_terms() -> CompactIndex:
     """``a`` (three blocks, positions up to 4) precedes ``b`` in the record."""
-    inverted = InvertedIndex()
-    for doc_id in range(1, 3 * BLOCK_SIZE - 20):
-        tokens = ["a"] * (1 + doc_id % 3) + ["b", "a"]
-        inverted.add_document(doc_id, tokens)
-    return inverted
+    return sealed(
+        [(doc_id, ["a"] * (1 + doc_id % 3) + ["b", "a"]) for doc_id in range(1, 3 * BLOCK_SIZE - 20)]
+    )
 
 
 class TestDecodeStaysInsideItsTerm:
@@ -92,7 +101,7 @@ class TestDecodeStaysInsideItsTerm:
     def test_doc_stream_end_is_the_bound(self, k):
         """``a``'s doc stream loses its last ``k`` bytes to its position
         stream: decoding ``a``'s last block must fail rather than read them."""
-        source = CompactIndex.from_inverted(_two_terms())
+        source = _two_terms()
         payload = source.to_bytes()
         assert list(source.terms()) == ["a", "b"]
         forged = CompactIndex.from_bytes(_move_length(payload, (4, 0), (5, 0), k))
@@ -100,7 +109,7 @@ class TestDecodeStaysInsideItsTerm:
             list(forged.term_columns("a"))
         with pytest.raises(ValueError):
             forged.postings("a")
-        last = source.document_ids()[-1]
+        last = max(source.doc_lengths)
         with pytest.raises(ValueError):
             forged.term_frequency("a", last)
         # The other term is untouched.
@@ -110,11 +119,11 @@ class TestDecodeStaysInsideItsTerm:
     def test_position_stream_end_is_the_bound(self, k):
         """``a``'s position stream loses its last ``k`` bytes to ``b``'s doc
         stream: the last document's positions must fail to decode."""
-        source = CompactIndex.from_inverted(_two_terms())
+        source = _two_terms()
         forged = CompactIndex.from_bytes(
             _move_length(source.to_bytes(), (5, 0), (4, 1), k)
         )
-        last = source.document_ids()[-1]
+        last = max(source.doc_lengths)
         assert forged.term_frequency("a", last) == source.term_frequency("a", last)
         with pytest.raises(ValueError):
             forged.positions("a", last)
@@ -149,5 +158,5 @@ def _index_of(vocabulary: int) -> CompactIndex:
 
 def test_object_count_does_not_grow_with_the_vocabulary():
     small, large = _index_of(10), _index_of(5000)
-    assert large.term_count == 5000
+    assert len(list(large.terms())) == 5000
     assert _tracked_reachable(small) == _tracked_reachable(large)

@@ -111,21 +111,14 @@ class TestStatisticsCacheStats:
         assert info["invalidations"] == 1
         assert info["misses"] == 2
 
-    def test_statistics_cache_info_covers_all_collections(self, engine):
-        engine.create_collection("other")
-        engine.index_document("other", "something else")
-        engine.query("c", "www")
-        info = engine.statistics_cache_info()
-        assert sorted(info) == ["c", "other"]
-        assert info["c"]["misses"] > 0
-
     def test_reset_cache_stats_zeroes_everything(self, engine):
         engine.query("c", "www")
         engine.query("c", "www")
         engine.reset_cache_stats()
         assert engine.cache_stats.as_dict()["hits"] == 0
         assert engine.cache_stats.misses == 0
-        for info in engine.statistics_cache_info().values():
+        for name in engine.collection_names():
+            info = engine.collection(name).stats.cache_info()
             assert info == {"hits": 0, "misses": 0, "invalidations": 0}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from repro.errors import StoreCorruptionError
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.store import blocks
+from tests.legacy import index_payload
 
 
 def build(entries):
@@ -51,7 +53,7 @@ entry_lists = st.builds(
 class TestBuilderRoundTrip:
     def test_empty(self):
         index = build([])
-        assert index.term_count == 0
+        assert list(index.terms()) == []
         assert index.document_frequency("t") == 0
         assert list(index.term_columns("t")) == []
         assert len(index._max_tfs) == 0
@@ -142,16 +144,16 @@ class TestBlockMetadata:
 
 class TestCompactIndex:
     @pytest.fixture
-    def inverted(self):
-        idx = InvertedIndex()
+    def documents(self):
         rng = random.Random(11)
         vocab = ["www", "nii", "telnet", "gopher", "archie"]
-        for doc_id in range(1, 40):
-            tokens = rng.choices(vocab, k=rng.randint(3, 12))
-            idx.add_document(doc_id, tokens)
-        return idx
+        return {doc_id: rng.choices(vocab, k=rng.randint(3, 12)) for doc_id in range(1, 40)}
 
-    def test_from_inverted_preserves_statistics(self, inverted):
+    @pytest.fixture
+    def inverted(self, documents):
+        return build_inverted(documents)
+
+    def test_from_inverted_preserves_statistics(self, inverted, documents):
         compact = CompactIndex.from_inverted(inverted)
         assert compact.document_count == inverted.document_count
         assert compact.token_count == inverted.token_count
@@ -165,32 +167,22 @@ class TestCompactIndex:
             assert [(p.doc_id, p.positions) for p in compact.postings(term)] == [
                 (p.doc_id, p.positions) for p in inverted.postings(term)
             ]
-        for doc_id in inverted.document_ids():
-            assert compact.document_length(doc_id) == inverted.document_length(doc_id)
-            assert compact.document_vector(doc_id) == inverted.document_vector(doc_id)
+        for doc_id, tokens in documents.items():
+            assert compact.document_length(doc_id) == len(tokens)
+            for term, tf in Counter(tokens).items():
+                assert compact.term_frequency(term, doc_id) == tf
 
-    def test_payload_cross_load_both_directions(self, inverted):
-        compact = CompactIndex.from_inverted(inverted)
-        # Compact dump -> dict form.
-        back = InvertedIndex.from_payload(compact.to_payload())
-        for term in inverted.terms():
-            assert [(p.doc_id, p.positions) for p in back.postings(term)] == [
-                (p.doc_id, p.positions) for p in inverted.postings(term)
-            ]
-        # Dict dump -> compact form.
-        loaded = CompactIndex.from_payload(inverted.to_payload())
+    def test_json_import_matches_the_dict_form(self, inverted):
+        loaded = CompactIndex.from_payload(index_payload(inverted))
         for term in inverted.terms():
             assert [(p.doc_id, p.positions) for p in loaded.postings(term)] == [
                 (p.doc_id, p.positions) for p in inverted.postings(term)
             ]
         assert loaded.document_count == inverted.document_count
 
-    def test_forward_map_matches_vectors(self, inverted):
-        compact = CompactIndex.from_inverted(inverted)
-        forward = compact.forward_map()
-        assert set(forward) == set(inverted.document_ids())
-        for doc_id, vector in forward.items():
-            assert vector == inverted.document_vector(doc_id)
+    def test_forward_map_matches_vectors(self, inverted, documents):
+        forward = CompactIndex.from_inverted(inverted).forward_map()
+        assert forward == {doc_id: Counter(tokens) for doc_id, tokens in documents.items()}
 
     def test_postings_bytes_beats_dict_proxy(self, inverted):
         compact = CompactIndex.from_inverted(inverted)
@@ -243,7 +235,7 @@ class TestNativeBytes:
     def test_empty_index(self):
         empty = CompactIndex.from_entry_streams([], {})
         loaded = CompactIndex.from_bytes(empty.to_bytes())
-        assert loaded.document_count == loaded.term_count == 0
+        assert loaded.document_count == 0 and list(loaded.terms()) == []
         assert_same_index(loaded, empty)
 
     @settings(max_examples=40, deadline=None)
@@ -288,7 +280,7 @@ class TestNativeBytes:
             for doc_id in range(1, 1025)
         })
         index = CompactIndex.from_inverted(inverted)
-        assert len(index.to_bytes()) < len(blocks.encode_json({"index": index.to_payload()}))
+        assert len(index.to_bytes()) < len(blocks.encode_json({"index": index_payload(index)}))
 
 
 def build_inverted(documents):

@@ -10,13 +10,13 @@ from repro.irs.compression import (
     encode_index,
     encode_postings,
     gaps,
-    raw_size,
     ungaps,
-    vbyte_decode,
     vbyte_decode_stream,
     vbyte_encode,
     vbyte_encode_sequence,
 )
+from repro.irs.analysis import Analyzer
+from repro.irs.collection import IRSCollection
 from repro.irs.inverted_index import InvertedIndex
 
 
@@ -32,11 +32,12 @@ class TestVByte:
     def test_truncated_stream_rejected(self):
         data = vbyte_encode(300)[:-1]  # strip the stop byte
         with pytest.raises(ValueError):
-            vbyte_decode(data + b"\x00")
+            vbyte_decode_stream(data + b"\x00", 0, 1, len(data) + 1)
 
     @given(st.lists(st.integers(0, 10**9), max_size=50))
     def test_sequence_round_trip(self, numbers):
-        assert vbyte_decode(vbyte_encode_sequence(numbers)) == numbers
+        data = vbyte_encode_sequence(numbers)
+        assert vbyte_decode_stream(data, 0, len(numbers), len(data)) == (numbers, len(data))
 
 
 class TestGaps:
@@ -89,8 +90,11 @@ class TestWholeIndex:
                 p.doc_id: p.positions for p in index.postings(term)
             }
 
-    def test_compression_shrinks_redundant_index(self, index):
-        assert compressed_size(index) < raw_size(index)
+    def test_compression_shrinks_redundant_index(self):
+        collection = IRSCollection("raw", Analyzer(stemming=False, stopwords=set()))
+        for text in ("www browser www pages", "nii policy www", "pages pages pages"):
+            collection.add_document(text)
+        assert compressed_size(collection.index) < collection.indexed_bytes()
 
     def test_multi_level_redundancy_compresses_well(self, corpus_system):
         """The [SAZ94] scenario: the all-elements index compresses far
@@ -99,14 +103,15 @@ class TestWholeIndex:
 
         doc_coll = document_level().build(corpus_system.db)
         all_coll = all_elements().build(corpus_system.db)
-        doc_irs = corpus_system.engine.collection(doc_coll.get("irs_name")).index
-        all_irs = corpus_system.engine.collection(all_coll.get("irs_name")).index
+        doc_coll = corpus_system.engine.collection(doc_coll.get("irs_name"))
+        all_coll = corpus_system.engine.collection(all_coll.get("irs_name"))
+        doc_irs, all_irs = doc_coll.index, all_coll.index
 
-        raw_overhead = raw_size(all_irs) / raw_size(doc_irs)
+        raw_overhead = all_coll.indexed_bytes() / doc_coll.indexed_bytes()
         compressed_overhead = compressed_size(all_irs) / compressed_size(doc_irs)
         # Compression does not remove logical redundancy across levels but
         # the repeated small gaps of the multi-level index pack tighter.
-        assert compressed_size(all_irs) < raw_size(all_irs) / 3
+        assert compressed_size(all_irs) < all_coll.indexed_bytes() / 3
         assert compressed_overhead <= raw_overhead * 1.1
 
 
@@ -133,11 +138,13 @@ class TestStopBitConvention:
 
     @given(st.integers(0, 2**64))
     def test_round_trip_any_width(self, n):
-        assert vbyte_decode(vbyte_encode(n)) == [n]
+        data = vbyte_encode(n)
+        assert vbyte_decode_stream(data, 0, 1, len(data)) == ([n], len(data))
 
     @given(st.lists(st.integers(0, 2**61), max_size=30))
     def test_huge_gap_sequences_round_trip(self, numbers):
-        assert vbyte_decode(vbyte_encode_sequence(numbers)) == numbers
+        data = vbyte_encode_sequence(numbers)
+        assert vbyte_decode_stream(data, 0, len(numbers), len(data)) == (numbers, len(data))
 
     @given(st.lists(st.integers(0, 2**61), max_size=30), st.integers(128, 2**61))
     def test_truncation_always_detected(self, numbers, last):
@@ -146,15 +153,15 @@ class TestStopBitConvention:
         # single-byte integer instead yields the valid shorter stream.)
         data = vbyte_encode_sequence(numbers + [last])
         with pytest.raises(ValueError):
-            vbyte_decode(data[:-1])
+            vbyte_decode_stream(data, 0, len(numbers) + 1, len(data) - 1)
 
     def test_all_zero_continuation_truncation_detected(self):
         # b"\x00" is a pending continuation byte with value 0 — the old
         # decoder silently dropped it.
         with pytest.raises(ValueError):
-            vbyte_decode(b"\x00")
+            vbyte_decode_stream(b"\x00", 0, 1, 1)
         with pytest.raises(ValueError):
-            vbyte_decode(vbyte_encode(5) + b"\x00\x00")
+            vbyte_decode_stream(vbyte_encode(5) + b"\x00\x00", 0, 2, 3)
 
 
 class TestStreamDecode:

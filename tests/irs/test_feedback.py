@@ -10,7 +10,6 @@ from repro.irs.engine import IRSEngine
 from repro.irs.feedback import (
     FeedbackParameters,
     expand_query,
-    feedback_iteration,
     rocchio_weights,
 )
 from repro.irs.queries import parse_irs_query
@@ -67,9 +66,7 @@ class TestExpandQuery:
         engine = IRSEngine()
         engine._collections["fb"] = collection
         original = engine.query("fb", "hypertext").values
-        expanded, result = feedback_iteration(
-            collection, engine, "fb", "hypertext", relevant=[1]
-        )
+        result = engine.query("fb", expand_query(collection, "hypertext", relevant=[1])).values
         # Document 2 shares 'www'/'pages' with the relevant document but not
         # 'hypertext': only the expanded query reaches it.
         assert 2 not in original

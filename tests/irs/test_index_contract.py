@@ -3,17 +3,22 @@
 A collection is a versioned list of *scoring sources* behind one logical
 index (``repro.irs.view``).  Whatever holds the postings — the dict-form
 ``InvertedIndex``, a ``CompactIndex``, a memtable, a sealed segment with
-tombstones, the union view over a segment stack (before, in the middle of
-and after a merge, or imported from an older build's shard list) — must read exactly like an ``InvertedIndex`` built
-from scratch over the same live documents: integer statistics exactly,
-postings and columns identically.  One body (:func:`check_source`,
-:func:`check_index`, :func:`check_collection`) runs over all of them; a
-new representation joins by adding one builder to :data:`CASES`.
+tombstones — must answer the source contract exactly like an
+``InvertedIndex`` built from scratch over the same live documents:
+integer statistics exactly, postings and columns identically.  The union
+view over a segment stack (before, in the middle of and after a merge, or
+imported from an older build's shard list) is the one full read surface,
+and answers it for the live documents too.  Expected lengths, vectors
+and positions come from each case's own documents.  One body
+(:func:`check_source`, :func:`check_lookups`, :func:`check_index`,
+:func:`check_collection`) runs over all of them; a new representation
+joins by adding one builder to :data:`CASES`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -52,8 +57,10 @@ def rebuild(docs: Dict[int, List[str]]) -> InvertedIndex:
 class Case:
     subject: object  #: the implementer under test
     docs: Dict[int, List[str]]  #: its live documents, doc id -> terms
-    #: "index": the full InvertedIndex read surface; "source": what a
-    #: scoring source owes the union view (a sealed segment)
+    #: "source": what a scoring source owes the union view (a sealed
+    #: segment); "part": that plus the ``term_frequency``/``positions`` the
+    #: view reaches through ``index_of`` (what a segment holds its postings
+    #: in); "index": the view's full read surface
     kind: str = "index"
     #: term -> expected ``term_columns`` block lengths, where the case pins them
     block_shapes: Optional[Dict[str, List[int]]] = None
@@ -74,13 +81,17 @@ def columns_of(source, term):
     ]
 
 
-def check_source(subject, reference: InvertedIndex, context: str = "") -> None:
-    """What every scoring source answers for its live documents."""
+def positions_in(terms: List[str], term: str) -> List[int]:
+    return [position for position, word in enumerate(terms) if word == term]
+
+
+def check_source(subject, reference: InvertedIndex, docs, context: str = "") -> None:
+    """What every scoring source answers for its live documents ``docs``."""
     assert subject.posting_count == reference.posting_count, context
     assert sorted(subject.terms()) == sorted(reference.terms()), context
     lengths = subject.doc_lengths
-    for doc_id in reference.document_ids():
-        assert lengths[doc_id] == reference.document_length(doc_id), context
+    for doc_id, terms in docs.items():
+        assert lengths[doc_id] == len(terms), context
     for term in sorted(set(reference.terms()) | set(VOCABULARY) | {ABSENT}):
         where = f"{context}: {term}"
         assert subject.document_frequency(term) == reference.document_frequency(term), where
@@ -97,33 +108,38 @@ def check_source(subject, reference: InvertedIndex, context: str = "") -> None:
         ], where
 
 
-def check_index(subject, reference: InvertedIndex, context: str = "") -> None:
-    """The full read surface of ``InvertedIndex``."""
-    check_source(subject, reference, context)
-    assert subject.document_count == reference.document_count, context
-    assert subject.token_count == reference.token_count, context
-    assert subject.term_count == reference.term_count, context
-    assert subject.average_document_length == reference.average_document_length, context
-    assert subject.document_ids() == reference.document_ids(), context
-    assert sorted(subject.doc_lengths) == reference.document_ids(), context
-    for doc_id in reference.document_ids():
-        assert subject.has_document(doc_id), context
-        assert subject.document_length(doc_id) == reference.document_length(doc_id)
-        vector = reference.document_vector(doc_id)
-        assert subject.document_vector(doc_id) == vector, context
-        for term, tf in vector.items():
-            assert subject.term_frequency(term, doc_id) == tf
-            assert subject.positions(term, doc_id) == reference.positions(term, doc_id)
-        assert subject.term_frequency(ABSENT, doc_id) == 0
-        assert subject.positions(ABSENT, doc_id) is None
-    gone = max(reference.document_ids(), default=0) + 1000
-    assert not subject.has_document(gone)
-    assert subject.document_vector(gone) == {}
-    assert subject.term_frequency("common", gone) == 0
-    assert subject.positions("common", gone) is None
+def check_lookups(subject, docs, context: str = "") -> None:
+    """``term_frequency``/``positions``, what the view reaches through
+    ``index_of``."""
+    for doc_id, terms in docs.items():
+        for term, tf in Counter(terms).items():
+            assert subject.term_frequency(term, doc_id) == tf, context
+            assert subject.positions(term, doc_id) == positions_in(terms, term), context
+        assert subject.term_frequency(ABSENT, doc_id) == 0, context
+        assert subject.positions(ABSENT, doc_id) is None, context
+    gone = max(docs, default=0) + 1000
+    assert subject.term_frequency("common", gone) == 0, context
+    assert subject.positions("common", gone) is None, context
 
 
-def check_collection(collection: IRSCollection, reference: InvertedIndex) -> None:
+def check_index(subject, reference: InvertedIndex, docs, context: str = "") -> None:
+    """The view's full read surface over its live documents ``docs``."""
+    check_source(subject, reference, docs, context)
+    check_lookups(subject, docs, context)
+    tokens = sum(len(terms) for terms in docs.values())
+    assert subject.document_count == len(docs), context
+    assert subject.token_count == tokens, context
+    assert subject.term_count == len({term for terms in docs.values() for term in terms}), context
+    assert subject.average_document_length == (tokens / len(docs) if docs else 0.0), context
+    assert subject.document_ids() == sorted(docs), context
+    assert sorted(subject.doc_lengths) == sorted(docs), context
+    for doc_id, terms in docs.items():
+        assert subject.document_length(doc_id) == len(terms), context
+        assert subject.document_vector(doc_id) == Counter(terms), context
+    assert subject.document_vector(max(docs, default=0) + 1000) == {}, context
+
+
+def check_collection(collection: IRSCollection, reference: InvertedIndex, docs) -> None:
     """``scoring_sources()`` / ``index_version`` / ``forward_vector()``."""
     sources = collection.scoring_sources()
     for term in sorted(set(reference.terms()) | {ABSENT}):
@@ -132,9 +148,9 @@ def check_collection(collection: IRSCollection, reference: InvertedIndex) -> Non
         assert sorted(scanned) == columns_of(reference, term), term
         for source in sources:
             for doc_id, _tf in columns_of(source, term):
-                assert source.doc_lengths[doc_id] == reference.document_length(doc_id)
-    for doc_id in reference.document_ids():
-        assert dict(collection.forward_vector(doc_id)) == reference.document_vector(doc_id)
+                assert source.doc_lengths[doc_id] == len(docs[doc_id])
+    for doc_id, terms in docs.items():
+        assert collection.forward_vector(doc_id) == Counter(terms)
     version = collection.index_version
     hash(version)  # it keys memos
     assert collection.index_version == version, "reads do not move the version"
@@ -142,16 +158,18 @@ def check_collection(collection: IRSCollection, reference: InvertedIndex) -> Non
 
 def run_case(case: Case) -> None:
     reference = rebuild(case.docs)
-    if case.kind == "source":
-        check_source(case.subject, reference)
+    if case.kind == "index":
+        check_index(case.subject, reference, case.docs)
     else:
-        check_index(case.subject, reference)
+        check_source(case.subject, reference, case.docs)
+    if case.kind == "part":
+        check_lookups(case.subject, case.docs)
     for term, shape in (case.block_shapes or {}).items():
         assert [len(ids) for ids, _tfs in case.subject.term_columns(term)] == shape
     collection = case.collection
     if collection is None:
         return
-    check_collection(collection, reference)
+    check_collection(collection, reference, case.docs)
     # The contract holds across further writes, and every write is visible
     # through the version (so nothing keyed on it can go stale).
     docs = dict(case.docs)
@@ -168,8 +186,8 @@ def run_case(case: Case) -> None:
     seen.add(collection.index_version)
     assert len(seen) == 3
     reference = rebuild(docs)
-    check_index(collection.index, reference, "after writes")
-    check_collection(collection, reference)
+    check_index(collection.index, reference, docs, "after writes")
+    check_collection(collection, reference, docs)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +207,17 @@ def inverted_case() -> Case:
     index = rebuild(everything)
     for doc_id in set(everything) - set(live):
         index.remove_document(doc_id, everything[doc_id])
-    return Case(index, live, block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]})
+    return Case(
+        index, live, kind="part", block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]}
+    )
 
 
 def compact_case() -> Case:
     _, live = churned_docs(2)
     subject = CompactIndex.from_inverted(rebuild(live))
-    return Case(subject, live, block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]})
+    return Case(
+        subject, live, kind="part", block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]}
+    )
 
 
 def memtable_case() -> Case:
@@ -206,7 +228,7 @@ def memtable_case() -> Case:
     for doc_id in set(everything) - set(live):
         manager.remove_document(doc_id)  # physical: nothing is sealed
     assert not manager.sealed_segments()
-    return Case(manager.memtable.index, live)
+    return Case(manager.memtable.index, live, kind="part")
 
 
 def sealed_tombstoned_case() -> Case:
@@ -359,15 +381,12 @@ def test_random_segment_lifecycles_read_like_a_rebuild(seed, ops):
             del docs[victim]
         else:
             manager.compact()
-    check_index(view, rebuild(docs))
+    check_index(view, rebuild(docs), docs)
 
 
 # ---------------------------------------------------------------------------
 # Whole-index reads that must not park postings in the per-version memo
 # ---------------------------------------------------------------------------
-
-VIEW_CASES = sorted(name for name in CASES if name.startswith(("segments-", "shards-")))
-
 
 def legacy_indexed_bytes(index) -> int:
     """``indexed_bytes`` as it was computed from the postings themselves."""
@@ -401,18 +420,3 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
         assert not collection.segments.sealed_segments()
         assert collection.indexed_bytes() == legacy_indexed_bytes(rebuild(live))
         assert collection.index._merged_postings == {}
-
-    @pytest.mark.parametrize("name", VIEW_CASES)
-    def test_payload_streams_past_the_memo_and_round_trips(self, name):
-        case = CASES[name]()
-        payload = case.subject.to_payload()
-        assert case.subject._merged_postings == {}
-        reference = rebuild(case.docs)
-        check_index(InvertedIndex.from_payload(payload), reference)
-        assert payload == {
-            "doc_lengths": {str(d): len(t) for d, t in case.docs.items()},
-            "postings": {
-                term: {str(p.doc_id): p.positions for p in reference.postings(term)}
-                for term in sorted(reference.terms())
-            },
-        }

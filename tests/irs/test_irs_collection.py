@@ -35,7 +35,8 @@ class TestDocuments:
 
     def test_remove(self, collection):
         collection.remove_document(1)
-        assert 1 not in collection
+        with pytest.raises(DocumentMissingError):
+            collection.document(1)
         assert collection.index.document_frequency("www") == 0
 
     def test_remove_missing_raises(self, collection):
@@ -54,10 +55,6 @@ class TestDocuments:
 
 
 class TestMetadata:
-    def test_find_by_metadata(self, collection):
-        assert collection.find_by_metadata("oid", "OID2") == [2]
-        assert collection.find_by_metadata("oid", "nope") == []
-
     def test_metadata_copied_on_add(self, collection):
         metadata = {"oid": "OID9"}
         collection.add_document("t", metadata)
@@ -66,9 +63,6 @@ class TestMetadata:
 
 
 class TestSizes:
-    def test_text_bytes(self, collection):
-        assert collection.text_bytes() == len("www browser here") + len("nii policy there")
-
     def test_indexed_bytes_positive(self, collection):
         assert collection.indexed_bytes() > 0
 

@@ -85,9 +85,9 @@ class TestPassageDerivation:
         return setup
 
     def test_scheme_registered(self):
-        from repro.core.derivation import known_schemes
+        from repro.core.derivation import scheme_named
 
-        assert "passage" in known_schemes()
+        assert callable(scheme_named("passage"))
 
     def test_full_intuitive_order_on_figure4(self, figure4):
         """Passage retrieval yields M2 > M3 > M4 > M1 — the paper's Section 6

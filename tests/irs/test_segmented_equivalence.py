@@ -28,7 +28,7 @@ from repro.irs.models import (
 )
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SegmentConfig
-from tests.legacy import ShardedHistory
+from tests.legacy import ShardedHistory, index_payload
 
 TOLERANCE = 1e-9
 
@@ -110,7 +110,7 @@ def fresh_rebuild(collection: IRSCollection) -> IRSCollection:
             "name": collection.name + "-rebuild",
             "next_doc_id": collection._next_doc_id,
             "documents": documents,
-            "segments": [{"index": index.to_payload(), "tombstones": []}],
+            "segments": [{"index": index_payload(index), "tombstones": []}],
         },
         collection.analyzer,
     )

@@ -21,6 +21,7 @@ from repro.irs.segments import SegmentConfig, SegmentManager
 from repro.irs.statistics import StatisticsCache
 from repro.irs.view import UnionIndexView
 from repro.store.importer import load_json_engine
+from tests.legacy import index_payload
 
 VOCABULARY = ["www", "nii", "telnet", "database", "retrieval"] + [
     f"w{i}" for i in range(20)
@@ -87,14 +88,14 @@ class TestSegmentLifecycle:
         manager, view, _ = build_pair(5, 2, small_config())
         manager.remove_document(2)
         assert manager.tombstone_count() == 0
-        assert not view.has_document(2)
+        assert 2 not in view.doc_lengths
 
     def test_sealed_removal_is_tombstone(self):
         manager, view, _ = build_pair(6, 9, small_config())
         sealed_doc = next(iter(manager.sealed_segments()[0].forward))
         manager.remove_document(sealed_doc)
         assert manager.tombstone_count() == 1
-        assert not view.has_document(sealed_doc)
+        assert sealed_doc not in view.doc_lengths
         assert view.document_vector(sealed_doc) == {}
         assert sealed_doc not in [p.doc_id for p in view.postings("www")]
 
@@ -135,10 +136,16 @@ class TestTargetedRemoval:
             index.remove_document(2, terms=["www"])
 
 
+def vector_of(index: InvertedIndex, doc_id: int) -> dict:
+    """``{term: tf}`` of one document of a from-scratch index."""
+    tfs = {term: index.term_frequency(term, doc_id) for term in index.terms()}
+    return {term: tf for term, tf in tfs.items() if tf}
+
+
 def reference_norm(index: InvertedIndex, doc_id: int) -> float:
     """The TF-IDF norm, straight from a from-scratch index."""
     total = 0.0
-    for term, tf in index.document_vector(doc_id).items():
+    for term, tf in vector_of(index, doc_id).items():
         idf = math.log(1.0 + index.document_count / index.document_frequency(term))
         total += ((1.0 + math.log(tf)) * idf) ** 2
     return math.sqrt(total)
@@ -150,7 +157,7 @@ class TestPerDocumentNorms:
         manager, view, mono = build_pair(14, 15, config)
         for victim in (2, 9):
             manager.remove_document(victim)
-            mono.remove_document(victim, mono.document_vector(victim))
+            mono.remove_document(victim, list(vector_of(mono, victim)))
         stats = StatisticsCache(view, manager.forward_vector)
         for doc_id in mono.document_ids():
             assert stats.document_norm(doc_id) == pytest.approx(
@@ -171,7 +178,7 @@ class TestPerDocumentNorms:
         collection = IRSCollection("segcoll", segment_config=small_config())
         collection.add_document("www nii telnet")
         assert isinstance(collection.stats, StatisticsCache)
-        assert collection.stats.index is collection.index
+        assert collection.stats._index is collection.index
 
 
 class TestPayloads:
@@ -206,7 +213,7 @@ class TestPayloads:
         ]
         assert len(restored_sealed) == len(sealed) + 1
         assert restored.segments.memtable.document_count == 0
-        assert restored.index.to_payload() == collection.index.to_payload()
+        assert index_payload(restored.index) == index_payload(collection.index)
         assert restored.add_document("next doc") == collection._next_doc_id
         assert len(restored) == len(collection) + 1
 
@@ -225,13 +232,13 @@ class TestPayloads:
             "name": "legacy",
             "next_doc_id": 7,
             "documents": documents,
-            "index": reference.to_payload(),
+            "index": index_payload(reference),
         }
         (tmp_path / "collections.json").write_text(json.dumps({"collections": ["legacy"]}))
         (tmp_path / "collection_legacy.json").write_text(json.dumps(dump))
         restored = load_json_engine(str(tmp_path)).collection("legacy")
         assert len(restored.segments.sealed_segments()) == 1
-        assert restored.index.to_payload() == reference.to_payload()
+        assert index_payload(restored.index) == index_payload(reference)
         assert restored.add_document("next doc") == 7
 
 

@@ -10,6 +10,8 @@ in shard order, as sealed segments of the collection's one manager (see
 partitioned it, so a suite can check the import at any shard count;
 :meth:`ShardedHistory.load` is what opening its files gives, and
 :func:`write_sharded_store` writes the ``sharded`` store entry itself.
+:func:`index_payload` writes an index in the older JSON index schema
+(docs/storage-format.md), which no code in ``src`` writes any more.
 The fixtures under ``tests/store/fixtures`` pin the bytes real older
 builds wrote; these helpers only reproduce their shape.
 """
@@ -24,6 +26,18 @@ from repro.irs.segments import SegmentConfig, SegmentManager
 from repro.store import blocks
 from repro.store.blocks import encode_json
 from repro.store.file import StoreFile
+
+
+def index_payload(index) -> dict:
+    """``index`` — any index source: its ``doc_lengths``, ``terms()`` and
+    ``postings(term)`` — in the older JSON index schema."""
+    return {
+        "doc_lengths": {str(doc_id): length for doc_id, length in index.doc_lengths.items()},
+        "postings": {
+            term: {str(posting.doc_id): posting.positions for posting in index.postings(term)}
+            for term in index.terms()
+        },
+    }
 
 
 class ShardedHistory:
@@ -86,11 +100,11 @@ class ShardedHistory:
         segments = []
         for part in self.parts:
             segments.extend(
-                {"index": segment.index.to_payload(), "tombstones": sorted(segment.tombstones)}
+                {"index": index_payload(segment.index), "tombstones": sorted(segment.tombstones)}
                 for segment in part.sealed_segments()
             )
             if part.memtable.document_count:
-                segments.append({"index": part.memtable.index.to_payload(), "tombstones": []})
+                segments.append({"index": index_payload(part.memtable.index), "tombstones": []})
         return {
             "name": self.name,
             "next_doc_id": self._next_doc_id,
@@ -123,7 +137,7 @@ def write_sharded_store(path: str, history: ShardedHistory) -> dict:
             segments = []
             for segment in part.sealed_segments():
                 offset, length = record(
-                    file, blocks.KIND_SEGMENT, {"index": segment.index.to_payload()}
+                    file, blocks.KIND_SEGMENT, {"index": index_payload(segment.index)}
                 )
                 segments.append(
                     {
@@ -136,7 +150,7 @@ def write_sharded_store(path: str, history: ShardedHistory) -> dict:
             memtable = None
             if part.memtable.document_count:
                 memtable = record(
-                    file, blocks.KIND_MEMTABLE, {"index": part.memtable.index.to_payload()}
+                    file, blocks.KIND_MEMTABLE, {"index": index_payload(part.memtable.index)}
                 )
             shards.append({"segments": segments, "memtable": memtable})
         documents = history.documents()

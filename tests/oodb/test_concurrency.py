@@ -91,14 +91,14 @@ class TestParallelTransactions:
 
         def worker(name):
             txn = db.begin()
-            results[name] = db.in_transaction()
+            results[name] = db._current_txn() is not None
             txn.rollback()
 
         thread = threading.Thread(target=worker, args=("other",))
         thread.start()
         thread.join()
         assert results["other"] is True
-        assert not db.in_transaction()  # main thread unaffected
+        assert db._current_txn() is None  # main thread unaffected
 
     def test_nested_begin_still_rejected_per_thread(self, db):
         with db.begin():

@@ -28,7 +28,8 @@ class TestGrants:
     def test_reacquire_is_noop(self, locks):
         locks.acquire(1, "r", LockMode.SHARED)
         locks.acquire(1, "r", LockMode.SHARED)
-        assert locks.held_resources(1) == {"r"}
+        assert locks.holds(1, "r", LockMode.SHARED)
+        assert not locks.holds(1, "r", LockMode.EXCLUSIVE)
 
     def test_lone_holder_upgrades(self, locks):
         locks.acquire(1, "r", LockMode.SHARED)
@@ -43,7 +44,7 @@ class TestGrants:
         locks.acquire(1, "a", LockMode.EXCLUSIVE)
         locks.acquire(1, "b", LockMode.SHARED)
         locks.release_all(1)
-        assert locks.held_resources(1) == set()
+        assert not locks.holds(1, "a") and not locks.holds(1, "b")
         locks.acquire(2, "a", LockMode.EXCLUSIVE)  # no blocking
 
 

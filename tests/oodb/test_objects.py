@@ -86,34 +86,6 @@ class TestDispatch:
 
 
 class TestNavigation:
-    def test_deref(self, db):
-        a = db.create_object("Node", name="a")
-        b = db.create_object("Node", name="b")
-        a.set("next", b.oid)
-        assert a.deref("next") == b
-
-    def test_deref_non_oid_raises(self, db):
-        a = db.create_object("Node", name="a")
-        with pytest.raises(SchemaError):
-            a.deref("name")
-
-    def test_deref_list(self, db):
-        a = db.create_object("Node")
-        b = db.create_object("Node")
-        c = db.create_object("Node")
-        a.set("items", [b.oid, c.oid])
-        assert a.deref_list("items") == [b, c]
-
-    def test_deref_list_empty_default(self, db):
-        a = db.create_object("Node")
-        assert a.deref_list("items") == []
-
-    def test_deref_list_skips_non_oids(self, db):
-        a = db.create_object("Node")
-        b = db.create_object("Node")
-        a.set("items", [b.oid, "junk", 3])
-        assert a.deref_list("items") == [b]
-
     def test_database_property(self, db):
         obj = db.create_object("Node")
         assert obj.database is db

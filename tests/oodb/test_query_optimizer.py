@@ -125,8 +125,8 @@ def journal_db():
     d.define_class("Doc", attributes={"year": "INT"})
     d.define_class("Para", attributes={"doc": "OID", "next": "OID", "words": "LIST"})
     para = d.schema.get_class("Para")
-    para.add_method("getFollowing", lambda o: o.deref("next") if o.get("next") else None)
-    para.add_method("getDoc", lambda o: o.deref("doc"))
+    para.add_method("getFollowing", lambda o: o.database.get_object(o.get("next")) if o.get("next") else None)
+    para.add_method("getDoc", lambda o: o.database.get_object(o.get("doc")))
     para.add_method("has", lambda o, word: word in o.get("words"))
     for j in range(20):
         doc = d.create_object("Doc", year=1990 + j % 10)
@@ -162,7 +162,7 @@ class TestConnectivityAwareJoinOrder:
             p2 = p1.send("getFollowing")
             if (
                 p2 is not None
-                and p1.deref("doc").get("year") == 1994
+                and db.get_object(p1.get("doc")).get("year") == 1994
                 and first in p1.get("words")
                 and second in p2.get("words")
             ):

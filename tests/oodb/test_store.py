@@ -58,7 +58,7 @@ class TestAttributes:
         assert store.read(OID(1), "x") == 2
         # first is the missing sentinel; unwrite restores "never written"
         store.unwrite(OID(1), "x", first)
-        assert not store.has_written(OID(1), "x")
+        assert store.read(OID(1), "x", "never") == "never"
 
     def test_unwrite_restores_value(self, store):
         store.write(OID(1), "x", 1)

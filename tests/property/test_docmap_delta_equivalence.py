@@ -132,10 +132,10 @@ def test_delta_written_doc_map_equals_model_engine_and_whole_write(
         with db.begin():
             for text in initial:
                 db.create_object("PARA", tag="PARA", content=text)
-        collection = system.create_collection(
+        collection = system.session.create_collection(
             NAME, "ACCESS p FROM p IN PARA", update_policy=policy, segment_words=words
         )
-        system.index_collection(collection)
+        system.session.index(collection)
         collection_oid = collection.oid
         #: Truth now, and truth as of the last propagation (what is stored).
         now = {str(o.oid): o.get("content") for o in db.instances_of("PARA")}

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DocumentSystem
-from repro.core.derivation import known_schemes
+from repro.core.derivation import _SCHEMES
 from repro.oodb.query.evaluator import QueryEvaluator
 from repro.workloads.corpus import CorpusGenerator, load_corpus
 
@@ -93,7 +93,7 @@ class TestProbeEqualsPerObjectEvaluation:
         range_class=st.sampled_from(RANGES),
         irs_query=st.sampled_from(QUERIES),
         op=st.sampled_from(sorted(OPERATORS)),
-        scheme=st.sampled_from(known_schemes()),
+        scheme=st.sampled_from(sorted(_SCHEMES)),
         threshold=st.one_of(
             st.sampled_from([0.0, 0.4, 0.42, 0.5]), st.integers(0, 200)
         ),
@@ -305,7 +305,7 @@ class TestStatementsEqualBruteForceNestedLoops:
         first=content_conjunct,
         second=content_conjunct,
         range_class=st.sampled_from(RANGES),
-        scheme=st.sampled_from(known_schemes()),
+        scheme=st.sampled_from(sorted(_SCHEMES)),
     )
     # A year no document has: the other conjuncts leave no candidate, so the
     # content conjunct must fetch (and buffer) nothing, as per object.

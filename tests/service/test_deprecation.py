@@ -43,5 +43,3 @@ class TestSessionSurfaceWarningFree:
             system.session.index(coll2)
             system.session.query(coll2, "telnet")
             system.session.query_batch([(coll2, "www"), (coll2, "nii")])
-            system.search(coll2, "telnet")
-            system.irs_query(coll2, "telnet")

@@ -75,10 +75,6 @@ class TestInlineSession:
         assert all(hit.element is not None for hit in rs)
         assert all(hit.element.oid == hit.oid for hit in rs)
 
-    def test_query_matches_legacy_dict_shape(self, system, collection):
-        rs = system.session.query(collection, "www")
-        assert system.irs_query(collection, "www") == rs.to_dict()
-
     def test_query_batch_preserves_order(self, system, collection):
         results = system.session.query_batch(
             [(collection, "telnet"), (collection, "www"), (collection, "telnet")]

@@ -43,30 +43,6 @@ class TestNavigation:
         tags = [e.tag for e in tree.iter()]
         assert tags == ["MMFDOC", "DOCTITLE", "SECTION", "SECTITLE", "PARA", "PARA"]
 
-    def test_find_all(self, tree):
-        assert len(tree.find_all("PARA")) == 2
-        assert tree.find_all("para")[0].text() == "first paragraph"
-
-    def test_find_first(self, tree):
-        assert tree.find("SECTITLE").text() == "Intro"
-        assert tree.find("NOPE") is None
-
-    def test_ancestors(self, tree):
-        p1 = tree.tree_parts[2]
-        assert [a.tag for a in p1.ancestors()] == ["SECTION", "MMFDOC"]
-
-    def test_next_sibling(self, tree):
-        _t, _s, p1, p2 = tree.tree_parts
-        assert p1.next_sibling() is p2
-        assert p2.next_sibling() is None
-
-    def test_next_sibling_of_root_is_none(self, tree):
-        assert tree.next_sibling() is None
-
-    def test_depth(self, tree):
-        assert tree.depth() == 0
-        assert tree.tree_parts[2].depth() == 2
-
 
 class TestText:
     def test_subtree_text(self, tree):
@@ -86,9 +62,6 @@ class TestText:
     def test_is_leaf(self, tree):
         assert tree.tree_parts[2].is_leaf()
         assert not tree.is_leaf()
-
-    def test_element_count(self, tree):
-        assert tree.element_count() == 6
 
     def test_text_node_equality(self):
         assert Text("x") == Text("x")

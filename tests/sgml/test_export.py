@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
-from repro.sgml.export import HTMLExporter, export_document
+from repro.sgml.export import HTMLExporter
 from repro.sgml.mmf import build_document, mmf_dtd
 
 
@@ -46,7 +46,7 @@ class TestRendering:
         assert html_text == "<div>odd content</div>"
 
     def test_page_wrapper(self, doc_root):
-        page = export_document(doc_root)
+        page = HTMLExporter().render_page(doc_root)
         assert page.startswith("<!DOCTYPE html>")
         assert "<title>Export &amp; Test</title>" in page
 

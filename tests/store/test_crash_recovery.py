@@ -180,8 +180,8 @@ class TestSystemLevelCrashes:
                 ),
                 dtd=dtd,
             )
-        collection = system.create_collection("paras", "ACCESS p FROM p IN PARA")
-        system.index_collection(collection)
+        collection = system.session.create_collection("paras", "ACCESS p FROM p IN PARA")
+        system.session.index(collection)
         return path, system, collection, dtd
 
     def _crash_image(self, path, tmp_path, tag):
@@ -193,7 +193,7 @@ class TestSystemLevelCrashes:
         system = DocumentSystem(directory=image)
         collection = next(iter(system.db.instances_of("COLLECTION")))
         got = {
-            model: system.search(collection, query, model=model).to_dict()
+            model: system.session.query(collection, query, model=model).to_dict()
             for model in MODELS
         }
         system.close()
@@ -201,7 +201,7 @@ class TestSystemLevelCrashes:
 
     def expected(self, system, collection, query="telnet retrieval"):
         return {
-            model: system.search(collection, query, model=model).to_dict()
+            model: system.session.query(collection, query, model=model).to_dict()
             for model in MODELS
         }
 
@@ -212,7 +212,7 @@ class TestSystemLevelCrashes:
         system.add_document(
             build_document("Late", ["late telnet paragraph"]), dtd=dtd
         )
-        system.index_collection(collection)
+        system.session.index(collection)
         image = self._crash_image(path, tmp_path, "wal_ahead")
         expected = self.expected(system, collection)
         system.close()
@@ -236,7 +236,7 @@ class TestSystemLevelCrashes:
         assert reopened.engine.lazy_collection_names() == ["paras"]
         collection2 = next(iter(reopened.db.instances_of("COLLECTION")))
         got = {
-            model: reopened.search(collection2, "telnet retrieval", model=model).to_dict()
+            model: reopened.session.query(collection2, "telnet retrieval", model=model).to_dict()
             for model in MODELS
         }
         reopened.close()
@@ -276,7 +276,7 @@ class TestSystemLevelCrashes:
         irs = reopened.engine.collection("paras")
         assert irs.document_count == sum(map(len, doc_map.values()))
         for model in MODELS:
-            ranked = reopened.search(collection2, "telnet retrieval", model=model)
+            ranked = reopened.session.query(collection2, "telnet retrieval", model=model)
             assert {str(oid) for oid in ranked.oids()} <= set(doc_map)
             assert ranked.to_dict() == expected[model]
         reopened.close()
@@ -308,7 +308,7 @@ class TestSystemLevelCrashes:
         system.add_document(
             build_document("Torn", ["torn tail telnet paragraph"]), dtd=dtd
         )
-        system.index_collection(collection)
+        system.session.index(collection)
         image = self._crash_image(path, tmp_path, "torn")
         expected = self.expected(system, collection)
         system.close()
@@ -403,7 +403,7 @@ class TestSystemLevelCrashes:
         assert before["doc_map"] != after["doc_map"]
         image = self._crash_image(path, tmp_path, "group")
         expected = self.expected(system, collection)
-        system.index_collection(collection)  # the fresh rebuild of the same documents
+        system.session.index(collection)  # the fresh rebuild of the same documents
         assert self.expected(system, collection) == expected
         system.close()
 
@@ -448,7 +448,7 @@ class TestSystemLevelCrashes:
         image = self._crash_image(path, tmp_path, "batch")
         committed = encoded_objects(db)
         expected = self.expected(system, collection)
-        system.index_collection(collection)  # the fresh rebuild of the same documents
+        system.session.index(collection)  # the fresh rebuild of the same documents
         assert self.expected(system, collection) == expected
         system.close()
 
@@ -511,7 +511,7 @@ class TestSystemLevelCrashes:
         assert before != after and written[end:] == older[end:]
         image = self._crash_image(path, tmp_path, "reset")
         expected = self.expected(system, collection)
-        system.index_collection(collection)  # the fresh rebuild of the same documents
+        system.session.index(collection)  # the fresh rebuild of the same documents
         assert self.expected(system, collection) == expected
         system.close()
 

@@ -63,7 +63,7 @@ from repro.irs.segments import SegmentConfig
 from repro.oodb.store import ObjectStore
 from repro.sgml.mmf import build_document, mmf_dtd
 from repro.store import SingleFileStore, StoreFile, blocks
-from tests.legacy import ShardedHistory, write_sharded_store
+from tests.legacy import ShardedHistory, index_payload, write_sharded_store
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -173,7 +173,7 @@ class TestEngineLevel:
             with SingleFileStore(path) as store:
                 engine = store.load_engine(lazy=False)
                 assert_matches(engine, want)
-                payloads.append(engine.collection(name).index.to_payload())
+                payloads.append(index_payload(engine.collection(name).index))
         source.close()
         assert payloads[0] == payloads[1]
 
@@ -424,7 +424,7 @@ def oid_rankings(system, want=WAL_SYSTEM):
         model: {
             query: [
                 [str(oid), value]
-                for oid, value in system.search(collection, query, model=model).to_dict().items()
+                for oid, value in system.session.query(collection, query, model=model).to_dict().items()
             ]
             for query in want["queries"]
         }
@@ -572,15 +572,15 @@ def _populate(system, dtd):
             build_document(f"T{i}", [f"archie gopher text {i}", "www access"]),
             dtd=dtd,
         )
-    collection = system.create_collection("paras", "ACCESS p FROM p IN PARA")
-    system.index_collection(collection)
+    collection = system.session.create_collection("paras", "ACCESS p FROM p IN PARA")
+    system.session.index(collection)
     return collection
 
 
 def _search_all(system, query="archie access"):
     collection = next(iter(system.db.instances_of("COLLECTION")))
     return {
-        model: system.search(collection, query, model=model).to_dict()
+        model: system.session.query(collection, query, model=model).to_dict()
         for model in MODELS
     }
 

@@ -18,8 +18,8 @@ def populated(tmp_path, name="sys"):
             build_document(f"T{i}", [f"checkpointed text {i}", "www telnet"]),
             dtd=dtd,
         )
-    collection = system.create_collection("paras", "ACCESS p FROM p IN PARA")
-    system.index_collection(collection)
+    collection = system.session.create_collection("paras", "ACCESS p FROM p IN PARA")
+    system.session.index(collection)
     return system, collection, dtd
 
 
@@ -70,7 +70,7 @@ class TestCheckpoint:
         first = system.store.gens()
         assert list(first) == [collection.get("irs_name")]
         system.add_document(build_document("T9", ["one more paragraph"]), dtd=dtd)
-        system.index_collection(collection)
+        system.session.index(collection)
         system.checkpoint()
         second = system.store.gens()
         assert second[collection.get("irs_name")] > first[collection.get("irs_name")]
@@ -119,7 +119,7 @@ class TestOneCommit:
         system, collection, dtd = populated(tmp_path)
         system.checkpoint()
         system.add_document(build_document("More", ["one more telnet paragraph"]), dtd=dtd)
-        system.index_collection(collection)
+        system.session.index(collection)
         calls = []
         for owner, name in ((StoreFile, "commit"), (WriteAheadLog, "reset")):
             original = getattr(owner, name)
@@ -164,14 +164,14 @@ class TestPackThroughSystem:
         system.add_document(
             build_document("Extra", ["extra packed paragraph"]), dtd=dtd
         )
-        system.index_collection(collection)
+        system.session.index(collection)
         result = system.pack()
         assert result["packed"]
-        expected = system.search(collection, "packed paragraph").to_dict()
+        expected = system.session.query(collection, "packed paragraph").to_dict()
         system.close()
         reopened = DocumentSystem(directory=str(tmp_path / "sys"))
         collection2 = next(iter(reopened.db.instances_of("COLLECTION")))
-        assert reopened.search(collection2, "packed paragraph").to_dict() == expected
+        assert reopened.session.query(collection2, "packed paragraph").to_dict() == expected
         reopened.close()
 
 
@@ -263,14 +263,14 @@ class TestNoBlockFreeing:
 class TestCloseSemantics:
     def test_close_checkpoints_automatically(self, tmp_path):
         system, collection, _ = populated(tmp_path)
-        expected = system.search(collection, "telnet").to_dict()
+        expected = system.session.query(collection, "telnet").to_dict()
         system.close()  # no explicit checkpoint() before this
         reopened = DocumentSystem(directory=str(tmp_path / "sys"))
         # Everything was checkpointed at close: nothing to recover, the
         # collection comes back lazily.
         assert reopened.engine.lazy_collection_names() == ["paras"]
         collection2 = next(iter(reopened.db.instances_of("COLLECTION")))
-        assert reopened.search(collection2, "telnet").to_dict() == expected
+        assert reopened.session.query(collection2, "telnet").to_dict() == expected
         reopened.close()
 
 
@@ -293,7 +293,7 @@ class TestHealthStorage:
         system.add_document(
             build_document("Dirty", ["unsaved paragraph"]), dtd=dtd
         )
-        system.index_collection(collection)
+        system.session.index(collection)
         storage = system.health()["storage"]
         assert storage["dirty"]["documents"] > 0
         system.checkpoint()

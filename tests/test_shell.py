@@ -122,6 +122,16 @@ class TestQueriesInShell:
         loaded.execute(".counters")
         assert "IRS queries: " in output_of(loaded)
 
+    def test_stats_reports_each_statistics_cache(self, loaded):
+        loaded.execute(".collection collDoc ACCESS d FROM d IN MMFDOC")
+        loaded.execute(".irs collPara telnet")
+        loaded.execute(".stats")
+        lines = output_of(loaded).splitlines()
+        caches = [line.split(":")[0].strip() for line in lines if "statistics cache" in line]
+        assert caches == ["statistics cache 'collDoc'", "statistics cache 'collPara'"]
+        para = next(line for line in lines if "statistics cache 'collPara'" in line)
+        assert "misses=0" not in para
+
     def test_dash_renders_health(self, loaded):
         loaded.execute(".irs collPara telnet")
         loaded.execute(".dash")

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.workloads.evaluation import (
-    RECALL_POINTS,
     evaluate_run,
-    interpolated_precision_recall,
-    mean_interpolated_curve,
     r_precision,
     run_from_results,
     sign_test,
@@ -62,32 +59,6 @@ class TestRPrecision:
     def test_empty_cases(self):
         assert r_precision([], {"a"}) == 0.0
         assert r_precision(["a"], set()) == 0.0
-
-
-class TestCurves:
-    def test_perfect_curve_flat_at_one(self):
-        curve = interpolated_precision_recall(["a", "b", "c"], {"a", "b", "c"})
-        assert all(precision == 1.0 for _r, precision in curve)
-
-    def test_monotone_nonincreasing(self):
-        curve = interpolated_precision_recall(
-            ["a", "z", "b", "y", "c"], {"a", "b", "c"}
-        )
-        precisions = [p for _r, p in curve]
-        assert precisions == sorted(precisions, reverse=True)
-
-    def test_eleven_points(self):
-        curve = interpolated_precision_recall(["a"], {"a"})
-        assert [r for r, _p in curve] == list(RECALL_POINTS)
-
-    def test_mean_curve(self):
-        curve = mean_interpolated_curve(PERFECT_RUN, QRELS)
-        assert curve[0][1] == pytest.approx(1.0)
-
-    def test_mean_curve_no_topics(self):
-        assert mean_interpolated_curve({}, {}) == [
-            (point, 0.0) for point in RECALL_POINTS
-        ]
 
 
 class TestSignTest:

@@ -28,10 +28,6 @@ class TestPrecisionRecall:
             (1 + 2 / 3) / 2
         )
 
-    def test_reciprocal_rank(self):
-        assert metrics.reciprocal_rank(["x", "a"], ["a"]) == 0.5
-        assert metrics.reciprocal_rank(["x"], ["a"]) == 0.0
-
 
 class TestKendallTau:
     def test_identical_orders(self):
@@ -50,16 +46,6 @@ class TestKendallTau:
 
     def test_single_item(self):
         assert metrics.kendall_tau(["a"], ["a"]) == 1.0
-
-
-class TestSeparation:
-    def test_positive_when_ordered(self):
-        values = {"M2": 0.5, "M3": 0.3}
-        assert metrics.separation(values, "M2", "M3") == pytest.approx(0.2)
-
-    def test_negative_on_inversion(self):
-        values = {"M2": 0.1, "M3": 0.3}
-        assert metrics.separation(values, "M2", "M3") < 0
 
 
 class TestTables:
