@@ -17,8 +17,9 @@ over them (see DESIGN.md §"Segmented indexing").
 
 Scoring code reads :meth:`IRSCollection.scoring_sources`,
 :attr:`IRSCollection.index_version` and
-:meth:`IRSCollection.forward_vector` (or the logical ``index``, the one full read surface over them), and :attr:`stats`
-holds the statistics cache over them.
+:meth:`IRSCollection.forward_vector` (or the logical ``index``, the one
+full read surface over them), and :attr:`stats` holds the statistics
+cache over them.
 """
 
 from __future__ import annotations
