@@ -2,22 +2,28 @@
 
 A collection is a versioned list of *scoring sources* behind one logical
 index (``repro.irs.view``).  Whatever holds the postings — the dict-form
-``InvertedIndex``, a ``CompactIndex``, a memtable, a sealed segment with
-tombstones — must answer the source contract exactly like an
-``InvertedIndex`` built from scratch over the same live documents:
-integer statistics exactly, postings and columns identically.  The union
-view over a segment stack (before, in the middle of and after a merge, or
-imported from an older build's shard list) is the one full read surface,
-and answers it for the live documents too.  Expected lengths, vectors
-and positions come from each case's own documents.  One body
-(:func:`check_source`, :func:`check_lookups`, :func:`check_index`,
-:func:`check_collection`) runs over all of them; a new representation
-joins by adding one builder to :data:`CASES`.
+``InvertedIndex``, a ``CompactIndex`` (encoded, read from the older JSON
+index schema or parsed from its record), a memtable, a sealed segment
+(with tombstones, written from a batch, or written by a fold) — must
+answer the source contract exactly like an ``InvertedIndex`` built from
+scratch over the same live documents: integer statistics exactly,
+postings and columns identically.  The union view over a segment stack
+(before, in the middle of and after a merge, after a checkpoint's
+seal-and-fold, bulk-loaded, reopened from a store, or imported from an
+older build's shard list) is the one full read surface, and answers it
+for the live documents too.  Expected lengths, vectors and positions
+come from each case's own documents.  One body (:func:`check_source`,
+:func:`check_lookups`, :func:`check_index`, :func:`check_collection`)
+runs over all of them; a new representation joins by adding one builder
+to :data:`CASES`.  The view's documents written in the older JSON index
+schema import through both readers and read the same.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -28,11 +34,13 @@ from hypothesis import strategies as st
 
 from repro.irs.analysis import Analyzer
 from repro.irs.collection import IRSCollection
+from repro.irs.engine import IRSEngine
 from repro.irs.inverted_index import InvertedIndex
 from repro.irs.postings import BLOCK_SIZE, CompactIndex
 from repro.irs.segments import SealedSegment, SegmentConfig, SegmentManager
 from repro.irs.view import UnionIndexView
-from tests.legacy import ShardedHistory
+from repro.store import SingleFileStore
+from tests.legacy import ShardedHistory, index_payload
 
 #: ``common`` is in every document, so its list spans several blocks.
 VOCABULARY = ["www", "nii", "telnet", "database", "retrieval"] + [
@@ -220,6 +228,37 @@ def compact_case() -> Case:
     )
 
 
+def bulk_sealed_case() -> Case:
+    """A sealed segment written straight from one batch (the bulk path)."""
+    _, live = churned_docs(21)
+    segment = SealedSegment.from_documents(0, sorted(live.items()))
+    return Case(
+        segment, live, kind="source",
+        block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]},
+    )
+
+
+def json_imported_case() -> Case:
+    """A compact index read from the older JSON index schema, as the
+    importer reads it."""
+    _, live = churned_docs(22)
+    subject = CompactIndex.from_payload(index_payload(rebuild(live)))
+    return Case(
+        subject, live, kind="part", block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]}
+    )
+
+
+def bytes_reparsed_case() -> Case:
+    """A compact index parsed back from its own kind-6 record."""
+    _, live = churned_docs(23)
+    record = CompactIndex.from_inverted(rebuild(live)).to_bytes()
+    subject = CompactIndex.from_bytes(record)
+    assert subject.to_bytes() == record
+    return Case(
+        subject, live, kind="part", block_shapes={"common": [BLOCK_SIZE, len(live) - BLOCK_SIZE]}
+    )
+
+
 def memtable_case() -> Case:
     everything, live = churned_docs(3)
     manager = SegmentManager("memtable", SegmentConfig(seal_document_count=10_000))
@@ -251,13 +290,14 @@ def sealed_tombstoned_case() -> Case:
     )
 
 
-def _segmented_collection(seed: int):
+#: Seals every 40 documents, so a churned collection spans many segments.
+SEGMENTED = SegmentConfig(seal_document_count=40, tier_fanout=3)
+
+
+def _segmented_collection(seed: int, collection: Optional[IRSCollection] = None):
     everything, live = churned_docs(seed)
-    collection = IRSCollection(
-        f"seg{seed}",
-        Analyzer(stemming=False),
-        segment_config=SegmentConfig(seal_document_count=40, tier_fanout=3),
-    )
+    if collection is None:
+        collection = IRSCollection(f"seg{seed}", Analyzer(stemming=False), SEGMENTED)
     ids = {
         doc_id: collection.add_document(" ".join(terms))
         for doc_id, terms in everything.items()
@@ -309,6 +349,62 @@ def segments_after_compact_case() -> Case:
     return Case(collection.index, live, collection=collection)
 
 
+def segments_after_checkpoint_case() -> Case:
+    """What a checkpoint leaves: the memtable sealed, then folded until
+    ``select_candidates`` picks nothing."""
+    collection, live = _segmented_collection(24)
+    assert collection.segments.seal_and_fold() > 0
+    assert collection.segments.memtable.document_count == 0
+    return Case(collection.index, live, collection=collection)
+
+
+def segments_merged_case() -> Case:
+    """The segment a fold writes, read as a source on its own: its
+    inputs' tombstoned documents are gone from it."""
+    collection, live = _segmented_collection(25)
+    inputs = collection.segments.sealed_segments()[:3]
+    assert any(segment.tombstones for segment in inputs)
+    merged = SealedSegment.merged(0, inputs)
+    assert merged.tombstones == set()
+    docs = {
+        doc_id: live[doc_id]
+        for segment in inputs
+        for doc_id in segment.forward
+        if doc_id not in segment.tombstones
+    }
+    return Case(merged, docs, kind="source")
+
+
+def segments_bulk_loaded_case() -> Case:
+    """A collection indexed in one batch — seal-sized chunks straight to
+    sealed segments, the rest in the memtable — then churned."""
+    everything, live = churned_docs(26)
+    collection = IRSCollection("bulk", Analyzer(stemming=False), SEGMENTED)
+    ids = collection.add_documents([(" ".join(terms), None) for terms in everything.values()])
+    assert ids == list(everything)
+    for doc_id in set(everything) - set(live):
+        collection.remove_document(doc_id)
+    manager = collection.segments
+    assert len(manager.sealed_segments()) >= 5 and manager.tombstone_count()
+    assert manager.memtable.document_count
+    return Case(collection.index, live, collection=collection)
+
+
+def segments_store_reopened_case() -> Case:
+    """A churned collection checkpointed into a single-file store and
+    loaded back: its segments are parsed kind-6 records."""
+    engine = IRSEngine(analyzer=Analyzer(stemming=False), segment_config=SEGMENTED)
+    _, live = _segmented_collection(27, engine.create_collection("stored"))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "irs.store")
+        with SingleFileStore(path) as store:
+            store.checkpoint(engine)
+        with SingleFileStore(path) as store:
+            collection = store.load_engine(lazy=False).collection("stored")
+    assert collection.segments.sealed_segments()
+    return Case(collection.index, live, collection=collection)
+
+
 def shards_import_case(shard_count: int, sealing: bool):
     """A collection opened from the shards an older build partitioned it
     into (``tests.legacy``), each sealing every 25 documents or never:
@@ -338,12 +434,19 @@ def shards_import_case(shard_count: int, sealing: bool):
 CASES = {
     "inverted": inverted_case,
     "compact": compact_case,
+    "compact-json-imported": json_imported_case,
+    "compact-bytes-reparsed": bytes_reparsed_case,
     "memtable": memtable_case,
     "sealed-tombstoned": sealed_tombstoned_case,
+    "sealed-bulk": bulk_sealed_case,
+    "sealed-merged": segments_merged_case,
     "segments-before-merge": segments_before_merge_case,
     "segments-mid-merge": segments_mid_merge_case,
     "segments-after-merge": segments_after_merge_case,
     "segments-after-compact": segments_after_compact_case,
+    "segments-after-checkpoint": segments_after_checkpoint_case,
+    "segments-bulk-loaded": segments_bulk_loaded_case,
+    "segments-store-reopened": segments_store_reopened_case,
     "shards-import-1-segmented": shards_import_case(1, True),
     "shards-import-2-segmented": shards_import_case(2, True),
     "shards-import-4-segmented": shards_import_case(4, True),
@@ -420,3 +523,59 @@ class TestWholeIndexReadsLeaveTheMemoEmpty:
         assert not collection.segments.sealed_segments()
         assert collection.indexed_bytes() == legacy_indexed_bytes(rebuild(live))
         assert collection.index._merged_postings == {}
+
+
+# ---------------------------------------------------------------------------
+# The older JSON index schema, written from the view, imports as it reads
+# ---------------------------------------------------------------------------
+
+VIEW_CASES = sorted(name for name in CASES if name.startswith(("segments-", "shards-")))
+
+
+def view_payload(case: Case) -> dict:
+    """The view's documents in the older JSON index schema
+    (docs/storage-format.md), checked against the rebuild's postings."""
+    payload = index_payload(case.subject)
+    reference = rebuild(case.docs)
+    assert payload == {
+        "doc_lengths": {str(d): len(t) for d, t in case.docs.items()},
+        "postings": {
+            term: {str(p.doc_id): p.positions for p in reference.postings(term)}
+            for term in sorted(reference.terms())
+        },
+    }
+    return payload
+
+
+class TestOlderJsonOfTheView:
+    @pytest.mark.parametrize("name", VIEW_CASES)
+    def test_imports_as_one_compact_index(self, name):
+        case = CASES[name]()
+        imported = CompactIndex.from_payload(view_payload(case))
+        check_source(imported, rebuild(case.docs), case.docs)
+        check_lookups(imported, case.docs)
+
+    @pytest.mark.parametrize("name", VIEW_CASES)
+    def test_opens_as_a_collection_of_one_segment(self, name):
+        """``IRSCollection.from_payload`` over the view's JSON gives a
+        collection that keeps the contract, further writes included."""
+        case = CASES[name]()
+        source = case.collection
+        documents = source.documents()
+        payload = {
+            "name": source.name,
+            "next_doc_id": max(doc.doc_id for doc in documents) + 1,
+            "documents": [
+                {
+                    "doc_id": doc.doc_id,
+                    "text": doc.text,
+                    "metadata": doc.metadata,
+                    "revision": doc.revision,
+                }
+                for doc in documents
+            ],
+            "segments": [{"index": view_payload(case), "tombstones": []}],
+        }
+        opened = IRSCollection.from_payload(payload, source.analyzer, SEGMENTED)
+        assert len(opened.segments.sealed_segments()) == 1
+        run_case(Case(opened.index, case.docs, collection=opened))

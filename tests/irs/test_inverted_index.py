@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.irs.inverted_index import InvertedIndex
+from repro.irs.postings import CompactIndex
 from repro.irs.segments.segment import MemtableSegment
+from tests.legacy import index_payload
 
 
 @pytest.fixture
@@ -89,6 +91,22 @@ _doc_terms = st.lists(
 
 
 class TestRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_doc_terms, min_size=1, max_size=8))
+    def test_payload_round_trip(self, docs):
+        """The older JSON index schema, read back as the importer reads it."""
+        index = InvertedIndex()
+        for doc_id, terms in enumerate(docs, start=1):
+            index.add_document(doc_id, terms)
+        restored = CompactIndex.from_payload(index_payload(index))
+        assert restored.document_count == index.document_count
+        assert restored.posting_count == index.posting_count
+        assert restored.doc_lengths == index.doc_lengths
+        for doc_id, terms in enumerate(docs, start=1):
+            for term, tf in Counter(terms).items():
+                assert restored.term_frequency(term, doc_id) == tf
+                assert restored.positions(term, doc_id) == index.positions(term, doc_id)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_doc_terms, min_size=2, max_size=8))
     def test_remove_then_stats_consistent(self, docs):

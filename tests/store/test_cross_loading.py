@@ -58,6 +58,7 @@ import pytest
 from repro.core.system import DocumentSystem
 from repro.irs.collection import IRSCollection
 from repro.irs.engine import IRSEngine
+from repro.irs.postings import CompactIndex
 from repro.store.importer import load_json_engine
 from repro.irs.segments import SegmentConfig
 from repro.oodb.store import ObjectStore
@@ -115,6 +116,31 @@ def test_json_directory_imports_into_store(tmp_path):
     again = SingleFileStore(str(tmp_path / "irs.store"))
     assert_matches(again.load_engine(), want)
     again.close()
+
+
+#: The files of ``irs_index/`` that hold index payloads an older build wrote.
+JSON_INDEX_FILES = [
+    "collection_mono.json",
+    "collection_seg.json",
+    "collection_shard/shard_0000.json",
+    "collection_shard/shard_0001.json",
+]
+
+
+@pytest.mark.parametrize("relative", JSON_INDEX_FILES)
+def test_index_payload_writes_each_stored_index_as_the_older_build_did(relative):
+    """``tests.legacy.index_payload``, the JSON index writer the import
+    tests build their inputs with, gives back exactly what an older build
+    wrote for every index it read."""
+    with open(os.path.join(FIXTURES, "irs_index", relative), encoding="utf-8") as fh:
+        stored = json.load(fh)
+    if "index" in stored:
+        payloads = [stored["index"]]
+    else:
+        payloads = [segment["index"] for segment in stored["segments"]]
+    assert payloads
+    for payload in payloads:
+        assert index_payload(CompactIndex.from_payload(payload)) == payload
 
 
 #: The fixture collection written in each older layout.
