@@ -16,6 +16,7 @@ from time import perf_counter
 import pytest
 
 from benchmarks.conftest import build_corpus_system
+from repro import obs
 from repro.core.collection import _create_collection, index_objects
 
 
@@ -30,7 +31,7 @@ def setup():
 
 def _run_workload(system, collection, queries, buffered):
     paras = system.db.instances_of("PARA")
-    system.reset_counters()
+    obs.metrics().reset()
     started = perf_counter()
     for irs_query in queries:
         for obj in paras:
@@ -38,12 +39,12 @@ def _run_workload(system, collection, queries, buffered):
                 collection.set("buffer", {})
             obj.send("getIRSValue", collection, irs_query)
     elapsed = perf_counter() - started
-    counters = system.context.counters
+    counters = obs.metrics().snapshot()["counters"]
     return {
         "objects": len(paras),
-        "irs_calls": system.engine.counters.queries_executed,
-        "hits": counters.buffer_hits,
-        "misses": counters.buffer_misses,
+        "irs_calls": counters.get("irs.query.executed", 0),
+        "hits": counters.get("coupling.buffer.hits", 0),
+        "misses": counters.get("coupling.buffer.misses", 0),
         "seconds": elapsed,
     }
 
@@ -105,17 +106,18 @@ def test_fig3_inter_query_buffering(setup, report, benchmark):
     collection.set("buffer", {})
 
     def first_and_second():
-        system.reset_counters()
+        obs.metrics().reset()
+        executed = obs.metrics().counter("irs.query.executed")
         rows1 = system.db.query(
             "ACCESS p FROM p IN PARA WHERE p -> getIRSValue(c, 'www') > 0.42",
             {"c": collection},
         )
-        after_first = system.engine.counters.queries_executed
+        after_first = executed.value
         rows2 = system.db.query(
             "ACCESS p FROM p IN PARA WHERE p -> getIRSValue(c, 'www') > 0.42",
             {"c": collection},
         )
-        return after_first, system.engine.counters.queries_executed, len(rows1), len(rows2)
+        return after_first, executed.value, len(rows1), len(rows2)
 
     after_first, total, n1, n2 = benchmark.pedantic(
         first_and_second,

@@ -14,6 +14,7 @@ from time import perf_counter
 import pytest
 
 from benchmarks.conftest import build_corpus_system
+from repro import obs
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 
 PAIRS = [("www", "nii"), ("telnet", "database"), ("multimedia", "retrieval")]
@@ -42,19 +43,20 @@ def test_operator_in_db_vs_resubmission(setup, report, benchmark):
     def resubmit():
         return [_get_irs_result(collection, f"#and({a} {b})") for a, b in PAIRS]
 
+    executed = obs.metrics().counter("irs.query.executed")
     warm()
-    system.reset_counters()
+    obs.metrics().reset()
     started = perf_counter()
     resubmitted = resubmit()
     resubmit_seconds = perf_counter() - started
-    resubmit_irs_calls = system.engine.counters.queries_executed
+    resubmit_irs_calls = executed.value
 
     warm()
-    system.reset_counters()
+    obs.metrics().reset()
     started = perf_counter()
     combined = in_db()
     in_db_seconds = perf_counter() - started
-    in_db_irs_calls = system.engine.counters.queries_executed
+    in_db_irs_calls = executed.value
     benchmark(in_db)  # timing statistics for the in-DB combination
 
     rows = [

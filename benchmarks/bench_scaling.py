@@ -12,6 +12,7 @@ document base grows:
 from time import perf_counter
 
 from benchmarks.conftest import build_corpus_system
+from repro import obs
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 
 SIZES = [5, 15, 30, 60]
@@ -30,7 +31,7 @@ def test_buffering_scaling(report, benchmark):
         for size in SIZES:
             system, collection = _system_of(size)
             paras = system.db.instances_of("PARA")
-            system.reset_counters()
+            obs.metrics().reset()
             started = perf_counter()
             for obj in paras:
                 obj.send("getIRSValue", collection, "www")
@@ -39,7 +40,7 @@ def test_buffering_scaling(report, benchmark):
                 [
                     size,
                     len(paras),
-                    system.engine.counters.queries_executed,
+                    obs.metrics().counter("irs.query.executed").value,
                     len(paras),  # unbuffered would need one IRS call each
                     seconds,
                 ]

@@ -16,6 +16,7 @@ from time import perf_counter
 import pytest
 
 from benchmarks.conftest import build_corpus_system
+from repro import obs
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 from repro.core.transient import transient_members
 
@@ -36,30 +37,34 @@ def test_transient_vs_derivation(setup, report, benchmark):
 
     def transient_burst():
         collection.set("buffer", {})
-        system.reset_counters()
+        obs.metrics().reset()
         started = perf_counter()
         with transient_members(collection, docs):
             for query in QUERIES:
                 _get_irs_result(collection, query)
         seconds = perf_counter() - started
+        counters = obs.metrics().snapshot()["counters"]
         return {
             "seconds": seconds,
-            "indexed": system.engine.counters.documents_indexed,
-            "removed": system.engine.counters.documents_removed,
+            "indexed": counters.get("irs.index.additions", 0)
+            + counters.get("irs.index.replacements", 0),
+            "removed": counters.get("irs.index.removals", 0),
         }
 
     def derivation_burst():
         collection.set("buffer", {})
-        system.reset_counters()
+        obs.metrics().reset()
         started = perf_counter()
         for query in QUERIES:
             for doc in docs:
                 doc.send("getIRSValue", collection, query)
         seconds = perf_counter() - started
+        counters = obs.metrics().snapshot()["counters"]
         return {
             "seconds": seconds,
-            "indexed": system.engine.counters.documents_indexed,
-            "removed": system.engine.counters.documents_removed,
+            "indexed": counters.get("irs.index.additions", 0)
+            + counters.get("irs.index.replacements", 0),
+            "removed": counters.get("irs.index.removals", 0),
         }
 
     transient = benchmark.pedantic(transient_burst, rounds=3, iterations=1)

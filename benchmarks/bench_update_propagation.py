@@ -16,6 +16,7 @@ and cancellation strictly reduces propagated operations.
 from time import perf_counter
 
 from benchmarks.conftest import build_corpus_system
+from repro import obs
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 
 RATIOS = [(2, 10), (10, 10), (50, 10), (100, 5)]  # (updates, queries)
@@ -33,7 +34,7 @@ def _build(policy):
 def _run_mix(system, collection, n_updates, n_queries, churn):
     """Interleave updates and queries; churn=True creates+deletes pairs."""
     root = system.roots[0]
-    system.reset_counters()
+    obs.metrics().reset()
     started = perf_counter()
     created = []
     for i in range(n_updates):
@@ -48,13 +49,14 @@ def _run_mix(system, collection, n_updates, n_queries, churn):
     for i in range(n_queries):
         _get_irs_result(collection, ("www", "nii", "gopher")[i % 3])
     elapsed = perf_counter() - started
-    counters = system.context.counters
+    counters = obs.metrics().snapshot()["counters"]
     return {
         "seconds": elapsed,
-        "propagated": counters.updates_propagated,
-        "cancelled": counters.updates_cancelled,
-        "indexed": system.engine.counters.documents_indexed,
-        "forced": counters.forced_propagations,
+        "propagated": counters.get("coupling.updates.propagated", 0),
+        "cancelled": counters.get("coupling.updates.cancelled", 0),
+        "indexed": counters.get("irs.index.additions", 0)
+        + counters.get("irs.index.replacements", 0),
+        "forced": counters.get("coupling.updates.forced_propagations", 0),
     }
 
 
@@ -140,17 +142,19 @@ def test_cancellation_ablation(report, benchmark):
         system, collection = _build("deferred")
         system.context.cancellation_enabled = enabled
         root = system.roots[0]
-        system.reset_counters()
+        obs.metrics().reset()
         for i in range(30):
             para = system.loader.insert_element(root, "PARA", f"churn text {i}")
             collection.send("insertObject", para)
             collection.send("deleteObject", para)  # membership retracted
         _get_irs_result(collection, "www")  # forces propagation
+        counters = obs.metrics().snapshot()["counters"]
         return {
             "pending_peak": 60 if not enabled else 0,
-            "indexed": system.engine.counters.documents_indexed,
-            "removed": system.engine.counters.documents_removed,
-            "cancelled": system.context.counters.updates_cancelled,
+            "indexed": counters.get("irs.index.additions", 0)
+            + counters.get("irs.index.replacements", 0),
+            "removed": counters.get("irs.index.removals", 0),
+            "cancelled": counters.get("coupling.updates.cancelled", 0),
         }
 
     with_cancellation = benchmark.pedantic(run, args=(True,), rounds=3, iterations=1)
@@ -182,11 +186,13 @@ def test_forced_propagation_consistency(report, benchmark):
 
     def run():
         system, collection = _build("deferred")
+        obs.metrics().reset()
         root = system.roots[0]
         para = system.loader.insert_element(root, "PARA", "unique zeppelin content")
         collection.send("insertObject", para)
         values = _get_irs_result(collection, "zeppelin")
-        return para.oid in values, system.context.counters.forced_propagations
+        forced = obs.metrics().counter("coupling.updates.forced_propagations").value
+        return para.oid in values, forced
 
     found, forced = benchmark.pedantic(run, rounds=3, iterations=1)
     report(

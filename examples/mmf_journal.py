@@ -10,6 +10,7 @@ Section 4.6.
 Run:  python examples/mmf_journal.py
 """
 
+from repro import obs
 from repro.core import DocumentSystem
 from repro.sgml.mmf import build_document, mmf_dtd
 from repro.workloads.corpus import CorpusGenerator, load_corpus
@@ -101,11 +102,11 @@ print(f"  pending operations: {coll_para.get('pending_ops')}")
 # A reader's query forces propagation before evaluation:
 hits = session.query(coll_para, "workshop")
 print(f"  after reader query, new paragraph retrievable: {new_para.oid in hits.oids()}")
-print(f"  forced propagations: {system.context.counters.forced_propagations}")
+print(f"  forced propagations: {obs.metrics().counter('coupling.updates.forced_propagations').value}")
 
 # An insert-then-delete sequence never reaches the IRS:
 doomed = system.loader.insert_element(travel, "PARA", "temporary text")
 coll_para.send("insertObject", doomed)
 coll_para.send("deleteObject", doomed)
 system.loader.remove_element(doomed)
-print(f"  annihilated operations: {system.context.counters.updates_cancelled}")
+print(f"  annihilated operations: {obs.metrics().counter('coupling.updates.cancelled').value}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro import obs
 from repro.core.collection import COLLECTION_CLASS
 from repro.core.context import coupling_context
 from repro.oodb.database import Database
@@ -71,8 +72,9 @@ def all_collection_reports(db: Database) -> List[CollectionReport]:
 
 
 def system_report(db: Database) -> Dict[str, object]:
-    """A one-shot summary of the whole coupled system."""
-    context = coupling_context(db)
+    """A one-shot summary of the whole coupled system (counts since the
+    process started or ``obs.metrics().reset()``)."""
+    counters = obs.metrics().snapshot()["counters"]
     class_counts: Dict[str, int] = {}
     for obj in db.iter_objects():
         class_counts[obj.class_name] = class_counts.get(obj.class_name, 0) + 1
@@ -84,13 +86,14 @@ def system_report(db: Database) -> Dict[str, object]:
         "collections": len(collections),
         "stale_collections": [r.name for r in collections if r.is_stale],
         "total_index_bytes": sum(r.index_bytes for r in collections),
-        "buffer_hit_rate": _hit_rate(context.counters),
-        "irs_queries_executed": context.engine.counters.queries_executed,
+        "buffer_hit_rate": _hit_rate(counters),
+        "irs_queries_executed": counters.get("irs.query.executed", 0),
     }
 
 
-def _hit_rate(counters) -> float:
-    total = counters.buffer_hits + counters.buffer_misses
+def _hit_rate(counters: Dict[str, int]) -> float:
+    hits = counters.get("coupling.buffer.hits", 0)
+    total = hits + counters.get("coupling.buffer.misses", 0)
     if total == 0:
         return 0.0
-    return counters.buffer_hits / total
+    return hits / total

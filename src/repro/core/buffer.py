@@ -7,8 +7,8 @@ IRS calls are buffered persistently in a dictionary of type
 The buffer lives as a ``DICT`` attribute of the COLLECTION database object,
 ``{"model|query": {"OID3": 0.7}}``, so it is persistent exactly like any
 other database state (it survives checkpoints and recovery).
-:class:`ResultBuffer` wraps attribute access and feeds the hit/miss counters
-that the FIG3 benchmark reads.
+:class:`ResultBuffer` wraps attribute access and counts hits and misses
+(``coupling.buffer.hits`` / ``misses``), which the FIG3 benchmark reads.
 
 Writes are deltas: ``store`` and ``amend`` set one item of the dictionary
 through :meth:`Database.write_dict_item`, so their time and their WAL record
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
-from repro.core.context import CouplingCounters, coupling_context
+from repro.core.context import coupling_context
 from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
 
@@ -40,9 +40,8 @@ _BUFFER_ATTR = "buffer"
 class ResultBuffer:
     """View onto one COLLECTION object's persistent result buffer."""
 
-    def __init__(self, collection_obj: DBObject, counters: CouplingCounters) -> None:
+    def __init__(self, collection_obj: DBObject) -> None:
         self._collection = collection_obj
-        self._counters = counters
         self._db = collection_obj.database
         self._view = coupling_context(self._db).buffer_view(collection_obj.oid)
         #: Buffer generation of this instance's last lookup (None: none yet).
@@ -104,16 +103,10 @@ class ResultBuffer:
                 decoded = {**decoded, **view.amended.pop(key)}
                 view.entries[key] = decoded
         if decoded is None:
-            self._counters.add("buffer_misses")
             obs.metrics().counter("coupling.buffer.misses").inc()
             return None
-        self._counters.add("buffer_hits")
         obs.metrics().counter("coupling.buffer.hits").inc()
         return decoded
-
-    def contains(self, irs_query: str, model: Optional[str] = None) -> bool:
-        """True when the query is buffered (no counter side effects)."""
-        return self._key(irs_query, model) in self._stored()
 
     def _write_through(self, path: Tuple[str, ...], value: Any) -> bool:
         """Write one item of the stored buffer; caller holds the view lock.
@@ -204,7 +197,3 @@ class ResultBuffer:
             else:
                 self._validate()
                 self._view.generation += 1
-
-    def size(self) -> int:
-        """Number of buffered queries."""
-        return len(self._stored())

@@ -225,7 +225,6 @@ def index_objects(
             with db.autocommit_group():
                 updates.rebuild(collection_obj, [str(obj.oid) for obj in members])
                 collection_obj.set("pending_ops", [])
-            context.counters.add("index_runs")
     registry = obs.metrics()
     registry.counter("coupling.indexObjects.calls").inc()
     registry.histogram("coupling.indexObjects.seconds").observe(
@@ -270,7 +269,7 @@ def _get_irs_result(
 
         model = collection_obj.get("model")
         if buffer is None:
-            buffer = ResultBuffer(collection_obj, context.counters)
+            buffer = ResultBuffer(collection_obj)
         cached = buffer.lookup(irs_query, model, merged)
         if cached is not None:
             span.set_attribute("buffered", True)
@@ -319,14 +318,11 @@ def _find_irs_value(collection_obj: DBObject, irs_query: str, obj: DBObject) -> 
     Internal implementation — the supported entry point is
     :meth:`repro.Session.find_value`.
     """
-    db = collection_obj.database
-    context = coupling_context(db)
-    registry = obs.metrics()
-    registry.counter("coupling.findIRSValue.calls").inc()
+    obs.metrics().counter("coupling.findIRSValue.calls").inc()
     with obs.tracer().span(
         "coupling.findIRSValue", query=obs.trim(irs_query), oid=str(obj.oid)
     ) as span:
-        buffer = ResultBuffer(collection_obj, context.counters)
+        buffer = ResultBuffer(collection_obj)
         values = _get_irs_result(collection_obj, irs_query, buffer, merged=False)
         value = values.get(obj.oid)
         if value is None and obj.oid in member_oids(collection_obj):
@@ -482,8 +478,8 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
     by_column = all(schema.method_is(class_name, m, f) for m, f in defaults.items())
 
     def irs_values(oids, bound=None) -> MethodMap:
-        context.counters.add("get_irs_value_calls")
-        buffer = ResultBuffer(collection_obj, context.counters)
+        obs.metrics().counter("coupling.getIRSValue.calls").inc()
+        buffer = ResultBuffer(collection_obj)
         with obs.tracer().span(
             "coupling.findIRSValue", query=obs.trim(irs_query), mode="probe"
         ):
@@ -504,7 +500,6 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
                 oid: combine([values.get(d, 0.0) for d in below if d in members])
                 for oid, below in descendants(db, order).items()
             }
-        context.counters.add("derivations", len(derived))
         obs.metrics().counter("coupling.derivations").inc(len(derived))
         model = collection_obj.get("model")
         for oid, value in derived.items():

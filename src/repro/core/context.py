@@ -24,41 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _CONTEXT_ATTR = "_coupling_context"
 
 
-@dataclass
-class CouplingCounters:
-    """Instrumentation shared by the whole coupling (reset per experiment).
-
-    Increments on concurrent paths go through :meth:`add`; plain ``+= 1``
-    remains fine on single-threaded experiment code but the coupling core
-    uses :meth:`add` throughout so the service layer never loses counts.
-    """
-
-    get_irs_value_calls: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    derivations: int = 0
-    index_runs: int = 0
-    documents_indexed: int = 0
-    updates_propagated: int = 0
-    updates_cancelled: int = 0
-    updates_logged: int = 0
-    forced_propagations: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(self, name: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to the counter called ``name``."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def reset(self) -> None:
-        with self._lock:
-            for name, value in vars(self).items():
-                if isinstance(value, int) and not name.startswith("_"):
-                    setattr(self, name, 0)
-
-
 class DecodedBufferView:
     """Process-local decoded mirror of one COLLECTION's persistent buffer.
 
@@ -102,7 +67,6 @@ class CouplingContext:
     """Everything coupling methods need besides the target object."""
 
     engine: IRSEngine
-    counters: CouplingCounters = field(default_factory=CouplingCounters)
     #: The single-file durable store backing this coupling
     #: (:class:`repro.store.SingleFileStore`); None when the system runs
     #: in memory.

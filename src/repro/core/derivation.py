@@ -216,8 +216,6 @@ def combination(collection_obj: DBObject) -> Optional[Callable[[List[float]], fl
 
 
 def derive(collection_obj: DBObject, irs_query: str, obj: DBObject) -> float:
-    """Apply the collection's configured scheme and count the derivation."""
-    context = coupling_context(obj.database)
-    context.counters.add("derivations")
+    """Apply the collection's configured scheme."""
     scheme = scheme_named(collection_obj.get("derivation") or "maximum")
     return scheme(collection_obj, irs_query, obj)

@@ -24,7 +24,6 @@ from typing import Any, Optional
 
 from repro import obs
 from repro.core import derivation
-from repro.core.context import coupling_context
 from repro.core.text_modes import text_for
 from repro.errors import CouplingError
 from repro.oodb.database import Database
@@ -82,8 +81,7 @@ def get_irs_value(obj: DBObject, collection: Any = None, irs_query: Optional[str
         else:
             raise CouplingError("getIRSValue needs an IRS query string")
     collection_obj = _resolve(obj, collection)
-    context = coupling_context(obj.database)
-    context.counters.add("get_irs_value_calls")
+    obs.metrics().counter("coupling.getIRSValue.calls").inc()
     return collection_obj.send("findIRSValue", irs_query, obj)
 
 

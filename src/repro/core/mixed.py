@@ -21,8 +21,8 @@ content conditions (evaluated by the IRS).  The paper names two strategies:
     sets, and under either strategy the IRS is asked once the variable's
     store-read conjuncts have left a candidate.)
 
-:func:`compare_strategies` runs both on the same query and reports the
-counter deltas the MIXED benchmark prints.
+Each outcome reports the IRS queries its run made (``irs.query.executed``
+before and after; 0 under ``obs.disable()``).
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
+from repro import obs
 from repro.core.collection import (
     disable_irs_first_optimization,
     enable_irs_first_optimization,
 )
-from repro.core.context import coupling_context
 from repro.oodb.database import Database
 from repro.oodb.query.evaluator import QueryEvaluator
 
@@ -75,9 +75,8 @@ def evaluate_irs_first(
 def _evaluate(
     db: Database, query: str, bindings: Optional[Dict[str, Any]], irs_first: bool
 ) -> StrategyOutcome:
-    context = coupling_context(db)
-    engine_counters = context.engine.counters
-    queries_before = engine_counters.queries_executed
+    executed = obs.metrics().counter("irs.query.executed")
+    queries_before = executed.value
     if irs_first:
         enable_irs_first_optimization(db)
     else:
@@ -95,21 +94,6 @@ def _evaluate(
         tuples_examined=stats.tuples_examined,
         method_calls=stats.method_calls,
         restrictor_calls=stats.restrictor_calls,
-        irs_queries=engine_counters.queries_executed - queries_before,
+        irs_queries=executed.value - queries_before,
         seconds=elapsed,
     )
-
-
-def compare_strategies(
-    db: Database, query: str, bindings: Optional[Dict[str, Any]] = None
-) -> Dict[str, StrategyOutcome]:
-    """Run both strategies on ``query`` and return their outcomes.
-
-    The independent strategy runs first so the IRS-first run benefits from
-    a warm buffer exactly as it would in the paper's inter-query scenario;
-    callers wanting cold comparisons reset the collection buffer between
-    calls.
-    """
-    independent = evaluate_independent(db, query, bindings)
-    irs_first = evaluate_irs_first(db, query, bindings)
-    return {"independent": independent, "irs_first": irs_first}

@@ -318,12 +318,6 @@ class DocumentSystem:
 
     # -- bookkeeping ------------------------------------------------------------------------
 
-    def reset_counters(self) -> None:
-        """Zero both coupling and IRS counters (benchmark hygiene)."""
-        self.context.counters.reset()
-        self.engine.counters.reset()
-        self.engine.reset_cache_stats()
-
     def close(self) -> None:
         """Checkpoint (when durable) and close the database and the store."""
         for server in self._servers:

@@ -52,7 +52,6 @@ def record_update(collection_obj: DBObject, op: str, obj: DBObject) -> None:
         raise CouplingError(f"unknown update operation {op!r}")
     db = collection_obj.database
     context = coupling_context(db)
-    context.counters.add("updates_logged")
     obs.metrics().counter("coupling.updates.logged").inc()
     # Claim the collection object before reading its state so two recorders
     # (or a recorder and a propagator) serialize in the database lock
@@ -67,20 +66,17 @@ def record_update(collection_obj: DBObject, op: str, obj: DBObject) -> None:
             with db.autocommit_group():
                 _apply([[op, str(obj.oid)]], collection_obj)
                 _invalidate_buffer(collection_obj)
-            context.counters.add("updates_propagated")
             obs.metrics().counter("coupling.updates.propagated").inc()
             return
         pending = [list(entry) for entry in (collection_obj.get("pending_ops") or [])]
         if context.cancellation_enabled:
-            pending = _log_with_cancellation(pending, op, str(obj.oid), context)
+            pending = _log_with_cancellation(pending, op, str(obj.oid))
         else:
             pending.append([op, str(obj.oid)])
         collection_obj.set("pending_ops", pending)
 
 
-def _log_with_cancellation(
-    pending: List[list], op: str, oid_str: str, context
-) -> List[list]:
+def _log_with_cancellation(pending: List[list], op: str, oid_str: str) -> List[list]:
     """Append (op, oid) to the log, collapsing cancelling sequences."""
     previous = None
     for index, (pending_op, pending_oid) in enumerate(pending):
@@ -93,22 +89,22 @@ def _log_with_cancellation(
     if op == DELETE and pending_op == INSERT:
         # Generated then deleted before propagation: both vanish.
         del pending[index]
-        context.counters.add("updates_cancelled", 2)
+        obs.metrics().counter("coupling.updates.cancelled").inc(2)
         return pending
     if op == MODIFY and pending_op in (INSERT, MODIFY):
         # The earlier operation will pick up the current text anyway.
-        context.counters.add("updates_cancelled")
+        obs.metrics().counter("coupling.updates.cancelled").inc()
         return pending
     if op == DELETE and pending_op == MODIFY:
         # Modification of a to-be-deleted object is moot.
         del pending[index]
-        context.counters.add("updates_cancelled")
+        obs.metrics().counter("coupling.updates.cancelled").inc()
         pending.append([DELETE, oid_str])
         return pending
     if op == INSERT and pending_op == DELETE:
         # Delete then re-insert: net effect is a modification.
         del pending[index]
-        context.counters.add("updates_cancelled")
+        obs.metrics().counter("coupling.updates.cancelled").inc()
         pending.append([MODIFY, oid_str])
         return pending
     pending.append([op, oid_str])
@@ -149,10 +145,8 @@ def propagate(collection_obj: DBObject, forced: bool = False) -> int:
             _apply([list(entry) for entry in pending], collection_obj)
             collection_obj.set("pending_ops", [])
             _invalidate_buffer(collection_obj)
-    context.counters.add("updates_propagated", len(pending))
     obs.metrics().counter("coupling.updates.propagated").inc(len(pending))
     if forced:
-        context.counters.add("forced_propagations")
         obs.metrics().counter("coupling.updates.forced_propagations").inc()
     logger.debug(
         "propagated %d pending update(s) to IRS collection %r%s",
@@ -275,7 +269,6 @@ def _index(
         changed.update((key, [next(doc_ids) for _ in pieces]) for key, pieces in fresh.items())
         fresh.clear()
 
-    indexed = 0
     with engine.bulk_mutating(irs_name):
         for op, oid_str, pieces in planned:
             old_ids = changed[oid_str] if oid_str in changed else doc_map.get(oid_str)
@@ -305,18 +298,14 @@ def _index(
                 except DocumentMissingError:
                     pass
             fresh[oid_str] = pieces
-            indexed += len(pieces)
         if fresh:
             flush()
-    context.counters.add("documents_indexed", indexed)
     return changed
 
 
 def _invalidate_buffer(collection_obj: DBObject) -> None:
     """Buffered IRS results are stale once the index changed."""
-    ResultBuffer(
-        collection_obj, coupling_context(collection_obj.database).counters
-    ).invalidate()
+    ResultBuffer(collection_obj).invalidate()
     # Derived caches over the collection's contents are stale too.
     from repro.core.hierarchical import invalidate_scorer
 

@@ -5,9 +5,10 @@ the API, in process (:meth:`IRSEngine.query`): Section 4.5 of the paper
 names the result file it parsed a stopgap — "This mechanism can be improved
 by using the API of an IRS" — and a file would round every IRS value.
 
-The engine also keeps operation counters that the benchmark harness reads
-(IRS invocations are the paper's main cost driver for buffering and update
-propagation).
+The engine counts its operations in the ``obs`` registry
+(``irs.query.executed``, ``irs.index.*``, ``irs.result_cache.*``), which the
+benchmark harness reads (IRS invocations are the paper's main cost driver
+for buffering and update propagation).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -67,83 +68,6 @@ class IRSResult:
         return out
 
 
-@dataclass
-class EngineCounters:
-    """Operation counters for the benchmark harness.
-
-    Increments go through :meth:`inc` / :meth:`inc_collection_query`, which
-    serialize on a private lock so the service layer's worker pool never
-    loses an update to a read-modify-write race.
-    """
-
-    queries_executed: int = 0
-    documents_indexed: int = 0
-    documents_removed: int = 0
-    result_cache_hits: int = 0
-    per_collection_queries: Dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to the counter called ``name``."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def inc_collection_query(self, collection_name: str) -> None:
-        """Atomically bump the per-collection query counter."""
-        with self._lock:
-            self.per_collection_queries[collection_name] = (
-                self.per_collection_queries.get(collection_name, 0) + 1
-            )
-
-    def reset(self) -> None:
-        with self._lock:
-            self.queries_executed = 0
-            self.documents_indexed = 0
-            self.documents_removed = 0
-            self.result_cache_hits = 0
-            self.per_collection_queries = {}
-
-
-@dataclass
-class ResultCacheStats:
-    """Attributed accounting for the engine's in-process result LRU.
-
-    A lookup failure is exactly one of: a plain *miss* (never cached), an
-    *epoch invalidation* (cached, but the index mutated since), or follows
-    an *eviction* (LRU pressure) or a *drop* (``drop_collection``).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    epoch_invalidations: int = 0
-    dropped: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "epoch_invalidations": self.epoch_invalidations,
-            "dropped": self.dropped,
-            "hit_rate": self.hit_rate,
-        }
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.epoch_invalidations = 0
-        self.dropped = 0
-
-
 class IRSEngine:
     """A multi-collection IRS with exchangeable retrieval models."""
 
@@ -171,14 +95,12 @@ class IRSEngine:
         #: Tuning of every collection's segment stack (seal thresholds,
         #: merge policy); see docs/api.md.
         self.segment_config = segment_config or SegmentConfig()
-        self.counters = EngineCounters()
-        self.cache_stats = ResultCacheStats()
         #: Guards the collection registry and the per-collection lock table.
         self._registry_lock = threading.RLock()
         #: Per-collection readers-writer locks: queries read, index mutations
         #: write.  Acquired *after* any database locks (see repro.sync).
         self._collection_locks: Dict[str, ReadWriteLock] = {}
-        #: Guards ``_result_cache`` and ``cache_stats`` — scoring itself runs
+        #: Guards ``_result_cache`` — scoring itself runs
         #: outside this lock so a slow query never blocks cache hits.
         self._cache_lock = threading.RLock()
         #: In-process bounded LRU keyed by (collection, model, query); the
@@ -271,7 +193,6 @@ class IRSEngine:
             stale = [k for k in self._result_cache if k[0] == name]
             for key in stale:
                 del self._result_cache[key]
-            self.cache_stats.dropped += len(stale)
         obs.metrics().counter("irs.result_cache.dropped").inc(len(stale))
         logger.debug(
             "dropped IRS collection %r (%d cached results discarded)", name, len(stale)
@@ -348,7 +269,6 @@ class IRSEngine:
             epoch_before = collection.index.epoch
             doc_ids = collection.add_documents(items)
             epoch_after = collection.index.epoch
-        self.counters.inc("documents_indexed", len(doc_ids))
         registry = obs.metrics()
         registry.counter("irs.index.additions").inc(len(doc_ids))
         registry.counter("irs.index.epoch_bumps").inc(epoch_after - epoch_before)
@@ -361,7 +281,6 @@ class IRSEngine:
             epoch_before = collection.index.epoch
             collection.remove_document(doc_id)
             epoch_after = collection.index.epoch
-        self.counters.inc("documents_removed")
         registry = obs.metrics()
         registry.counter("irs.index.removals").inc()
         registry.counter("irs.index.epoch_bumps").inc(epoch_after - epoch_before)
@@ -373,7 +292,6 @@ class IRSEngine:
             epoch_before = collection.index.epoch
             collection.replace_document(doc_id, text)
             epoch_after = collection.index.epoch
-        self.counters.inc("documents_indexed")
         registry = obs.metrics()
         registry.counter("irs.index.replacements").inc()
         registry.counter("irs.index.epoch_bumps").inc(epoch_after - epoch_before)
@@ -405,8 +323,6 @@ class IRSEngine:
             raise UnknownModelError(
                 f"unknown retrieval model {model_name!r}"
             ) from None
-        self.counters.inc("queries_executed")
-        self.counters.inc_collection_query(collection_name)
         registry = obs.metrics()
         registry.counter("irs.query.executed").inc()
         profile = active_profile()
@@ -503,8 +419,6 @@ class IRSEngine:
                 cached_epoch, cached_values = entry
                 if cached_epoch == epoch:
                     self._result_cache.move_to_end(base_key)
-                    self.counters.inc("result_cache_hits")
-                    self.cache_stats.hits += 1
                     registry.counter("irs.result_cache.hits").inc()
                     span.set_attribute("cached", True)
                     if profile is not None:
@@ -513,9 +427,7 @@ class IRSEngine:
                     return dict(cached_values)
                 # Same query, but the index mutated since it was cached.
                 del self._result_cache[base_key]
-                self.cache_stats.epoch_invalidations += 1
                 registry.counter("irs.result_cache.epoch_invalidations").inc()
-            self.cache_stats.misses += 1
         registry.counter("irs.result_cache.misses").inc()
         span.set_attribute("cached", False)
         if profile is not None:
@@ -534,7 +446,6 @@ class IRSEngine:
                 self._result_cache[base_key] = (epoch, dict(values))
                 while len(self._result_cache) > self._result_cache_size:
                     self._result_cache.popitem(last=False)
-                    self.cache_stats.evictions += 1
                     registry.counter("irs.result_cache.evictions").inc()
         return values
 
@@ -636,9 +547,3 @@ class IRSEngine:
             name: collection.segments.info()
             for name, collection in sorted(self._collections.items())
         }
-
-    def reset_cache_stats(self) -> None:
-        """Zero the result-LRU stats and every statistics cache's counters."""
-        self.cache_stats.reset()
-        for collection in self._collections.values():
-            collection.stats.reset_cache_info()

@@ -80,12 +80,6 @@ class StatisticsCache:
                 "invalidations": self.invalidations,
             }
 
-    def reset_cache_info(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.invalidations = 0
-
     @property
     def average_document_length(self) -> float:
         """Memoized mean document length."""

@@ -117,44 +117,6 @@ def decode_payload(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-class FrameDecoder:
-    """Incremental frame decoder over an arbitrary byte stream.
-
-    Feed it chunks as they arrive; it yields complete payloads and keeps
-    partial frames buffered.  The declared length is validated *before*
-    the body is buffered, so an oversized or hostile prefix raises
-    :class:`FrameTooLargeError` after only 4 bytes.
-    """
-
-    def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
-        self.max_bytes = max_bytes
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> list:
-        """Absorb ``data``; return the list of payloads completed by it."""
-        self._buffer.extend(data)
-        payloads = []
-        while True:
-            if len(self._buffer) < LENGTH_BYTES:
-                break
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self.max_bytes:
-                raise FrameTooLargeError(
-                    f"incoming frame declares {length} bytes; limit is {self.max_bytes}"
-                )
-            if len(self._buffer) < LENGTH_BYTES + length:
-                break
-            body = bytes(self._buffer[LENGTH_BYTES : LENGTH_BYTES + length])
-            del self._buffer[: LENGTH_BYTES + length]
-            payloads.append(decode_payload(body))
-        return payloads
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)
-
-
 # --------------------------------------------------------------------------
 # Blocking socket I/O
 # --------------------------------------------------------------------------

@@ -76,8 +76,10 @@ class Database:
         self._wal: Optional[WriteAheadLog] = None  # a database in memory logs nothing
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
+            objects_path = os.path.join(directory, _OBJECTS_FILE)
+            created = store is None and not os.path.exists(objects_path)
             if store is None:
-                self._storage = SingleFileStore(os.path.join(directory, _OBJECTS_FILE))
+                self._storage = SingleFileStore(objects_path)
             image = self._storage.load_objects(self._store)
             self._allocator.advance_to(image.get("oid_high_water", 0))
             self._restore_schema(image.get("schema", []))
@@ -89,6 +91,8 @@ class Database:
                 self._wal.close()
                 if self._owns_storage:
                     self._storage.close()
+                if created:  # a refused open leaves the directory as it was
+                    os.remove(objects_path)
                 raise RecoveryError(
                     f"{directory}: the WAL starts at LSN {first.lsn}, past a checkpoint "
                     f"whose image was not loaded (open it with that image's store=)"

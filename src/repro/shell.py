@@ -299,12 +299,6 @@ class Shell:
                 f"p50={roll['p50'] * 1000:.2f}ms p99={roll['p99'] * 1000:.2f}ms"
             )
         engine = self.system.engine
-        cache = engine.cache_stats
-        self._print(
-            f"  engine result cache: hits={cache.hits} misses={cache.misses} "
-            f"evictions={cache.evictions} epoch_invalidations={cache.epoch_invalidations} "
-            f"dropped={cache.dropped} hit_rate={cache.hit_rate:.2f}"
-        )
         for name in engine.collection_names():
             if engine.is_lazy(name):
                 continue
@@ -370,16 +364,19 @@ class Shell:
             self._print(f"  {name}{sup}")
 
     def _cmd_counters(self, _args: List[str]) -> None:
-        counters = self.system.context.counters
-        engine = self.system.engine.counters
+        from collections import Counter
+
+        from repro import obs
+
+        counts = Counter(obs.metrics().snapshot()["counters"])  # 0 when never counted
         self._print(
-            f"  getIRSValue calls: {counters.get_irs_value_calls}, "
-            f"buffer hits/misses: {counters.buffer_hits}/{counters.buffer_misses}, "
-            f"derivations: {counters.derivations}"
+            f"  getIRSValue calls: {counts['coupling.getIRSValue.calls']}, "
+            f"buffer hits/misses: {counts['coupling.buffer.hits']}/{counts['coupling.buffer.misses']}, "
+            f"derivations: {counts['coupling.derivations']}"
         )
+        indexed = counts["irs.index.additions"] + counts["irs.index.replacements"]
         self._print(
-            f"  IRS queries: {engine.queries_executed}, "
-            f"documents indexed: {engine.documents_indexed}"
+            f"  IRS queries: {counts['irs.query.executed']}, documents indexed: {indexed}"
         )
 
     def _cmd_bind(self, args: List[str]) -> None:

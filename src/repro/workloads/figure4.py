@@ -34,7 +34,6 @@ from typing import Dict, List
 
 from repro.core.buffer import ResultBuffer
 from repro.core.collection import _create_collection, index_objects
-from repro.core.context import coupling_context
 from repro.sgml.document import Element
 from repro.sgml.mmf import build_document
 
@@ -138,7 +137,7 @@ def rank_documents(roots: Dict[str, object], collection, irs_query: str, scheme:
     collection.set("derivation", scheme)
     # Derived values are amended into the persistent buffer under the same
     # query key, so switching schemes requires invalidating it first.
-    ResultBuffer(collection, coupling_context(collection.database).counters).invalidate()
+    ResultBuffer(collection).invalidate()
     scored = [
         (name, root.send("getIRSValue", collection, irs_query))
         for name, root in roots.items()

@@ -2,76 +2,80 @@
 
 import pytest
 
+from repro import obs
 from repro.core.buffer import ResultBuffer
 from repro.core.collection import _create_collection
-from repro.core.context import CouplingCounters, coupling_context
+from repro.core.context import coupling_context
 from repro.oodb.oid import OID
 
 
 @pytest.fixture
 def buffer_and_collection(system):
+    """A buffer, its COLLECTION and the fresh registry the test counts in."""
     collection = _create_collection(system.db, "c", "ACCESS p FROM p IN IRSObject")
-    counters = CouplingCounters()
-    return ResultBuffer(collection, counters), collection, counters
+    with obs.instrumentation() as (_tracer, metrics):
+        yield ResultBuffer(collection), collection, metrics
 
 
 class TestLookupStore:
     def test_miss_then_hit(self, buffer_and_collection):
-        buffer, _collection, counters = buffer_and_collection
+        buffer, _collection, metrics = buffer_and_collection
         assert buffer.lookup("www") is None
-        assert counters.buffer_misses == 1
+        assert metrics.counter("coupling.buffer.misses").value == 1
         buffer.store("www", {OID(1): 0.5})
         assert buffer.lookup("www") == {OID(1): 0.5}
-        assert counters.buffer_hits == 1
+        assert metrics.counter("coupling.buffer.hits").value == 1
 
-    def test_contains_has_no_counter_side_effects(self, buffer_and_collection):
-        buffer, _collection, counters = buffer_and_collection
+    def test_store_writes_the_attribute_without_counter_side_effects(
+        self, buffer_and_collection
+    ):
+        buffer, collection, metrics = buffer_and_collection
         buffer.store("www", {})
-        assert buffer.contains("www")
-        assert not buffer.contains("nii")
-        assert counters.buffer_hits == 0
-        assert counters.buffer_misses == 0
+        assert "|www" in collection.get("buffer")
+        assert "|nii" not in collection.get("buffer")
+        assert metrics.counter("coupling.buffer.hits").value == 0
+        assert metrics.counter("coupling.buffer.misses").value == 0
 
     def test_model_distinguishes_entries(self, buffer_and_collection):
-        buffer, _collection, _counters = buffer_and_collection
+        buffer, _collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5}, model="inquery")
         assert buffer.lookup("www", model="vector") is None
         assert buffer.lookup("www", model="inquery") == {OID(1): 0.5}
 
     def test_empty_result_is_a_valid_entry(self, buffer_and_collection):
-        buffer, _collection, counters = buffer_and_collection
+        buffer, _collection, metrics = buffer_and_collection
         buffer.store("rare", {})
         assert buffer.lookup("rare") == {}
-        assert counters.buffer_hits == 1
+        assert metrics.counter("coupling.buffer.hits").value == 1
 
 
 class TestAmend:
     def test_amend_adds_derived_value(self, buffer_and_collection):
-        buffer, _collection, _counters = buffer_and_collection
+        buffer, _collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         buffer.amend("www", OID(9), 0.33)
         assert buffer.lookup("www")[OID(9)] == 0.33
 
     def test_amend_creates_entry_when_absent(self, buffer_and_collection):
-        buffer, _collection, _counters = buffer_and_collection
+        buffer, _collection, _metrics = buffer_and_collection
         buffer.amend("fresh", OID(2), 0.1)
         assert buffer.lookup("fresh") == {OID(2): 0.1}
 
 
 class TestInvalidation:
     def test_invalidate_clears_all(self, buffer_and_collection):
-        buffer, _collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("a", {OID(1): 0.5})
         buffer.store("b", {OID(2): 0.6})
-        assert buffer.size() == 2
+        assert len(collection.get("buffer")) == 2
         buffer.invalidate()
-        assert buffer.size() == 0
+        assert len(collection.get("buffer")) == 0
         assert buffer.lookup("a") is None
 
 
 class TestPersistence:
     def test_buffer_is_a_database_attribute(self, buffer_and_collection):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(3): 0.7})
         stored = collection.get("buffer")
         assert "|www" in stored  # model-prefixed key
@@ -83,13 +87,13 @@ class TestPersistence:
         path = str(tmp_path)
         system = DocumentSystem(directory=path)
         collection = _create_collection(system.db, "c", "ACCESS p FROM p IN IRSObject")
-        ResultBuffer(collection, CouplingCounters()).store("www", {OID(5): 0.9})
+        ResultBuffer(collection).store("www", {OID(5): 0.9})
         collection_oid = collection.oid
         system.close()
 
         reopened = DocumentSystem(directory=path)
         revived = reopened.db.get_object(collection_oid)
-        buffer = ResultBuffer(revived, CouplingCounters())
+        buffer = ResultBuffer(revived)
         assert buffer.lookup("www") == {OID(5): 0.9}
         reopened.close()
 
@@ -98,18 +102,19 @@ class TestDecodedView:
     """The process-local ``{key: {OID: value}}`` mirror of the stored buffer."""
 
     def test_hits_share_one_decoded_mapping(self, buffer_and_collection):
-        buffer, collection, counters = buffer_and_collection
+        buffer, collection, metrics = buffer_and_collection
         values = {OID(1): 0.5, OID(2): 0.25}
         buffer.store("www", values)
         first = buffer.lookup("www")
-        other = ResultBuffer(collection, CouplingCounters()).lookup("www")
+        assert metrics.counter("coupling.buffer.hits").value == 1
+        other = ResultBuffer(collection).lookup("www")
         assert first is values and other is values  # decoded once, never re-parsed
-        assert counters.buffer_hits == 1
+        assert metrics.counter("coupling.buffer.hits").value == 2  # one per buffer
 
     def test_stored_shape_written_behind_the_view_is_decoded_on_demand(
         self, buffer_and_collection
     ):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         assert buffer.lookup("www") == {OID(1): 0.5}
         collection.set("buffer", {"|www": {"OID1": 0.75}, "|nii": {"OID4": 0.1}})
@@ -117,17 +122,17 @@ class TestDecodedView:
         assert buffer.lookup("nii") == {OID(4): 0.1}
 
     def test_reset_of_the_attribute_empties_the_view(self, buffer_and_collection):
-        buffer, collection, counters = buffer_and_collection
+        buffer, collection, metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         assert buffer.lookup("www") is not None
         collection.set("buffer", {})
         assert buffer.lookup("www") is None
-        assert counters.buffer_misses == 1
+        assert metrics.counter("coupling.buffer.misses").value == 1
 
     def test_unrelated_write_to_the_collection_keeps_answers_right(
         self, buffer_and_collection
     ):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         collection.set("model", "vector")
         assert buffer.lookup("www") == {OID(1): 0.5}  # key without a model
@@ -136,7 +141,7 @@ class TestDecodedView:
     def test_amend_replaces_the_published_mapping_instead_of_changing_it(
         self, buffer_and_collection
     ):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         held = buffer.lookup("www")
         buffer.amend("www", OID(9), 0.33)
@@ -147,7 +152,7 @@ class TestDecodedView:
     def test_amends_are_merged_once_by_the_next_lookup_of_the_whole_result(
         self, buffer_and_collection
     ):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(i): 0.5 for i in range(100)})
         published = buffer.lookup("www")
         for i in range(20):
@@ -164,7 +169,7 @@ class TestDecodedView:
         assert len(collection.get("buffer")["|www"]) == 120
 
     def test_abort_restores_stored_buffer_and_view(self, system, buffer_and_collection):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         assert buffer.lookup("www") == {OID(1): 0.5}
         txn = system.db.begin()
@@ -180,7 +185,7 @@ class TestDecodedView:
     def test_abort_of_an_invalidation_brings_the_results_back(
         self, system, buffer_and_collection
     ):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
         txn = system.db.begin()
         buffer.invalidate()
@@ -195,7 +200,7 @@ class TestDecodedView:
         system = DocumentSystem(directory=path)
         collection = _create_collection(system.db, "c", "ACCESS p FROM p IN IRSObject")
         system.checkpoint()  # IRS state durable: reopening will not reindex
-        buffer = ResultBuffer(collection, CouplingCounters())
+        buffer = ResultBuffer(collection)
         buffer.store("www", {OID(5): 0.9})
         buffer.amend("www", OID(6), 0.1)
         collection_oid = collection.oid
@@ -205,7 +210,7 @@ class TestDecodedView:
         revived = reopened.db.get_object(collection_oid)
         assert coupling_context(reopened.db).buffer_view(collection_oid).entries == {}
         assert revived.get("buffer") == {"|www": {"OID5": 0.9, "OID6": 0.1}}
-        assert ResultBuffer(revived, CouplingCounters()).lookup("www") == {
+        assert ResultBuffer(revived).lookup("www") == {
             OID(5): 0.9, OID(6): 0.1,
         }
         reopened.close()
@@ -215,20 +220,20 @@ class TestGenerationGuard:
     """A result computed before a buffer reset is not written after it."""
 
     def test_store_after_reset_since_lookup_is_dropped(self, buffer_and_collection):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         assert buffer.lookup("www") is None  # miss: the IRS would be asked now
         collection.set("buffer", {})  # propagation changed the index meanwhile
         buffer.store("www", {OID(1): 0.5})  # computed from the old index
         assert collection.get("buffer") == {}
-        assert ResultBuffer(collection, CouplingCounters()).lookup("www") is None
+        assert ResultBuffer(collection).lookup("www") is None
 
     def test_amend_after_reset_since_lookup_is_dropped(self, buffer_and_collection):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         buffer.store("www", {OID(1): 0.5})
-        reader = ResultBuffer(collection, CouplingCounters())
+        reader = ResultBuffer(collection)
         assert reader.lookup("www") == {OID(1): 0.5}
         collection.set("buffer", {})
-        ResultBuffer(collection, CouplingCounters()).store("www", {OID(1): 0.9})
+        ResultBuffer(collection).store("www", {OID(1): 0.9})
         reader.amend("www", OID(9), 0.33)  # derived from the 0.5 result
         assert collection.get("buffer") == {"|www": {"OID1": 0.9}}
 
@@ -239,11 +244,11 @@ class TestGenerationGuard:
 
         system = DocumentSystem(directory=str(tmp_path))  # durable: it has a log to read
         collection = _create_collection(system.db, "c", "ACCESS p FROM p IN IRSObject")
-        buffer = ResultBuffer(collection, CouplingCounters())
+        buffer = ResultBuffer(collection)
         assert buffer.lookup("www") is None  # a miss: the result gets computed
         logged = len(system.db._wal)
         version = system.db.write_version(collection.oid)
-        ResultBuffer(collection, CouplingCounters()).invalidate()  # index changed
+        ResultBuffer(collection).invalidate()  # index changed
         assert len(system.db._wal) == logged
         assert system.db.write_version(collection.oid) == version
         buffer.store("www", {OID(1): 0.5})  # computed before the change: refused
@@ -254,9 +259,9 @@ class TestGenerationGuard:
         system.close()
 
     def test_writes_in_the_same_generation_go_through(self, buffer_and_collection):
-        buffer, collection, _counters = buffer_and_collection
+        buffer, collection, _metrics = buffer_and_collection
         assert buffer.lookup("www") is None
-        ResultBuffer(collection, CouplingCounters()).store("nii", {OID(2): 0.1})
+        ResultBuffer(collection).store("nii", {OID(2): 0.1})
         buffer.store("www", {OID(1): 0.5})  # item writes are no reset
         assert buffer.lookup("www") == {OID(1): 0.5}
 
@@ -271,7 +276,7 @@ class TestLogGrowth:
 
         system = DocumentSystem(directory=str(tmp_path))
         collection = _create_collection(system.db, "c", "ACCESS p FROM p IN IRSObject")
-        buffer = ResultBuffer(collection, CouplingCounters())
+        buffer = ResultBuffer(collection)
         buffer.store("www", {OID(i): 0.5 for i in range(5000)})
         wal_path = os.path.join(str(tmp_path), "db", "wal.log")
         system.db._wal._file.flush()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.collection import (
     _create_collection,
     _get_irs_result,
@@ -111,16 +112,16 @@ class TestGetIRSResult:
             assert 0 < value <= 1
 
     def test_second_call_hits_buffer(self, mmf_system, para_collection):
-        mmf_system.engine.counters.reset()
-        _get_irs_result(para_collection, "www")
-        _get_irs_result(para_collection, "www")
-        assert mmf_system.engine.counters.queries_executed == 1
+        with obs.instrumentation() as (_tracer, metrics):
+            _get_irs_result(para_collection, "www")
+            _get_irs_result(para_collection, "www")
+        assert metrics.counter("irs.query.executed").value == 1
 
     def test_distinct_queries_distinct_entries(self, mmf_system, para_collection):
-        mmf_system.engine.counters.reset()
-        _get_irs_result(para_collection, "www")
-        _get_irs_result(para_collection, "nii")
-        assert mmf_system.engine.counters.queries_executed == 2
+        with obs.instrumentation() as (_tracer, metrics):
+            _get_irs_result(para_collection, "www")
+            _get_irs_result(para_collection, "nii")
+        assert metrics.counter("irs.query.executed").value == 2
 
     def test_model_override_used(self, mmf_system):
         collection = _create_collection(
@@ -147,16 +148,17 @@ class TestFindIRSValue:
 
     def test_nonmember_derives(self, mmf_system, para_collection):
         doc = mmf_system.roots[1]
-        value = para_collection.send("findIRSValue", "www", doc)
+        with obs.instrumentation() as (_tracer, metrics):
+            value = para_collection.send("findIRSValue", "www", doc)
         assert value > 0
-        assert mmf_system.context.counters.derivations == 1
+        assert metrics.counter("coupling.derivations").value == 1
 
     def test_derived_value_amended_into_buffer(self, mmf_system, para_collection):
         doc = mmf_system.roots[1]
         para_collection.send("findIRSValue", "www", doc)
-        mmf_system.context.counters.reset()
-        para_collection.send("findIRSValue", "www", doc)
-        assert mmf_system.context.counters.derivations == 0  # buffered now
+        with obs.instrumentation() as (_tracer, metrics):
+            para_collection.send("findIRSValue", "www", doc)
+        assert metrics.counter("coupling.derivations").value == 0  # buffered now
 
 
 class TestContainment:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import coupling_context, install_coupling
-from repro.core.context import CouplingCounters
 from repro.errors import CouplingError
 from repro.irs import IRSEngine
 from repro.oodb import Database
@@ -43,12 +42,3 @@ class TestInstallation:
         )
         assert context.default_update_policy == "eager"
 
-
-class TestCounters:
-    def test_reset_zeros_everything(self):
-        counters = CouplingCounters()
-        counters.buffer_hits = 5
-        counters.derivations = 3
-        counters.reset()
-        assert counters.buffer_hits == 0
-        assert counters.derivations == 0

@@ -7,6 +7,7 @@ holds no exchange files.
 
 from repro.core import DocumentSystem
 from repro.sgml.mmf import build_document, mmf_dtd
+from tests.support import count
 
 DOCUMENTS = [
     ("Telnet", ["Telnet is a protocol for remote login", "Telnet sessions reach the www"]),
@@ -56,15 +57,16 @@ def test_no_exchange_directory_after_restart(tmp_path):
 
 def test_repeated_statement_is_answered_from_the_buffer(tmp_path):
     with DocumentSystem(directory=str(tmp_path)) as durable:
+        before = count("irs.query.executed")
         first = values(durable)
-        queries = durable.engine.counters.queries_executed
-        assert queries > 0
+        queries = count("irs.query.executed")
+        assert queries > before
         collection = durable.db.query("ACCESS c FROM c IN COLLECTION")[0][0]
         again = [
             [(obj.oid, value) for obj, value in durable.query(statement, {"coll": collection})]
             for statement in STATEMENTS
         ]
-        assert durable.engine.counters.queries_executed == queries
+        assert count("irs.query.executed") == queries
     assert again == first
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.granularity import (
     abstract_level,
     all_elements,
@@ -81,10 +82,10 @@ class TestAnswerability:
     def test_document_queries_on_paragraph_collection_need_derivation(self, built):
         system, build = built
         collection, _irs = build(element_type("PARA"))
-        system.context.counters.reset()
         doc = system.db.instances_of("MMFDOC")[0]
-        doc.send("getIRSValue", collection, "www")
-        assert system.context.counters.derivations == 1
+        with obs.instrumentation() as (_tracer, metrics):
+            doc.send("getIRSValue", collection, "www")
+        assert metrics.snapshot()["counters"]["coupling.derivations"] == 1
 
 
 class TestStandardSet:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 from repro.errors import CouplingError
 
@@ -40,9 +41,9 @@ class TestGetIRSValue:
 
     def test_counts_calls(self, mmf_system, para_collection):
         obj = mmf_system.db.instances_of("PARA")[0]
-        mmf_system.context.counters.reset()
-        obj.send("getIRSValue", para_collection, "telnet")
-        assert mmf_system.context.counters.get_irs_value_calls == 1
+        with obs.instrumentation() as (_tracer, metrics):
+            obj.send("getIRSValue", para_collection, "telnet")
+        assert metrics.snapshot()["counters"]["coupling.getIRSValue.calls"] == 1
 
     def test_missing_query_rejected(self, mmf_system, para_collection):
         obj = mmf_system.db.instances_of("PARA")[0]

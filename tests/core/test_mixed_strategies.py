@@ -8,7 +8,7 @@ from repro.core.collection import (
     enable_irs_first_optimization,
     index_objects,
 )
-from repro.core.mixed import compare_strategies, evaluate_independent, evaluate_irs_first
+from repro.core.mixed import evaluate_independent, evaluate_irs_first
 
 
 @pytest.fixture
@@ -26,9 +26,10 @@ QUERY = "ACCESS p FROM p IN PARA WHERE p -> getIRSValue(coll, 'www') > 0.45"
 class TestEquivalence:
     def test_same_rows_both_strategies(self, setup):
         system, collection = setup
-        outcomes = compare_strategies(system.db, QUERY, {"coll": collection})
-        rows_a = sorted(str(r[0].oid) for r in outcomes["independent"].rows)
-        rows_b = sorted(str(r[0].oid) for r in outcomes["irs_first"].rows)
+        independent = evaluate_independent(system.db, QUERY, {"coll": collection})
+        irs_first = evaluate_irs_first(system.db, QUERY, {"coll": collection})
+        rows_a = sorted(str(r[0].oid) for r in independent.rows)
+        rows_b = sorted(str(r[0].oid) for r in irs_first.rows)
         assert rows_a == rows_b
         assert rows_a  # non-empty workload
 
@@ -40,10 +41,9 @@ class TestEquivalence:
             "p -> getContaining('MMFDOC') == d AND "
             "p -> getIRSValue(coll, 'www') > 0.45"
         )
-        outcomes = compare_strategies(system.db, query, {"coll": collection})
-        assert sorted(map(repr, outcomes["independent"].rows)) == sorted(
-            map(repr, outcomes["irs_first"].rows)
-        )
+        independent = evaluate_independent(system.db, query, {"coll": collection})
+        irs_first = evaluate_irs_first(system.db, query, {"coll": collection})
+        assert sorted(map(repr, independent.rows)) == sorted(map(repr, irs_first.rows))
 
 
 class TestCostProfile:

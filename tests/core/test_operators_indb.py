@@ -6,6 +6,7 @@ the same ranking the IRS itself computes for the combined query.
 
 import pytest
 
+from repro import obs
 from repro.core.collection import _get_irs_result
 
 
@@ -56,16 +57,16 @@ class TestBufferedEvaluation:
     def test_combination_reuses_buffered_subresults(self, mmf_system, para_collection):
         _get_irs_result(para_collection, "www")
         _get_irs_result(para_collection, "nii")
-        mmf_system.engine.counters.reset()
-        para_collection.send("IRSOperatorAND", "www", "nii")
-        assert mmf_system.engine.counters.queries_executed == 0
+        with obs.instrumentation() as (_tracer, metrics):
+            para_collection.send("IRSOperatorAND", "www", "nii")
+        assert metrics.counter("irs.query.executed").value == 0
 
     def test_resubmission_costs_an_irs_call(self, mmf_system, para_collection):
         _get_irs_result(para_collection, "www")
         _get_irs_result(para_collection, "nii")
-        mmf_system.engine.counters.reset()
-        _get_irs_result(para_collection, "#and(www nii)")
-        assert mmf_system.engine.counters.queries_executed == 1
+        with obs.instrumentation() as (_tracer, metrics):
+            _get_irs_result(para_collection, "#and(www nii)")
+        assert metrics.counter("irs.query.executed").value == 1
 
 
 class TestNotOperator:

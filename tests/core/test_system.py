@@ -56,12 +56,6 @@ class TestQuerying:
 
 
 class TestLifecycle:
-    def test_reset_counters(self, mmf_system, para_collection):
-        mmf_system.session.query(para_collection, "telnet")
-        mmf_system.reset_counters()
-        assert mmf_system.engine.counters.queries_executed == 0
-        assert mmf_system.context.counters.buffer_misses == 0
-
     def test_durable_round_trip(self, tmp_path):
         path = str(tmp_path)
         with DocumentSystem(directory=path) as system:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.collection import (
     _create_collection,
     _get_irs_result,
@@ -93,18 +94,21 @@ class TestCost:
         """The paper's claim: insert+delete per query is the expensive part."""
         system, collection = setup
         docs = system.roots
-        system.reset_counters()
-        with transient_members(collection, docs):
-            _get_irs_result(collection, "www")
-        inserted = system.engine.counters.documents_indexed
-        removed = system.engine.counters.documents_removed
+        with obs.instrumentation() as (_tracer, metrics):
+            with transient_members(collection, docs):
+                _get_irs_result(collection, "www")
+        counters = metrics.snapshot()["counters"]
+        inserted = counters["irs.index.additions"] + counters.get("irs.index.replacements", 0)
+        removed = counters["irs.index.removals"]
         assert inserted == len(docs)
         assert removed == len(docs)
 
     def test_derivation_costs_nothing_in_irs_maintenance(self, setup):
         system, collection = setup
-        system.reset_counters()
-        for doc in system.roots:
-            doc.send("getIRSValue", collection, "www")
-        assert system.engine.counters.documents_indexed == 0
-        assert system.engine.counters.documents_removed == 0
+        with obs.instrumentation() as (_tracer, metrics):
+            for doc in system.roots:
+                doc.send("getIRSValue", collection, "www")
+        counters = metrics.snapshot()["counters"]
+        # Documents indexed (additions and replacements) and removed.
+        assert counters.get("irs.index.additions", 0) + counters.get("irs.index.replacements", 0) == 0
+        assert counters.get("irs.index.removals", 0) == 0

@@ -2,19 +2,23 @@
 
 import pytest
 
+from repro import obs
 from repro.core import updates
 from repro.core.collection import _create_collection, _get_irs_result, index_objects
 from repro.errors import CouplingError
+from tests.support import count
 
 
 @pytest.fixture
 def setup(mmf_system):
-    collection = _create_collection(
-        mmf_system.db, "collPara", "ACCESS p FROM p IN PARA",
-        update_policy="deferred",
-    )
-    index_objects(collection)
-    return mmf_system, collection
+    """A deferred collection; the test counts in a fresh registry."""
+    with obs.instrumentation():
+        collection = _create_collection(
+            mmf_system.db, "collPara", "ACCESS p FROM p IN PARA",
+            update_policy="deferred",
+        )
+        index_objects(collection)
+        yield mmf_system, collection
 
 
 def new_para(system, root, text):
@@ -78,7 +82,7 @@ class TestDeferredPolicy:
         collection.send("insertObject", para)
         values = _get_irs_result(collection, "gopher")
         assert para.oid in values
-        assert system.context.counters.forced_propagations == 1
+        assert count("coupling.updates.forced_propagations") == 1
 
     def test_propagation_invalidates_buffer(self, setup):
         system, collection = setup
@@ -109,7 +113,7 @@ class TestCancellation:
         collection.send("insertObject", para)
         collection.send("deleteObject", para)
         assert not updates.has_pending(collection)
-        assert system.context.counters.updates_cancelled == 2
+        assert count("coupling.updates.cancelled") == 2
 
     def test_modify_after_insert_subsumed(self, setup):
         system, collection = setup
@@ -129,7 +133,7 @@ class TestCancellation:
         collection.send("modifyObject", para)
         collection.send("modifyObject", para)
         assert len(collection.get("pending_ops")) == 1
-        assert system.context.counters.updates_cancelled == 2
+        assert count("coupling.updates.cancelled") == 2
 
     def test_delete_after_modify_keeps_only_delete(self, setup):
         system, collection = setup
@@ -172,6 +176,6 @@ class TestValidation:
     def test_counters_track_logging(self, setup):
         system, collection = setup
         para = system.db.instances_of("PARA")[0]
-        system.context.counters.reset()
+        obs.metrics().reset()
         collection.send("modifyObject", para)
-        assert system.context.counters.updates_logged == 1
+        assert count("coupling.updates.logged") == 1

@@ -15,61 +15,64 @@ def engine():
     return engine
 
 
-class TestResultCacheStats:
-    def test_miss_then_hit(self, engine):
-        engine.query("c", "www")
-        engine.query("c", "www")
-        stats = engine.cache_stats
-        assert stats.misses == 1
-        assert stats.hits == 1
-        assert stats.epoch_invalidations == 0
-        assert stats.hit_rate == 0.5
+@pytest.fixture()
+def count():
+    """Counts of a fresh registry: ``count("irs.result_cache.hits")``."""
+    with obs.instrumentation() as (_tracer, metrics):
+        yield lambda name: metrics.counter(name).value
 
-    def test_epoch_invalidation_is_not_a_plain_miss(self, engine):
+
+class TestResultCacheStats:
+    def test_miss_then_hit(self, engine, count):
+        engine.query("c", "www")
+        engine.query("c", "www")
+        assert count("irs.result_cache.misses") == 1
+        assert count("irs.result_cache.hits") == 1
+        assert count("irs.result_cache.epoch_invalidations") == 0
+
+    def test_epoch_invalidation_is_not_a_plain_miss(self, engine, count):
         engine.query("c", "www")
         engine.index_document("c", "more www text bumps the epoch")
         engine.query("c", "www")
-        stats = engine.cache_stats
-        assert stats.epoch_invalidations == 1
-        assert stats.misses == 2  # both executions had to score
-        assert stats.hits == 0
+        assert count("irs.result_cache.epoch_invalidations") == 1
+        assert count("irs.result_cache.misses") == 2  # both executions had to score
+        assert count("irs.result_cache.hits") == 0
 
-    def test_lru_eviction_is_counted(self, engine):
+    def test_lru_eviction_is_counted(self, engine, count):
         # Cache holds 2 entries; the third distinct query evicts the oldest.
         engine.query("c", "www")
         engine.query("c", "nii")
         engine.query("c", "network")
-        assert engine.cache_stats.evictions == 1
+        assert count("irs.result_cache.evictions") == 1
         # The oldest entry ("www") is gone, so re-querying it misses again.
         engine.query("c", "www")
-        assert engine.cache_stats.misses == 4
-        assert engine.cache_stats.hits == 0
+        assert count("irs.result_cache.misses") == 4
+        assert count("irs.result_cache.hits") == 0
 
-    def test_lru_order_refreshed_on_hit(self, engine):
+    def test_lru_order_refreshed_on_hit(self, engine, count):
         engine.query("c", "www")
         engine.query("c", "nii")
         engine.query("c", "www")  # hit -> "www" becomes most recent
         engine.query("c", "network")  # evicts "nii", not "www"
         engine.query("c", "www")
-        assert engine.cache_stats.hits == 2
-        assert engine.cache_stats.evictions == 1
+        assert count("irs.result_cache.hits") == 2
+        assert count("irs.result_cache.evictions") == 1
 
-    def test_drop_collection_counts_dropped_entries(self, engine):
+    def test_drop_collection_counts_dropped_entries(self, engine, count):
         engine.query("c", "www")
         engine.query("c", "nii")
         engine.drop_collection("c")
-        assert engine.cache_stats.dropped == 2
+        assert count("irs.result_cache.dropped") == 2
 
-    def test_zero_capacity_disables_caching(self):
+    def test_zero_capacity_disables_caching(self, count):
         engine = IRSEngine(result_cache_size=0)
         engine.create_collection("c")
         engine.index_document("c", "the www web")
         engine.query("c", "www")
         engine.query("c", "www")
-        stats = engine.cache_stats
-        assert stats.hits == 0
-        assert stats.misses == 2
-        assert stats.evictions == 0
+        assert count("irs.result_cache.hits") == 0
+        assert count("irs.result_cache.misses") == 2
+        assert count("irs.result_cache.evictions") == 0
 
     def test_metrics_registry_mirrors_attribution(self, engine):
         with obs.instrumentation() as (_tracer, metrics):
@@ -84,42 +87,33 @@ class TestResultCacheStats:
             assert counters["irs.index.additions"] == 1
             assert counters["irs.index.epoch_bumps"] >= 1
 
-    def test_legacy_counter_still_tracks_hits(self, engine):
-        engine.query("c", "www")
-        engine.query("c", "www")
-        assert engine.counters.result_cache_hits == 1
+
+def moved(stats, before):
+    """What the statistics cache counted since ``before`` (a ``cache_info()``)."""
+    after = stats.cache_info()
+    return {name: after[name] - before[name] for name in after}
 
 
 class TestStatisticsCacheStats:
     def test_cold_then_warm_accessors(self, engine):
         collection = engine.collection("c")
-        collection.stats.reset_cache_info()
+        before = collection.stats.cache_info()
         collection.stats.average_document_length
         collection.stats.average_document_length
-        info = collection.stats.cache_info()
+        info = moved(collection.stats, before)
         assert info["misses"] == 1
         assert info["hits"] == 1
         assert info["invalidations"] == 0
 
     def test_index_mutation_invalidates_statistics(self, engine):
         collection = engine.collection("c")
-        collection.stats.reset_cache_info()
+        before = collection.stats.cache_info()
         collection.stats.average_document_length
         engine.index_document("c", "fresh text changes the statistics")
         collection.stats.average_document_length
-        info = collection.stats.cache_info()
+        info = moved(collection.stats, before)
         assert info["invalidations"] == 1
         assert info["misses"] == 2
-
-    def test_reset_cache_stats_zeroes_everything(self, engine):
-        engine.query("c", "www")
-        engine.query("c", "www")
-        engine.reset_cache_stats()
-        assert engine.cache_stats.as_dict()["hits"] == 0
-        assert engine.cache_stats.misses == 0
-        for name in engine.collection_names():
-            info = engine.collection(name).stats.cache_info()
-            assert info == {"hits": 0, "misses": 0, "invalidations": 0}
 
 
 class TestBulkNormCounters:
@@ -150,9 +144,9 @@ class TestBulkNormCounters:
 
     @staticmethod
     def _delta(stats, read):
-        stats.reset_cache_info()
+        before = stats.cache_info()
         values = read()
-        info = stats.cache_info()
+        info = moved(stats, before)
         return values, (info["hits"], info["misses"])
 
     @pytest.mark.parametrize("sealing", [True, False], ids=["segmented", "memtable"])
@@ -221,10 +215,10 @@ class TestBulkNormCounters:
         for text in self.TEXTS:
             engine.index_document("c", text)
         stats = engine.collection("c").stats
-        stats.reset_cache_info()
+        before = stats.cache_info()
         profile = CostProfile()
         with collecting(profile):
             engine.query("c", "www network", model="vector", top_k=2)
-        info = stats.cache_info()
+        info = moved(stats, before)
         assert profile.stats_cache_hits == info["hits"] > 0
         assert profile.stats_cache_misses == info["misses"] > 0

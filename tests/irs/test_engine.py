@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import DuplicateCollectionError, UnknownCollectionError
 from repro.irs.engine import IRSEngine
 
@@ -87,17 +88,19 @@ class TestQuerying:
 
 class TestCounters:
     def test_counters_track_operations(self, engine):
-        engine.counters.reset()
-        engine.query("paras", "www")
-        engine.query("paras", "nii")
-        engine.index_document("paras", "more text", {})
-        engine.remove_document("paras", 4)
-        assert engine.counters.queries_executed == 2
-        assert engine.counters.documents_indexed == 1
-        assert engine.counters.documents_removed == 1
-        assert engine.counters.per_collection_queries == {"paras": 2}
+        with obs.instrumentation() as (_tracer, metrics):
+            engine.query("paras", "www")
+            engine.query("paras", "nii")
+            engine.index_document("paras", "more text", {})
+            engine.remove_document("paras", 4)
+        counters = metrics.snapshot()["counters"]
+        assert counters["irs.query.executed"] == 2
+        # Documents indexed: additions and replacements.
+        assert counters["irs.index.additions"] + counters.get("irs.index.replacements", 0) == 1
+        assert counters["irs.index.removals"] == 1
 
     def test_replace_counts_as_indexing(self, engine):
-        engine.counters.reset()
-        engine.replace_document("paras", 1, "new text")
-        assert engine.counters.documents_indexed == 1
+        with obs.instrumentation() as (_tracer, metrics):
+            engine.replace_document("paras", 1, "new text")
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("irs.index.additions", 0) + counters["irs.index.replacements"] == 1

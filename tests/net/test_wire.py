@@ -1,13 +1,17 @@
-"""The frame codec and envelope layer, in isolation (no sockets).
+"""The frame codec and envelope layer, over a local socket pair.
 
 The hypothesis round-trip is the load-bearing test: any JSON-expressible
-payload survives encode → arbitrary re-chunking → decode unchanged.
+payload survives encode → arbitrary re-chunking → ``recv_frame`` unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,34 +43,86 @@ json_values = st.recursive(
 json_objects = st.dictionaries(st.text(max_size=10), json_values, max_size=6)
 
 
+@contextlib.contextmanager
+def connected():
+    """Both ends of a socket pair (reads time out rather than hang)."""
+    sender, receiver = socket.socketpair()
+    receiver.settimeout(5.0)
+    try:
+        yield sender, receiver
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def send_later(sock, chunks, pause=0.0):
+    """Send ``chunks`` one by one from a thread while the test reads (a
+    socket buffer holds few tiny sends); ``pause`` before each makes the
+    reader see the frame arrive in pieces.  Returns the thread."""
+
+    def run():
+        for chunk in chunks:
+            time.sleep(pause)
+            sock.sendall(chunk)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
 class TestFrameCodec:
     @settings(max_examples=60, deadline=None)
     @given(payload=json_objects, chunk=st.integers(min_value=1, max_value=7))
     def test_roundtrip_survives_any_chunking(self, payload, chunk):
         frame = wire.encode_frame(payload)
-        decoder = wire.FrameDecoder()
-        received = []
-        for start in range(0, len(frame), chunk):
-            received.extend(decoder.feed(frame[start : start + chunk]))
-        assert received == [payload]
-        assert decoder.pending_bytes == 0
+        chunks = [frame[start : start + chunk] for start in range(0, len(frame), chunk)]
+        with connected() as (sender, receiver):
+            thread = send_later(sender, chunks)
+            assert wire.recv_frame(receiver) == payload
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            sender.close()
+            assert wire.recv_frame(receiver) is None  # nothing left behind
 
     def test_floats_roundtrip_bit_exact(self):
         scores = [0.1 + 0.2, 1e-308, 0.7462186513100967, 3.141592653589793]
-        frame = wire.encode_frame({"scores": scores})
-        (payload,) = wire.FrameDecoder().feed(frame)
+        with connected() as (sender, receiver):
+            sender.sendall(wire.encode_frame({"scores": scores}))
+            payload = wire.recv_frame(receiver)
         assert payload["scores"] == scores  # == on floats is bit-comparison
 
     def test_multiple_frames_in_one_feed(self):
-        data = wire.encode_frame({"a": 1}) + wire.encode_frame({"b": 2})
-        assert wire.FrameDecoder().feed(data) == [{"a": 1}, {"b": 2}]
+        with connected() as (sender, receiver):
+            sender.sendall(wire.encode_frame({"a": 1}) + wire.encode_frame({"b": 2}))
+            sender.close()
+            assert wire.recv_frame(receiver) == {"a": 1}
+            assert wire.recv_frame(receiver) == {"b": 2}
+            assert wire.recv_frame(receiver) is None
 
     def test_truncated_frame_stays_pending(self):
         frame = wire.encode_frame({"key": "value"})
-        decoder = wire.FrameDecoder()
-        assert decoder.feed(frame[:-1]) == []
-        assert decoder.pending_bytes == len(frame) - 1
-        assert decoder.feed(frame[-1:]) == [{"key": "value"}]
+        with connected() as (sender, receiver):
+            sender.sendall(frame[:-1])
+            receiver.settimeout(0.05)
+            with pytest.raises(socket.timeout):  # no frame, and no error either
+                wire.recv_frame(receiver)
+
+    def test_frame_split_across_sends_is_read_whole(self):
+        frame = wire.encode_frame({"key": "value"})
+        with connected() as (sender, receiver):
+            # Split inside the length prefix and inside the body.
+            thread = send_later(sender, [frame[:2], frame[2:-1], frame[-1:]], pause=0.01)
+            assert wire.recv_frame(receiver) == {"key": "value"}
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+    def test_peer_closing_mid_frame_loses_the_connection(self):
+        frame = wire.encode_frame({"key": "value"})
+        with connected() as (sender, receiver):
+            sender.sendall(frame[:-1])
+            sender.close()
+            with pytest.raises(ConnectionLostError):
+                wire.recv_frame(receiver)
 
     def test_non_object_payload_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
@@ -83,19 +139,24 @@ class TestFrameCodec:
             wire.encode_frame({"blob": "x" * 100}, max_bytes=50)
 
     def test_oversized_prefix_rejected_after_four_bytes(self):
-        decoder = wire.FrameDecoder(max_bytes=1024)
-        with pytest.raises(FrameTooLargeError):
-            decoder.feed(struct.pack("!I", 1 << 30))
+        with connected() as (sender, receiver):
+            sender.sendall(struct.pack("!I", 1 << 30))  # and no body at all
+            with pytest.raises(FrameTooLargeError):
+                wire.recv_frame(receiver, max_bytes=1024)
 
     def test_garbage_body_is_a_protocol_error(self):
         body = b"\xff\xfe not json"
-        with pytest.raises(ProtocolError):
-            wire.FrameDecoder().feed(struct.pack("!I", len(body)) + body)
+        with connected() as (sender, receiver):
+            sender.sendall(struct.pack("!I", len(body)) + body)
+            with pytest.raises(ProtocolError):
+                wire.recv_frame(receiver)
 
     def test_non_object_json_body_is_a_protocol_error(self):
         body = json.dumps([1, 2, 3]).encode()
-        with pytest.raises(ProtocolError):
-            wire.FrameDecoder().feed(struct.pack("!I", len(body)) + body)
+        with connected() as (sender, receiver):
+            sender.sendall(struct.pack("!I", len(body)) + body)
+            with pytest.raises(ProtocolError):
+                wire.recv_frame(receiver)
 
 
 class TestEnvelopes:

@@ -1,13 +1,18 @@
-"""Cross-layer instrumentation: WAL, recovery, transactions, locks."""
+"""Cross-layer instrumentation: WAL, recovery, transactions, locks, coupling."""
 
 import threading
 
 import pytest
 
 from repro import obs
+from repro.core import DocumentSystem
+from repro.core.admin import system_report
+from repro.core.collection import _create_collection, _get_irs_result, index_objects
+from repro.core.mixed import evaluate_independent
 from repro.errors import DeadlockError
 from repro.oodb.database import Database
 from repro.oodb.locks import LockManager, LockMode
+from repro.sgml.mmf import build_document, mmf_dtd
 
 
 @pytest.fixture()
@@ -188,3 +193,123 @@ class TestQueryMetrics:
             assert obs.tracer().last_trace() is None
         finally:
             obs.enable()
+
+
+class TestCouplingCountsEachEventOnce:
+    """The registry is the one place an IRS call, a buffer hit or miss, a
+    derivation or a cancelled propagation is counted: each event moves its
+    counter by exactly one (a cancelled pair by two), nothing else does."""
+
+    PREFIXES = ("coupling.", "irs.query.", "irs.result_cache.", "irs.index.")
+
+    def test_each_coupling_event_moves_its_counter_once(self, instruments, mmf_system):
+        _tracer, metrics = instruments
+        system = mmf_system
+        collection = _create_collection(
+            system.db, "collPara", "ACCESS p FROM p IN PARA", update_policy="deferred"
+        )
+        index_objects(collection)
+        last = {}
+
+        def moved():
+            nonlocal last
+            now = {
+                name: value
+                for name, value in metrics.snapshot()["counters"].items()
+                if name.startswith(self.PREFIXES) and name != "irs.index.epoch_bumps"
+            }
+            delta = {name: value - last.get(name, 0) for name, value in now.items()}
+            last = now
+            return {name: value for name, value in delta.items() if value}
+
+        assert moved() == {"coupling.indexObjects.calls": 1, "irs.index.additions": 6}
+
+        # An inline query misses the buffer and asks the IRS, then hits.
+        _get_irs_result(collection, "www")
+        _get_irs_result(collection, "www")
+        assert moved() == {
+            "coupling.getIRSResult.calls": 2,
+            "coupling.buffer.misses": 1,
+            "coupling.buffer.stores": 1,
+            "coupling.buffer.hits": 1,
+            "irs.query.executed": 1,
+            "irs.result_cache.misses": 1,
+        }
+        system.engine.query("collPara", "www")  # the engine's result LRU hits
+        assert moved() == {"irs.query.executed": 1, "irs.result_cache.hits": 1}
+
+        root = system.roots[0]
+        collection.set("update_policy", "eager")
+        collection.send("insertObject", system.loader.insert_element(root, "PARA", "eager gopher"))
+        assert moved() == {
+            "coupling.updates.logged": 1,
+            "coupling.updates.propagated": 1,
+            "irs.index.additions": 1,
+        }
+
+        collection.set("update_policy", "deferred")
+        doomed = system.loader.insert_element(root, "PARA", "ephemeral")
+        collection.send("insertObject", doomed)
+        collection.send("deleteObject", doomed)
+        assert moved() == {"coupling.updates.logged": 2, "coupling.updates.cancelled": 2}
+
+        collection.send("insertObject", system.loader.insert_element(root, "PARA", "forced gopher"))
+        _get_irs_result(collection, "gopher")  # pending: propagation is forced
+        assert moved() == {
+            "coupling.updates.logged": 1,
+            "coupling.updates.forced_propagations": 1,
+            "coupling.updates.propagated": 1,
+            "irs.index.additions": 1,
+            "coupling.getIRSResult.calls": 1,
+            "coupling.buffer.misses": 1,
+            "coupling.buffer.stores": 1,
+            "irs.query.executed": 1,
+            "irs.result_cache.misses": 1,
+        }
+
+        # One getIRSValue evaluation per statement; the one PARA outside
+        # the collection (``doomed``) derives its value.
+        system.db.query(
+            "ACCESS p FROM p IN PARA WHERE p -> getIRSValue(c, 'www') > 0.1",
+            {"c": collection},
+        )
+        assert moved() == {
+            "coupling.getIRSValue.calls": 1,
+            "coupling.getIRSResult.calls": 1,
+            "coupling.buffer.misses": 1,  # propagation reset the buffer
+            "coupling.buffer.stores": 1,
+            "coupling.derivations": 1,
+            "coupling.buffer.amends": 1,
+            "irs.query.executed": 1,
+            "irs.result_cache.epoch_invalidations": 1,
+            "irs.result_cache.misses": 1,
+        }
+
+    def test_two_systems_count_in_one_registry(self, instruments):
+        """Counts are process-wide: no system keeps its own."""
+        _tracer, metrics = instruments
+        systems = [DocumentSystem(), DocumentSystem()]
+        for system in systems:
+            system.register_dtd(mmf_dtd())
+            system.add_document(build_document("T", ["the www grows"]), dtd=mmf_dtd())
+            collection = _create_collection(system.db, "c", "ACCESS p FROM p IN PARA")
+            index_objects(collection)
+            _get_irs_result(collection, "www")
+        counters = metrics.snapshot()["counters"]
+        assert counters["irs.query.executed"] == 2
+        assert counters["coupling.buffer.misses"] == 2
+
+    def test_disabled_instrumentation_counts_nothing(self, corpus_system):
+        collection = _create_collection(corpus_system.db, "c", "ACCESS p FROM p IN PARA")
+        index_objects(collection)
+        query = "ACCESS p FROM p IN PARA WHERE p -> getIRSValue(coll, 'www') > 0.45"
+        obs.disable()
+        try:
+            outcome = evaluate_independent(corpus_system.db, query, {"coll": collection})
+            report = system_report(corpus_system.db)
+        finally:
+            obs.enable()
+        assert outcome.rows  # the query ran and asked the IRS ...
+        assert outcome.irs_queries == 0  # ... and nothing counted it
+        assert report["irs_queries_executed"] == 0
+        assert report["buffer_hit_rate"] == 0.0

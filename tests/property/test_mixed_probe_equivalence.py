@@ -29,6 +29,7 @@ from repro.core import DocumentSystem
 from repro.core.derivation import _SCHEMES
 from repro.oodb.query.evaluator import QueryEvaluator
 from repro.workloads.corpus import CorpusGenerator, load_corpus
+from tests.support import count
 
 settings.register_profile(
     "mixed-fixed",
@@ -126,45 +127,42 @@ class TestProbeEqualsPerObjectEvaluation:
         system, collection = journal
         collection.set("derivation", "maximum")
         collection.set("buffer", {})
-        counters = system.context.counters
-        engine = system.engine.counters
-        queries, misses = engine.queries_executed, counters.buffer_misses
+        queries, misses = count("irs.query.executed"), count("coupling.buffer.misses")
         run(system, collection, "PARA", "www", ">", 0.42)
-        assert engine.queries_executed == queries + 1
-        assert counters.buffer_misses == misses + 1
-        hits, calls = counters.buffer_hits, counters.get_irs_value_calls
+        assert count("irs.query.executed") == queries + 1
+        assert count("coupling.buffer.misses") == misses + 1
+        hits, calls = count("coupling.buffer.hits"), count("coupling.getIRSValue.calls")
         run(system, collection, "PARA", "www", ">", 0.42)
-        assert engine.queries_executed == queries + 1
+        assert count("irs.query.executed") == queries + 1
         # One hit and one getIRSValue evaluation for the statement, where
         # per-object evaluation counted one per PARA.
-        assert counters.buffer_hits == hits + 1
-        assert counters.get_irs_value_calls == calls + 1
+        assert count("coupling.buffer.hits") == hits + 1
+        assert count("coupling.getIRSValue.calls") == calls + 1
 
     def test_derived_values_are_amended_once_and_hit_afterwards(self, journal):
         system, collection = journal
         collection.set("derivation", "maximum")
         collection.set("buffer", {})
-        counters = system.context.counters
         documents = system.db.extent_size("MMFDOC")
-        before = counters.derivations
+        before = count("coupling.derivations")
         run(system, collection, "MMFDOC", "www", ">", 0.42)
-        assert counters.derivations == before + documents
+        assert count("coupling.derivations") == before + documents
         stored = collection.get("buffer")["|www"]
         assert all(str(d.oid) in stored for d in system.db.instances_of("MMFDOC"))
         run(system, collection, "MMFDOC", "www", ">", 0.42)
-        assert counters.derivations == before + documents  # buffered now
+        assert count("coupling.derivations") == before + documents  # buffered now
 
     def test_no_candidate_reaching_the_conjunct_means_no_irs_query(self, journal):
         system, collection = journal
         collection.set("buffer", {})
-        queries = system.engine.counters.queries_executed
+        queries = count("irs.query.executed")
         rows = system.session.execute(
             "ACCESS p FROM p IN PARA WHERE p -> length() < 0 "
             "AND p -> getIRSValue(coll, 'www') > 0.1",
             {"coll": collection},
         )
         assert rows == []
-        assert system.engine.counters.queries_executed == queries
+        assert count("irs.query.executed") == queries
 
 
 # --------------------------------------------------------------------------
@@ -365,17 +363,16 @@ class TestStatementsWithPendingUpdatesAndOverrides:
     @pytest.mark.parametrize("shape", ["q1_year", "doc_join", "q2"])
     def test_pending_propagation_is_forced_exactly_once(self, small_journal, shape):
         system, collection = small_journal
-        counters = system.context.counters
         statement = build(shape, collection, "1994", ("www", ">", 0.0, "PARA"), ("www", "<", 0.9))
         paragraph = system.db.instances_of("PARA")[0]
         paragraph.set("content", "now about www and nothing else www www")
         collection.send("modifyObject", paragraph)
-        forced = counters.forced_propagations
+        forced = count("coupling.updates.forced_propagations")
         rows = system.session.execute(statement.text, {"coll": collection})
-        assert counters.forced_propagations == forced + 1
+        assert count("coupling.updates.forced_propagations") == forced + 1
         (again, _s, _b), (expected, _eb) = run_both_ways(system, collection, statement)
         assert rows == again == expected
-        assert counters.forced_propagations == forced + 1
+        assert count("coupling.updates.forced_propagations") == forced + 1
 
     def test_subclass_overriding_get_next_declines_the_join_only(self, small_journal):
         system, collection = small_journal

@@ -49,10 +49,32 @@ def copied(tmp_path):
     return tmp_path, copy_system(tmp_path, checkpoints=2)
 
 
+def directory_state(path):
+    """Every file under ``path`` with its bytes."""
+    state = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as handle:
+            state[name] = handle.read()
+    return state
+
+
 def test_db_directory_alone_is_refused(copied):
     tmp_path, _objects = copied
     with pytest.raises(RecoveryError, match="checkpoint"):
         Database(directory=str(tmp_path / "alone"))
+
+
+def test_a_refused_open_leaves_the_directory_as_it_found_it(copied):
+    """No ``objects.store`` is left behind: ``repro.store.importer`` would
+    take one, beside a system's log, for an older build's image."""
+    tmp_path, _objects = copied
+    alone = str(tmp_path / "alone")
+    before = directory_state(alone)
+    assert sorted(os.listdir(alone)) == ["wal.log"]
+    with pytest.raises(RecoveryError):
+        Database(directory=alone)
+    assert sorted(os.listdir(alone)) == ["wal.log"]
+    assert directory_state(alone) == before
 
 
 def test_db_directory_with_its_store_recovers_every_object(copied):

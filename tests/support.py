@@ -54,6 +54,13 @@ def wait_for_value(
         time.sleep(interval)
 
 
+def count(name: str) -> int:
+    """The active registry's counter ``name`` (0 when it never moved)."""
+    from repro import obs
+
+    return obs.metrics().counter(name).value
+
+
 def logged_by(db, run: Callable[[], object]):
     """Run ``run()``; returns ``(result, counters, records)``.
 

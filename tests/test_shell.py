@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro import obs
 from repro.core import DocumentSystem
 from repro.sgml.mmf import PAPER_FRAGMENT
 from repro.shell import Shell
@@ -121,6 +122,17 @@ class TestQueriesInShell:
         loaded.execute(".irs collPara telnet")
         loaded.execute(".counters")
         assert "IRS queries: " in output_of(loaded)
+
+    def test_counters_read_the_registry(self, loaded):
+        with obs.instrumentation():
+            loaded.execute(".irs collPara telnet")
+            loaded.execute(".irs collPara telnet")
+            loaded.execute(".counters")
+        lines = output_of(loaded).splitlines()[-2:]
+        assert lines == [
+            "  getIRSValue calls: 0, buffer hits/misses: 1/1, derivations: 0",
+            "  IRS queries: 1, documents indexed: 0",
+        ]
 
     def test_stats_reports_each_statistics_cache(self, loaded):
         loaded.execute(".collection collDoc ACCESS d FROM d IN MMFDOC")
