@@ -6,11 +6,11 @@ visible differences are inherent to distribution:
 
 * collections are addressed by **name** (a :class:`RemoteCollection`
   handle or a plain string) — object handles do not cross the wire;
-* ``ScoredHit.element`` resolves to an eagerly materialized
-  :class:`RemoteElement` snapshot shipped with the response (the
-  in-process lazy dereference degrades to eager materialization over the
-  wire; ``materialize=False`` trades it away for a top-10 response a
-  quarter to a third the size);
+* ``ScoredHit.element`` resolves to a :class:`RemoteElement` snapshot
+  shipped with the response and built on first access (the in-process
+  lazy dereference degrades to eager materialization over the wire;
+  ``materialize=False`` trades it away for a top-10 response a quarter
+  to a third the size);
 * transport failures surface as :class:`~repro.errors.ConnectionLostError`
   — a new error case in-process callers never see.
 
@@ -93,18 +93,22 @@ class RemoteElement:
 
 
 class RemoteHit(ScoredHit):
-    """A ScoredHit whose element was materialized server-side."""
+    """A ScoredHit whose element snapshot came with the response, as
+    ``payload``; the :class:`RemoteElement` is built on first access."""
 
-    __slots__ = ("_element",)
+    __slots__ = ("_payload", "_element")
 
     def __init__(
-        self, oid: OID, score: float, element: Optional[RemoteElement] = None
+        self, oid: OID, score: float, payload: Optional[Dict[str, Any]] = None
     ) -> None:
         super().__init__(oid, score, None)
-        self._element = element
+        self._payload = payload
+        self._element: Optional[RemoteElement] = None
 
     @property
     def element(self) -> Optional[RemoteElement]:
+        if self._element is None and self._payload is not None:
+            self._element = RemoteElement.from_payload(self._payload)
         return self._element
 
 
@@ -361,14 +365,10 @@ class RemoteSession:
         raise ProtocolError(f"cannot address object {obj!r} remotely")
 
     def _decode_result_set(self, packed: Dict[str, Any], telemetry) -> ResultSet:
-        hits = []
-        for hit in packed.get("hits", ()):
-            element = (
-                RemoteElement.from_payload(hit[2])
-                if len(hit) > 2 and hit[2] is not None
-                else None
-            )
-            hits.append(RemoteHit(OID.parse(hit[0]), hit[1], element))
+        hits = [
+            RemoteHit(OID.parse(hit[0]), hit[1], hit[2] if len(hit) > 2 else None)
+            for hit in packed.get("hits", ())
+        ]
         result = ResultSet(
             hits,
             collection=packed.get("collection", ""),

@@ -42,6 +42,7 @@ from repro import obs
 from repro.core import updates as updates_module
 from repro.errors import (
     ConnectionLostError,
+    ObjectNotFoundError,
     ProtocolError,
     ReproError,
     ServiceOverloadedError,
@@ -52,6 +53,12 @@ from repro.oodb.objects import DBObject
 from repro.oodb.oid import OID
 
 logger = logging.getLogger(__name__)
+
+#: Element snapshots a server's memo holds before it is cleared.
+SNAPSHOT_MEMO_LIMIT = 1 << 13
+
+#: Each hit object's encoded element snapshot; None for a deleted object.
+Snapshots = Dict[OID, Optional[wire.Encoded]]
 
 
 class DocumentServer:
@@ -87,6 +94,9 @@ class DocumentServer:
         self._active = 0
         self._address: Optional[Tuple[str, int]] = None
         self.started_at: Optional[float] = None
+        #: oid -> (write version, schema generation, encoded element snapshot),
+        #: shared by the handler threads: a race re-encodes, never serves stale.
+        self._snapshot_memo: Dict[OID, Tuple[int, int, wire.Encoded]] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -380,14 +390,14 @@ class DocumentServer:
             model=params.get("model"),
             top_k=params.get("top_k"),
         )
-        include_elements = bool(params.get("include_elements"))
-        return self._encode_result_set(result, include_elements)
+        snapshots = self._snapshots([result]) if params.get("include_elements") else None
+        packed = self._pack_result_set(result, snapshots)
+        return packed, packed.pop("telemetry", None)
 
     def _op_query_batch(self, params: Dict[str, Any]):
         items = params.get("items")
         if not isinstance(items, list):
             raise ProtocolError("'items' must be a list")
-        include_elements = bool(params.get("include_elements"))
         batch = []
         for item in items:
             if not isinstance(item, dict):
@@ -401,11 +411,8 @@ class DocumentServer:
                 )
             )
         results = self.session.query_batch(batch)
-        encoded = [
-            dict(self._pack_result_set(result, include_elements))
-            for result in results
-        ]
-        return encoded, None
+        snapshots = self._snapshots(results) if params.get("include_elements") else None
+        return [self._pack_result_set(result, snapshots) for result in results], None
 
     def _op_find_value(self, params: Dict[str, Any]):
         collection = self._collection(params.get("collection"))
@@ -456,25 +463,52 @@ class DocumentServer:
 
     # -- result encoding ----------------------------------------------------
 
-    def _pack_result_set(self, result, include_elements: bool) -> Dict[str, Any]:
+    def _snapshots(self, results) -> Snapshots:
+        """The snapshots of the results' hit objects.
+
+        One is encoded once and reused while its object's write version and
+        the schema generation (``read_attributes`` fills in defaults) stay
+        as they were read before encoding it.
+        """
+        db, memo = self.system.db, self._snapshot_memo
+        generation = db.schema.generation
+        snapshots: Snapshots = {}
+        encoded = 0
+        for result in results:
+            for hit in result.hits:
+                oid = hit.oid
+                if oid in snapshots:
+                    continue
+                try:
+                    version = db.write_version(oid)
+                    entry = memo.get(oid)
+                    if entry is None or entry[0] != version or entry[1] != generation:
+                        body = wire.encode_value(db.get_object(oid))[wire.OBJECT_TAG]
+                        entry = (version, generation, wire.Encoded(body))
+                        if len(memo) >= SNAPSHOT_MEMO_LIMIT:
+                            memo.clear()
+                        memo[oid] = entry
+                        encoded += 1
+                    snapshots[oid] = entry[2]
+                except ObjectNotFoundError:  # deleted since it was scored
+                    snapshots[oid] = None
+        registry = obs.metrics()
+        reused = sum(snapshot is not None for snapshot in snapshots.values()) - encoded
+        registry.counter("net.snapshots.reused").inc(reused)
+        registry.counter("net.snapshots.encoded").inc(encoded)
+        return snapshots
+
+    def _pack_result_set(self, result, snapshots: Optional[Snapshots]) -> Dict[str, Any]:
         """One ResultSet as a JSON object (hits ranked, floats exact).
 
         JSON floats round-trip IEEE doubles exactly (``repr`` encoding),
         so remote scores are bit-identical to in-process scores — the
         property the remote equivalence suite asserts.
         """
-        if include_elements:
-            db = self.system.db
-            hits = []
-            for hit in result.hits:
-                element = (
-                    wire.encode_value(db.get_object(hit.oid))[wire.OBJECT_TAG]
-                    if db.object_exists(hit.oid)
-                    else None
-                )
-                hits.append([str(hit.oid), hit.score, element])
-        else:
+        if snapshots is None:
             hits = [[str(hit.oid), hit.score] for hit in result.hits]
+        else:
+            hits = [[str(hit.oid), hit.score, snapshots[hit.oid]] for hit in result.hits]
         packed: Dict[str, Any] = {
             "hits": hits,
             "collection": result.collection,
@@ -485,11 +519,6 @@ class DocumentServer:
         if result.telemetry is not None:
             packed["telemetry"] = result.telemetry.as_dict()
         return packed
-
-    def _encode_result_set(self, result, include_elements: bool):
-        packed = self._pack_result_set(result, include_elements)
-        telemetry = packed.pop("telemetry", None)
-        return packed, telemetry
 
     # -- introspection ------------------------------------------------------
 

@@ -44,6 +44,14 @@ the wire.  Unknown types degrade to :class:`~repro.errors.NetworkError`.
 (:class:`~repro.errors.ServiceOverloadedError`) as the server's hint for
 client backoff.
 
+Pre-encoded fragments
+---------------------
+
+A value encoded ahead of time (the server keeps each hit's element
+snapshot as JSON text until its object is written) rides in a payload as
+:class:`Encoded`.  :func:`encode_frame` writes a stand-in where it goes and
+splices the text in: the frame is byte for byte the plain payload's.
+
 Size limits are enforced on **both** sides and on both the send and
 receive paths: a reader never allocates more than ``max_bytes`` because of
 a hostile or corrupt length prefix.
@@ -54,7 +62,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import errors as errors_module
 from repro.errors import (
@@ -85,16 +93,62 @@ LENGTH_BYTES = _LENGTH.size
 # Frame codec
 # --------------------------------------------------------------------------
 
+def _dumps(value: Any, default: Any = None) -> str:
+    return json.JSONEncoder(
+        separators=(",", ":"), allow_nan=False, default=default
+    ).encode(value)
+
+
+#: Written where a fragment goes, then replaced by the fragment's text.
+_SLOT = "\x00$fragment\x00"
+_SLOT_TEXT = _dumps(_SLOT)
+
+
+class Encoded:
+    """A JSON value encoded once, for :func:`encode_frame` to splice in."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, value: Any) -> None:
+        try:
+            self.text = _dumps(value)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"value is not JSON-encodable: {exc}") from exc
+
+
+def _text_of(value: Any) -> str:
+    if isinstance(value, Encoded):
+        return value.text
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def encode_frame(payload: Dict[str, Any], max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one payload object into a length-prefixed frame."""
+    """Serialize one payload object into a length-prefixed frame.
+
+    :class:`Encoded` values anywhere in the payload are spliced in as their
+    text; the frame equals the one their plain values would give.
+    """
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(payload).__name__}"
         )
+    fragments: List[str] = []
+
+    def stand_in(value: Any) -> str:
+        fragments.append(_text_of(value))
+        return _SLOT
+
     try:
-        body = json.dumps(payload, separators=(",", ":"), allow_nan=False).encode(
-            "utf-8"
-        )
+        text = _dumps(payload, stand_in)
+        if fragments:
+            parts = text.split(_SLOT_TEXT)
+            if len(parts) == len(fragments) + 1:
+                spliced = [""] * (2 * len(parts) - 1)
+                spliced[::2], spliced[1::2] = parts, fragments
+                text = "".join(spliced)
+            else:  # a string of the payload spells the stand-in
+                text = _dumps(payload, lambda value: json.loads(_text_of(value)))
+        body = text.encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"payload is not JSON-encodable: {exc}") from exc
     if len(body) > max_bytes:

@@ -702,8 +702,8 @@ class Database:
             if self.schema.has_class(payload["class"]):
                 cdef = self.schema.get_class(payload["class"])
                 if payload["attr"] not in cdef.attributes:
-                    cdef.add_attribute(
-                        payload["attr"], payload["type"], payload.get("default")
+                    self.schema.add_attribute(
+                        payload["class"], payload["attr"], payload["type"], payload.get("default")
                     )
 
     def _replay_wal(self) -> None:
@@ -796,7 +796,7 @@ class Database:
         cdef = self.schema.get_class(class_name)
         if attr in cdef.attributes:
             return
-        cdef.add_attribute(attr, type_name, default)
+        self.schema.add_attribute(class_name, attr, type_name, default)
         self._log_schema(
             {
                 "op": "attribute",

@@ -99,6 +99,9 @@ class Schema:
         self._classes: Dict[str, ClassDefinition] = {}
         #: class name -> :meth:`subclasses`, replaced whenever a class is defined.
         self._subclasses: Dict[str, Tuple[str, ...]] = {}
+        #: Bumped after each class or attribute definition: attribute values
+        #: read with schema defaults are current while it is unchanged.
+        self.generation = 0
 
     # -- class management --------------------------------------------------
 
@@ -119,7 +122,15 @@ class Schema:
         self._classes[name] = cdef
         self._check_acyclic(name)
         self._subclasses = {}
+        self.generation += 1
         return cdef
+
+    def add_attribute(
+        self, class_name: str, name: str, type_name: str = "ANY", default: Any = None
+    ) -> None:
+        """Declare an attribute on the existing class ``class_name``."""
+        self.get_class(class_name).add_attribute(name, type_name, default)
+        self.generation += 1
 
     def _check_acyclic(self, name: str) -> None:
         seen = set()

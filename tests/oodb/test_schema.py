@@ -44,6 +44,26 @@ class TestClassDefinition:
     def test_class_names_in_definition_order(self, schema):
         assert schema.class_names() == ["IRSObject", "Element", "PARA"]
 
+    def test_class_and_attribute_definitions_bump_the_generation(self, schema):
+        assert schema.generation == 3
+        schema.add_attribute("PARA", "lang", "STRING", "en")
+        assert schema.generation == 4
+        assert schema.resolve_attribute("PARA", "lang").default == "en"
+        with pytest.raises(SchemaError):
+            schema.add_attribute("PARA", "lang")
+        assert schema.generation == 4
+        schema.define_class("LIST", superclass="Element")
+        assert schema.generation == 5
+
+    def test_database_ddl_bumps_the_generation(self):
+        db = Database()
+        db.define_class("PARA")
+        before = db.schema.generation
+        db.add_class_attribute("PARA", "lang", "STRING", "en")
+        assert db.schema.generation == before + 1
+        db.add_class_attribute("PARA", "lang", "STRING", "en")  # already there
+        assert db.schema.generation == before + 1
+
 
 class TestInheritance:
     def test_ancestry_most_specific_first(self, schema):
