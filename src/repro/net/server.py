@@ -47,6 +47,7 @@ from repro.errors import (
     ReproError,
     ServiceOverloadedError,
 )
+from repro.memo import Memo
 from repro.net import wire
 from repro.net.config import ServerConfig
 from repro.oodb.objects import DBObject
@@ -54,7 +55,7 @@ from repro.oodb.oid import OID
 
 logger = logging.getLogger(__name__)
 
-#: Element snapshots a server's memo holds before it is cleared.
+#: Element snapshots a server's memo holds, the oldest dropped first.
 SNAPSHOT_MEMO_LIMIT = 1 << 13
 
 #: Each hit object's encoded element snapshot; None for a deleted object.
@@ -94,9 +95,8 @@ class DocumentServer:
         self._active = 0
         self._address: Optional[Tuple[str, int]] = None
         self.started_at: Optional[float] = None
-        #: oid -> (write version, schema generation, encoded element snapshot),
-        #: shared by the handler threads: a race re-encodes, never serves stale.
-        self._snapshot_memo: Dict[OID, Tuple[int, int, wire.Encoded]] = {}
+        #: Shared by the handler threads: a race re-encodes, never serves stale.
+        self._snapshot_memo = Memo(SNAPSHOT_MEMO_LIMIT, "net.snapshots.reused", "net.snapshots.encoded")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -480,22 +480,17 @@ class DocumentServer:
                 if oid in snapshots:
                     continue
                 try:
-                    version = db.write_version(oid)
-                    entry = memo.get(oid)
-                    if entry is None or entry[0] != version or entry[1] != generation:
+                    token = (db.write_version(oid), generation)
+                    snapshot = memo.get(oid, token)
+                    if snapshot is None:
                         body = wire.encode_value(db.get_object(oid))[wire.OBJECT_TAG]
-                        entry = (version, generation, wire.Encoded(body))
-                        if len(memo) >= SNAPSHOT_MEMO_LIMIT:
-                            memo.clear()
-                        memo[oid] = entry
+                        memo.put(oid, token, snapshot := wire.Encoded(body))
                         encoded += 1
-                    snapshots[oid] = entry[2]
+                    snapshots[oid] = snapshot
                 except ObjectNotFoundError:  # deleted since it was scored
                     snapshots[oid] = None
-        registry = obs.metrics()
         reused = sum(snapshot is not None for snapshot in snapshots.values()) - encoded
-        registry.counter("net.snapshots.reused").inc(reused)
-        registry.counter("net.snapshots.encoded").inc(encoded)
+        memo.count(reused, encoded)
         return snapshots
 
     def _pack_result_set(self, result, snapshots: Optional[Snapshots]) -> Dict[str, Any]:

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro import obs
 from repro.errors import RecoveryError, SchemaError, TransactionError
+from repro.memo import Memo
 from repro.oodb import wal as wal_records
 from repro.oodb.indexes import AttributeIndex, IndexCatalog
 from repro.oodb.locks import LockManager, LockMode
@@ -70,6 +71,9 @@ class Database:
         #: the gate is held across a checkpoint, so none begins during one.
         self._open_txns: Set[Transaction] = set()
         self._txn_gate = threading.RLock()
+        #: ``repro.sgml.loader``'s columns, per :meth:`column_version`; statements by text.
+        self.column_memo = Memo(64, "oodb.column_cache.hits", "oodb.column_cache.misses")
+        self.statement_memo = Memo(1024, "oodb.statement_cache.hits", "oodb.statement_cache.misses")
 
         self._storage: Optional[SingleFileStore] = store  # see close()
         self._owns_storage = store is None
@@ -471,6 +475,15 @@ class Database:
         *before* reading the attributes — still equals this.
         """
         return self._store.version_of(oid)
+
+    def column_version(self, attributes: Sequence[str]) -> Optional[tuple]:
+        """The token (taken as :meth:`write_version` is) of values derived from ``attributes``:
+        their write versions, the schema generation, the live set's size and deletes (between
+        equal deletes only creates and restores run).  None in an explicit transaction."""
+        if self._current_txn() is not None:
+            return None
+        return (len(self._store), self._store.deletions, self.schema.generation,
+                *[self._store.attribute_versions.get(attr, 0) for attr in attributes])
 
     def read_attributes(self, oid: OID) -> Dict[str, Any]:
         """All attributes of the object, defaults filled in."""

@@ -129,8 +129,7 @@ class QueryEvaluator:
         bindings = bindings or {}
         started = time.perf_counter()
         with obs.tracer().span("oodb.query", query=obs.trim(text)) as span:
-            query = parse_query(text)
-            plan = self._optimizer.plan(query, bindings)
+            plan = self._optimizer.plan(self._parse(text), bindings)
             # Writes the statement's methods cause (buffered IRS results,
             # derived values) are logged as one group: one commit a statement.
             with self._db.autocommit_group():
@@ -148,7 +147,16 @@ class QueryEvaluator:
 
     def explain(self, text: str, bindings: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """The optimizer's plan description for ``text`` (no execution)."""
-        return self._optimizer.plan(parse_query(text), bindings or {}).description
+        return self._optimizer.plan(self._parse(text), bindings or {}).description
+
+    def _parse(self, text: str) -> Query:
+        """``parse_query(text)`` kept by text (a :class:`Query` is never mutated)."""
+        memo = self._db.statement_memo
+        query = memo.get(text, None)
+        memo.count(query is not None, query is None)
+        if query is None:
+            memo.put(text, None, query := parse_query(text))
+        return query
 
     # -- plan execution ----------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -80,6 +81,9 @@ class ObjectStore:
         #: Re-entrant: a writer keeps it over a batch of item writes that
         #: readers must see whole (:meth:`Database.store_lock`).
         self._write_lock = threading.RLock()
+        #: Per attribute name, a write version like an object's ``version``.
+        self.attribute_versions: Dict[str, int] = defaultdict(int)
+        self.deletions = 0  # objects deleted so far (:meth:`Database.column_version`)
 
     # -- object lifecycle -----------------------------------------------------
 
@@ -94,8 +98,10 @@ class ObjectStore:
     def delete(self, oid: OID) -> _StoredObject:
         """Remove the object; returns its last state (for undo)."""
         stored = self._require(oid)
-        del self._objects[oid]
-        self._extents[stored.class_name].discard(oid)
+        with self._write_lock:
+            del self._objects[oid]
+            self._extents[stored.class_name].discard(oid)
+            self.deletions += 1
         return stored
 
     def restore(self, oid: OID, stored: _StoredObject) -> None:
@@ -140,15 +146,16 @@ class ObjectStore:
             previous = stored.attributes.get(attr, _MISSING)
             stored.attributes[attr] = value
             stored.version += 1
+            self.attribute_versions[attr] += 1
         return previous
 
     def unwrite(self, oid: OID, attr: str, previous: Any) -> None:
         """Undo a write: restore ``previous`` (or remove when it was missing)."""
-        self.unwrite_item(oid, (self._require(oid).attributes, attr, previous))
+        self.unwrite_item(oid, (attr, self._require(oid).attributes, attr, previous))
 
     def write_item(
         self, oid: OID, attr: str, path: Sequence[Any], value: Any = None, delete: bool = False
-    ) -> Tuple[int, Tuple[dict, Any, Any]]:
+    ) -> Tuple[int, Tuple[str, dict, Any, Any]]:
         """Set ``attributes[attr][path[0]]...[path[-1]] = value`` in place.
 
         Dictionaries missing (or None) along the path are created.  With
@@ -179,15 +186,16 @@ class ObjectStore:
                 node = child
             else:
                 key = keys[-1]
-            token = (node, key, node.get(key, _MISSING))
+            token = (attr, node, key, node.get(key, _MISSING))
             if delete:
                 node.pop(key, None)
             else:
                 node[key] = value
             stored.version += 1
+            self.attribute_versions[attr] += 1
             return stored.version, token
 
-    def unwrite_item(self, oid: OID, token: Tuple[dict, Any, Any]) -> None:
+    def unwrite_item(self, oid: OID, token: Tuple[str, dict, Any, Any]) -> None:
         """Undo :meth:`write_item`: put back what the changed key held.
 
         The token names the dictionary the write changed, not a path to it:
@@ -196,13 +204,14 @@ class ObjectStore:
         gone with it and the undo changes only the detached dictionary.
         """
         stored = self._require(oid)
-        node, key, previous = token
+        attr, node, key, previous = token
         with self._write_lock:
             if previous is _MISSING:
                 node.pop(key, None)
             else:
                 node[key] = previous
             stored.version += 1
+            self.attribute_versions[attr] += 1
 
     def version_of(self, oid: OID) -> int:
         """The object's write version (see :class:`_StoredObject`)."""

@@ -40,7 +40,11 @@ ELEMENT_CLASS = "Element"
 # (:meth:`Database.read_column`), resolves a shared ancestor or sibling list
 # once and builds no handle.  The optimizer's method hook runs a column over
 # a whole candidate set; the method installed on ``Element`` runs it over
-# one object.
+# one object.  The hook keeps a column's answers across statements in the
+# database's ``column_memo`` under ``(method, args)``, computing only the OIDs
+# it lacks, until an attribute the column reads is written, the set of live
+# objects or the schema changes (:meth:`Database.column_version`); explicit
+# transactions (whose reads lock) and the per-object methods bypass it.
 
 Column = Callable[[Iterable[OID]], Dict[OID, Any]]
 
@@ -54,23 +58,17 @@ def _parents(db: Database, oids: Iterable[OID]) -> Dict[OID, Optional[OID]]:
     }
 
 
-def _parent_column(db: Database) -> Column:
-    return lambda oids: _parents(db, oids)
-
-
 def _containing_column(db: Database, class_name: str) -> Column:
     """Nearest ancestor of ``class_name`` (``p1 -> getContaining('MMFDOC')``),
     resolved once per distinct ancestor."""
 
     def containing(oids: Iterable[OID]) -> Dict[OID, Optional[OID]]:
-        of_class = functools.lru_cache(maxsize=None)(
-            lambda name: db.schema.is_subclass(name, class_name)
-        )
         found: Dict[Optional[OID], Optional[OID]] = {None: None}  # ancestor -> the answer
 
         def resolve(up: Optional[OID]) -> Optional[OID]:
             if up not in found:
-                found[up] = up if of_class(db.class_of(up)) else resolve(_parents(db, (up,))[up])
+                found[up] = (up if db.schema.is_subclass(db.class_of(up), class_name)
+                             else resolve(_parents(db, (up,))[up]))
             return found[up]
 
         return {oid: resolve(up) for oid, up in _parents(db, oids).items()}
@@ -136,20 +134,20 @@ def _length_column(db: Database) -> Column:
     return lengths
 
 
-#: method -> (column factory taking the call's arguments, arity, returns objects)
+#: method -> (column factory taking the call's arguments, arity, returns objects, reads)
 _COLUMNS = {
-    "getParent": (_parent_column, 0, True),
-    "getContaining": (_containing_column, 1, True),
-    "getNext": (functools.partial(_sibling_column, forward=True), 0, True),
-    "getPrev": (functools.partial(_sibling_column, forward=False), 0, True),
-    "getAttributeValue": (_attribute_column, 1, False),
-    "length": (_length_column, 0, False),
+    "getParent": (lambda db: functools.partial(_parents, db), 0, True, ("parent",)),
+    "getContaining": (_containing_column, 1, True, ("parent",)),
+    "getNext": (functools.partial(_sibling_column, forward=True), 0, True, ("parent", "children")),
+    "getPrev": (functools.partial(_sibling_column, forward=False), 0, True, ("parent", "children")),
+    "getAttributeValue": (_attribute_column, 1, False, ("sgml_attributes",)),
+    "length": (_length_column, 0, False, ("children", "content")),
 }
 
 
 def _column_method(method: str) -> Callable[..., Any]:
     """The per-object form of a column: what ``obj -> method(args)`` runs."""
-    factory, _arity, refs = _COLUMNS[method]
+    factory, _arity, refs, _reads = _COLUMNS[method]
 
     def navigate(obj: DBObject, *args: str) -> Any:
         value = factory(obj.database, *args)((obj.oid,))[obj.oid]
@@ -217,13 +215,25 @@ def _compile_column(method: str, db: Database, class_name: str, args: tuple):
     Declines unless every class in the range answers ``method`` with the
     column's own per-object form.
     """
-    factory, arity, refs = _COLUMNS[method]
+    factory, arity, refs, reads = _COLUMNS[method]
     if len(args) != arity or not all(isinstance(arg, str) for arg in args):
         return None
     if not db.schema.method_is(class_name, method, ELEMENT_METHODS[method]):
         return None
-    column = factory(db, *args)
-    return lambda oids, bound=None: MethodMap(column(oids), refs=refs)
+    column, key = factory(db, *args), (method, args)
+
+    def kept(oids: Collection[OID], bound: Any = None) -> MethodMap:
+        token = db.column_version(reads)  # before reading; None bypasses the memo
+        answers = {} if token is None else db.column_memo.get(key, token)
+        if answers is None:
+            db.column_memo.put(key, token, answers := {})
+        missing = [oid for oid in oids if oid not in answers]
+        answers.update(column(missing) if missing else ())
+        if token is not None:
+            db.column_memo.count(not missing, bool(missing))
+        return MethodMap(answers, refs=refs)
+
+    return kept
 
 
 for _method in _COLUMNS:

@@ -411,6 +411,62 @@ class TestStatementsWithPendingUpdatesAndOverrides:
         assert stats.probed_predicates == 1  # the path; getIRSValue is sent per object
 
 
+# --------------------------------------------------------------------------
+# A structural write between two statements
+# --------------------------------------------------------------------------
+
+STRUCTURAL_WRITES = ["content", "insert", "remove", "year", "reorder", "move"]
+
+
+def structural_write(system, kind, pick):
+    """One write of ``kind`` near the ``pick``-th paragraph."""
+    db, loader = system.db, system.loader
+    paragraphs = db.instances_of("PARA")
+    paragraph = paragraphs[pick % len(paragraphs)]
+    parent = paragraph.send("getParent")
+    if kind == "content":
+        loader.update_content(paragraph, " ".join(QUERIES[: pick % 4]))
+    elif kind == "insert":
+        loader.insert_element(parent, "PARA", "www telnet nii", position=pick % 3)
+    elif kind == "remove":
+        loader.remove_element(paragraph)
+    elif kind == "year":
+        document = paragraph.send("getContaining", "MMFDOC")
+        loader.set_sgml_attribute(document, "YEAR", ["1993", "1994", "1995"][pick % 3])
+    elif kind == "reorder":
+        parent.set("children", list(reversed(parent.get("children"))))
+    else:  # to the end of a document, maybe its own
+        target = db.instances_of("MMFDOC")[pick % db.extent_size("MMFDOC")]
+        parent.set("children", [c for c in parent.get("children") if c != paragraph.oid])
+        target.set("children", target.get("children") + [paragraph.oid])
+        paragraph.set("parent", target.oid)
+
+
+class TestStatementsAfterAStructuralWrite:
+    @_SETTINGS
+    @given(
+        shape=st.sampled_from(["q1_year", "q_doc", "doc_join", "q2"]),
+        year=st.sampled_from(["1993", "1994", "1995"]),
+        first=content_conjunct,
+        second=content_conjunct,
+        write=st.sampled_from(STRUCTURAL_WRITES),
+        pick=st.integers(0, 100),
+    )
+    def test_rows_equal_brute_force(self, shape, year, first, second, write, pick):
+        system = DocumentSystem()
+        try:
+            load_corpus(system, CorpusGenerator(seed=11).corpus(documents=4, paragraphs=3))
+            collection = system.session.create_collection("collPara", "ACCESS p FROM p IN PARA")
+            system.session.index(collection)
+            statement = build(shape, collection, year, (*first, "MMFDOC"), second)
+            system.session.execute(statement.text, {"coll": collection})  # keeps the columns
+            structural_write(system, write, pick)
+            (rows, _stats, _buffer), (expected, _eb) = run_both_ways(system, collection, statement)
+            assert rows == expected
+        finally:
+            system.close()
+
+
 class TestIrsFirstIsIndependentMinusTheNotRepresented:
     @_SETTINGS
     @given(
