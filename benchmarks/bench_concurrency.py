@@ -35,6 +35,7 @@ from time import perf_counter, sleep
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from repro import obs
 from repro.core import DocumentSystem
 from repro.service.session import Session
 from repro.workloads.corpus import CorpusGenerator, load_corpus
@@ -72,6 +73,24 @@ def percentile(values, fraction: float) -> float:
     ordered = sorted(values)
     index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
     return ordered[index]
+
+
+def batching_delta(before: dict, after: dict) -> dict:
+    """Window shape between two ``obs`` registry snapshots: mean window
+    and group size, and requests answered by another's scoring pass."""
+
+    def mean(name: str) -> float:
+        first = before["histograms"].get(name, {"count": 0, "sum": 0.0})
+        last = after["histograms"].get(name, {"count": 0, "sum": 0.0})
+        count = last["count"] - first["count"]
+        return round((last["sum"] - first["sum"]) / count, 2) if count else 0.0
+
+    name = "service.batch.dedup_saved"
+    return {
+        "window_size_mean": mean("service.batch.window_size"),
+        "group_size_mean": mean("service.batch.group_size"),
+        "dedup_saved": after["counters"].get(name, 0) - before["counters"].get(name, 0),
+    }
 
 
 def run_tier(
@@ -199,14 +218,19 @@ def main() -> None:
 
     tiers = []
     for workers in WORKER_COUNTS:
+        before = obs.metrics().snapshot()
         tier = run_tier(system, collection, workers, requests, clients, update_per)
+        tier["batching"] = batching = batching_delta(before, obs.metrics().snapshot())
         tiers.append(tier)
         print(
             f"workers={workers}: {tier['throughput_qps']:8.1f} q/s   "
             f"p50={tier['latency_ms']['p50']:7.1f} ms   "
             f"p95={tier['latency_ms']['p95']:7.1f} ms   "
             f"p99={tier['latency_ms']['p99']:7.1f} ms   "
-            f"({tier['updates_applied']} updates applied)"
+            f"({tier['updates_applied']} updates applied)   "
+            f"window={batching['window_size_mean']:.1f} "
+            f"group={batching['group_size_mean']:.1f} "
+            f"dedup_saved={batching['dedup_saved']}"
         )
 
     base = tiers[0]["throughput_qps"]

@@ -445,7 +445,7 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
     not return has the default 0.0, so a ``>`` against a positive constant
     touches only the hits.  Objects not represented in the collection get
     Figure 3's derived value, all in one pass: their descendants read as a
-    column, combined with the scheme's :func:`~repro.core.derivation.combination`
+    kept column, combined with the scheme's :func:`~repro.core.derivation.combination`
     and amended to the buffer one by one in extent order.  That takes every
     class in the range answering ``deriveIRSValue`` and ``getDescendants``
     with the defaults, and a combining scheme when the map runs; otherwise
@@ -459,7 +459,7 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
     the range or on the collection's class.
     """
     from repro.core.irs_object import _resolve_explicit, derive_irs_value, get_irs_value
-    from repro.sgml.loader import _get_descendants, descendants
+    from repro.sgml.loader import _get_descendants, descendants, kept_column
 
     if len(args) != 2 or not isinstance(args[1], str):
         return None
@@ -496,9 +496,11 @@ def _compile_irs_value(db: Database, class_name: str, args: tuple):
         with obs.tracer().span(
             "coupling.deriveIRSValue", mode="column", scheme=scheme, objects=len(order)
         ):
+            below = kept_column(db, ("getDescendants", ()), ("parent", "children"),
+                                lambda missing: descendants(db, missing), order)
             derived = {
-                oid: combine([values.get(d, 0.0) for d in below if d in members])
-                for oid, below in descendants(db, order).items()
+                oid: combine([values.get(d, 0.0) for d in below[oid] if d in members])
+                for oid in order
             }
         obs.metrics().counter("coupling.derivations").inc(len(derived))
         model = collection_obj.get("model")

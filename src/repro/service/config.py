@@ -17,12 +17,15 @@ class ServiceConfig:
     """Configuration of a :class:`~repro.service.executor.DocumentService`.
 
     ``workers``
-        Pool threads executing request groups.
+        Pool threads executing request groups.  A window's first group (or
+        solo request) runs on the thread that leads it — usually the
+        synchronous caller whose request opened it — and the pool runs
+        the rest, so a one-group window never touches the pool.
     ``max_queue``
         Bound of the admission queue; submissions beyond it are rejected
         with :class:`~repro.errors.ServiceOverloadedError` (backpressure).
     ``max_batch_per_worker``
-        The dispatcher drains up to ``workers * max_batch_per_worker``
+        A window's leader drains up to ``workers * max_batch_per_worker``
         requests into one batching window (cross-request batching is where
         the throughput win comes from — shared snapshots and deduplicated
         scoring, not thread parallelism).  There is no linger knob: the
@@ -77,5 +80,5 @@ class ServiceConfig:
 
     @property
     def window_size(self) -> int:
-        """Requests the dispatcher drains into one batching window."""
+        """Requests a leader drains into one batching window."""
         return self.workers * self.max_batch_per_worker

@@ -2,28 +2,39 @@
 
 Request lifecycle::
 
-    submit ──> bounded admission queue ──> dispatcher drains a window
-                   │ (Full → ServiceOverloadedError)
-                   v
-          window partitioned: IRS requests grouped per collection,
-          everything else solo
-                   │
-                   v
-          worker pool executes groups (one snapshot per group, distinct
-          queries deduplicated — see repro.service.batch) and solos, each
-          wrapped in retry-with-jittered-backoff on DeadlockError /
-          LockTimeoutError
-                   │
-                   v
-          per-request futures resolve; the dispatcher waits for the
-          window to finish (the cycle barrier) — meanwhile the next
-          window's requests accumulate in the queue, which is what makes
-          cross-request batching effective
+    query / call / query_batch            submit_query / submit_call
+                 │                                     │
+                 v                                     v
+          bounded admission queue (Full → ServiceOverloadedError)
+                 │                                     │
+                 v                                     v
+    the caller leads a window when none   the dispatcher leads when no
+    runs, else waits for the turn         caller waits
+                 └──────────────────┬──────────────────┘
+                                    v
+          the leader drains a window: IRS requests grouped per
+          collection, everything else solo; the first group (or solo)
+          runs on the leader's thread, the rest on the worker pool (one
+          snapshot per group, distinct queries deduplicated — see
+          repro.service.batch), each wrapped in retry-with-jittered-
+          backoff on DeadlockError / LockTimeoutError
+                                    │
+                                    v
+          per-request futures resolve; the leader waits for the window
+          to finish (the cycle barrier) — meanwhile the next window's
+          requests accumulate in the queue, which is what makes
+          cross-request batching effective — then hands the turn to one
+          waiting caller, which drains everything queued
 
-A window is what is queued when the dispatcher wakes, up to
-``window_size``; whether it waits for more is the last window's call
-(:func:`linger_after`).  A ``query_batch`` is admitted as one unit, so its
-items share a window (up to ``window_size`` at a time).
+The thread that waits for a request runs it, leader/follower style, the
+way group commit works: a caller leads only until its own request has
+run, so a lone request touches neither the dispatcher nor the pool.  A
+caller inside an explicit transaction never leads: other callers'
+requests must not run in it.  A window is what is queued when its leader
+takes the turn, up to ``window_size``; whether it waits for more is the
+last window's call (:func:`linger_after`, and :meth:`_collect`).  A
+``query_batch`` is admitted as one unit, so its items share a window (up
+to ``window_size`` at a time).
 
 Everything is instrumented through :mod:`repro.obs`: ``service.queue.depth``
 gauge (plus the ``depth_peak`` high watermark), per-stage rolling latency
@@ -41,9 +52,9 @@ import random
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures import wait as _wait_futures
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -102,6 +113,11 @@ class _Request:
     label: str = ""
 
 
+def _query_request(collection_obj, irs_query, model=None, top_k=None) -> _Request:
+    return _Request("irs", collection_obj=collection_obj, irs_query=irs_query,
+                    model=model, top_k=top_k, label="query")
+
+
 class DocumentService:
     """Executes coupling requests for many concurrent clients.
 
@@ -114,16 +130,28 @@ class DocumentService:
         self.db = db
         self.config = config or ServiceConfig()
         self.context = coupling_context(db)
-        # ``None`` in the queue is close() waking the dispatcher.
+        # ``None`` in the queue is close() ending a linger.
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue(
             maxsize=self.config.max_queue
         )
-        # Held by query_batch while it admits and by the dispatcher while it
-        # drains, so a batch is never split between two windows.
+        # Held by query_batch while it admits and by a window's leader while
+        # it drains, so a batch is never split between two windows.
         self._admission = threading.Lock()
+        # Under ``_turn``: whether a thread holds the turn (collects and runs
+        # the one window in flight), the callers parked for it as (future,
+        # event), and how many synchronous callers are inside.
+        self._turn = threading.Lock()
+        self._busy, self._waiters, self._callers = False, [], 0
+        # The last window's leader thread, end, run time and run time per
+        # query (0 when it held a call), and whether its leader waited for
+        # riders in vain and no other thread has led since; see _run_next
+        # and _collect.
+        self._leader: Optional[int] = None
+        self._ended = self._ran = self._share = self._linger = self._patience = 0.0
+        self._alone = False
+        self._wake = threading.Event()  # rings the dispatcher
         self._pool: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._closed = False
         self._rng = random.Random(self.config.retry_seed)
         self._rng_lock = threading.Lock()
@@ -142,7 +170,6 @@ class DocumentService:
             raise ServiceClosedError("service already closed")
         if self.running:
             return
-        self._stop.clear()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-service"
         )
@@ -150,32 +177,32 @@ class DocumentService:
             target=self._dispatch_loop, name="repro-service-dispatcher", daemon=True
         )
         self._dispatcher.start()
+        if not self._queue.empty():  # admitted before the start
+            self._wake.set()
 
     def close(self) -> None:
-        """Stop accepting work, fail queued requests, stop the pool."""
+        """Stop accepting work, let the running window end, fail queued
+        requests, stop the pool."""
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
         try:
             self._queue.put_nowait(None)
-        except queue.Full:  # a full queue wakes the dispatcher by itself
+        except queue.Full:  # a full window lingers no longer
             pass
+        self._wake.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
             self._dispatcher = None
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is not None:
-                request.future.set_exception(
-                    ServiceClosedError("service closed before the request ran")
-                )
+        self._take_turn(Future(), None)  # after the window in flight
+        while (request := self._take()) is not None:
+            request.future.set_exception(
+                ServiceClosedError("service closed before the request ran")
+            )
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        self._release()
         obs.metrics().gauge("service.queue.depth").set(0)
 
     def __enter__(self) -> "DocumentService":
@@ -194,12 +221,9 @@ class DocumentService:
         top_k: Optional[int] = None,
     ) -> "Future[ResultSet]":
         """Enqueue one IRS query; resolves to a :class:`ResultSet`."""
-        return self._admit(
-            _Request(
-                "irs", collection_obj=collection_obj, irs_query=irs_query,
-                model=model, top_k=top_k, label="query",
-            )
-        )
+        future = self._admit(_query_request(collection_obj, irs_query, model, top_k))
+        self._wake.set()
+        return future
 
     def submit_call(
         self,
@@ -208,9 +232,9 @@ class DocumentService:
         error_mapper: Callable[[BaseException], BaseException] = batch_module.map_coupling_error,
     ) -> "Future[Any]":
         """Enqueue an arbitrary coupling operation (index, mixed query, …)."""
-        return self._admit(
-            _Request("call", fn=fn, error_mapper=error_mapper, label=label)
-        )
+        future = self._admit(_Request("call", fn=fn, error_mapper=error_mapper, label=label))
+        self._wake.set()
+        return future
 
     def _admit(self, request: _Request) -> "Future[Any]":
         if self._closed:
@@ -240,28 +264,21 @@ class DocumentService:
         timeout: Any = _UNSET,
         top_k: Optional[int] = None,
     ) -> ResultSet:
-        """Submit one IRS query and wait for its result."""
-        return self._await(
-            self.submit_query(collection_obj, irs_query, model, top_k), timeout
-        )
+        """Run one IRS query and return its result."""
+        request = _query_request(collection_obj, irs_query, model, top_k)
+        return self._run_sync([request], timeout)[0]
 
     def query_batch(
         self, items: Sequence[BatchItem], timeout: Any = _UNSET
     ) -> List[ResultSet]:
-        """Submit many IRS queries at once and wait for all of them.
+        """Run many IRS queries at once and return all their results.
 
         The items are admitted as one unit, ``window_size`` at a time, so
         each chunk lands in one batching window (shared snapshots,
         deduplicated scoring).
         """
-        items, size, futures = list(items), self.config.window_size, []
-        for start in range(0, len(items), size):
-            with self._admission:
-                futures.extend(
-                    self.submit_query(*batch_module.unpack(item))
-                    for item in items[start : start + size]
-                )
-        return [self._await(future, timeout) for future in futures]
+        requests = [_query_request(*batch_module.unpack(item)) for item in items]
+        return self._run_sync(requests, timeout)
 
     def call(
         self,
@@ -270,38 +287,144 @@ class DocumentService:
         error_mapper: Callable[[BaseException], BaseException] = batch_module.map_coupling_error,
         timeout: Any = _UNSET,
     ) -> Any:
-        """Submit an arbitrary operation and wait for it."""
-        return self._await(self.submit_call(fn, label, error_mapper), timeout)
+        """Run an arbitrary operation and return its result."""
+        request = _Request("call", fn=fn, error_mapper=error_mapper, label=label)
+        return self._run_sync([request], timeout)[0]
 
-    def _await(self, future: "Future[Any]", timeout: Any = _UNSET) -> Any:
-        effective = self.config.request_timeout if timeout is _UNSET else timeout
+    def _run_sync(self, requests: List[_Request], timeout: Any) -> List[Any]:
+        """Admit ``requests`` and wait for each, leading windows meanwhile."""
+        leads = self.db._current_txn() is None
+        with self._turn:
+            self._callers += leads
         try:
-            return future.result(timeout=effective)
-        except _FutureTimeout:
-            obs.metrics().counter("service.requests.timeouts").inc()
-            raise RequestTimeoutError(
-                f"request did not complete within {effective}s"
-            ) from None
+            size = self.config.window_size
+            for start in range(0, len(requests), size):
+                with self._admission:
+                    for request in requests[start : start + size]:
+                        self._admit(request)
+            if not leads:
+                self._wake.set()
+            return [self._await(request.future, timeout, leads) for request in requests]
+        finally:
+            with self._turn:
+                self._callers -= leads
+                self._ring()
 
-    # -- dispatcher ---------------------------------------------------------
+    def _await(self, future: "Future[Any]", timeout: Any, leads: bool) -> Any:
+        effective = self.config.request_timeout if timeout is _UNSET else timeout
+        deadline = None if effective is None else time.perf_counter() + effective
+        while not future.done():
+            if leads and self._take_turn(future, deadline):
+                if not future.done():  # this thread holds the turn
+                    try:
+                        self._run_next()
+                    finally:
+                        self._release()
+            elif leads or not _wait_futures([future], effective).done:
+                obs.metrics().counter("service.requests.timeouts").inc()
+                raise RequestTimeoutError(f"request did not complete within {effective}s")
+        return future.result()
+
+    # -- the turn -----------------------------------------------------------
+
+    def _take_turn(self, future: "Future[Any]", deadline: Optional[float]) -> bool:
+        """Wait until ``future`` is done or this thread holds the turn (True;
+        it holds it iff ``future`` is not done), or until ``deadline``."""
+        with self._turn:
+            if future.done():
+                return True
+            if not self._busy and (self._pool is not None or self._closed):
+                self._busy = True
+                return True
+            entry = (future, threading.Event())
+            self._waiters.append(entry)
+        if entry[1].wait(None if deadline is None else deadline - time.perf_counter()):
+            return True
+        with self._turn:
+            if entry not in self._waiters:  # handed the turn or resolved meanwhile
+                return True
+            self._waiters.remove(entry)
+        return False
+
+    def _release(self) -> None:
+        """End the turn: wake every waiter whose request has run and hand
+        the turn to the first whose request has not."""
+        with self._turn:
+            waiters, self._waiters, handed = self._waiters, [], False
+            for entry in waiters:
+                if not entry[0].done():
+                    if handed:
+                        self._waiters.append(entry)
+                        continue
+                    handed = True
+                entry[1].set()
+            if not handed:
+                self._busy = False
+                self._ring()
+
+    def _ring(self) -> None:
+        """Under ``_turn``: wake the dispatcher for what no caller will run."""
+        if not (self._busy or self._callers or self._queue.empty()):
+            self._wake.set()
 
     def _dispatch_loop(self) -> None:
-        linger = 0.0
-        while not self._stop.is_set():
-            first = self._queue.get()
-            if first is None:
-                continue
-            window = self._collect(first, linger)
-            obs.metrics().gauge("service.queue.depth").set(self._queue.qsize())
-            started = time.perf_counter()
-            self._run_window(window)
-            linger = linger_after(
-                len(window), self.config.window_size, time.perf_counter() - started
-            )
+        """Run ``submit_*`` requests and what the last caller left queued."""
+        while True:
+            self._wake.wait()
+            self._wake.clear()
+            if self._closed:
+                return
+            with self._turn:
+                if self._busy or self._queue.empty():
+                    continue
+                self._busy = True
+            try:
+                self._run_next()
+            finally:
+                self._release()
+
+    def _take(self) -> Optional[_Request]:
+        """The oldest queued request (skipping close()'s ``None``), or None."""
+        while not self._queue.empty():
+            request = self._queue.get_nowait()
+            if request is not None:
+                return request
+        return None
+
+    def _run_next(self) -> None:
+        """Collect the next window and run it (the caller holds the turn)."""
+        first = self._take()
+        if first is None:
+            return
+        leader, self._leader = self._leader, threading.get_ident()
+        again, opened = leader == self._leader, time.perf_counter()
+        saturated = again and not self._alone and opened - self._ended < self._ran
+        self._patience = self._share if saturated else 0.0
+        window = self._collect(first, self._linger)
+        caught = window[-1].enqueued_at > opened  # the queue is FIFO
+        self._alone = again and (self._alone or (self._patience > 0 and not caught))
+        obs.metrics().gauge("service.queue.depth").set(self._queue.qsize())
+        started = time.perf_counter()
+        self._run_window(window)
+        self._ended = time.perf_counter()
+        self._ran = self._ended - started
+        queries = all(request.kind == "irs" for request in window)
+        self._share = self._ran / len(window) if queries else 0.0
+        self._linger = linger_after(len(window), self.config.window_size, self._ran)
 
     def _collect(self, first: _Request, linger: float) -> List[_Request]:
         """The window ``first`` opens: what is queued, up to ``window_size``,
-        and what arrives within ``linger`` seconds while it is not full."""
+        and what arrives within ``linger`` seconds while it is not full.
+
+        A thread that leads again sooner after its last window ended than
+        that one ran is in a tight loop: other callers may be ready to run
+        and wait only for the GIL it holds.  Past the linger, its window waits for
+        each next request as long as the last window ran per request (when
+        that one held only queries, whose work riders share), and closes
+        when one does not come.  A leader whose wait caught no one is
+        alone: it waits no more until another thread leads, so a lone
+        caller pays the wait once.
+        """
         window, size = [first], self.config.window_size
         deadline = time.perf_counter() + linger
         while True:
@@ -315,10 +438,10 @@ class DocumentService:
                         return window
                     window.append(request)
             remaining = deadline - time.perf_counter()
-            if len(window) == size or remaining <= 0:
+            if len(window) == size or (remaining <= 0 and not self._patience):
                 return window
             try:
-                request = self._queue.get(timeout=remaining)
+                request = self._queue.get(timeout=max(remaining, self._patience))
             except queue.Empty:
                 return window
             if request is None:
@@ -337,15 +460,14 @@ class DocumentService:
                 solos.append(request)
         registry.histogram("service.batch.groups").observe(len(groups))
         pool = self._pool
-        if pool is None:  # closed mid-flight
+        if pool is None:  # led after close()
             for request in window:
                 request.future.set_exception(ServiceClosedError("service closed"))
             return
-        tasks = [
-            pool.submit(self._run_group, requests, len(window))
-            for requests in groups.values()
-        ]
-        tasks.extend(pool.submit(self._run_solo, request) for request in solos)
+        jobs = [partial(self._run_group, requests, len(window)) for requests in groups.values()]
+        jobs.extend(partial(self._run_solo, request) for request in solos)
+        tasks = [pool.submit(job) for job in jobs[1:]]
+        jobs[0]()  # on the thread that holds the turn
         # Cycle barrier: while this window executes, the next one's
         # requests pile up in the admission queue and batch better.
         _wait_futures(tasks)

@@ -19,7 +19,7 @@ sample queries use (Section 4.4).
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject
@@ -221,19 +221,24 @@ def _compile_column(method: str, db: Database, class_name: str, args: tuple):
     if not db.schema.method_is(class_name, method, ELEMENT_METHODS[method]):
         return None
     column, key = factory(db, *args), (method, args)
+    return lambda oids, bound=None: MethodMap(kept_column(db, key, reads, column, oids), refs=refs)
 
-    def kept(oids: Collection[OID], bound: Any = None) -> MethodMap:
-        token = db.column_version(reads)  # before reading; None bypasses the memo
-        answers = {} if token is None else db.column_memo.get(key, token)
-        if answers is None:
-            db.column_memo.put(key, token, answers := {})
-        missing = [oid for oid in oids if oid not in answers]
-        answers.update(column(missing) if missing else ())
-        if token is not None:
-            db.column_memo.count(not missing, bool(missing))
-        return MethodMap(answers, refs=refs)
 
-    return kept
+def kept_column(
+    db: Database, key: Any, reads: Sequence[str], column: Column, oids: Collection[OID]
+) -> Dict[OID, Any]:
+    """``column`` over ``oids``, its answers kept in ``db.column_memo`` under
+    ``key`` while the attributes it ``reads`` are unwritten; computed afresh
+    inside an explicit transaction.  The map may hold more OIDs than asked."""
+    token = db.column_version(reads)  # before reading; None bypasses the memo
+    answers = {} if token is None else db.column_memo.get(key, token)
+    if answers is None:
+        db.column_memo.put(key, token, answers := {})
+    missing = [oid for oid in oids if oid not in answers]
+    answers.update(column(missing) if missing else ())
+    if token is not None:
+        db.column_memo.count(not missing, bool(missing))
+    return answers
 
 
 for _method in _COLUMNS:

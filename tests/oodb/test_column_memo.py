@@ -29,6 +29,7 @@ Q1_YEAR = (
     "WHERE p -> getContaining('MMFDOC') -> getAttributeValue('YEAR') = '{year}' "
     "AND p -> getIRSValue(coll, 'www') >= 0.0"
 )
+Q_DOC = "ACCESS d FROM d IN MMFDOC WHERE d -> getIRSValue(coll, '{term}') > 0.0"
 
 COLUMN_HITS, COLUMN_MISSES = "oodb.column_cache.hits", "oodb.column_cache.misses"
 PARSE_HITS, PARSE_MISSES = "oodb.statement_cache.hits", "oodb.statement_cache.misses"
@@ -134,6 +135,20 @@ class TestInvalidation:
         shorter = dict(before)[document.oid] - len(content) - 1
         assert dict(after)[document.oid] == shorter
 
+    def test_insert_element_under_an_mmfdoc_changes_its_derived_value(self, journal):
+        # A document's value derives from its paragraphs' (Figure 3); the
+        # descendants it derives from are a kept column.
+        system, bindings = journal
+        first = system.db.instances_of("PARA")[0]
+        document = first.send("getContaining", "MMFDOC")
+
+        def insert():
+            para = system.loader.insert_element(first.send("getParent"), "PARA", "zyxwvut")
+            bindings["coll"].send("insertObject", para)
+
+        before, after = rerun(system.db, Q_DOC.format(term="zyxwvut"), insert, bindings)
+        assert (before, after) == ([], [(document.oid,)])
+
     def test_a_year_write_changes_q1_year(self, journal):
         system, bindings = journal
         document = system.db.instances_of("MMFDOC")[0]
@@ -228,6 +243,14 @@ class TestCounters:
             run(system.db, text, bindings)
             counters = metrics.snapshot()["counters"]
             assert (counters[COLUMN_HITS], counters[COLUMN_MISSES]) == (3, 3)
+
+    def test_derived_values_keep_the_descendants_column(self, journal):
+        system, bindings = journal
+        with obs.instrumentation() as (_tracer, metrics):
+            for term in ("www", "telnet"):  # the second misses the buffer, not the column
+                run(system.db, Q_DOC.format(term=term), bindings)
+            counters = metrics.snapshot()["counters"]
+            assert (counters[COLUMN_HITS], counters[COLUMN_MISSES]) == (1, 1)
 
 
 class TestStatements:
