@@ -89,7 +89,7 @@ def build_engine(documents: int, seed: int) -> IRSEngine:
     """A cache-less engine over the bench_scoring corpus.
 
     ``result_cache_size=0`` so repeated passes re-score instead of hitting
-    the LRU: the overhead measurement must wrap real scoring work, not a
+    the result memo: the overhead measurement must wrap real scoring work, not a
     dictionary lookup.
     """
     engine = IRSEngine(result_cache_size=0)
@@ -167,8 +167,8 @@ def measure_overhead(documents: int, seed: int, pairs: int, repeats: int) -> dic
 def build_corpus_system(documents: int, seed: int) -> tuple:
     """A DocumentSystem over the bench_scoring corpus, 4 paragraphs per doc.
 
-    The engine's result LRU is disabled so repeated batched passes re-score
-    instead of answering from the cache — the concurrency ratio must wrap
+    The collection's result memo keeps nothing, so repeated batched passes
+    re-score instead of answering from it — the concurrency ratio must wrap
     real batch execution, attribution and rolling-histogram updates.
     """
     system = DocumentSystem()
@@ -180,12 +180,11 @@ def build_corpus_system(documents: int, seed: int) -> tuple:
         system.add_document(
             build_document(f"Doc{start // 4}", chunk, year="1994"), dtd=dtd
         )
+    system.engine.result_cache_size = 0  # the bound of collections created from here
     collection = system.session.create_collection(
         "collPara", "ACCESS p FROM p IN PARA"
     )
     system.session.index(collection)
-    system.engine._result_cache_size = 0
-    system.engine._result_cache.clear()
     return system, collection
 
 

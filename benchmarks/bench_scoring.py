@@ -384,7 +384,7 @@ def per_document_scores(model, collection, tree) -> dict:
     """One tree evaluated once per candidate document with the scalar
     operators, over the model's own (already computed) leaf belief maps."""
     compiled = compile_query(collection, tree)
-    term_maps: dict = {}
+    term_maps = model.term_belief_maps(collection, compiled)
     db = model._db
     scalar = {
         "and": ops.op_and, "or": ops.op_or, "sum": ops.op_sum, "max": ops.op_max,

@@ -19,7 +19,9 @@ Scoring code reads :meth:`IRSCollection.scoring_sources`,
 :attr:`IRSCollection.index_version` and
 :meth:`IRSCollection.forward_vector` (or the logical ``index``, the one
 full read surface over them), and :attr:`stats` holds the statistics
-cache over them.
+cache over them.  It also owns the memos scoring reuses (:mod:`repro.memo`),
+which die with it: results and proximity match maps for one index ``epoch``,
+impact columns for one :attr:`~IRSCollection.index_version`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from repro.irs.analysis import Analyzer
 from repro.irs.segments import SegmentConfig, SegmentManager
 from repro.irs.statistics import StatisticsCache
 from repro.irs.view import UnionIndexView
+from repro.memo import Memo
+
+#: Memo bounds per collection.  Impact entries hold per-posting columns, so
+#: that bound is modest; the terms most queries share are re-read and kept.
+IMPACT_MEMO_LIMIT, PROXIMITY_MEMO_LIMIT = 512, 256
 
 
 @dataclass
@@ -57,6 +64,7 @@ class IRSCollection:
         name: str,
         analyzer: Optional[Analyzer] = None,
         segment_config: Optional[SegmentConfig] = None,
+        result_cache_size: int = 128,
     ) -> None:
         self.name = name
         self.analyzer = analyzer or Analyzer()
@@ -65,6 +73,16 @@ class IRSCollection:
         self.stats = StatisticsCache(self.index, self.segments.forward_vector)
         self._documents: Dict[int, IRSDocument] = {}
         self._next_doc_id = 1
+        #: ``(model, query[, k]) -> scores`` at one epoch, below the paper's
+        #: persistent buffer (Section 4.2), not instead of it.
+        self.result_memo = Memo(result_cache_size, "irs.result_cache.hits",
+                                "irs.result_cache.misses", "irs.result_cache.evictions")
+        #: ``(model, ..., term) -> {id(source): TermImpacts}`` (``repro.irs.topk``).
+        self.impact_memo = Memo(IMPACT_MEMO_LIMIT, "irs.impact_cache.hits",
+                                "irs.impact_cache.misses", "irs.impact_cache.evictions")
+        #: ``(ordered, window, terms) -> {doc_id: matches}`` (``repro.irs.proximity``).
+        self.proximity_memo = Memo(PROXIMITY_MEMO_LIMIT, "irs.proximity_cache.hits",
+                                   "irs.proximity_cache.misses", "irs.proximity_cache.evictions")
 
     # -- the source contract: the manager's ------------------------------------
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.obs.telemetry import active_profile
@@ -100,20 +99,9 @@ class IRSEngine:
         #: Per-collection readers-writer locks: queries read, index mutations
         #: write.  Acquired *after* any database locks (see repro.sync).
         self._collection_locks: Dict[str, ReadWriteLock] = {}
-        #: Guards ``_result_cache`` — scoring itself runs
-        #: outside this lock so a slow query never blocks cache hits.
-        self._cache_lock = threading.RLock()
-        #: In-process bounded LRU keyed by (collection, model, query); the
-        #: stored entry remembers the index epoch it was computed at, so a
-        #: lookup that finds a stale entry can be attributed as an *epoch
-        #: invalidation* rather than a plain miss.  Complements — does not
-        #: replace — the paper's persistent COLLECTION buffer (Section 4.2):
-        #: that one survives process restarts and is invalidated by update
-        #: propagation; this one only short-circuits repeated identical
-        #: queries against an unchanged index within the current process.
-        #: ``result_cache_size=0`` disables it.
-        self._result_cache: "OrderedDict[Tuple[str, str, str], Tuple[int, Dict[int, float]]]" = OrderedDict()
-        self._result_cache_size = max(0, result_cache_size)
+        #: The bound of each collection's result memo (``IRSCollection.result_memo``);
+        #: 0 keeps no results.
+        self.result_cache_size = max(0, result_cache_size)
 
     # -- concurrency ---------------------------------------------------------
 
@@ -149,7 +137,7 @@ class IRSEngine:
         Every add/remove inside the context defers its epoch bump; the
         epoch advances once on exit if anything mutated, so a propagation
         window of N pending updates evicts epoch-keyed caches (statistics,
-        result LRU, proximity, ResultSets) once instead of N times.  The
+        result and proximity memos, ResultSets) once instead of N times.  The
         coalesced bump is attributed to ``irs.index.epoch_bumps`` here
         because the per-operation engine methods observe a zero delta
         inside the batch.
@@ -175,7 +163,8 @@ class IRSEngine:
             if name in self._collections or name in self._lazy_loaders:
                 raise DuplicateCollectionError(f"IRS collection {name!r} already exists")
             collection = IRSCollection(
-                name, analyzer or self._analyzer, self.segment_config
+                name, analyzer or self._analyzer, self.segment_config,
+                self.result_cache_size,
             )
             self._collections[name] = collection
             return collection
@@ -185,17 +174,12 @@ class IRSEngine:
         with self._registry_lock:
             if name not in self._collections and name not in self._lazy_loaders:
                 raise UnknownCollectionError(f"no IRS collection {name!r}")
-            self._collections.pop(name, None)
+            collection = self._collections.pop(name, None)
             self._lazy_loaders.pop(name, None)
-        # A later collection with the same name starts its index epoch from
-        # scratch, so stale entries would otherwise be indistinguishable.
-        with self._cache_lock:
-            stale = [k for k in self._result_cache if k[0] == name]
-            for key in stale:
-                del self._result_cache[key]
-        obs.metrics().counter("irs.result_cache.dropped").inc(len(stale))
+        dropped = len(collection.result_memo) if collection is not None else 0
+        obs.metrics().counter("irs.result_cache.dropped").inc(dropped)
         logger.debug(
-            "dropped IRS collection %r (%d cached results discarded)", name, len(stale)
+            "dropped IRS collection %r (%d cached results discarded)", name, dropped
         )
 
     def collection(self, name: str) -> IRSCollection:
@@ -341,8 +325,7 @@ class IRSEngine:
                 epoch = collection.index.epoch
                 segment_count = collection.segment_count
                 values = self._query_values(
-                    collection, collection_name, model_name, model_impl,
-                    irs_query, span, top_k,
+                    collection, model_name, model_impl, irs_query, span, top_k,
                 )
             span.set_attribute("results", len(values))
             span.set_attribute("epoch", epoch)
@@ -390,46 +373,34 @@ class IRSEngine:
     def _query_values(
         self,
         collection: IRSCollection,
-        collection_name: str,
         model_name: str,
         model_impl: RetrievalModel,
         irs_query: str,
         span,
         top_k: Optional[int] = None,
     ) -> Dict[int, float]:
-        """Cache lookup + scoring for :meth:`query`, with hit attribution.
+        """Result-memo lookup + scoring for :meth:`query`, with hit attribution.
 
         Runs under the collection's read lock (the caller holds it), so the
-        index epoch cannot move mid-call.  The result-LRU probe and the
-        store each take ``_cache_lock`` briefly; scoring itself runs outside
-        it so one slow query never blocks concurrent cache hits.
+        index epoch cannot move mid-call.
         """
         registry = obs.metrics()
         profile = active_profile()
         epoch = collection.index.epoch
+        memo = collection.result_memo
         # Top-k results are a different value set than full results, so the
-        # cache key grows a k dimension (classic keys stay 3-tuples).
-        if top_k is None:
-            base_key = (collection_name, model_name, irs_query)
-        else:
-            base_key = (collection_name, model_name, irs_query, top_k)
-        with self._cache_lock:
-            entry = self._result_cache.get(base_key)
-            if entry is not None:
-                cached_epoch, cached_values = entry
-                if cached_epoch == epoch:
-                    self._result_cache.move_to_end(base_key)
-                    registry.counter("irs.result_cache.hits").inc()
-                    span.set_attribute("cached", True)
-                    if profile is not None:
-                        profile.result_cache_hits += 1
-                    # Hand out a copy so callers cannot poison the cached values.
-                    return dict(cached_values)
-                # Same query, but the index mutated since it was cached.
-                del self._result_cache[base_key]
-                registry.counter("irs.result_cache.epoch_invalidations").inc()
-        registry.counter("irs.result_cache.misses").inc()
-        span.set_attribute("cached", False)
+        # key grows a k dimension.
+        key = (model_name, irs_query) if top_k is None else (model_name, irs_query, top_k)
+        cached = memo.get(key, epoch)
+        memo.count_one(cached is not None)
+        span.set_attribute("cached", cached is not None)
+        if cached is not None:
+            if profile is not None:
+                profile.result_cache_hits += 1
+            # Hand out a copy so callers cannot poison the kept values.
+            return dict(cached)
+        if key in memo:  # same query, but the index mutated since it was kept
+            registry.counter("irs.result_cache.epoch_invalidations").inc()
         if profile is not None:
             profile.result_cache_misses += 1
         tree = parse_irs_query(irs_query, default_operator=model_impl.default_operator)
@@ -441,12 +412,7 @@ class IRSEngine:
             values = self._score_top_k(
                 collection, model_name, model_impl, tree, top_k, span, registry
             )
-        if self._result_cache_size > 0:
-            with self._cache_lock:
-                self._result_cache[base_key] = (epoch, dict(values))
-                while len(self._result_cache) > self._result_cache_size:
-                    self._result_cache.popitem(last=False)
-                    registry.counter("irs.result_cache.evictions").inc()
+        memo.put(key, epoch, dict(values))
         return values
 
     def _score_top_k(

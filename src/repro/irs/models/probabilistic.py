@@ -65,7 +65,7 @@ class InferenceNetworkModel(RetrievalModel):
 
     def score(self, collection: IRSCollection, query: QueryNode) -> Dict[int, float]:
         compiled = compile_query(collection, query)
-        term_maps: Dict[str, Dict[int, float]] = {}
+        term_maps = self.term_belief_maps(collection, compiled)
         flat = self._flat_linear(compiled)
         if flat is not None:
             return self._score_term_at_a_time(collection, flat, term_maps)
@@ -169,21 +169,38 @@ class InferenceNetworkModel(RetrievalModel):
     ) -> Dict[int, float]:
         """``{doc_id: belief}`` of one leaf over the documents that match it.
 
-        Term leaves walk their postings list exactly once per query (maps
-        are shared across repeated terms); proximity leaves reuse the
-        epoch-memoized match maps of :mod:`repro.irs.proximity`.
+        Term leaves read the maps :meth:`term_belief_maps` built; proximity
+        leaves reuse the epoch-memoized match maps of
+        :mod:`repro.irs.proximity`.
         """
         if isinstance(leaf, CompiledTerm):
-            if leaf.term is None:
-                return {}
-            cached = term_maps.get(leaf.term)
-            if cached is None:
-                cached = self._term_belief_map(collection, leaf.term)
-                term_maps[leaf.term] = cached
-            return cached
-        return self._proximity_belief_map(collection, leaf, term_maps)
+            return {} if leaf.term is None else term_maps[leaf.term]
+        return self._proximity_belief_map(collection, leaf)
 
-    def term_impacts(self, collection: IRSCollection, term: str) -> Dict[int, tuple]:
+    def term_belief_maps(self, collection: IRSCollection, compiled) -> Dict[str, Dict[int, float]]:
+        """``{term: {doc_id: belief}}`` of each distinct term leaf of
+        ``compiled``, leaf order, read off its impact entry (a belief is
+        ``db + impact``); the impact memo is counted once for the query."""
+        from repro.irs.topk import impact_maps
+
+        def terms(node):
+            if isinstance(node, CompiledOperator):
+                for child in node.children:
+                    yield from terms(child)
+            elif isinstance(node, CompiledTerm) and node.term is not None:
+                yield node.term
+
+        db = self._db
+        term_maps: Dict[str, Dict[int, float]] = {}
+        impacts_of = impact_maps(collection, self, dict.fromkeys(terms(compiled)))
+        for term, entries in impacts_of.items():
+            beliefs = term_maps[term] = {}
+            for entry in entries.values():
+                for ids, impacts in zip(entry.block_ids, entry.block_us):
+                    beliefs.update(zip(ids, [db + impact for impact in impacts]))
+        return term_maps
+
+    def term_impacts(self, collection: IRSCollection, term: str, tally: List[int]) -> Dict[int, tuple]:
         """The per-source impact columns of ``term`` (see ``topk.term_impacts``).
 
         An impact is the excess belief ``(1 - db) * tf_part * idf_part`` of
@@ -207,29 +224,16 @@ class InferenceNetworkModel(RetrievalModel):
             ]
 
         return term_impacts(
-            collection, ("inquery", self._db, term), term, block_impacts
+            collection, ("inquery", self._db, term), term, block_impacts, tally
         )
-
-    def _term_belief_map(self, collection: IRSCollection, term: str) -> Dict[int, float]:
-        db = self._db
-        beliefs: Dict[int, float] = {}
-        for entry in self.term_impacts(collection, term).values():
-            for ids, impacts in zip(entry.block_ids, entry.block_us):
-                beliefs.update(zip(ids, [db + impact for impact in impacts]))
-        return beliefs
 
     def _proximity_belief_map(
         self,
         collection: IRSCollection,
         leaf: CompiledProximity,
-        term_maps: Dict[str, Dict[int, float]],
     ) -> Dict[int, float]:
         from repro.irs.proximity import proximity_tf_map
 
-        key = ("prox", leaf.ordered, leaf.window, tuple(leaf.node.terms()))
-        cached = term_maps.get(key)
-        if cached is not None:
-            return cached
         beliefs: Dict[int, float] = {}
         if leaf.matchable:
             tf_map = proximity_tf_map(collection, leaf.node)
@@ -250,7 +254,6 @@ class InferenceNetworkModel(RetrievalModel):
                     * idf_part
                     for doc_id, tf in tf_map.items()
                 }
-        term_maps[key] = beliefs
         return beliefs
 
     def baseline(self, query: QueryNode) -> float:

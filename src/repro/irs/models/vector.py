@@ -19,7 +19,7 @@ equivalence tests and benchmarks.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, List
 
 from repro.irs.collection import IRSCollection
 from repro.irs.models.base import RetrievalModel
@@ -60,7 +60,7 @@ class VectorSpaceModel(RetrievalModel):
             if doc_norm > 0 and dot > 0
         }
 
-    def term_impacts(self, collection: IRSCollection, term: str) -> Dict[int, tuple]:
+    def term_impacts(self, collection: IRSCollection, term: str, tally: List[int]) -> Dict[int, tuple]:
         """The per-source impact columns of ``term`` (see ``topk.term_impacts``).
 
         An impact is the cosine contribution per unit of normalized query
@@ -79,7 +79,7 @@ class VectorSpaceModel(RetrievalModel):
                 for tf, norm in zip(tfs, stats.document_norms(ids))
             ]
 
-        return term_impacts(collection, ("vector", term), term, block_impacts)
+        return term_impacts(collection, ("vector", term), term, block_impacts, tally)
 
     def _query_vector(self, collection: IRSCollection, node: QueryNode, sign: float = 1.0, weight: float = 1.0) -> Dict[str, float]:
         vector: Dict[str, float] = {}

@@ -118,30 +118,18 @@ def proximity_document_frequency(
     )
 
 
-def _proximity_cache(collection: IRSCollection) -> Dict:
-    """Per-collection proximity memo, dropped whenever the index mutates.
-
-    Keyed on the index *epoch* (not a document/token-count fingerprint, which
-    a same-length replace_document would leave unchanged); only the current
-    epoch's entries are retained, bounding the cache's size.
-    """
-    cache = getattr(collection, "_proximity_cache", None)
-    epoch = collection.index.epoch
-    if cache is None or cache["epoch"] != epoch:
-        cache = {"epoch": epoch, "tf_maps": {}}
-        collection._proximity_cache = cache
-    return cache
-
-
 def proximity_tf_map(collection: IRSCollection, node) -> Dict[int, int]:
     """``{doc_id: match count}`` of one proximity node, matches only.
 
-    Memoized per index epoch, so a query tree (or a stream of repeated
-    queries) evaluates each distinct window exactly once per index state.
+    Kept in the collection's ``proximity_memo`` for one index epoch (not a
+    document/token-count fingerprint, which a same-length replace_document
+    leaves unchanged), so each distinct window is evaluated once per index state.
     """
-    cache = _proximity_cache(collection)
+    memo = collection.proximity_memo
+    epoch = collection.index.epoch
     key = (node.ordered, node.window, tuple(node.terms()))
-    tf_map = cache["tf_maps"].get(key)
+    tf_map = memo.get(key, epoch)
+    memo.count_one(tf_map is not None)
     if tf_map is None:
         tf_map = {}
         for doc_id in candidate_documents(collection, node.terms()):
@@ -150,7 +138,7 @@ def proximity_tf_map(collection: IRSCollection, node) -> Dict[int, int]:
             )
             if tf > 0:
                 tf_map[doc_id] = tf
-        cache["tf_maps"][key] = tf_map
+        memo.put(key, epoch, tf_map)
     return tf_map
 
 

@@ -12,7 +12,7 @@ One manager per collection owns:
 * two version counters with distinct invalidation semantics:
 
   - :attr:`epoch` — bumped by every *content* change (add/remove).  This is
-    the counter the StatisticsCache, the engine result LRU and the
+    the counter the StatisticsCache, each collection's result memo and the
     epoch-tagged ResultSets key on.
   - :attr:`structure` — bumped by content-*preserving* reorganizations
     (sealing the memtable, committing a merge).  Scores are unchanged

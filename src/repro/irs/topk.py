@@ -23,7 +23,7 @@ tfs)`` blocks from every scoring source (``collection.scoring_sources()``
 object built) and has the model turn each block into its per-document score contributions per unit of
 query weight ("impacts") with one comprehension.  The resulting per-block
 columns and the ``doc_id -> impact`` / ``doc_id -> tf`` probe maps are
-cached, least recently used first out, until the index version moves.
+kept in the collection's ``impact_memo`` until the index version moves.
 Candidate screening then needs one array lookup and one float compare per
 posting — and upper bounds built from *actual* impacts (not block maxima)
 make the non-essential probes nearly tight.  The inquery model's exhaustive
@@ -59,8 +59,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -85,12 +83,6 @@ CUT_SCALE = 1.0 - 1e-7
 #: the query's baseline the lifted cut nears 0, where the relative
 #: :data:`CUT_SCALE` no longer covers it.
 _CUT_MARGIN = 1e-9
-
-#: Impact-cache entries per collection; beyond it the least recently used
-#: entry goes, so the frequent terms most queries share outlive a stream of
-#: rare ones.  Entries hold per-posting columns, so the cap is deliberately
-#: modest.
-_IMPACT_CACHE_LIMIT = 512
 
 
 @dataclass
@@ -179,19 +171,12 @@ class TermImpacts(NamedTuple):
     probe_tfs: Dict[int, int]  #: doc_id -> term frequency
 
 
-def _impact_cache(collection) -> dict:
-    cache = getattr(collection, "_topk_impact_cache", None)
-    if cache is None:
-        cache = {"lock": threading.Lock(), "entries": OrderedDict()}
-        collection._topk_impact_cache = cache
-    return cache
-
-
 def term_impacts(
     collection,
     cache_key: tuple,
     term: str,
     block_impacts: Callable[[object, List[int], List[int]], List[float]],
+    tally: List[int],
 ) -> Dict[int, TermImpacts]:
     """``id(source) -> TermImpacts`` of one term under one model.
 
@@ -204,19 +189,18 @@ def term_impacts(
     term has no positive impact are left out.
 
     Entries are shared by every query (and both scoring paths) of a model
-    until any content or structure change moves the index version — a
-    stale entry is replaced by the next scan of its term — or until
-    :data:`_IMPACT_CACHE_LIMIT` more recently used entries push it out.
+    through the collection's ``impact_memo``, keyed on ``cache_key`` and
+    valid for one index version.  The lookup adds to ``tally``, the
+    caller's ``[hits, misses]``, which it counts once per query.
     """
-    cache = _impact_cache(collection)
-    entries = cache["entries"]
+    memo = collection.impact_memo
     version = collection.index_version
-    with cache["lock"]:
-        entry = entries.get(cache_key)
-        if entry is not None and entry[0] == version:
-            entries.move_to_end(cache_key)
-            return entry[1]
-    per_source: Dict[int, TermImpacts] = {}
+    per_source = memo.get(cache_key, version)
+    if per_source is not None:
+        tally[0] += 1
+        return per_source
+    tally[1] += 1
+    per_source = {}
     for source in collection.scoring_sources():
         block_us: List[List[float]] = []
         block_maxes: List[float] = []
@@ -235,12 +219,17 @@ def term_impacts(
             per_source[id(source)] = TermImpacts(
                 max_u, block_maxes, block_us, block_ids, probe_us, probe_tfs
             )
-    with cache["lock"]:
-        entries[cache_key] = (version, per_source)
-        entries.move_to_end(cache_key)
-        while len(entries) > _IMPACT_CACHE_LIMIT:
-            entries.popitem(last=False)
+    memo.put(cache_key, version, per_source)
     return per_source
+
+
+def impact_maps(collection, model_impl, terms) -> Dict[str, Dict[int, TermImpacts]]:
+    """``term -> model_impl.term_impacts(...)`` for each of ``terms``, the
+    impact memo counted once."""
+    tally = [0, 0]
+    maps = {term: model_impl.term_impacts(collection, term, tally) for term in terms}
+    collection.impact_memo.count(*tally)
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +456,11 @@ def _run(
     outcome = TopKOutcome(values={})
     heap: List[Tuple[float, int]] = []
     sources = collection.scoring_sources()
-    impact_maps = {
-        term: model_impl.term_impacts(collection, term) for term, _w in weighted_terms
-    }
+    impacts_of = impact_maps(collection, model_impl, [term for term, _w in weighted_terms])
     for source in sources:
         lists: List[_TermList] = []
         for term, weight in weighted_terms:
-            impacts = impact_maps[term].get(id(source))
+            impacts = impacts_of[term].get(id(source))
             if impacts is not None:
                 max_u = impacts.max_u if lift is None else lift(impacts.max_u)
                 lists.append(_TermList(term, weight, weight * max_u, impacts, lift, unlift))

@@ -96,7 +96,8 @@ class DocumentServer:
         self._address: Optional[Tuple[str, int]] = None
         self.started_at: Optional[float] = None
         #: Shared by the handler threads: a race re-encodes, never serves stale.
-        self._snapshot_memo = Memo(SNAPSHOT_MEMO_LIMIT, "net.snapshots.reused", "net.snapshots.encoded")
+        self._snapshot_memo = Memo(SNAPSHOT_MEMO_LIMIT, "net.snapshots.reused",
+                                   "net.snapshots.encoded", "net.snapshots.evicted")
 
     # -- lifecycle ----------------------------------------------------------
 

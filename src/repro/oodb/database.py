@@ -72,8 +72,10 @@ class Database:
         self._open_txns: Set[Transaction] = set()
         self._txn_gate = threading.RLock()
         #: ``repro.sgml.loader``'s columns, per :meth:`column_version`; statements by text.
-        self.column_memo = Memo(64, "oodb.column_cache.hits", "oodb.column_cache.misses")
-        self.statement_memo = Memo(1024, "oodb.statement_cache.hits", "oodb.statement_cache.misses")
+        self.column_memo = Memo(64, "oodb.column_cache.hits", "oodb.column_cache.misses",
+                                "oodb.column_cache.evictions")
+        self.statement_memo = Memo(1024, "oodb.statement_cache.hits", "oodb.statement_cache.misses",
+                                   "oodb.statement_cache.evictions")
 
         self._storage: Optional[SingleFileStore] = store  # see close()
         self._owns_storage = store is None

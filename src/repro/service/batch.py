@@ -16,8 +16,8 @@ requests against the same collection are
 Semantic difference from the classic inline path, by design: the pooled
 path does **not** write the COLLECTION object's persistent result buffer
 (Section 4.2).  Under concurrency every buffer write would X-lock the
-collection object and serialize all readers; the engine's in-process
-result LRU plus the per-group snapshot provide the equivalent intra- and
+collection object and serialize all readers; each collection's in-process
+result memo plus the per-group snapshot provide the equivalent intra- and
 inter-query reuse.  ``Session(workers=0)`` (the default, inline mode)
 keeps the paper's persistent-buffer semantics exactly.
 """
@@ -283,7 +283,7 @@ def propagate_pending(
 def query_outcome(span) -> str:
     """The ``outcome`` the ``irs.query`` span nested under ``span`` carries.
 
-    :meth:`IRSEngine.query` stamps it: ``cached`` (result LRU hit),
+    :meth:`IRSEngine.query` stamps it: ``cached`` (result memo hit),
     ``pruned`` (block-max path), ``fallback:<reason>``, or ``exhaustive``.
     """
     stack = list(getattr(span, "children", None) or ())

@@ -17,7 +17,7 @@ Two execution modes, chosen at construction:
     :class:`~repro.service.executor.DocumentService`: bounded queue,
     cross-request batching with shared snapshots, automatic deadlock retry,
     per-request timeouts.  Built for many concurrent client threads sharing
-    one session.  The pooled IRS path relies on the engine's result LRU
+    one session.  The pooled IRS path relies on the collections' result memos
     instead of the persistent buffer (see :mod:`repro.service.batch`).
 """
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import IRSQuerySyntaxError
 from repro.irs.analysis import Analyzer
-from repro.irs.collection import IRSCollection
+from repro.irs.collection import PROXIMITY_MEMO_LIMIT, IRSCollection
 from repro.irs.engine import IRSEngine
 from repro.irs.proximity import (
     candidate_documents,
@@ -164,3 +165,21 @@ class TestRetrieval:
         classes = {mmf_system.db.get_object(oid).class_name for oid in values}
         assert classes <= {"PARA"}
         assert values  # "protocol for remote login" matches
+
+
+class TestProximityMemo:
+    def test_a_stream_of_distinct_windows_stays_at_the_bound(self):
+        engine = IRSEngine(result_cache_size=0)
+        engine.create_collection("c")
+        engine.index_document("c", "information retrieval systems")
+        engine.index_document("c", "retrieval of stored information")
+        memo = engine.collection("c").proximity_memo
+        windows = range(1, PROXIMITY_MEMO_LIMIT + 41)
+        with obs.instrumentation() as (_tracer, metrics):
+            for window in windows:
+                engine.query("c", f"#uw{window}(information retrieval)")
+            assert len(memo) == PROXIMITY_MEMO_LIMIT
+            assert metrics.counter("irs.proximity_cache.evictions").value == 40
+            assert metrics.counter("irs.proximity_cache.misses").value == len(windows)
+            engine.query("c", f"#uw{windows[-1]}(information retrieval)")
+            assert metrics.counter("irs.proximity_cache.hits").value == 1

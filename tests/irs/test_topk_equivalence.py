@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.irs.collection import IMPACT_MEMO_LIMIT
 from repro.irs.engine import MODELS, IRSEngine
 from repro.irs.queries import parse_irs_query
 from repro.irs.segments import SealedSegment, SegmentConfig
@@ -227,9 +228,9 @@ class TestOutcomeBookkeeping:
 
 class TestImpactCacheEviction:
     def test_head_term_survives_a_stream_of_tail_terms(self):
-        """Least-recently-used eviction: a term every query shares stays
-        cached while 600 distinct rare terms pass through a 512-entry
-        cache; a wholesale reset at the limit would re-scan it."""
+        """Second-chance eviction: a term every query shares stays kept
+        while 600 distinct rare terms pass through a 512-entry memo; a
+        wholesale reset at the limit would re-scan it."""
         engine = IRSEngine(result_cache_size=0)
         engine.create_collection("c")
         tails = [f"tail{i}" for i in range(600)]
@@ -237,14 +238,15 @@ class TestImpactCacheEviction:
             engine.index_document("c", f"head {tail} filler")
         collection = engine.collection("c")
         impl = MODELS["inquery"]()
-        head = impl.term_impacts(collection, "head")
+        tally = [0, 0]
+        head = impl.term_impacts(collection, "head", tally)
         for i, tail in enumerate(tails):
-            impl.term_impacts(collection, tail)
+            impl.term_impacts(collection, tail, tally)
             if i % 100 == 99:
-                assert impl.term_impacts(collection, "head") is head
-        entries = collection._topk_impact_cache["entries"]
-        assert len(entries) == topk._IMPACT_CACHE_LIMIT
-        assert impl.term_impacts(collection, "head") is head
+                assert impl.term_impacts(collection, "head", tally) is head
+        entries = collection.impact_memo
+        assert len(entries) == IMPACT_MEMO_LIMIT
+        assert impl.term_impacts(collection, "head", tally) is head
         assert ("inquery", impl._db, tails[0]) not in entries
         assert ("inquery", impl._db, tails[-1]) in entries
 
@@ -254,9 +256,10 @@ class TestImpactCacheEviction:
         engine.index_document("c", "head one")
         collection = engine.collection("c")
         impl = MODELS["vector"]()
-        before = impl.term_impacts(collection, "head")
+        tally = [0, 0]
+        before = impl.term_impacts(collection, "head", tally)
         engine.index_document("c", "head two")
-        after = impl.term_impacts(collection, "head")
+        after = impl.term_impacts(collection, "head", tally)
         assert after is not before
         assert sum(len(i.probe_us) for i in after.values()) == 2
 

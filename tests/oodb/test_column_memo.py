@@ -52,8 +52,8 @@ def run(db, text, bindings=None):
 def fresh(db, text, bindings=None):
     """The statement's rows over empty memos."""
     kept = db.column_memo, db.statement_memo
-    db.column_memo = Memo(64, "test.fresh.hits", "test.fresh.misses")
-    db.statement_memo = Memo(64, "test.fresh.hits", "test.fresh.misses")
+    db.column_memo = Memo(64, "test.fresh.hits", "test.fresh.misses", "test.fresh.evictions")
+    db.statement_memo = Memo(64, "test.fresh.hits", "test.fresh.misses", "test.fresh.evictions")
     try:
         return run(db, text, bindings)
     finally:
@@ -282,14 +282,14 @@ class TestStatements:
 
 class TestMemo:
     def test_a_value_serves_only_its_token(self):
-        memo = Memo(4, "test.hits", "test.misses")
+        memo = Memo(4, "test.hits", "test.misses", "test.evictions")
         memo.put("k", (1, 2), "value")
         assert memo.get("k", (1, 2)) == "value"
         assert memo.get("k", (1, 3)) is None
         assert memo.get("other", (1, 2)) is None
 
     def test_the_oldest_key_goes_when_full(self):
-        memo = Memo(2, "test.hits", "test.misses")
+        memo = Memo(2, "test.hits", "test.misses", "test.evictions")
         for key in "abc":
             memo.put(key, 0, key.upper())
         assert [memo.get(key, 0) for key in "abc"] == [None, "B", "C"]
@@ -301,6 +301,6 @@ class TestMemo:
 
     def test_count_moves_each_counter_once(self):
         with obs.instrumentation() as (_tracer, metrics):
-            Memo(2, "test.hits", "test.misses").count(3, 2)
+            Memo(2, "test.hits", "test.misses", "test.evictions").count(3, 2)
             counters = metrics.snapshot()["counters"]
             assert (counters["test.hits"], counters["test.misses"]) == (3, 2)
